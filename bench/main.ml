@@ -167,7 +167,7 @@ let ablation_clustering cfg =
       (fun pts ->
         let udg = Wireless.Udg.build pts ~radius in
         let roles =
-          Core.Mis.compute_with_priority udg ~priority:(priority udg)
+          Core.Mis.compute udg ~priority:(priority udg)
         in
         let conn = Core.Connectors.find udg roles in
         let cds = Core.Cds.build udg roles conn in
@@ -840,19 +840,16 @@ let bench_metrics ?check quick jobs =
 (* Construction pipeline benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Legacy Hashtbl-graph construction ([Backbone.run] with [Serial]
-   partition, the seed pipeline) against the sharded CSR-native
-   pipeline ([Backbone.snapshot]: tiles, Builder accumulation, sealed
-   snapshots, no mutable graph materialized).  Outputs are asserted
-   bit-identical before any timing is reported.  The headline on a
-   one-CPU box is the algorithmic speedup of the CSR pipeline at j = 1;
-   the jobs column is reported honestly and is NOT expected to beat it
-   without additional cores. *)
+(* The sharded CSR pipeline ([Backbone.snapshot]: tiles, Builder
+   accumulation, sealed snapshots, no mutable graph materialized) at
+   constant density.  Each compared size is built three ways — one
+   tile (the serial build), the [Auto] tiling at j = 1, and [Auto] at
+   j = J — and all three are asserted bit-identical before any timing
+   is reported.  The jobs column is reported honestly and is NOT
+   expected to beat j = 1 without additional cores. *)
 let bench_pipeline ?check quick jobs =
   header
-    (Printf.sprintf
-       "Construction pipeline: legacy Hashtbl graph vs sharded CSR (jobs = \
-        1 and %d)"
+    (Printf.sprintf "Construction pipeline: sharded CSR (jobs = 1 and %d)"
        jobs);
   let was = Obs.enabled () in
   Obs.set_enabled true;
@@ -865,13 +862,18 @@ let bench_pipeline ?check quick jobs =
     let rng = Wireless.Rand.create 4242L in
     Wireless.Deploy.uniform rng ~n ~side:(10. *. sqrt (float_of_int n))
   in
-  let cfg partition j =
-    {
-      Core.Backbone.Config.default with
-      Core.Backbone.Config.radius;
-      partition;
-      jobs = j;
-    }
+  let build name partition j n pts =
+    Obs.span
+      (Printf.sprintf "bench.pipeline.%s.n%d" name n)
+      (fun () ->
+        Core.Backbone.snapshot
+          {
+            Core.Backbone.Config.default with
+            Core.Backbone.Config.radius;
+            partition;
+            jobs = j;
+          }
+          pts)
   in
   let compare_cases = if quick then [ 2_000; 5_000 ] else [ 20_000; 50_000 ] in
   let n_big = if quick then 20_000 else 1_000_000 in
@@ -885,41 +887,30 @@ let bench_pipeline ?check quick jobs =
     count "pldel_edges" n (Netgraph.Csr.edge_count s.S.pldel);
     count "pldel'_edges" n (Netgraph.Csr.edge_count s.S.pldel')
   in
+  let same (a : S.snapshot) (b : S.snapshot) =
+    let e = Netgraph.Csr.edges in
+    a.S.roles = b.S.roles
+    && e a.S.udg = e b.S.udg
+    && e a.S.cds' = e b.S.cds'
+    && e a.S.pldel = e b.S.pldel
+    && e a.S.pldel' = e b.S.pldel'
+  in
   let timed = ref [] in
   List.iter
     (fun n ->
       let pts = deploy n in
-      let legacy =
-        Obs.span
-          (Printf.sprintf "bench.pipeline.legacy.n%d" n)
-          (fun () -> Core.Backbone.run (cfg Core.Backbone.Config.Serial 1) pts)
+      let serial = build "tiles1" (Core.Backbone.Config.Tiles 1) 1 n pts in
+      let auto j =
+        build (Printf.sprintf "sharded.j%d" j) Core.Backbone.Config.Auto j n pts
       in
-      let snap j =
-        Obs.span
-          (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" j n)
-          (fun () ->
-            Core.Backbone.snapshot (cfg Core.Backbone.Config.Auto j) pts)
-      in
-      let s1 = snap 1 in
-      let sj = if jobs > 1 then snap jobs else s1 in
-      (* bit-identity gate: the speedup below is only meaningful if the
-         CSR pipeline rebuilt exactly the legacy structures *)
-      let same_csr c g = Netgraph.Csr.edges c = Netgraph.Graph.edges g in
-      if
-        not
-          (s1.S.roles = legacy.Core.Backbone.cds.Core.Cds.roles
-          && same_csr s1.S.udg legacy.Core.Backbone.udg
-          && same_csr s1.S.cds' legacy.Core.Backbone.cds.Core.Cds.cds'
-          && same_csr s1.S.pldel legacy.Core.Backbone.ldel_icds_g
-          && same_csr s1.S.pldel' legacy.Core.Backbone.ldel_icds')
-      then
+      let s1 = auto 1 in
+      let sj = if jobs > 1 then auto jobs else s1 in
+      (* bit-identity gates: the timings below only compare like with
+         like if every tiling and job count built the same structures *)
+      if not (same serial s1) then
         failwith
-          (Printf.sprintf "pipeline bench: sharded diverges from legacy at n = %d" n);
-      if
-        not
-          (Netgraph.Csr.edges sj.S.udg = Netgraph.Csr.edges s1.S.udg
-          && Netgraph.Csr.edges sj.S.pldel = Netgraph.Csr.edges s1.S.pldel)
-      then
+          (Printf.sprintf "pipeline bench: Auto diverges from Tiles 1 at n = %d" n);
+      if not (same s1 sj) then
         failwith
           (Printf.sprintf "pipeline bench: jobs=%d diverges at n = %d" jobs n);
       record_counts n s1;
@@ -929,17 +920,11 @@ let bench_pipeline ?check quick jobs =
         (Netgraph.Csr.edge_count s1.S.pldel);
       timed := (n, true) :: !timed)
     compare_cases;
-  (* the million-node run: sharded CSR only — the Hashtbl pipeline is
-     not run at this size, so the row reports absolute wall time *)
-  let pts = deploy n_big in
-  let big =
-    Obs.span
-      (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" 1 n_big)
-      (fun () ->
-        Core.Backbone.snapshot (cfg Core.Backbone.Config.Auto 1) pts)
-  in
+  (* the million-node run: the Auto tiling at j = 1 only, so the row
+     reports absolute wall time *)
+  let big = build "sharded.j1" Core.Backbone.Config.Auto 1 n_big (deploy n_big) in
   record_counts n_big big;
-  pf "n = %-8d UDG %d edges, PLDel %d edges (sharded CSR only)@." n_big
+  pf "n = %-8d UDG %d edges, PLDel %d edges (Auto, j = 1 only)@." n_big
     (Netgraph.Csr.edge_count big.S.udg)
     (Netgraph.Csr.edge_count big.S.pldel);
   timed := (n_big, false) :: !timed;
@@ -953,24 +938,23 @@ let bench_pipeline ?check quick jobs =
     | Some sp -> sp.Obs.Snapshot.seconds
     | None -> nan
   in
-  pf "@.%-9s %11s %12s %12s %8s@." "n" "legacy (s)" "sharded (s)"
-    (Printf.sprintf "j=%d (s)" jobs)
-    "x csr";
+  pf "@.%-9s %12s %12s %12s@." "n" "tiles=1 (s)" "auto j=1 (s)"
+    (Printf.sprintf "j=%d (s)" jobs);
   List.iter
     (fun (n, compared) ->
       let t1 = seconds (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" 1 n) in
-      let tj =
-        if jobs > 1 && compared then
-          seconds (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" jobs n)
-        else t1
-      in
       if compared then begin
-        let tl = seconds (Printf.sprintf "bench.pipeline.legacy.n%d" n) in
-        pf "%-9d %11.3f %12.3f %12.3f %8.2f@." n tl t1 tj (tl /. t1)
+        let ts = seconds (Printf.sprintf "bench.pipeline.tiles1.n%d" n) in
+        let tj =
+          if jobs > 1 then
+            seconds (Printf.sprintf "bench.pipeline.sharded.j%d.n%d" jobs n)
+          else t1
+        in
+        pf "%-9d %12.3f %12.3f %12.3f@." n ts t1 tj
       end
-      else pf "%-9d %11s %12.3f %12s %8s@." n "-" t1 "-" "-")
+      else pf "%-9d %12s %12.3f %12s@." n "-" t1 "-")
     (List.rev !timed);
-  pf "(sharded outputs verified bit-identical to the legacy pipeline)@.";
+  pf "(outputs verified bit-identical across tilings and job counts)@.";
   let file = "BENCH_pipeline.json" in
   (match check with
   | Some threshold ->
@@ -1402,11 +1386,18 @@ let () =
       { Core.Experiments.quick with instances = 2; jobs = !jobs }
     else { Core.Experiments.default with jobs = !jobs }
   in
-  (* the n = 500 radius sweeps are the heavy ones: fewer vertex sets *)
-  let cfg_sweep =
-    { cfg with Core.Experiments.instances = (if quick then 2 else 5) }
-  in
+  (* the n = 500 radius sweeps are the heavy ones: fewer vertex sets.
+     The quick sweep's n = 150 keeps the full sweep's density by
+     shrinking the square, so R = 20 stays above the connectivity
+     threshold as it is at n = 500 in the 200 x 200 square. *)
   let n_sweep = if quick then 150 else 500 in
+  let cfg_sweep =
+    {
+      cfg with
+      Core.Experiments.instances = (if quick then 2 else 5);
+      side = cfg.Core.Experiments.side *. sqrt (float_of_int n_sweep /. 500.);
+    }
+  in
   let all = args = [] in
   let want name = all || List.mem name args in
   (* with --stats each artifact gets its own isolated work account:

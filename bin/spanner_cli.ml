@@ -215,30 +215,28 @@ let jobs =
 
 let partition =
   let doc =
-    "Construction partition: $(b,auto) runs the sharded CSR pipeline on \
-     grid tiles for large instances (>= 5000 nodes), $(b,serial) forces \
-     the legacy single-domain Hashtbl build, and a positive integer \
-     $(docv) forces tile-sharding with that many tiles per axis.  Every \
-     mode produces bit-identical structures; only construction speed \
-     changes."
+    "Construction tiling: $(b,auto) lets the sharded pipeline pick its \
+     default (one tile below ~9k nodes), and a positive integer $(docv) \
+     uses that many tiles per axis ($(b,1) is the serial build).  With \
+     more than one tile, $(b,--jobs) above 1 fans the stages out on a \
+     Domain pool.  Every tiling produces bit-identical structures; only \
+     construction speed changes."
   in
   let part_conv =
     let parse s =
       match String.lowercase_ascii s with
       | "auto" -> Ok Config.Auto
-      | "serial" -> Ok Config.Serial
       | s -> (
         match int_of_string_opt s with
         | Some k when k >= 1 -> Ok (Config.Tiles k)
         | _ ->
           Error
             (`Msg
-              (Printf.sprintf
-                 "expected auto, serial or a positive tile count, got %S" s)))
+              (Printf.sprintf "expected auto or a positive tile count, got %S"
+                 s)))
     in
     let print fmt = function
       | Config.Auto -> Format.pp_print_string fmt "auto"
-      | Config.Serial -> Format.pp_print_string fmt "serial"
       | Config.Tiles k -> Format.pp_print_int fmt k
     in
     Arg.conv (parse, print)

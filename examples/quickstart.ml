@@ -21,8 +21,8 @@ let () =
 
   (* 2. One call builds the whole hierarchy: clustering -> connectors
      -> CDS family -> localized Delaunay planarization.  The [Config]
-     record is the front door; [partition = Auto] switches to the
-     tile-sharded CSR pipeline automatically on large instances, with
+     record is the front door; [partition = Auto] tiles large
+     instances for the sharded CSR pipeline automatically, with
      bit-identical results.  (At million-node scale, prefer
      [Core.Backbone.snapshot], which returns sealed CSR structures and
      never materializes a mutable graph.) *)

@@ -14,7 +14,7 @@ type t = {
 
 module Config = struct
   type radio = Disk | Quasi of { r_min : float; seed : int64 }
-  type partition = Auto | Tiles of int | Serial
+  type partition = Auto | Tiles of int
 
   type t = {
     radius : float;
@@ -36,21 +36,6 @@ module Config = struct
     }
 end
 
-(* Instances below this size gain nothing from tiling: the serial
-   chain finishes in milliseconds and avoids the per-stage scratch. *)
-let auto_partition_threshold = 5_000
-
-let add_dominatee_links udg roles g =
-  let links = ref [] in
-  Array.iteri
-    (fun u r ->
-      if r = Mis.Dominatee then
-        List.iter
-          (fun d -> links := (u, d) :: !links)
-          (Mis.dominators_of udg roles u))
-    roles;
-  G.union g (G.of_edges (G.node_count g) !links)
-
 (* Enable the sink (when given) around [stages], reporting on exit. *)
 let with_sink sink stages =
   match sink with
@@ -64,118 +49,62 @@ let with_sink sink stages =
         Obs.report sink)
       stages
 
-let with_jobs jobs f =
-  if jobs > 1 then Netgraph.Pool.with_pool ~jobs (fun p -> f (Some p))
-  else f None
-
-let quasi_udg points ~radius ~r_min ~seed =
-  Wireless.Udg.build_quasi
-    (Wireless.Rand.create seed)
-    points ~r_min ~r_max:radius
-
-let partitioned (cfg : Config.t) n =
-  match cfg.Config.partition with
-  | Config.Serial -> false
-  | Config.Tiles _ -> true
-  | Config.Auto -> (
-    n >= auto_partition_threshold
-    && match cfg.Config.radio with Config.Disk -> true | Config.Quasi _ -> false)
-
-let run_sharded (cfg : Config.t) points =
+let pipeline (cfg : Config.t) points =
   let radius = cfg.Config.radius in
-  Obs.span "backbone" (fun () ->
-      let tiles =
-        match cfg.Config.partition with Config.Tiles k -> Some k | _ -> None
-      in
-      let pre_udg =
-        (* the quasi radio draws links from a sequential RNG stream, so
-           its UDG is built serially and only the later stages shard *)
-        match cfg.Config.radio with
-        | Config.Disk -> None
-        | Config.Quasi { r_min; seed } ->
-          Some
-            (Obs.span "udg" (fun () ->
-                 Netgraph.Csr.of_graph (quasi_udg points ~radius ~r_min ~seed)))
-      in
-      let snap =
-        with_jobs cfg.Config.jobs (fun pool ->
-            Shard.pipeline ?pool ?tiles ?priority:cfg.Config.priority
-              ?udg:pre_udg points ~radius)
-      in
-      (* rebuild the legacy record from the snapshot: the stitched
-         role/connector/LDel lists equal the serial ones, so these
-         adapters reproduce [run]'s serial output graph for graph *)
-      Obs.span "thaw" (fun () ->
-          let udg = Netgraph.Csr.to_graph snap.Shard.udg in
-          let cds = Cds.build udg snap.Shard.roles snap.Shard.connectors in
-          let ldel_icds = Ldel.of_parts (Array.length points) snap.Shard.ldel in
-          let ldel_icds_g = ldel_icds.Ldel.planar in
-          let ldel_icds' =
-            add_dominatee_links udg snap.Shard.roles ldel_icds_g
-          in
-          {
-            points;
-            radius;
-            jobs = max 1 cfg.Config.jobs;
-            udg;
-            cds;
-            ldel_icds;
-            ldel_icds_g;
-            ldel_icds';
-            planar_csr = snap.Shard.pldel;
-          }))
+  let tiles =
+    match cfg.Config.partition with
+    | Config.Tiles k -> Some k
+    | Config.Auto -> None
+  in
+  let udg =
+    (* the quasi radio draws links from a sequential RNG stream, so
+       its UDG is built serially and only the later stages shard *)
+    match cfg.Config.radio with
+    | Config.Disk -> None
+    | Config.Quasi { r_min; seed } ->
+      Some
+        (Obs.span "udg" (fun () ->
+             Netgraph.Csr.of_graph
+               (Wireless.Udg.build_quasi
+                  (Wireless.Rand.create seed)
+                  points ~r_min ~r_max:radius)))
+  in
+  Shard.pipeline ~jobs:cfg.Config.jobs ?tiles ?priority:cfg.Config.priority
+    ?udg points ~radius
 
-let run_serial (cfg : Config.t) points =
-  let radius = cfg.Config.radius in
-  Obs.span "backbone" (fun () ->
-      let udg =
-        Obs.span "udg" (fun () ->
-            match cfg.Config.radio with
-            | Config.Disk -> Wireless.Udg.build points ~radius
-            | Config.Quasi { r_min; seed } ->
-              quasi_udg points ~radius ~r_min ~seed)
-      in
-      let cds = Cds.of_udg ?priority:cfg.Config.priority udg in
-      let ldel_icds =
-        Obs.span "ldel" (fun () -> Ldel.build cds.Cds.icds points ~radius)
-      in
-      let ldel_icds_g = ldel_icds.Ldel.planar in
-      let ldel_icds' =
-        Obs.span "links" (fun () ->
-            add_dominatee_links udg cds.Cds.roles ldel_icds_g)
-      in
+let snapshot (cfg : Config.t) points =
+  with_sink cfg.Config.sink (fun () -> pipeline cfg points)
+
+(* The mutable-graph record, thawed from the sealed snapshot. *)
+let thaw ~jobs (snap : Shard.snapshot) =
+  let g = Netgraph.Csr.to_graph in
+  let ldel_icds = Ldel.of_parts (Array.length snap.Shard.points) snap.Shard.ldel in
+  {
+    points = snap.Shard.points;
+    radius = snap.Shard.radius;
+    jobs = max 1 jobs;
+    udg = g snap.Shard.udg;
+    cds =
       {
-        points;
-        radius;
-        jobs = max 1 cfg.Config.jobs;
-        udg;
-        cds;
-        ldel_icds;
-        ldel_icds_g;
-        ldel_icds';
-        planar_csr = Netgraph.Csr.of_graph ~points ldel_icds_g;
-      })
+        Cds.roles = snap.Shard.roles;
+        connectors = snap.Shard.connectors;
+        backbone = snap.Shard.backbone;
+        cds = g snap.Shard.cds;
+        cds' = g snap.Shard.cds';
+        icds = g snap.Shard.icds;
+        icds' = g snap.Shard.icds';
+      };
+    ldel_icds;
+    ldel_icds_g = ldel_icds.Ldel.planar;
+    ldel_icds' = g snap.Shard.pldel';
+    planar_csr = snap.Shard.pldel;
+  }
 
 let run (cfg : Config.t) points =
   with_sink cfg.Config.sink (fun () ->
-      if partitioned cfg (Array.length points) then run_sharded cfg points
-      else run_serial cfg points)
-
-let snapshot (cfg : Config.t) points =
-  let radius = cfg.Config.radius in
-  with_sink cfg.Config.sink (fun () ->
-      let tiles =
-        match cfg.Config.partition with Config.Tiles k -> Some k | _ -> None
-      in
-      let pre_udg =
-        match cfg.Config.radio with
-        | Config.Disk -> None
-        | Config.Quasi { r_min; seed } ->
-          Some (Netgraph.Csr.of_graph (quasi_udg points ~radius ~r_min ~seed))
-      in
-      with_jobs cfg.Config.jobs (fun pool ->
-          Shard.pipeline ?pool ?tiles ?priority:cfg.Config.priority ?udg:pre_udg
-            points ~radius))
+      Obs.span "backbone" (fun () ->
+          let snap = pipeline cfg points in
+          Obs.span "thaw" (fun () -> thaw ~jobs:cfg.Config.jobs snap)))
 
 let build ?priority points ~radius =
   run { Config.default with Config.radius; priority } points

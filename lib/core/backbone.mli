@@ -4,7 +4,12 @@
     [run] computes every structure the paper evaluates, over one node
     deployment, driven by a {!Config.t}.  This is the library's front
     door: examples, the CLI, the benchmarks and the experiment sweeps
-    all consume this record. *)
+    all consume this record.  There is one construction path: the
+    sharded CSR pipeline ({!Shard.pipeline}); [run] is {!snapshot}
+    plus a thaw into mutable graphs.  The reference implementation is
+    {!Protocol}, the distributed rendition of the same stages, which
+    must agree with this record on roles, connector edges and the
+    planar backbone. *)
 
 type t = {
   points : Geometry.Point.t array;
@@ -21,8 +26,8 @@ type t = {
           structure spanning all nodes *)
   planar_csr : Netgraph.Csr.t;
       (** PLDel(ICDS) as a sealed CSR snapshot with Euclidean arc
-          weights — the read-optimized form of [ldel_icds_g], identical
-          on both the serial and the partitioned path *)
+          weights — the read-optimized form of [ldel_icds_g] (the
+          snapshot's [pldel]) *)
 }
 
 (** Pipeline configuration — one record instead of a growing pile of
@@ -34,14 +39,12 @@ module Config : sig
       dedicated RNG seeded by [seed], so a config is reproducible). *)
   type radio = Disk | Quasi of { r_min : float; seed : int64 }
 
-  (** How the pipeline build itself is executed.  [Serial] is the
-      legacy single-threaded chain; [Tiles k] forces the sharded
-      CSR-native pipeline ({!Shard}) with [k] tiles per axis; [Auto]
-      picks the sharded pipeline for disk-radio instances of at least
-      ~5k nodes and the serial chain otherwise (the quasi radio's
-      RNG-ordered link draws keep its UDG stage serial under [Auto]).
-      Both paths produce bit-identical structures. *)
-  type partition = Auto | Tiles of int | Serial
+  (** How the deployment is tiled for the build ({!Shard.tiling}).
+      [Tiles k] uses [k] tiles per axis — [Tiles 1] is the serial
+      build; [Auto] is the shard default (about 4k nodes per tile, so
+      one tile below ~9k nodes).  Every tiling produces bit-identical
+      structures. *)
+  type partition = Auto | Tiles of int
 
   type t = {
     radius : float;  (** transmission radius, shared by all nodes *)
@@ -55,9 +58,9 @@ module Config : sig
             obs state afterwards; call [Obs.reset] first for numbers
             isolated to one run *)
     jobs : int;
-        (** worker domains (see {!Netgraph.Pool}) — used by the
-            partitioned build and as the default parallelism for
-            metrics over this instance *)
+        (** worker domains (see {!Netgraph.Pool}) — used by the build
+            when the tiling has more than one tile, and as the default
+            parallelism for metrics over this instance *)
     partition : partition;
   }
 
@@ -66,23 +69,21 @@ module Config : sig
   val default : t
 end
 
-(** [run cfg points] runs the whole pipeline.  The UDG need not be
-    connected, but the spanner guarantees only hold per component.
-    On the serial path, stage timings are charged to obs spans
-    [backbone/udg], [backbone/cds/mis], [backbone/cds/connectors],
-    [backbone/cds/assemble], [backbone/ldel] and [backbone/links]; on
-    the partitioned path the [shard.*] spans replace the per-stage
-    ones (plus [backbone/thaw] for rebuilding the legacy graphs).
-    Both paths return the same structures bit for bit.  For
-    million-node instances prefer {!snapshot}, which skips the
-    legacy-graph thaw entirely. *)
+(** [run cfg points] runs the whole pipeline: {!snapshot}, then a thaw
+    of the sealed CSRs into the mutable graphs of {!t}.  The UDG need
+    not be connected, but the spanner guarantees only hold per
+    component.  Stage timings are charged to obs spans
+    [backbone/shard/shard.udg], [.../shard.mis],
+    [.../shard.connectors], [.../shard.ldel] and [.../shard.assemble],
+    plus [backbone/thaw] for the graphs.  For million-node instances
+    prefer {!snapshot}, which skips the thaw entirely. *)
 val run : Config.t -> Geometry.Point.t array -> t
 
 (** [snapshot cfg points] runs the sharded CSR-native pipeline
     ({!Shard.pipeline}) under [cfg] — partition, jobs, radio, priority
-    and sink are honored as in {!run} — and returns the sealed
-    snapshot without ever materializing a mutable graph.  This is the
-    front door for million-node instances. *)
+    and sink are honored — and returns the sealed snapshot without
+    ever materializing a mutable graph.  This is the front door for
+    million-node instances. *)
 val snapshot : Config.t -> Geometry.Point.t array -> Shard.snapshot
 
 (** [build points ~radius] is

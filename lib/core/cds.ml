@@ -33,10 +33,7 @@ let build udg roles connectors =
 let of_udg ?priority udg =
   Obs.span "cds" (fun () ->
       let roles =
-        Obs.span "mis" (fun () ->
-            match priority with
-            | None -> Mis.compute udg
-            | Some priority -> Mis.compute_with_priority udg ~priority)
+        Obs.span "mis" (fun () -> Mis.compute ?priority udg)
       in
       let connectors = Obs.span "connectors" (fun () -> Connectors.find udg roles) in
       Obs.span "assemble" (fun () -> build udg roles connectors))

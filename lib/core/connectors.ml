@@ -12,137 +12,42 @@ let candidates_two_hop g roles u v =
     (fun w -> roles.(w) = Mis.Dominatee && G.has_edge g w v)
     (G.neighbors g u)
 
-let elect g candidates =
+(* The local-minimum rule over any adjacency test: a candidate wins
+   when no other candidate it can hear has a smaller id. *)
+let elect_by adjacent candidates =
   List.filter
     (fun w ->
-      List.for_all (fun x -> x = w || (not (G.has_edge g w x)) || w < x)
-        candidates)
+      List.for_all (fun x -> x = w || (not (adjacent w x)) || w < x) candidates)
     candidates
+
+let elect g candidates = elect_by (G.has_edge g) candidates
 
 let ordered_edge u v = (min u v, max u v)
 
-let cmp_pair (a1, b1) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
-
-(* Algorithm 1, centralized rendition.  Every election uses only
+(* Algorithm 1 on a CSR snapshot.  Every election uses only
    information a candidate hears from its 1-hop neighbors, so the
    distributed protocol in [Protocol] reproduces the result
-   message-for-message; the integration tests assert equality. *)
-let find g roles =
-  let n = G.node_count g in
-  let connector = Array.make n false in
-  let edges = Hashtbl.create 64 in
-  let add_edge u v = Hashtbl.replace edges (ordered_edge u v) () in
-  let dominatees =
-    List.filter
-      (fun w -> roles.(w) = Mis.Dominatee)
-      (List.init n (fun i -> i))
-  in
+   message-for-message; the integration tests assert equality.
 
-  (* Steps 3-4: a dominatee with two dominators u, v is a candidate
-     connector for the unordered pair (u, v); local minima win. *)
-  let two_hop_cands = Hashtbl.create 64 in
-  List.iter
-    (fun w ->
-      let doms = Mis.dominators_of g roles w in
-      List.iter
-        (fun u ->
-          List.iter
-            (fun v ->
-              if u < v then
-                Hashtbl.replace two_hop_cands (u, v)
-                  (w
-                  :: Option.value ~default:[]
-                       (Hashtbl.find_opt two_hop_cands (u, v))))
-            doms)
-        doms)
-    dominatees;
-  let two_hop_pairs = ref [] in
-  G.sorted_tbl_iter cmp_pair
-    (fun (u, v) cands ->
-      two_hop_pairs := (u, v) :: !two_hop_pairs;
-      List.iter
-        (fun w ->
-          connector.(w) <- true;
-          add_edge u w;
-          add_edge w v)
-        (elect g cands))
-    two_hop_cands;
+   Steps 3-4: a dominatee adjacent to two dominators u < v is a
+   candidate connector for the pair; local minima win.  Steps 5-6: for
+   each ordered dominator pair (u, v) with u a dominator of w and v
+   two hops from w, dominatee w is a candidate FIRST connector on a
+   path u - w - x - v; pairs already joined by a common dominatee are
+   skipped (dominator u hears every IamDominatee its dominatees
+   broadcast, so it knows its two-hop dominator set exactly and
+   announces it in one extra TwoHopDoms message).  Steps 7-8:
+   dominatees of v that hear an elected first connector are candidate
+   SECOND connectors; local minima win.
 
-  (* Steps 5-6: for each ordered dominator pair (u, v) with u a
-     dominator of w and v two hops from w, dominatee w is a candidate
-     FIRST connector on a path u - w - x - v.  Pairs already joined by
-     a common dominatee are skipped: dominator u hears every
-     IamDominatee its dominatees broadcast, so it knows its two-hop
-     dominator set exactly and announces it in one extra message
-     (TwoHopDoms), which every dominatee of u hears. *)
-  let first_cands = Hashtbl.create 64 in
-  List.iter
-    (fun w ->
-      let doms = Mis.dominators_of g roles w in
-      let two_hop = Mis.two_hop_dominators g roles w in
-      List.iter
-        (fun u ->
-          List.iter
-            (fun v ->
-              if v <> u && candidates_two_hop g roles u v = [] then
-                Hashtbl.replace first_cands (u, v)
-                  (w
-                  :: Option.value ~default:[]
-                       (Hashtbl.find_opt first_cands (u, v))))
-            two_hop)
-        doms)
-    dominatees;
-  (* Steps 7-8: dominatees of v that hear an elected first connector
-     are candidate SECOND connectors for (u, v); local minima win. *)
-  let three_hop_pairs = ref [] in
-  G.sorted_tbl_iter cmp_pair
-    (fun (u, v) cands ->
-      three_hop_pairs := (u, v) :: !three_hop_pairs;
-      let first = elect g cands in
-      let second_cands =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun w ->
-               List.filter
-                 (fun x ->
-                   roles.(x) = Mis.Dominatee && G.has_edge g x v && x <> w)
-                 (G.neighbors g w))
-             first)
-      in
-      let second = elect g second_cands in
-      List.iter
-        (fun w ->
-          connector.(w) <- true;
-          add_edge u w)
-        first;
-      List.iter
-        (fun x ->
-          connector.(x) <- true;
-          add_edge x v;
-          List.iter (fun w -> if G.has_edge g w x then add_edge w x) first)
-        second)
-    first_cands;
-
-  {
-    connector;
-    cds_edges =
-      List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
-    two_hop_pairs = List.sort compare !two_hop_pairs;
-    three_hop_pairs = List.sort compare !three_hop_pairs;
-  }
-
-(* CSR-native, tile-sharded rendition of [find].  Every pair election
-   is 2-local around the smaller (two-hop stage) or first (three-hop
-   stage) dominator of the pair, so each pair is processed exactly
-   once, entirely from its owner's tile: candidate sets, gates and
-   local-minima elections read only the immutable snapshot and the
+   Every pair election is 2-local around the smaller (two-hop stage)
+   or first (three-hop stage) dominator of the pair, so each pair is
+   processed exactly once, entirely from its owner's tile: candidate
+   sets, gates and elections read only the immutable snapshot and the
    role array.  Per-tile accumulators are merged by a final sort
-   ([sort_uniq] for edges, matching [find]'s Hashtbl dedup), and
+   ([sort_uniq] dedups edges installed by several pairs), and
    [connector] writes race only on the identical value [true], so the
-   result equals [find]'s field for field, for any tiling and any job
-   count. *)
+   result is the same for any tiling and any job count. *)
 let find_csr ?pool ?owners csr roles =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
@@ -156,14 +61,7 @@ let find_csr ?pool ?owners csr roles =
   let edges_by_tile = Array.make ntiles [] in
   let two_by_tile = Array.make ntiles [] in
   let three_by_tile = Array.make ntiles [] in
-  let elect_csr cands =
-    List.filter
-      (fun w ->
-        List.for_all
-          (fun x -> x = w || (not (C.mem_edge csr w x)) || w < x)
-          cands)
-      cands
-  in
+  let elect_csr = elect_by (C.mem_edge csr) in
   (* dominatees adjacent to both u and v — [candidates_two_hop] read
      off u's CSR row *)
   let common_dominatees u v =
@@ -283,14 +181,14 @@ let find_csr ?pool ?owners csr roles =
       two_by_tile.(t) <- !two;
       three_by_tile.(t) <- !three
   in
-  Obs.quiesced (fun () ->
-      match pool with
-      | Some p -> Netgraph.Pool.parallel_for p ~n:ntiles mk_body
-      | None ->
-        let body = mk_body () in
-        for t = 0 to ntiles - 1 do
-          body t
-        done);
+  (match pool with
+  | Some p ->
+    Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n:ntiles mk_body)
+  | None ->
+    let body = mk_body () in
+    for t = 0 to ntiles - 1 do
+      body t
+    done);
   let concat_of by_tile = List.concat (Array.to_list by_tile) in
   {
     connector;
@@ -298,6 +196,8 @@ let find_csr ?pool ?owners csr roles =
     two_hop_pairs = List.sort compare (concat_of two_by_tile);
     three_hop_pairs = List.sort compare (concat_of three_by_tile);
   }
+
+let find g roles = find_csr (Netgraph.Csr.of_graph g) roles
 
 (* The Alzoubi-style dominator-initiated selection: one deterministic
    path per ordered dominator pair.  Dominator u "decides the next

@@ -12,7 +12,13 @@
     connectors for the same pair are therefore never adjacent — this
     bounds the number of connectors per pair (at most 2 for two-hop
     pairs, Lemma: the lune argument) without requiring a global
-    leader. *)
+    leader.
+
+    This module is the centralized construction stage
+    ({!Shard.pipeline} runs it per tile).  The reference
+    implementation is {!Protocol}, which runs the elections as
+    [TryConnector] message exchanges and must install the identical
+    backbone edges. *)
 
 type result = {
   connector : bool array;  (** elected as connector for some pair *)
@@ -25,17 +31,13 @@ type result = {
       (** ordered dominator pairs processed by the 3-hop stage *)
 }
 
-(** [find g roles] runs the two elections of Algorithm 1 on the unit
-    disk graph [g] with the clustering [roles]. *)
-val find : Netgraph.Graph.t -> Mis.role array -> result
-
-(** [find_csr csr roles] runs the same elections directly on a CSR
-    snapshot and returns a result equal to [find] field for field.
-    Every pair election is 2-local around one dominator of the pair
-    (the smaller one for two-hop pairs, the first one for ordered
-    three-hop pairs), so with [owners] (tile partition of the node
-    ids) each pair is processed exactly once from its owner's tile;
-    with [pool] the tiles fan out across its domains.  Per-tile
+(** [find_csr csr roles] runs the two elections of Algorithm 1 on the
+    CSR snapshot [csr] of the unit disk graph with the clustering
+    [roles].  Every pair election is 2-local around one dominator of
+    the pair (the smaller one for two-hop pairs, the first one for
+    ordered three-hop pairs), so with [owners] (tile partition of the
+    node ids) each pair is processed exactly once from its owner's
+    tile; with [pool] the tiles fan out across its domains.  Per-tile
     results are merged by deterministic sorts, so the output is
     bit-identical for any tiling and any job count. *)
 val find_csr :
@@ -44,6 +46,10 @@ val find_csr :
   Netgraph.Csr.t ->
   Mis.role array ->
   result
+
+(** [find g roles] is [find_csr (Csr.of_graph g) roles]: the one-tile,
+    pool-less elections on a mutable graph. *)
+val find : Netgraph.Graph.t -> Mis.role array -> result
 
 (** [candidates_two_hop g roles u v] is the candidate connector set
     for the dominator pair [(u, v)] at hop distance two: their common

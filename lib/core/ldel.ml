@@ -39,48 +39,10 @@ let local_delaunay_triangles g points u =
   local_triangles_of_neighborhood ~me:u ~me_pos:points.(u)
     ~nbrs:(List.map (fun v -> (v, points.(v))) (G.neighbors g u))
 
-(* k-hop variant: the same computation over N_k(u). *)
-let local_delaunay_triangles_k g points ~k u =
-  let nbrs =
-    List.filter_map
-      (fun v -> if v = u then None else Some (v, points.(v)))
-      (Wireless.Udg.neighborhood g u ~hops:k)
-  in
-  local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs
-
-module TriSet = Set.Make (struct
-  type t = int * int * int
-
-  let compare = compare
-end)
-
 let triangle_fits points ~radius (a, b, c) =
   P.dist points.(a) points.(b) <= radius
   && P.dist points.(b) points.(c) <= radius
   && P.dist points.(a) points.(c) <= radius
-
-let accepted_triangles_gen g points ~radius ~local_triangles =
-  let n = G.node_count g in
-  (* A triangle is accepted when all three corners find it in their
-     local Delaunay (= its circumcircle is empty of each corner's
-     k-hop neighborhood) and all its links are within range. *)
-  let local = Array.make n TriSet.empty in
-  for u = 0 to n - 1 do
-    local.(u) <- TriSet.of_list (local_triangles u)
-  done;
-  let acc = ref TriSet.empty in
-  for u = 0 to n - 1 do
-    TriSet.iter
-      (fun (a, b, c) ->
-        if
-          triangle_fits points ~radius (a, b, c)
-          && TriSet.mem (a, b, c) local.(a)
-          && TriSet.mem (a, b, c) local.(b)
-          && TriSet.mem (a, b, c) local.(c)
-        then acc := TriSet.add (a, b, c) !acc)
-      local.(u)
-  done;
-  TriSet.elements !acc
 
 let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
   let t1 = [ a1; b1; c1 ] and t2 = [ a2; b2; c2 ] in
@@ -121,83 +83,10 @@ let circumcircle_contains points (a, b, c) v =
   v <> a && v <> b && v <> c
   && Pred.incircle points.(a) points.(b) points.(c) points.(v)
 
-(* A triangle pair can only be compared by nodes that hear about both:
-   in Algorithm 3 a node gathers the triangles of its 1-hop neighbors,
-   so corner visibility is required.  This mirrors exactly what the
-   distributed protocol can decide. *)
-let mutually_visible g t1 t2 =
-  let corners (a, b, c) = [ a; b; c ] in
-  List.exists
-    (fun c1 ->
-      List.exists (fun c2 -> c1 = c2 || G.has_edge g c1 c2) (corners t2))
-    (corners t1)
-
-let planarize g points triangles =
-  let tris = Array.of_list triangles in
-  let m = Array.length tris in
-  let removed = Array.make m false in
-  let boxes =
-    Array.map
-      (fun (a, b, c) ->
-        Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ])
-      tris
-  in
-  let boxes_overlap (b1 : Geometry.Bbox.t) (b2 : Geometry.Bbox.t) =
-    b1.xmin <= b2.xmax && b2.xmin <= b1.xmax && b1.ymin <= b2.ymax
-    && b2.ymin <= b1.ymax
-  in
-  for i = 0 to m - 1 do
-    for j = i + 1 to m - 1 do
-      if
-        boxes_overlap boxes.(i) boxes.(j)
-        && mutually_visible g tris.(i) tris.(j)
-        && triangles_intersect points tris.(i) tris.(j)
-      then begin
-        let a2, b2, c2 = tris.(j) in
-        if List.exists (circumcircle_contains points tris.(i)) [ a2; b2; c2 ]
-        then removed.(i) <- true;
-        let a1, b1, c1 = tris.(i) in
-        if List.exists (circumcircle_contains points tris.(j)) [ a1; b1; c1 ]
-        then removed.(j) <- true
-      end
-    done
-  done;
-  let kept = ref [] in
-  for i = m - 1 downto 0 do
-    if not removed.(i) then kept := tris.(i) :: !kept
-  done;
-  !kept
-
 let graph_of n gabriel triangles =
   G.of_edges n
     (gabriel
     @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) triangles)
-
-let gabriel_edges_of g points =
-  List.filter
-    (fun (u, v) -> Wireless.Proximity.is_gabriel_edge points g u v)
-    (G.edges g)
-
-let build_gen g points ~radius ~local_triangles =
-  let gabriel_edges = gabriel_edges_of g points in
-  let triangles =
-    accepted_triangles_gen g points ~radius ~local_triangles
-  in
-  let kept_triangles = planarize g points triangles in
-  let n = G.node_count g in
-  {
-    ldel1 = graph_of n gabriel_edges triangles;
-    planar = graph_of n gabriel_edges kept_triangles;
-    gabriel_edges;
-    triangles;
-    kept_triangles;
-  }
-
-let build g points ~radius =
-  build_gen g points ~radius
-    ~local_triangles:(local_delaunay_triangles g points)
-
-(* ---- CSR-native, tile-sharded construction ------------------------- *)
 
 type csr_parts = {
   p_gabriel : (int * int) list;
@@ -214,7 +103,12 @@ let of_parts n { p_gabriel; p_triangles; p_kept } =
     kept_triangles = p_kept;
   }
 
-(* Algorithm 3 driven by a bucket grid instead of the O(T^2) pair
+(* Algorithm 3: for every pair of intersecting accepted triangles,
+   remove any whose circumcircle contains a corner of the other.  A
+   pair can only be compared by nodes that hear about both — a node
+   gathers the triangles of its 1-hop neighbors — so the pair needs
+   mutually visible corners, exactly what the distributed protocol can
+   decide.  Pairs are found by a bucket grid instead of an O(T^2)
    scan.  Every accepted triangle has all links within [radius], so
    its bbox is at most [radius] wide and tall; two overlapping bboxes
    therefore have min-corners within [radius] of each other, i.e. in
@@ -224,7 +118,7 @@ let of_parts n { p_gabriel; p_triangles; p_kept } =
    snapshot (they never read the removal flags), so processing pair
    (i, j) from i's worker and letting [removed] writes race on the
    identical value [true] loses nothing: the flags after the join
-   equal the serial ones bit for bit. *)
+   are the same for any job count. *)
 let planarize_csr ?pool csr points ~radius tris_list =
   let module C = Netgraph.Csr in
   let tris = Array.of_list tris_list in
@@ -317,7 +211,9 @@ let planarize_csr ?pool csr points ~radius tris_list =
       done
     in
     (match pool with
-    | Some p -> Netgraph.Pool.parallel_for p ~n:m (fun () -> process)
+    | Some p ->
+      Obs.quiesced (fun () ->
+          Netgraph.Pool.parallel_for p ~n:m (fun () -> process))
     | None ->
       for i = 0 to m - 1 do
         process i
@@ -338,18 +234,18 @@ let mem_tri (arr : (int * int * int) array) t =
   done;
   !lo < Array.length arr && arr.(!lo) = t
 
-(* [build] on a CSR snapshot, without the Hashtbl graph.  Stage L1
-   computes every node's local Delaunay triangles (neighbor lists fed
-   in the same ascending order as [G.neighbors], so degenerate
-   tie-breaks inside the triangulation match the serial build); stage
-   L2 accepts a triangle from its min-corner's tile exactly when the
-   other two corners also found it and the links fit — the same
-   intersection [accepted_triangles_gen] computes, each triangle
+(* Algorithms 2 and 3 on a CSR snapshot.  Stage L1 computes every
+   node's local Delaunay triangles over its [hops]-hop neighborhood
+   (a full BFS per node beyond one hop — [build_k] is for small
+   instances),
+   fed in ascending id order so degenerate tie-breaks inside the
+   triangulation are the same whatever the tiling.  Stage L2 accepts a
+   triangle from its min-corner's tile exactly when the other two
+   corners also found it and the links fit, so each triangle is
    decided exactly once; Gabriel edges are filtered from the owner
-   side of each row.  Per-tile lists merge by sorting, which
-   reproduces the serial sorted outputs for any tiling and job
-   count. *)
-let build_csr ?pool ?owners csr points ~radius =
+   side of each 1-hop row.  Per-tile lists merge by sorting, so the
+   outputs are the same for any tiling and job count. *)
+let build_parts ?pool ?owners ~hops csr points ~radius =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
   let owners =
@@ -358,77 +254,87 @@ let build_csr ?pool ?owners csr points ~radius =
     | None -> [| Array.init n (fun u -> u) |]
   in
   let ntiles = Array.length owners in
-  let for_tiles mk_body =
-    match pool with
-    | Some p -> Netgraph.Pool.parallel_for p ~n:ntiles mk_body
-    | None ->
-      let body = mk_body () in
-      for t = 0 to ntiles - 1 do
-        body t
-      done
+  (* L1: per-node local triangles, sorted for binary search *)
+  let locals = Array.make n [||] in
+  let local_nodes u =
+    if hops = 1 then C.neighbors csr u
+    else begin
+      (* N_k(u) \ {u}, ascending *)
+      let dist = C.bfs csr u in
+      List.filter (fun v -> v <> u && dist.(v) <= hops) (List.init n Fun.id)
+    end
   in
-  Obs.quiesced (fun () ->
-      (* L1: per-node local triangles, sorted for binary search *)
-      let locals = Array.make n [||] in
-      let l1 u =
-        let nbrs =
-          List.rev
-            (C.fold_neighbors csr u (fun acc v -> (v, points.(v)) :: acc) [])
-        in
-        locals.(u) <-
-          Array.of_list
-            (List.sort_uniq compare
-               (local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs))
-      in
-      (match pool with
-      | Some p -> Netgraph.Pool.parallel_for p ~n (fun () -> l1)
-      | None ->
-        for u = 0 to n - 1 do
-          l1 u
-        done);
-      (* L2 + Gabriel: per-tile over owned nodes *)
-      let gab_by_tile = Array.make ntiles [] in
-      let acc_by_tile = Array.make ntiles [] in
-      let mk_body () =
-        let gab = ref [] and acc = ref [] in
-        let at u =
-          C.iter_neighbors csr u (fun v ->
-              if v > u then begin
-                (* [Proximity.is_gabriel_edge] off u's CSR row *)
-                let blocked = ref false in
-                C.iter_neighbors csr u (fun w ->
-                    if
-                      (not !blocked) && w <> v
-                      && Geometry.Circle.in_diametral points.(u) points.(v)
-                           points.(w)
-                    then blocked := true);
-                if not !blocked then gab := (u, v) :: !gab
-              end);
-          Array.iter
-            (fun ((a, b, c) as t) ->
-              if
-                a = u
-                && triangle_fits points ~radius t
-                && mem_tri locals.(b) t
-                && mem_tri locals.(c) t
-              then acc := t :: !acc)
-            locals.(u)
-        in
-        fun t ->
-          gab := [];
-          acc := [];
-          Array.iter at owners.(t);
-          gab_by_tile.(t) <- !gab;
-          acc_by_tile.(t) <- !acc
-      in
-      for_tiles mk_body;
-      let concat_of by_tile = List.concat (Array.to_list by_tile) in
-      let p_gabriel = List.sort compare (concat_of gab_by_tile) in
-      let p_triangles = List.sort compare (concat_of acc_by_tile) in
-      let p_kept = planarize_csr ?pool csr points ~radius p_triangles in
-      { p_gabriel; p_triangles; p_kept })
+  let l1 u =
+    let nbrs = List.map (fun v -> (v, points.(v))) (local_nodes u) in
+    locals.(u) <-
+      Array.of_list
+        (List.sort_uniq compare
+           (local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs))
+  in
+  (match pool with
+  | Some p ->
+    Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> l1))
+  | None ->
+    for u = 0 to n - 1 do
+      l1 u
+    done);
+  (* L2 + Gabriel: per-tile over owned nodes *)
+  let gab_by_tile = Array.make ntiles [] in
+  let acc_by_tile = Array.make ntiles [] in
+  let mk_body () =
+    let gab = ref [] and acc = ref [] in
+    let at u =
+      C.iter_neighbors csr u (fun v ->
+          if v > u then begin
+            (* [Proximity.is_gabriel_edge] off u's CSR row *)
+            let blocked = ref false in
+            C.iter_neighbors csr u (fun w ->
+                if
+                  (not !blocked) && w <> v
+                  && Geometry.Circle.in_diametral points.(u) points.(v)
+                       points.(w)
+                then blocked := true);
+            if not !blocked then gab := (u, v) :: !gab
+          end);
+      Array.iter
+        (fun ((a, b, c) as t) ->
+          if
+            a = u
+            && triangle_fits points ~radius t
+            && mem_tri locals.(b) t
+            && mem_tri locals.(c) t
+          then acc := t :: !acc)
+        locals.(u)
+    in
+    fun t ->
+      gab := [];
+      acc := [];
+      Array.iter at owners.(t);
+      gab_by_tile.(t) <- !gab;
+      acc_by_tile.(t) <- !acc
+  in
+  (match pool with
+  | Some p ->
+    Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n:ntiles mk_body)
+  | None ->
+    let body = mk_body () in
+    for t = 0 to ntiles - 1 do
+      body t
+    done);
+  let concat_of by_tile = List.concat (Array.to_list by_tile) in
+  let p_gabriel = List.sort compare (concat_of gab_by_tile) in
+  let p_triangles = List.sort compare (concat_of acc_by_tile) in
+  let p_kept = planarize_csr ?pool csr points ~radius p_triangles in
+  { p_gabriel; p_triangles; p_kept }
+
+let build_csr ?pool ?owners csr points ~radius =
+  build_parts ?pool ?owners ~hops:1 csr points ~radius
+
+let build g points ~radius =
+  of_parts (G.node_count g)
+    (build_csr (Netgraph.Csr.of_graph g) points ~radius)
 
 let build_k g points ~radius ~k =
   if k < 1 then invalid_arg "Ldel.build_k: k < 1";
-  build_gen g points ~radius
-    ~local_triangles:(local_delaunay_triangles_k g points ~k)
+  of_parts (G.node_count g)
+    (build_parts ~hops:k (Netgraph.Csr.of_graph g) points ~radius)

@@ -14,8 +14,10 @@
     the survivors plus the Gabriel edges form the planar graph
     [PLDel(G)] the paper routes on.
 
-    The functions here are the centralized reference computation; the
-    message-level protocol in {!Protocol} produces identical output
+    {!build_csr} is the centralized construction stage
+    ({!Shard.pipeline} runs it per tile); {!build} and {!build_k} are
+    adapters over it.  The reference implementation is {!Protocol},
+    whose message-level rendition must produce identical output
     (asserted by the integration tests). *)
 
 type t = {
@@ -29,13 +31,6 @@ type t = {
       (** triangles surviving planarization *)
 }
 
-(** [build g points ~radius] computes LDel¹ and PLDel of the unit disk
-    graph [g] (edges of [g] must join nodes at distance [<= radius];
-    nodes with no incident edge are simply isolated — this is how the
-    construction runs on the induced backbone ICDS, whose vertex set
-    is only the dominators and connectors). *)
-val build : Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> t
-
 (** The three edge/triangle lists of a build, without the materialized
     graphs — what the sharded pipeline computes and stitches.  Field
     for field equal to the corresponding fields of {!t}. *)
@@ -45,16 +40,18 @@ type csr_parts = {
   p_kept : (int * int * int) list;
 }
 
-(** [build_csr csr points ~radius] computes the same lists as {!build}
-    directly on a CSR snapshot of the (unit disk or induced backbone)
-    graph: per-node local Delaunay triangles, min-corner-owned
-    acceptance, owner-side Gabriel filtering, and a bucket-grid
-    rendition of Algorithm 3 that only examines triangle pairs whose
-    bounding boxes can overlap.  With [owners] (tile partition of the
-    node ids) and [pool] all four stages fan out across the pool's
-    domains; per-tile results merge by deterministic sorts, so the
-    output is bit-identical to {!build}'s lists for any tiling and
-    any job count. *)
+(** [build_csr csr points ~radius] computes the LDel¹/PLDel lists of
+    the graph [csr] (edges must join nodes at distance [<= radius];
+    nodes with no incident edge are simply isolated — this is how the
+    construction runs on the induced backbone ICDS, whose vertex set
+    is only the dominators and connectors): per-node local Delaunay
+    triangles, min-corner-owned acceptance, owner-side Gabriel
+    filtering, and a bucket-grid rendition of Algorithm 3 that only
+    examines triangle pairs whose bounding boxes can overlap.  With
+    [owners] (tile partition of the node ids) and [pool] the stages
+    fan out across the pool's domains; per-tile results merge by
+    deterministic sorts, so the output is bit-identical for any tiling
+    and any job count. *)
 val build_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
@@ -63,29 +60,25 @@ val build_csr :
   radius:float ->
   csr_parts
 
-(** [of_parts n parts] materializes the two graphs from the lists,
-    yielding a record equal to the serial {!build}'s. *)
+(** [of_parts n parts] materializes the two graphs from the lists. *)
 val of_parts : int -> csr_parts -> t
+
+(** [build g points ~radius] is [of_parts n (build_csr (Csr.of_graph g)
+    points ~radius)]: the one-tile, pool-less build on a mutable
+    graph. *)
+val build : Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> t
 
 (** [build_k g points ~radius ~k] is the k-localized Delaunay graph
     [LDel^k]: triangles must have circumcircles empty of every
     corner's k-hop neighborhood.  Li et al. prove [LDel^k] is planar
     outright for [k >= 2] (the [planar]/[ldel1] fields then coincide —
     the test-suite verifies this empirically); larger [k] trades
-    communication for fewer crossings.  [build_k ~k:1 = build].
+    communication for fewer crossings.  It runs {!build_csr}'s stages
+    with k-hop local neighborhoods (Gabriel edges and Algorithm 3 stay
+    1-hop); [build_k ~k:1 = build].
     @raise Invalid_argument when [k < 1]. *)
 val build_k :
   Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> k:int -> t
-
-(** [local_delaunay_triangles_k g points ~k u] is the k-hop analogue
-    of {!local_delaunay_triangles}: triangles incident to [u] in
-    [Del(N_k(u))]. *)
-val local_delaunay_triangles_k :
-  Netgraph.Graph.t ->
-  Geometry.Point.t array ->
-  k:int ->
-  int ->
-  (int * int * int) list
 
 (** [local_delaunay_triangles g points u] is the set of triangles
     incident to [u] in [Del(N₁(u))] — what node [u] computes in
@@ -107,20 +100,6 @@ val local_triangles_of_neighborhood :
     transmission range. *)
 val triangle_fits :
   Geometry.Point.t array -> radius:float -> int * int * int -> bool
-
-(** [planarize g points tris] is Algorithm 3: for every pair of
-    intersecting triangles whose corners can hear of each other in
-    [g] (1-hop gathering), remove any whose circumcircle contains a
-    corner of the other; returns the survivors. *)
-val planarize :
-  Netgraph.Graph.t ->
-  Geometry.Point.t array ->
-  (int * int * int) list ->
-  (int * int * int) list
-
-(** Gabriel edges of [g] (each with [u < v], sorted). *)
-val gabriel_edges_of :
-  Netgraph.Graph.t -> Geometry.Point.t array -> (int * int) list
 
 (** [circumcircle_contains points t v] holds when node [v] (not a
     corner) lies strictly inside [t]'s circumcircle. *)

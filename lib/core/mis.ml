@@ -2,60 +2,19 @@ module G = Netgraph.Graph
 
 type role = Dominator | Dominatee
 
-type color = White | Black (* dominator *) | Gray (* dominatee *)
-
-let compute_with_priority g ~priority =
-  let n = G.node_count g in
-  let color = Array.make n White in
-  let better u v =
-    let pu = priority u and pv = priority v in
-    pu < pv || (pu = pv && u < v)
-  in
-  (* Iterate the rule to fixpoint.  Each pass blackens every white
-     node that currently beats all of its white neighbors, then grays
-     their white neighbors; at least one white node (the global
-     minimum among whites) is decided per pass, so this terminates. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let winners = ref [] in
-    for u = 0 to n - 1 do
-      if
-        color.(u) = White
-        && List.for_all
-             (fun v -> color.(v) <> White || better u v)
-             (G.neighbors g u)
-      then winners := u :: !winners
-    done;
-    List.iter
-      (fun u ->
-        color.(u) <- Black;
-        changed := true;
-        List.iter
-          (fun v -> if color.(v) = White then color.(v) <- Gray)
-          (G.neighbors g u))
-      !winners
-  done;
-  Array.map
-    (function
-      | Black -> Dominator
-      | Gray -> Dominatee
-      | White -> assert false (* fixpoint colors every node *))
-    color
-
-let compute g = compute_with_priority g ~priority:(fun u -> u)
-
-(* CSR-native, tile-sharded variant of the same fixpoint.  Each pass
-   is split into two barrier-separated phases: every tile first elects
-   its winners against the colors as they stood at the start of the
-   pass (reads only), then every tile applies its winners (blacken,
-   gray white neighbors).  Winners of one pass are pairwise
-   non-adjacent — [better] is a strict total order, so two adjacent
-   white nodes cannot both beat each other — which makes the apply
-   phase conflict-free up to idempotent gray writes: a neighbor
-   touched from two tiles is written the same value.  The fixpoint is
-   therefore bit-identical to [compute_with_priority] for any tiling
-   and any job count. *)
+(* The smallest-ID rule iterated to fixpoint on a CSR snapshot.  Each
+   pass blackens every white node that beats all of its white
+   neighbors, then grays their white neighbors; the global minimum
+   among whites always wins, so every pass decides at least one node.
+   A pass is split into two barrier-separated phases over the tiles:
+   every tile first elects its winners against the colors as they
+   stood at the start of the pass (reads only), then every tile
+   applies its winners.  Winners of one pass are pairwise non-adjacent
+   — [better] is a strict total order, so two adjacent white nodes
+   cannot both beat each other — which makes the apply phase
+   conflict-free up to idempotent gray writes: a neighbor touched from
+   two tiles is written the same value.  The fixpoint is therefore
+   bit-identical for any tiling and any job count. *)
 let compute_csr ?pool ?owners ?(priority = fun u -> u) csr =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
@@ -75,7 +34,9 @@ let compute_csr ?pool ?owners ?(priority = fun u -> u) csr =
   in
   let for_tiles body =
     match pool with
-    | Some p -> Netgraph.Pool.parallel_for p ~n:ntiles (fun () -> body)
+    | Some p ->
+      Obs.quiesced (fun () ->
+          Netgraph.Pool.parallel_for p ~n:ntiles (fun () -> body))
     | None ->
       for t = 0 to ntiles - 1 do
         body t
@@ -108,18 +69,19 @@ let compute_csr ?pool ?owners ?(priority = fun u -> u) csr =
         end)
       owners.(t)
   in
-  Obs.quiesced (fun () ->
-      let progress = ref true in
-      while !progress do
-        for_tiles compute_tile;
-        if Array.for_all (fun w -> w = 0) wins then progress := false
-        else for_tiles apply_tile
-      done);
+  let progress = ref true in
+  while !progress do
+    for_tiles compute_tile;
+    if Array.for_all (fun w -> w = 0) wins then progress := false
+    else for_tiles apply_tile
+  done;
   Array.init n (fun u ->
       match color.(u) with
       | 1 -> Dominator
       | 2 -> Dominatee
       | _ -> assert false (* fixpoint colors every node *))
+
+let compute ?priority g = compute_csr ?priority (Netgraph.Csr.of_graph g)
 
 let dominators roles =
   let acc = ref [] in

@@ -4,38 +4,34 @@
     marks a white node as dominator when it has the smallest ID among
     its white neighbors; its white neighbors then become dominatees.
     The fixpoint of that rule is a maximal independent set, hence a
-    dominating set.  This module is the centralized reference
-    implementation — {!Protocol} runs the same rule as a distributed
-    message-passing protocol and must produce the identical set. *)
+    dominating set.  This module is the centralized construction stage
+    ({!Shard.pipeline} runs it per tile).  The reference
+    implementation is {!Protocol}, which runs the same rule as a
+    distributed message-passing protocol and must produce the
+    identical set. *)
 
 type role = Dominator | Dominatee
 
-(** [compute g] runs the smallest-ID clustering to fixpoint and
-    returns each node's role.  Node ids double as the protocol's
-    distinct IDs. *)
-val compute : Netgraph.Graph.t -> role array
-
-(** Same rule with an arbitrary total order on nodes: [priority u]
-    smaller means more eligible; ties broken by id.  [compute] is
-    [compute_with_priority g ~priority:(fun u -> u)]. *)
-val compute_with_priority :
-  Netgraph.Graph.t -> priority:(int -> int) -> role array
-
-(** [compute_csr csr] runs the same rule directly on a CSR snapshot —
-    no intermediate mutable graph — and is bit-identical to {!compute}
-    on the same edge set.  [owners] partitions the node ids into tiles
-    (default: one tile holding every node); with [pool], each pass
-    elects per-tile winners and applies them in two barrier-separated
-    phases across the pool's domains.  Winners within a pass are
-    pairwise non-adjacent, so the result is bit-identical for any
-    tiling and any job count.  [priority] is as in
-    {!compute_with_priority}. *)
+(** [compute_csr csr] runs the smallest-ID clustering to fixpoint on a
+    CSR snapshot and returns each node's role.  Node ids double as the
+    protocol's distinct IDs.  [priority] replaces the id order with an
+    arbitrary total order on nodes: [priority u] smaller means more
+    eligible, ties broken by id.  [owners] partitions the node ids
+    into tiles (default: one tile holding every node); with [pool],
+    each pass elects per-tile winners and applies them in two
+    barrier-separated phases across the pool's domains.  Winners
+    within a pass are pairwise non-adjacent, so the result is
+    bit-identical for any tiling and any job count. *)
 val compute_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
   ?priority:(int -> int) ->
   Netgraph.Csr.t ->
   role array
+
+(** [compute ?priority g] is [compute_csr ?priority (Csr.of_graph g)]:
+    the one-tile, pool-less build on a mutable graph. *)
+val compute : ?priority:(int -> int) -> Netgraph.Graph.t -> role array
 
 (** Dominator ids, increasing. *)
 val dominators : role array -> int list

@@ -1,16 +1,18 @@
-(* Sharded, CSR-native construction pipeline (DESIGN.md §10).
+(* Sharded, CSR-native construction pipeline (DESIGN.md §10): the
+   library's one implementation of UDG → MIS → connectors → LDel.
 
    The deployment square is cut into grid tiles whose side is at
    least the transmission radius; a tile's bucket is its ownership
-   set.  Every stage then runs per-tile on the pool's domains against
-   the immutable CSR snapshot of the previous stage — MIS in
-   pass-synchronous rounds, connector elections and LDel acceptance
-   from each item's owning tile — and per-tile results are stitched
-   by deterministic sorted merges.  No stage consults a mutable
-   Hashtbl graph; every intermediate is a sealed CSR.  The outputs
-   are bit-identical to the serial [Cds.of_udg] / [Ldel.build] chain
-   for any tile count and any job count (asserted by the shard test
-   suite). *)
+   set.  Every stage then runs per-tile against the immutable CSR
+   snapshot of the previous stage — MIS in pass-synchronous rounds,
+   connector elections and LDel acceptance from each item's owning
+   tile — and per-tile results are stitched by deterministic sorted
+   merges.  One tile is the serial build; with more than one tile and
+   more than one job the stages fan out on a Domain pool.  No stage
+   consults a mutable Hashtbl graph; every intermediate is a sealed
+   CSR.  The outputs are bit-identical for any tile count and any job
+   count (asserted by the shard test suite), and equal to the
+   distributed [Protocol]'s (asserted by the protocol tests). *)
 
 module Csr = Netgraph.Csr
 module Builder = Netgraph.Builder
@@ -49,7 +51,11 @@ let tiling ?tiles points ~radius =
       | None -> auto_tiles_per_axis n
     in
     (* tile side >= radius keeps halos at one ring of tiles; the grid
-       clamps the per-axis count accordingly *)
+       clamps the per-axis count accordingly.  The grid opens a fresh
+       cell wherever the span is a whole multiple of the side, so the
+       side is stretched by a hair: [tiles = k] then cuts exactly k
+       tiles per axis instead of k plus a sliver holding the far
+       boundary nodes. *)
     let module P = Geometry.Point in
     let x0 = ref infinity and y0 = ref infinity in
     let x1 = ref neg_infinity and y1 = ref neg_infinity in
@@ -61,7 +67,7 @@ let tiling ?tiles points ~radius =
         if p.y > !y1 then y1 := p.y)
       points;
     let side = Float.max (!x1 -. !x0) (!y1 -. !y0) in
-    let cell = Float.max radius (side /. float_of_int k) in
+    let cell = Float.max radius (side /. float_of_int k) *. (1. +. 1e-9) in
     let grid = Wireless.Cellgrid.create ~cell_size:cell points in
     Array.init (Wireless.Cellgrid.cells grid) (Wireless.Cellgrid.nodes_of grid)
   end
@@ -76,7 +82,7 @@ let add_dominatee_links_csr b udg roles =
             if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
     roles
 
-let pipeline ?pool ?tiles ?priority ?udg points ~radius =
+let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
   Obs.span "shard" (fun () ->
       let owners =
         Obs.span "shard.tiling" (fun () -> tiling ?tiles points ~radius)
@@ -87,6 +93,13 @@ let pipeline ?pool ?tiles ?priority ?udg points ~radius =
       Array.iter
         (fun tile -> Obs.observe pop (float_of_int (Array.length tile)))
         owners;
+      (* one tile has nothing to fan out: run it on the caller domain *)
+      let with_pool f =
+        if jobs > 1 && Array.length owners > 1 then
+          Netgraph.Pool.with_pool ~jobs (fun p -> f (Some p))
+        else f None
+      in
+      with_pool @@ fun pool ->
       let udg =
         match udg with
         | Some csr ->
@@ -107,7 +120,7 @@ let pipeline ?pool ?tiles ?priority ?udg points ~radius =
       in
       let ldel =
         Obs.span "shard.ldel" (fun () ->
-            (* LDel of the induced backbone, as in the serial chain *)
+            (* LDel of the induced backbone ICDS *)
             let backbone u =
               roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u)
             in

@@ -1,22 +1,26 @@
-(** Sharded, CSR-native construction: the million-node pipeline.
+(** Sharded, CSR-native construction: the library's one
+    implementation of the paper's backbone build.
 
     The deployment square is cut into grid tiles of side at least the
     transmission radius; each tile's node bucket is an {e ownership
     set}, and every stage — UDG, MIS clustering, connector elections,
-    localized Delaunay — runs per-tile on the {!Netgraph.Pool}
-    domains against the immutable CSR snapshot of the previous stage.
-    Per-tile results are stitched with deterministic sorted merges
-    (smallest-ID tie-breaks are inherited from the serial elections),
-    so the pipeline's outputs are {b bit-identical} to the serial
-    [Cds.of_udg] / [Ldel.build] chain for any tile count and any job
-    count.  No stage touches a mutable Hashtbl graph; every
+    localized Delaunay — runs per-tile against the immutable CSR
+    snapshot of the previous stage.  Per-tile results are stitched
+    with deterministic sorted merges (smallest-ID tie-breaks are
+    decided by the owning tile), so the outputs are {b bit-identical}
+    for any tile count and any job count; one tile is the serial
+    build.  No stage touches a mutable Hashtbl graph; every
     intermediate and output is a sealed {!Netgraph.Csr} snapshot.
+
+    The reference implementation is {!Protocol}: the distributed
+    message-passing rendition of the same rules, which must produce
+    the same roles, connector edges and planar backbone.
 
     See DESIGN.md §10 for the tile/halo geometry and the 2-locality
     argument behind per-tile ownership. *)
 
-(** Everything the pipeline produces.  The CSR fields mirror the
-    legacy [Backbone.t]/[Cds.t] graphs: [cds]/[icds] span the
+(** Everything the pipeline produces.  The CSR fields are the sealed
+    forms of the [Backbone.t]/[Cds.t] graphs: [cds]/[icds] span the
     backbone nodes only, the primed variants add dominatee→dominator
     links, [pldel] is the planar LDel(ICDS) backbone (sealed with
     Euclidean arc weights), [pldel'] its primed variant. *)
@@ -38,10 +42,10 @@ type snapshot = {
 }
 
 (** [tiling points ~radius] is the tile partition of the node ids:
-    grid buckets of square tiles whose side is
-    [max radius (side / tiles)] — the per-axis count [tiles] (default:
-    targets ~4k nodes per tile) is clamped so a tile is never
-    narrower than the radius.  Every node appears in exactly one
+    grid buckets of square tiles whose side is (a hair over)
+    [max radius (side / tiles)] — [tiles] per axis (default: targets
+    ~4k nodes per tile), clamped so a tile is never narrower than the
+    radius; [tiles = 1] is a single tile.  Every node appears in exactly one
     tile, ascending ids within a tile.
     @raise Invalid_argument when [radius <= 0] or [tiles < 1]. *)
 val tiling :
@@ -49,18 +53,20 @@ val tiling :
 
 (** [pipeline points ~radius] runs the full sharded chain
     (UDG → MIS → connectors → LDel(ICDS) → assembly) and seals every
-    structure.  [pool] fans the per-tile stages out across its
-    domains; [tiles] overrides the per-axis tile count; [priority] is
-    the MIS priority as in [Mis.compute_with_priority].  [udg]
-    substitutes a pre-built snapshot for the UDG stage (the quasi-UDG
-    robustness path — its RNG sequence is inherently serial).
-    Stage timings land in the [shard.*] spans; tile count and
-    populations in the [shard.tiles] gauge / [shard.tile_pop]
-    distribution.
+    structure.  [tiles] overrides the per-axis tile count ([tiles = 1]
+    is the serial build).  When the tiling has more than one tile and
+    [jobs] (default 1) is above 1, the per-tile stages fan out on a
+    {!Netgraph.Pool} of [jobs] domains opened for the call; otherwise
+    everything runs on the caller's domain.  [priority] is the MIS
+    priority as in {!Mis.compute_csr}.  [udg] substitutes a pre-built
+    snapshot for the UDG stage (the quasi-UDG robustness path — its
+    RNG sequence is inherently serial).  Stage timings land in the
+    [shard.*] spans; tile count and populations in the [shard.tiles]
+    gauge / [shard.tile_pop] distribution.
     @raise Invalid_argument when [radius <= 0], [tiles < 1], or [udg]
     disagrees with [points] on the node count. *)
 val pipeline :
-  ?pool:Netgraph.Pool.t ->
+  ?jobs:int ->
   ?tiles:int ->
   ?priority:(int -> int) ->
   ?udg:Netgraph.Csr.t ->

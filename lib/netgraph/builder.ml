@@ -118,10 +118,3 @@ let seal ?pool ?points ?beta b =
     done
   done;
   Csr.of_rows ?points ?beta ~offsets ~targets ()
-
-let seal_graph b =
-  let g = Graph.create b.n in
-  for k = 0 to b.len - 1 do
-    Graph.add_edge g b.buf.(2 * k) b.buf.((2 * k) + 1)
-  done;
-  g

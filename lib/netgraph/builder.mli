@@ -13,8 +13,8 @@
     stitcher {!append}s them in tile order (any order would do), and
     one seal produces the same snapshot the serial build would.
 
-    {!Graph.t} remains available as a thin adapter ({!seal_graph},
-    {!Csr.to_graph}) for tests, examples and small instances. *)
+    {!Graph.t} remains available through {!Csr.to_graph} for tests,
+    examples and small instances. *)
 
 type t
 
@@ -52,6 +52,3 @@ val seal :
   ?beta:float ->
   t ->
   Csr.t
-
-(** Legacy adapter: the same edge set as a mutable {!Graph.t}. *)
-val seal_graph : t -> Graph.t

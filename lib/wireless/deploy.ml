@@ -28,14 +28,29 @@ let clustered rng ~n ~side ~clusters ~spread =
         (clamp (c.x +. (spread *. Rand.gaussian rng)))
         (clamp (c.y +. (spread *. Rand.gaussian rng))))
 
-let connected_uniform rng ~n ~side ~radius ~max_attempts =
-  let rec go attempt =
-    if attempt > max_attempts then
-      failwith
+exception
+  No_connected_instance of {
+    n : int;
+    side : float;
+    radius : float;
+    attempts : int;
+  }
+
+let () =
+  Printexc.register_printer (function
+    | No_connected_instance { n; side; radius; attempts } ->
+      Some
         (Printf.sprintf
            "Deploy.connected_uniform: no connected instance in %d attempts \
             (n=%d side=%g radius=%g)"
-           max_attempts n side radius)
+           attempts n side radius)
+    | _ -> None)
+
+let connected_uniform rng ~n ~side ~radius ~max_attempts =
+  let rec go attempt =
+    if attempt > max_attempts then
+      raise
+        (No_connected_instance { n; side; radius; attempts = max_attempts })
     else
       let pts = uniform rng ~n ~side in
       let g = Udg.build pts ~radius in

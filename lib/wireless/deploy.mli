@@ -28,12 +28,23 @@ val clustered :
   spread:float ->
   Geometry.Point.t array
 
+(** Raised by {!connected_uniform} when every attempt came out
+    disconnected — typically because [n] nodes in a square of side
+    [side] are too sparse for [radius] to connect them. *)
+exception
+  No_connected_instance of {
+    n : int;
+    side : float;
+    radius : float;
+    attempts : int;
+  }
+
 (** [connected_uniform rng ~n ~side ~radius ~max_attempts] redraws
     uniform deployments until the induced unit disk graph of range
     [radius] is connected, as the paper does.  Returns the points and
     the number of attempts used.
-    @raise Failure when [max_attempts] deployments all come out
-    disconnected. *)
+    @raise No_connected_instance when [max_attempts] deployments all
+    come out disconnected. *)
 val connected_uniform :
   Rand.t ->
   n:int ->

@@ -18,7 +18,11 @@ let build points ~radius =
    same in-range predicate as [build], so the edge set is identical;
    both passes write only node-[u]-owned slots and read the immutable
    cell grid, so they fan out over the pool's domains and the result
-   is bit-identical for any job count. *)
+   is bit-identical for any job count.  Each node's neighbor query is
+   charged to [grid.queries] on the caller's domain after the join, as
+   [build]'s per-node grid queries are. *)
+let c_grid_queries = Obs.counter "grid.queries"
+
 let build_csr ?pool points ~radius =
   if radius <= 0. then invalid_arg "Udg.build_csr: radius <= 0";
   let n = Array.length points in
@@ -65,6 +69,7 @@ let build_csr ?pool points ~radius =
       done
     in
     for_all_nodes fill;
+    Obs.add c_grid_queries n;
     Netgraph.Csr.of_rows ~offsets ~targets ()
   end
   else

@@ -65,7 +65,7 @@ let test_priority_variant () =
      makes the center win despite its id *)
   let g = G.of_edges 5 [ (4, 0); (4, 1); (4, 2); (4, 3) ] in
   let roles =
-    Core.Mis.compute_with_priority g ~priority:(fun u -> -G.degree g u)
+    Core.Mis.compute g ~priority:(fun u -> -G.degree g u)
   in
   Alcotest.(check (list int)) "center wins" [ 4 ] (Core.Mis.dominators roles);
   check "independent" true (Core.Mis.is_independent g roles);

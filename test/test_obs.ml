@@ -427,7 +427,7 @@ let test_config_sink () =
       (v "predicates.incircle" > 0 && v "delaunay.insertions" > 0);
     check "stage spans reported" true
       (List.exists
-         (fun s -> s.Obs.Snapshot.path = "backbone/cds/mis")
+         (fun s -> s.Obs.Snapshot.path = "backbone/shard/shard.mis")
          snap.Obs.Snapshot.spans)
 
 (* ------------------------------------------------------------------ *)

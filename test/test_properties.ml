@@ -282,11 +282,35 @@ let prop_gfg_delivers =
       done;
       !ok)
 
+(* The distributed protocol is the independent oracle for the one
+   construction path, so it checks every tiling shape: [Auto] (one
+   tile at these sizes) and forced 2x2 / 3x3 tiles fanned out on a
+   two-domain pool. *)
+let gen_partition =
+  QCheck.Gen.oneofl
+    Core.Backbone.Config.[ Auto; Tiles 2; Tiles 3 ]
+
+let print_partition = function
+  | Core.Backbone.Config.Auto -> "Auto"
+  | Core.Backbone.Config.Tiles k -> Printf.sprintf "Tiles %d" k
+
 let prop_protocol_equals_centralized =
-  QCheck.Test.make ~name:"protocol ≡ centralized (randomized)" ~count:8
-    (arb (gen_instance ~min:20 ~max:50 ~radius:50.) print_points)
-    (fun pts ->
-      let bb = Core.Backbone.build pts ~radius:50. in
+  QCheck.Test.make ~name:"protocol ≡ centralized (randomized)" ~count:12
+    (arb
+       QCheck.Gen.(pair (gen_instance ~min:20 ~max:50 ~radius:50.) gen_partition)
+       (fun (pts, partition) ->
+         Printf.sprintf "%s, %s" (print_points pts) (print_partition partition)))
+    (fun (pts, partition) ->
+      let bb =
+        Core.Backbone.run
+          {
+            Core.Backbone.Config.default with
+            Core.Backbone.Config.radius = 50.;
+            partition;
+            jobs = 2;
+          }
+          pts
+      in
       let pr = Core.Protocol.run pts ~radius:50. in
       pr.Core.Protocol.roles = bb.Core.Backbone.cds.Core.Cds.roles
       && pr.Core.Protocol.cds_edges

@@ -1,5 +1,7 @@
-(* Sharded CSR-native construction: bit-identity against the serial
-   Hashtbl-graph pipeline, for any tiling and any job count. *)
+(* Sharded CSR-native construction: the one-tile serial build
+   ([Tiles 1], and the Graph adapters [Mis.compute] / [Connectors.find]
+   / [Ldel.build] over it) is bit-identical to every other tiling and
+   job count. *)
 
 module G = Netgraph.Graph
 module Csr = Netgraph.Csr
@@ -80,9 +82,15 @@ let test_mis_csr_identity () =
 let test_mis_csr_priority () =
   let _, g = deployment 13L 200 200. 30. in
   let priority u = -u in
-  let want = Core.Mis.compute_with_priority g ~priority in
-  let got = Core.Mis.compute_csr ~priority (Csr.of_graph g) in
-  check "priority identical" true (want = got)
+  let want = Core.Mis.compute g ~priority in
+  check "priority changes the clustering" true (want <> Core.Mis.compute g);
+  with_jobs 2 (fun pool ->
+      let got =
+        Core.Mis.compute_csr ?pool
+          ~owners:(round_robin_tiles (G.node_count g) 5)
+          ~priority (Csr.of_graph g)
+      in
+      check "priority identical across tiles" true (want = got))
 
 (* --- Connectors ----------------------------------------------------- *)
 
@@ -143,13 +151,17 @@ let test_ldel_csr_identity () =
     [ 1; 2; 4 ]
 
 (* the induced backbone graph has isolated nodes and sparse rows — the
-   other shape [build_csr] must reproduce *)
+   other shape [build_csr] must tile *)
 let test_ldel_csr_on_backbone () =
   let pts, g = deployment 16L 250 200. 30. in
   let cds = Core.Cds.of_udg g in
   let icds = cds.Core.Cds.icds in
   let want = Core.Ldel.build icds pts ~radius:30. in
-  let parts = Core.Ldel.build_csr (Csr.of_graph icds) pts ~radius:30. in
+  with_jobs 2 @@ fun pool ->
+  let parts =
+    Core.Ldel.build_csr ?pool ~owners:(spatial_tiles pts 3) (Csr.of_graph icds)
+      pts ~radius:30.
+  in
   edge_list "gabriel" want.Core.Ldel.gabriel_edges parts.Core.Ldel.p_gabriel;
   tri_list "triangles" want.Core.Ldel.triangles parts.Core.Ldel.p_triangles;
   tri_list "kept" want.Core.Ldel.kept_triangles parts.Core.Ldel.p_kept
@@ -187,8 +199,6 @@ let test_builder_seal () =
        B.add_edge b2 0 5;
        false
      with Invalid_argument _ -> true);
-  check "seal_graph adapter" true
-    (G.equal (B.seal_graph b2) (Csr.to_graph (B.seal b2)));
   (* pooled seal is bit-identical to the serial seal *)
   let pts, g = deployment 32L 300 200. 25. in
   let bb = B.create (Array.length pts) in
@@ -352,8 +362,8 @@ let same_backbone tag (a : Core.Backbone.t) (b : Core.Backbone.t) =
     (Csr.edges a.Core.Backbone.planar_csr)
     (Csr.edges b.Core.Backbone.planar_csr)
 
-(* serial vs sharded [Backbone.run]: identical records for jobs 1/2/4
-   and a sweep of tile counts *)
+(* serial ([Tiles 1]) vs sharded [Backbone.run]: identical records for
+   jobs 1/2/4 and a sweep of tile counts *)
 let test_pipeline_identity () =
   let rng = Wireless.Rand.create 21L in
   let pts = Wireless.Deploy.uniform rng ~n:600 ~side:300. in
@@ -362,7 +372,8 @@ let test_pipeline_identity () =
       {
         Core.Backbone.Config.default with
         Core.Backbone.Config.radius = 30.;
-        partition = Core.Backbone.Config.Serial;
+        partition = Core.Backbone.Config.Tiles 1;
+        jobs = 1;
       }
       pts
   in
@@ -382,7 +393,7 @@ let test_pipeline_identity () =
           in
           same_backbone (Printf.sprintf "tiles=%d jobs=%d" k jobs) serial
             sharded)
-        [ 1; 2; 3; 5 ])
+        [ 2; 3; 5 ])
     [ 1; 2; 4 ]
 
 (* [Backbone.snapshot] agrees with the record the sharded [run]
@@ -419,7 +430,7 @@ let test_snapshot_matches_run () =
     (Csr.edges s.Core.Shard.pldel')
 
 (* quasi radio: the UDG stage is serial (RNG stream) but the sharded
-   stages must still reproduce the serial chain on it *)
+   stages must still reproduce the one-tile build on it *)
 let test_pipeline_quasi () =
   let rng = Wireless.Rand.create 23L in
   let pts = Wireless.Deploy.uniform rng ~n:300 ~side:250. in
@@ -431,7 +442,7 @@ let test_pipeline_quasi () =
       partition;
     }
   in
-  let serial = Core.Backbone.run (cfg Core.Backbone.Config.Serial) pts in
+  let serial = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 1)) pts in
   let sharded = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 3)) pts in
   same_backbone "quasi" serial sharded
 
@@ -456,11 +467,20 @@ let test_tiling_partition () =
         (Printf.sprintf "clamped k=%d" k)
         true
         (Array.length owners <= 8 * 8))
-    [ 1; 2; 7; 50 ]
+    [ 1; 2; 7; 50 ];
+  (* unclamped counts cut exactly k x k tiles — no sliver row/column
+     for the far boundary — so [Tiles 1] is one tile, the serial build *)
+  List.iter
+    (fun k ->
+      checki
+        (Printf.sprintf "exact k=%d" k)
+        (k * k)
+        (Array.length (Core.Shard.tiling ~tiles:k pts ~radius:40.)))
+    [ 1; 2; 3 ]
 
-(* ISSUE acceptance: n = 10^4, sharded bit-identical to serial for
-   jobs in {1, 2, 4} — UDG, CDS family and PLDel compared edge by
-   edge.  [Auto] partitions here (n >= 5000, Disk radio). *)
+(* n = 10^4, sharded bit-identical to the one-tile build for jobs in
+   {1, 2, 4} — UDG, CDS family and PLDel compared edge by edge.  [Auto]
+   cuts 2x2 tiles here. *)
 let test_acceptance_10k () =
   let rng = Wireless.Rand.create 41L in
   let pts = Wireless.Deploy.uniform rng ~n:10_000 ~side:1000. in
@@ -472,7 +492,7 @@ let test_acceptance_10k () =
       jobs;
     }
   in
-  let serial = Core.Backbone.run (cfg Core.Backbone.Config.Serial 1) pts in
+  let serial = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 1) 1) pts in
   List.iter
     (fun jobs ->
       let sharded =

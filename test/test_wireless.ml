@@ -130,13 +130,16 @@ let test_connected_uniform () =
 
 let test_connected_uniform_impossible () =
   let rng = R.create 13L in
-  check "gives up" true
+  check "gives up with the instance parameters" true
     (try
        ignore
          (Wireless.Deploy.connected_uniform rng ~n:50 ~side:1000. ~radius:1.
             ~max_attempts:3);
        false
-     with Failure _ -> true)
+     with
+     | Wireless.Deploy.No_connected_instance
+         { n = 50; side = 1000.; radius = 1.; attempts = 3 } ->
+       true)
 
 (* ---------------- UDG ---------------- *)
 
