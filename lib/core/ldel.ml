@@ -44,44 +44,85 @@ let triangle_fits points ~radius (a, b, c) =
   && P.dist points.(b) points.(c) <= radius
   && P.dist points.(a) points.(c) <= radius
 
+(* [Segment.properly_intersect] on the segments [pq] and [rs], by id.
+   Edges that share an endpoint id are rejected before any predicate
+   runs: the orientation of the shared point against the other edge
+   is exactly [Collinear], so the exact test is false for them too.
+   [o3]/[o4] are only evaluated once [o1]/[o2] are strictly
+   opposite. *)
+let edges_cross points p q r s =
+  p <> r && p <> s && q <> r && q <> s
+  && Pred.opposite
+       (Pred.orient2d points.(p) points.(q) points.(r))
+       (Pred.orient2d points.(p) points.(q) points.(s))
+  && Pred.opposite
+       (Pred.orient2d points.(r) points.(s) points.(p))
+       (Pred.orient2d points.(r) points.(s) points.(q))
+
+(* Does an edge of [abc] properly cross an edge of [pqr]? *)
+let edges_of_cross points a b c p q r =
+  edges_cross points a b p q
+  || edges_cross points a b q r
+  || edges_cross points a b r p
+  || edges_cross points b c p q
+  || edges_cross points b c q r
+  || edges_cross points b c r p
+  || edges_cross points c a p q
+  || edges_cross points c a q r
+  || edges_cross points c a r p
+
+(* [v] strictly inside the counter-clockwise triangle [abc] *)
+let inside_ccw points a b c v =
+  let pv = points.(v) in
+  Pred.orient2d points.(a) points.(b) pv = Pred.Ccw
+  && Pred.orient2d points.(b) points.(c) pv = Pred.Ccw
+  && Pred.orient2d points.(c) points.(a) pv = Pred.Ccw
+
+let not_corner a b c v = v <> a && v <> b && v <> c
+
+(* [v] strictly inside [abc] (of orientation [o]) unless [v] is one of
+   its corners *)
+let corner_inside points o a b c v =
+  not_corner a b c v
+  &&
+  match o with
+  | Pred.Ccw -> inside_ccw points a b c v
+  | Pred.Cw -> inside_ccw points a c b v
+  | Pred.Collinear -> false
+
+(* Does a corner of [pqr] that is not a corner of [abc] lie strictly
+   inside [abc]?  The orientation of [abc] is only computed when such a
+   corner exists. *)
+let corners_inside points a b c p q r =
+  (not_corner a b c p || not_corner a b c q || not_corner a b c r)
+  &&
+  let o = Pred.orient2d points.(a) points.(b) points.(c) in
+  corner_inside points o a b c p
+  || corner_inside points o a b c q
+  || corner_inside points o a b c r
+
 let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
-  let t1 = [ a1; b1; c1 ] and t2 = [ a2; b2; c2 ] in
-  let shared v = List.mem v t1 in
-  let edge_of l =
-    match l with
-    | [ x; y; z ] -> [ (x, y); (y, z); (z, x) ]
-    | _ -> assert false (* only ever applied to 3-element triangle lists *)
-  in
-  let seg (u, v) = Geometry.Segment.make points.(u) points.(v) in
-  let crossing =
-    List.exists
-      (fun e1 ->
-        List.exists
-          (fun e2 -> Geometry.Segment.properly_intersect (seg e1) (seg e2))
-          (edge_of t2))
-      (edge_of t1)
-  in
-  crossing
-  ||
-  let strictly_inside (x, y, z) v =
-    let inside_ccw a b c p =
-      Pred.orient2d points.(a) points.(b) p = Pred.Ccw
-      && Pred.orient2d points.(b) points.(c) p = Pred.Ccw
-      && Pred.orient2d points.(c) points.(a) p = Pred.Ccw
-    in
-    match Pred.orient2d points.(x) points.(y) points.(z) with
-    | Pred.Ccw -> inside_ccw x y z points.(v)
-    | Pred.Cw -> inside_ccw x z y points.(v)
-    | Pred.Collinear -> false
-  in
-  List.exists (fun v -> (not (shared v)) && strictly_inside (a1, b1, c1) v) t2
-  || List.exists
-       (fun v -> (not (List.mem v t2)) && strictly_inside (a2, b2, c2) v)
-       t1
+  edges_of_cross points a1 b1 c1 a2 b2 c2
+  || corners_inside points a1 b1 c1 a2 b2 c2
+  || corners_inside points a2 b2 c2 a1 b1 c1
 
 let circumcircle_contains points (a, b, c) v =
-  v <> a && v <> b && v <> c
+  not_corner a b c v
   && Pred.incircle points.(a) points.(b) points.(c) points.(v)
+
+(* Algorithm 3's removal condition for [t] against an intersecting
+   [other]: a corner of [other] lies in [t]'s circumcircle. *)
+let circumcircle_contains_corner points t (a, b, c) =
+  circumcircle_contains points t a
+  || circumcircle_contains points t b
+  || circumcircle_contains points t c
+
+(* The exact prefilter both planarizations apply before
+   [triangles_intersect]: a proper crossing or a strictly inside corner
+   lies in both triangles' bounding boxes, so disjoint boxes decide the
+   pair without a predicate. *)
+let triangle_bbox points (a, b, c) =
+  Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ]
 
 let graph_of n gabriel triangles =
   G.of_edges n
@@ -125,21 +166,13 @@ let planarize_csr ?pool csr points ~radius tris_list =
   let m = Array.length tris in
   if m = 0 then []
   else begin
-    let boxes =
-      Array.map
-        (fun (a, b, c) ->
-          Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ])
-        tris
-    in
-    let boxes_overlap (b1 : Geometry.Bbox.t) (b2 : Geometry.Bbox.t) =
-      b1.xmin <= b2.xmax && b2.xmin <= b1.xmax && b1.ymin <= b2.ymax
-      && b2.ymin <= b1.ymax
+    let boxes = Array.map (triangle_bbox points) tris in
+    let sees x a b c =
+      x = a || x = b || x = c || C.mem_edge csr x a || C.mem_edge csr x b
+      || C.mem_edge csr x c
     in
     let mutually_visible_csr (a1, b1, c1) (a2, b2, c2) =
-      List.exists
-        (fun x ->
-          List.exists (fun y -> x = y || C.mem_edge csr x y) [ a2; b2; c2 ])
-        [ a1; b1; c1 ]
+      sees a1 a2 b2 c2 || sees b1 a2 b2 c2 || sees c1 a2 b2 c2
     in
     (* bucket triangle indices by the grid cell of their bbox
        min-corner (side = radius, origin = least min-corner) *)
@@ -188,21 +221,13 @@ let planarize_csr ?pool csr points ~radius tris_list =
                 let j = order.(idx) in
                 if
                   j > i
-                  && boxes_overlap bi boxes.(j)
+                  && Geometry.Bbox.overlaps bi boxes.(j)
                   && mutually_visible_csr tris.(i) tris.(j)
                   && triangles_intersect points tris.(i) tris.(j)
                 then begin
-                  let a2, b2, c2 = tris.(j) in
-                  if
-                    List.exists
-                      (circumcircle_contains points tris.(i))
-                      [ a2; b2; c2 ]
+                  if circumcircle_contains_corner points tris.(i) tris.(j)
                   then removed.(i) <- true;
-                  let a1, b1, c1 = tris.(i) in
-                  if
-                    List.exists
-                      (circumcircle_contains points tris.(j))
-                      [ a1; b1; c1 ]
+                  if circumcircle_contains_corner points tris.(j) tris.(i)
                   then removed.(j) <- true
                 end
               done

@@ -106,10 +106,24 @@ val triangle_fits :
 val circumcircle_contains :
   Geometry.Point.t array -> int * int * int -> int -> bool
 
+(** [circumcircle_contains_corner points t other] holds when a corner
+    of [other] lies strictly inside [t]'s circumcircle — Algorithm 3's
+    reason to remove [t] when it intersects [other]. *)
+val circumcircle_contains_corner :
+  Geometry.Point.t array -> int * int * int -> int * int * int -> bool
+
+(** [triangle_bbox points t] is the bounding box of [t]'s corners.
+    Two triangles whose boxes do not {!Geometry.Bbox.overlaps} cannot
+    intersect in the sense of {!triangles_intersect}, so both
+    planarizations ({!build_csr} and {!Protocol}) test boxes first. *)
+val triangle_bbox : Geometry.Point.t array -> int * int * int -> Geometry.Bbox.t
+
 (** [triangles_intersect points t1 t2] decides whether two triangles
     overlap improperly: an edge of one properly crosses an edge of the
     other, or a non-shared corner lies strictly inside the other
     triangle.  Triangles merely sharing a vertex or an edge do not
-    intersect. *)
+    intersect.  Edges that share an endpoint id are rejected without a
+    predicate (one of their orientations is exactly collinear), and the
+    test allocates nothing. *)
 val triangles_intersect :
   Geometry.Point.t array -> int * int * int -> int * int * int -> bool

@@ -38,22 +38,40 @@ let classify = function
 
 module IntSet = Set.Make (Int)
 
+(* Monomorphic comparators, ordering exactly as the polymorphic
+   [compare] does (lexicographic; constructors in declaration order). *)
+let compare_pair (a1, b1) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
+let compare_tri (a1, b1, c1) (a2, b2, c2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare b1 b2 in
+    if c <> 0 then c else Int.compare c1 c2
+
+let position_rank = function Single -> 0 | First -> 1 | Second -> 2
+
 module TriSet = Set.Make (struct
   type t = int * int * int
 
-  let compare = compare
+  let compare = compare_tri
 end)
 
 module KeyMap = Map.Make (struct
   type t = (int * int) * position
 
-  let compare = compare
+  let compare (p1, pos1) (p2, pos2) =
+    let c = compare_pair p1 p2 in
+    if c <> 0 then c
+    else Int.compare (position_rank pos1) (position_rank pos2)
 end)
 
 module PairSet = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare = compare_pair
 end)
 
 let ordered_edge u v = (min u v, max u v)
@@ -64,31 +82,37 @@ let ordered_edge u v = (min u v, max u v)
 
 type cluster_state = {
   mutable status : [ `White | `Dominator | `Dominatee ];
-  mutable white_nbrs : IntSet.t;
+  mutable smaller_white : IntSet.t;
+      (* undecided neighbors with a smaller id than mine: the only ones
+         the smallest-ID rule waits for *)
   mutable my_dominators : IntSet.t;
   mutable nbr_dominators : (int * int) list;  (* (neighbor, its dominator) *)
   mutable nbr_pos : (int * P.t) list;
 }
 
 let cluster_protocol points =
-  let init _ nbrs =
+  let init me nbrs =
     {
       status = `White;
-      white_nbrs = IntSet.of_list nbrs;
+      smaller_white = IntSet.of_list (List.filter (fun v -> v < me) nbrs);
       my_dominators = IntSet.empty;
       nbr_dominators = [];
       nbr_pos = [];
     }
   in
   let on_round ctx st inbox =
-    if ctx.E.round = 0 then ctx.E.broadcast (Hello points.(ctx.E.me));
+    let me = ctx.E.me in
+    if ctx.E.round = 0 then ctx.E.broadcast (Hello points.(me));
+    let decided from =
+      if from < me then st.smaller_white <- IntSet.remove from st.smaller_white
+    in
     let new_dominators = ref [] in
     List.iter
       (fun { E.from; msg } ->
         match msg with
         | Hello p -> st.nbr_pos <- (from, p) :: st.nbr_pos
         | IamDominator ->
-          st.white_nbrs <- IntSet.remove from st.white_nbrs;
+          decided from;
           if not (IntSet.mem from st.my_dominators) then begin
             st.my_dominators <- IntSet.add from st.my_dominators;
             if st.status <> `Dominator then begin
@@ -97,7 +121,7 @@ let cluster_protocol points =
             end
           end
         | IamDominatee d ->
-          st.white_nbrs <- IntSet.remove from st.white_nbrs;
+          decided from;
           st.nbr_dominators <- (from, d) :: st.nbr_dominators
         | TwoHopDoms _ | TryConnector _ | IamConnector _ | Status _
         | Proposal _ | Accept _ | Reject _ | ShareTriangles _
@@ -109,7 +133,7 @@ let cluster_protocol points =
        certainly been exchanged) *)
     if
       ctx.E.round >= 1 && st.status = `White
-      && IntSet.for_all (fun v -> ctx.E.me < v) st.white_nbrs
+      && IntSet.is_empty st.smaller_white
     then begin
       st.status <- `Dominator;
       ctx.E.broadcast IamDominator
@@ -140,7 +164,9 @@ type conn_state = {
   mutable c_is_connector : bool;
   mutable c_candidacies : ((int * int) * position) list;
   mutable c_elected : ((int * int) * position) list;
-  mutable c_heard_try : IntSet.t KeyMap.t;
+  mutable c_least_rival : int KeyMap.t;
+      (* least id heard claiming each election key: I win a key iff
+         my id is below it *)
   mutable c_heard_first : int list KeyMap.t;
   mutable c_second_claimed : PairSet.t;
   c_dom_two_hop : (int, IntSet.t) Hashtbl.t;
@@ -171,7 +197,7 @@ let connectors_protocol (cluster : cluster_state array) =
       c_is_connector = false;
       c_candidacies = [];
       c_elected = [];
-      c_heard_try = KeyMap.empty;
+      c_least_rival = KeyMap.empty;
       c_heard_first = KeyMap.empty;
       c_second_claimed = PairSet.empty;
       c_dom_two_hop = Hashtbl.create 8;
@@ -186,12 +212,11 @@ let connectors_protocol (cluster : cluster_state array) =
         match msg with
         | TwoHopDoms doms ->
           Hashtbl.replace st.c_dom_two_hop from (IntSet.of_list doms)
-        | TryConnector (pair, pos) ->
-          st.c_heard_try <-
-            KeyMap.update (pair, pos)
-              (fun prev ->
-                Some (IntSet.add from (Option.value ~default:IntSet.empty prev)))
-              st.c_heard_try
+        | TryConnector (pair, pos) -> (
+          let key = (pair, pos) in
+          match KeyMap.find_opt key st.c_least_rival with
+          | Some least when least <= from -> ()
+          | _ -> st.c_least_rival <- KeyMap.add key from st.c_least_rival)
         | IamConnector ((u, v), Single) ->
           if me = u || me = v then add_edge st me from
         | IamConnector ((u, v), First) ->
@@ -267,10 +292,12 @@ let connectors_protocol (cluster : cluster_state array) =
     st.c_candidacies <- pending;
     List.iter
       (fun ((pair, pos) as key) ->
-        let rivals =
-          Option.value ~default:IntSet.empty (KeyMap.find_opt key st.c_heard_try)
+        let wins =
+          match KeyMap.find_opt key st.c_least_rival with
+          | Some least -> me < least
+          | None -> true
         in
-        if IntSet.for_all (fun s -> me < s) rivals then begin
+        if wins then begin
           st.c_is_connector <- true;
           st.c_elected <- key :: st.c_elected;
           ctx.E.broadcast (IamConnector (pair, pos));
@@ -399,28 +426,30 @@ let ldel_protocol (status : status_state array)
   in
   let on_round ctx st inbox =
     let me = ctx.E.me in
-    let corner_of (a, b, c) = me = a || me = b || me = c in
-    List.iter
-      (fun { E.from; msg } ->
-        match msg with
-        | Proposal t ->
-          endorse st t from;
-          if corner_of t && not (TriSet.mem t st.l_responded) then begin
-            st.l_responded <- TriSet.add t st.l_responded;
-            if TriSet.mem t st.l_local_tris then ctx.E.broadcast (Accept t)
-            else ctx.E.broadcast (Reject t)
-          end
-        | Accept t -> endorse st t from
-        | Reject _ -> ()
-        | ShareTriangles (tris, _gabriel) ->
-          List.iter (fun t -> st.l_known <- TriSet.add t st.l_known) tris
-        | RemainingTriangles tris ->
-          Hashtbl.replace st.l_remaining_of from (TriSet.of_list tris)
-        | Hello _ | IamDominator | IamDominatee _ | TwoHopDoms _
-        | TryConnector _ | IamConnector _ | Status _ | NeighborTable _ ->
-          ())
-      inbox;
+    (* a node off the backbone is a corner of no triangle and reads
+       none of the gossip, so it ignores its inbox *)
     if st.l_backbone then begin
+      let corner_of (a, b, c) = me = a || me = b || me = c in
+      List.iter
+        (fun { E.from; msg } ->
+          match msg with
+          | Proposal t ->
+            endorse st t from;
+            if corner_of t && not (TriSet.mem t st.l_responded) then begin
+              st.l_responded <- TriSet.add t st.l_responded;
+              if TriSet.mem t st.l_local_tris then ctx.E.broadcast (Accept t)
+              else ctx.E.broadcast (Reject t)
+            end
+          | Accept t -> endorse st t from
+          | Reject _ -> ()
+          | ShareTriangles (tris, _gabriel) ->
+            List.iter (fun t -> st.l_known <- TriSet.add t st.l_known) tris
+          | RemainingTriangles tris ->
+            Hashtbl.replace st.l_remaining_of from (TriSet.of_list tris)
+          | Hello _ | IamDominator | IamDominatee _ | TwoHopDoms _
+          | TryConnector _ | IamConnector _ | Status _ | NeighborTable _ ->
+            ())
+        inbox;
       (* round 0: proposals for well-shaped incident triangles *)
       if ctx.E.round = 0 then
         TriSet.iter
@@ -460,22 +489,26 @@ let ldel_protocol (status : status_state array)
           ctx.E.broadcast
             (ShareTriangles (TriSet.elements st.l_accepted, st.l_gabriel))
       end;
-      (* round 3: apply the removal rule and gossip survivors *)
+      (* round 3: apply the removal rule and gossip survivors; pairs
+         whose boxes are disjoint are decided by the same exact
+         prefilter [Ldel.build_csr] applies *)
       if ctx.E.round = 3 then begin
-        let known = TriSet.union st.l_known st.l_accepted in
+        let known =
+          Array.of_list (TriSet.elements (TriSet.union st.l_known st.l_accepted))
+        in
+        let boxes = Array.map (Ldel.triangle_bbox points) known in
         st.l_my_remaining <-
           TriSet.filter
             (fun t1 ->
+              let b1 = Ldel.triangle_bbox points t1 in
               not
-                (TriSet.exists
-                   (fun t2 ->
-                     t2 <> t1
+                (Array.exists2
+                   (fun t2 b2 ->
+                     Geometry.Bbox.overlaps b1 b2
+                     && compare_tri t2 t1 <> 0
                      && Ldel.triangles_intersect points t1 t2
-                     && (let a2, b2, c2 = t2 in
-                         List.exists
-                           (Ldel.circumcircle_contains points t1)
-                           [ a2; b2; c2 ]))
-                   known))
+                     && Ldel.circumcircle_contains_corner points t1 t2)
+                   known boxes))
             st.l_accepted;
         if st.l_bb_nbrs <> [] then
           ctx.E.broadcast
@@ -562,23 +595,23 @@ let ldel2_protocol (status : status_state array)
   in
   let on_round ctx st inbox =
     let me = ctx.E.me in
-    let corner_of (a, b, c) = me = a || me = b || me = c in
-    List.iter
-      (fun { E.from; msg } ->
-        match msg with
-        | NeighborTable tbl ->
-          if st.l2_backbone then Hashtbl.replace st.l2_two_hop from tbl
-        | Proposal t ->
-          endorse st t from;
-          if corner_of t && not (TriSet.mem t st.l2_responded) then begin
-            st.l2_responded <- TriSet.add t st.l2_responded;
-            if TriSet.mem t st.l2_local_tris then ctx.E.broadcast (Accept t)
-            else ctx.E.broadcast (Reject t)
-          end
-        | Accept t -> endorse st t from
-        | _ -> ())
-      inbox;
+    (* as in [ldel_protocol], nodes off the backbone ignore their inbox *)
     if st.l2_backbone then begin
+      let corner_of (a, b, c) = me = a || me = b || me = c in
+      List.iter
+        (fun { E.from; msg } ->
+          match msg with
+          | NeighborTable tbl -> Hashtbl.replace st.l2_two_hop from tbl
+          | Proposal t ->
+            endorse st t from;
+            if corner_of t && not (TriSet.mem t st.l2_responded) then begin
+              st.l2_responded <- TriSet.add t st.l2_responded;
+              if TriSet.mem t st.l2_local_tris then ctx.E.broadcast (Accept t)
+              else ctx.E.broadcast (Reject t)
+            end
+          | Accept t -> endorse st t from
+          | _ -> ())
+        inbox;
       (* round 0: publish my backbone neighbor table *)
       if ctx.E.round = 0 && st.l2_bb_nbrs <> [] then
         ctx.E.broadcast (NeighborTable st.l2_bb_nbrs);

@@ -76,29 +76,31 @@ let run ?max_rounds ~classify graph protocol =
   let kinds = Hashtbl.create 16 in
   let stamp = Stamp.create n in
   (* Messages in flight: those broadcast this round, delivered next
-     round.  Inboxes are rebuilt per round in sender order, so a
-     node's inbox is sorted by sender id. *)
-  let in_flight = ref [] (* (sender, lam, sseq, msg) in reverse send order *) in
+     round, newest first.  Each carries the one delivery record all of
+     its receivers share (the record is immutable). *)
+  let in_flight = ref [] (* (lam, sseq, kind, delivery) *) in
   let rounds = ref 0 in
   let quiescent = ref false in
   while not !quiescent do
     if !rounds >= max_rounds then
       failwith
         (Printf.sprintf "Engine.run: no quiescence after %d rounds" max_rounds);
-    let inboxes = Array.make n [] in
+    (* Lamport stamps (and trace events) per delivery, in send order *)
     List.iter
-      (fun (s, lam, sseq, m) ->
-        let k = if !Obs.Trace.on then classify m else "" in
+      (fun (lam, sseq, k, d) ->
         List.iter
           (fun v ->
-            inboxes.(v) <- { from = s; msg = m } :: inboxes.(v);
-            Stamp.deliver stamp ~round:!rounds ~time:0. ~kind:k ~src:s ~dst:v
-              ~sent_lam:lam ~sseq)
-          neighbors.(s))
+            Stamp.deliver stamp ~round:!rounds ~time:0. ~kind:k ~src:d.from
+              ~dst:v ~sent_lam:lam ~sseq)
+          neighbors.(d.from))
+      (List.rev !in_flight);
+    (* prepending newest first leaves every inbox in send order, which
+       is sender id order *)
+    let inboxes = Array.make n [] in
+    List.iter
+      (fun (_, _, _, d) ->
+        List.iter (fun v -> inboxes.(v) <- d :: inboxes.(v)) neighbors.(d.from))
       !in_flight;
-    for i = 0 to n - 1 do
-      inboxes.(i) <- List.rev inboxes.(i)
-    done;
     in_flight := [];
     let sent_this_round = ref false in
     for u = 0 to n - 1 do
@@ -117,12 +119,11 @@ let run ?max_rounds ~classify graph protocol =
               let lam, sseq =
                 Stamp.send stamp ~round:!rounds ~time:0. ~kind:k ~src:u
               in
-              in_flight := (u, lam, sseq, m) :: !in_flight);
+              in_flight := (lam, sseq, k, { from = u; msg = m }) :: !in_flight);
         }
       in
       states.(u) <- protocol.on_round ctx states.(u) inboxes.(u)
     done;
-    in_flight := List.rev !in_flight;
     if !Obs.on then begin
       let m = List.length !in_flight in
       Obs.observe d_round_messages (float_of_int m);

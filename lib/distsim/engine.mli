@@ -12,6 +12,10 @@
     The simulation is deterministic: nodes are stepped in id order and
     inboxes are sorted by sender id. *)
 
+(** One message as its receivers see it.  The engine allocates one
+    record per broadcast and shares it among all of the sender's
+    neighbors (the record is immutable), so a delivery costs an inbox
+    cell, not a copy. *)
 type 'msg delivery = { from : int; msg : 'msg }
 
 (** Per-node view handed to the protocol each round. *)

@@ -23,6 +23,10 @@ let center b = Point.make ((b.xmin +. b.xmax) /. 2.) ((b.ymin +. b.ymax) /. 2.)
 let contains b (p : Point.t) =
   b.xmin <= p.x && p.x <= b.xmax && b.ymin <= p.y && p.y <= b.ymax
 
+let overlaps b1 b2 =
+  b1.xmin <= b2.xmax && b2.xmin <= b1.xmax && b1.ymin <= b2.ymax
+  && b2.ymin <= b1.ymax
+
 let expand m b =
   { xmin = b.xmin -. m; ymin = b.ymin -. m; xmax = b.xmax +. m; ymax = b.ymax +. m }
 

@@ -13,6 +13,10 @@ val height : t -> float
 val center : t -> Point.t
 val contains : t -> Point.t -> bool
 
+(** [overlaps b1 b2] holds when the closed boxes share a point
+    (touching boundaries count). *)
+val overlaps : t -> t -> bool
+
 (** [expand margin b] grows the box by [margin] on every side. *)
 val expand : float -> t -> t
 

@@ -120,6 +120,9 @@ let orient2d (a : Point.t) (b : Point.t) (c : Point.t) =
   in
   if s > 0 then Ccw else if s < 0 then Cw else Collinear
 
+let opposite o1 o2 =
+  match (o1, o2) with Ccw, Cw | Cw, Ccw -> true | _ -> false
+
 let incircle_det (a : Point.t) (b : Point.t) (c : Point.t) (d : Point.t) =
   let adx = a.x -. d.x and ady = a.y -. d.y in
   let bdx = b.x -. d.x and bdy = b.y -. d.y in

@@ -16,6 +16,9 @@ type orientation = Ccw | Cw | Collinear
     [Ccw] when [c] lies to the left of the directed line [a -> b]. *)
 val orient2d : Point.t -> Point.t -> Point.t -> orientation
 
+(** [opposite o1 o2] holds when one is [Ccw] and the other [Cw]. *)
+val opposite : orientation -> orientation -> bool
+
 (** Signed doubled area of triangle [a b c]; positive for [Ccw]. *)
 val orient2d_det : Point.t -> Point.t -> Point.t -> float
 

@@ -5,16 +5,14 @@ let length s = Point.dist s.a s.b
 let midpoint s = Point.midpoint s.a s.b
 let contains s p = Predicates.between s.a s.b p
 
+(* [o3]/[o4] are only evaluated once [o1]/[o2] are strictly opposite *)
 let properly_intersect s1 s2 =
-  let o1 = Predicates.orient2d s1.a s1.b s2.a in
-  let o2 = Predicates.orient2d s1.a s1.b s2.b in
-  let o3 = Predicates.orient2d s2.a s2.b s1.a in
-  let o4 = Predicates.orient2d s2.a s2.b s1.b in
-  let opposite a b =
-    (a = Predicates.Ccw && b = Predicates.Cw)
-    || (a = Predicates.Cw && b = Predicates.Ccw)
-  in
-  opposite o1 o2 && opposite o3 o4
+  Predicates.opposite
+    (Predicates.orient2d s1.a s1.b s2.a)
+    (Predicates.orient2d s1.a s1.b s2.b)
+  && Predicates.opposite
+       (Predicates.orient2d s2.a s2.b s1.a)
+       (Predicates.orient2d s2.a s2.b s1.b)
 
 let intersect s1 s2 =
   properly_intersect s1 s2

@@ -231,6 +231,11 @@ let test_bbox () =
   check "excludes" false (Geometry.Bbox.contains b (p 2. 3.));
   let e = Geometry.Bbox.expand 1. b in
   check "expanded contains" true (Geometry.Bbox.contains e (p 1.5 3.));
+  let box x0 y0 x1 y1 = Geometry.Bbox.make ~xmin:x0 ~ymin:y0 ~xmax:x1 ~ymax:y1 in
+  check "overlaps" true (Geometry.Bbox.overlaps b (box 0.5 4. 3. 9.));
+  check "touching overlaps" true (Geometry.Bbox.overlaps b (box 1. 5. 2. 6.));
+  check "disjoint in x" false (Geometry.Bbox.overlaps b (box 1.5 0. 3. 1.));
+  check "disjoint in y" false (Geometry.Bbox.overlaps (box 0.5 5.5 3. 9.) b);
   check "empty invalid" true
     (try
        ignore (Geometry.Bbox.of_points []);

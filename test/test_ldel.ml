@@ -49,6 +49,8 @@ let test_triangles_intersect_cases () =
       P.make 0. 5.; (* 6 *)
       P.make 1. 4.; (* 7 *)
       P.make (-2.) 4.; (* 8 *)
+      P.make 5. (-1.); (* 9 *)
+      P.make 5. 1.; (* 10 *)
     |]
   in
   let ti = Core.Ldel.triangles_intersect pts in
@@ -60,8 +62,124 @@ let test_triangles_intersect_cases () =
   check "shared edge ok" false (ti (0, 1, 2) (1, 2, 5));
   (* sharing a vertex only *)
   check "shared vertex ok" false (ti (0, 1, 2) (2, 6, 7));
+  (* sharing vertex 1, with edge 1-4 running on along the line of
+     edge 0-1: the edges that touch all meet at the shared endpoint *)
+  check "shared endpoint, nothing crosses" false (ti (0, 1, 2) (1, 4, 5));
+  (* sharing vertex 0, while edge 0-10 crosses edge 1-2 *)
+  check "shared endpoint, another edge crosses" true (ti (0, 1, 2) (0, 9, 10));
   (* disjoint *)
   check "disjoint" false (ti (0, 1, 3) (6, 7, 8))
+
+(* Reference for the property below: [triangles_intersect] written
+   over lists and [Segment.t] values, with no shared-endpoint shortcut
+   and every orientation evaluated. *)
+let oracle_triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
+  let module Pred = Geometry.Predicates in
+  let t1 = [ a1; b1; c1 ] and t2 = [ a2; b2; c2 ] in
+  let shared v = List.mem v t1 in
+  let edge_of = function
+    | [ x; y; z ] -> [ (x, y); (y, z); (z, x) ]
+    | _ -> assert false
+  in
+  let seg (u, v) = Geometry.Segment.make points.(u) points.(v) in
+  let crossing =
+    List.exists
+      (fun e1 ->
+        List.exists
+          (fun e2 -> Geometry.Segment.properly_intersect (seg e1) (seg e2))
+          (edge_of t2))
+      (edge_of t1)
+  in
+  crossing
+  ||
+  let strictly_inside (x, y, z) v =
+    let inside_ccw a b c p =
+      Pred.orient2d points.(a) points.(b) p = Pred.Ccw
+      && Pred.orient2d points.(b) points.(c) p = Pred.Ccw
+      && Pred.orient2d points.(c) points.(a) p = Pred.Ccw
+    in
+    match Pred.orient2d points.(x) points.(y) points.(z) with
+    | Pred.Ccw -> inside_ccw x y z points.(v)
+    | Pred.Cw -> inside_ccw x z y points.(v)
+    | Pred.Collinear -> false
+  in
+  List.exists (fun v -> (not (shared v)) && strictly_inside (a1, b1, c1) v) t2
+  || List.exists
+       (fun v -> (not (List.mem v t2)) && strictly_inside (a2, b2, c2) v)
+       t1
+
+(* Triangle pairs over 9 points, by family.  Small-integer coordinates
+   make collinear corners and coincident points common. *)
+let gen_triangle_pair =
+  let open QCheck.Gen in
+  let coord = oneof [ map float_of_int (int_range 0 3); float_range 0. 4. ] in
+  let point = map2 P.make coord coord in
+  let id = int_range 0 8 in
+  let tri = triple id id id in
+  let perm (a, b, c) =
+    oneofl [ (a, b, c); (b, c, a); (c, a, b); (b, a, c); (a, c, b); (c, b, a) ]
+  in
+  let distinct3 =
+    map
+      (fun l ->
+        match l with
+        | a :: b :: c :: d :: e :: f :: _ -> ((a, b, c), (d, e, f))
+        | _ -> assert false)
+      (shuffle_l [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
+  in
+  let family =
+    oneof
+      [
+        (* random ids, possibly repeated within a triangle *)
+        map (fun p -> ("random", p)) (pair tri tri);
+        (* one shared corner *)
+        ( distinct3 >>= fun ((a, b, c), (d, e, _)) ->
+          perm (a, d, e) >|= fun t2 -> ("shared vertex", ((a, b, c), t2)) );
+        (* two shared corners *)
+        ( distinct3 >>= fun ((a, b, c), (d, _, _)) ->
+          perm (a, b, d) >|= fun t2 -> ("shared edge", ((a, b, c), t2)) );
+        ( distinct3 >>= fun (t1, _) ->
+          perm t1 >|= fun t2 -> ("identical", (t1, t2)) );
+        map (fun p -> ("disjoint ids", p)) distinct3;
+      ]
+  in
+  array_size (return 9) point >>= fun pts ->
+  family >>= fun (name, (t1, t2)) ->
+  oneofl [ `Plain; `Collinear; `Coincident; `Nested ] >|= fun shape ->
+  let pts = Array.copy pts in
+  let a2, b2, c2 = t2 and a1, b1, c1 = t1 in
+  (match shape with
+  | `Plain -> ()
+  | `Collinear ->
+    (* t1's corners on one line *)
+    pts.(b1) <- P.make (2. *. pts.(a1).P.x) (2. *. pts.(a1).P.y);
+    pts.(c1) <- P.make (3. *. pts.(a1).P.x) (3. *. pts.(a1).P.y)
+  | `Coincident ->
+    (* distinct ids at equal coordinates across the pair *)
+    pts.(a2) <- pts.(b1)
+  | `Nested ->
+    (* t2 strictly inside t1, where the ids allow it *)
+    pts.(a1) <- P.make 0. 0.;
+    pts.(b1) <- P.make 8. 0.;
+    pts.(c1) <- P.make 0. 8.;
+    if a2 <> a1 && a2 <> b1 && a2 <> c1 then pts.(a2) <- P.make 1. 1.;
+    if b2 <> a1 && b2 <> b1 && b2 <> c1 then pts.(b2) <- P.make 3. 1.;
+    if c2 <> a1 && c2 <> b1 && c2 <> c1 then pts.(c2) <- P.make 1. 3.);
+  (name, pts, t1, t2)
+
+let print_triangle_pair (name, pts, (a1, b1, c1), (a2, b2, c2)) =
+  Printf.sprintf "%s: (%d,%d,%d) (%d,%d,%d) over [%s]" name a1 b1 c1 a2 b2 c2
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun (p : P.t) -> Printf.sprintf "%g,%g" p.x p.y) pts)))
+
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~name:"triangles_intersect = list oracle" ~count:3000
+    (QCheck.make ~print:print_triangle_pair gen_triangle_pair)
+    (fun (_, pts, t1, t2) ->
+      let k = Core.Ldel.triangles_intersect pts in
+      k t1 t2 = oracle_triangles_intersect pts t1 t2
+      && k t2 t1 = oracle_triangles_intersect pts t2 t1)
 
 let test_circumcircle_contains () =
   let pts = [| P.make 0. 0.; P.make 2. 0.; P.make 0. 2.; P.make 1. 1.; P.make 9. 9. |] in
@@ -185,6 +303,7 @@ let suites =
         Alcotest.test_case "triangle fits" `Quick test_triangle_fits;
         Alcotest.test_case "intersection cases" `Quick
           test_triangles_intersect_cases;
+        QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
         Alcotest.test_case "circumcircle contains" `Quick
           test_circumcircle_contains;
         Alcotest.test_case "GG ⊆ LDel" `Quick test_ldel_contains_gabriel;

@@ -317,6 +317,50 @@ let prop_protocol_equals_centralized =
          = bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.cds_edges
       && G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
 
+(* The protocol's message accounting, derived from the structures it
+   returns: every handler sends exactly what the paper's phases call
+   for, so a rewrite that drops or duplicates a message shows up as a
+   per-kind mismatch.  Sparse and dense radii. *)
+let prop_protocol_message_accounting =
+  QCheck.Test.make ~name:"protocol per-kind message accounting" ~count:16
+    (arb
+       QCheck.Gen.(
+         oneofl [ (40, 70, 40.); (30, 60, 90.) ] >>= fun (min, max, radius) ->
+         gen_instance ~min ~max ~radius >|= fun pts -> (pts, radius))
+       (fun (pts, radius) -> Printf.sprintf "%s, R=%g" (print_points pts) radius))
+    (fun (pts, radius) ->
+      let module Pr = Core.Protocol in
+      let pr = Pr.run pts ~radius in
+      let n = Array.length pts in
+      let kind k =
+        Option.value ~default:0
+          (List.assoc_opt k (Pr.ldel_stats pr).Distsim.Engine.by_kind)
+      in
+      let udg = Wireless.Udg.build pts ~radius in
+      let is_dom v = pr.Pr.roles.(v) = Core.Mis.Dominator in
+      let count p = List.length (List.filter p (List.init n Fun.id)) in
+      let dominators = count is_dom in
+      let dominatee_links =
+        List.fold_left
+          (fun acc u ->
+            if is_dom u then acc
+            else acc + List.length (List.filter is_dom (G.neighbors udg u)))
+          0 (List.init n Fun.id)
+      in
+      let in_icds =
+        List.sort_uniq compare
+          (List.concat_map (fun (u, v) -> [ u; v ]) pr.Pr.icds_edges)
+      in
+      let connectors = count (fun v -> pr.Pr.connector.(v)) in
+      kind "Hello" = n
+      && kind "Status" = n
+      && kind "IamDominator" = dominators
+      && kind "TwoHopDoms" = dominators
+      && kind "IamDominatee" = dominatee_links
+      && kind "ShareTriangles" = List.length in_icds
+      && kind "RemainingTriangles" = List.length in_icds
+      && kind "IamConnector" >= connectors)
+
 let to_alcotest tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
 let suites =
@@ -350,5 +394,6 @@ let suites =
           prop_gabriel_disk_empty;
           prop_gfg_delivers;
           prop_protocol_equals_centralized;
+          prop_protocol_message_accounting;
         ] );
   ]
