@@ -40,14 +40,20 @@ let ordered_edge u v = (min u v, max u v)
    dominatees of v that hear an elected first connector are candidate
    SECOND connectors; local minima win.
 
+   Every step only ever asks which dominators a node hears, so the
+   elections read a dominator index built once up front: row w of
+   [dom_adj] is the Dominator-filtered CSR row of w, ascending.  Its
+   rows average a few entries where the UDG rows average tens, and
+   "is v, a dominator, adjacent to w" becomes a scan of w's row.
+
    Every pair election is 2-local around the smaller (two-hop stage)
    or first (three-hop stage) dominator of the pair, so each pair is
    processed exactly once, entirely from its owner's tile: candidate
-   sets, gates and elections read only the immutable snapshot and the
-   role array.  Per-tile accumulators are merged by a final sort
-   ([sort_uniq] dedups edges installed by several pairs), and
-   [connector] writes race only on the identical value [true], so the
-   result is the same for any tiling and any job count. *)
+   sets, gates and elections read only the immutable snapshot, the
+   index and the role array.  Per-tile accumulators are merged by a
+   final sort ([sort_uniq] dedups edges installed by several pairs),
+   and [connector] writes race only on the identical value [true], so
+   the result is the same for any tiling and any job count. *)
 let find_csr ?pool ?owners csr roles =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
@@ -62,88 +68,111 @@ let find_csr ?pool ?owners csr roles =
   let two_by_tile = Array.make ntiles [] in
   let three_by_tile = Array.make ntiles [] in
   let elect_csr = elect_by (C.mem_edge csr) in
-  (* dominatees adjacent to both u and v — [candidates_two_hop] read
-     off u's CSR row *)
+  (* the dominator index: row u is dom_adj.(dom_off.(u)) ..
+     dom_adj.(dom_off.(u + 1) - 1) *)
+  let dom_off = Array.make (n + 1) 0 in
+  let count_dom k v = if roles.(v) = Mis.Dominator then k + 1 else k in
+  for u = 0 to n - 1 do
+    dom_off.(u + 1) <- C.fold_neighbors csr u count_dom dom_off.(u)
+  done;
+  let dom_adj = Array.make dom_off.(n) 0 in
+  let fill k v =
+    if roles.(v) = Mis.Dominator then begin
+      dom_adj.(k) <- v;
+      k + 1
+    end
+    else k
+  in
+  for u = 0 to n - 1 do
+    ignore (C.fold_neighbors csr u fill dom_off.(u))
+  done;
+  (* [v] in [w]'s (ascending) dominator row *)
+  let hears_dom w v =
+    let i = ref dom_off.(w) and stop = dom_off.(w + 1) in
+    while !i < stop && dom_adj.(!i) < v do
+      incr i
+    done;
+    !i < stop && dom_adj.(!i) = v
+  in
+  (* dominatees adjacent to both u and v (v a dominator) — off u's
+     CSR row, ascending *)
   let common_dominatees u v =
-    let acc = ref [] in
-    C.iter_neighbors csr u (fun w ->
-        if roles.(w) = Mis.Dominatee && C.mem_edge csr w v then
-          acc := w :: !acc);
-    List.rev !acc
+    List.rev
+      (C.fold_neighbors csr u
+         (fun acc w ->
+           if roles.(w) = Mis.Dominatee && hears_dom w v then w :: acc
+           else acc)
+         [])
   in
   let mk_body () =
-    (* stamped scratch, one set per worker domain: [mark] dedups pair
-       partners per u, [seen] dedups two-hop dominators per w, and
-       [gmark]/[gval] cache the no-common-dominatee gate per u *)
+    (* stamped scratch, one set per worker domain: [mark] stamps every
+       dominator that shares a dominatee with u, [seen] dedups two-hop
+       dominators per w, and [cands] holds the first-connector
+       candidates per target v while u is processed *)
     let mark = Array.make n (-1) and mstamp = ref 0 in
     let seen = Array.make n (-1) and sstamp = ref 0 in
-    let gmark = Array.make n (-1) and gstamp = ref 0 in
-    let gval = Array.make n false in
+    let cands = Array.make n [] in
     let edges = ref [] and two = ref [] and three = ref [] in
-    (* steps 3-4 for the unordered pair (u, v), owned by u = min *)
+    (* steps 3-4 for the unordered pairs (u, v), owned by u = min.
+       Stamps every dominator two hops from u through a dominatee
+       (u itself included) and returns the stamp. *)
     let two_hop_at u =
       incr mstamp;
       let s = !mstamp in
       C.iter_neighbors csr u (fun w ->
           if roles.(w) = Mis.Dominatee then
-            C.iter_neighbors csr w (fun v ->
-                if v > u && roles.(v) = Mis.Dominator && mark.(v) <> s then begin
-                  mark.(v) <- s;
+            for i = dom_off.(w) to dom_off.(w + 1) - 1 do
+              let v = dom_adj.(i) in
+              if mark.(v) <> s then begin
+                mark.(v) <- s;
+                if v > u then begin
                   two := (u, v) :: !two;
                   List.iter
                     (fun w' ->
                       connector.(w') <- true;
                       edges := ordered_edge u w' :: ordered_edge w' v :: !edges)
                     (elect_csr (common_dominatees u v))
-                end))
+                end
+              end
+            done);
+      s
     in
-    (* steps 5-8 for ordered pairs (u, v), owned by u *)
-    let three_hop_at u =
-      incr gstamp;
-      let gs = !gstamp in
-      let gate_open v =
-        (* true when u and v share no dominatee (pair not two-hop) *)
-        if gmark.(v) <> gs then begin
-          gmark.(v) <- gs;
-          gval.(v) <- common_dominatees u v = []
-        end;
-        gval.(v)
-      in
-      let cands_by_v = Hashtbl.create 16 in
+    (* steps 5-8 for ordered pairs (u, v), owned by u.  A target v
+       must not share a dominatee with u: [mark.(v) <> s].  That gate
+       also rules out v = u and every v adjacent to w (each is
+       stamped through w), so it stands for the paper's "v not a
+       neighbor of w" test too. *)
+    let three_hop_at u s =
+      let targets = ref [] in
       C.iter_neighbors csr u (fun w ->
           if roles.(w) = Mis.Dominatee then begin
             incr sstamp;
-            let s = !sstamp in
+            let ss = !sstamp in
             C.iter_neighbors csr w (fun y ->
-                C.iter_neighbors csr y (fun v ->
-                    if
-                      v <> w && v <> u
-                      && roles.(v) = Mis.Dominator
-                      && seen.(v) <> s
-                      && not (C.mem_edge csr w v)
-                    then begin
-                      seen.(v) <- s;
-                      if gate_open v then
-                        Hashtbl.replace cands_by_v v
-                          (w
-                          :: Option.value ~default:[]
-                               (Hashtbl.find_opt cands_by_v v))
-                    end))
+                for i = dom_off.(y) to dom_off.(y + 1) - 1 do
+                  let v = dom_adj.(i) in
+                  if mark.(v) <> s && seen.(v) <> ss then begin
+                    seen.(v) <- ss;
+                    (match cands.(v) with
+                    | [] -> targets := v :: !targets
+                    | _ :: _ -> ());
+                    cands.(v) <- w :: cands.(v)
+                  end
+                done)
           end);
-      G.sorted_tbl_iter Int.compare
-        (fun v cands ->
+      List.iter
+        (fun v ->
           three := (u, v) :: !three;
-          let first = elect_csr cands in
+          let first = elect_csr cands.(v) in
+          cands.(v) <- [];
           let second_cands =
-            List.sort_uniq compare
+            List.sort_uniq Int.compare
               (List.concat_map
                  (fun w ->
                    C.fold_neighbors csr w
                      (fun acc x ->
                        if
-                         roles.(x) = Mis.Dominatee
-                         && C.mem_edge csr x v
-                         && x <> w
+                         roles.(x) = Mis.Dominatee && hears_dom x v && x <> w
                        then x :: acc
                        else acc)
                      [])
@@ -164,7 +193,7 @@ let find_csr ?pool ?owners csr roles =
                   if C.mem_edge csr w x then edges := ordered_edge w x :: !edges)
                 first)
             second)
-        cands_by_v
+        (List.sort Int.compare !targets)
     in
     fun t ->
       edges := [];
@@ -172,10 +201,7 @@ let find_csr ?pool ?owners csr roles =
       three := [];
       Array.iter
         (fun u ->
-          if roles.(u) = Mis.Dominator then begin
-            two_hop_at u;
-            three_hop_at u
-          end)
+          if roles.(u) = Mis.Dominator then three_hop_at u (two_hop_at u))
         owners.(t);
       edges_by_tile.(t) <- !edges;
       two_by_tile.(t) <- !two;

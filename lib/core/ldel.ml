@@ -10,11 +10,9 @@ type t = {
   kept_triangles : (int * int * int) list;
 }
 
-let norm3 (a, b, c) =
-  let l = List.sort compare [ a; b; c ] in
-  match l with
-  | [ x; y; z ] -> (x, y, z)
-  | _ -> assert false (* sort preserves the three elements *)
+let norm3 ((a : int), (b : int), (c : int)) =
+  let lo = Int.min a b and hi = Int.max a b in
+  if c >= hi then (lo, hi, c) else if c >= lo then (lo, c, hi) else (c, lo, hi)
 
 (* What one node computes in Algorithm 2 from purely local data: the
    Delaunay triangulation of itself plus its 1-hop neighbors, filtered
@@ -28,12 +26,9 @@ let local_triangles_of_neighborhood ~me ~me_pos ~nbrs =
     let locals = Array.of_list ((me, me_pos) :: nbrs) in
     let local_pts = Array.map snd locals in
     let dt = Delaunay.Triangulation.triangulate local_pts in
-    List.filter_map
-      (fun (a, b, c) ->
-        if a = 0 || b = 0 || c = 0 then
-          Some (norm3 (fst locals.(a), fst locals.(b), fst locals.(c)))
-        else None)
-      (Delaunay.Triangulation.triangles dt)
+    List.map
+      (fun (a, b, c) -> norm3 (fst locals.(a), fst locals.(b), fst locals.(c)))
+      (Delaunay.Triangulation.triangles_of_vertex dt 0)
 
 let local_delaunay_triangles g points u =
   local_triangles_of_neighborhood ~me:u ~me_pos:points.(u)
@@ -250,14 +245,20 @@ let planarize_csr ?pool csr points ~radius tris_list =
     !kept
   end
 
+(* [compare] on int triples, without the polymorphic call *)
+let cmp_tri ((a1 : int), (b1 : int), (c1 : int)) (a2, b2, c2) =
+  if a1 <> a2 then Int.compare a1 a2
+  else if b1 <> b2 then Int.compare b1 b2
+  else Int.compare c1 c2
+
 (* Binary search in a sorted array of normalized triples. *)
 let mem_tri (arr : (int * int * int) array) t =
   let lo = ref 0 and hi = ref (Array.length arr) in
   while !hi - !lo > 0 do
     let mid = (!lo + !hi) / 2 in
-    if compare arr.(mid) t < 0 then lo := mid + 1 else hi := mid
+    if cmp_tri arr.(mid) t < 0 then lo := mid + 1 else hi := mid
   done;
-  !lo < Array.length arr && arr.(!lo) = t
+  !lo < Array.length arr && cmp_tri arr.(!lo) t = 0
 
 (* Algorithms 2 and 3 on a CSR snapshot.  Stage L1 computes every
    node's local Delaunay triangles over its [hops]-hop neighborhood
@@ -293,16 +294,17 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
     let nbrs = List.map (fun v -> (v, points.(v))) (local_nodes u) in
     locals.(u) <-
       Array.of_list
-        (List.sort_uniq compare
+        (List.sort_uniq cmp_tri
            (local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs))
   in
-  (match pool with
-  | Some p ->
-    Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> l1))
-  | None ->
-    for u = 0 to n - 1 do
-      l1 u
-    done);
+  Obs.span "ldel.l1" (fun () ->
+      match pool with
+      | Some p ->
+        Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> l1))
+      | None ->
+        for u = 0 to n - 1 do
+          l1 u
+        done);
   (* L2 + Gabriel: per-tile over owned nodes *)
   let gab_by_tile = Array.make ntiles [] in
   let acc_by_tile = Array.make ntiles [] in
@@ -338,18 +340,25 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
       gab_by_tile.(t) <- !gab;
       acc_by_tile.(t) <- !acc
   in
-  (match pool with
-  | Some p ->
-    Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n:ntiles mk_body)
-  | None ->
-    let body = mk_body () in
-    for t = 0 to ntiles - 1 do
-      body t
-    done);
-  let concat_of by_tile = List.concat (Array.to_list by_tile) in
-  let p_gabriel = List.sort compare (concat_of gab_by_tile) in
-  let p_triangles = List.sort compare (concat_of acc_by_tile) in
-  let p_kept = planarize_csr ?pool csr points ~radius p_triangles in
+  let p_gabriel, p_triangles =
+    Obs.span "ldel.l2" (fun () ->
+        (match pool with
+        | Some p ->
+          Obs.quiesced (fun () ->
+              Netgraph.Pool.parallel_for p ~n:ntiles mk_body)
+        | None ->
+          let body = mk_body () in
+          for t = 0 to ntiles - 1 do
+            body t
+          done);
+        let concat_of by_tile = List.concat (Array.to_list by_tile) in
+        ( List.sort compare (concat_of gab_by_tile),
+          List.sort cmp_tri (concat_of acc_by_tile) ))
+  in
+  let p_kept =
+    Obs.span "ldel.planarize" (fun () ->
+        planarize_csr ?pool csr points ~radius p_triangles)
+  in
   { p_gabriel; p_triangles; p_kept }
 
 let build_csr ?pool ?owners csr points ~radius =

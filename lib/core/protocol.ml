@@ -751,7 +751,11 @@ let run points ~radius =
   in
   let ldel, stats_ldel =
     Obs.span phase_ldel (fun () ->
-        E.run ~classify udg (ldel_protocol status cluster points ~radius))
+        (* rounds 0-4 of the schedule run even when no triangle is
+           proposed: every backbone node still gossips its (empty)
+           triangle sets in rounds 2 and 3 *)
+        E.run ~min_rounds:5 ~classify udg
+          (ldel_protocol status cluster points ~radius))
   in
   let ldel_triangles =
     List.sort_uniq compare

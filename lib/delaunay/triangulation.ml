@@ -28,15 +28,14 @@ let cmp_tri (a1, b1, c1) (a2, b2, c2) =
     let c = Int.compare b1 b2 in
     if c <> 0 then c else Int.compare c1 c2
 
-module TriSet = Set.Make (struct
-  type t = int * int * int
-
-  let compare = cmp_tri
-end)
-
+(* The live triangles, ghosts included, packed three ints per slot in
+   [tri.(0 .. 3 * ntri - 1)], each normalized.  Slot order carries no
+   meaning — every query below either tests membership or sorts — so
+   the mesh behaves exactly as a set of triangles. *)
 type t = {
   pts : P.t array;
-  mutable alive : TriSet.t;
+  mutable tri : int array;
+  mutable ntri : int;
   collinear_path : (int * int) list option;
       (* Delaunay graph of degenerate (collinear / tiny) inputs *)
 }
@@ -44,11 +43,10 @@ type t = {
 let point_count t = Array.length t.pts
 let points t = t.pts
 
-(* Rotate a ccw triple so the smallest vertex (ghost sorts first as
-   -1) comes first; cyclic order — hence orientation — is preserved.
-   Ghosts end up as (ghost, a, b); we instead keep ghost LAST, so
-   normalize ghosts to (a, b, ghost) with a < b not required (the
-   directed edge a -> b is meaningful). *)
+(* Rotate a ccw triple so the smallest vertex comes first; cyclic
+   order — hence orientation — is preserved.  Ghosts are kept LAST
+   instead, as (a, b, ghost) with a < b not required (the directed
+   edge a -> b is meaningful). *)
 let normalize (a, b, c) =
   if c = ghost then (a, b, c)
   else if a = ghost then (b, c, a)
@@ -57,7 +55,30 @@ let normalize (a, b, c) =
   else if b <= a && b <= c then (b, c, a)
   else (c, a, b)
 
-let in_circumdisk pts (a, b, c) p =
+(* a copy of [arr] with room for twice [need] slots *)
+let grow arr need =
+  let bigger = Array.make (2 * need) 0 in
+  Array.blit arr 0 bigger 0 (Array.length arr);
+  bigger
+
+let push t a b c =
+  let k = 3 * t.ntri in
+  if k + 3 > Array.length t.tri then t.tri <- grow t.tri (k + 3);
+  t.tri.(k) <- a;
+  t.tri.(k + 1) <- b;
+  t.tri.(k + 2) <- c;
+  t.ntri <- t.ntri + 1
+
+(* [push t (normalize (a, b, c))] without the tuples *)
+let push_normalized t a b c =
+  if c = ghost then push t a b c
+  else if a = ghost then push t b c a
+  else if b = ghost then push t c a b
+  else if a <= b && a <= c then push t a b c
+  else if b <= a && b <= c then push t b c a
+  else push t c a b
+
+let in_circumdisk pts a b c p =
   if c = ghost then
     (* Ghost triangle over directed hull edge a -> b (exterior left):
        the limiting circumdisk is the open exterior half-plane plus
@@ -70,41 +91,65 @@ let in_circumdisk pts (a, b, c) p =
       P.dot (P.sub pts.(a) p) (P.sub pts.(b) p) < 0.
   else Pred.incircle pts.(a) pts.(b) pts.(c) p
 
-let directed_edges (a, b, c) = [ (a, b); (b, c); (c, a) ]
+(* Directed edges of the cavity, two ints per edge. *)
+type edge_buf = { mutable e : int array; mutable len : int }
 
-let insert t pi =
+let push_edge eb u v =
+  if (2 * eb.len) + 2 > Array.length eb.e then
+    eb.e <- grow eb.e ((2 * eb.len) + 2);
+  eb.e.(2 * eb.len) <- u;
+  eb.e.((2 * eb.len) + 1) <- v;
+  eb.len <- eb.len + 1
+
+(* One Bowyer–Watson step.  Every live triangle is tested, so the
+   predicate calls are one per live triangle whatever the slot order;
+   the bad ones leave their directed edges in [eb] and the survivors
+   are compacted to the front.  A cavity edge is on the boundary when
+   its reverse is not a cavity edge (the first copy of a repeated edge
+   stands for all), and each boundary edge is fanned to the new
+   point. *)
+let insert t eb pi =
   Obs.incr c_insertions;
-  let p = t.pts.(pi) in
-  let bad =
-    TriSet.filter (fun tri -> in_circumdisk t.pts tri p) t.alive
-  in
+  let pts = t.pts and tri = t.tri in
+  let p = pts.(pi) in
+  let live = ref 0 in
+  eb.len <- 0;
+  for i = 0 to t.ntri - 1 do
+    let a = tri.(3 * i) and b = tri.((3 * i) + 1) and c = tri.((3 * i) + 2) in
+    if in_circumdisk pts a b c p then begin
+      push_edge eb a b;
+      push_edge eb b c;
+      push_edge eb c a
+    end
+    else begin
+      let k = 3 * !live in
+      tri.(k) <- a;
+      tri.(k + 1) <- b;
+      tri.(k + 2) <- c;
+      incr live
+    end
+  done;
+  let cavity = t.ntri - !live in
   if !Obs.on then begin
-    let cavity = TriSet.cardinal bad in
     Obs.add c_cavity cavity;
     Obs.observe d_cavity (float_of_int cavity)
   end;
-  if TriSet.is_empty bad then
+  if cavity = 0 then
     (* Every point is covered by a real or ghost triangle; an empty
        cavity means a duplicate point sat exactly on a vertex. *)
-    invalid_arg "Triangulation: duplicate point"
-  else begin
-    let edge_set = Hashtbl.create 32 in
-    TriSet.iter
-      (fun tri ->
-        List.iter (fun e -> Hashtbl.replace edge_set e ()) (directed_edges tri))
-      bad;
-    let boundary =
-      (* lint: disable D002 boundary edges are re-inserted into TriSet, a set — order cannot leak *)
-      Hashtbl.fold
-        (fun (u, v) () acc ->
-          if Hashtbl.mem edge_set (v, u) then acc else (u, v) :: acc)
-        edge_set []
-    in
-    t.alive <- TriSet.diff t.alive bad;
-    List.iter
-      (fun (u, v) -> t.alive <- TriSet.add (normalize (u, v, pi)) t.alive)
-      boundary
-  end
+    invalid_arg "Triangulation: duplicate point";
+  t.ntri <- !live;
+  let e = eb.e in
+  for i = 0 to eb.len - 1 do
+    let u = e.(2 * i) and v = e.((2 * i) + 1) in
+    let interior = ref false and j = ref 0 in
+    while (not !interior) && !j < eb.len do
+      let x = e.(2 * !j) and y = e.((2 * !j) + 1) in
+      if (x = v && y = u) || (!j < i && x = u && y = v) then interior := true;
+      incr j
+    done;
+    if not !interior then push_normalized t u v pi
+  done
 
 let find_seed pts =
   let n = Array.length pts in
@@ -119,14 +164,16 @@ let find_seed pts =
   in
   if n < 2 then None else third 0 1 0
 
+(* Two points coincide when [Point.compare] ties them: the same
+   equality ([-0.] = [0.], nan = nan) as structural hashing of the
+   coordinate pair. *)
 let check_distinct pts =
-  let seen = Hashtbl.create (Array.length pts) in
-  Array.iter
-    (fun (p : P.t) ->
-      if Hashtbl.mem seen (p.x, p.y) then
-        invalid_arg "Triangulation: duplicate point";
-      Hashtbl.add seen (p.x, p.y) ())
-    pts
+  let order = Array.init (Array.length pts) Fun.id in
+  Array.sort (fun i j -> P.compare pts.(i) pts.(j)) order;
+  for k = 1 to Array.length order - 1 do
+    if P.compare pts.(order.(k - 1)) pts.(order.(k)) = 0 then
+      invalid_arg "Triangulation: duplicate point"
+  done
 
 let collinear_fallback pts =
   (* All points on one line (or fewer than 3 points): the Delaunay
@@ -147,7 +194,12 @@ let triangulate pts =
   check_distinct pts;
   match find_seed pts with
   | None ->
-    { pts; alive = TriSet.empty; collinear_path = Some (collinear_fallback pts) }
+    {
+      pts;
+      tri = [||];
+      ntri = 0;
+      collinear_path = Some (collinear_fallback pts);
+    }
   | Some (i, j, k) ->
     let i, j, k =
       match Pred.orient2d pts.(i) pts.(j) pts.(k) with
@@ -155,43 +207,54 @@ let triangulate pts =
       | Pred.Cw -> (i, k, j)
       | Pred.Collinear -> assert false (* find_seed skips collinear triples *)
     in
-    let t = { pts; alive = TriSet.empty; collinear_path = None } in
-    t.alive <- TriSet.add (normalize (i, j, k)) t.alive;
+    (* n points and the ghost close into 2n - 2 triangles *)
+    let n = Array.length pts in
+    let t =
+      { pts; tri = Array.make (6 * n) 0; ntri = 0; collinear_path = None }
+    in
+    push_normalized t i j k;
     (* ghost triangles on the three hull edges, exterior to the left
        of their directed edge: reverse each ccw edge of the seed *)
-    List.iter
-      (fun (u, v) -> t.alive <- TriSet.add (v, u, ghost) t.alive)
-      (directed_edges (i, j, k));
-    for p = 0 to Array.length pts - 1 do
-      if p <> i && p <> j && p <> k then insert t p
+    push t j i ghost;
+    push t k j ghost;
+    push t i k ghost;
+    let eb = { e = Array.make 48 0; len = 0 } in
+    for p = 0 to n - 1 do
+      if p <> i && p <> j && p <> k then insert t eb p
     done;
     t
 
-let real_triangles t =
-  TriSet.fold
-    (fun (a, b, c) acc -> if c = ghost then acc else (a, b, c) :: acc)
-    t.alive []
+(* real triangles whose corners satisfy [keep], sorted *)
+let triangles_where t keep =
+  let acc = ref [] in
+  for s = 0 to t.ntri - 1 do
+    let a = t.tri.(3 * s) and b = t.tri.((3 * s) + 1) and c = t.tri.((3 * s) + 2) in
+    if c <> ghost && keep a b c then acc := (a, b, c) :: !acc
+  done;
+  List.sort cmp_tri !acc
 
-let triangles t = List.sort cmp_tri (real_triangles t)
+let triangles t = triangles_where t (fun _ _ _ -> true)
 
 let has_triangle t i j k =
-  let candidates =
-    [ (i, j, k); (j, k, i); (k, i, j); (i, k, j); (k, j, i); (j, i, k) ]
+  let mem (a, b, c) =
+    let found = ref false in
+    for s = 0 to t.ntri - 1 do
+      if t.tri.(3 * s) = a && t.tri.((3 * s) + 1) = b && t.tri.((3 * s) + 2) = c
+      then found := true
+    done;
+    !found
   in
-  List.exists (fun tri -> TriSet.mem (normalize tri) t.alive) candidates
+  mem (normalize (i, j, k)) || mem (normalize (i, k, j))
 
 let edges t =
   match t.collinear_path with
   | Some path -> path
   | None ->
-    let set = Hashtbl.create 64 in
-    List.iter
-      (fun (a, b, c) ->
-        List.iter
-          (fun (u, v) -> Hashtbl.replace set (min u v, max u v) ())
-          [ (a, b); (b, c); (c, a) ])
-      (real_triangles t);
-    List.sort cmp_int_pair (Hashtbl.fold (fun e () acc -> e :: acc) set [])
+    List.sort_uniq cmp_int_pair
+      (List.concat_map
+         (fun (a, b, c) ->
+           [ (min a b, max a b); (min b c, max b c); (min a c, max a c) ])
+         (triangles t))
 
 let hull t =
   match t.collinear_path with
@@ -205,22 +268,27 @@ let hull t =
     (* ghost triangles (a, b, ghost) carry directed hull edges a -> b
        with exterior left, i.e. the hull in clockwise orientation;
        chain them and reverse for ccw. *)
-    let next = Hashtbl.create 16 in
-    TriSet.iter
-      (fun (a, b, c) -> if c = ghost then Hashtbl.replace next a b)
-      t.alive;
-    (* lint: disable D002 commutative min-fold: any visit order yields the same minimum *)
-    (match Hashtbl.fold (fun a _ acc -> min a acc) next max_int with
-    | start when start = max_int -> []
-    | start ->
+    let next = Array.make (Array.length t.pts) ghost in
+    let start = ref max_int in
+    for s = 0 to t.ntri - 1 do
+      let a = t.tri.(3 * s) in
+      if t.tri.((3 * s) + 2) = ghost then begin
+        next.(a) <- t.tri.((3 * s) + 1);
+        if a < !start then start := a
+      end
+    done;
+    let start = !start in
+    if start = max_int then []
+    else begin
       let rec chain v acc =
-        let w = Hashtbl.find next v in
+        let w = next.(v) in
         if w = start then List.rev (v :: acc) else chain w (v :: acc)
       in
-      List.rev (chain start []))
+      List.rev (chain start [])
+    end
 
 let triangles_of_vertex t v =
-  List.filter (fun (a, b, c) -> a = v || b = v || c = v) (triangles t)
+  triangles_where t (fun a b c -> a = v || b = v || c = v)
 
 let is_delaunay pts tris =
   List.for_all

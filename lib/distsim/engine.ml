@@ -67,7 +67,7 @@ let merge s1 s2 =
       List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []);
   }
 
-let run ?max_rounds ~classify graph protocol =
+let run ?max_rounds ?(min_rounds = 0) ~classify graph protocol =
   let n = Netgraph.Graph.node_count graph in
   let max_rounds = Option.value max_rounds ~default:((4 * n) + 16) in
   let neighbors = Array.init n (Netgraph.Graph.neighbors graph) in
@@ -130,7 +130,7 @@ let run ?max_rounds ~classify graph protocol =
       Obs.set_gauge g_last_round_messages (float_of_int m)
     end;
     incr rounds;
-    if not !sent_this_round then quiescent := true
+    if (not !sent_this_round) && !rounds >= min_rounds then quiescent := true
   done;
   let by_kind =
     List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) kinds [])

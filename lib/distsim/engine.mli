@@ -50,15 +50,20 @@ val total_sent : stats -> int
     @raise Invalid_argument on mismatched node counts. *)
 val merge : stats -> stats -> stats
 
-(** [run ?max_rounds ~classify graph protocol] executes the protocol
-    until a round in which no node transmits (quiescence), or until
-    [max_rounds] (default [4 * n + 16]) rounds have run — protocols in
-    this library quiesce in O(1) rounds, so hitting the cap signals a
-    bug.  [classify] names each message's kind for the per-kind
-    counters.  Returns final per-node states and the stats.
+(** [run ?max_rounds ?min_rounds ~classify graph protocol] executes
+    the protocol until a round in which no node transmits (quiescence),
+    or until [max_rounds] (default [4 * n + 16]) rounds have run —
+    protocols in this library quiesce in O(1) rounds, so hitting the
+    cap signals a bug.  A protocol that acts on a fixed round schedule
+    passes [min_rounds] (default 0): quiescence ends the run only after
+    that many rounds, so a scheduled round still runs when the rounds
+    before it happened to be silent.  [classify] names each message's
+    kind for the per-kind counters.  Returns final per-node states and
+    the stats.
     @raise Failure when [max_rounds] is exceeded. *)
 val run :
   ?max_rounds:int ->
+  ?min_rounds:int ->
   classify:('msg -> string) ->
   Netgraph.Graph.t ->
   ('state, 'msg) protocol ->

@@ -298,7 +298,27 @@ let test_check_against_mismatch_paths () =
     Obs.span "ck.s" (fun () -> ())
   in
   let reference = snapshot_of populate in
-  let same = snapshot_of populate in
+  (* a second run of [populate] with the reference's span seconds: an
+     empty span's wall time is scheduler noise, and a fast reference
+     against a preempted rerun would breach any relative threshold *)
+  let same =
+    let rerun = snapshot_of populate in
+    {
+      rerun with
+      Obs.Snapshot.spans =
+        List.map
+          (fun (s : Obs.Snapshot.span_stats) ->
+            match
+              List.find_opt
+                (fun (r : Obs.Snapshot.span_stats) ->
+                  r.Obs.Snapshot.path = s.Obs.Snapshot.path)
+                reference.Obs.Snapshot.spans
+            with
+            | Some r -> { s with Obs.Snapshot.seconds = r.Obs.Snapshot.seconds }
+            | None -> s)
+          rerun.Obs.Snapshot.spans;
+    }
+  in
   Alcotest.(check (list string))
     "identical run checks clean" []
     (Obs.Snapshot.check_against ~threshold:0.5 ~reference same);

@@ -130,7 +130,16 @@ let test_path3_network () =
   let pr = Core.Protocol.run pts ~radius:12. in
   check "1 connector" true pr.Core.Protocol.connector.(1);
   Alcotest.(check (list (pair int int)))
-    "cds chain" [ (0, 1); (1, 2) ] pr.Core.Protocol.cds_edges
+    "cds chain" [ (0, 1); (1, 2) ] pr.Core.Protocol.cds_edges;
+  (* the backbone is a path, so no triangle is ever proposed; the
+     planarization gossip still runs on its schedule, once per
+     backbone node per round *)
+  let kind k =
+    Option.value ~default:0
+      (List.assoc_opt k (Core.Protocol.ldel_stats pr).E.by_kind)
+  in
+  checki "ShareTriangles per backbone node" 3 (kind "ShareTriangles");
+  checki "RemainingTriangles per backbone node" 3 (kind "RemainingTriangles")
 
 let test_ldel2_matches_centralized () =
   for seed = 240 to 244 do

@@ -121,6 +121,163 @@ let test_connectors_csr_identity () =
         ])
     [ 1; 2; 4 ]
 
+(* The elections as they ran before the dominator index: every
+   two-hop dominator found by walking full UDG rows, adjacency by
+   binary search, the gate as a common-dominatee list per target.
+   Kept as the reference the indexed kernel must equal. *)
+module Connectors_oracle = struct
+  module C = Netgraph.Csr
+  module Mis = Core.Mis
+
+  let ordered_edge u v = (min u v, max u v)
+
+  let elect_by adjacent candidates =
+    List.filter
+      (fun w ->
+        List.for_all (fun x -> x = w || (not (adjacent w x)) || w < x) candidates)
+      candidates
+
+  let find_csr csr roles =
+    let n = C.node_count csr in
+    let connector = Array.make n false in
+    let elect_csr = elect_by (C.mem_edge csr) in
+    let common_dominatees u v =
+      let acc = ref [] in
+      C.iter_neighbors csr u (fun w ->
+          if roles.(w) = Mis.Dominatee && C.mem_edge csr w v then
+            acc := w :: !acc);
+      List.rev !acc
+    in
+    let mark = Array.make n (-1) and mstamp = ref 0 in
+    let seen = Array.make n (-1) and sstamp = ref 0 in
+    let gmark = Array.make n (-1) and gstamp = ref 0 in
+    let gval = Array.make n false in
+    let edges = ref [] and two = ref [] and three = ref [] in
+    let two_hop_at u =
+      incr mstamp;
+      let s = !mstamp in
+      C.iter_neighbors csr u (fun w ->
+          if roles.(w) = Mis.Dominatee then
+            C.iter_neighbors csr w (fun v ->
+                if v > u && roles.(v) = Mis.Dominator && mark.(v) <> s then begin
+                  mark.(v) <- s;
+                  two := (u, v) :: !two;
+                  List.iter
+                    (fun w' ->
+                      connector.(w') <- true;
+                      edges := ordered_edge u w' :: ordered_edge w' v :: !edges)
+                    (elect_csr (common_dominatees u v))
+                end))
+    in
+    let three_hop_at u =
+      incr gstamp;
+      let gs = !gstamp in
+      let gate_open v =
+        if gmark.(v) <> gs then begin
+          gmark.(v) <- gs;
+          gval.(v) <- common_dominatees u v = []
+        end;
+        gval.(v)
+      in
+      let cands_by_v = Hashtbl.create 16 in
+      C.iter_neighbors csr u (fun w ->
+          if roles.(w) = Mis.Dominatee then begin
+            incr sstamp;
+            let s = !sstamp in
+            C.iter_neighbors csr w (fun y ->
+                C.iter_neighbors csr y (fun v ->
+                    if
+                      v <> w && v <> u
+                      && roles.(v) = Mis.Dominator
+                      && seen.(v) <> s
+                      && not (C.mem_edge csr w v)
+                    then begin
+                      seen.(v) <- s;
+                      if gate_open v then
+                        Hashtbl.replace cands_by_v v
+                          (w
+                          :: Option.value ~default:[]
+                               (Hashtbl.find_opt cands_by_v v))
+                    end))
+          end);
+      G.sorted_tbl_iter Int.compare
+        (fun v cands ->
+          three := (u, v) :: !three;
+          let first = elect_csr cands in
+          let second_cands =
+            List.sort_uniq compare
+              (List.concat_map
+                 (fun w ->
+                   C.fold_neighbors csr w
+                     (fun acc x ->
+                       if
+                         roles.(x) = Mis.Dominatee
+                         && C.mem_edge csr x v
+                         && x <> w
+                       then x :: acc
+                       else acc)
+                     [])
+                 first)
+          in
+          let second = elect_csr second_cands in
+          List.iter
+            (fun w ->
+              connector.(w) <- true;
+              edges := ordered_edge u w :: !edges)
+            first;
+          List.iter
+            (fun x ->
+              connector.(x) <- true;
+              edges := ordered_edge x v :: !edges;
+              List.iter
+                (fun w ->
+                  if C.mem_edge csr w x then edges := ordered_edge w x :: !edges)
+                first)
+            second)
+        cands_by_v
+    in
+    for u = 0 to n - 1 do
+      if roles.(u) = Mis.Dominator then begin
+        two_hop_at u;
+        three_hop_at u
+      end
+    done;
+    {
+      Core.Connectors.connector;
+      cds_edges = List.sort_uniq compare !edges;
+      two_hop_pairs = List.sort compare !two;
+      three_hop_pairs = List.sort compare !three;
+    }
+end
+
+let test_connectors_oracle () =
+  List.iter
+    (fun (seed, radius) ->
+      let n = 500 in
+      let rng = Wireless.Rand.create seed in
+      let pts = Wireless.Deploy.uniform rng ~n ~side:200. in
+      let csr = Wireless.Udg.build_csr pts ~radius in
+      let roles = Core.Mis.compute_csr csr in
+      let want = Connectors_oracle.find_csr csr roles in
+      check
+        (Printf.sprintf "seed=%Ld R=%g has three-hop pairs" seed radius)
+        true
+        (want.Core.Connectors.three_hop_pairs <> []);
+      List.iter
+        (fun (name, tiles) ->
+          let owners = Core.Shard.tiling ?tiles pts ~radius in
+          List.iter
+            (fun jobs ->
+              with_jobs jobs (fun pool ->
+                  let got = Core.Connectors.find_csr ?pool ~owners csr roles in
+                  check
+                    (Printf.sprintf "seed=%Ld R=%g %s jobs=%d" seed radius name
+                       jobs)
+                    true (want = got)))
+            [ 1; 2 ])
+        [ ("Tiles 1", Some 1); ("Tiles 2", Some 2); ("Tiles 3", Some 3); ("Auto", None) ])
+    [ (51L, 14.); (52L, 14.); (53L, 14.); (51L, 40.); (52L, 40.); (53L, 40.) ]
+
 (* --- LDel ----------------------------------------------------------- *)
 
 let tri_list = Alcotest.(check (list (triple int int int)))
@@ -511,6 +668,8 @@ let suites =
         Alcotest.test_case "mis csr priority" `Quick test_mis_csr_priority;
         Alcotest.test_case "connectors csr identity" `Quick
           test_connectors_csr_identity;
+        Alcotest.test_case "connectors = pre-index oracle" `Quick
+          test_connectors_oracle;
         Alcotest.test_case "ldel csr identity" `Quick test_ldel_csr_identity;
         Alcotest.test_case "ldel csr on backbone" `Quick
           test_ldel_csr_on_backbone;
