@@ -218,9 +218,9 @@ let find_csr ?pool ?owners csr roles =
   let concat_of by_tile = List.concat (Array.to_list by_tile) in
   {
     connector;
-    cds_edges = List.sort_uniq compare (concat_of edges_by_tile);
-    two_hop_pairs = List.sort compare (concat_of two_by_tile);
-    three_hop_pairs = List.sort compare (concat_of three_by_tile);
+    cds_edges = List.sort_uniq G.compare_edge (concat_of edges_by_tile);
+    two_hop_pairs = List.sort G.compare_edge (concat_of two_by_tile);
+    three_hop_pairs = List.sort G.compare_edge (concat_of three_by_tile);
   }
 
 let find g roles = find_csr (Netgraph.Csr.of_graph g) roles

@@ -148,7 +148,7 @@ let of_parts n { p_gabriel; p_triangles; p_kept } =
    scan.  Every accepted triangle has all links within [radius], so
    its bbox is at most [radius] wide and tall; two overlapping bboxes
    therefore have min-corners within [radius] of each other, i.e. in
-   the same or an adjacent grid cell of side [radius] — scanning the
+   the same or an adjacent grid cell of side >= [radius] — scanning the
    3x3 block around each triangle's min-corner cell visits every
    overlapping pair.  Pair decisions are pure predicates of the
    snapshot (they never read the removal flags), so processing pair
@@ -169,65 +169,43 @@ let planarize_csr ?pool csr points ~radius tris_list =
     let mutually_visible_csr (a1, b1, c1) (a2, b2, c2) =
       sees a1 a2 b2 c2 || sees b1 a2 b2 c2 || sees c1 a2 b2 c2
     in
-    (* bucket triangle indices by the grid cell of their bbox
-       min-corner (side = radius, origin = least min-corner) *)
-    let bx0 = ref infinity and by0 = ref infinity in
-    let bx1 = ref neg_infinity and by1 = ref neg_infinity in
-    Array.iter
-      (fun (b : Geometry.Bbox.t) ->
-        if b.xmin < !bx0 then bx0 := b.xmin;
-        if b.xmin > !bx1 then bx1 := b.xmin;
-        if b.ymin < !by0 then by0 := b.ymin;
-        if b.ymin > !by1 then by1 := b.ymin)
-      boxes;
-    let nx = 1 + int_of_float ((!bx1 -. !bx0) /. radius) in
-    let ny = 1 + int_of_float ((!by1 -. !by0) /. radius) in
-    let cell_of (b : Geometry.Bbox.t) =
-      let cx = int_of_float ((b.xmin -. !bx0) /. radius) in
-      let cy = int_of_float ((b.ymin -. !by0) /. radius) in
-      (cy * nx) + cx
+    (* bucket triangle indices by their bbox min-corner; the grid
+       caps itself at O(m) cells by widening the side, which stays at
+       least [radius] *)
+    let grid =
+      Wireless.Cellgrid.create ~max_cells:((4 * m) + 64) ~cell_size:radius
+        (Array.map
+           (fun (b : Geometry.Bbox.t) -> { Geometry.Point.x = b.xmin; y = b.ymin })
+           boxes)
     in
-    let tcell = Array.map cell_of boxes in
-    let start = Array.make ((nx * ny) + 1) 0 in
-    Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) tcell;
-    for k = 0 to (nx * ny) - 1 do
-      start.(k + 1) <- start.(k) + start.(k + 1)
-    done;
-    let order = Array.make m 0 in
-    let cursor = Array.copy start in
-    for i = 0 to m - 1 do
-      let k = tcell.(i) in
-      order.(cursor.(k)) <- i;
-      cursor.(k) <- cursor.(k) + 1
-    done;
+    let nx = grid.Wireless.Cellgrid.nx and ny = grid.Wireless.Cellgrid.ny in
+    let start = grid.Wireless.Cellgrid.start in
+    let order = grid.Wireless.Cellgrid.order in
     let removed = Array.make m false in
     let process i =
       let bi = boxes.(i) in
-      let k = tcell.(i) in
+      let k = grid.Wireless.Cellgrid.cell_ix.(i) in
       let cx = k mod nx and cy = k / nx in
-      for dy = -1 to 1 do
-        let y = cy + dy in
-        if y >= 0 && y < ny then
-          for dx = -1 to 1 do
-            let x = cx + dx in
-            if x >= 0 && x < nx then begin
-              let c = (y * nx) + x in
-              for idx = start.(c) to start.(c + 1) - 1 do
-                let j = order.(idx) in
-                if
-                  j > i
-                  && Geometry.Bbox.overlaps bi boxes.(j)
-                  && mutually_visible_csr tris.(i) tris.(j)
-                  && triangles_intersect points tris.(i) tris.(j)
-                then begin
-                  if circumcircle_contains_corner points tris.(i) tris.(j)
-                  then removed.(i) <- true;
-                  if circumcircle_contains_corner points tris.(j) tris.(i)
-                  then removed.(j) <- true
-                end
-              done
-            end
-          done
+      let x_lo = if cx > 0 then cx - 1 else 0 in
+      let x_hi = if cx < nx - 1 then cx + 1 else cx in
+      for y = (if cy > 0 then cy - 1 else 0) to
+              if cy < ny - 1 then cy + 1 else cy do
+        (* a grid row of the 3x3 block is one run of [order] *)
+        let r = y * nx in
+        for idx = start.(r + x_lo) to start.(r + x_hi + 1) - 1 do
+          let j = order.(idx) in
+          if
+            j > i
+            && Geometry.Bbox.overlaps bi boxes.(j)
+            && mutually_visible_csr tris.(i) tris.(j)
+            && triangles_intersect points tris.(i) tris.(j)
+          then begin
+            if circumcircle_contains_corner points tris.(i) tris.(j) then
+              removed.(i) <- true;
+            if circumcircle_contains_corner points tris.(j) tris.(i) then
+              removed.(j) <- true
+          end
+        done
       done
     in
     (match pool with
@@ -352,7 +330,7 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
             body t
           done);
         let concat_of by_tile = List.concat (Array.to_list by_tile) in
-        ( List.sort compare (concat_of gab_by_tile),
+        ( List.sort G.compare_edge (concat_of gab_by_tile),
           List.sort cmp_tri (concat_of acc_by_tile) ))
   in
   let p_kept =

@@ -39,11 +39,8 @@ let classify = function
 module IntSet = Set.Make (Int)
 
 (* Monomorphic comparators, ordering exactly as the polymorphic
-   [compare] does (lexicographic; constructors in declaration order). *)
-let compare_pair (a1, b1) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
-
+   [compare] does (lexicographic; constructors in declaration order);
+   pairs use [G.compare_edge]. *)
 let compare_tri (a1, b1, c1) (a2, b2, c2) =
   let c = Int.compare a1 a2 in
   if c <> 0 then c
@@ -63,7 +60,7 @@ module KeyMap = Map.Make (struct
   type t = (int * int) * position
 
   let compare (p1, pos1) (p2, pos2) =
-    let c = compare_pair p1 p2 in
+    let c = G.compare_edge p1 p2 in
     if c <> 0 then c
     else Int.compare (position_rank pos1) (position_rank pos2)
 end)
@@ -71,7 +68,7 @@ end)
 module PairSet = Set.Make (struct
   type t = int * int
 
-  let compare = compare_pair
+  let compare = G.compare_edge
 end)
 
 let ordered_edge u v = (min u v, max u v)

@@ -72,16 +72,6 @@ let tiling ?tiles points ~radius =
     Array.init (Wireless.Cellgrid.cells grid) (Wireless.Cellgrid.nodes_of grid)
   end
 
-(* Dominatee -> adjacent-dominator links, appended off each
-   dominatee's CSR row (the CDS'/ICDS' "prime" augmentation). *)
-let add_dominatee_links_csr b udg roles =
-  Array.iteri
-    (fun u r ->
-      if r = Mis.Dominatee then
-        Csr.iter_neighbors udg u (fun d ->
-            if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
-    roles
-
 let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
   Obs.span "shard" (fun () ->
       let owners =
@@ -118,55 +108,73 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
         Obs.span "shard.connectors" (fun () ->
             Connectors.find_csr ?pool ~owners udg roles)
       in
-      let ldel =
+      let n = Array.length points in
+      let backbone, kind, icds, ldel =
         Obs.span "shard.ldel" (fun () ->
-            (* LDel of the induced backbone ICDS *)
-            let backbone u =
-              roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u)
+            let backbone =
+              Array.init n (fun u ->
+                  roles.(u) = Mis.Dominator
+                  || connectors.Connectors.connector.(u))
             in
-            let b = Builder.create (Array.length points) in
-            Csr.iter_edges udg (fun u v ->
-                if backbone u && backbone v then Builder.add_edge b u v);
-            let icds = Builder.seal ?pool b in
-            Ldel.build_csr ?pool ~owners icds points ~radius)
+            (* one byte per node, bit 0 dominator, bit 1 backbone: the
+               row filters look these up at every neighbour id, and
+               1 MB at n = 10^6 stays in cache where two word arrays
+               (16 MB) do not *)
+            let kinds =
+              Bytes.init n (fun u ->
+                  Char.chr
+                    ((if roles.(u) = Mis.Dominator then 1 else 0)
+                    lor if backbone.(u) then 2 else 0))
+            in
+            let kind u = Char.code (Bytes.get kinds u) in
+            (* LDel of the induced backbone ICDS *)
+            let icds =
+              Csr.filter ?pool udg (fun u v -> kind u land kind v land 2 <> 0)
+            in
+            ( backbone,
+              kind,
+              icds,
+              Ldel.build_csr ?pool ~owners icds points ~radius ))
       in
+      (* Every structure below is a subgraph of the UDG: [cds] holds
+         connector-path edges, [pldel] sits inside the ICDS.  So each
+         primed variant is a row filter of the sorted UDG rows — the
+         unprimed edges plus the dominatee-dominator links, i.e. the
+         UDG edges whose ends have different roles.  DESIGN.md §10. *)
       Obs.span "shard.assemble" (fun () ->
-          let n = Array.length points in
-          let backbone =
-            Array.init n (fun u ->
-                roles.(u) = Mis.Dominator
-                || connectors.Connectors.connector.(u))
+          let link u v = (kind u lxor kind v) land 1 <> 0 in
+          let cds =
+            Obs.span "assemble.cds" (fun () ->
+                let b = Builder.create n in
+                Builder.add_edges b connectors.Connectors.cds_edges;
+                Builder.seal ?pool b)
           in
-          let seal_of ?points fill =
-            let b = Builder.create n in
-            fill b;
-            Builder.seal ?pool ?points b
+          let cds' =
+            Obs.span "assemble.cds'" (fun () ->
+                Csr.filter ?pool udg (fun u v ->
+                    link u v || Csr.mem_edge cds u v))
           in
-          let cds_b = Builder.create n in
-          Builder.add_edges cds_b connectors.Connectors.cds_edges;
-          let cds = Builder.seal ?pool cds_b in
-          add_dominatee_links_csr cds_b udg roles;
-          let cds' = Builder.seal ?pool cds_b in
-          let icds_b = Builder.create n in
-          Csr.iter_edges udg (fun u v ->
-              if backbone.(u) && backbone.(v) then Builder.add_edge icds_b u v);
-          let icds = Builder.seal ?pool icds_b in
-          add_dominatee_links_csr icds_b udg roles;
-          let icds' = Builder.seal ?pool icds_b in
-          let add_pldel b =
-            Builder.add_edges b ldel.Ldel.p_gabriel;
-            List.iter
-              (fun (a, b', c) ->
-                Builder.add_edge b a b';
-                Builder.add_edge b b' c;
-                Builder.add_edge b a c)
-              ldel.Ldel.p_kept
+          let icds' =
+            Obs.span "assemble.icds'" (fun () ->
+                Csr.filter ?pool udg (fun u v ->
+                    link u v || kind u land kind v land 2 <> 0))
           in
-          let pldel = seal_of ~points add_pldel in
+          let pldel =
+            Obs.span "assemble.pldel" (fun () ->
+                let b = Builder.create n in
+                Builder.add_edges b ldel.Ldel.p_gabriel;
+                List.iter
+                  (fun (a, b', c) ->
+                    Builder.add_edge b a b';
+                    Builder.add_edge b b' c;
+                    Builder.add_edge b a c)
+                  ldel.Ldel.p_kept;
+                Builder.seal ?pool ~points b)
+          in
           let pldel' =
-            seal_of ~points (fun b ->
-                add_pldel b;
-                add_dominatee_links_csr b udg roles)
+            Obs.span "assemble.pldel'" (fun () ->
+                Csr.filter ?pool ~points udg (fun u v ->
+                    link u v || Csr.mem_edge pldel u v))
           in
           {
             points;

@@ -61,7 +61,9 @@ val tiling :
     priority as in {!Mis.compute_csr}.  [udg] substitutes a pre-built
     snapshot for the UDG stage (the quasi-UDG robustness path — its
     RNG sequence is inherently serial).  Stage timings land in the
-    [shard.*] spans; tile count and populations in the [shard.tiles]
+    [shard.*] spans, which cover the whole build ([shard.assemble]
+    has one [assemble.*] child per structure it seals); tile count and
+    populations in the [shard.tiles]
     gauge / [shard.tile_pop] distribution.
     @raise Invalid_argument when [radius <= 0], [tiles < 1], or [udg]
     disagrees with [points] on the node count. *)

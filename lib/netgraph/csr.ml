@@ -136,6 +136,44 @@ let with_weights ?beta t points =
   in
   { t with ew; pw }
 
+(* Row filter: a subset of sorted rows is sorted, so no sort or
+   dedup.  Two passes (count, fill) write only row [u]'s own slots, so
+   they fan out over the pool and the result is the same for any job
+   count.  The rows come from a valid snapshot, so [of_rows]'s checks
+   are skipped; [keep] must be symmetric for the result to be one. *)
+let filter ?pool ?points t keep =
+  let n = t.n in
+  let each body =
+    match pool with
+    | Some p -> Pool.parallel_for p ~n (fun () -> body)
+    | None ->
+      for u = 0 to n - 1 do
+        body u
+      done
+  in
+  let offsets = Array.make (n + 1) 0 in
+  each (fun u ->
+      let c = ref 0 in
+      for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+        if keep u t.targets.(k) then incr c
+      done;
+      offsets.(u + 1) <- !c);
+  for u = 0 to n - 1 do
+    offsets.(u + 1) <- offsets.(u) + offsets.(u + 1)
+  done;
+  let targets = Array.make offsets.(n) 0 in
+  each (fun u ->
+      let w = ref offsets.(u) in
+      for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+        let v = t.targets.(k) in
+        if keep u v then begin
+          targets.(!w) <- v;
+          incr w
+        end
+      done);
+  let ew, pw = weights_of ?points ~n ~offsets ~targets () in
+  { n; m = Array.length targets / 2; offsets; targets; ew; pw }
+
 (* ---------------- traversals ---------------- *)
 
 let bfs_into t ~dist ~queue s =

@@ -48,6 +48,19 @@ val of_rows :
     snapshot for the metrics engine without re-sealing. *)
 val with_weights : ?beta:float -> t -> Geometry.Point.t array -> t
 
+(** [filter t keep] keeps the arcs [u -> v] of [t] with [keep u v] —
+    a subgraph sealed without a sort: rows of [t] are sorted, so the
+    kept rows are too.  [keep] must be symmetric ([keep u v = keep v u])
+    and pure; with [pool] the count and fill passes fan out over its
+    domains and the result is the same for any job count.  [points]
+    precomputes Euclidean arc weights as in {!of_graph}. *)
+val filter :
+  ?pool:Pool.t ->
+  ?points:Geometry.Point.t array ->
+  t ->
+  (int -> int -> bool) ->
+  t
+
 val node_count : t -> int
 
 (** Number of undirected edges (half the stored arc count). *)

@@ -56,6 +56,9 @@ let fold_edges g f init =
 
 let edges g = List.rev (fold_edges g (fun acc u v -> (u, v) :: acc) [])
 
+let compare_edge ((u1 : int), (v1 : int)) (u2, v2) =
+  if u1 <> u2 then Int.compare u1 u2 else Int.compare v1 v2
+
 let of_edges n es =
   let g = create n in
   List.iter (fun (u, v) -> add_edge g u v) es;

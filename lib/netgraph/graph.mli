@@ -58,6 +58,11 @@ val fold_edges : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
 (** All edges as [(u, v)] pairs with [u < v], lexicographically. *)
 val edges : t -> (int * int) list
 
+(** [compare_edge] orders int pairs lexicographically — exactly as the
+    polymorphic [compare] does, without the boxed C call; the
+    comparator for sorting and deduplicating edge lists. *)
+val compare_edge : int * int -> int * int -> int
+
 (** [of_edges n edges] builds a graph from an edge list. *)
 val of_edges : int -> (int * int) list -> t
 

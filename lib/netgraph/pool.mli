@@ -3,7 +3,8 @@
     Built from the stdlib only ([Domain], [Mutex], [Condition],
     [Atomic]); no external scheduler.  The pool exists to fan
     per-source SSSP passes out across cores: work items are the
-    integers [0 .. n-1], workers pull indices from a shared atomic
+    integers [0 .. n-1], workers pull contiguous chunks of about
+    [n / (64 * jobs)] indices (at least one) from a shared atomic
     counter (dynamic load balancing), and each worker builds its own
     scratch state once per job, so the per-index body allocates
     nothing.

@@ -9,10 +9,10 @@
    counting sort scans ids in order twice), so every iteration order
    below is deterministic.
 
-   The same structure does double duty: with [cell_size = radius] it
-   drives CSR-native UDG construction, and with [cell_size = tile
-   side] its buckets ARE the tile ownership sets of the sharded
-   pipeline. *)
+   The same structure serves three callers: with [cell_size = radius]
+   it drives CSR-native UDG construction and buckets LDel triangles by
+   bbox corner for planarization, and with [cell_size = tile side] its
+   buckets ARE the tile ownership sets of the sharded pipeline. *)
 
 module P = Geometry.Point
 
@@ -34,7 +34,7 @@ let cell_index t x y =
   let cy = if cy < 0 then 0 else if cy >= t.ny then t.ny - 1 else cy in
   (cy * t.nx) + cx
 
-let create ~cell_size points =
+let create ?max_cells ~cell_size points =
   if cell_size <= 0. then invalid_arg "Cellgrid.create: cell_size <= 0";
   let n = Array.length points in
   let x0 = ref infinity and y0 = ref infinity in
@@ -48,8 +48,27 @@ let create ~cell_size points =
     points;
   let x0 = if n = 0 then 0. else !x0 and y0 = if n = 0 then 0. else !y0 in
   let span lo hi = if n = 0 then 0. else hi -. lo in
+  let sx = span x0 !x1 and sy = span y0 !y1 in
+  (* a wide, sparse bounding box would cost (span / cell)^2 cells;
+     doubling the side until the grid fits [max_cells] keeps it O(n)
+     while every cell stays at least [cell_size] wide, so a 3x3 block
+     still covers every within-[cell_size] pair.  The test runs in
+     floats: the unwidened count can overflow an int. *)
+  let cells_at c =
+    (1. +. Float.floor (sx /. c)) *. (1. +. Float.floor (sy /. c))
+  in
+  let cell_size =
+    match max_cells with
+    | None -> cell_size
+    | Some cap ->
+      let c = ref cell_size in
+      while cells_at !c > Float.of_int (max 1 cap) do
+        c := 2. *. !c
+      done;
+      !c
+  in
   let dim s = max 1 (1 + int_of_float (s /. cell_size)) in
-  let nx = dim (span x0 !x1) and ny = dim (span y0 !y1) in
+  let nx = dim sx and ny = dim sy in
   let t =
     {
       cell = cell_size;
@@ -79,8 +98,6 @@ let create ~cell_size points =
   t
 
 let cells t = t.nx * t.ny
-let cols t = t.nx
-let rows t = t.ny
 let cell_of t u = t.cell_ix.(u)
 
 let iter_cell t k f =
@@ -90,22 +107,6 @@ let iter_cell t k f =
 
 let nodes_of t k =
   Array.sub t.order t.start.(k) (t.start.(k + 1) - t.start.(k))
-
-let population t k = t.start.(k + 1) - t.start.(k)
-
-(* the 3x3 cell block around [u]'s cell, cells in (row, column) order,
-   ascending node ids within each cell *)
-let iter_near t u f =
-  let k = t.cell_ix.(u) in
-  let cx = k mod t.nx and cy = k / t.nx in
-  for dy = -1 to 1 do
-    let y = cy + dy in
-    if y >= 0 && y < t.ny then
-      for dx = -1 to 1 do
-        let x = cx + dx in
-        if x >= 0 && x < t.nx then iter_cell t ((y * t.nx) + x) f
-      done
-  done
 
 (* ring of cells at Chebyshev distance exactly [r] around cell [k] *)
 let iter_ring_cells t k r f =

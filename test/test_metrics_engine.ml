@@ -192,6 +192,66 @@ let test_pool_reuse () =
       Netgraph.Pool.parallel_for pool ~n:10 (fun () i -> b.(i) <- a.(i) + 1);
       check "second job sees first" true (Array.for_all2 (fun x y -> y = x + 1) a b))
 
+(* At n = 10^5 a claim is a chunk of n / (64 * jobs) indices, so these
+   exercise chunk boundaries that the small loops above never reach. *)
+let big_n = 100_000
+
+let test_pool_chunks_once () =
+  List.iter
+    (fun jobs ->
+      let runs = Array.make big_n 0 in
+      Netgraph.Pool.with_pool ~jobs (fun pool ->
+          Netgraph.Pool.parallel_for pool ~n:big_n (fun () i ->
+              runs.(i) <- runs.(i) + 1));
+      check
+        (Printf.sprintf "every index once (jobs %d)" jobs)
+        true
+        (Array.for_all (fun c -> c = 1) runs))
+    [ 1; 2; 4 ]
+
+let test_pool_chunks_failure () =
+  (* failures in several chunks, none on a chunk boundary, the
+     smallest two sharing a chunk at every job count *)
+  let failing = [ 99_001; 61_237; 31_337; 31_339; 75_013 ] in
+  List.iter
+    (fun jobs ->
+      let ran = Array.make big_n false in
+      let got =
+        try
+          Netgraph.Pool.with_pool ~jobs (fun pool ->
+              Netgraph.Pool.parallel_for pool ~n:big_n (fun () i ->
+                  ran.(i) <- true;
+                  if List.mem i failing then failwith (string_of_int i)));
+          None
+        with Failure msg -> Some msg
+      in
+      check
+        (Printf.sprintf "smallest failing index (jobs %d)" jobs)
+        true (got = Some "31337");
+      check
+        (Printf.sprintf "indices after a failure still run (jobs %d)" jobs)
+        true
+        (Array.for_all Fun.id ran))
+    [ 1; 2; 4 ]
+
+let test_pool_chunks_slots () =
+  List.iter
+    (fun jobs ->
+      let caller = Domain.self () in
+      let slot_of = Array.make big_n (-1) in
+      let on_caller = Array.make big_n false in
+      Netgraph.Pool.with_pool ~jobs (fun pool ->
+          Netgraph.Pool.parallel_for_slots pool ~n:big_n (fun ~slot i ->
+              slot_of.(i) <- slot;
+              on_caller.(i) <- Domain.self () = caller));
+      let ok = ref true in
+      Array.iteri
+        (fun i s ->
+          if s < 0 || s >= jobs || (s = 0) <> on_caller.(i) then ok := false)
+        slot_of;
+      check (Printf.sprintf "slot 0 is the caller (jobs %d)" jobs) true !ok)
+    [ 1; 2; 4 ]
+
 (* ---------------- The fused engine vs its predecessor ---------------- *)
 
 (* Verbatim copy of the replaced implementation: one pass per metric,
@@ -448,6 +508,12 @@ let suites =
         Alcotest.test_case "smallest-index exception wins" `Quick
           test_pool_exception;
         Alcotest.test_case "pool reuse across jobs" `Quick test_pool_reuse;
+        Alcotest.test_case "chunked claims: every index once" `Quick
+          test_pool_chunks_once;
+        Alcotest.test_case "chunked claims: smallest failure" `Quick
+          test_pool_chunks_failure;
+        Alcotest.test_case "chunked claims: slot 0 on caller" `Quick
+          test_pool_chunks_slots;
       ] );
     ( "netgraph.metrics.engine",
       [

@@ -57,6 +57,120 @@ let test_udg_csr_tiny () =
   checki "single node" 1 (Csr.node_count csr);
   checki "single node edges" 0 (Csr.edge_count csr)
 
+(* The kernel against the definition: every pair at [P.dist <= radius],
+   found by an O(n^2) scan, on inputs aimed at the grid's edges. *)
+let brute_udg pts radius =
+  let n = Array.length pts in
+  let acc = ref [] in
+  for u = n - 1 downto 0 do
+    for v = n - 1 downto u + 1 do
+      if Geometry.Point.dist pts.(u) pts.(v) <= radius then
+        acc := (u, v) :: !acc
+    done
+  done;
+  !acc
+
+let pt x y = { Geometry.Point.x; y }
+
+let udg_oracle_cases =
+  (* 3-4-5 offsets: many pairs at exactly R = 5 *)
+  let lattice =
+    Array.init 169 (fun i ->
+        pt (float_of_int (i mod 13)) (float_of_int (i / 13)))
+  in
+  let rng = Wireless.Rand.create 77L in
+  let uniform n side = Wireless.Deploy.uniform rng ~n ~side in
+  let shift dx dy =
+    Array.map (fun (p : Geometry.Point.t) -> pt (p.x +. dx) (p.y +. dy))
+  in
+  [
+    ("exact distance R", lattice, 5.);
+    ( "cell boundaries",
+      Array.map (fun (p : Geometry.Point.t) -> pt (5. *. p.x) (5. *. p.y))
+        lattice,
+      5. );
+    ( "duplicates",
+      (let base = uniform 40 60. in
+       Array.init 120 (fun i -> base.(i mod 40))),
+      9. );
+    ( "collinear rows",
+      Array.init 90 (fun i ->
+          pt (float_of_int (i mod 30) *. 2.5) (float_of_int (i / 30) *. 10.)),
+      7.5 );
+    ("negative coordinates", shift (-1000.) (-750.) (uniform 200 120.), 15.);
+    ("one cell", uniform 60 4., 10.);
+    ("n=0", [||], 1.);
+    ("n=1", [| pt 3. 4. |], 1.);
+    ("n=2 at R", [| pt 0. 0.; pt 3. 4. |], 5.);
+    ("n=2 beyond R", [| pt 0. 0.; pt 3. 4.000001 |], 5.);
+    ("uniform", uniform 400 200., 18.);
+  ]
+
+let test_udg_kernel_oracle () =
+  List.iter
+    (fun (name, pts, radius) ->
+      let want = brute_udg pts radius in
+      List.iter
+        (fun jobs ->
+          with_jobs jobs (fun pool ->
+              edge_list
+                (Printf.sprintf "%s jobs=%d" name jobs)
+                want
+                (Csr.edges (Wireless.Udg.build_csr ?pool pts ~radius))))
+        [ 1; 2; 4 ])
+    udg_oracle_cases
+
+(* Wide, sparse spans: a radius-sided grid over these boxes would need
+   ~10^11 cells.  Both are valid disconnected deployments. *)
+let wide_span_fixtures () =
+  let rng = Wireless.Rand.create 91L in
+  let cluster d =
+    Array.map
+      (fun (p : Geometry.Point.t) -> pt (p.x +. d) (p.y +. d))
+      (Wireless.Deploy.uniform rng ~n:60 ~side:8.)
+  in
+  [
+    ("two clusters 10^6 apart", Array.append (cluster 0.) (cluster 1e6), 2.);
+    ( "1000 nodes over 10^6 square",
+      Wireless.Deploy.uniform rng ~n:1000 ~side:1e6,
+      1. );
+  ]
+
+let test_wide_span () =
+  (* the cap widens only grids that exceed it: a dense deployment
+     keeps exactly the radius grid *)
+  let pts, _ = deployment 92L 2000 450. 25. in
+  let g = Wireless.Cellgrid.create ~max_cells:8064 ~cell_size:25. pts in
+  check "dense grid unchanged" true (Float.equal g.Wireless.Cellgrid.cell 25.);
+  List.iter
+    (fun (name, pts, radius) ->
+      let cap = (4 * Array.length pts) + 64 in
+      let g = Wireless.Cellgrid.create ~max_cells:cap ~cell_size:radius pts in
+      check (name ^ " grid capped") true
+        (Wireless.Cellgrid.cells g <= cap && g.Wireless.Cellgrid.cell >= radius);
+      let want = G.edges (Wireless.Udg.build pts ~radius) in
+      edge_list (name ^ " build_csr") want
+        (Csr.edges (Wireless.Udg.build_csr pts ~radius));
+      List.iter
+        (fun (partition, jobs) ->
+          let cfg =
+            {
+              Core.Backbone.Config.default with
+              Core.Backbone.Config.radius;
+              partition;
+              jobs;
+            }
+          in
+          let s = Core.Backbone.snapshot cfg pts in
+          edge_list (name ^ " snapshot udg") want (Csr.edges s.Core.Shard.udg);
+          let t = Core.Backbone.run cfg pts in
+          edge_list (name ^ " run udg") want (G.edges t.Core.Backbone.udg);
+          edge_list (name ^ " run pldel")
+            (Csr.edges s.Core.Shard.pldel)
+            (Csr.edges t.Core.Backbone.planar_csr))
+        [ (Core.Backbone.Config.Auto, 1); (Core.Backbone.Config.Tiles 2, 2) ])
+    (wide_span_fixtures ())
+
 (* --- MIS ------------------------------------------------------------ *)
 
 let test_mis_csr_identity () =
@@ -603,6 +717,162 @@ let test_pipeline_quasi () =
   let sharded = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 3)) pts in
   same_backbone "quasi" serial sharded
 
+(* The Builder-based assembly the row filters replaced, verbatim: the
+   oracle every sealed structure of the snapshot must equal. *)
+module Assemble_oracle = struct
+  module Builder = Netgraph.Builder
+  module Mis = Core.Mis
+  module Connectors = Core.Connectors
+  module Ldel = Core.Ldel
+
+  let add_dominatee_links_csr b udg roles =
+    Array.iteri
+      (fun u r ->
+        if r = Mis.Dominatee then
+          Csr.iter_neighbors udg u (fun d ->
+              if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
+      roles
+
+  let run ?pool points udg roles connectors ldel =
+    let n = Array.length points in
+    let backbone =
+      Array.init n (fun u ->
+          roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u))
+    in
+    let seal_of ?points fill =
+      let b = Builder.create n in
+      fill b;
+      Builder.seal ?pool ?points b
+    in
+    let cds_b = Builder.create n in
+    Builder.add_edges cds_b connectors.Connectors.cds_edges;
+    let cds = Builder.seal ?pool cds_b in
+    add_dominatee_links_csr cds_b udg roles;
+    let cds' = Builder.seal ?pool cds_b in
+    let icds_b = Builder.create n in
+    Csr.iter_edges udg (fun u v ->
+        if backbone.(u) && backbone.(v) then Builder.add_edge icds_b u v);
+    let icds = Builder.seal ?pool icds_b in
+    add_dominatee_links_csr icds_b udg roles;
+    let icds' = Builder.seal ?pool icds_b in
+    let add_pldel b =
+      Builder.add_edges b ldel.Ldel.p_gabriel;
+      List.iter
+        (fun (a, b', c) ->
+          Builder.add_edge b a b';
+          Builder.add_edge b b' c;
+          Builder.add_edge b a c)
+        ldel.Ldel.p_kept
+    in
+    let pldel = seal_of ~points add_pldel in
+    let pldel' =
+      seal_of ~points (fun b ->
+          add_pldel b;
+          add_dominatee_links_csr b udg roles)
+    in
+    (backbone, cds, cds', icds, icds', pldel, pldel')
+end
+
+let subgraph sub super =
+  Csr.fold_edges sub (fun ok u v -> ok && Csr.mem_edge super u v) true
+
+let check_assembly tag (s : Core.Shard.snapshot) =
+  let open Core.Shard in
+  let backbone, cds, cds', icds, icds', pldel, pldel' =
+    Assemble_oracle.run s.points s.udg s.roles s.connectors s.ldel
+  in
+  check (tag ^ " backbone") true (backbone = s.backbone);
+  check (tag ^ " cds") true (cds = s.cds);
+  check (tag ^ " cds'") true (cds' = s.cds');
+  check (tag ^ " icds") true (icds = s.icds);
+  check (tag ^ " icds'") true (icds' = s.icds');
+  check (tag ^ " pldel") true (pldel = s.pldel);
+  check (tag ^ " pldel'") true (pldel' = s.pldel');
+  (* what makes each filter exact *)
+  check (tag ^ " cds in udg") true (subgraph s.cds s.udg);
+  check (tag ^ " pldel in icds") true (subgraph s.pldel s.icds);
+  check (tag ^ " icds in udg") true (subgraph s.icds s.udg)
+
+let test_assembly_oracle () =
+  List.iter
+    (fun seed ->
+      let rng = Wireless.Rand.create seed in
+      let pts = Wireless.Deploy.uniform rng ~n:400 ~side:220. in
+      List.iter
+        (fun radius ->
+          List.iter
+            (fun tiles ->
+              List.iter
+                (fun jobs ->
+                  check_assembly
+                    (Printf.sprintf "seed=%Ld R=%g tiles=%s jobs=%d" seed
+                       radius
+                       (match tiles with
+                       | Some k -> string_of_int k
+                       | None -> "auto")
+                       jobs)
+                    (Core.Shard.pipeline ~jobs ?tiles pts ~radius))
+                [ 1; 2 ])
+            [ Some 1; Some 2; Some 3; None ])
+        [ 14.; 40. ])
+    [ 31L; 32L; 33L ];
+  (* the quasi radio's UDG: links between r_min and r_max are random,
+     so a geometric triangle need not close in it *)
+  let rng = Wireless.Rand.create 34L in
+  let pts = Wireless.Deploy.uniform rng ~n:400 ~side:220. in
+  let udg =
+    Csr.of_graph
+      (Wireless.Udg.build_quasi (Wireless.Rand.create 5L) pts ~r_min:22.
+         ~r_max:34.)
+  in
+  List.iter
+    (fun (tiles, jobs) ->
+      check_assembly
+        (Printf.sprintf "quasi tiles=%d jobs=%d" tiles jobs)
+        (Core.Shard.pipeline ~jobs ~tiles ~udg pts ~radius:34.))
+    [ (1, 1); (3, 2) ]
+
+(* the stage spans cover the build: the ICDS filter is charged to
+   [shard.ldel], and [shard.assemble] splits into one child per
+   sealed structure *)
+let test_stage_spans () =
+  let rng = Wireless.Rand.create 35L in
+  let pts = Wireless.Deploy.uniform rng ~n:300 ~side:200. in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let paths =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        ignore (Core.Shard.pipeline ~jobs:2 ~tiles:2 pts ~radius:25.);
+        List.map
+          (fun (sp : Obs.Snapshot.span_stats) -> sp.Obs.Snapshot.path)
+          (Obs.Snapshot.capture ()).Obs.Snapshot.spans)
+  in
+  Obs.reset ();
+  let children prefix =
+    List.filter_map
+      (fun p ->
+        let lp = String.length prefix in
+        if
+          String.length p > lp
+          && String.sub p 0 lp = prefix
+          && not (String.contains (String.sub p lp (String.length p - lp)) '/')
+        then Some (String.sub p lp (String.length p - lp))
+        else None)
+      paths
+  in
+  Alcotest.(check (list string))
+    "stages"
+    [ "shard.assemble"; "shard.connectors"; "shard.ldel"; "shard.mis";
+      "shard.tiling"; "shard.udg" ]
+    (children "shard/");
+  Alcotest.(check (list string))
+    "assemble children"
+    [ "assemble.cds"; "assemble.cds'"; "assemble.icds'"; "assemble.pldel";
+      "assemble.pldel'" ]
+    (children "shard/shard.assemble/")
+
 (* tiling invariants: every node exactly once, tile side >= radius *)
 let test_tiling_partition () =
   let rng = Wireless.Rand.create 24L in
@@ -664,6 +934,9 @@ let suites =
       [
         Alcotest.test_case "udg csr identity" `Quick test_udg_csr_identity;
         Alcotest.test_case "udg csr tiny" `Quick test_udg_csr_tiny;
+        Alcotest.test_case "udg kernel = brute force" `Quick
+          test_udg_kernel_oracle;
+        Alcotest.test_case "udg wide sparse span" `Quick test_wide_span;
         Alcotest.test_case "mis csr identity" `Quick test_mis_csr_identity;
         Alcotest.test_case "mis csr priority" `Quick test_mis_csr_priority;
         Alcotest.test_case "connectors csr identity" `Quick
@@ -691,6 +964,9 @@ let suites =
         Alcotest.test_case "snapshot matches run" `Quick
           test_snapshot_matches_run;
         Alcotest.test_case "quasi radio" `Quick test_pipeline_quasi;
+        Alcotest.test_case "assembly = Builder oracle" `Quick
+          test_assembly_oracle;
+        Alcotest.test_case "stage spans" `Quick test_stage_spans;
         Alcotest.test_case "tiling partition" `Quick test_tiling_partition;
         Alcotest.test_case "acceptance n=10^4 jobs sweep" `Slow
           test_acceptance_10k;
