@@ -302,11 +302,14 @@ let ablation_routing cfg =
   let radius = 60. in
   let pts = List.hd (instances cfg 100 radius) in
   let bb = Core.Backbone.build pts ~radius in
-  let planar_full = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+  let udg = Netgraph.View.of_graph bb.Core.Backbone.udg in
+  let planar_full =
+    Netgraph.View.of_graph (Core.Backbone.ldel_full bb).Core.Ldel.planar
+  in
   let rng = Wireless.Rand.create 424242L in
   let eval name router =
     let ev =
-      Core.Routing.evaluate ~router ~base:bb.Core.Backbone.udg pts ~pairs:200
+      Core.Routing.evaluate ~router ~base:udg pts ~pairs:200
         (Wireless.Rand.split rng)
     in
     pf "%-28s %5d/%-5d %12.3f %12.3f@." name ev.Core.Routing.delivered
@@ -314,8 +317,7 @@ let ablation_routing cfg =
       ev.Core.Routing.avg_hop_stretch
   in
   pf "%-28s %11s %12s %12s@." "router" "delivered" "len stretch" "hop stretch";
-  eval "greedy on UDG" (fun ~src ~dst ->
-      Core.Routing.greedy bb.Core.Backbone.udg pts ~src ~dst);
+  eval "greedy on UDG" (fun ~src ~dst -> Core.Routing.greedy udg pts ~src ~dst);
   eval "greedy on PLDel(V)" (fun ~src ~dst ->
       Core.Routing.greedy planar_full pts ~src ~dst);
   eval "GFG on PLDel(V)" (fun ~src ~dst ->
@@ -1305,7 +1307,9 @@ let micro () =
   let pts500 = Wireless.Deploy.uniform rng ~n:500 ~side:200. in
   let udg100 = Wireless.Udg.build pts100 ~radius:60. in
   let bb100 = Core.Backbone.build pts100 ~radius:60. in
-  let planar = (Core.Backbone.ldel_full bb100).Core.Ldel.planar in
+  let planar =
+    Netgraph.View.of_graph (Core.Backbone.ldel_full bb100).Core.Ldel.planar
+  in
   let tests =
     [
       (* one Test.make per paper artifact's workload, plus substrates *)

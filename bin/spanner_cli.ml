@@ -400,10 +400,13 @@ let route_cmd =
     let bb = Core.Backbone.run { Config.default with Config.radius } pts in
     let result =
       match scheme with
-      | `Greedy -> Core.Routing.greedy bb.Core.Backbone.udg pts ~src ~dst
+      | `Greedy ->
+        Core.Routing.greedy
+          (Netgraph.View.of_graph bb.Core.Backbone.udg)
+          pts ~src ~dst
       | `Gfg ->
         let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
-        Core.Routing.gfg planar pts ~src ~dst
+        Core.Routing.gfg (Netgraph.View.of_graph planar) pts ~src ~dst
       | `Hier -> Core.Routing.hierarchical bb ~src ~dst
     in
     match result with
@@ -1198,15 +1201,15 @@ let monitor_cmd =
         else None
       in
       let traffic_extra =
-        if traffic <= 0 || n < 2 then []
-        else begin
-          let delivered, pairs, _ =
-            Core.Packetsim.many !bb.Core.Backbone.udg
-              !bb.Core.Backbone.points ~pairs:traffic traffic_rng
-              ~router:`Greedy
-          in
-          [ ("delivery_ratio", float_of_int delivered /. float_of_int pairs) ]
-        end
+        if traffic <= 0 then []
+        else
+          match
+            Core.Packetsim.many !bb.Core.Backbone.udg !bb.Core.Backbone.points
+              ~pairs:traffic traffic_rng ~router:`Greedy
+          with
+          | _, 0, _ -> [] (* fewer than two nodes: nothing was sent *)
+          | delivered, pairs, _ ->
+            [ ("delivery_ratio", float_of_int delivered /. float_of_int pairs) ]
       in
       let extra =
         ("links_broken", float_of_int broken)

@@ -40,6 +40,7 @@ let () =
         points
     in
     let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+    let planar_v = Netgraph.View.of_graph planar in
     (* pick a pair where plain greedy actually gets stuck, so the
        trace shows the perimeter recovery; fall back to the farthest
        pair if none exists on this instance *)
@@ -49,7 +50,7 @@ let () =
       for s = 0 to n - 1 do
         for d = 0 to n - 1 do
           if s <> d && !found = None
-             && Core.Routing.greedy planar points ~src:s ~dst:d = None
+             && Core.Routing.greedy planar_v points ~src:s ~dst:d = None
           then found := Some (s, d)
         done
       done;
@@ -68,7 +69,7 @@ let () =
     let rec walk u header steps =
       if steps > 200 then print_endline "... step budget exceeded"
       else
-        match Core.Routing.gfg_step planar points ~dst u header with
+        match Core.Routing.gfg_step planar_v points ~dst u header with
         | Core.Routing.Deliver -> Printf.printf "%4d. node %d: DELIVERED\n" steps u
         | Core.Routing.Drop -> Printf.printf "%4d. node %d: dropped\n" steps u
         | Core.Routing.Forward (v, header') ->
@@ -89,7 +90,7 @@ let () =
     walk src Core.Routing.Greedy 1;
     (* compare against what plain greedy would have done *)
     print_newline ();
-    match Core.Routing.greedy planar points ~src ~dst with
+    match Core.Routing.greedy planar_v points ~src ~dst with
     | Some p ->
       Printf.printf "plain greedy also made it, in %d hops\n"
         (Netgraph.Traversal.path_hops p)

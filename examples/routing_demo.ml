@@ -34,14 +34,19 @@ let () =
     (Netgraph.Graph.edge_count pldel)
     (Netgraph.Graph.edge_count bb.Core.Backbone.ldel_icds_g);
 
+  (* routers read a topology through a view; wrap each graph once *)
+  let udg_v = Netgraph.View.of_graph udg
+  and gg_v = Netgraph.View.of_graph gg
+  and pldel_v = Netgraph.View.of_graph pldel in
   let schemes =
     [
       ( "greedy / UDG",
-        fun ~src ~dst -> Core.Routing.greedy udg points ~src ~dst );
-      ("greedy / GG", fun ~src ~dst -> Core.Routing.greedy gg points ~src ~dst);
-      ("GFG / GG", fun ~src ~dst -> Core.Routing.gfg gg points ~src ~dst);
+        fun ~src ~dst -> Core.Routing.greedy udg_v points ~src ~dst );
+      ( "greedy / GG",
+        fun ~src ~dst -> Core.Routing.greedy gg_v points ~src ~dst );
+      ("GFG / GG", fun ~src ~dst -> Core.Routing.gfg gg_v points ~src ~dst);
       ( "GFG / PLDel(V)",
-        fun ~src ~dst -> Core.Routing.gfg pldel points ~src ~dst );
+        fun ~src ~dst -> Core.Routing.gfg pldel_v points ~src ~dst );
       ( "DS-based / backbone",
         fun ~src ~dst -> Core.Routing.hierarchical bb ~src ~dst );
     ]
@@ -51,7 +56,7 @@ let () =
   List.iter
     (fun (name, router) ->
       let ev =
-        Core.Routing.evaluate ~router ~base:udg points ~pairs:300
+        Core.Routing.evaluate ~router ~base:udg_v points ~pairs:300
           (Wireless.Rand.create 1L)
       in
       Printf.printf "%-22s %4d/%-4d %12.3f %12.3f\n" name
@@ -62,7 +67,7 @@ let () =
   (* one concrete route, end to end *)
   print_newline ();
   let src = 0 and dst = n - 1 in
-  (match Core.Routing.greedy udg points ~src ~dst with
+  (match Core.Routing.greedy udg_v points ~src ~dst with
   | Some p ->
     Printf.printf "greedy %d->%d delivered in %d hops\n" src dst
       (Netgraph.Traversal.path_hops p)

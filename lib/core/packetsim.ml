@@ -7,6 +7,9 @@ let d_tx = Obs.dist "packetsim.transmissions"
 let d_rounds = Obs.dist "packetsim.rounds"
 let g_delivery_ratio = Obs.gauge "packetsim.delivery_ratio"
 
+(* the counter {!Routing.gfg_into} charges per forwarding decision *)
+let c_gfg_steps = Obs.counter "routing.gfg.steps"
+
 type result = {
   delivered : bool;
   path : int list;
@@ -30,30 +33,22 @@ type node_state = {
 }
 
 let run_one g points ~src ~dst ~use_perimeter =
+  let view = Netgraph.View.of_graph g in
   (* forwarding decisions read the destination off the packet itself,
-     as a radio would; [run_one]'s [dst] only originates and collects *)
+     as a radio would; [run_one]'s [dst] only originates and collects.
+     Both disciplines run the GFG automaton; plain greedy drops where
+     GFG would enter perimeter mode, and only GPSR decisions count as
+     GFG steps. *)
   let step ~dst u header =
-    match header with
-    | Routing.Greedy when not use_perimeter -> begin
-      (* plain greedy discipline: never enter perimeter mode *)
-      if u = dst then Routing.Deliver
-      else
-        match
-          List.fold_left
-            (fun acc v ->
-              let dv = Geometry.Point.dist points.(v) points.(dst) in
-              match acc with
-              | Some (_, dbest) when dbest <= dv -> acc
-              | _ ->
-                if dv < Geometry.Point.dist points.(u) points.(dst) then
-                  Some (v, dv)
-                else acc)
-            None (G.neighbors g u)
-        with
-        | Some (v, _) -> Routing.Forward (v, Routing.Greedy)
-        | None -> Routing.Drop
+    let d = Routing.gfg_step view points ~dst u header in
+    if use_perimeter then begin
+      Obs.incr c_gfg_steps;
+      d
     end
-    | header -> Routing.gfg_step g points ~dst u header
+    else
+      match d with
+      | Routing.Forward (_, Routing.Perimeter _) -> Routing.Drop
+      | d -> d
   in
   let ttl0 = (4 * G.edge_count g) + 16 in
   let proto =
@@ -116,6 +111,8 @@ let greedy g points ~src ~dst =
 let many g points ~pairs rng ~router =
   Obs.span "packetsim.many" @@ fun () ->
   let n = G.node_count g in
+  (* fewer than two nodes admit no src <> dst pair *)
+  let pairs = if n < 2 then 0 else pairs in
   let delivered = ref 0 and tx = ref 0 and sent = ref 0 in
   while !sent < pairs do
     let src = Wireless.Rand.int rng n and dst = Wireless.Rand.int rng n in

@@ -28,14 +28,17 @@ val gpsr :
   Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int -> result
 
 (** [greedy g points ~src ~dst] ships one packet with plain greedy
-    forwarding (drops at local minima). *)
+    forwarding: the same automaton, dropping where GPSR would enter
+    perimeter mode (at local minima). *)
 val greedy :
   Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int -> result
 
 (** [many g points ~pairs rng ~router] ships packets for [pairs]
     random source/destination pairs in one shared simulation-per-pair
     and aggregates delivery and cost — the workload view of routing
-    overhead.  [router] selects the forwarding discipline. *)
+    overhead.  [router] selects the forwarding discipline.  A graph
+    of fewer than two nodes has no pair to send: the result is
+    [(0, 0, 0.)]. *)
 val many :
   Netgraph.Graph.t ->
   Geometry.Point.t array ->

@@ -38,30 +38,26 @@ let degree_row ~name g stretch =
       edges = d.M.edges;
     }
 
-let row_of ?jobs (bb : Backbone.t) ~name g spans =
+(* One fused pass: the UDG's shortest-path trees are computed once
+   and amortized over every spanning structure in the table. *)
+let rows ?jobs bb =
   let jobs = Option.value jobs ~default:bb.Backbone.jobs in
-  let stretch =
-    match spans with
-    | `Backbone_only -> None
-    | `Spans_all ->
-      Some
-        (M.stretch_factors_v ~jobs
-           ~base:(V.of_graph bb.Backbone.udg)
-           ~sub:(V.of_graph g) bb.Backbone.points)
+  let entries =
+    List.map
+      (fun (name, g, spans) -> (name, V.of_graph g, spans))
+      (Backbone.structures bb)
   in
-  degree_row ~name (V.of_graph g) stretch
-
-(* Shared driver: one fused pass over named views — the base's
-   shortest-path trees are computed once and amortized over every
-   spanning structure in the table. *)
-let rows_of_views ~jobs ~base ~points entries =
   let spanning =
     List.filter_map
       (fun (name, v, spans) ->
         if spans = `Spans_all then Some (name, v) else None)
       entries
   in
-  let stretch_by_name = M.combined_stretch_v ~jobs ~base points spanning in
+  let stretch_by_name =
+    M.combined_stretch_v ~jobs
+      ~base:(V.of_graph bb.Backbone.udg)
+      bb.Backbone.points spanning
+  in
   List.map
     (fun (name, v, spans) ->
       let stretch =
@@ -71,32 +67,6 @@ let rows_of_views ~jobs ~base ~points entries =
       in
       degree_row ~name v stretch)
     entries
-
-let rows ?jobs bb =
-  let jobs = Option.value jobs ~default:bb.Backbone.jobs in
-  rows_of_views ~jobs
-    ~base:(V.of_graph bb.Backbone.udg)
-    ~points:bb.Backbone.points
-    (List.map
-       (fun (name, g, spans) -> (name, V.of_graph g, spans))
-       (Backbone.structures bb))
-
-(* The same table measured directly on a sharded snapshot: every
-   structure is already a sealed CSR, so nothing is thawed.  Rows
-   cover the structures the snapshot carries (the UDG and the
-   backbone family; the RNG/GG/LDel baselines are not part of the
-   sharded pipeline). *)
-let snapshot_rows ?(jobs = 1) (s : Shard.snapshot) =
-  rows_of_views ~jobs ~base:(V.of_csr s.Shard.udg) ~points:s.Shard.points
-    [
-      ("UDG", V.of_csr s.Shard.udg, `Spans_all);
-      ("CDS", V.of_csr s.Shard.cds, `Backbone_only);
-      ("CDS'", V.of_csr s.Shard.cds', `Spans_all);
-      ("ICDS", V.of_csr s.Shard.icds, `Backbone_only);
-      ("ICDS'", V.of_csr s.Shard.icds', `Spans_all);
-      ("LDel(ICDS)", V.of_csr s.Shard.pldel, `Backbone_only);
-      ("LDel(ICDS')", V.of_csr s.Shard.pldel', `Spans_all);
-    ]
 
 type agg = {
   a_name : string;

@@ -23,23 +23,6 @@ type row = {
     across [jobs] worker domains (default [backbone.jobs]). *)
 val rows : ?jobs:int -> Backbone.t -> row list
 
-(** [snapshot_rows snapshot] measures the structures of a sharded
-    {!Shard.snapshot} — the UDG plus the backbone family — directly
-    on the sealed CSRs, without thawing any mutable graph.  Spanning
-    structures share one fused stretch pass as in {!rows}; [jobs]
-    defaults to 1. *)
-val snapshot_rows : ?jobs:int -> Shard.snapshot -> row list
-
-(** [row_of backbone ~name g spans] measures a single graph.
-    [jobs] defaults to [backbone.jobs]. *)
-val row_of :
-  ?jobs:int ->
-  Backbone.t ->
-  name:string ->
-  Netgraph.Graph.t ->
-  [ `Spans_all | `Backbone_only ] ->
-  row
-
 (** Aggregate rows of the same structure across instances: averages
     are averaged, maxima are maximized, edges averaged (reported to
     one decimal as a float in [pp_agg]). *)

@@ -3,10 +3,10 @@ module V = Netgraph.View
 module P = Geometry.Point
 
 (* Routers read the topology through {!Netgraph.View}, so the same
-   code serves the legacy mutable graphs and sealed CSR snapshots;
-   the [_v] forms are thin wrappers over the [_into] kernels below,
-   the [Graph.t] entry points wrap those (neighbor iteration is
-   ascending in both representations, so routes are identical).
+   code serves mutable graphs and sealed CSR snapshots (neighbor
+   iteration is ascending in both representations, so routes are
+   identical); each list router is a thin wrapper over its [_into]
+   kernel below.
 
    The kernels route into a caller-owned {!Scratch} and are written
    for the serve engine's steady state: no per-query heap allocation.
@@ -464,41 +464,26 @@ let gfg_into sc g points ~src ~dst =
     end
   end
 
-(* [_v] wrappers: allocate-on-demand scratch, list extraction, obs *)
+let listed obs kernel g points ~src ~dst =
+  let sc = Scratch.create ~n:(V.node_count g) () in
+  obs
+    (if kernel sc g points ~src ~dst < 0 then None
+     else Some (Scratch.path_list sc))
 
-let fresh_or sc g =
-  match sc with
-  | Some sc -> sc
-  | None -> Scratch.create ~n:(V.node_count g) ()
-
-let extract sc code = if code < 0 then None else Some (Scratch.path_list sc)
-
-let greedy_v ?scratch g points ~src ~dst =
-  let sc = fresh_or scratch g in
-  obs_greedy (extract sc (greedy_into sc g points ~src ~dst))
-
-let compass_v ?scratch g points ~src ~dst =
-  let sc = fresh_or scratch g in
-  obs_compass (extract sc (compass_into sc g points ~src ~dst))
-
-let mfr_v ?scratch g points ~src ~dst =
-  let sc = fresh_or scratch g in
-  obs_mfr (extract sc (mfr_into sc g points ~src ~dst))
-
-let nfp_v ?scratch g points ~src ~dst =
-  let sc = fresh_or scratch g in
-  obs_nfp (extract sc (nfp_into sc g points ~src ~dst))
-
-let gfg_v ?scratch g points ~src ~dst =
-  let sc = fresh_or scratch g in
-  obs_gfg (extract sc (gfg_into sc g points ~src ~dst))
+let greedy g = listed obs_greedy greedy_into g
+let compass g = listed obs_compass compass_into g
+let mfr g = listed obs_mfr mfr_into g
+let nfp g = listed obs_nfp nfp_into g
+let gfg g = listed obs_gfg gfg_into g
 
 (* Perimeter-mode machinery of the per-node forwarding automaton.
-   [gfg_step_v] drives the packet-level protocol in [Packetsim]; the
+   [gfg_step] drives the packet-level protocol in [Packetsim]; the
    [gfg_into] kernel above replicates the same decisions over scratch
    registers, and the packetsim tests assert path-level and
-   packet-level GPSR agree exactly — which now doubles as the
-   kernel-vs-automaton equivalence check. *)
+   packet-level GPSR agree exactly — which doubles as the
+   kernel-vs-automaton equivalence check.  The automaton charges no
+   counter: [Packetsim]'s GPSR discipline charges [routing.gfg.steps]
+   per decision, as [gfg_into] does per loop step. *)
 let next_ccw g points v ~from_angle =
   let nbrs = V.neighbors g v in
   let angle w = P.angle_of (P.sub points.(w) points.(v)) in
@@ -564,8 +549,7 @@ let rec advance g points ~dst u st w =
     end
     | None -> Forward (w, Perimeter ({ st with p_first = false }, u))
 
-let gfg_step_v g points ~dst u header =
-  Obs.incr c_gfg_steps;
+let gfg_step g points ~dst u header =
   if u = dst then Deliver
   else
     let enter_perimeter () =
@@ -604,7 +588,9 @@ let gfg_step_v g points ~dst u header =
 let hierarchical (bb : Backbone.t) ~src ~dst =
   obs_hierarchical
     (let udg = bb.Backbone.udg in
-     if src = dst then Some [ src ]
+     let n = Array.length bb.Backbone.points in
+     if src < 0 || src >= n || dst < 0 || dst >= n then None
+     else if src = dst then Some [ src ]
      else if G.has_edge udg src dst then Some [ src; dst ]
      else
        let cds = bb.Backbone.cds in
@@ -615,7 +601,7 @@ let hierarchical (bb : Backbone.t) ~src ~dst =
          else
            (* perimeter mode runs on the sealed planar snapshot — the
               read-optimized twin of [ldel_icds_g], identical routes *)
-           gfg_v
+           gfg
              (V.of_csr bb.Backbone.planar_csr)
              bb.Backbone.points ~src:enter ~dst:exit
        in
@@ -626,14 +612,6 @@ let hierarchical (bb : Backbone.t) ~src ~dst =
          let p = if exit = dst then p else p @ [ dst ] in
          Some p)
 
-(* legacy Graph.t entry points *)
-let greedy g = greedy_v (V.of_graph g)
-let compass g = compass_v (V.of_graph g)
-let mfr g = mfr_v (V.of_graph g)
-let nfp g = nfp_v (V.of_graph g)
-let gfg g = gfg_v (V.of_graph g)
-let gfg_step g = gfg_step_v (V.of_graph g)
-
 type evaluation = {
   pairs : int;
   delivered : int;
@@ -641,7 +619,7 @@ type evaluation = {
   avg_hop_stretch : float;
 }
 
-let evaluate_v ~router ~base points ~pairs rng =
+let evaluate ~router ~base points ~pairs rng =
   Obs.span "routing.evaluate" @@ fun () ->
   let n = V.node_count base in
   let delivered = ref 0 in
@@ -681,5 +659,3 @@ let evaluate_v ~router ~base points ~pairs rng =
     avg_hop_stretch =
       (if !measured = 0 then 0. else !hop_sum /. float_of_int !measured);
   }
-
-let evaluate ~router ~base = evaluate_v ~router ~base:(V.of_graph base)

@@ -11,13 +11,14 @@
     endpoints), or [None] when the packet is dropped (greedy local
     minimum with no recovery, or a step budget exhausted).
 
-    Every router exists in three forms: an [_into] kernel routing
-    into a caller-owned {!Scratch.t} with no per-query allocation on
-    the steady path (the serve engine's form), a [_v] wrapper over a
-    {!Netgraph.View.t} returning the path as a list (so sealed CSR
-    snapshots route without thawing into a mutable graph), and the
-    historical [Graph]-typed adapter, which is the [_v] form composed
-    with [View.of_graph].  Routes are bit-identical in all three.
+    Every router is one [_into] kernel routing into a caller-owned
+    {!Scratch.t} with no per-query allocation on the steady path (the
+    serve engine's form), plus one list wrapper of the plain name
+    that runs the kernel on a fresh scratch and records the
+    [routing.<name>.routes/delivered] counters.  Both read the
+    topology as a {!Netgraph.View.t}: wrap a mutable graph with
+    [View.of_graph] or a sealed snapshot with [View.of_csr] once, and
+    the routes are bit-identical either way.
 
     Node-id handling is uniform: [src = dst] delivers the trivial
     path [[src]] (hop count 0), and an out-of-range [src] or [dst]
@@ -52,7 +53,7 @@ end
 (** The [_into] kernels: route and leave the path in the scratch,
     returning the hop count ([>= 0], with [0] for [src = dst]) or
     [-1] when the packet is dropped (including out-of-range ids).
-    Unlike the [_v] wrappers they record no per-route obs metrics
+    Unlike the list wrappers they record no per-route obs metrics
     (the serve engine aggregates its own), with one exception: the
     [routing.gfg.steps] counter, which counts forwarding decisions
     exactly as the historical implementation did. *)
@@ -77,38 +78,10 @@ val gfg_into :
   Scratch.t -> Netgraph.View.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
-(** The [_v] wrappers accept an optional scratch to reuse; without
-    one, each call allocates a fresh scratch sized to the view. *)
-
-val greedy_v :
-  ?scratch:Scratch.t ->
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
-val compass_v :
-  ?scratch:Scratch.t ->
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
-val mfr_v :
-  ?scratch:Scratch.t ->
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
-val nfp_v :
-  ?scratch:Scratch.t ->
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
-val gfg_v :
-  ?scratch:Scratch.t ->
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
 (** [greedy g points ~src ~dst] forwards to the neighbor strictly
     closest to the destination; fails at a local minimum. *)
 val greedy :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [compass g points ~src ~dst] forwards to the neighbor whose
@@ -116,7 +89,7 @@ val greedy :
     al.); unlike greedy it can loop, so traversal is cycle-guarded
     and returns [None] on a revisit. *)
 val compass :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [mfr g points ~src ~dst] is Most Forward within Radius
@@ -124,14 +97,14 @@ val compass :
     progress — the projection of the step onto the line toward the
     destination; fails when no neighbor makes positive progress. *)
 val mfr :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [nfp g points ~src ~dst] is Nearest with Forward Progress (Hou &
     Li): the closest neighbor that still makes positive progress —
     the power-friendly variant. *)
 val nfp :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [gfg g points ~src ~dst] is greedy routing with face-routing
@@ -139,7 +112,7 @@ val nfp :
     cross-the-[sd]-line face changes).  Delivery is guaranteed when
     [g] is planar and [src], [dst] are in the same component. *)
 val gfg :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** The GFG packet header: greedy mode, or perimeter mode with the
@@ -160,16 +133,10 @@ type decision = Deliver | Forward of int * header | Drop
     node [u], from purely local information (u's neighbors and the
     header).  {!gfg} is the fold of this step; {!Packetsim} runs the
     same step inside the message-passing simulator, so path-level and
-    packet-level GPSR agree exactly (tested). *)
+    packet-level GPSR agree exactly (tested).  It charges no counter:
+    a caller running it as GPSR charges [routing.gfg.steps] once per
+    decision, as {!gfg_into} does. *)
 val gfg_step :
-  Netgraph.Graph.t ->
-  Geometry.Point.t array ->
-  dst:int ->
-  int ->
-  header ->
-  decision
-
-val gfg_step_v :
   Netgraph.View.t ->
   Geometry.Point.t array ->
   dst:int ->
@@ -180,7 +147,8 @@ val gfg_step_v :
 (** [hierarchical backbone ~src ~dst] is dominating-set-based routing:
     a direct hop when the nodes are adjacent, otherwise src → its
     dominator → GFG over the planar backbone [LDel(ICDS)] (routed on
-    the sealed [planar_csr] snapshot) → dst's dominator → dst. *)
+    the sealed [planar_csr] snapshot) → dst's dominator → dst.  It
+    follows the node-id contract above. *)
 val hierarchical : Backbone.t -> src:int -> dst:int -> int list option
 
 (** Success statistics of a router over every connected node pair:
@@ -196,14 +164,6 @@ type evaluation = {
 (** [evaluate ~router ~base points ~pairs rng] samples [pairs] random
     connected node pairs in [base] and runs [router] on each. *)
 val evaluate :
-  router:(src:int -> dst:int -> int list option) ->
-  base:Netgraph.Graph.t ->
-  Geometry.Point.t array ->
-  pairs:int ->
-  Wireless.Rand.t ->
-  evaluation
-
-val evaluate_v :
   router:(src:int -> dst:int -> int list option) ->
   base:Netgraph.View.t ->
   Geometry.Point.t array ->

@@ -3,7 +3,8 @@
    [Graph.iter_neighbors] yields neighbors in increasing id order.
    [ew]/[pw] are empty arrays (not options) so the hot loops index
    them without an indirection; emptiness doubles as the "absent"
-   flag. *)
+   flag — except on a snapshot with no arcs, whose weight arrays are
+   empty either way and which counts as weighted. *)
 
 type t = {
   n : int;
@@ -81,8 +82,8 @@ let of_rows ?points ?beta ~offsets ~targets () =
 let node_count t = t.n
 let edge_count t = t.m
 let degree t u = t.offsets.(u + 1) - t.offsets.(u)
-let has_weights t = Array.length t.ew > 0
-let has_power_weights t = Array.length t.pw > 0
+let has_weights t = Array.length t.ew > 0 || Array.length t.targets = 0
+let has_power_weights t = Array.length t.pw > 0 || Array.length t.targets = 0
 
 let iter_neighbors t u f =
   for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do

@@ -68,7 +68,8 @@ val edge_count : t -> int
 
 val degree : t -> int -> int
 
-(** Whether Euclidean / power weights were precomputed. *)
+(** Whether Euclidean / power weights were precomputed.  A snapshot
+    with no arcs has nothing to weigh and counts as weighted. *)
 val has_weights : t -> bool
 
 val has_power_weights : t -> bool

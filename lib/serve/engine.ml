@@ -79,7 +79,7 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
          which keeps per-query results independent of scheduling *)
       let e = Store.pin store in
       let pts = Store.points e in
-      let view = Store.view e in
+      let view = Netgraph.View.of_csr (Store.route e) in
       let n = Store.node_count e in
       let eid = Store.id e in
       let lo = batch_edge.(b) and hi = batch_edge.(b + 1) in

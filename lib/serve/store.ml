@@ -12,21 +12,16 @@ module Csr = Netgraph.Csr
 type epoch = {
   id : int;
   snap : Core.Shard.snapshot;
-  route : Csr.t;
-  view : Netgraph.View.t;
   udg_w : Csr.t;
 }
 
 type t = { cell : epoch Atomic.t }
 
 let seal ~id (snap : Core.Shard.snapshot) =
-  let route = snap.Core.Shard.pldel' in
   let udg = snap.Core.Shard.udg in
   {
     id;
     snap;
-    route;
-    view = Netgraph.View.of_csr route;
     udg_w =
       (if Csr.has_weights udg then udg
        else Csr.with_weights udg snap.Core.Shard.points);
@@ -52,7 +47,6 @@ let publish t snap =
 let id e = e.id
 let points e = e.snap.Core.Shard.points
 let node_count e = Array.length e.snap.Core.Shard.points
-let view e = e.view
-let route e = e.route
+let route e = e.snap.Core.Shard.pldel'
 let udg_w e = e.udg_w
 let snapshot e = e.snap

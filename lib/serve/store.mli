@@ -2,8 +2,8 @@
 
     A store holds the current {e epoch} — an immutable, sealed
     all-CSR {!Core.Shard.snapshot} plus the structures derived from
-    it once per epoch (the [pldel'] routing view the query engine
-    forwards on, and the UDG re-sealed {e with} Euclidean weights so
+    it once per epoch (the [pldel'] snapshot the query engine forwards
+    on, and the UDG re-sealed {e with} Euclidean weights so
     stretch queries have their shortest-path denominator).  Updates
     build the next snapshot off to the side and {!publish} it with a
     single atomic pointer swap; readers {!pin} the epoch they start
@@ -40,9 +40,8 @@ val points : epoch -> Geometry.Point.t array
 val node_count : epoch -> int
 
 (** The serving structure: [pldel'] (the planar LDel(ICDS) backbone
-    with dominatee links, spanning all nodes) as a routing view. *)
-val view : epoch -> Netgraph.View.t
-
+    with dominatee links, spanning all nodes).  Routers read it as
+    [Netgraph.View.of_csr (route e)]. *)
 val route : epoch -> Netgraph.Csr.t
 
 (** The epoch's UDG with Euclidean arc weights — the shortest-path

@@ -415,6 +415,37 @@ let test_engine_disconnected_raises () =
         "Metrics.stretch_factors: pair (0, 2) connected in base but not in \
          subgraph")
 
+(* An edgeless snapshot sealed with points has nothing to weigh; it
+   must count as weighted, so stretch over it is the no-pair value
+   instead of a "built without points" failure.  Fixtures: one node,
+   and three nodes 10 apart at R = 1.2. *)
+let edgeless_fixtures =
+  [
+    ("one node", [| P.make 0. 0. |]);
+    ("three isolated", [| P.make 0. 0.; P.make 10. 0.; P.make 20. 0. |]);
+  ]
+
+let test_edgeless_weighted () =
+  List.iter
+    (fun (name, pts) ->
+      let g = Wireless.Udg.build pts ~radius:1.2 in
+      checki (name ^ ": no edges") 0 (G.edge_count g);
+      let c = C.of_graph ~points:pts ~beta:2. g in
+      check (name ^ ": weighted") true (C.has_weights c);
+      check (name ^ ": power weighted") true (C.has_power_weights c);
+      checkf (name ^ ": dijkstra") 0. (C.dijkstra c 0).(0);
+      checkf (name ^ ": power sssp") 0. (C.power_sssp c 0).(0);
+      let no_pair =
+        { M.len_avg = 1.; len_max = 1.; hop_avg = 1.; hop_max = 1. }
+      in
+      check (name ^ ": stretch_factors") true
+        (M.stretch_factors ~base:g ~sub:g pts = no_pair);
+      check (name ^ ": sampled_stretch") true
+        (M.sampled_stretch ~sources:[| 0 |] ~base:g ~sub:g pts = no_pair);
+      check (name ^ ": power_stretch") true
+        (M.power_stretch ~base:g ~sub:g pts ~beta:2. = (1., 1.)))
+    edgeless_fixtures
+
 (* ---------------- Udg.is_udg ---------------- *)
 
 let brute_force_is_udg pts ~radius g =
@@ -527,6 +558,8 @@ let suites =
           test_combined_multiple_subs;
         Alcotest.test_case "disconnected sub raises" `Quick
           test_engine_disconnected_raises;
+        Alcotest.test_case "edgeless snapshots are weighted" `Quick
+          test_edgeless_weighted;
       ] );
     ( "wireless.is_udg",
       [

@@ -193,6 +193,37 @@ let test_monitor_alert_trace () =
   in
   check "chrome round-trip preserves alerts" true (parsed = events)
 
+(* Edgeless deployments (one node; three nodes 10 apart at R = 1.2):
+   the quality table and the monitor's stretch probes see no pair, so
+   they report the no-pair value, not an infinite-stretch violation. *)
+let test_monitor_edgeless () =
+  List.iter
+    (fun (name, pts) ->
+      let bb = Core.Backbone.build pts ~radius:1.2 in
+      let rows = Core.Quality.rows bb in
+      check (name ^ ": quality rows") true (rows <> []);
+      List.iter
+        (fun r ->
+          check
+            (name ^ ": " ^ r.Core.Quality.name ^ " no-pair stretch")
+            true
+            (List.for_all
+               (fun x -> x = None || x = Some 1.)
+               Core.Quality.[ r.len_avg; r.len_max; r.hop_avg; r.hop_max ]))
+        rows;
+      let mon = Core.Monitor.create ~stretch_sources:4 () in
+      for r = 1 to 2 do
+        check (name ^ ": no violation") true
+          (Core.Monitor.observe mon ~round:r bb = [])
+      done;
+      check (name ^ ": healthy") true (Core.Monitor.healthy mon))
+    [
+      ("one node", [| Geometry.Point.make 0. 0. |]);
+      ( "three isolated",
+        Geometry.Point.
+          [| make 0. 0.; make 10. 0.; make 20. 0. |] );
+    ]
+
 let suites =
   [
     ( "telemetry",
@@ -212,6 +243,8 @@ let suites =
         Alcotest.test_case "violation injection" `Quick
           test_monitor_violation_injection;
         Alcotest.test_case "stretch gates" `Quick test_monitor_stretch_gate;
+        Alcotest.test_case "edgeless deployments" `Quick
+          test_monitor_edgeless;
         Alcotest.test_case "alerts reach the trace" `Quick
           test_monitor_alert_trace;
       ] );

@@ -24,7 +24,9 @@ let test_packet_equals_path_gpsr () =
     for src = 0 to n - 1 do
       let dst = (src + (n / 2)) mod n in
       if src <> dst then begin
-        let expected = Core.Routing.gfg planar pts ~src ~dst in
+        let expected =
+          Core.Routing.gfg (Netgraph.View.of_graph planar) pts ~src ~dst
+        in
         let got = Core.Packetsim.gpsr planar pts ~src ~dst in
         match expected with
         | Some path ->
@@ -87,6 +89,24 @@ let test_many () =
   checki "all delivered on planar connected" pairs delivered;
   check "sane cost" true (avg_tx >= 1. && avg_tx < 100.)
 
+(* Fewer than two nodes admit no src <> dst pair: [many] returns at
+   once instead of drawing pairs forever (n = 1) or from an empty
+   range (n = 0). *)
+let test_many_tiny () =
+  List.iter
+    (fun pts ->
+      let g = G.create (Array.length pts) in
+      List.iter
+        (fun router ->
+          check
+            (Printf.sprintf "n = %d: nothing sent" (Array.length pts))
+            true
+            (Core.Packetsim.many g pts ~pairs:5 (Wireless.Rand.create 8L)
+               ~router
+            = (0, 0, 0.)))
+        [ `Gpsr; `Greedy ])
+    [ [||]; [| P.make 0. 0. |] ]
+
 let suites =
   [
     ( "core.packetsim",
@@ -99,5 +119,6 @@ let suites =
         Alcotest.test_case "adjacent" `Quick test_packet_adjacent;
         Alcotest.test_case "unreachable" `Quick test_packet_unreachable;
         Alcotest.test_case "bulk workload" `Quick test_many;
+        Alcotest.test_case "bulk workload on n < 2" `Quick test_many_tiny;
       ] );
   ]

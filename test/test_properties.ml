@@ -271,12 +271,13 @@ let prop_gfg_delivers =
     (fun pts ->
       let bb = Core.Backbone.build pts ~radius:50. in
       let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+      let planar_v = Netgraph.View.of_graph planar in
       let n = Array.length pts in
       let ok = ref true in
       for src = 0 to min 10 (n - 1) do
         let dst = n - 1 - src in
         if src <> dst then
-          match Core.Routing.gfg planar pts ~src ~dst with
+          match Core.Routing.gfg planar_v pts ~src ~dst with
           | Some p -> if not (Netgraph.Traversal.is_path planar p) then ok := false
           | None -> ok := false
       done;

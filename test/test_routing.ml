@@ -1,7 +1,9 @@
 (* Geographic routing: greedy, GFG (GPSR-style), hierarchical. *)
 
 module G = Netgraph.Graph
+module V = Netgraph.View
 module P = Geometry.Point
+module R = Core.Routing
 
 let check = Alcotest.(check bool)
 
@@ -15,7 +17,7 @@ let instance seed n radius =
 
 let test_greedy_straight_line () =
   let pts = Array.init 5 (fun i -> P.make (float_of_int i) 0.) in
-  let g = Wireless.Udg.build pts ~radius:1.2 in
+  let g = V.of_graph (Wireless.Udg.build pts ~radius:1.2) in
   (match Core.Routing.greedy g pts ~src:0 ~dst:4 with
   | Some p -> Alcotest.(check (list int)) "direct chain" [ 0; 1; 2; 3; 4 ] p
   | None -> Alcotest.fail "greedy should succeed on a line");
@@ -36,9 +38,10 @@ let test_greedy_local_minimum () =
     |]
   in
   let g = G.of_edges 5 [ (0, 4); (0, 1); (1, 2); (2, 3) ] in
-  check "greedy stuck" true (Core.Routing.greedy g pts ~src:0 ~dst:3 = None);
+  let v = V.of_graph g in
+  check "greedy stuck" true (Core.Routing.greedy v pts ~src:0 ~dst:3 = None);
   (* GFG recovers via the perimeter *)
-  match Core.Routing.gfg g pts ~src:0 ~dst:3 with
+  match Core.Routing.gfg v pts ~src:0 ~dst:3 with
   | Some p ->
     check "valid path" true (Netgraph.Traversal.is_path g p);
     check "ends at dst" true (List.nth p (List.length p - 1) = 3)
@@ -55,7 +58,7 @@ let test_gfg_delivery_guarantee () =
     for src = 0 to n - 1 do
       let dst = (src + (n / 2)) mod n in
       if src <> dst then
-        match Core.Routing.gfg planar pts ~src ~dst with
+        match Core.Routing.gfg (V.of_graph planar) pts ~src ~dst with
         | Some p ->
           check "path valid" true (Netgraph.Traversal.is_path planar p);
           check "starts at src" true (List.hd p = src)
@@ -65,7 +68,7 @@ let test_gfg_delivery_guarantee () =
 
 let test_gfg_disconnected_returns_none () =
   let pts = [| P.make 0. 0.; P.make 1. 0.; P.make 50. 0.; P.make 51. 0. |] in
-  let g = G.of_edges 4 [ (0, 1); (2, 3) ] in
+  let g = V.of_graph (G.of_edges 4 [ (0, 1); (2, 3) ]) in
   check "unreachable" true (Core.Routing.gfg g pts ~src:0 ~dst:3 = None)
 
 let test_hierarchical_delivery () =
@@ -111,7 +114,7 @@ let test_hierarchical_path_edges_exist () =
 let test_variants_on_line () =
   (* on a straight chain every directional rule routes hop by hop *)
   let pts = Array.init 6 (fun i -> P.make (float_of_int i) 0.) in
-  let g = Wireless.Udg.build pts ~radius:1.2 in
+  let g = V.of_graph (Wireless.Udg.build pts ~radius:1.2) in
   List.iter
     (fun (name, route) ->
       match route g pts ~src:0 ~dst:5 with
@@ -137,7 +140,7 @@ let test_variants_choose_differently () =
       P.make 7. 0.; (* dst *)
     |]
   in
-  let g = G.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
+  let g = V.of_graph (G.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]) in
   (match Core.Routing.greedy g pts ~src:0 ~dst:3 with
   | Some (_ :: v :: _) ->
     Alcotest.(check int) "greedy takes nearest-to-dst" 1 v
@@ -153,7 +156,7 @@ let test_variants_choose_differently () =
 let test_variants_fail_without_progress () =
   (* dead end: no neighbor makes forward progress *)
   let pts = [| P.make 0. 0.; P.make (-1.) 0.; P.make 5. 0. |] in
-  let g = G.of_edges 3 [ (0, 1) ] in
+  let g = V.of_graph (G.of_edges 3 [ (0, 1) ]) in
   check "greedy stuck" true (Core.Routing.greedy g pts ~src:0 ~dst:2 = None);
   check "mfr stuck" true (Core.Routing.mfr g pts ~src:0 ~dst:2 = None);
   check "nfp stuck" true (Core.Routing.nfp g pts ~src:0 ~dst:2 = None)
@@ -163,6 +166,7 @@ let test_variants_delivery_rates () =
      pairs and produce valid paths *)
   let pts = instance 320L 100 60. in
   let g = Wireless.Udg.build pts ~radius:60. in
+  let v = V.of_graph g in
   let n = Array.length pts in
   List.iter
     (fun (name, route, threshold) ->
@@ -171,7 +175,7 @@ let test_variants_delivery_rates () =
         let dst = (src + (n / 3)) mod n in
         if src <> dst then begin
           incr total;
-          match route g pts ~src ~dst with
+          match route v pts ~src ~dst with
           | Some p ->
             check (name ^ " path valid") true (Netgraph.Traversal.is_path g p);
             incr ok
@@ -200,7 +204,7 @@ let test_evaluate () =
   let ev =
     Core.Routing.evaluate
       ~router:(fun ~src ~dst -> Core.Routing.hierarchical bb ~src ~dst)
-      ~base:bb.Core.Backbone.udg pts ~pairs:40 rng
+      ~base:(V.of_graph bb.Core.Backbone.udg) pts ~pairs:40 rng
   in
   ignore planar;
   Alcotest.(check int) "all pairs sampled" 40 ev.Core.Routing.pairs;
@@ -209,32 +213,15 @@ let test_evaluate () =
     (ev.Core.Routing.avg_length_stretch >= 1.
     && ev.Core.Routing.avg_length_stretch < 10.)
 
-(* Uniform endpoint contract across all five routers (both the legacy
-   Graph form and the View form): src = dst is the trivial delivery
-   [Some [src]], any out-of-range node id is a clean [None]. *)
+(* Uniform endpoint contract across all five routers and the
+   hierarchical one: src = dst is the trivial delivery [Some [src]],
+   any out-of-range node id is a clean [None]. *)
 let test_endpoint_contract () =
   let pts = instance 55L 40 60. in
   let g = Wireless.Udg.build pts ~radius:60. in
-  let v = Netgraph.View.of_graph g in
+  let v = V.of_graph g in
+  let bb = Core.Backbone.build pts ~radius:60. in
   let n = Array.length pts in
-  let graph_routers =
-    [
-      ("greedy", fun ~src ~dst -> Core.Routing.greedy g pts ~src ~dst);
-      ("compass", fun ~src ~dst -> Core.Routing.compass g pts ~src ~dst);
-      ("mfr", fun ~src ~dst -> Core.Routing.mfr g pts ~src ~dst);
-      ("nfp", fun ~src ~dst -> Core.Routing.nfp g pts ~src ~dst);
-      ("gfg", fun ~src ~dst -> Core.Routing.gfg g pts ~src ~dst);
-    ]
-  in
-  let view_routers =
-    [
-      ("greedy_v", fun ~src ~dst -> Core.Routing.greedy_v v pts ~src ~dst);
-      ("compass_v", fun ~src ~dst -> Core.Routing.compass_v v pts ~src ~dst);
-      ("mfr_v", fun ~src ~dst -> Core.Routing.mfr_v v pts ~src ~dst);
-      ("nfp_v", fun ~src ~dst -> Core.Routing.nfp_v v pts ~src ~dst);
-      ("gfg_v", fun ~src ~dst -> Core.Routing.gfg_v v pts ~src ~dst);
-    ]
-  in
   List.iter
     (fun (name, router) ->
       (match router ~src:7 ~dst:7 with
@@ -248,48 +235,89 @@ let test_endpoint_contract () =
       check (name ^ ": negative dst") true (router ~src:0 ~dst:(-2) = None);
       (* src = dst wins over range checks only when in range *)
       check (name ^ ": src = dst out of range") true
-        (router ~src:n ~dst:n = None))
-    (graph_routers @ view_routers)
+        (router ~src:n ~dst:n = None);
+      check (name ^ ": src = dst negative") true
+        (router ~src:(-1) ~dst:(-1) = None))
+    [
+      ("greedy", fun ~src ~dst -> R.greedy v pts ~src ~dst);
+      ("compass", fun ~src ~dst -> R.compass v pts ~src ~dst);
+      ("mfr", fun ~src ~dst -> R.mfr v pts ~src ~dst);
+      ("nfp", fun ~src ~dst -> R.nfp v pts ~src ~dst);
+      ("gfg", fun ~src ~dst -> R.gfg v pts ~src ~dst);
+      ("hierarchical", fun ~src ~dst -> R.hierarchical bb ~src ~dst);
+    ]
 
-(* One scratch reused across many queries must answer exactly like a
-   fresh scratch per query — the epoch-stamped visited marks and path
-   buffer carry no state between routes. *)
-let test_scratch_reuse_identical () =
-  let pts = instance 56L 80 50. in
-  let g = Wireless.Udg.build pts ~radius:50. in
-  let v = Netgraph.View.of_graph g in
-  let n = Array.length pts in
-  let shared = Core.Routing.Scratch.create ~n () in
-  let rng = Wireless.Rand.create 560L in
-  for _ = 1 to 200 do
-    let src = Wireless.Rand.int rng n and dst = Wireless.Rand.int rng n in
-    List.iter
-      (fun (name, route) ->
-        let reused = route ~scratch:shared ~src ~dst in
-        let fresh =
-          route ~scratch:(Core.Routing.Scratch.create ~n ()) ~src ~dst
-        in
-        if reused <> fresh then
-          Alcotest.failf "%s: shared scratch diverges on %d -> %d" name src
-            dst)
-      [
-        ( "greedy_v",
-          fun ~scratch ~src ~dst ->
-            Core.Routing.greedy_v ~scratch v pts ~src ~dst );
-        ( "compass_v",
-          fun ~scratch ~src ~dst ->
-            Core.Routing.compass_v ~scratch v pts ~src ~dst );
-        ( "mfr_v",
-          fun ~scratch ~src ~dst -> Core.Routing.mfr_v ~scratch v pts ~src ~dst
-        );
-        ( "nfp_v",
-          fun ~scratch ~src ~dst -> Core.Routing.nfp_v ~scratch v pts ~src ~dst
-        );
-        ( "gfg_v",
-          fun ~scratch ~src ~dst -> Core.Routing.gfg_v ~scratch v pts ~src ~dst
-        );
-      ]
-  done
+(* Routes do not depend on the representation: on random (possibly
+   disconnected) UDGs and their PLDel, every router answers the same
+   through the list wrapper over a [Graph]-backed view, the list
+   wrapper over a sealed CSR view (the serve engine's input), and the
+   [_into] kernel with one scratch shared across all queries (its
+   stamped marks and path buffer carry nothing between routes).  The
+   fold of [gfg_step] is [gfg]. *)
+let gfg_fold v pts ~src ~dst =
+  let rec walk u header budget acc =
+    if budget <= 0 then None
+    else
+      match R.gfg_step v pts ~dst u header with
+      | R.Deliver -> Some (List.rev (u :: acc))
+      | R.Drop -> None
+      | R.Forward (w, header') -> walk w header' (budget - 1) (u :: acc)
+  in
+  walk src R.Greedy ((4 * V.edge_count v) + 16) []
+
+let routers =
+  [
+    ("greedy", R.greedy, R.greedy_into);
+    ("compass", R.compass, R.compass_into);
+    ("mfr", R.mfr, R.mfr_into);
+    ("nfp", R.nfp, R.nfp_into);
+    ("gfg", R.gfg, R.gfg_into);
+  ]
+
+let representation_agrees (seed, n, radius) =
+  let rng = Wireless.Rand.create (Int64.of_int seed) in
+  let pts = Wireless.Deploy.uniform rng ~n ~side:200. in
+  let udg = Wireless.Udg.build pts ~radius in
+  let pldel = (Core.Ldel.build udg pts ~radius).Core.Ldel.planar in
+  let queries = Wireless.Rand.split rng in
+  let shared = R.Scratch.create () in
+  List.for_all
+    (fun g ->
+      let gv = V.of_graph g and cv = V.of_csr (Netgraph.Csr.of_graph g) in
+      List.for_all
+        (fun _ ->
+          let src = Wireless.Rand.int queries n
+          and dst = Wireless.Rand.int queries n in
+          List.for_all
+            (fun (name, route, into) ->
+              let via_graph = route gv pts ~src ~dst in
+              let via_csr = route cv pts ~src ~dst in
+              let hops = into shared cv pts ~src ~dst in
+              let via_into =
+                if hops < 0 then None
+                else begin
+                  if R.Scratch.path_len shared <> hops + 1 then
+                    QCheck.Test.fail_reportf "%s: hop count %d, path of %d"
+                      name hops (R.Scratch.path_len shared);
+                  Some (R.Scratch.path_list shared)
+                end
+              in
+              via_graph = via_csr && via_graph = via_into
+              && (name <> "gfg" || via_graph = gfg_fold gv pts ~src ~dst)
+              || QCheck.Test.fail_reportf "%s: %d -> %d disagrees" name src
+                   dst)
+            routers)
+        (List.init 200 Fun.id))
+    [ udg; pldel ]
+
+let prop_representation_independent =
+  QCheck.Test.make ~name:"routes independent of representation" ~count:25
+    (QCheck.make
+       ~print:(fun (seed, n, radius) ->
+         Printf.sprintf "seed %d, n %d, radius %.1f" seed n radius)
+       QCheck.Gen.(
+         triple (int_bound 1_000_000) (int_range 2 60) (float_range 15. 70.)))
+    representation_agrees
 
 let suites =
   [
@@ -319,7 +347,6 @@ let suites =
         Alcotest.test_case "evaluate" `Quick test_evaluate;
         Alcotest.test_case "endpoint contract (src=dst, out of range)" `Quick
           test_endpoint_contract;
-        Alcotest.test_case "scratch reuse is invisible" `Quick
-          test_scratch_reuse_identical;
+        QCheck_alcotest.to_alcotest prop_representation_independent;
       ] );
   ]

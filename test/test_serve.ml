@@ -43,8 +43,9 @@ let test_store_epochs () =
   (* the old pin is still a fully usable generation *)
   Alcotest.(check int) "old pin unchanged" 0 (Serve.Store.id e0);
   check "old view still routes" true
-    (Core.Routing.greedy_v (Serve.Store.view e0) (Serve.Store.points e0)
-       ~src:0 ~dst:0
+    (Core.Routing.greedy
+       (Netgraph.View.of_csr (Serve.Store.route e0))
+       (Serve.Store.points e0) ~src:0 ~dst:0
     = Some [ 0 ])
 
 (* ---------------- workload ---------------- *)
