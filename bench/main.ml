@@ -1416,26 +1416,43 @@ let () =
       end
     end
   in
-  artifact "table1" (fun () -> table1 cfg);
-  artifact "fig8" (fun () -> fig8 cfg);
-  artifact "fig9" (fun () -> fig9 cfg);
-  artifact "fig10" (fun () -> fig10 cfg);
-  artifact "fig11" (fun () -> fig11 cfg_sweep n_sweep);
-  artifact "fig12" (fun () -> fig12 cfg_sweep n_sweep);
-  artifact "ablation" (fun () ->
-      ablation_clustering cfg;
-      ablation_connectors cfg;
-      ablation_ldel_scope cfg;
-      ablation_routing cfg;
-      extension_power_stretch cfg;
-      extension_broadcast cfg;
-      extension_packet_level cfg;
-      extension_quasi_udg cfg;
-      extension_lifetime cfg;
-      extension_bounds cfg);
-  artifact "metrics" (fun () -> bench_metrics ?check quick !jobs);
-  artifact "pipeline" (fun () -> bench_pipeline ?check quick !jobs);
-  artifact "serve" (fun () -> bench_serve ?check quick !jobs);
-  artifact "causal" (fun () -> bench_causal quick);
-  artifact "lint" (fun () -> bench_lint ());
-  artifact "micro" micro
+  let artifacts =
+    [
+      ("table1", fun () -> table1 cfg);
+      ("fig8", fun () -> fig8 cfg);
+      ("fig9", fun () -> fig9 cfg);
+      ("fig10", fun () -> fig10 cfg);
+      ("fig11", fun () -> fig11 cfg_sweep n_sweep);
+      ("fig12", fun () -> fig12 cfg_sweep n_sweep);
+      ( "ablation",
+        fun () ->
+          ablation_clustering cfg;
+          ablation_connectors cfg;
+          ablation_ldel_scope cfg;
+          ablation_routing cfg;
+          extension_power_stretch cfg;
+          extension_broadcast cfg;
+          extension_packet_level cfg;
+          extension_quasi_udg cfg;
+          extension_lifetime cfg;
+          extension_bounds cfg );
+      ("metrics", fun () -> bench_metrics ?check quick !jobs);
+      ("pipeline", fun () -> bench_pipeline ?check quick !jobs);
+      ("serve", fun () -> bench_serve ?check quick !jobs);
+      ("causal", fun () -> bench_causal quick);
+      ("lint", fun () -> bench_lint ());
+      ("micro", micro);
+    ]
+  in
+  (* anything left that names no artifact is a misspelt flag or
+     artifact, not a filter that quietly selects nothing *)
+  (match List.filter (fun a -> not (List.mem_assoc a artifacts)) args with
+  | [] -> ()
+  | unknown ->
+    Format.eprintf
+      "bench: unknown argument(s) %s@.flags: --quick --stats --check --out DIR \
+       --jobs N --check-threshold T@.artifacts: %s@."
+      (String.concat " " unknown)
+      (String.concat " " (List.map fst artifacts));
+    exit 2);
+  List.iter (fun (name, f) -> artifact name f) artifacts

@@ -34,10 +34,12 @@ let local_delaunay_triangles g points u =
   local_triangles_of_neighborhood ~me:u ~me_pos:points.(u)
     ~nbrs:(List.map (fun v -> (v, points.(v))) (G.neighbors g u))
 
-let triangle_fits points ~radius (a, b, c) =
+let fits points ~radius a b c =
   P.dist points.(a) points.(b) <= radius
   && P.dist points.(b) points.(c) <= radius
   && P.dist points.(a) points.(c) <= radius
+
+let triangle_fits points ~radius (a, b, c) = fits points ~radius a b c
 
 (* [Segment.properly_intersect] on the segments [pq] and [rs], by id.
    Edges that share an endpoint id are rejected before any predicate
@@ -96,21 +98,30 @@ let corners_inside points a b c p q r =
   || corner_inside points o a b c q
   || corner_inside points o a b c r
 
-let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
+(* [triangles_intersect] on corner ids *)
+let tri_ids_intersect points a1 b1 c1 a2 b2 c2 =
   edges_of_cross points a1 b1 c1 a2 b2 c2
   || corners_inside points a1 b1 c1 a2 b2 c2
   || corners_inside points a2 b2 c2 a1 b1 c1
 
-let circumcircle_contains points (a, b, c) v =
+let triangles_intersect points (a1, b1, c1) (a2, b2, c2) =
+  tri_ids_intersect points a1 b1 c1 a2 b2 c2
+
+let in_circumcircle points a b c v =
   not_corner a b c v
   && Pred.incircle points.(a) points.(b) points.(c) points.(v)
 
-(* Algorithm 3's removal condition for [t] against an intersecting
-   [other]: a corner of [other] lies in [t]'s circumcircle. *)
-let circumcircle_contains_corner points t (a, b, c) =
-  circumcircle_contains points t a
-  || circumcircle_contains points t b
-  || circumcircle_contains points t c
+let circumcircle_contains points (a, b, c) v = in_circumcircle points a b c v
+
+(* Algorithm 3's removal condition for [abc] against an intersecting
+   [pqr]: a corner of [pqr] lies in [abc]'s circumcircle. *)
+let circumcircle_holds_corner points a b c p q r =
+  in_circumcircle points a b c p
+  || in_circumcircle points a b c q
+  || in_circumcircle points a b c r
+
+let circumcircle_contains_corner points (a, b, c) (p, q, r) =
+  circumcircle_holds_corner points a b c p q r
 
 (* The exact prefilter both planarizations apply before
    [triangles_intersect]: a proper crossing or a strictly inside corner
@@ -139,116 +150,163 @@ let of_parts n { p_gabriel; p_triangles; p_kept } =
     kept_triangles = p_kept;
   }
 
-(* Algorithm 3: for every pair of intersecting accepted triangles,
-   remove any whose circumcircle contains a corner of the other.  A
-   pair can only be compared by nodes that hear about both — a node
-   gathers the triangles of its 1-hop neighbors — so the pair needs
-   mutually visible corners, exactly what the distributed protocol can
-   decide.  Pairs are found by a bucket grid instead of an O(T^2)
-   scan.  Every accepted triangle has all links within [radius], so
-   its bbox is at most [radius] wide and tall; two overlapping bboxes
-   therefore have min-corners within [radius] of each other, i.e. in
-   the same or an adjacent grid cell of side >= [radius] — scanning the
-   3x3 block around each triangle's min-corner cell visits every
-   overlapping pair.  Pair decisions are pure predicates of the
-   snapshot (they never read the removal flags), so processing pair
-   (i, j) from i's worker and letting [removed] writes race on the
-   identical value [true] loses nothing: the flags after the join
-   are the same for any job count. *)
-let planarize_csr ?pool csr points ~radius tris_list =
+let shares_corner a1 b1 c1 a2 b2 c2 =
+  a1 = a2 || a1 = b2 || a1 = c2 || b1 = a2 || b1 = b2 || b1 = c2 || c1 = a2
+  || c1 = b2 || c1 = c2
+
+(* Algorithm 3 over the accepted triangles in [tri], three corner ids
+   each: for every pair of intersecting triangles, flag any whose
+   circumcircle contains a corner of the other.  A pair can only be
+   compared by nodes that hear about both — a node gathers the
+   triangles of its 1-hop neighbors — so the pair needs mutually
+   visible corners, exactly what the distributed protocol can decide.
+
+   Pairs that share a corner [v] are skipped before any predicate: an
+   accepted triangle is in the star of each of its corners, so both
+   are triangles of the one exact triangulation [Del(N[v])] (the star
+   kernel's or its Bowyer–Watson fallback's, [N_k] for [build_k]) and
+   cannot intersect.  That is 95% of the box-overlapping pairs on
+   uniform deployments.
+
+   The rest are found by a bucket grid instead of an O(T^2) scan.
+   Every accepted triangle has all links within [radius], so its bbox
+   is at most [radius] wide and tall; two overlapping bboxes therefore
+   have min-corners within [radius] of each other, i.e. in the same or
+   an adjacent grid cell of side >= [radius] — the 3x3 block around
+   each triangle's min-corner cell holds every triangle it overlaps.
+   Pair decisions are pure, symmetric predicates of the snapshot (they
+   never read the removal flags), so processing pair (s, t) from s's
+   worker and letting [flag] writes race on the identical value [true]
+   loses nothing: the flags after the join are the same for any job
+   count. *)
+let planarize ?pool csr points ~radius tri =
   let module C = Netgraph.Csr in
-  let tris = Array.of_list tris_list in
-  let m = Array.length tris in
-  if m = 0 then []
-  else begin
-    let boxes = Array.map (triangle_bbox points) tris in
-    let sees x a b c =
-      x = a || x = b || x = c || C.mem_edge csr x a || C.mem_edge csr x b
-      || C.mem_edge csr x c
-    in
-    let mutually_visible_csr (a1, b1, c1) (a2, b2, c2) =
-      sees a1 a2 b2 c2 || sees b1 a2 b2 c2 || sees c1 a2 b2 c2
-    in
-    (* bucket triangle indices by their bbox min-corner; the grid
-       caps itself at O(m) cells by widening the side, which stays at
-       least [radius] *)
+  let module G = Wireless.Cellgrid in
+  let m = Array.length tri / 3 in
+  let removed = Array.make m false in
+  if m > 0 then begin
+    (* bucket triangles by their bbox min-corner; the grid caps itself
+       at O(m) cells by widening the side, which stays at least
+       [radius] *)
     let grid =
-      Wireless.Cellgrid.create ~max_cells:((4 * m) + 64) ~cell_size:radius
-        (Array.map
-           (fun (b : Geometry.Bbox.t) -> { Geometry.Point.x = b.xmin; y = b.ymin })
-           boxes)
+      G.create ~max_cells:((4 * m) + 64) ~cell_size:radius
+        (Array.init m (fun i ->
+             let pa = points.(tri.(3 * i))
+             and pb = points.(tri.((3 * i) + 1))
+             and pc = points.(tri.((3 * i) + 2)) in
+             {
+               P.x = Float.min (Float.min pa.P.x pb.P.x) pc.P.x;
+               y = Float.min (Float.min pa.P.y pb.P.y) pc.P.y;
+             }))
     in
-    let nx = grid.Wireless.Cellgrid.nx and ny = grid.Wireless.Cellgrid.ny in
-    let start = grid.Wireless.Cellgrid.start in
-    let order = grid.Wireless.Cellgrid.order in
-    let removed = Array.make m false in
-    let process i =
-      let bi = boxes.(i) in
-      let k = grid.Wireless.Cellgrid.cell_ix.(i) in
+    let nx = grid.G.nx in
+    let start = grid.G.start and order = grid.G.order in
+    (* corners and [triangle_bbox] (xmin ymin xmax ymax) in bucket
+       order, so a cell run of candidates is contiguous in memory;
+       [removed] is mapped back through [order] at the end *)
+    let tv = Array.make (3 * m) 0 and box = Array.make (4 * m) 0. in
+    for s = 0 to m - 1 do
+      let i = order.(s) in
+      let a = tri.(3 * i) and b = tri.((3 * i) + 1) and c = tri.((3 * i) + 2) in
+      tv.(3 * s) <- a;
+      tv.((3 * s) + 1) <- b;
+      tv.((3 * s) + 2) <- c;
+      let pa = points.(a) and pb = points.(b) and pc = points.(c) in
+      box.(4 * s) <- Float.min (Float.min pa.P.x pb.P.x) pc.P.x;
+      box.((4 * s) + 1) <- Float.min (Float.min pa.P.y pb.P.y) pc.P.y;
+      box.((4 * s) + 2) <- Float.max (Float.max pa.P.x pb.P.x) pc.P.x;
+      box.((4 * s) + 3) <- Float.max (Float.max pa.P.y pb.P.y) pc.P.y
+    done;
+    let flag = Array.make m false in
+    (* with no shared corner, [x] sees a triangle through an edge *)
+    let sees x a b c = C.mem_edge csr x a || C.mem_edge csr x b || C.mem_edge csr x c in
+    let pair s t =
+      let a1 = tv.(3 * s) and b1 = tv.((3 * s) + 1) and c1 = tv.((3 * s) + 2) in
+      let a2 = tv.(3 * t) and b2 = tv.((3 * t) + 1) and c2 = tv.((3 * t) + 2) in
+      if
+        (not (shares_corner a1 b1 c1 a2 b2 c2))
+        && box.(4 * t) <= box.((4 * s) + 2)
+        && box.(4 * s) <= box.((4 * t) + 2)
+        && box.((4 * t) + 1) <= box.((4 * s) + 3)
+        && box.((4 * s) + 1) <= box.((4 * t) + 3)
+        && (sees a1 a2 b2 c2 || sees b1 a2 b2 c2 || sees c1 a2 b2 c2)
+        && tri_ids_intersect points a1 b1 c1 a2 b2 c2
+      then begin
+        if circumcircle_holds_corner points a1 b1 c1 a2 b2 c2 then
+          flag.(s) <- true;
+        if circumcircle_holds_corner points a2 b2 c2 a1 b1 c1 then
+          flag.(t) <- true
+      end
+    in
+    (* each unordered pair once: the later candidates of the 3x3 block
+       are the rest of this row's run, from [s + 1], and the next
+       row's run; the previous row's run lies wholly before [s].  A
+       candidate in the next column (row) has its min corner there, so
+       it can only overlap when this box's max corner reaches that
+       column (row) too — the grid's own monotone cell rounding
+       decides, so no overlapping pair is skipped *)
+    let process s =
+      let k = grid.G.cell_ix.(order.(s)) in
       let cx = k mod nx and cy = k / nx in
+      let k' = G.cell_at grid { P.x = box.((4 * s) + 2); y = box.((4 * s) + 3) } in
       let x_lo = if cx > 0 then cx - 1 else 0 in
-      let x_hi = if cx < nx - 1 then cx + 1 else cx in
-      for y = (if cy > 0 then cy - 1 else 0) to
-              if cy < ny - 1 then cy + 1 else cy do
-        (* a grid row of the 3x3 block is one run of [order] *)
-        let r = y * nx in
-        for idx = start.(r + x_lo) to start.(r + x_hi + 1) - 1 do
-          let j = order.(idx) in
-          if
-            j > i
-            && Geometry.Bbox.overlaps bi boxes.(j)
-            && mutually_visible_csr tris.(i) tris.(j)
-            && triangles_intersect points tris.(i) tris.(j)
-          then begin
-            if circumcircle_contains_corner points tris.(i) tris.(j) then
-              removed.(i) <- true;
-            if circumcircle_contains_corner points tris.(j) tris.(i) then
-              removed.(j) <- true
-          end
+      let x_hi = if k' mod nx > cx then cx + 1 else cx in
+      for t = s + 1 to start.((cy * nx) + x_hi + 1) - 1 do
+        pair s t
+      done;
+      if k' / nx > cy then begin
+        let r = (cy + 1) * nx in
+        for t = start.(r + x_lo) to start.(r + x_hi + 1) - 1 do
+          pair s t
         done
-      done
+      end
     in
     (match pool with
     | Some p ->
       Obs.quiesced (fun () ->
           Netgraph.Pool.parallel_for p ~n:m (fun () -> process))
     | None ->
-      for i = 0 to m - 1 do
-        process i
+      for s = 0 to m - 1 do
+        process s
       done);
-    let kept = ref [] in
-    for i = m - 1 downto 0 do
-      if not removed.(i) then kept := tris.(i) :: !kept
-    done;
-    !kept
-  end
+    for s = 0 to m - 1 do
+      if flag.(s) then removed.(order.(s)) <- true
+    done
+  end;
+  removed
 
-(* [compare] on int triples, without the polymorphic call *)
-let cmp_tri ((a1 : int), (b1 : int), (c1 : int)) (a2, b2, c2) =
-  if a1 <> a2 then Int.compare a1 a2
-  else if b1 <> b2 then Int.compare b1 b2
-  else Int.compare c1 c2
-
-(* Binary search in a sorted array of normalized triples. *)
-let mem_tri (arr : (int * int * int) array) t =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !hi - !lo > 0 do
-    let mid = (!lo + !hi) / 2 in
-    if cmp_tri arr.(mid) t < 0 then lo := mid + 1 else hi := mid
+(* [N_k(u) \ {u}] of every node, ascending, as rows on offsets (a
+   full BFS per node: [build_k] is for small instances). *)
+let k_hop_rows csr hops =
+  let module C = Netgraph.Csr in
+  let n = C.node_count csr in
+  let rows =
+    Array.init n (fun u ->
+        let dist = C.bfs csr u in
+        let acc = ref [] in
+        for v = n - 1 downto 0 do
+          if v <> u && dist.(v) <= hops then acc := v :: !acc
+        done;
+        Array.of_list !acc)
+  in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Array.length rows.(u)
   done;
-  !lo < Array.length arr && cmp_tri arr.(!lo) t = 0
+  (off, Array.concat (Array.to_list rows))
 
 (* Algorithms 2 and 3 on a CSR snapshot.  Stage L1 computes every
-   node's local Delaunay triangles over its [hops]-hop neighborhood
-   (a full BFS per node beyond one hop — [build_k] is for small
-   instances),
-   fed in ascending id order so degenerate tie-breaks inside the
-   triangulation are the same whatever the tiling.  Stage L2 accepts a
-   triangle from its min-corner's tile exactly when the other two
-   corners also found it and the links fit, so each triangle is
-   decided exactly once; Gabriel edges are filtered from the owner
-   side of each 1-hop row.  Per-tile lists merge by sorting, so the
-   outputs are the same for any tiling and job count. *)
+   node's star in the Delaunay triangulation of its [hops]-hop
+   neighborhood with {!Delaunay.Star}: the ordered link, flat on the
+   rows' offsets (a link is no longer than its row), plus a closed
+   flag.  Stage L2 accepts triangle [(u, a, b)] from its min corner
+   [u] exactly when [a, b] are consecutive in [u]'s link, [b, u] in
+   [a]'s and [u, a] in [b]'s — all three corners found it — and the
+   links fit, so each triangle is decided exactly once; Gabriel edges
+   are filtered from the owner side of each 1-hop row.  Each node's
+   output lands in its own slots, sorted there, and the lists are read
+   off in node order, so the outputs are the same for any tiling and
+   job count. *)
 let build_parts ?pool ?owners ~hops csr points ~radius =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
@@ -258,84 +316,114 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
     | None -> [| Array.init n (fun u -> u) |]
   in
   let ntiles = Array.length owners in
-  (* L1: per-node local triangles, sorted for binary search *)
-  let locals = Array.make n [||] in
-  let local_nodes u =
-    if hops = 1 then C.neighbors csr u
-    else begin
-      (* N_k(u) \ {u}, ascending *)
-      let dist = C.bfs csr u in
-      List.filter (fun v -> v <> u && dist.(v) <= hops) (List.init n Fun.id)
-    end
-  in
-  let l1 u =
-    let nbrs = List.map (fun v -> (v, points.(v))) (local_nodes u) in
-    locals.(u) <-
-      Array.of_list
-        (List.sort_uniq cmp_tri
-           (local_triangles_of_neighborhood ~me:u ~me_pos:points.(u) ~nbrs))
+  let coff = C.offsets csr and ctargets = C.targets csr in
+  let off, nbrs = if hops = 1 then (coff, ctargets) else k_hop_rows csr hops in
+  (* L1: per-node links; a row in ascending id order keeps the
+     fallback's degenerate tie-breaks the same whatever the tiling *)
+  let link = Array.make off.(n) 0 in
+  let len = Array.make n 0 and closed = Array.make n false in
+  let l1 () =
+    let sc = Delaunay.Star.scratch () in
+    fun u ->
+      len.(u) <-
+        Delaunay.Star.link_into sc points ~center:u ~nbrs ~lo:off.(u)
+          ~hi:off.(u + 1) ~link ~closed
   in
   Obs.span "ldel.l1" (fun () ->
       match pool with
       | Some p ->
-        Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> l1))
+        Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n l1)
       | None ->
+        let l1 = l1 () in
         for u = 0 to n - 1 do
           l1 u
         done);
-  (* L2 + Gabriel: per-tile over owned nodes *)
-  let gab_by_tile = Array.make ntiles [] in
-  let acc_by_tile = Array.make ntiles [] in
-  let mk_body () =
-    let gab = ref [] and acc = ref [] in
-    let at u =
-      C.iter_neighbors csr u (fun v ->
-          if v > u then begin
-            (* [Proximity.is_gabriel_edge] off u's CSR row *)
-            let blocked = ref false in
-            C.iter_neighbors csr u (fun w ->
-                if
-                  (not !blocked) && w <> v
-                  && Geometry.Circle.in_diametral points.(u) points.(v)
-                       points.(w)
-                then blocked := true);
-            if not !blocked then gab := (u, v) :: !gab
-          end);
-      Array.iter
-        (fun ((a, b, c) as t) ->
-          if
-            a = u
-            && triangle_fits points ~radius t
-            && mem_tri locals.(b) t
-            && mem_tri locals.(c) t
-          then acc := t :: !acc)
-        locals.(u)
-    in
-    fun t ->
-      gab := [];
-      acc := [];
-      Array.iter at owners.(t);
-      gab_by_tile.(t) <- !gab;
-      acc_by_tile.(t) <- !acc
+  (* [y]'s successor in [x]'s link, or -1 *)
+  let succ x y =
+    let lo = off.(x) and m = len.(x) in
+    let i = ref 0 in
+    while !i < m && link.(lo + !i) <> y do
+      incr i
+    done;
+    if !i + 1 < m then link.(lo + !i + 1)
+    else if !i + 1 = m && closed.(x) then link.(lo)
+    else -1
   in
-  let p_gabriel, p_triangles =
+  (* L2 + Gabriel, per owned node: Gabriel flags per arc, accepted
+     triangles [(u, tb, tc)] sorted in [u]'s slots *)
+  let gab = Array.make (Array.length ctargets) false in
+  let tb = Array.make off.(n) 0 and tc = Array.make off.(n) 0 in
+  let nacc = Array.make n 0 in
+  let at u =
+    for k = coff.(u) to coff.(u + 1) - 1 do
+      let v = ctargets.(k) in
+      if v > u then begin
+        (* [Proximity.is_gabriel_edge] off u's CSR row *)
+        let blocked = ref false in
+        C.iter_neighbors csr u (fun w ->
+            if
+              (not !blocked) && w <> v
+              && Geometry.Circle.in_diametral points.(u) points.(v) points.(w)
+            then blocked := true);
+        if not !blocked then gab.(k) <- true
+      end
+    done;
+    let lo = off.(u) and m = len.(u) in
+    let cnt = ref 0 in
+    for i = 0 to (if closed.(u) then m - 1 else m - 2) do
+      let a = link.(lo + i) and b = link.(lo + ((i + 1) mod m)) in
+      if
+        a > u && b > u
+        && fits points ~radius u a b
+        && succ a b = u
+        && succ b u = a
+      then begin
+        let p = Int.min a b and q = Int.max a b in
+        let j = ref (lo + !cnt) in
+        while !j > lo && (tb.(!j - 1) > p || (tb.(!j - 1) = p && tc.(!j - 1) > q)) do
+          tb.(!j) <- tb.(!j - 1);
+          tc.(!j) <- tc.(!j - 1);
+          decr j
+        done;
+        tb.(!j) <- p;
+        tc.(!j) <- q;
+        incr cnt
+      end
+    done;
+    nacc.(u) <- !cnt
+  in
+  let p_gabriel, tri, p_triangles =
     Obs.span "ldel.l2" (fun () ->
         (match pool with
         | Some p ->
           Obs.quiesced (fun () ->
-              Netgraph.Pool.parallel_for p ~n:ntiles mk_body)
-        | None ->
-          let body = mk_body () in
-          for t = 0 to ntiles - 1 do
-            body t
-          done);
-        let concat_of by_tile = List.concat (Array.to_list by_tile) in
-        ( List.sort G.compare_edge (concat_of gab_by_tile),
-          List.sort cmp_tri (concat_of acc_by_tile) ))
+              Netgraph.Pool.parallel_for p ~n:ntiles (fun () t ->
+                  Array.iter at owners.(t)))
+        | None -> Array.iter (fun o -> Array.iter at o) owners);
+        let gabriel = ref [] in
+        for u = n - 1 downto 0 do
+          for k = coff.(u + 1) - 1 downto coff.(u) do
+            if gab.(k) then gabriel := (u, ctargets.(k)) :: !gabriel
+          done
+        done;
+        let ntri = Array.fold_left ( + ) 0 nacc in
+        let tri = Array.make (3 * ntri) 0 in
+        let triangles = ref [] and t = ref ntri in
+        for u = n - 1 downto 0 do
+          for k = off.(u) + nacc.(u) - 1 downto off.(u) do
+            decr t;
+            tri.(3 * !t) <- u;
+            tri.((3 * !t) + 1) <- tb.(k);
+            tri.((3 * !t) + 2) <- tc.(k);
+            triangles := (u, tb.(k), tc.(k)) :: !triangles
+          done
+        done;
+        (!gabriel, tri, !triangles))
   in
   let p_kept =
     Obs.span "ldel.planarize" (fun () ->
-        planarize_csr ?pool csr points ~radius p_triangles)
+        let removed = planarize ?pool csr points ~radius tri in
+        List.filteri (fun i _ -> not removed.(i)) p_triangles)
   in
   { p_gabriel; p_triangles; p_kept }
 

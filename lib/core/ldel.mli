@@ -16,9 +16,16 @@
 
     {!build_csr} is the centralized construction stage
     ({!Shard.pipeline} runs it per tile); {!build} and {!build_k} are
-    adapters over it.  The reference implementation is {!Protocol},
-    whose message-level rendition must produce identical output
-    (asserted by the integration tests). *)
+    adapters over it.  Each node computes only its own star in
+    [Del(N(u))] with {!Delaunay.Star} (O(d log d), Bowyer–Watson on
+    exact ties), and a triangle is accepted when it is consecutive in
+    all three corners' links.  Accepted triangles that share a corner
+    are triangles of that corner's one local triangulation, so
+    Algorithm 3 skips them before any predicate.  The reference
+    implementation is {!Protocol}, whose message-level rendition
+    (full Bowyer–Watson per node, every box-overlapping pair tested)
+    must produce identical output (asserted by the integration
+    tests). *)
 
 type t = {
   ldel1 : Netgraph.Graph.t;  (** LDel¹: Gabriel edges + triangle edges *)
@@ -44,14 +51,16 @@ type csr_parts = {
     the graph [csr] (edges must join nodes at distance [<= radius];
     nodes with no incident edge are simply isolated — this is how the
     construction runs on the induced backbone ICDS, whose vertex set
-    is only the dominators and connectors): per-node local Delaunay
-    triangles, min-corner-owned acceptance, owner-side Gabriel
+    is only the dominators and connectors): per-node Delaunay stars,
+    min-corner-owned acceptance off the links, owner-side Gabriel
     filtering, and a bucket-grid rendition of Algorithm 3 that only
-    examines triangle pairs whose bounding boxes can overlap.  With
-    [owners] (tile partition of the node ids) and [pool] the stages
-    fan out across the pool's domains; per-tile results merge by
-    deterministic sorts, so the output is bit-identical for any tiling
-    and any job count. *)
+    examines corner-disjoint triangle pairs whose bounding boxes can
+    overlap.  With [owners] (tile partition of the node ids) and
+    [pool] the stages fan out across the pool's domains; every node's
+    results land in its own slots and are read off in node order, so
+    the output is bit-identical for any tiling and any job count.
+    @raise Invalid_argument when two nodes of a neighbourhood
+    coincide. *)
 val build_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->

@@ -626,7 +626,8 @@ let evaluate ~router ~base points ~pairs rng =
   let len_sum = ref 0. and hop_sum = ref 0. and measured = ref 0 in
   let tried = ref 0 in
   let attempts = ref 0 in
-  while !tried < pairs && !attempts < 100 * pairs do
+  (* fewer than two nodes: no pair to draw *)
+  while n >= 2 && !tried < pairs && !attempts < 100 * pairs do
     incr attempts;
     let src = Wireless.Rand.int rng n in
     let dst = Wireless.Rand.int rng n in

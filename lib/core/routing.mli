@@ -162,7 +162,9 @@ type evaluation = {
 }
 
 (** [evaluate ~router ~base points ~pairs rng] samples [pairs] random
-    connected node pairs in [base] and runs [router] on each. *)
+    connected node pairs in [base] and runs [router] on each.  A view
+    with fewer than two nodes has no pair: the result is all zeros and
+    [rng] is not drawn from. *)
 val evaluate :
   router:(src:int -> dst:int -> int list option) ->
   base:Netgraph.View.t ->

@@ -12,7 +12,14 @@
     Degenerate inputs are handled: fewer than three points or an
     entirely collinear set produce no triangles, and {!edges} falls
     back to the Delaunay graph of such inputs (the path along the
-    line, or the single edge). *)
+    line, or the single edge).
+
+    Each insertion scans every live triangle, so a triangulation
+    costs O(n²) [incircle] calls.  When only the triangles at one
+    vertex are needed, {!Star} computes them in O(d log d) and comes
+    here only on exact ties; the LDel stages of the pipeline do that,
+    while the Delaunay-based proximity graphs and the distributed
+    protocol triangulate with this kernel. *)
 
 type t
 

@@ -31,6 +31,12 @@ val incircle : Point.t -> Point.t -> Point.t -> Point.t -> bool
     [d] is inside the circumcircle of the ccw triangle [a b c]. *)
 val incircle_det : Point.t -> Point.t -> Point.t -> Point.t -> float
 
+(** [incircle_sign a b c d] is the exact sign ([-1], [0] or [1]) of
+    [incircle_det a b c d], without normalizing the orientation of
+    [a b c]: a float filter, then expansion arithmetic when the filter
+    is inconclusive.  Counts as one [incircle] call. *)
+val incircle_sign : Point.t -> Point.t -> Point.t -> Point.t -> int
+
 (** [collinear a b c] holds when the three points lie on one line
     (up to the predicate's exact sign computation). *)
 val collinear : Point.t -> Point.t -> Point.t -> bool

@@ -82,6 +82,8 @@ let of_rows ?points ?beta ~offsets ~targets () =
 let node_count t = t.n
 let edge_count t = t.m
 let degree t u = t.offsets.(u + 1) - t.offsets.(u)
+let offsets t = t.offsets
+let targets t = t.targets
 let has_weights t = Array.length t.ew > 0 || Array.length t.targets = 0
 let has_power_weights t = Array.length t.pw > 0 || Array.length t.targets = 0
 

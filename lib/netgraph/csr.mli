@@ -68,6 +68,14 @@ val edge_count : t -> int
 
 val degree : t -> int -> int
 
+(** [offsets t] and [targets t] are the snapshot's own row arrays,
+    shared, not copied: row [u] is [targets.(offsets.(u)) ..
+    targets.(offsets.(u+1) - 1)], ascending.  For kernels that lay
+    per-arc data out on the rows; callers must not mutate them. *)
+val offsets : t -> int array
+
+val targets : t -> int array
+
 (** Whether Euclidean / power weights were precomputed.  A snapshot
     with no arcs has nothing to weigh and counts as weighted. *)
 val has_weights : t -> bool

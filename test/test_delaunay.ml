@@ -524,6 +524,116 @@ let test_oracle_fixed_cases () =
       Array.init 16 (fun i -> p (float_of_int (i mod 4)) (float_of_int (i / 4)));
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The star kernel against the flat kernel's triangles at one vertex   *)
+(* ------------------------------------------------------------------ *)
+
+module Star = Delaunay.Star
+
+(* [c]'s link over every other point, ascending, and its closed flag *)
+let star pts c =
+  let n = Array.length pts in
+  let nbrs = Array.init (n - 1) (fun i -> if i < c then i else i + 1) in
+  let link = Array.make (n - 1) 0 and closed = Array.make n false in
+  let m =
+    Star.link_into (Star.scratch ()) pts ~center:c ~nbrs ~lo:0 ~hi:(n - 1)
+      ~link ~closed
+  in
+  (Array.sub link 0 m, closed.(c))
+
+(* The triangles at [c], each as the counter-clockwise pair (a, b) of
+   triangle (c, a, b), sorted: from the star's link, and from
+   [triangulate] over [c] followed by the other points in index order
+   (the local array the star falls back to), mapped back to ids.  With
+   fewer than two other points neither triangulates: the LDel stages
+   never did. *)
+let star_pairs pts c =
+  match star pts c with
+  | exception Invalid_argument msg -> Error msg
+  | link, closed ->
+    let m = Array.length link in
+    let last = if closed then m - 1 else m - 2 in
+    Ok
+      (List.sort compare
+         (List.init (max 0 (last + 1)) (fun i -> (link.(i), link.((i + 1) mod m)))))
+
+let flat_pairs pts c =
+  let n = Array.length pts in
+  let id i = if i - 1 < c then i - 1 else i in
+  let local =
+    Array.init n (fun i -> if i = 0 then pts.(c) else pts.(id i))
+  in
+  if n < 3 then Ok []
+  else
+    match DT.triangulate local with
+    | exception Invalid_argument msg -> Error msg
+    | t ->
+      Ok
+        (List.sort compare
+           (List.map (fun (_, x, y) -> (id x, id y)) (DT.triangles_of_vertex t 0)))
+
+let gen_centred =
+  let open QCheck.Gen in
+  gen_points >>= fun (name, pts) ->
+  int_bound (max 0 (Array.length pts - 1)) >|= fun c -> (name, pts, c)
+
+let prop_star_matches_flat =
+  QCheck.Test.make ~name:"star (with fallback) = flat kernel's triangles_of_vertex"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (name, pts, c) ->
+         Printf.sprintf "centre %d of %s" c (print_points (name, pts)))
+       gen_centred)
+    (fun (_, pts, c) ->
+      Array.length pts = 0 || star_pairs pts c = flat_pairs pts c)
+
+let star_counts f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f;
+  let s = Obs.Snapshot.capture () in
+  Obs.reset ();
+  let v k = try List.assoc k s.Obs.Snapshot.counters with Not_found -> 0 in
+  (v "delaunay.star", v "delaunay.star_fallbacks")
+
+let test_star_random_no_fallback () =
+  (* general position: every centre runs the scan, none falls back *)
+  let rng = Wireless.Rand.create 4242L in
+  let pts =
+    Array.init 80 (fun _ ->
+        p (Wireless.Rand.float rng 100.) (Wireless.Rand.float rng 100.))
+  in
+  let stars, fallbacks =
+    star_counts (fun () ->
+        for c = 0 to 79 do
+          check "star = flat" true (star_pairs pts c = flat_pairs pts c)
+        done)
+  in
+  checki "stars" 80 stars;
+  checki "no fallback" 0 fallbacks
+
+let test_star_ties_fall_back () =
+  (* each exact tie sends the node to the flat kernel *)
+  List.iter
+    (fun (name, pts) ->
+      let _, fallbacks =
+        star_counts (fun () ->
+            check name true (star_pairs pts 0 = flat_pairs pts 0))
+      in
+      checki name 1 fallbacks)
+    [
+      ("same ray", [| p 0. 0.; p 1. 0.; p 2. 0.; p 0. 1.; p (-1.) (-1.) |]);
+      ("opposite rays", [| p 0. 0.; p 1. 0.; p (-1.) 0.; p 0. 1. |]);
+      ("co-circular", [| p 0. 0.; p 1. 1.; p (-1.) 1.; p 1. (-1.); p (-1.) (-1.) |]);
+      ("duplicate neighbour", [| p 0. 0.; p 1. 0.; p 1. 0.; p 0. 1.; p (-1.) (-1.) |]);
+      ("duplicate centre", [| p 0. 0.; p (-0.) 0.; p 1. 1. |]);
+    ];
+  (* a star with one neighbour has no triangle and is not examined,
+     even when the neighbour coincides with the centre *)
+  check "one neighbour" true (star [| p 0. 0.; p 1. 0. |] 0 = ([||], false));
+  check "one coincident neighbour" true
+    (star [| p 0. 0.; p (-0.) 0. |] 0 = ([||], false))
+
 let suites =
   [
     ( "delaunay",
@@ -550,5 +660,10 @@ let suites =
         Alcotest.test_case "oracle: pinned corner cases" `Quick
           test_oracle_fixed_cases;
         QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
+        Alcotest.test_case "star: general position, no fallback" `Quick
+          test_star_random_no_fallback;
+        Alcotest.test_case "star: exact ties fall back" `Quick
+          test_star_ties_fall_back;
+        QCheck_alcotest.to_alcotest prop_star_matches_flat;
       ] );
   ]

@@ -271,7 +271,15 @@ let test_degenerate_inputs () =
   check "path kept" true
     (G.has_edge l.Core.Ldel.planar 0 1
     && G.has_edge l.Core.Ldel.planar 1 2
-    && G.has_edge l.Core.Ldel.planar 2 3)
+    && G.has_edge l.Core.Ldel.planar 2 3);
+  (* two coincident nodes that only hear each other: one Gabriel edge;
+     no neighbourhood has two neighbours to triangulate, so the
+     duplicate is not an error *)
+  let pts = [| P.make 0. 0.; P.make 0. 0.; P.make 100. 100. |] in
+  let udg = Wireless.Udg.build pts ~radius:1. in
+  let l = Core.Ldel.build udg pts ~radius:1. in
+  check "coincident pair: Gabriel edge" true
+    (l.Core.Ldel.gabriel_edges = [ (0, 1) ] && l.Core.Ldel.triangles = [])
 
 let test_dense_equals_udel_plus () =
   (* when the radius covers the whole deployment, every node sees
@@ -291,6 +299,235 @@ let test_dense_equals_udel_plus () =
   check "planarization removes nothing" true
     (List.length l.Core.Ldel.kept_triangles
     = List.length l.Core.Ldel.triangles)
+
+(* ------------------------------------------------------------------ *)
+(* Algorithm 3 against the planarization it replaced                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The bucket-grid planarization as it stood before the shared-corner
+   shortcut and the bucket-ordered arrays: every box-overlapping,
+   mutually visible pair goes through [triangles_intersect]. *)
+let oracle_planarize ?pool csr points ~radius tris_list =
+  let module C = Netgraph.Csr in
+  let module L = Core.Ldel in
+  let tris = Array.of_list tris_list in
+  let m = Array.length tris in
+  if m = 0 then []
+  else begin
+    let boxes = Array.map (L.triangle_bbox points) tris in
+    let sees x a b c =
+      x = a || x = b || x = c || C.mem_edge csr x a || C.mem_edge csr x b
+      || C.mem_edge csr x c
+    in
+    let mutually_visible_csr (a1, b1, c1) (a2, b2, c2) =
+      sees a1 a2 b2 c2 || sees b1 a2 b2 c2 || sees c1 a2 b2 c2
+    in
+    let grid =
+      Wireless.Cellgrid.create ~max_cells:((4 * m) + 64) ~cell_size:radius
+        (Array.map
+           (fun (b : Geometry.Bbox.t) -> { Geometry.Point.x = b.xmin; y = b.ymin })
+           boxes)
+    in
+    let nx = grid.Wireless.Cellgrid.nx and ny = grid.Wireless.Cellgrid.ny in
+    let start = grid.Wireless.Cellgrid.start in
+    let order = grid.Wireless.Cellgrid.order in
+    let removed = Array.make m false in
+    let process i =
+      let bi = boxes.(i) in
+      let k = grid.Wireless.Cellgrid.cell_ix.(i) in
+      let cx = k mod nx and cy = k / nx in
+      let x_lo = if cx > 0 then cx - 1 else 0 in
+      let x_hi = if cx < nx - 1 then cx + 1 else cx in
+      for y = (if cy > 0 then cy - 1 else 0) to
+              if cy < ny - 1 then cy + 1 else cy do
+        let r = y * nx in
+        for idx = start.(r + x_lo) to start.(r + x_hi + 1) - 1 do
+          let j = order.(idx) in
+          if
+            j > i
+            && Geometry.Bbox.overlaps bi boxes.(j)
+            && mutually_visible_csr tris.(i) tris.(j)
+            && L.triangles_intersect points tris.(i) tris.(j)
+          then begin
+            if L.circumcircle_contains_corner points tris.(i) tris.(j) then
+              removed.(i) <- true;
+            if L.circumcircle_contains_corner points tris.(j) tris.(i) then
+              removed.(j) <- true
+          end
+        done
+      done
+    in
+    (match pool with
+    | Some p ->
+      Obs.quiesced (fun () ->
+          Netgraph.Pool.parallel_for p ~n:m (fun () -> process))
+    | None ->
+      for i = 0 to m - 1 do
+        process i
+      done);
+    let kept = ref [] in
+    for i = m - 1 downto 0 do
+      if not removed.(i) then kept := tris.(i) :: !kept
+    done;
+    !kept
+  end
+
+(* A uniform deployment's UDG with each edge dropped with probability
+   [drop]: partial visibility makes LDel¹ triangles cross, so
+   Algorithm 3 has something to remove. *)
+let thinned_instance seed n radius drop =
+  let rng = Wireless.Rand.create seed in
+  let pts = Wireless.Deploy.uniform rng ~n ~side:100. in
+  let udg = Wireless.Udg.build pts ~radius in
+  let g = G.create n in
+  G.iter_edges udg (fun u v ->
+      if Wireless.Rand.float rng 1. >= drop then G.add_edge g u v);
+  (pts, g)
+
+let gen_instance =
+  QCheck.Gen.(
+    quad (int_range 0 100_000) (int_range 20 150) (float_range 10. 50.)
+      (oneofl [ 0.; 0.2; 0.4 ]))
+
+let print_instance (seed, n, radius, drop) =
+  Printf.sprintf "seed %d, n %d, radius %h, drop %g" seed n radius drop
+
+let prop_planarize_matches_oracle =
+  QCheck.Test.make ~name:"Algorithm 3 = pre-shortcut planarization" ~count:150
+    (QCheck.make ~print:print_instance gen_instance)
+    (fun (seed, n, radius, drop) ->
+      let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
+      let csr = Netgraph.Csr.of_graph g in
+      let parts = Core.Ldel.build_csr csr pts ~radius in
+      parts.Core.Ldel.p_kept
+      = oracle_planarize csr pts ~radius parts.Core.Ldel.p_triangles)
+
+let test_planarize_removes_like_oracle () =
+  (* instances where Algorithm 3 does remove triangles, serial and on
+     a pool with several tiles *)
+  let removals = ref 0 in
+  Netgraph.Pool.with_pool ~jobs:2 (fun pool ->
+      for seed = 1 to 40 do
+        let pts, g = thinned_instance (Int64.of_int seed) 120 30. 0.3 in
+        let csr = Netgraph.Csr.of_graph g in
+        let want =
+          let parts = Core.Ldel.build_csr csr pts ~radius:30. in
+          oracle_planarize csr pts ~radius:30. parts.Core.Ldel.p_triangles
+        in
+        let owners = Core.Shard.tiling ~tiles:3 pts ~radius:30. in
+        let serial = Core.Ldel.build_csr csr pts ~radius:30. in
+        let pooled = Core.Ldel.build_csr ~pool ~owners csr pts ~radius:30. in
+        check "serial = oracle" true (serial.Core.Ldel.p_kept = want);
+        check "pooled = serial" true (pooled = serial);
+        removals :=
+          !removals
+          + List.length serial.Core.Ldel.p_triangles
+          - List.length serial.Core.Ldel.p_kept
+      done);
+  check "some triangles removed" true (!removals > 0)
+
+(* The shortcut's lemma: accepted triangles that share a corner are
+   triangles of that corner's one local triangulation, so they never
+   intersect. *)
+let prop_shared_corner_disjoint =
+  QCheck.Test.make ~name:"corner-sharing accepted triangles never intersect"
+    ~count:100
+    (QCheck.make ~print:print_instance gen_instance)
+    (fun (seed, n, radius, drop) ->
+      let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
+      let tris =
+        Array.of_list (Core.Ldel.build g pts ~radius).Core.Ldel.triangles
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun i ((a1, b1, c1) as t1) ->
+          for j = i + 1 to Array.length tris - 1 do
+            let ((a2, b2, c2) as t2) = tris.(j) in
+            let mem v = v = a2 || v = b2 || v = c2 in
+            if
+              (mem a1 || mem b1 || mem c1)
+              && Core.Ldel.triangles_intersect pts t1 t2
+            then ok := false
+          done)
+        tris;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
+(* A PLDel crossing that Algorithm 3 cannot see                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Six nodes at R = 0.92101761919298597 where PLDel of the UDG is not
+   planar: the Gabriel edge 1-5 properly crosses edges 2-3 and 0-3 of
+   the accepted triangle (0, 2, 3).  Node 1 lies inside that
+   triangle's circumcircle but neighbours none of its corners, and
+   Algorithm 3 only compares triangle pairs.  A known defect (see
+   ROADMAP item 3); the checks below pin the instance and what must
+   hold on it meanwhile. *)
+let crossing_fixture =
+  [|
+    P.make 1.2094609916366623 0.097412031229010321;
+    P.make 0.24804720534724464 0.16414256121981685;
+    P.make 1.1901106823630705 0.15803412673988804;
+    P.make 0.88746146707346318 0.88671174912661221;
+    P.make 0.01834968308124927 0.57801827887892065;
+    P.make 1.0941303098594934 0.43992861250037241;
+  |]
+
+let crossing_radius = 0.92101761919298597
+
+let sorted_triples l =
+  List.sort compare
+    (List.map
+       (fun (a, b, c) ->
+         match List.sort compare [ a; b; c ] with
+         | [ a; b; c ] -> (a, b, c)
+         | _ -> assert false)
+       l)
+
+let test_crossing_fixture () =
+  let pts = crossing_fixture and radius = crossing_radius in
+  let udg = Wireless.Udg.build pts ~radius in
+  let l = Core.Ldel.build udg pts ~radius in
+  check "1-5 is Gabriel" true (List.mem (1, 5) l.Core.Ldel.gabriel_edges);
+  check "(0,2,3) kept" true (List.mem (0, 2, 3) l.Core.Ldel.kept_triangles);
+  let crosses (p, q) (r, s) =
+    Geometry.Segment.properly_intersect
+      (Geometry.Segment.make pts.(p) pts.(q))
+      (Geometry.Segment.make pts.(r) pts.(s))
+  in
+  check "1-5 crosses 2-3" true (crosses (1, 5) (2, 3));
+  check "1-5 crosses 0-3" true (crosses (1, 5) (0, 3));
+  check "PLDel(UDG) not planar here" false
+    (Netgraph.Planarity.is_planar l.Core.Ldel.planar pts);
+  (* the star kernel agrees with Bowyer–Watson at every node *)
+  let csr = Netgraph.Csr.of_graph udg in
+  let nbrs = Netgraph.Csr.targets csr and off = Netgraph.Csr.offsets csr in
+  let link = Array.make (Array.length nbrs) 0 and closed = Array.make 6 false in
+  let sc = Delaunay.Star.scratch () in
+  for u = 0 to 5 do
+    let lo = off.(u) in
+    let m =
+      Delaunay.Star.link_into sc pts ~center:u ~nbrs ~lo ~hi:off.(u + 1) ~link
+        ~closed
+    in
+    let last = if closed.(u) then m - 1 else m - 2 in
+    let star =
+      List.init (max 0 (last + 1)) (fun i ->
+          (u, link.(lo + i), link.(lo + ((i + 1) mod m))))
+    in
+    check "star = Bowyer–Watson" true
+      (sorted_triples star
+      = sorted_triples (Core.Ldel.local_delaunay_triangles udg pts u))
+  done;
+  (* and the protocol still equals the centralized build *)
+  let bb = Core.Backbone.build pts ~radius in
+  let pr = Core.Protocol.run pts ~radius in
+  let ldel = bb.Core.Backbone.ldel_icds in
+  check "triangles" true (pr.Core.Protocol.ldel_triangles = ldel.Core.Ldel.triangles);
+  check "kept" true (pr.Core.Protocol.kept_triangles = ldel.Core.Ldel.kept_triangles);
+  check "gabriel" true (pr.Core.Protocol.gabriel_edges = ldel.Core.Ldel.gabriel_edges);
+  check "graphs" true
+    (G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
 
 let suites =
   [
@@ -317,5 +554,11 @@ let suites =
         Alcotest.test_case "degenerate inputs" `Quick test_degenerate_inputs;
         Alcotest.test_case "full visibility = Delaunay" `Quick
           test_dense_equals_udel_plus;
+        QCheck_alcotest.to_alcotest prop_planarize_matches_oracle;
+        Alcotest.test_case "Algorithm 3 removals = oracle" `Quick
+          test_planarize_removes_like_oracle;
+        QCheck_alcotest.to_alcotest prop_shared_corner_disjoint;
+        Alcotest.test_case "PLDel crossing fixture" `Quick
+          test_crossing_fixture;
       ] );
   ]

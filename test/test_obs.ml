@@ -134,7 +134,7 @@ let test_backbone_counters_deterministic () =
   check "two identical builds, identical counters" true (c1 = c2);
   let v name = List.assoc name c1 in
   check "predicates counted" true (v "predicates.incircle" > 0);
-  check "insertions counted" true (v "delaunay.insertions" > 0);
+  check "stars counted" true (v "delaunay.star" > 0);
   check "grid queried once per node" true (v "grid.queries" = 60);
   check "fallbacks never exceed calls" true
     (v "predicates.orient2d.exact" <= v "predicates.orient2d"
@@ -444,7 +444,7 @@ let test_config_sink () =
   | Some snap ->
     let v name = List.assoc name snap.Obs.Snapshot.counters in
     check "counters flowed through the sink" true
-      (v "predicates.incircle" > 0 && v "delaunay.insertions" > 0);
+      (v "predicates.incircle" > 0 && v "delaunay.star" > 0);
     check "stage spans reported" true
       (List.exists
          (fun s -> s.Obs.Snapshot.path = "backbone/shard/shard.mis")

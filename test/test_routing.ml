@@ -213,6 +213,27 @@ let test_evaluate () =
     (ev.Core.Routing.avg_length_stretch >= 1.
     && ev.Core.Routing.avg_length_stretch < 10.)
 
+let test_evaluate_tiny () =
+  (* no pair to draw: zero evaluation, not a [Rand.int] bound error *)
+  let zero =
+    {
+      R.pairs = 0;
+      delivered = 0;
+      avg_length_stretch = 0.;
+      avg_hop_stretch = 0.;
+    }
+  in
+  List.iter
+    (fun (name, pts) ->
+      let g = G.create (Array.length pts) in
+      let ev =
+        R.evaluate
+          ~router:(fun ~src ~dst:_ -> Some [ src ])
+          ~base:(V.of_graph g) pts ~pairs:3 (Wireless.Rand.create 1L)
+      in
+      check name true (ev = zero))
+    [ ("empty view", [||]); ("one node", [| P.make 0. 0. |]) ]
+
 (* Uniform endpoint contract across all five routers and the
    hierarchical one: src = dst is the trivial delivery [Some [src]],
    any out-of-range node id is a clean [None]. *)
@@ -345,6 +366,7 @@ let suites =
         Alcotest.test_case "variants delivery rates" `Quick
           test_variants_delivery_rates;
         Alcotest.test_case "evaluate" `Quick test_evaluate;
+        Alcotest.test_case "evaluate on n < 2" `Quick test_evaluate_tiny;
         Alcotest.test_case "endpoint contract (src=dst, out of range)" `Quick
           test_endpoint_contract;
         QCheck_alcotest.to_alcotest prop_representation_independent;
