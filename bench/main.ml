@@ -687,6 +687,7 @@ let pp_mismatches file threshold (mismatches : Obs.Snapshot.mismatch list) =
     (fun (m : Obs.Snapshot.mismatch) ->
       let delta =
         if Float.is_nan m.Obs.Snapshot.m_actual then "missing"
+        else if Float.is_nan m.Obs.Snapshot.m_expected then "unrecorded"
         else begin
           let d = m.Obs.Snapshot.m_actual -. m.Obs.Snapshot.m_expected in
           if m.Obs.Snapshot.m_expected <> 0. then

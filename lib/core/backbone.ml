@@ -87,7 +87,7 @@ let thaw ~jobs (snap : Shard.snapshot) =
     cds =
       {
         Cds.roles = snap.Shard.roles;
-        connectors = snap.Shard.connectors;
+        connectors = Connectors.to_result snap.Shard.connectors;
         backbone = snap.Shard.backbone;
         cds = g snap.Shard.cds;
         cds' = g snap.Shard.cds';

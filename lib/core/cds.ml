@@ -10,7 +10,7 @@ type t = {
   icds' : G.t;
 }
 
-let build udg roles connectors =
+let build udg roles (connectors : Connectors.result) =
   let n = G.node_count udg in
   let backbone =
     Array.init n (fun u ->

@@ -7,6 +7,13 @@ type result = {
   three_hop_pairs : (int * int) list;
 }
 
+type t = {
+  connector : bool array;
+  cds : Netgraph.Csr.t;
+  two_hop : int array;
+  three_hop : int array;
+}
+
 let candidates_two_hop g roles u v =
   List.filter
     (fun w -> roles.(w) = Mis.Dominatee && G.has_edge g w v)
@@ -24,6 +31,85 @@ let elect g candidates = elect_by (G.has_edge g) candidates
 
 let ordered_edge u v = (min u v, max u v)
 
+(* (u, v) pairs packed two ints each, [u] ascending then [v] *)
+let unpack pairs =
+  List.init (Array.length pairs / 2) (fun i ->
+      (pairs.(2 * i), pairs.((2 * i) + 1)))
+
+let to_result t =
+  {
+    connector = t.connector;
+    cds_edges = Netgraph.Csr.edges t.cds;
+    two_hop_pairs = unpack t.two_hop;
+    three_hop_pairs = unpack t.three_hop;
+  }
+
+(* A growable int buffer; each worker domain keeps a few for its whole
+   fan-out, so the elections allocate only when one outgrows them. *)
+type buf = { mutable a : int array; mutable len : int }
+
+let buf () = { a = Array.make 64 0; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.a then begin
+    let a = Array.make (2 * b.len) 0 in
+    Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* insertion sort of a.(lo .. hi-1): a dominator's targets are few *)
+let sort_slice a lo hi =
+  for k = lo + 1 to hi - 1 do
+    let x = a.(k) in
+    let j = ref (k - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* The dominator index: row u of the result is the Dominator-filtered
+   UDG row of u, ascending, as offsets and targets.  Count, prefix
+   sum, fill — each row writes only its own slots, so the passes fan
+   out over the pool like [Csr.filter]'s. *)
+let dominator_index ?pool csr roles =
+  let module C = Netgraph.Csr in
+  let n = C.node_count csr in
+  let off = C.offsets csr and adj = C.targets csr in
+  let each body =
+    match pool with
+    | Some p ->
+      Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> body))
+    | None ->
+      for u = 0 to n - 1 do
+        body u
+      done
+  in
+  let dom_off = Array.make (n + 1) 0 in
+  each (fun u ->
+      let c = ref 0 in
+      for k = off.(u) to off.(u + 1) - 1 do
+        if roles.(adj.(k)) = Mis.Dominator then incr c
+      done;
+      dom_off.(u + 1) <- !c);
+  for u = 0 to n - 1 do
+    dom_off.(u + 1) <- dom_off.(u) + dom_off.(u + 1)
+  done;
+  let dom_adj = Array.make dom_off.(n) 0 in
+  each (fun u ->
+      let i = ref dom_off.(u) in
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = adj.(k) in
+        if roles.(v) = Mis.Dominator then begin
+          dom_adj.(!i) <- v;
+          incr i
+        end
+      done);
+  (dom_off, dom_adj)
+
 (* Algorithm 1 on a CSR snapshot.  Every election uses only
    information a candidate hears from its 1-hop neighbors, so the
    distributed protocol in [Protocol] reproduces the result
@@ -40,172 +126,221 @@ let ordered_edge u v = (min u v, max u v)
    dominatees of v that hear an elected first connector are candidate
    SECOND connectors; local minima win.
 
-   Every step only ever asks which dominators a node hears, so the
-   elections read a dominator index built once up front: row w of
-   [dom_adj] is the Dominator-filtered CSR row of w, ascending.  Its
-   rows average a few entries where the UDG rows average tens, and
-   "is v, a dominator, adjacent to w" becomes a scan of w's row.
+   The scans only ever ask which dominators a node hears, so they
+   read a dominator index built once up front ([dom_off], [dom_adj]),
+   whose rows average a few entries where the UDG rows average tens.
 
    Every pair election is 2-local around the smaller (two-hop stage)
-   or first (three-hop stage) dominator of the pair, so each pair is
-   processed exactly once, entirely from its owner's tile: candidate
-   sets, gates and elections read only the immutable snapshot, the
-   index and the role array.  Per-tile accumulators are merged by a
-   final sort ([sort_uniq] dedups edges installed by several pairs),
-   and [connector] writes race only on the identical value [true], so
-   the result is the same for any tiling and any job count. *)
-let find_csr ?pool ?owners csr roles =
+   or first (three-hop stage) dominator u of the pair, so each pair is
+   processed exactly once, entirely from u's tile, reading only the
+   immutable snapshot, the index and the role array.  The kernel is
+   flat: each worker domain owns growable int buffers and stamp
+   arrays, the candidates of each target v are a chain of cells
+   ([head.(v)], then [cell] pairs of candidate and next cell), and the
+   winners go straight into the output:
+   - an installed edge sets its two arcs in [installed], a byte per
+     UDG arc; racing writes only ever store the same byte, like the
+     [connector] flags, and the CDS is the row filter of the UDG to
+     the marked arcs — sorted, deduplicated and sealed in one pass;
+   - a pair (u, v) is owned by u: u's targets, sorted, go into its
+     tile's buffer and their number into [count.(u)], and a prefix
+     sum over the counts places every owner's run in the packed,
+     lexicographic pair array.
+   So the result is the same for any tiling and any job count. *)
+let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
-  let owners =
-    match owners with
-    | Some o -> o
-    | None -> [| Array.init n (fun u -> u) |]
-  in
   let ntiles = Array.length owners in
+  let off = C.offsets csr and adj = C.targets csr in
   let connector = Array.make n false in
-  let edges_by_tile = Array.make ntiles [] in
-  let two_by_tile = Array.make ntiles [] in
-  let three_by_tile = Array.make ntiles [] in
-  let elect_csr = elect_by (C.mem_edge csr) in
-  (* the dominator index: row u is dom_adj.(dom_off.(u)) ..
-     dom_adj.(dom_off.(u + 1) - 1) *)
-  let dom_off = Array.make (n + 1) 0 in
-  let count_dom k v = if roles.(v) = Mis.Dominator then k + 1 else k in
-  for u = 0 to n - 1 do
-    dom_off.(u + 1) <- C.fold_neighbors csr u count_dom dom_off.(u)
-  done;
-  let dom_adj = Array.make dom_off.(n) 0 in
-  let fill k v =
-    if roles.(v) = Mis.Dominator then begin
-      dom_adj.(k) <- v;
-      k + 1
-    end
-    else k
-  in
-  for u = 0 to n - 1 do
-    ignore (C.fold_neighbors csr u fill dom_off.(u))
-  done;
-  (* [v] in [w]'s (ascending) dominator row *)
-  let hears_dom w v =
-    let i = ref dom_off.(w) and stop = dom_off.(w + 1) in
-    while !i < stop && dom_adj.(!i) < v do
-      incr i
+  let installed = Bytes.make (Array.length adj) '\000' in
+  let two_count = Array.make n 0 and three_count = Array.make n 0 in
+  let two_by_tile = Array.make ntiles [||] in
+  let three_by_tile = Array.make ntiles [||] in
+  (* position of [b] in [a]'s row, or -1 *)
+  let arc a b =
+    let lo = ref off.(a) and hi = ref (off.(a + 1) - 1) and k = ref (-1) in
+    while !k < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = adj.(mid) in
+      if x = b then k := mid else if x < b then lo := mid + 1 else hi := mid - 1
     done;
-    !i < stop && dom_adj.(!i) = v
+    !k
   in
-  (* dominatees adjacent to both u and v (v a dominator) — off u's
-     CSR row, ascending *)
-  let common_dominatees u v =
-    List.rev
-      (C.fold_neighbors csr u
-         (fun acc w ->
-           if roles.(w) = Mis.Dominatee && hears_dom w v then w :: acc
-           else acc)
-         [])
+  let install a b =
+    Bytes.set installed (arc a b) '\001';
+    Bytes.set installed (arc b a) '\001'
   in
   let mk_body () =
-    (* stamped scratch, one set per worker domain: [mark] stamps every
-       dominator that shares a dominatee with u, [seen] dedups two-hop
-       dominators per w, and [cands] holds the first-connector
-       candidates per target v while u is processed *)
-    let mark = Array.make n (-1) and mstamp = ref 0 in
-    let seen = Array.make n (-1) and sstamp = ref 0 in
-    let cands = Array.make n [] in
-    let edges = ref [] and two = ref [] and three = ref [] in
+    (* one stamp array, stamps strictly increasing: the two-hop scan
+       stamps u's two-hop dominators with [s], the three-hop scan each
+       dominator it meets with the current first candidate's stamp
+       (never one stamped [s]), and the second-candidate gather each
+       dominatee it takes *)
+    let mark = Array.make n (-1) and stamp = ref 0 in
+    let head = Array.make n (-1) and cell = buf () in
+    let targets = buf () and cands = buf () in
+    let first = buf () and second = buf () in
+    let two = buf () and three = buf () in
+    let chain v w =
+      push cell w;
+      push cell head.(v);
+      head.(v) <- cell.len - 2
+    in
+    (* v's candidates into [cands], emptying v's chain *)
+    let take v =
+      cands.len <- 0;
+      let c = ref head.(v) in
+      while !c >= 0 do
+        push cands cell.a.(!c);
+        c := cell.a.(!c + 1)
+      done;
+      head.(v) <- -1
+    in
+    (* the local-minimum rule over [cands] into [out] *)
+    let elect_into out =
+      out.len <- 0;
+      for i = 0 to cands.len - 1 do
+        let w = cands.a.(i) in
+        let wins = ref true and j = ref 0 in
+        while !wins && !j < cands.len do
+          let x = cands.a.(!j) in
+          if x < w && arc w x >= 0 then wins := false;
+          incr j
+        done;
+        if !wins then push out w
+      done
+    in
+    (* u's targets, sorted, appended to the tile's pair buffer *)
+    let own_targets pairs =
+      sort_slice targets.a 0 targets.len;
+      for i = 0 to targets.len - 1 do
+        push pairs targets.a.(i)
+      done
+    in
     (* steps 3-4 for the unordered pairs (u, v), owned by u = min.
        Stamps every dominator two hops from u through a dominatee
        (u itself included) and returns the stamp. *)
     let two_hop_at u =
-      incr mstamp;
-      let s = !mstamp in
-      C.iter_neighbors csr u (fun w ->
-          if roles.(w) = Mis.Dominatee then
-            for i = dom_off.(w) to dom_off.(w + 1) - 1 do
-              let v = dom_adj.(i) in
-              if mark.(v) <> s then begin
-                mark.(v) <- s;
-                if v > u then begin
-                  two := (u, v) :: !two;
-                  List.iter
-                    (fun w' ->
-                      connector.(w') <- true;
-                      edges := ordered_edge u w' :: ordered_edge w' v :: !edges)
-                    (elect_csr (common_dominatees u v))
-                end
-              end
-            done);
+      incr stamp;
+      let s = !stamp in
+      targets.len <- 0;
+      cell.len <- 0;
+      for k = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(k) in
+        if roles.(w) = Mis.Dominatee then
+          for i = dom_off.(w) to dom_off.(w + 1) - 1 do
+            let v = dom_adj.(i) in
+            if mark.(v) <> s then begin
+              mark.(v) <- s;
+              if v > u then push targets v
+            end;
+            if v > u then chain v w
+          done
+      done;
+      own_targets two;
+      two_count.(u) <- targets.len;
+      for i = 0 to targets.len - 1 do
+        let v = targets.a.(i) in
+        take v;
+        elect_into first;
+        for j = 0 to first.len - 1 do
+          let w = first.a.(j) in
+          connector.(w) <- true;
+          install u w;
+          install w v
+        done
+      done;
       s
     in
     (* steps 5-8 for ordered pairs (u, v), owned by u.  A target v
        must not share a dominatee with u: [mark.(v) <> s].  That gate
        also rules out v = u and every v adjacent to w (each is
        stamped through w), so it stands for the paper's "v not a
-       neighbor of w" test too. *)
+       neighbor of w" test too.  A second candidate is in the rows of
+       both a first connector w and v, so a merge of the two sorted
+       rows finds them. *)
     let three_hop_at u s =
-      let targets = ref [] in
-      C.iter_neighbors csr u (fun w ->
-          if roles.(w) = Mis.Dominatee then begin
-            incr sstamp;
-            let ss = !sstamp in
-            C.iter_neighbors csr w (fun y ->
-                for i = dom_off.(y) to dom_off.(y + 1) - 1 do
-                  let v = dom_adj.(i) in
-                  if mark.(v) <> s && seen.(v) <> ss then begin
-                    seen.(v) <- ss;
-                    (match cands.(v) with
-                    | [] -> targets := v :: !targets
-                    | _ :: _ -> ());
-                    cands.(v) <- w :: cands.(v)
-                  end
-                done)
-          end);
-      List.iter
-        (fun v ->
-          three := (u, v) :: !three;
-          let first = elect_csr cands.(v) in
-          cands.(v) <- [];
-          let second_cands =
-            List.sort_uniq Int.compare
-              (List.concat_map
-                 (fun w ->
-                   C.fold_neighbors csr w
-                     (fun acc x ->
-                       if
-                         roles.(x) = Mis.Dominatee && hears_dom x v && x <> w
-                       then x :: acc
-                       else acc)
-                     [])
-                 first)
-          in
-          let second = elect_csr second_cands in
-          List.iter
-            (fun w ->
-              connector.(w) <- true;
-              edges := ordered_edge u w :: !edges)
-            first;
-          List.iter
-            (fun x ->
-              connector.(x) <- true;
-              edges := ordered_edge x v :: !edges;
-              List.iter
-                (fun w ->
-                  if C.mem_edge csr w x then edges := ordered_edge w x :: !edges)
-                first)
-            second)
-        (List.sort Int.compare !targets)
+      targets.len <- 0;
+      cell.len <- 0;
+      for k = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(k) in
+        if roles.(w) = Mis.Dominatee then begin
+          incr stamp;
+          let ss = !stamp in
+          for k' = off.(w) to off.(w + 1) - 1 do
+            let y = adj.(k') in
+            for i = dom_off.(y) to dom_off.(y + 1) - 1 do
+              let v = dom_adj.(i) in
+              let m = mark.(v) in
+              if m <> s && m <> ss then begin
+                mark.(v) <- ss;
+                if head.(v) < 0 then push targets v;
+                chain v w
+              end
+            done
+          done
+        end
+      done;
+      own_targets three;
+      three_count.(u) <- targets.len;
+      for i = 0 to targets.len - 1 do
+        let v = targets.a.(i) in
+        take v;
+        elect_into first;
+        (* second candidates: dominatees of v next to a first
+           connector, each once *)
+        incr stamp;
+        let ss = !stamp in
+        cands.len <- 0;
+        for j = 0 to first.len - 1 do
+          let w = first.a.(j) in
+          let k = ref off.(w) and stop = off.(w + 1) in
+          let l = ref off.(v) and lstop = off.(v + 1) in
+          while !k < stop && !l < lstop do
+            let x = adj.(!k) and y = adj.(!l) in
+            if x < y then incr k
+            else if y < x then incr l
+            else begin
+              if mark.(x) <> ss && roles.(x) = Mis.Dominatee then begin
+                mark.(x) <- ss;
+                push cands x
+              end;
+              incr k;
+              incr l
+            end
+          done
+        done;
+        elect_into second;
+        for j = 0 to first.len - 1 do
+          let w = first.a.(j) in
+          connector.(w) <- true;
+          install u w
+        done;
+        for j = 0 to second.len - 1 do
+          let x = second.a.(j) in
+          connector.(x) <- true;
+          install x v;
+          for l = 0 to first.len - 1 do
+            let w = first.a.(l) in
+            let k = arc w x in
+            if k >= 0 then begin
+              Bytes.set installed k '\001';
+              Bytes.set installed (arc x w) '\001'
+            end
+          done
+        done
+      done
     in
     fun t ->
-      edges := [];
-      two := [];
-      three := [];
+      two.len <- 0;
+      three.len <- 0;
       Array.iter
         (fun u ->
           if roles.(u) = Mis.Dominator then three_hop_at u (two_hop_at u))
         owners.(t);
-      edges_by_tile.(t) <- !edges;
-      two_by_tile.(t) <- !two;
-      three_by_tile.(t) <- !three
+      two_by_tile.(t) <- Array.sub two.a 0 two.len;
+      three_by_tile.(t) <- Array.sub three.a 0 three.len
   in
   (match pool with
   | Some p ->
@@ -215,15 +350,56 @@ let find_csr ?pool ?owners csr roles =
     for t = 0 to ntiles - 1 do
       body t
     done);
-  let concat_of by_tile = List.concat (Array.to_list by_tile) in
-  {
-    connector;
-    cds_edges = List.sort_uniq G.compare_edge (concat_of edges_by_tile);
-    two_hop_pairs = List.sort G.compare_edge (concat_of two_by_tile);
-    three_hop_pairs = List.sort G.compare_edge (concat_of three_by_tile);
-  }
+  (connector, installed, (two_count, two_by_tile), (three_count, three_by_tile))
 
-let find g roles = find_csr (Netgraph.Csr.of_graph g) roles
+(* Owner u's run of [count.(u)] targets sits in its tile's buffer, in
+   the tile's owner order; a prefix sum over the counts gives the
+   run's slot in the lexicographic pair array. *)
+let pack owners (count, by_tile) =
+  let n = Array.length count in
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u) + count.(u)
+  done;
+  let pairs = Array.make (2 * start.(n)) 0 in
+  Array.iteri
+    (fun t targets ->
+      let i = ref 0 in
+      Array.iter
+        (fun u ->
+          for j = start.(u) to start.(u + 1) - 1 do
+            pairs.(2 * j) <- u;
+            pairs.((2 * j) + 1) <- targets.(!i);
+            incr i
+          done)
+        owners.(t))
+    by_tile;
+  pairs
+
+let find_csr ?pool ?owners csr roles =
+  let owners =
+    match owners with
+    | Some o -> o
+    | None -> [| Array.init (Netgraph.Csr.node_count csr) (fun u -> u) |]
+  in
+  let index =
+    Obs.span "connectors.index" (fun () -> dominator_index ?pool csr roles)
+  in
+  let connector, installed, two, three =
+    Obs.span "connectors.elect" (fun () ->
+        elect_tiles ?pool ~owners csr roles index)
+  in
+  Obs.span "connectors.seal" (fun () ->
+      {
+        connector;
+        cds =
+          Netgraph.Csr.filter_arcs ?pool csr (fun k ->
+              Bytes.get installed k <> '\000');
+        two_hop = pack owners two;
+        three_hop = pack owners three;
+      })
+
+let find g roles = to_result (find_csr (Netgraph.Csr.of_graph g) roles)
 
 (* The Alzoubi-style dominator-initiated selection: one deterministic
    path per ordered dominator pair.  Dominator u "decides the next

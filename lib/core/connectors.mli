@@ -31,24 +31,46 @@ type result = {
       (** ordered dominator pairs processed by the 3-hop stage *)
 }
 
+(** The same outcome in sealed form, as {!find_csr} produces it: no
+    lists, so the construction pipeline keeps it at a few words per
+    pair. *)
+type t = {
+  connector : bool array;
+  cds : Netgraph.Csr.t;
+      (** the backbone edges of [cds_edges], sealed without weights *)
+  two_hop : int array;
+      (** the [two_hop_pairs], packed: pair [i] is
+          [(two_hop.(2i), two_hop.(2i+1))], in the same order *)
+  three_hop : int array;  (** the [three_hop_pairs], packed the same way *)
+}
+
+(** [to_result t] is [t] in list form: [cds_edges] is
+    [Csr.edges t.cds] and the pair lists unpack the arrays, so each
+    list is sorted lexicographically.  Linear in the output. *)
+val to_result : t -> result
+
 (** [find_csr csr roles] runs the two elections of Algorithm 1 on the
     CSR snapshot [csr] of the unit disk graph with the clustering
     [roles].  Every pair election is 2-local around one dominator of
     the pair (the smaller one for two-hop pairs, the first one for
     ordered three-hop pairs), so with [owners] (tile partition of the
     node ids) each pair is processed exactly once from its owner's
-    tile; with [pool] the tiles fan out across its domains.  Per-tile
-    results are merged by deterministic sorts, so the output is
-    bit-identical for any tiling and any job count. *)
+    tile; with [pool] the tiles fan out across its domains.  The
+    elections mark the installed UDG arcs and the CDS is the row
+    filter of [csr] to them; each owner's pairs land in their own
+    slots of the packed arrays.  So the output is bit-identical for
+    any tiling and any job count.  Spans [connectors.index] (the
+    dominator index), [connectors.elect] and [connectors.seal] cover
+    the call. *)
 val find_csr :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
   Netgraph.Csr.t ->
   Mis.role array ->
-  result
+  t
 
-(** [find g roles] is [find_csr (Csr.of_graph g) roles]: the one-tile,
-    pool-less elections on a mutable graph. *)
+(** [find g roles] is [to_result (find_csr (Csr.of_graph g) roles)]:
+    the one-tile, pool-less elections on a mutable graph. *)
 val find : Netgraph.Graph.t -> Mis.role array -> result
 
 (** [candidates_two_hop g roles u v] is the candidate connector set

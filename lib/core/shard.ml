@@ -23,7 +23,7 @@ type snapshot = {
   owners : int array array;  (* tile ownership sets, ascending ids *)
   udg : Csr.t;
   roles : Mis.role array;
-  connectors : Connectors.result;
+  connectors : Connectors.t;
   ldel : Ldel.csr_parts;
   backbone : bool array;
   cds : Csr.t;
@@ -143,12 +143,7 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
          UDG edges whose ends have different roles.  DESIGN.md §10. *)
       Obs.span "shard.assemble" (fun () ->
           let link u v = (kind u lxor kind v) land 1 <> 0 in
-          let cds =
-            Obs.span "assemble.cds" (fun () ->
-                let b = Builder.create n in
-                Builder.add_edges b connectors.Connectors.cds_edges;
-                Builder.seal ?pool b)
-          in
+          let cds = connectors.Connectors.cds in
           let cds' =
             Obs.span "assemble.cds'" (fun () ->
                 Csr.filter ?pool udg (fun u v ->

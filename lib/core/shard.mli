@@ -23,14 +23,17 @@
     forms of the [Backbone.t]/[Cds.t] graphs: [cds]/[icds] span the
     backbone nodes only, the primed variants add dominatee→dominator
     links, [pldel] is the planar LDel(ICDS) backbone (sealed with
-    Euclidean arc weights), [pldel'] its primed variant. *)
+    Euclidean arc weights), [pldel'] its primed variant.
+    [connectors] is the elections' sealed outcome; [cds] is its
+    [Connectors.cds], the CSR the elections sealed, shared.  Its list
+    form is {!Connectors.to_result}. *)
 type snapshot = {
   points : Geometry.Point.t array;
   radius : float;
   owners : int array array;  (** tile ownership sets, ascending ids *)
   udg : Netgraph.Csr.t;
   roles : Mis.role array;
-  connectors : Connectors.result;
+  connectors : Connectors.t;
   ldel : Ldel.csr_parts;
   backbone : bool array;
   cds : Netgraph.Csr.t;
@@ -61,8 +64,10 @@ val tiling :
     priority as in {!Mis.compute_csr}.  [udg] substitutes a pre-built
     snapshot for the UDG stage (the quasi-UDG robustness path — its
     RNG sequence is inherently serial).  Stage timings land in the
-    [shard.*] spans, which cover the whole build ([shard.assemble]
-    has one [assemble.*] child per structure it seals); tile count and
+    [shard.*] spans, which cover the whole build: [shard.connectors]
+    has the children [connectors.index], [connectors.elect] and
+    [connectors.seal] (the CDS is sealed there), and [shard.assemble]
+    one [assemble.*] child per structure it seals; tile count and
     populations in the [shard.tiles]
     gauge / [shard.tile_pop] distribution.
     @raise Invalid_argument when [radius <= 0], [tiles < 1], or [udg]

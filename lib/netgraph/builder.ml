@@ -66,6 +66,14 @@ let sort_row targets lo hi =
 
 let seal ?pool ?points ?beta b =
   let n = b.n in
+  let each body =
+    match pool with
+    | Some p when n > 0 -> Pool.parallel_for p ~n (fun () -> body)
+    | _ ->
+      for u = 0 to n - 1 do
+        body u
+      done
+  in
   (* arc counts, duplicates included *)
   let deg = Array.make (n + 1) 0 in
   for k = 0 to b.len - 1 do
@@ -85,36 +93,29 @@ let seal ?pool ?points ?beta b =
     raw.(cursor.(v)) <- u;
     cursor.(v) <- cursor.(v) + 1
   done;
-  (* per-row sorts touch disjoint segments, so they can fan out over
-     the pool; each row's result is independent of scheduling *)
-  (match pool with
-  | Some p when n > 0 ->
-    Pool.parallel_for p ~n (fun () u -> sort_row raw off.(u) off.(u + 1))
-  | _ ->
-    for u = 0 to n - 1 do
-      sort_row raw off.(u) off.(u + 1)
-    done);
-  (* drop adjacent duplicates row by row *)
-  let uniq = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    let c = ref 0 in
-    for k = off.(u) to off.(u + 1) - 1 do
-      if k = off.(u) || raw.(k) <> raw.(k - 1) then incr c
-    done;
-    uniq.(u) <- !c
-  done;
+  (* per-row passes touch disjoint segments, so they fan out over the
+     pool; each row's result is independent of scheduling.  The first
+     sorts a row and counts its distinct entries into [deg], the
+     second drops the adjacent duplicates into the final row, and
+     [Csr.adopt] weighs the rows in a third *)
+  each (fun u ->
+      sort_row raw off.(u) off.(u + 1);
+      let c = ref 0 in
+      for k = off.(u) to off.(u + 1) - 1 do
+        if k = off.(u) || raw.(k) <> raw.(k - 1) then incr c
+      done;
+      deg.(u) <- !c);
   let offsets = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + uniq.(u)
+    offsets.(u + 1) <- offsets.(u) + deg.(u)
   done;
   let targets = Array.make offsets.(n) 0 in
-  for u = 0 to n - 1 do
-    let w = ref offsets.(u) in
-    for k = off.(u) to off.(u + 1) - 1 do
-      if k = off.(u) || raw.(k) <> raw.(k - 1) then begin
-        targets.(!w) <- raw.(k);
-        incr w
-      end
-    done
-  done;
-  Csr.of_rows ?points ?beta ~offsets ~targets ()
+  each (fun u ->
+      let w = ref offsets.(u) in
+      for k = off.(u) to off.(u + 1) - 1 do
+        if k = off.(u) || raw.(k) <> raw.(k - 1) then begin
+          targets.(!w) <- raw.(k);
+          incr w
+        end
+      done);
+  Csr.adopt ?pool ?points ?beta ~offsets ~targets ()

@@ -42,9 +42,10 @@ val add_graph : t -> Graph.t -> unit
 val append : into:t -> t -> unit
 
 (** [seal b] freezes the accumulated edge set into a CSR snapshot.
-    With [pool], per-row sorting fans out across the pool's domains
-    (bit-identical result for any job count).  [points]/[beta]
-    precompute arc weights as in {!Csr.of_graph}.  [b] is not
+    With [pool], the per-row sort, deduplication and weighing fan out
+    across the pool's domains (bit-identical result for any job
+    count).  [points]/[beta] precompute arc weights as in
+    {!Csr.of_graph}, the same floats.  [b] is not
     consumed: further appends and later seals are allowed. *)
 val seal :
   ?pool:Pool.t ->

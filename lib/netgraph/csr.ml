@@ -15,7 +15,20 @@ type t = {
   pw : float array;  (* |e|^beta per arc, or [||] *)
 }
 
-let weights_of ?points ?beta ~n ~offsets ~targets () =
+(* [body u] for every row, on the pool when there is one: row passes
+   that write only row [u]'s own slots give the same arrays for any
+   job count *)
+let each_row ?pool n body =
+  match pool with
+  | Some p when n > 0 -> Pool.parallel_for p ~n (fun () -> body)
+  | _ ->
+    for u = 0 to n - 1 do
+      body u
+    done
+
+(* arc weights row by row: [each n body] runs [body u] for every row
+   (serially, or on a pool through [each_row]) *)
+let weigh ~each ?points ?beta ~n ~offsets ~targets () =
   match points with
   | None ->
     if beta <> None then invalid_arg "Csr: beta requires points";
@@ -23,17 +36,22 @@ let weights_of ?points ?beta ~n ~offsets ~targets () =
   | Some pts ->
     if Array.length pts < n then invalid_arg "Csr: fewer points than nodes";
     let ew = Array.make (Array.length targets) 0. in
-    for u = 0 to n - 1 do
-      for k = offsets.(u) to offsets.(u + 1) - 1 do
-        ew.(k) <- Geometry.Point.dist pts.(u) pts.(targets.(k))
-      done
-    done;
+    each n (fun u ->
+        for k = offsets.(u) to offsets.(u + 1) - 1 do
+          ew.(k) <- Geometry.Point.dist pts.(u) pts.(targets.(k))
+        done);
     let pw =
       match beta with
       | None -> [||]
       | Some b -> Array.map (fun w -> w ** b) ew
     in
     (ew, pw)
+
+let weights_of =
+  weigh ~each:(fun n body ->
+      for u = 0 to n - 1 do
+        body u
+      done)
 
 let of_graph ?points ?beta g =
   let n = Graph.node_count g in
@@ -139,43 +157,66 @@ let with_weights ?beta t points =
   in
   { t with ew; pw }
 
-(* Row filter: a subset of sorted rows is sorted, so no sort or
-   dedup.  Two passes (count, fill) write only row [u]'s own slots, so
-   they fan out over the pool and the result is the same for any job
-   count.  The rows come from a valid snapshot, so [of_rows]'s checks
-   are skipped; [keep] must be symmetric for the result to be one. *)
-let filter ?pool ?points t keep =
-  let n = t.n in
-  let each body =
-    match pool with
-    | Some p -> Pool.parallel_for p ~n (fun () -> body)
-    | None ->
-      for u = 0 to n - 1 do
-        body u
-      done
+let adopt ?pool ?points ?beta ~offsets ~targets () =
+  let n = Array.length offsets - 1 in
+  let ew, pw =
+    weigh ~each:(each_row ?pool) ?points ?beta ~n ~offsets ~targets ()
   in
+  { n; m = Array.length targets / 2; offsets; targets; ew; pw }
+
+(* Row filter: a subset of sorted rows is sorted, so no sort or
+   dedup.  The row passes (count, fill, weigh) write only row [u]'s
+   own slots, so they fan out over the pool and the result is the
+   same for any job count.  The rows come from a valid snapshot, so
+   [of_rows]'s checks are skipped; [keep] must be symmetric for the
+   result to be one.  [count u] and [fill u targets w] are the passes
+   over row [u] of [t]; [fill] writes the kept targets from slot [w]
+   on. *)
+let select ?pool ?points t ~count ~fill =
+  let n = t.n in
   let offsets = Array.make (n + 1) 0 in
-  each (fun u ->
-      let c = ref 0 in
-      for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
-        if keep u t.targets.(k) then incr c
-      done;
-      offsets.(u + 1) <- !c);
+  each_row ?pool n (fun u -> offsets.(u + 1) <- count u);
   for u = 0 to n - 1 do
     offsets.(u + 1) <- offsets.(u) + offsets.(u + 1)
   done;
   let targets = Array.make offsets.(n) 0 in
-  each (fun u ->
-      let w = ref offsets.(u) in
+  each_row ?pool n (fun u -> fill u targets offsets.(u));
+  adopt ?pool ?points ~offsets ~targets ()
+
+let filter ?pool ?points t keep =
+  select ?pool ?points t
+    ~count:(fun u ->
+      let c = ref 0 in
+      for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+        if keep u t.targets.(k) then incr c
+      done;
+      !c)
+    ~fill:(fun u targets w ->
+      let w = ref w in
       for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
         let v = t.targets.(k) in
         if keep u v then begin
           targets.(!w) <- v;
           incr w
         end
-      done);
-  let ew, pw = weights_of ?points ~n ~offsets ~targets () in
-  { n; m = Array.length targets / 2; offsets; targets; ew; pw }
+      done)
+
+let filter_arcs ?pool t keep =
+  select ?pool t
+    ~count:(fun u ->
+      let c = ref 0 in
+      for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+        if keep k then incr c
+      done;
+      !c)
+    ~fill:(fun u targets w ->
+      let w = ref w in
+      for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+        if keep k then begin
+          targets.(!w) <- t.targets.(k);
+          incr w
+        end
+      done)
 
 (* ---------------- traversals ---------------- *)
 

@@ -53,12 +53,32 @@ val with_weights : ?beta:float -> t -> Geometry.Point.t array -> t
     kept rows are too.  [keep] must be symmetric ([keep u v = keep v u])
     and pure; with [pool] the count and fill passes fan out over its
     domains and the result is the same for any job count.  [points]
-    precomputes Euclidean arc weights as in {!of_graph}. *)
+    adds Euclidean arc weights, the same floats as {!of_graph}'s,
+    weighed in a row pass on the pool too. *)
 val filter :
   ?pool:Pool.t ->
   ?points:Geometry.Point.t array ->
   t ->
   (int -> int -> bool) ->
+  t
+
+(** [filter_arcs t keep] is {!filter} deciding by arc index: arc [k]
+    (the [k]-th entry of {!targets}) is kept when [keep k].  The kept
+    set must be symmetric — arc [u -> v] kept iff arc [v -> u] is —
+    and [keep] pure.  Without weights. *)
+val filter_arcs : ?pool:Pool.t -> t -> (int -> bool) -> t
+
+(** [adopt ~offsets ~targets ()] wraps rows that are valid by
+    construction, without {!of_rows}'s checks: the seal of {!Builder}.
+    [points]/[beta] weigh the arcs as in {!of_graph}, the same floats;
+    with [pool] that row pass fans out over its domains. *)
+val adopt :
+  ?pool:Pool.t ->
+  ?points:Geometry.Point.t array ->
+  ?beta:float ->
+  offsets:int array ->
+  targets:int array ->
+  unit ->
   t
 
 val node_count : t -> int

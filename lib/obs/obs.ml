@@ -1938,17 +1938,18 @@ module Snapshot = struct
   type mismatch = {
     m_kind : string;
     m_name : string;
-    m_expected : float;
+    m_expected : float; (* nan for a counter unrecorded in the reference *)
     m_actual : float; (* nan when missing from current *)
   }
 
   (* Regression gate: counters and call/observation counts are
      deterministic for a fixed configuration, so they must match
      exactly; only span seconds are wall-clock noise and get the
-     threshold.  Metrics present in [current] but absent from
-     [reference] are ignored so new instrumentation does not invalidate
-     committed baselines, and gauges are skipped entirely
-     (instantaneous samples are not reproducible). *)
+     threshold.  A nonzero counter present in [current] but absent
+     from [reference] is a mismatch too: otherwise a counter nobody
+     recorded is never gated.  Other metrics absent from [reference]
+     are ignored, and gauges are skipped entirely (instantaneous
+     samples are not reproducible). *)
   let compare_against ~threshold ~(reference : t) (current : t) =
     let out = ref [] in
     let say m_kind m_name m_expected m_actual =
@@ -1962,6 +1963,11 @@ module Snapshot = struct
           if v' <> v then
             say "counter" name (float_of_int v) (float_of_int v'))
       reference.counters;
+    List.iter
+      (fun (name, v') ->
+        if v' <> 0 && not (List.mem_assoc name reference.counters) then
+          say "counter" name nan (float_of_int v'))
+      current.counters;
     List.iter
       (fun (name, (d : dist_stats)) ->
         match List.assoc_opt name current.dists with
@@ -2019,7 +2025,10 @@ module Snapshot = struct
            let missing = Float.is_nan m.m_actual in
            match m.m_kind with
            | "counter" ->
-             if missing then
+             if Float.is_nan m.m_expected then
+               Printf.sprintf "counter %s unrecorded (actual %d)" m.m_name
+                 (int_of_float m.m_actual)
+             else if missing then
                Printf.sprintf "counter %s missing (reference %d)" m.m_name
                  (int_of_float m.m_expected)
              else

@@ -716,9 +716,11 @@ module Snapshot : sig
       call counts and histogram totals and per-bucket counts are
       deterministic for a fixed configuration and must match exactly;
       span seconds may exceed the reference by at most [threshold]
-      (e.g. [0.5] = +50%).  Metrics present only in [current] are
-      ignored, so adding instrumentation does not break existing
-      baselines. *)
+      (e.g. [0.5] = +50%).  A nonzero counter present only in
+      [current] is reported as unrecorded, so every counter a run
+      emits is gated; other metrics present only in [current] are
+      ignored, so adding spans, distributions or histograms does not
+      break existing baselines. *)
   val check_against : threshold:float -> reference:t -> t -> string list
 
   type mismatch = {
@@ -728,11 +730,13 @@ module Snapshot : sig
             [m_name] carries the bucket as [name[le=bound]]) *)
     m_name : string;
     m_expected : float;
+        (** [nan] for a counter unrecorded in the reference *)
     m_actual : float;  (** [nan] when missing from the current snapshot *)
   }
 
   (** Structured form of {!check_against} — same comparisons, one
-      mismatch record per violated key, in reference order.  Gauges
+      mismatch record per violated key, in reference order, then the
+      unrecorded counters in the current snapshot's order.  Gauges
       are skipped (instantaneous samples are not reproducible). *)
   val compare_against : threshold:float -> reference:t -> t -> mismatch list
 end

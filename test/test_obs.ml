@@ -364,7 +364,30 @@ let test_check_against_mismatch_paths () =
     (some_err "ck.s"
        (Obs.Snapshot.check_against ~threshold:0.5 ~reference slow));
   check "span within threshold passes" true
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:slow slow = [])
+    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:slow slow = []);
+  (* a counter the run emits but the reference lacks is gated too; a
+     zero one, like a counter missing from the run at zero, is not *)
+  let extra =
+    snapshot_of (fun () ->
+        populate ();
+        Obs.add (Obs.counter "ck.new") 3;
+        ignore (Obs.counter "ck.zero"))
+  in
+  let errs = Obs.Snapshot.check_against ~threshold:10. ~reference extra in
+  check "unrecorded counter reported" true
+    (some_err "counter ck.new unrecorded (actual 3)" errs);
+  check "zero unrecorded counter passes" false (some_err "ck.zero" errs);
+  (match
+     Obs.Snapshot.compare_against ~threshold:10. ~reference extra
+     |> List.filter (fun (m : Obs.Snapshot.mismatch) ->
+            m.Obs.Snapshot.m_name = "ck.new")
+   with
+  | [ m ] ->
+    check "structured: expected is nan" true
+      (Float.is_nan m.Obs.Snapshot.m_expected);
+    check "structured: actual is the count" true
+      (m.Obs.Snapshot.m_actual = 3.)
+  | _ -> Alcotest.fail "one ck.new mismatch expected")
 
 (* ------------------------------------------------------------------ *)
 (* Sinks round-trip                                                    *)

@@ -218,7 +218,10 @@ let test_connectors_csr_identity () =
       List.iter
         (fun tiles ->
           with_jobs jobs (fun pool ->
-              let got = Core.Connectors.find_csr ?pool ?owners:tiles csr roles in
+              let got =
+                Core.Connectors.to_result
+                  (Core.Connectors.find_csr ?pool ?owners:tiles csr roles)
+              in
               let tag s = Printf.sprintf "%s jobs=%d" s jobs in
               check (tag "connector") true
                 (want.Core.Connectors.connector = got.Core.Connectors.connector);
@@ -387,10 +390,72 @@ let test_connectors_oracle () =
                   check
                     (Printf.sprintf "seed=%Ld R=%g %s jobs=%d" seed radius name
                        jobs)
-                    true (want = got)))
+                    true
+                    (want = Core.Connectors.to_result got)))
             [ 1; 2 ])
         [ ("Tiles 1", Some 1); ("Tiles 2", Some 2); ("Tiles 3", Some 3); ("Auto", None) ])
     [ (51L, 14.); (52L, 14.); (53L, 14.); (51L, 40.); (52L, 40.); (53L, 40.) ]
+
+(* the flat kernel against the oracle on one input, every listed
+   tiling and jobs 1 and 2 *)
+let connectors_match pts ~radius =
+  let csr = Wireless.Udg.build_csr pts ~radius in
+  let roles = Core.Mis.compute_csr csr in
+  let want = Connectors_oracle.find_csr csr roles in
+  List.for_all
+    (fun tiles ->
+      let owners = Core.Shard.tiling ?tiles pts ~radius in
+      List.for_all
+        (fun jobs ->
+          with_jobs jobs (fun pool ->
+              want
+              = Core.Connectors.to_result
+                  (Core.Connectors.find_csr ?pool ~owners csr roles)))
+        [ 1; 2 ])
+    [ Some 1; Some 2; Some 3; None ]
+
+let test_connectors_hostile () =
+  let p x y = Geometry.Point.make x y in
+  let cases =
+    [
+      ("n=0", [||], 10.);
+      ("n=1", [| p 3. 4. |], 10.);
+      ("n=2 linked", [| p 0. 0.; p 5. 0. |], 10.);
+      ("n=2 apart", [| p 0. 0.; p 50. 0. |], 10.);
+      ( "duplicate points",
+        Array.init 40 (fun i ->
+            p (float_of_int (i mod 7 * 6)) (float_of_int (i mod 5 * 6))),
+        10. );
+      ( "collinear chain",
+        Array.init 30 (fun i -> p (float_of_int i *. 9.) 0.),
+        10. );
+      ( "two clusters",
+        Array.init 60 (fun i ->
+            let base = if i < 30 then 0. else 500. in
+            p
+              (base +. float_of_int (i mod 6 * 7))
+              (float_of_int (i mod 30 / 6 * 7))),
+        10. );
+      ( "all isolated",
+        Array.init 25 (fun i ->
+            p (float_of_int (i mod 5) *. 30.) (float_of_int (i / 5) *. 30.)),
+        10. );
+    ]
+  in
+  List.iter
+    (fun (name, pts, radius) ->
+      check name true (connectors_match pts ~radius))
+    cases
+
+let prop_connectors_oracle =
+  QCheck.Test.make ~name:"flat connectors = oracle (any n, R, tiling, jobs)"
+    ~count:60
+    QCheck.(pair (int_bound 250) (pair small_nat (int_bound 3)))
+    (fun (n, (seed, rk)) ->
+      let radius = [| 8.; 14.; 25.; 45. |].(rk) in
+      let rng = Wireless.Rand.create (Int64.of_int (seed + 1)) in
+      let pts = Wireless.Deploy.uniform rng ~n ~side:150. in
+      connectors_match pts ~radius)
 
 (* --- LDel ----------------------------------------------------------- *)
 
@@ -477,7 +542,18 @@ let test_builder_seal () =
   let serial = B.seal ~points:pts bb in
   Pool.with_pool ~jobs:3 (fun p ->
       let pooled = B.seal ~pool:p ~points:pts bb in
-      edge_list "pooled seal" (Csr.edges serial) (Csr.edges pooled))
+      edge_list "pooled seal" (Csr.edges serial) (Csr.edges pooled);
+      (* the pooled row passes weigh each arc with the serial floats *)
+      check "pooled seal weights" true (pooled = Csr.of_graph ~points:pts g);
+      check "pooled seal power weights" true
+        (B.seal ~pool:p ~points:pts ~beta:2.5 bb
+        = Csr.of_graph ~points:pts ~beta:2.5 g);
+      let keep u v = (u + v) mod 3 <> 0 in
+      let sub = G.create (Array.length pts) in
+      G.iter_edges g (fun u v -> if keep u v then G.add_edge sub u v);
+      check "pooled filter weights" true
+        (Csr.filter ~pool:p ~points:pts (Csr.of_graph g) keep
+        = Csr.of_graph ~points:pts sub))
 
 let test_view_dispatch () =
   let _, g = deployment 33L 200 200. 30. in
@@ -733,7 +809,7 @@ module Assemble_oracle = struct
               if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
       roles
 
-  let run ?pool points udg roles connectors ldel =
+  let run ?pool points udg roles (connectors : Connectors.result) ldel =
     let n = Array.length points in
     let backbone =
       Array.init n (fun u ->
@@ -779,7 +855,9 @@ let subgraph sub super =
 let check_assembly tag (s : Core.Shard.snapshot) =
   let open Core.Shard in
   let backbone, cds, cds', icds, icds', pldel, pldel' =
-    Assemble_oracle.run s.points s.udg s.roles s.connectors s.ldel
+    Assemble_oracle.run s.points s.udg s.roles
+      (Connectors_oracle.find_csr s.udg s.roles)
+      s.ldel
   in
   check (tag ^ " backbone") true (backbone = s.backbone);
   check (tag ^ " cds") true (cds = s.cds);
@@ -832,9 +910,10 @@ let test_assembly_oracle () =
         (Core.Shard.pipeline ~jobs ~tiles ~udg pts ~radius:34.))
     [ (1, 1); (3, 2) ]
 
-(* the stage spans cover the build: the ICDS filter is charged to
-   [shard.ldel], and [shard.assemble] splits into one child per
-   sealed structure *)
+(* the stage spans cover the build: the connector elections split
+   into index, elections and the CDS seal, the ICDS filter is charged
+   to [shard.ldel], and [shard.assemble] splits into one child per
+   structure it seals *)
 let test_stage_spans () =
   let rng = Wireless.Rand.create 35L in
   let pts = Wireless.Deploy.uniform rng ~n:300 ~side:200. in
@@ -868,9 +947,12 @@ let test_stage_spans () =
       "shard.tiling"; "shard.udg" ]
     (children "shard/");
   Alcotest.(check (list string))
+    "connectors children"
+    [ "connectors.elect"; "connectors.index"; "connectors.seal" ]
+    (children "shard/shard.connectors/");
+  Alcotest.(check (list string))
     "assemble children"
-    [ "assemble.cds"; "assemble.cds'"; "assemble.icds'"; "assemble.pldel";
-      "assemble.pldel'" ]
+    [ "assemble.cds'"; "assemble.icds'"; "assemble.pldel"; "assemble.pldel'" ]
     (children "shard/shard.assemble/")
 
 (* tiling invariants: every node exactly once, tile side >= radius *)
@@ -943,6 +1025,9 @@ let suites =
           test_connectors_csr_identity;
         Alcotest.test_case "connectors = pre-index oracle" `Quick
           test_connectors_oracle;
+        Alcotest.test_case "connectors oracle: hostile inputs" `Quick
+          test_connectors_hostile;
+        QCheck_alcotest.to_alcotest prop_connectors_oracle;
         Alcotest.test_case "ldel csr identity" `Quick test_ldel_csr_identity;
         Alcotest.test_case "ldel csr on backbone" `Quick
           test_ldel_csr_on_backbone;

@@ -355,10 +355,14 @@ let test_check_against_regressions () =
   in
   check "counter drift fails" true
     (Obs.Snapshot.check_against ~threshold:10. ~reference:drifted snap <> []);
-  (* metrics only present in the current run are ignored *)
-  let trimmed = { snap with Obs.Snapshot.counters = [] } in
-  check "reference without the counter still passes" true
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:trimmed snap = [])
+  (* spans and dists only present in the current run are ignored; a
+     counter only present in it is reported unrecorded *)
+  let trimmed = { snap with Obs.Snapshot.spans = []; dists = [] } in
+  check "reference without the span and dist still passes" true
+    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:trimmed snap = []);
+  let uncounted = { snap with Obs.Snapshot.counters = [] } in
+  check "reference without the counter fails" true
+    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:uncounted snap <> [])
 
 let test_dist_moments () =
   let snap = gate_snapshot () in
