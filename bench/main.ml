@@ -13,7 +13,8 @@
    compares it against its committed BENCH_*.json baseline: counters
    must match exactly, span timings may regress by at most
    --check-threshold (default 0.5, i.e. +50%).  The baseline's
-   bench.jobs pin is validated before anything is compared.  Any
+   bench.jobs pin (and for the pipeline its bench.release profile
+   stamp) is validated before anything is compared.  Any
    violation fails the run with exit code 1.  The pipeline gate
    compares only top-level spans — nested stage spans are
    milliseconds-scale and dominated by scheduler noise, while the
@@ -646,6 +647,11 @@ end
    violation instead of a silent apples-to-oranges timing comparison *)
 let c_bench_jobs = Obs.counter "bench.jobs"
 
+(* 1 when this binary was built with [--profile release], the profile
+   the committed BENCH_pipeline.json is recorded from *)
+let c_bench_release = Obs.counter "bench.release"
+let release_build = Build_profile.name = "release"
+
 (* ------------------------------------------------------------------ *)
 (* Shared regression-gate plumbing (metrics, pipeline, serve)          *)
 (* ------------------------------------------------------------------ *)
@@ -718,6 +724,26 @@ let validate_bench_jobs file (reference : Obs.Snapshot.t) jobs =
     pf "  [check FAILED: %s has no bench.jobs pin — regenerate the baseline]@."
       file;
     false
+
+(* [bench.release] pinning, validated up front like [bench.jobs]: a
+   dev build compiles with -opaque, so every stage span would read as a
+   regression (or a gain) against a release baseline.  Returns true
+   when the gate may proceed. *)
+let validate_bench_release file (reference : Obs.Snapshot.t) =
+  let profile r = if r then "release" else "dev" in
+  let recorded =
+    List.assoc_opt "bench.release" reference.Obs.Snapshot.counters = Some 1
+  in
+  recorded = release_build
+  || begin
+       pf
+         "  [check FAILED: bench.release: %s was recorded from a %s build, \
+          this is a %s build (%s profile) — %s]@."
+         file (profile recorded) (profile release_build) Build_profile.name
+         (if recorded then "rebuild with dune build --profile release"
+          else "regenerate the baseline from a --profile release build");
+       false
+     end
 
 let bench_metrics ?check quick jobs =
   header
@@ -843,8 +869,8 @@ let bench_metrics ?check quick jobs =
 (* Construction pipeline benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The sharded CSR pipeline ([Backbone.snapshot]: tiles, Builder
-   accumulation, sealed snapshots, no mutable graph materialized) at
+(* The sharded CSR pipeline ([Backbone.snapshot]: tiles, row filters,
+   sealed snapshots, no mutable graph materialized) at
    constant density.  Each compared size is built three ways — one
    tile (the serial build), the [Auto] tiling at j = 1, and [Auto] at
    j = J — and all three are asserted bit-identical before any timing
@@ -858,6 +884,7 @@ let bench_pipeline ?check quick jobs =
   Obs.set_enabled true;
   Obs.reset ();
   Obs.add c_bench_jobs jobs;
+  if release_build then Obs.add c_bench_release 1;
   (* constant density: side = 10 sqrt n, R = 20 => average degree
      ~12.6 at every size *)
   let radius = 20. in
@@ -962,7 +989,11 @@ let bench_pipeline ?check quick jobs =
   (match check with
   | Some threshold ->
     let reference = read_baseline file in
-    if not (validate_bench_jobs file reference jobs) then begin
+    if
+      not
+        (validate_bench_release file reference
+        && validate_bench_jobs file reference jobs)
+    then begin
       Obs.set_enabled was;
       exit 1
     end;

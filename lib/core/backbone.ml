@@ -78,7 +78,11 @@ let snapshot (cfg : Config.t) points =
 (* The mutable-graph record, thawed from the sealed snapshot. *)
 let thaw ~jobs (snap : Shard.snapshot) =
   let g = Netgraph.Csr.to_graph in
-  let ldel_icds = Ldel.of_parts (Array.length snap.Shard.points) snap.Shard.ldel in
+  let ldel_icds =
+    Ldel.of_parts
+      (Array.length snap.Shard.points)
+      (Ldel.to_parts snap.Shard.icds snap.Shard.ldel)
+  in
   {
     points = snap.Shard.points;
     radius = snap.Shard.radius;

@@ -21,7 +21,7 @@ let candidates_two_hop g roles u v =
 
 (* The local-minimum rule over any adjacency test: a candidate wins
    when no other candidate it can hear has a smaller id. *)
-let elect_by adjacent candidates =
+let elect_by adjacent (candidates : int list) =
   List.filter
     (fun w ->
       List.for_all (fun x -> x = w || (not (adjacent w x)) || w < x) candidates)
@@ -29,7 +29,7 @@ let elect_by adjacent candidates =
 
 let elect g candidates = elect_by (G.has_edge g) candidates
 
-let ordered_edge u v = (min u v, max u v)
+let ordered_edge u v = (Int.min u v, Int.max u v)
 
 (* (u, v) pairs packed two ints each, [u] ascending then [v] *)
 let unpack pairs =
@@ -60,7 +60,7 @@ let push b x =
   b.len <- b.len + 1
 
 (* insertion sort of a.(lo .. hi-1): a dominator's targets are few *)
-let sort_slice a lo hi =
+let sort_slice (a : int array) lo hi =
   for k = lo + 1 to hi - 1 do
     let x = a.(k) in
     let j = ref (k - 1) in
@@ -157,19 +157,9 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
   let two_count = Array.make n 0 and three_count = Array.make n 0 in
   let two_by_tile = Array.make ntiles [||] in
   let three_by_tile = Array.make ntiles [||] in
-  (* position of [b] in [a]'s row, or -1 *)
-  let arc a b =
-    let lo = ref off.(a) and hi = ref (off.(a + 1) - 1) and k = ref (-1) in
-    while !k < 0 && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let x = adj.(mid) in
-      if x = b then k := mid else if x < b then lo := mid + 1 else hi := mid - 1
-    done;
-    !k
-  in
   let install a b =
-    Bytes.set installed (arc a b) '\001';
-    Bytes.set installed (arc b a) '\001'
+    Bytes.set installed (C.arc csr a b) '\001';
+    Bytes.set installed (C.arc csr b a) '\001'
   in
   let mk_body () =
     (* one stamp array, stamps strictly increasing: the two-hop scan
@@ -205,7 +195,7 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
         let wins = ref true and j = ref 0 in
         while !wins && !j < cands.len do
           let x = cands.a.(!j) in
-          if x < w && arc w x >= 0 then wins := false;
+          if x < w && C.arc csr w x >= 0 then wins := false;
           incr j
         done;
         if !wins then push out w
@@ -323,10 +313,10 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
           install x v;
           for l = 0 to first.len - 1 do
             let w = first.a.(l) in
-            let k = arc w x in
+            let k = C.arc csr w x in
             if k >= 0 then begin
               Bytes.set installed k '\001';
-              Bytes.set installed (arc x w) '\001'
+              Bytes.set installed (C.arc csr x w) '\001'
             end
           done
         done
@@ -511,9 +501,9 @@ let find_alzoubi g roles =
   {
     connector;
     cds_edges =
-      List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
-    two_hop_pairs = List.sort compare !two_hop_pairs;
-    three_hop_pairs = List.sort_uniq compare !three_hop_pairs;
+      List.sort G.compare_edge (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
+    two_hop_pairs = List.sort G.compare_edge !two_hop_pairs;
+    three_hop_pairs = List.sort_uniq G.compare_edge !three_hop_pairs;
   }
 
 (* Baker-Ephremides linked clusters: highest-ID gateways. *)
@@ -579,7 +569,7 @@ let find_baker g roles =
   {
     connector;
     cds_edges =
-      List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
-    two_hop_pairs = List.sort compare !two_hop_pairs;
-    three_hop_pairs = List.sort_uniq compare !three_hop_pairs;
+      List.sort G.compare_edge (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
+    two_hop_pairs = List.sort G.compare_edge !two_hop_pairs;
+    three_hop_pairs = List.sort_uniq G.compare_edge !three_hop_pairs;
   }

@@ -75,7 +75,7 @@ let inside_ccw points a b c v =
   && Pred.orient2d points.(b) points.(c) pv = Pred.Ccw
   && Pred.orient2d points.(c) points.(a) pv = Pred.Ccw
 
-let not_corner a b c v = v <> a && v <> b && v <> c
+let not_corner (a : int) b c v = v <> a && v <> b && v <> c
 
 (* [v] strictly inside [abc] (of orientation [o]) unless [v] is one of
    its corners *)
@@ -135,11 +135,30 @@ let graph_of n gabriel triangles =
     (gabriel
     @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) triangles)
 
-type csr_parts = {
+type parts = {
   p_gabriel : (int * int) list;
   p_triangles : (int * int * int) list;
   p_kept : (int * int * int) list;
 }
+
+type csr_parts = { gabriel : Bytes.t; tri : int array; kept : Bytes.t }
+
+let to_parts csr { gabriel; tri; kept } =
+  let module C = Netgraph.Csr in
+  let off = C.offsets csr and adj = C.targets csr in
+  let p_gabriel = ref [] in
+  for u = C.node_count csr - 1 downto 0 do
+    for k = off.(u + 1) - 1 downto off.(u) do
+      if Bytes.get gabriel k <> '\000' then p_gabriel := (u, adj.(k)) :: !p_gabriel
+    done
+  done;
+  let p_triangles = ref [] and p_kept = ref [] in
+  for t = (Array.length tri / 3) - 1 downto 0 do
+    let abc = (tri.(3 * t), tri.((3 * t) + 1), tri.((3 * t) + 2)) in
+    p_triangles := abc :: !p_triangles;
+    if Bytes.get kept t <> '\000' then p_kept := abc :: !p_kept
+  done;
+  { p_gabriel = !p_gabriel; p_triangles = !p_triangles; p_kept = !p_kept }
 
 let of_parts n { p_gabriel; p_triangles; p_kept } =
   {
@@ -150,7 +169,7 @@ let of_parts n { p_gabriel; p_triangles; p_kept } =
     kept_triangles = p_kept;
   }
 
-let shares_corner a1 b1 c1 a2 b2 c2 =
+let shares_corner (a1 : int) b1 c1 a2 b2 c2 =
   a1 = a2 || a1 = b2 || a1 = c2 || b1 = a2 || b1 = b2 || b1 = c2 || c1 = a2
   || c1 = b2 || c1 = c2
 
@@ -183,7 +202,7 @@ let planarize ?pool csr points ~radius tri =
   let module C = Netgraph.Csr in
   let module G = Wireless.Cellgrid in
   let m = Array.length tri / 3 in
-  let removed = Array.make m false in
+  let kept = Bytes.make m '\001' in
   if m > 0 then begin
     (* bucket triangles by their bbox min-corner; the grid caps itself
        at O(m) cells by widening the side, which stays at least
@@ -203,7 +222,7 @@ let planarize ?pool csr points ~radius tri =
     let start = grid.G.start and order = grid.G.order in
     (* corners and [triangle_bbox] (xmin ymin xmax ymax) in bucket
        order, so a cell run of candidates is contiguous in memory;
-       [removed] is mapped back through [order] at the end *)
+       [kept] is mapped back through [order] at the end *)
     let tv = Array.make (3 * m) 0 and box = Array.make (4 * m) 0. in
     for s = 0 to m - 1 do
       let i = order.(s) in
@@ -270,10 +289,10 @@ let planarize ?pool csr points ~radius tri =
         process s
       done);
     for s = 0 to m - 1 do
-      if flag.(s) then removed.(order.(s)) <- true
+      if flag.(s) then Bytes.set kept order.(s) '\000'
     done
   end;
-  removed
+  kept
 
 (* [N_k(u) \ {u}] of every node, ascending, as rows on offsets (a
    full BFS per node: [build_k] is for small instances). *)
@@ -303,10 +322,11 @@ let k_hop_rows csr hops =
    [u] exactly when [a, b] are consecutive in [u]'s link, [b, u] in
    [a]'s and [u, a] in [b]'s — all three corners found it — and the
    links fit, so each triangle is decided exactly once; Gabriel edges
-   are filtered from the owner side of each 1-hop row.  Each node's
-   output lands in its own slots, sorted there, and the lists are read
-   off in node order, so the outputs are the same for any tiling and
-   job count. *)
+   are flagged on the owner-side arc of each 1-hop row.  Each node's
+   output lands in its own slots, sorted there, and the triangles are
+   laid out flat in node order; Algorithm 3 flags the survivors.  So
+   the outputs are the same for any tiling and job count, and no list
+   is built ({!to_parts} reads them off). *)
 let build_parts ?pool ?owners ~hops csr points ~radius =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
@@ -351,7 +371,7 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
   in
   (* L2 + Gabriel, per owned node: Gabriel flags per arc, accepted
      triangles [(u, tb, tc)] sorted in [u]'s slots *)
-  let gab = Array.make (Array.length ctargets) false in
+  let gabriel = Bytes.make (Array.length ctargets) '\000' in
   let tb = Array.make off.(n) 0 and tc = Array.make off.(n) 0 in
   let nacc = Array.make n 0 in
   let at u =
@@ -365,7 +385,7 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
               (not !blocked) && w <> v
               && Geometry.Circle.in_diametral points.(u) points.(v) points.(w)
             then blocked := true);
-        if not !blocked then gab.(k) <- true
+        if not !blocked then Bytes.set gabriel k '\001'
       end
     done;
     let lo = off.(u) and m = len.(u) in
@@ -392,7 +412,7 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
     done;
     nacc.(u) <- !cnt
   in
-  let p_gabriel, tri, p_triangles =
+  let tri =
     Obs.span "ldel.l2" (fun () ->
         (match pool with
         | Some p ->
@@ -400,41 +420,31 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
               Netgraph.Pool.parallel_for p ~n:ntiles (fun () t ->
                   Array.iter at owners.(t)))
         | None -> Array.iter (fun o -> Array.iter at o) owners);
-        let gabriel = ref [] in
-        for u = n - 1 downto 0 do
-          for k = coff.(u + 1) - 1 downto coff.(u) do
-            if gab.(k) then gabriel := (u, ctargets.(k)) :: !gabriel
-          done
-        done;
-        let ntri = Array.fold_left ( + ) 0 nacc in
-        let tri = Array.make (3 * ntri) 0 in
-        let triangles = ref [] and t = ref ntri in
-        for u = n - 1 downto 0 do
-          for k = off.(u) + nacc.(u) - 1 downto off.(u) do
-            decr t;
+        let tri = Array.make (3 * Array.fold_left ( + ) 0 nacc) 0 in
+        let t = ref 0 in
+        for u = 0 to n - 1 do
+          for k = off.(u) to off.(u) + nacc.(u) - 1 do
             tri.(3 * !t) <- u;
             tri.((3 * !t) + 1) <- tb.(k);
             tri.((3 * !t) + 2) <- tc.(k);
-            triangles := (u, tb.(k), tc.(k)) :: !triangles
+            incr t
           done
         done;
-        (!gabriel, tri, !triangles))
+        tri)
   in
-  let p_kept =
-    Obs.span "ldel.planarize" (fun () ->
-        let removed = planarize ?pool csr points ~radius tri in
-        List.filteri (fun i _ -> not removed.(i)) p_triangles)
+  let kept =
+    Obs.span "ldel.planarize" (fun () -> planarize ?pool csr points ~radius tri)
   in
-  { p_gabriel; p_triangles; p_kept }
+  { gabriel; tri; kept }
 
 let build_csr ?pool ?owners csr points ~radius =
   build_parts ?pool ?owners ~hops:1 csr points ~radius
 
 let build g points ~radius =
-  of_parts (G.node_count g)
-    (build_csr (Netgraph.Csr.of_graph g) points ~radius)
+  let csr = Netgraph.Csr.of_graph g in
+  of_parts (G.node_count g) (to_parts csr (build_csr csr points ~radius))
 
 let build_k g points ~radius ~k =
   if k < 1 then invalid_arg "Ldel.build_k: k < 1";
-  of_parts (G.node_count g)
-    (build_parts ~hops:k (Netgraph.Csr.of_graph g) points ~radius)
+  let csr = Netgraph.Csr.of_graph g in
+  of_parts (G.node_count g) (to_parts csr (build_parts ~hops:k csr points ~radius))

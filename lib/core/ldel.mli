@@ -39,26 +39,46 @@ type t = {
 }
 
 (** The three edge/triangle lists of a build, without the materialized
-    graphs — what the sharded pipeline computes and stitches.  Field
-    for field equal to the corresponding fields of {!t}. *)
-type csr_parts = {
+    graphs.  Field for field equal to the corresponding fields of
+    {!t}. *)
+type parts = {
   p_gabriel : (int * int) list;
   p_triangles : (int * int * int) list;
   p_kept : (int * int * int) list;
 }
 
-(** [build_csr csr points ~radius] computes the LDel¹/PLDel lists of
-    the graph [csr] (edges must join nodes at distance [<= radius];
-    nodes with no incident edge are simply isolated — this is how the
+(** What {!build_csr} computes, packed flat on the arcs of the graph it
+    ran on: no lists, a byte per arc and per triangle plus three ints
+    per triangle.  The sharded pipeline marks the arcs of its [pldel]
+    from these and keeps them in its snapshot. *)
+type csr_parts = {
+  gabriel : Bytes.t;
+      (** one byte per arc of the input CSR (indexed like
+          {!Netgraph.Csr.targets}): ['\001'] on the arc [u -> v] with
+          [u < v] of each Gabriel edge, ['\000'] elsewhere (the arc
+          [v -> u] included) *)
+  tri : int array;
+      (** the accepted triangles, three corner ids each: triangle [i]
+          is [(tri.(3i), tri.(3i+1), tri.(3i+2))], ascending within the
+          triple, triples in lexicographic order *)
+  kept : Bytes.t;
+      (** one byte per triangle of [tri]: ['\001'] when it survives
+          planarization (Algorithm 3) *)
+}
+
+(** [build_csr csr points ~radius] computes LDel¹ and PLDel of the
+    graph [csr] (edges must join nodes at distance [<= radius]; nodes
+    with no incident edge are simply isolated — this is how the
     construction runs on the induced backbone ICDS, whose vertex set
     is only the dominators and connectors): per-node Delaunay stars,
     min-corner-owned acceptance off the links, owner-side Gabriel
-    filtering, and a bucket-grid rendition of Algorithm 3 that only
+    flags, and a bucket-grid rendition of Algorithm 3 that only
     examines corner-disjoint triangle pairs whose bounding boxes can
     overlap.  With [owners] (tile partition of the node ids) and
     [pool] the stages fan out across the pool's domains; every node's
-    results land in its own slots and are read off in node order, so
+    results land in its own slots and are laid out in node order, so
     the output is bit-identical for any tiling and any job count.
+    Spans [ldel.l1], [ldel.l2] and [ldel.planarize] cover the call.
     @raise Invalid_argument when two nodes of a neighbourhood
     coincide. *)
 val build_csr :
@@ -69,12 +89,20 @@ val build_csr :
   radius:float ->
   csr_parts
 
-(** [of_parts n parts] materializes the two graphs from the lists. *)
-val of_parts : int -> csr_parts -> t
+(** [to_parts csr p] is [p] in list form, where [csr] is the graph
+    {!build_csr} ran on: [p_gabriel] reads the flagged arcs off in row
+    order, [p_triangles] unpacks [tri], [p_kept] keeps the triangles
+    flagged in [kept], so each list is sorted lexicographically.
+    Linear in the arc and triangle counts; for the {!Backbone.run}
+    thaw and tests. *)
+val to_parts : Netgraph.Csr.t -> csr_parts -> parts
 
-(** [build g points ~radius] is [of_parts n (build_csr (Csr.of_graph g)
-    points ~radius)]: the one-tile, pool-less build on a mutable
-    graph. *)
+(** [of_parts n parts] materializes the two graphs from the lists. *)
+val of_parts : int -> parts -> t
+
+(** [build g points ~radius] is [of_parts n (to_parts csr (build_csr
+    csr points ~radius))] with [csr = Csr.of_graph g]: the one-tile,
+    pool-less build on a mutable graph. *)
 val build : Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> t
 
 (** [build_k g points ~radius ~k] is the k-localized Delaunay graph

@@ -15,7 +15,6 @@
    distributed [Protocol]'s (asserted by the protocol tests). *)
 
 module Csr = Netgraph.Csr
-module Builder = Netgraph.Builder
 
 type snapshot = {
   points : Geometry.Point.t array;
@@ -72,6 +71,45 @@ let tiling ?tiles points ~radius =
     Array.init (Wireless.Cellgrid.cells grid) (Wireless.Cellgrid.nodes_of grid)
   end
 
+(* [pldel] as a row filter of the ICDS: one byte per ICDS arc, set
+   on both arcs of each Gabriel edge and of each edge of a kept
+   triangle.  Gabriel edges are marked from their owner arc's row and
+   triangles from their place in [tri] (min corner first), on the
+   pool; two workers may set one byte, but only ever to the same
+   value, so the marks after the join are the same for any job
+   count. *)
+let seal_pldel ?pool icds points { Ldel.gabriel; tri; kept } =
+  let off = Csr.offsets icds and adj = Csr.targets icds in
+  let mark = Bytes.make (Array.length adj) '\000' in
+  let link a b =
+    Bytes.set mark (Csr.arc icds a b) '\001';
+    Bytes.set mark (Csr.arc icds b a) '\001'
+  in
+  let each n body =
+    match pool with
+    | Some p when n > 0 ->
+      Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> body))
+    | _ ->
+      for i = 0 to n - 1 do
+        body i
+      done
+  in
+  each (Csr.node_count icds) (fun u ->
+      for k = off.(u) to off.(u + 1) - 1 do
+        if Bytes.get gabriel k <> '\000' then begin
+          Bytes.set mark k '\001';
+          Bytes.set mark (Csr.arc icds adj.(k) u) '\001'
+        end
+      done);
+  each (Bytes.length kept) (fun t ->
+      if Bytes.get kept t <> '\000' then begin
+        let a = tri.(3 * t) and b = tri.((3 * t) + 1) and c = tri.((3 * t) + 2) in
+        link a b;
+        link b c;
+        link a c
+      end);
+  Csr.filter_arcs ?pool ~points icds (fun k -> Bytes.get mark k <> '\000')
+
 let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
   Obs.span "shard" (fun () ->
       let owners =
@@ -109,7 +147,7 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
             Connectors.find_csr ?pool ~owners udg roles)
       in
       let n = Array.length points in
-      let backbone, kind, icds, ldel =
+      let backbone, link, icds', icds, ldel =
         Obs.span "shard.ldel" (fun () ->
             let backbone =
               Array.init n (fun u ->
@@ -127,48 +165,47 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
                     lor if backbone.(u) then 2 else 0))
             in
             let kind u = Char.code (Bytes.get kinds u) in
+            (* a dominatee-dominator link: a UDG edge whose ends have
+               different roles *)
+            let link u v = (kind u lxor kind v) land 1 <> 0 in
+            let both_backbone u v = kind u land kind v land 2 <> 0 in
+            (* the one pass over the UDG after the elections: every
+               later structure is a row filter of [icds'] or of the
+               ICDS *)
+            let icds' =
+              Obs.span "ldel.icds'" (fun () ->
+                  Csr.filter ?pool udg (fun u v ->
+                      link u v || both_backbone u v))
+            in
             (* LDel of the induced backbone ICDS *)
             let icds =
-              Csr.filter ?pool udg (fun u v -> kind u land kind v land 2 <> 0)
+              Obs.span "ldel.icds" (fun () ->
+                  Csr.filter ?pool icds' both_backbone)
             in
             ( backbone,
-              kind,
+              link,
+              icds',
               icds,
               Ldel.build_csr ?pool ~owners icds points ~radius ))
       in
-      (* Every structure below is a subgraph of the UDG: [cds] holds
-         connector-path edges, [pldel] sits inside the ICDS.  So each
-         primed variant is a row filter of the sorted UDG rows — the
-         unprimed edges plus the dominatee-dominator links, i.e. the
-         UDG edges whose ends have different roles.  DESIGN.md §10. *)
+      (* [cds] holds connector-path edges and [pldel] sits inside the
+         ICDS, so both lie in [icds'], and each primed variant is the
+         row filter of [icds'] to the unprimed edges plus the links.
+         [pldel] itself is the ICDS filtered to the arcs LDel marks.
+         DESIGN.md §10. *)
       Obs.span "shard.assemble" (fun () ->
-          let link u v = (kind u lxor kind v) land 1 <> 0 in
           let cds = connectors.Connectors.cds in
           let cds' =
             Obs.span "assemble.cds'" (fun () ->
-                Csr.filter ?pool udg (fun u v ->
+                Csr.filter ?pool icds' (fun u v ->
                     link u v || Csr.mem_edge cds u v))
           in
-          let icds' =
-            Obs.span "assemble.icds'" (fun () ->
-                Csr.filter ?pool udg (fun u v ->
-                    link u v || kind u land kind v land 2 <> 0))
-          in
           let pldel =
-            Obs.span "assemble.pldel" (fun () ->
-                let b = Builder.create n in
-                Builder.add_edges b ldel.Ldel.p_gabriel;
-                List.iter
-                  (fun (a, b', c) ->
-                    Builder.add_edge b a b';
-                    Builder.add_edge b b' c;
-                    Builder.add_edge b a c)
-                  ldel.Ldel.p_kept;
-                Builder.seal ?pool ~points b)
+            Obs.span "assemble.pldel" (fun () -> seal_pldel ?pool icds points ldel)
           in
           let pldel' =
             Obs.span "assemble.pldel'" (fun () ->
-                Csr.filter ?pool ~points udg (fun u v ->
+                Csr.filter ?pool ~points icds' (fun u v ->
                     link u v || Csr.mem_edge pldel u v))
           in
           {

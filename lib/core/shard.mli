@@ -26,7 +26,9 @@
     Euclidean arc weights), [pldel'] its primed variant.
     [connectors] is the elections' sealed outcome; [cds] is its
     [Connectors.cds], the CSR the elections sealed, shared.  Its list
-    form is {!Connectors.to_result}. *)
+    form is {!Connectors.to_result}.  [ldel] is LDel(ICDS) packed on
+    the arcs of [icds] (Gabriel flags, the flat triangle array, the
+    kept flags); its list form is [Ldel.to_parts icds ldel]. *)
 type snapshot = {
   points : Geometry.Point.t array;
   radius : float;
@@ -34,7 +36,7 @@ type snapshot = {
   udg : Netgraph.Csr.t;
   roles : Mis.role array;
   connectors : Connectors.t;
-  ldel : Ldel.csr_parts;
+  ldel : Ldel.csr_parts;  (** packed on the arcs of [icds] *)
   backbone : bool array;
   cds : Netgraph.Csr.t;
   cds' : Netgraph.Csr.t;
@@ -63,12 +65,17 @@ val tiling :
     everything runs on the caller's domain.  [priority] is the MIS
     priority as in {!Mis.compute_csr}.  [udg] substitutes a pre-built
     snapshot for the UDG stage (the quasi-UDG robustness path — its
-    RNG sequence is inherently serial).  Stage timings land in the
+    RNG sequence is inherently serial).  After the elections the UDG
+    is read once, by the [icds'] row filter; [icds], [cds'] and
+    [pldel'] are row filters of [icds'], and [pldel] is the filter of
+    [icds] to the arcs LDel marks.  Stage timings land in the
     [shard.*] spans, which cover the whole build: [shard.connectors]
     has the children [connectors.index], [connectors.elect] and
-    [connectors.seal] (the CDS is sealed there), and [shard.assemble]
-    one [assemble.*] child per structure it seals; tile count and
-    populations in the [shard.tiles]
+    [connectors.seal] (the CDS is sealed there), [shard.ldel] the
+    children [ldel.icds'], [ldel.icds], [ldel.l1], [ldel.l2] and
+    [ldel.planarize], and [shard.assemble] one child per structure it
+    seals: [assemble.cds'], [assemble.pldel] and [assemble.pldel'];
+    tile count and populations in the [shard.tiles]
     gauge / [shard.tile_pop] distribution.
     @raise Invalid_argument when [radius <= 0], [tiles < 1], or [udg]
     disagrees with [points] on the node count. *)

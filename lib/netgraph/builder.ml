@@ -53,7 +53,7 @@ let append ~into b =
 
 (* in-place sort of targets.(lo .. hi-1); rows are small (node
    degrees), so insertion sort is both simplest and fastest *)
-let sort_row targets lo hi =
+let sort_row (targets : int array) lo hi =
   for k = lo + 1 to hi - 1 do
     let x = targets.(k) in
     let j = ref (k - 1) in

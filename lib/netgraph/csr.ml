@@ -119,6 +119,16 @@ let fold_neighbors t u f init =
 
 let neighbors t u = List.rev (fold_neighbors t u (fun acc v -> v :: acc) [])
 
+let arc t u v =
+  let lo = ref t.offsets.(u) and hi = ref (t.offsets.(u + 1) - 1) in
+  let k = ref (-1) in
+  while !k < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let w = t.targets.(mid) in
+    if w = v then k := mid else if w < v then lo := mid + 1 else hi := mid - 1
+  done;
+  !k
+
 let mem_edge t u v =
   let lo = ref t.offsets.(u) and hi = ref (t.offsets.(u + 1) - 1) in
   let found = ref false in
@@ -201,8 +211,8 @@ let filter ?pool ?points t keep =
         end
       done)
 
-let filter_arcs ?pool t keep =
-  select ?pool t
+let filter_arcs ?pool ?points t keep =
+  select ?pool ?points t
     ~count:(fun u ->
       let c = ref 0 in
       for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do

@@ -65,8 +65,9 @@ val filter :
 (** [filter_arcs t keep] is {!filter} deciding by arc index: arc [k]
     (the [k]-th entry of {!targets}) is kept when [keep k].  The kept
     set must be symmetric — arc [u -> v] kept iff arc [v -> u] is —
-    and [keep] pure.  Without weights. *)
-val filter_arcs : ?pool:Pool.t -> t -> (int -> bool) -> t
+    and [keep] pure.  [points] weighs the kept arcs as in {!filter}. *)
+val filter_arcs :
+  ?pool:Pool.t -> ?points:Geometry.Point.t array -> t -> (int -> bool) -> t
 
 (** [adopt ~offsets ~targets ()] wraps rows that are valid by
     construction, without {!of_rows}'s checks: the seal of {!Builder}.
@@ -112,7 +113,13 @@ val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 (** Neighbor list (allocates; for tests and interop). *)
 val neighbors : t -> int -> int list
 
-(** [mem_edge t u v] tests adjacency by binary search in [u]'s row. *)
+(** [arc t u v] is the index of the arc [u -> v] (its slot in
+    {!targets}), found by binary search in [u]'s row, or [-1] when [u]
+    and [v] are not adjacent. *)
+val arc : t -> int -> int -> int
+
+(** [mem_edge t u v] tests adjacency by binary search in [u]'s row
+    ([arc t u v >= 0] without the index). *)
 val mem_edge : t -> int -> int -> bool
 
 (** [iter_edges t f] calls [f u v] once per undirected edge with

@@ -6,7 +6,7 @@ let segments g (points : Geometry.Point.t array) =
     (fun (u, v) -> ((u, v), Geometry.Segment.make points.(u) points.(v)))
     (View.edges g)
 
-let share_endpoint (u1, v1) (u2, v2) =
+let share_endpoint ((u1 : int), v1) (u2, v2) =
   u1 = u2 || u1 = v2 || v1 = u2 || v1 = v2
 
 let crossing_pairs_v g points =

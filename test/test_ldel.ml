@@ -372,6 +372,74 @@ let oracle_planarize ?pool csr points ~radius tris_list =
     !kept
   end
 
+(* The list builder LDel had before its parts were packed, kept as the
+   oracle of [Ldel.to_parts] and of the snapshot's [pldel]: every
+   node's star from [Delaunay.Star], a triangle accepted from its min
+   corner when it is consecutive in all three corners' links and its
+   links fit, Gabriel edges from the owner side of each row, all as
+   sorted lists, and Algorithm 3 as [oracle_planarize] above. *)
+module Ldel_oracle = struct
+  module C = Netgraph.Csr
+
+  let build csr points ~radius =
+    let n = C.node_count csr in
+    let off = C.offsets csr and nbrs = C.targets csr in
+    let link = Array.make (Array.length nbrs) 0 in
+    let closed = Array.make n false in
+    let sc = Delaunay.Star.scratch () in
+    (* the consecutive pairs of each node's link, cyclic when closed *)
+    let steps =
+      Array.init n (fun u ->
+          let len =
+            Delaunay.Star.link_into sc points ~center:u ~nbrs ~lo:off.(u)
+              ~hi:off.(u + 1) ~link ~closed
+          in
+          let l = Array.sub link off.(u) len in
+          List.init
+            (if closed.(u) then len else max 0 (len - 1))
+            (fun i -> (l.(i), l.((i + 1) mod len))))
+    in
+    let triangles =
+      List.concat
+        (List.init n (fun u ->
+             List.sort compare
+               (List.filter_map
+                  (fun (a, b) ->
+                    if
+                      a > u && b > u
+                      && Core.Ldel.triangle_fits points ~radius (u, a, b)
+                      && List.mem (b, u) steps.(a)
+                      && List.mem (u, a) steps.(b)
+                    then Some (u, min a b, max a b)
+                    else None)
+                  steps.(u))))
+    in
+    let gabriel =
+      List.concat
+        (List.init n (fun u ->
+             let row = C.neighbors csr u in
+             List.filter_map
+               (fun v ->
+                 if
+                   v > u
+                   && not
+                        (List.exists
+                           (fun w ->
+                             w <> v
+                             && Geometry.Circle.in_diametral points.(u)
+                                  points.(v) points.(w))
+                           row)
+                 then Some (u, v)
+                 else None)
+               row))
+    in
+    {
+      Core.Ldel.p_gabriel = gabriel;
+      p_triangles = triangles;
+      p_kept = oracle_planarize csr points ~radius triangles;
+    }
+end
+
 (* A uniform deployment's UDG with each edge dropped with probability
    [drop]: partial visibility makes LDel¹ triangles cross, so
    Algorithm 3 has something to remove. *)
@@ -398,9 +466,20 @@ let prop_planarize_matches_oracle =
     (fun (seed, n, radius, drop) ->
       let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
       let csr = Netgraph.Csr.of_graph g in
-      let parts = Core.Ldel.build_csr csr pts ~radius in
+      let parts = Core.Ldel.to_parts csr (Core.Ldel.build_csr csr pts ~radius) in
       parts.Core.Ldel.p_kept
       = oracle_planarize csr pts ~radius parts.Core.Ldel.p_triangles)
+
+(* the packed build, read off as lists, against the list builder it
+   replaced, on the same thinned family *)
+let prop_packed_matches_list_builder =
+  QCheck.Test.make ~name:"to_parts (build_csr) = list builder" ~count:150
+    (QCheck.make ~print:print_instance gen_instance)
+    (fun (seed, n, radius, drop) ->
+      let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
+      let csr = Netgraph.Csr.of_graph g in
+      Core.Ldel.to_parts csr (Core.Ldel.build_csr csr pts ~radius)
+      = Ldel_oracle.build csr pts ~radius)
 
 let test_planarize_removes_like_oracle () =
   (* instances where Algorithm 3 does remove triangles, serial and on
@@ -410,13 +489,16 @@ let test_planarize_removes_like_oracle () =
       for seed = 1 to 40 do
         let pts, g = thinned_instance (Int64.of_int seed) 120 30. 0.3 in
         let csr = Netgraph.Csr.of_graph g in
+        let build ?pool ?owners () =
+          Core.Ldel.to_parts csr
+            (Core.Ldel.build_csr ?pool ?owners csr pts ~radius:30.)
+        in
         let want =
-          let parts = Core.Ldel.build_csr csr pts ~radius:30. in
-          oracle_planarize csr pts ~radius:30. parts.Core.Ldel.p_triangles
+          oracle_planarize csr pts ~radius:30. (build ()).Core.Ldel.p_triangles
         in
         let owners = Core.Shard.tiling ~tiles:3 pts ~radius:30. in
-        let serial = Core.Ldel.build_csr csr pts ~radius:30. in
-        let pooled = Core.Ldel.build_csr ~pool ~owners csr pts ~radius:30. in
+        let serial = build () in
+        let pooled = build ~pool ~owners () in
         check "serial = oracle" true (serial.Core.Ldel.p_kept = want);
         check "pooled = serial" true (pooled = serial);
         removals :=
@@ -560,5 +642,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_shared_corner_disjoint;
         Alcotest.test_case "PLDel crossing fixture" `Quick
           test_crossing_fixture;
+        QCheck_alcotest.to_alcotest prop_packed_matches_list_builder;
       ] );
   ]

@@ -470,7 +470,10 @@ let test_ldel_csr_identity () =
       List.iter
         (fun tiles ->
           with_jobs jobs (fun pool ->
-              let parts = Core.Ldel.build_csr ?pool ?owners:tiles csr pts ~radius:28. in
+              let parts =
+                Core.Ldel.to_parts csr
+                  (Core.Ldel.build_csr ?pool ?owners:tiles csr pts ~radius:28.)
+              in
               let tag s = Printf.sprintf "%s jobs=%d" s jobs in
               edge_list (tag "gabriel") want.Core.Ldel.gabriel_edges
                 parts.Core.Ldel.p_gabriel;
@@ -494,13 +497,101 @@ let test_ldel_csr_on_backbone () =
   let icds = cds.Core.Cds.icds in
   let want = Core.Ldel.build icds pts ~radius:30. in
   with_jobs 2 @@ fun pool ->
+  let csr = Csr.of_graph icds in
   let parts =
-    Core.Ldel.build_csr ?pool ~owners:(spatial_tiles pts 3) (Csr.of_graph icds)
-      pts ~radius:30.
+    Core.Ldel.to_parts csr
+      (Core.Ldel.build_csr ?pool ~owners:(spatial_tiles pts 3) csr pts
+         ~radius:30.)
   in
   edge_list "gabriel" want.Core.Ldel.gabriel_edges parts.Core.Ldel.p_gabriel;
   tri_list "triangles" want.Core.Ldel.triangles parts.Core.Ldel.p_triangles;
   tri_list "kept" want.Core.Ldel.kept_triangles parts.Core.Ldel.p_kept
+
+(* The packed build against the list builder it replaced
+   ([Test_ldel.Ldel_oracle]), on the UDG and on the induced ICDS (whose
+   dominatees are isolated), for every listed tiling and jobs 1 and 2;
+   an input either builds the same lists or raises the same
+   exception. *)
+let ldel_match pts ~radius =
+  let udg = Wireless.Udg.build_csr pts ~radius in
+  let roles = Core.Mis.compute_csr udg in
+  let conn = Core.Connectors.find_csr udg roles in
+  let bb u =
+    roles.(u) = Core.Mis.Dominator || conn.Core.Connectors.connector.(u)
+  in
+  let icds = Csr.filter udg (fun u v -> bb u && bb v) in
+  let outcome f = match f () with r -> Ok r | exception e -> Error e in
+  List.for_all
+    (fun csr ->
+      let want =
+        outcome (fun () -> Test_ldel.Ldel_oracle.build csr pts ~radius)
+      in
+      List.for_all
+        (fun tiles ->
+          let owners = Core.Shard.tiling ?tiles pts ~radius in
+          List.for_all
+            (fun jobs ->
+              with_jobs jobs (fun pool ->
+                  want
+                  = outcome (fun () ->
+                        Core.Ldel.to_parts csr
+                          (Core.Ldel.build_csr ?pool ~owners csr pts ~radius))))
+            [ 1; 2 ])
+        [ Some 1; Some 2; Some 3; None ])
+    [ udg; icds ]
+
+let test_ldel_hostile () =
+  let p x y = Geometry.Point.make x y in
+  let cases =
+    [
+      ("n=0", [||], 10.);
+      ("n=1", [| p 3. 4. |], 10.);
+      ("n=2 linked", [| p 0. 0.; p 5. 0. |], 10.);
+      ("n=2 apart", [| p 0. 0.; p 50. 0. |], 10.);
+      ( "duplicate points",
+        Array.init 40 (fun i ->
+            p (float_of_int (i mod 7 * 6)) (float_of_int (i mod 5 * 6))),
+        10. );
+      ( "collinear chain",
+        Array.init 30 (fun i -> p (float_of_int i *. 9.) 0.),
+        10. );
+      ( "all isolated",
+        Array.init 25 (fun i ->
+            p (float_of_int (i mod 5) *. 30.) (float_of_int (i / 5) *. 30.)),
+        10. );
+      ( "uniform",
+        Wireless.Deploy.uniform (Wireless.Rand.create 61L) ~n:300 ~side:150.,
+        18. );
+    ]
+  in
+  List.iter
+    (fun (name, pts, radius) -> check name true (ldel_match pts ~radius))
+    cases;
+  (* the cases are not vacuous: duplicates raise, a chain has Gabriel
+     edges and no triangle *)
+  let dup = (fun (_, pts, _) -> pts) (List.nth cases 4) in
+  let csr = Wireless.Udg.build_csr dup ~radius:10. in
+  check "duplicates raise" true
+    (match Core.Ldel.build_csr csr dup ~radius:10. with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let chain = Array.init 30 (fun i -> p (float_of_int i *. 9.) 0.) in
+  let csr = Wireless.Udg.build_csr chain ~radius:10. in
+  let parts =
+    Core.Ldel.to_parts csr (Core.Ldel.build_csr csr chain ~radius:10.)
+  in
+  checki "chain gabriel" 29 (List.length parts.Core.Ldel.p_gabriel);
+  checki "chain triangles" 0 (List.length parts.Core.Ldel.p_triangles)
+
+let prop_ldel_oracle =
+  QCheck.Test.make ~name:"packed LDel = list builder (any n, R, tiling, jobs)"
+    ~count:60
+    QCheck.(pair (int_bound 250) (pair small_nat (int_bound 3)))
+    (fun (n, (seed, rk)) ->
+      let radius = [| 8.; 14.; 25.; 45. |].(rk) in
+      let rng = Wireless.Rand.create (Int64.of_int (seed + 1)) in
+      let pts = Wireless.Deploy.uniform rng ~n ~side:150. in
+      ldel_match pts ~radius)
 
 (* --- Builder / View ------------------------------------------------- *)
 
@@ -793,8 +884,11 @@ let test_pipeline_quasi () =
   let sharded = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 3)) pts in
   same_backbone "quasi" serial sharded
 
-(* The Builder-based assembly the row filters replaced, verbatim: the
-   oracle every sealed structure of the snapshot must equal. *)
+(* The Builder-based assembly the row filters and arc marks replaced:
+   the oracle every sealed structure of the snapshot must equal.  Its
+   inputs are the oracles' own, never the snapshot's parts: connector
+   lists from [Connectors_oracle], and LDel lists from the list
+   builder run on the ICDS it seals itself. *)
 module Assemble_oracle = struct
   module Builder = Netgraph.Builder
   module Mis = Core.Mis
@@ -809,7 +903,7 @@ module Assemble_oracle = struct
               if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
       roles
 
-  let run ?pool points udg roles (connectors : Connectors.result) ldel =
+  let run ?pool points ~radius udg roles (connectors : Connectors.result) =
     let n = Array.length points in
     let backbone =
       Array.init n (fun u ->
@@ -829,6 +923,7 @@ module Assemble_oracle = struct
     Csr.iter_edges udg (fun u v ->
         if backbone.(u) && backbone.(v) then Builder.add_edge icds_b u v);
     let icds = Builder.seal ?pool icds_b in
+    let ldel = Test_ldel.Ldel_oracle.build icds points ~radius in
     add_dominatee_links_csr icds_b udg roles;
     let icds' = Builder.seal ?pool icds_b in
     let add_pldel b =
@@ -855,9 +950,8 @@ let subgraph sub super =
 let check_assembly tag (s : Core.Shard.snapshot) =
   let open Core.Shard in
   let backbone, cds, cds', icds, icds', pldel, pldel' =
-    Assemble_oracle.run s.points s.udg s.roles
+    Assemble_oracle.run s.points ~radius:s.radius s.udg s.roles
       (Connectors_oracle.find_csr s.udg s.roles)
-      s.ldel
   in
   check (tag ^ " backbone") true (backbone = s.backbone);
   check (tag ^ " cds") true (cds = s.cds);
@@ -911,9 +1005,9 @@ let test_assembly_oracle () =
     [ (1, 1); (3, 2) ]
 
 (* the stage spans cover the build: the connector elections split
-   into index, elections and the CDS seal, the ICDS filter is charged
-   to [shard.ldel], and [shard.assemble] splits into one child per
-   structure it seals *)
+   into index, elections and the CDS seal, [shard.ldel] opens with the
+   [icds'] and [icds] filters, and [shard.assemble] splits into one
+   child per structure it seals *)
 let test_stage_spans () =
   let rng = Wireless.Rand.create 35L in
   let pts = Wireless.Deploy.uniform rng ~n:300 ~side:200. in
@@ -951,8 +1045,12 @@ let test_stage_spans () =
     [ "connectors.elect"; "connectors.index"; "connectors.seal" ]
     (children "shard/shard.connectors/");
   Alcotest.(check (list string))
+    "ldel children"
+    [ "ldel.icds"; "ldel.icds'"; "ldel.l1"; "ldel.l2"; "ldel.planarize" ]
+    (children "shard/shard.ldel/");
+  Alcotest.(check (list string))
     "assemble children"
-    [ "assemble.cds'"; "assemble.icds'"; "assemble.pldel"; "assemble.pldel'" ]
+    [ "assemble.cds'"; "assemble.pldel"; "assemble.pldel'" ]
     (children "shard/shard.assemble/")
 
 (* tiling invariants: every node exactly once, tile side >= radius *)
@@ -1031,6 +1129,9 @@ let suites =
         Alcotest.test_case "ldel csr identity" `Quick test_ldel_csr_identity;
         Alcotest.test_case "ldel csr on backbone" `Quick
           test_ldel_csr_on_backbone;
+        Alcotest.test_case "ldel oracle: hostile inputs" `Quick
+          test_ldel_hostile;
+        QCheck_alcotest.to_alcotest prop_ldel_oracle;
       ] );
     ( "shard.builder",
       [
