@@ -219,7 +219,11 @@ let ablation_ldel_scope cfg =
       tris_i :=
         !tris_i
         +. float_of_int
-             (List.length bb.Core.Backbone.ldel_icds.Core.Ldel.triangles);
+             (Array.length
+                (Core.Ldel.build_csr bb.Core.Backbone.snap.Core.Shard.icds pts
+                   ~radius)
+                  .Core.Ldel.tri
+             / 3);
       incr k)
     (instances cfg 100 radius);
   let k = float_of_int !k in
@@ -285,8 +289,10 @@ let extension_power_stretch cfg =
      UDG base (which is excluded: its power stretch is 1) *)
   let structures =
     List.filter_map
-      (fun (name, g, scope) ->
-        if scope = `Spans_all && name <> "UDG" then Some (name, g) else None)
+      (fun (name, v, scope) ->
+        if scope = `Spans_all && name <> "UDG" then
+          Some (name, Netgraph.Csr.to_graph (Netgraph.View.to_csr v))
+        else None)
       (Core.Backbone.structures bb)
   in
   pf "%-13s %12s %12s %12s %12s@." "structure" "b=2 avg" "b=2 max" "b=4 avg"
@@ -303,7 +309,7 @@ let ablation_routing cfg =
   let radius = 60. in
   let pts = List.hd (instances cfg 100 radius) in
   let bb = Core.Backbone.build pts ~radius in
-  let udg = Netgraph.View.of_graph bb.Core.Backbone.udg in
+  let udg = Netgraph.View.of_csr bb.Core.Backbone.snap.Core.Shard.udg in
   let planar_full =
     Netgraph.View.of_graph (Core.Backbone.ldel_full bb).Core.Ldel.planar
   in
@@ -324,7 +330,7 @@ let ablation_routing cfg =
   eval "GFG on PLDel(V)" (fun ~src ~dst ->
       Core.Routing.gfg planar_full pts ~src ~dst);
   eval "hierarchical on backbone" (fun ~src ~dst ->
-      Core.Routing.hierarchical bb ~src ~dst)
+      Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst)
 
 let extension_broadcast cfg =
   header "Extension: broadcast transmissions (flooding vs backbone relay)";
@@ -767,7 +773,9 @@ let bench_metrics ?check quick jobs =
         in
         let bb = Core.Backbone.build pts ~radius in
         let base = bb.Core.Backbone.udg in
-        let sub = bb.Core.Backbone.ldel_icds' in
+        let sub =
+          Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.pldel'
+        in
         pf "n = %-5d R = %-4g (UDG %d edges, LDel(ICDS') %d edges)@." n radius
           (Netgraph.Graph.edge_count base)
           (Netgraph.Graph.edge_count sub);
@@ -917,11 +925,13 @@ let bench_pipeline ?check quick jobs =
     count "pldel_edges" n (Netgraph.Csr.edge_count s.S.pldel);
     count "pldel'_edges" n (Netgraph.Csr.edge_count s.S.pldel')
   in
+  (* CDS': the snapshot keeps no copy, so compare what it filters to *)
+  let primed (s : S.snapshot) = S.primed s.S.roles s.S.icds' s.S.cds in
   let same (a : S.snapshot) (b : S.snapshot) =
     let e = Netgraph.Csr.edges in
     a.S.roles = b.S.roles
     && e a.S.udg = e b.S.udg
-    && e a.S.cds' = e b.S.cds'
+    && e (primed a) = e (primed b)
     && e a.S.pldel = e b.S.pldel
     && e a.S.pldel' = e b.S.pldel'
   in

@@ -320,16 +320,17 @@ let build_cmd =
         { Config.default with Config.radius; jobs; partition }
         pts
     in
-    let roles = bb.Core.Backbone.cds.Core.Cds.roles in
+    let snap = bb.Core.Backbone.snap in
     let dominators =
       Array.fold_left
         (fun acc r -> if r = Core.Mis.Dominator then acc + 1 else acc)
-        0 roles
+        0 snap.Core.Shard.roles
     in
+    (* every backbone node that is not a dominator was elected *)
     let connectors =
       Array.fold_left
-        (fun acc c -> if c then acc + 1 else acc)
-        0 bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.connector
+        (fun acc b -> if b then acc + 1 else acc)
+        (-dominators) snap.Core.Shard.backbone
     in
     Printf.printf "nodes:       %d\n" (Array.length pts);
     Printf.printf "radius:      %g\n" radius;
@@ -338,12 +339,14 @@ let build_cmd =
     Printf.printf "%-13s %8s %8s %8s\n" "structure" "edges" "deg_avg" "deg_max";
     List.iter
       (fun (name, g, _) ->
-        let d = Netgraph.Metrics.degree_stats g in
+        let d = Netgraph.Metrics.degree_stats_v g in
         Printf.printf "%-13s %8d %8.2f %8d\n" name d.Netgraph.Metrics.edges
           d.Netgraph.Metrics.deg_avg d.Netgraph.Metrics.deg_max)
       (Core.Backbone.structures bb);
     Printf.printf "planar backbone: %b\n"
-      (Netgraph.Planarity.is_planar bb.Core.Backbone.ldel_icds_g pts);
+      (Netgraph.Planarity.is_planar_v
+         (Netgraph.View.of_csr snap.Core.Shard.pldel)
+         pts);
     0
   in
   let doc = "construct all backbone structures and print statistics" in
@@ -402,12 +405,12 @@ let route_cmd =
       match scheme with
       | `Greedy ->
         Core.Routing.greedy
-          (Netgraph.View.of_graph bb.Core.Backbone.udg)
+          (Netgraph.View.of_csr bb.Core.Backbone.snap.Core.Shard.udg)
           pts ~src ~dst
       | `Gfg ->
         let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
         Core.Routing.gfg (Netgraph.View.of_graph planar) pts ~src ~dst
-      | `Hier -> Core.Routing.hierarchical bb ~src ~dst
+      | `Hier -> Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst
     in
     match result with
     | Some path ->
@@ -507,8 +510,8 @@ let dump_cmd =
     with
     | Some (name, g, _) ->
       Printf.printf "# %s: %d nodes, %d edges\n" name
-        (Netgraph.Graph.node_count g) (Netgraph.Graph.edge_count g);
-      Netgraph.Graph.iter_edges g (fun u v ->
+        (Netgraph.View.node_count g) (Netgraph.View.edge_count g);
+      Netgraph.View.iter_edges g (fun u v ->
           let (pu : Geometry.Point.t) = pts.(u)
           and (pv : Geometry.Point.t) = pts.(v) in
           Printf.printf "%d,%d,%.4f,%.4f,%.4f,%.4f\n" u v pu.x pu.y pv.x pv.y);
@@ -1204,7 +1207,8 @@ let monitor_cmd =
         if traffic <= 0 then []
         else
           match
-            Core.Packetsim.many !bb.Core.Backbone.udg !bb.Core.Backbone.points
+            Core.Packetsim.many !bb.Core.Backbone.udg
+              !bb.Core.Backbone.snap.Core.Shard.points
               ~pairs:traffic traffic_rng ~router:`Greedy
           with
           | _, 0, _ -> [] (* fewer than two nodes: nothing was sent *)

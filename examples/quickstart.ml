@@ -32,10 +32,11 @@ let () =
       points
   in
 
-  let dominators =
-    List.length (Core.Mis.dominators bb.Core.Backbone.cds.Core.Cds.roles)
+  let snap = bb.Core.Backbone.snap in
+  let dominators = List.length (Core.Mis.dominators snap.Core.Shard.roles) in
+  let backbone =
+    Array.fold_left (fun k b -> if b then k + 1 else k) 0 snap.Core.Shard.backbone
   in
-  let backbone = List.length (Core.Cds.backbone_nodes bb.Core.Backbone.cds) in
   Printf.printf "backbone: %d dominators, %d nodes total\n" dominators backbone;
 
   (* 3. The headline guarantees, checked live on this instance. *)
@@ -43,14 +44,16 @@ let () =
   Printf.printf "LDel(ICDS) is planar:      %b\n"
     (Netgraph.Planarity.is_planar planar_backbone points);
   Printf.printf "LDel(ICDS') spans all:     %b\n"
-    (Netgraph.Components.is_connected bb.Core.Backbone.ldel_icds');
+    (Netgraph.Csr.is_connected snap.Core.Shard.pldel');
   let d = Netgraph.Metrics.degree_stats planar_backbone in
   Printf.printf "backbone max degree:       %d (avg %.2f)\n"
     d.Netgraph.Metrics.deg_max d.Netgraph.Metrics.deg_avg;
 
   let s =
-    Netgraph.Metrics.stretch_factors ~base:bb.Core.Backbone.udg
-      ~sub:bb.Core.Backbone.ldel_icds' points
+    Netgraph.Metrics.stretch_factors_v
+      ~base:(Netgraph.View.of_csr snap.Core.Shard.udg)
+      ~sub:(Netgraph.View.of_csr snap.Core.Shard.pldel')
+      points
   in
   Printf.printf "length stretch:            avg %.3f  max %.3f\n"
     s.Netgraph.Metrics.len_avg s.Netgraph.Metrics.len_max;
@@ -64,7 +67,7 @@ let () =
 
   (* 5. Route a packet with dominating-set-based routing: direct to
      in-range destinations, via the planar backbone otherwise. *)
-  match Core.Routing.hierarchical bb ~src:0 ~dst:(Array.length points - 1) with
+  match Core.Routing.hierarchical snap ~src:0 ~dst:(Array.length points - 1) with
   | Some path ->
     Printf.printf "route 0 -> %d: %s (%d hops)\n"
       (Array.length points - 1)

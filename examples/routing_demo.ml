@@ -48,7 +48,7 @@ let () =
       ( "GFG / PLDel(V)",
         fun ~src ~dst -> Core.Routing.gfg pldel_v points ~src ~dst );
       ( "DS-based / backbone",
-        fun ~src ~dst -> Core.Routing.hierarchical bb ~src ~dst );
+        fun ~src ~dst -> Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst );
     ]
   in
   Printf.printf "%-22s %9s %12s %12s\n" "scheme" "delivery" "len stretch"
@@ -72,7 +72,7 @@ let () =
     Printf.printf "greedy %d->%d delivered in %d hops\n" src dst
       (Netgraph.Traversal.path_hops p)
   | None -> Printf.printf "greedy %d->%d stuck at a local minimum\n" src dst);
-  match Core.Routing.hierarchical bb ~src ~dst with
+  match Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst with
   | Some p ->
     let sp = Netgraph.Traversal.bfs udg src in
     Printf.printf

@@ -52,7 +52,8 @@ let () =
   let routes =
     List.filter_map
       (fun src ->
-        if src = sink then None else Core.Routing.hierarchical bb ~src ~dst:sink)
+        if src = sink then None
+        else Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst:sink)
       (List.init n Fun.id)
   in
   Printf.printf "epoch delivery: %d/%d reports reached the sink\n"
@@ -92,12 +93,11 @@ let () =
     routes;
   let hottest = ref 0 in
   Array.iteri (fun i e -> if e > battery.(!hottest) then hottest := i) battery;
-  let roles = bb.Core.Backbone.cds.Core.Cds.roles in
+  let roles = bb.Core.Backbone.snap.Core.Shard.roles in
   let role i =
     if i = sink then "sink"
     else if roles.(i) = Core.Mis.Dominator then "dominator"
-    else if bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.connector.(i)
-    then "connector"
+    else if bb.Core.Backbone.snap.Core.Shard.backbone.(i) then "connector"
     else "dominatee"
   in
   Printf.printf "hottest node: %d (%s), %.2fx the average transmit energy\n"

@@ -24,14 +24,14 @@ let () =
       points
   in
 
-  let roles = bb.Core.Backbone.cds.Core.Cds.roles in
-  let connector = bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.connector in
+  let roles = bb.Core.Backbone.snap.Core.Shard.roles in
+  let backbone = bb.Core.Backbone.snap.Core.Shard.backbone in
   let oc = open_out (Filename.concat dir "nodes.csv") in
   Array.iteri
     (fun i (p : Geometry.Point.t) ->
       let role =
         if roles.(i) = Core.Mis.Dominator then "dominator"
-        else if connector.(i) then "connector"
+        else if backbone.(i) then "connector"
         else "dominatee"
       in
       Printf.fprintf oc "%d,%.4f,%.4f,%s\n" i p.x p.y role)
@@ -50,14 +50,14 @@ let () =
   in
   let style_of i =
     if roles.(i) = Core.Mis.Dominator then Viz.Svg.dominator_style
-    else if connector.(i) then Viz.Svg.connector_style
+    else if backbone.(i) then Viz.Svg.connector_style
     else Viz.Svg.dominatee_style
   in
   List.iter
     (fun (name, g, _) ->
       let file = Filename.concat dir (slug name ^ ".csv") in
       let oc = open_out file in
-      Netgraph.Graph.iter_edges g (fun u v ->
+      Netgraph.View.iter_edges g (fun u v ->
           let (pu : Geometry.Point.t) = points.(u)
           and (pv : Geometry.Point.t) = points.(v) in
           Printf.fprintf oc "%.4f,%.4f,%.4f,%.4f\n" pu.x pu.y pv.x pv.y);
@@ -71,6 +71,6 @@ let () =
       let svg_file = Filename.concat dir (slug name ^ ".svg") in
       Viz.Svg.write_file svg svg_file;
       Printf.printf "%-14s %4d edges  -> %s, %s\n" name
-        (Netgraph.Graph.edge_count g) file svg_file)
+        (Netgraph.View.edge_count g) file svg_file)
     (Core.Backbone.structures bb);
   Printf.printf "\nOpen the SVGs to see Figure 7; the CSVs feed any plotter.\n"

@@ -1,16 +1,8 @@
 module G = Netgraph.Graph
+module Csr = Netgraph.Csr
+module V = Netgraph.View
 
-type t = {
-  points : Geometry.Point.t array;
-  radius : float;
-  jobs : int;
-  udg : G.t;
-  cds : Cds.t;
-  ldel_icds : Ldel.t;
-  ldel_icds_g : G.t;
-  ldel_icds' : G.t;
-  planar_csr : Netgraph.Csr.t;
-}
+type t = { snap : Shard.snapshot; jobs : int; udg : G.t; ldel_icds_g : G.t }
 
 module Config = struct
   type radio = Disk | Quasi of { r_min : float; seed : int64 }
@@ -75,45 +67,22 @@ let pipeline (cfg : Config.t) points =
 let snapshot (cfg : Config.t) points =
   with_sink cfg.Config.sink (fun () -> pipeline cfg points)
 
-(* The mutable-graph record, thawed from the sealed snapshot. *)
-let thaw ~jobs (snap : Shard.snapshot) =
-  let g = Netgraph.Csr.to_graph in
-  let ldel_icds =
-    Ldel.of_parts
-      (Array.length snap.Shard.points)
-      (Ldel.to_parts snap.Shard.icds snap.Shard.ldel)
-  in
-  {
-    points = snap.Shard.points;
-    radius = snap.Shard.radius;
-    jobs = max 1 jobs;
-    udg = g snap.Shard.udg;
-    cds =
-      {
-        Cds.roles = snap.Shard.roles;
-        connectors = Connectors.to_result snap.Shard.connectors;
-        backbone = snap.Shard.backbone;
-        cds = g snap.Shard.cds;
-        cds' = g snap.Shard.cds';
-        icds = g snap.Shard.icds;
-        icds' = g snap.Shard.icds';
-      };
-    ldel_icds;
-    ldel_icds_g = ldel_icds.Ldel.planar;
-    ldel_icds' = g snap.Shard.pldel';
-    planar_csr = snap.Shard.pldel;
-  }
-
 let run (cfg : Config.t) points =
   with_sink cfg.Config.sink (fun () ->
       Obs.span "backbone" (fun () ->
           let snap = pipeline cfg points in
-          Obs.span "thaw" (fun () -> thaw ~jobs:cfg.Config.jobs snap)))
+          Obs.span "thaw" (fun () ->
+              {
+                snap;
+                jobs = max 1 cfg.Config.jobs;
+                udg = Csr.to_graph snap.Shard.udg;
+                ldel_icds_g = Csr.to_graph snap.Shard.pldel;
+              })))
 
 let build ?priority points ~radius =
   run { Config.default with Config.radius; priority } points
 
-let ldel_full t = Ldel.build t.udg t.points ~radius:t.radius
+let ldel_full t = Ldel.build t.udg t.snap.Shard.points ~radius:t.snap.Shard.radius
 
 (* The structure registry: Table I order, defined in exactly one
    place.  The four baseline rows span all nodes by construction; the
@@ -122,24 +91,28 @@ let ldel_full t = Ldel.build t.udg t.points ~radius:t.radius
    the CLI's build/dump subcommands, the experiment sweeps, the bench
    extensions — derives from these lists. *)
 
-let baseline_registry : (string * (t -> G.t) * [ `Spans_all | `Backbone_only ]) list
-    =
+type scope = [ `Spans_all | `Backbone_only ]
+
+let baseline_registry : (string * (t -> V.t) * scope) list =
+  let on_udg f t = V.of_graph (f t.udg t.snap.Shard.points) in
   [
-    ("UDG", (fun t -> t.udg), `Spans_all);
-    ("RNG", (fun t -> Wireless.Proximity.rng_graph t.udg t.points), `Spans_all);
-    ("GG", (fun t -> Wireless.Proximity.gabriel_graph t.udg t.points), `Spans_all);
-    ("LDel", (fun t -> (ldel_full t).Ldel.planar), `Spans_all);
+    ("UDG", (fun t -> V.of_csr t.snap.Shard.udg), `Spans_all);
+    ("RNG", on_udg Wireless.Proximity.rng_graph, `Spans_all);
+    ("GG", on_udg Wireless.Proximity.gabriel_graph, `Spans_all);
+    ("LDel", (fun t -> V.of_graph (ldel_full t).Ldel.planar), `Spans_all);
   ]
 
-let backbone_registry : (string * (t -> G.t) * [ `Spans_all | `Backbone_only ]) list
-    =
+let backbone_registry : (string * (t -> V.t) * scope) list =
+  let snap f t = V.of_csr (f t.snap) in
   [
-    ("CDS", (fun t -> t.cds.Cds.cds), `Backbone_only);
-    ("CDS'", (fun t -> t.cds.Cds.cds'), `Spans_all);
-    ("ICDS", (fun t -> t.cds.Cds.icds), `Backbone_only);
-    ("ICDS'", (fun t -> t.cds.Cds.icds'), `Spans_all);
-    ("LDel(ICDS)", (fun t -> t.ldel_icds_g), `Backbone_only);
-    ("LDel(ICDS')", (fun t -> t.ldel_icds'), `Spans_all);
+    ("CDS", snap (fun s -> s.Shard.cds), `Backbone_only);
+    ( "CDS'",
+      snap (fun s -> Shard.primed s.Shard.roles s.Shard.icds' s.Shard.cds),
+      `Spans_all );
+    ("ICDS", snap (fun s -> s.Shard.icds), `Backbone_only);
+    ("ICDS'", snap (fun s -> s.Shard.icds'), `Spans_all);
+    ("LDel(ICDS)", snap (fun s -> s.Shard.pldel), `Backbone_only);
+    ("LDel(ICDS')", snap (fun s -> s.Shard.pldel'), `Spans_all);
   ]
 
 let registry = baseline_registry @ backbone_registry
@@ -147,12 +120,17 @@ let registry = baseline_registry @ backbone_registry
 let names = List.map (fun (n, _, _) -> n) registry
 
 let materialize entries t =
-  List.map (fun (name, builder, scope) -> (name, builder t, scope)) entries
+  List.map (fun (name, view, scope) -> (name, view t, scope)) entries
 
 let structures t = materialize registry t
 let backbone_structures t = materialize backbone_registry t
 
+(* Graph-typed for callers that still want a [Graph.t]: each view is
+   thawed here, on demand. *)
 let spanning_backbone_structures t =
-  materialize
-    (List.filter (fun (_, _, scope) -> scope = `Spans_all) backbone_registry)
-    t
+  List.filter_map
+    (fun (name, view, scope) ->
+      if scope = `Spans_all then
+        Some (name, Csr.to_graph (V.to_csr (view t)), scope)
+      else None)
+    backbone_registry

@@ -6,28 +6,20 @@
     door: examples, the CLI, the benchmarks and the experiment sweeps
     all consume this record.  There is one construction path: the
     sharded CSR pipeline ({!Shard.pipeline}); [run] is {!snapshot}
-    plus a thaw into mutable graphs.  The reference implementation is
-    {!Protocol}, the distributed rendition of the same stages, which
-    must agree with this record on roles, connector edges and the
-    planar backbone. *)
+    plus a thaw of two of its CSRs into mutable graphs.  The reference
+    implementation is {!Protocol}, the distributed rendition of the
+    same stages, which must agree with the snapshot on roles,
+    connector edges and the planar backbone. *)
 
+(** The snapshot, each structure once, plus two thawed copies. *)
 type t = {
-  points : Geometry.Point.t array;
-  radius : float;
+  snap : Shard.snapshot;  (** every structure, sealed *)
   jobs : int;
       (** worker-domain budget carried from the config — the default
           parallelism for metrics computed on this instance *)
-  udg : Netgraph.Graph.t;
-  cds : Cds.t;  (** clustering, connectors, CDS / CDS′ / ICDS / ICDS′ *)
-  ldel_icds : Ldel.t;  (** LDel over the induced backbone ICDS *)
-  ldel_icds_g : Netgraph.Graph.t;  (** PLDel(ICDS): the planar backbone *)
-  ldel_icds' : Netgraph.Graph.t;
-      (** planar backbone plus dominatee–dominator edges — the routing
-          structure spanning all nodes *)
-  planar_csr : Netgraph.Csr.t;
-      (** PLDel(ICDS) as a sealed CSR snapshot with Euclidean arc
-          weights — the read-optimized form of [ldel_icds_g] (the
-          snapshot's [pldel]) *)
+  udg : Netgraph.Graph.t;  (** [snap.udg], thawed *)
+  ldel_icds_g : Netgraph.Graph.t;
+      (** PLDel(ICDS), the planar backbone: [snap.pldel], thawed *)
 }
 
 (** Pipeline configuration — one record instead of a growing pile of
@@ -70,13 +62,13 @@ module Config : sig
 end
 
 (** [run cfg points] runs the whole pipeline: {!snapshot}, then a thaw
-    of the sealed CSRs into the mutable graphs of {!t}.  The UDG need
-    not be connected, but the spanner guarantees only hold per
-    component.  Stage timings are charged to obs spans
+    of [snap.udg] and [snap.pldel] into the mutable graphs of {!t}.
+    The UDG need not be connected, but the spanner guarantees only
+    hold per component.  Stage timings are charged to obs spans
     [backbone/shard/shard.udg], [.../shard.mis],
     [.../shard.connectors], [.../shard.ldel] and [.../shard.assemble],
-    plus [backbone/thaw] for the graphs.  For million-node instances
-    prefer {!snapshot}, which skips the thaw entirely. *)
+    plus [backbone/thaw] for the two graphs.  For million-node
+    instances prefer {!snapshot}, which skips the thaw entirely. *)
 val run : Config.t -> Geometry.Point.t array -> t
 
 (** [snapshot cfg points] runs the sharded CSR-native pipeline
@@ -106,24 +98,28 @@ val ldel_full : t -> Ldel.t
     [`Spans_all] says whether the structure connects all nodes (only
     then are stretch factors defined).  The registry is the single
     source of that list: the CLI, the experiment sweeps and the bench
-    harness all consume it rather than maintaining their own copies. *)
+    harness all consume it rather than maintaining their own copies.
+    The backbone rows are views of the snapshot's CSRs; CDS′ is
+    {!Shard.primed} of the CDS, filtered when its view is asked for.
+    The baseline rows RNG, GG and LDel(V) are computed on the thawed
+    UDG. *)
 
-val registry :
-  (string * (t -> Netgraph.Graph.t) * [ `Spans_all | `Backbone_only ]) list
+type scope = [ `Spans_all | `Backbone_only ]
+
+val registry : (string * (t -> Netgraph.View.t) * scope) list
 
 (** Registry names, in Table I order. *)
 val names : string list
 
 (** [structures t] materializes the whole registry on one instance. *)
-val structures :
-  t -> (string * Netgraph.Graph.t * [ `Spans_all | `Backbone_only ]) list
+val structures : t -> (string * Netgraph.View.t * scope) list
 
 (** The six backbone-family rows (CDS … LDel(ICDS′)) — Figure 8's
     structures. *)
-val backbone_structures :
-  t -> (string * Netgraph.Graph.t * [ `Spans_all | `Backbone_only ]) list
+val backbone_structures : t -> (string * Netgraph.View.t * scope) list
 
 (** The spanning backbone rows (CDS′, ICDS′, LDel(ICDS′)) — the
-    structures whose stretch Figures 9 and 11 track. *)
+    structures whose stretch Figures 9 and 11 track — each thawed into
+    a mutable graph on the call. *)
 val spanning_backbone_structures :
-  t -> (string * Netgraph.Graph.t * [ `Spans_all | `Backbone_only ]) list
+  t -> (string * Netgraph.Graph.t * scope) list

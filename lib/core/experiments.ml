@@ -98,7 +98,7 @@ let default_radii = [ 20.; 25.; 30.; 35.; 40.; 45.; 50.; 55.; 60. ]
 let degree_values bb =
   List.concat_map
     (fun (name, g) ->
-      let d = M.degree_stats g in
+      let d = M.degree_stats_v g in
       [
         (name ^ " deg max", float_of_int d.M.deg_max);
         (name ^ " deg avg", d.M.deg_avg);
@@ -114,17 +114,18 @@ let degree_vs_n ?(cfg = default) ?(radius = 60.) ?(ns = default_ns) () =
         (fun pts -> degree_values (backbone_of cfg pts ~radius))
         (deployments cfg ~n ~radius))
 
-let stretch_values bb =
+let stretch_values (bb : Backbone.t) =
   let spanning =
-    List.map
-      (fun (name, g, _) -> (name, g))
-      (Backbone.spanning_backbone_structures bb)
+    List.filter_map
+      (fun (name, v, scope) -> if scope = `Spans_all then Some (name, v) else None)
+      (Backbone.backbone_structures bb)
   in
   (* one fused pass shares the UDG shortest-path trees across the
      three spanning curves instead of recomputing them per structure *)
   let combined =
-    M.combined_stretch ~jobs:bb.Backbone.jobs ~base:bb.Backbone.udg
-      bb.Backbone.points spanning
+    M.combined_stretch_v ~jobs:bb.Backbone.jobs
+      ~base:(Netgraph.View.of_csr bb.Backbone.snap.Shard.udg)
+      bb.Backbone.snap.Shard.points spanning
   in
   List.concat_map
     (fun (name, (c : M.combined)) ->

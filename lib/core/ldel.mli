@@ -50,7 +50,7 @@ type parts = {
 (** What {!build_csr} computes, packed flat on the arcs of the graph it
     ran on: no lists, a byte per arc and per triangle plus three ints
     per triangle.  The sharded pipeline marks the arcs of its [pldel]
-    from these and keeps them in its snapshot. *)
+    from these and then drops them. *)
 type csr_parts = {
   gabriel : Bytes.t;
       (** one byte per arc of the input CSR (indexed like
@@ -93,8 +93,7 @@ val build_csr :
     {!build_csr} ran on: [p_gabriel] reads the flagged arcs off in row
     order, [p_triangles] unpacks [tri], [p_kept] keeps the triangles
     flagged in [kept], so each list is sorted lexicographically.
-    Linear in the arc and triangle counts; for the {!Backbone.run}
-    thaw and tests. *)
+    Linear in the arc and triangle counts; for {!build} and tests. *)
 val to_parts : Netgraph.Csr.t -> csr_parts -> parts
 
 (** [of_parts n parts] materializes the two graphs from the lists. *)

@@ -1,4 +1,4 @@
-module G = Netgraph.Graph
+module Csr = Netgraph.Csr
 module P = Geometry.Point
 
 let c_refreshes = Obs.counter "maintenance.refreshes"
@@ -30,38 +30,34 @@ let flush_stats_to_obs s =
 let flush_gauges (next : Backbone.t) =
   if !Obs.on then begin
     let nodes = ref 0 in
-    Array.iter (fun b -> if b then incr nodes) next.Backbone.cds.Cds.backbone;
+    Array.iter (fun b -> if b then incr nodes) next.Backbone.snap.Shard.backbone;
     Obs.set_gauge g_backbone_nodes (float_of_int !nodes);
     Obs.set_gauge g_backbone_edges
-      (float_of_int (G.edge_count next.Backbone.ldel_icds'))
+      (float_of_int (Csr.edge_count next.Backbone.snap.Shard.pldel'))
   end
 
 let needs_refresh (prev : Backbone.t) positions =
-  let broken = ref 0 in
-  G.iter_edges prev.Backbone.ldel_icds' (fun u v ->
-      if P.dist positions.(u) positions.(v) > prev.Backbone.radius then
-        incr broken);
-  !broken
+  let s = prev.Backbone.snap in
+  Csr.fold_edges s.Shard.pldel'
+    (fun broken u v ->
+      if P.dist positions.(u) positions.(v) > s.Shard.radius then broken + 1
+      else broken)
+    0
+
+(* edges of [a] missing from [b] *)
+let missing a b =
+  Csr.fold_edges a (fun acc u v -> if Csr.mem_edge b u v then acc else acc + 1) 0
 
 let diff_stats (prev : Backbone.t) (next : Backbone.t) ~links_broken =
-  let n = Array.length prev.Backbone.points in
+  let p = prev.Backbone.snap and q = next.Backbone.snap in
+  let n = Array.length p.Shard.points in
   let role_changes = ref 0 and backbone_changes = ref 0 in
   for u = 0 to n - 1 do
-    if
-      prev.Backbone.cds.Cds.roles.(u) <> next.Backbone.cds.Cds.roles.(u)
-    then incr role_changes;
-    if prev.Backbone.cds.Cds.backbone.(u) <> next.Backbone.cds.Cds.backbone.(u)
-    then incr backbone_changes
+    if p.Shard.roles.(u) <> q.Shard.roles.(u) then incr role_changes;
+    if p.Shard.backbone.(u) <> q.Shard.backbone.(u) then incr backbone_changes
   done;
   let edge_changes =
-    G.fold_edges prev.Backbone.ldel_icds'
-      (fun acc u v ->
-        if G.has_edge next.Backbone.ldel_icds' u v then acc else acc + 1)
-      0
-    + G.fold_edges next.Backbone.ldel_icds'
-        (fun acc u v ->
-          if G.has_edge prev.Backbone.ldel_icds' u v then acc else acc + 1)
-        0
+    missing p.Shard.pldel' q.Shard.pldel' + missing q.Shard.pldel' p.Shard.pldel'
   in
   {
     role_changes = !role_changes;
@@ -78,10 +74,11 @@ let refresh (prev : Backbone.t) positions =
      still break by id, so this remains a greedy MIS under a total
      order and inherits every validity property *)
   let incumbent u =
-    if prev.Backbone.cds.Cds.roles.(u) = Mis.Dominator then 0 else 1
+    if prev.Backbone.snap.Shard.roles.(u) = Mis.Dominator then 0 else 1
   in
   let next =
-    Backbone.build ~priority:incumbent positions ~radius:prev.Backbone.radius
+    Backbone.build ~priority:incumbent positions
+      ~radius:prev.Backbone.snap.Shard.radius
   in
   let stats = diff_stats prev next ~links_broken in
   flush_stats_to_obs stats;
@@ -92,7 +89,7 @@ let rebuild (prev : Backbone.t) positions =
   Obs.span "maintenance.rebuild" @@ fun () ->
   Obs.incr c_rebuilds;
   let links_broken = needs_refresh prev positions in
-  let next = Backbone.build positions ~radius:prev.Backbone.radius in
+  let next = Backbone.build positions ~radius:prev.Backbone.snap.Shard.radius in
   let stats = diff_stats prev next ~links_broken in
   flush_stats_to_obs stats;
   flush_gauges next;

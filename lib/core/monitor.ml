@@ -1,4 +1,5 @@
-module G = Netgraph.Graph
+module Csr = Netgraph.Csr
+module V = Netgraph.View
 module Components = Netgraph.Components
 module Planarity = Netgraph.Planarity
 module Metrics = Netgraph.Metrics
@@ -97,7 +98,8 @@ let pick_sources t ~round n =
 let observe t ~round ?(extra = []) (bb : Backbone.t) =
   Obs.span "monitor.observe" @@ fun () ->
   Obs.incr c_rounds;
-  let pts = bb.Backbone.points in
+  let s = bb.Backbone.snap in
+  let pts = s.Shard.points in
   let n = Array.length pts in
   let round_violations = ref [] in
   let record name v = Obs.Telemetry.record t.telemetry ~round name v in
@@ -119,7 +121,7 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
     end
   in
   (* geometric planarity of the planar backbone *)
-  let crossings = Planarity.crossing_pairs bb.Backbone.ldel_icds_g pts in
+  let crossings = Planarity.crossing_pairs_v (V.of_csr s.Shard.pldel) pts in
   let cross_node =
     match crossings with ((u, _), _) :: _ -> u | [] -> -1
   in
@@ -128,18 +130,21 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
     t.thresholds.max_crossings cross_node;
   (* the routing structure must not disconnect what the radio graph
      connects *)
-  let udg_parts = Components.count bb.Backbone.udg in
-  let routing_parts = Components.count bb.Backbone.ldel_icds' in
+  let udg_parts = Components.count_v (V.of_csr s.Shard.udg) in
+  let routing_parts = Components.count_v (V.of_csr s.Shard.pldel') in
   gate "extra_components"
     (float_of_int (routing_parts - udg_parts))
     t.thresholds.max_extra_components (-1);
   (* MIS domination *)
-  let roles = bb.Backbone.cds.Cds.roles in
+  let roles = s.Shard.roles in
   let gaps = ref 0 and gap_node = ref (-1) in
   for u = 0 to n - 1 do
     if
       roles.(u) = Mis.Dominatee
-      && Mis.dominators_of bb.Backbone.udg roles u = []
+      && not
+           (Csr.fold_neighbors s.Shard.udg u
+              (fun seen v -> seen || roles.(v) = Mis.Dominator)
+              false)
     then begin
       if !gap_node < 0 then gap_node := u;
       incr gaps
@@ -148,19 +153,19 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
   gate "domination_gaps" (float_of_int !gaps) t.thresholds.max_domination_gaps
     !gap_node;
   (* CDS connectivity: one backbone part per UDG component *)
-  let labels = Components.component_labels bb.Backbone.cds.Cds.cds in
+  let labels = Csr.component_labels s.Shard.cds in
   let parts = Hashtbl.create 16 in
   Array.iteri
     (fun u is_bb ->
       if is_bb then Hashtbl.replace parts labels.(u) ())
-    bb.Backbone.cds.Cds.backbone;
+    s.Shard.backbone;
   gate "cds_extra_parts"
     (float_of_int (Hashtbl.length parts - udg_parts))
     t.thresholds.max_cds_extra_parts (-1);
   (* Lemma 8 degree bound on the induced backbone *)
   let deg_max = ref 0 and deg_node = ref (-1) in
   for u = 0 to n - 1 do
-    let d = G.degree bb.Backbone.cds.Cds.icds u in
+    let d = Csr.degree s.Shard.icds u in
     if d > !deg_max then begin
       deg_max := d;
       deg_node := u
@@ -174,8 +179,8 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
     else
       let sources = pick_sources t ~round n in
       match
-        Metrics.sampled_stretch ~jobs:t.jobs ~sources ~base:bb.Backbone.udg
-          ~sub:bb.Backbone.ldel_icds' pts
+        Metrics.sampled_stretch ~jobs:t.jobs ~sources
+          ~base:(V.of_csr s.Shard.udg) ~sub:(V.of_csr s.Shard.pldel') pts
       with
       | { Metrics.len_max; hop_max; _ } -> (len_max, hop_max)
       | exception Invalid_argument _ -> (infinity, infinity)
@@ -186,10 +191,10 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
   let backbone_nodes = ref 0 in
   Array.iter
     (fun b -> if b then incr backbone_nodes)
-    bb.Backbone.cds.Cds.backbone;
+    s.Shard.backbone;
   record "backbone_nodes" (float_of_int !backbone_nodes);
   record "backbone_edges"
-    (float_of_int (G.edge_count bb.Backbone.ldel_icds'));
+    (float_of_int (Csr.edge_count s.Shard.pldel'));
   let msgs = engine_messages () in
   record "messages" (float_of_int (msgs - t.last_messages));
   t.last_messages <- msgs;

@@ -40,7 +40,10 @@ module IntSet = Set.Make (Int)
 
 (* Monomorphic comparators, ordering exactly as the polymorphic
    [compare] does (lexicographic; constructors in declaration order);
-   pairs use [G.compare_edge]. *)
+   pairs use [G.compare_edge].  [by_id] orders (id, position) entries
+   by id alone: a node id always comes with the same position. *)
+let by_id ((a : int), _) ((b : int), _) = Int.compare a b
+
 let compare_tri (a1, b1, c1) (a2, b2, c2) =
   let c = Int.compare a1 a2 in
   if c <> 0 then c
@@ -71,7 +74,7 @@ module PairSet = Set.Make (struct
   let compare = G.compare_edge
 end)
 
-let ordered_edge u v = (min u v, max u v)
+let ordered_edge u v = (Int.min u v, Int.max u v)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: clustering                                                  *)
@@ -359,10 +362,8 @@ type ldel_state = {
 
 let pi_third = (Float.pi /. 3.) -. 1e-12
 
-let angle_at points_of (a, b, c) ~at =
-  let other =
-    List.filter (fun v -> v <> at) [ a; b; c ]
-  in
+let angle_at points_of (a, b, c) ~(at : int) =
+  let other = List.filter (fun v -> v <> at) [ a; b; c ] in
   match other with
   | [ x; y ] -> P.angle (points_of x) (points_of at) (points_of y)
   | _ -> invalid_arg "angle_at: corner not in triangle"
@@ -377,7 +378,7 @@ let ldel_protocol (status : status_state array)
         List.filter
           (fun (v, _) -> IntSet.mem v status.(me).s_bb_nbrs)
           cluster.(me).nbr_pos
-        |> List.sort_uniq compare
+        |> List.sort_uniq by_id
     in
     let local_tris =
       if backbone then
@@ -482,7 +483,7 @@ let ldel_protocol (status : status_state array)
         (* drop triangles nobody proposed: acceptance needs a proposal *)
         st.l_accepted <-
           TriSet.filter (fun t -> TriSet.mem t st.l_responded) st.l_accepted;
-        if st.l_bb_nbrs <> [] then
+        if not (List.is_empty st.l_bb_nbrs) then
           ctx.E.broadcast
             (ShareTriangles (TriSet.elements st.l_accepted, st.l_gabriel))
       end;
@@ -507,7 +508,7 @@ let ldel_protocol (status : status_state array)
                      && Ldel.circumcircle_contains_corner points t1 t2)
                    known boxes))
             st.l_accepted;
-        if st.l_bb_nbrs <> [] then
+        if not (List.is_empty st.l_bb_nbrs) then
           ctx.E.broadcast
             (RemainingTriangles (TriSet.elements st.l_my_remaining))
       end;
@@ -559,7 +560,7 @@ let ldel2_protocol (status : status_state array)
         List.filter
           (fun (v, _) -> IntSet.mem v status.(me).s_bb_nbrs)
           cluster.(me).nbr_pos
-        |> List.sort_uniq compare
+        |> List.sort_uniq by_id
     in
     let gabriel =
       List.filter_map
@@ -610,7 +611,7 @@ let ldel2_protocol (status : status_state array)
           | _ -> ())
         inbox;
       (* round 0: publish my backbone neighbor table *)
-      if ctx.E.round = 0 && st.l2_bb_nbrs <> [] then
+      if ctx.E.round = 0 && not (List.is_empty st.l2_bb_nbrs) then
         ctx.E.broadcast (NeighborTable st.l2_bb_nbrs);
       (* round 1: N_2 assembled; compute Del(N_2(me)) and propose *)
       if ctx.E.round = 1 then begin
@@ -623,7 +624,7 @@ let ldel2_protocol (status : status_state array)
               (Option.value ~default:[] (Hashtbl.find_opt st.l2_two_hop v)))
           st.l2_bb_nbrs;
         let nbrs =
-          List.sort_uniq compare
+          List.sort_uniq by_id
             (Hashtbl.fold (fun v pv acc -> (v, pv) :: acc) two_hop [])
         in
         st.l2_local_tris <-
@@ -725,7 +726,7 @@ let run points ~radius =
   in
   let connector = Array.map (fun st -> st.c_is_connector) conn in
   let cds_edges =
-    List.sort_uniq compare
+    List.sort_uniq G.compare_edge
       (Array.to_list conn |> List.concat_map (fun st -> st.c_edges))
   in
   let backbone =
@@ -744,7 +745,7 @@ let run points ~radius =
             (fun v -> if u < v then acc := (u, v) :: !acc)
             st.s_bb_nbrs)
       status;
-    List.sort compare !acc
+    List.sort G.compare_edge !acc
   in
   let ldel, stats_ldel =
     Obs.span phase_ldel (fun () ->
@@ -755,7 +756,7 @@ let run points ~radius =
           (ldel_protocol status cluster points ~radius))
   in
   let ldel_triangles =
-    List.sort_uniq compare
+    List.sort_uniq compare_tri
       (Array.to_list ldel
       |> List.concat_map (fun st -> TriSet.elements st.l_accepted))
   in
@@ -763,7 +764,7 @@ let run points ~radius =
     (* a triangle survives when every corner kept it; corners compute
        the same predicate, so collecting any corner's view suffices —
        take the intersection-by-unanimity *)
-    List.sort_uniq compare
+    List.sort_uniq compare_tri
       (Array.to_list ldel |> List.concat_map (fun st -> TriSet.elements st.l_kept))
     |> List.filter (fun (a, b, c) ->
            List.for_all
@@ -771,7 +772,7 @@ let run points ~radius =
              [ a; b; c ])
   in
   let gabriel_edges =
-    List.sort_uniq compare
+    List.sort_uniq G.compare_edge
       (Array.to_list ldel |> List.concat_map (fun st -> st.l_gabriel))
   in
   let ldel_graph =
@@ -828,7 +829,7 @@ let run_ldel2 points ~radius =
     E.run ~classify udg (ldel2_protocol status cluster points ~radius)
   in
   let l2_triangles =
-    List.sort_uniq compare
+    List.sort_uniq compare_tri
       (Array.to_list ldel2
       |> List.concat_map (fun st -> TriSet.elements st.l2_accepted))
     |> List.filter (fun (a, b, c) ->
@@ -837,7 +838,7 @@ let run_ldel2 points ~radius =
              [ a; b; c ])
   in
   let l2_gabriel_edges =
-    List.sort_uniq compare
+    List.sort_uniq G.compare_edge
       (Array.to_list ldel2 |> List.concat_map (fun st -> st.l2_gabriel))
   in
   let l2_graph =

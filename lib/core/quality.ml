@@ -42,11 +42,7 @@ let degree_row ~name g stretch =
    and amortized over every spanning structure in the table. *)
 let rows ?jobs bb =
   let jobs = Option.value jobs ~default:bb.Backbone.jobs in
-  let entries =
-    List.map
-      (fun (name, g, spans) -> (name, V.of_graph g, spans))
-      (Backbone.structures bb)
-  in
+  let entries = Backbone.structures bb in
   let spanning =
     List.filter_map
       (fun (name, v, spans) ->
@@ -55,8 +51,8 @@ let rows ?jobs bb =
   in
   let stretch_by_name =
     M.combined_stretch_v ~jobs
-      ~base:(V.of_graph bb.Backbone.udg)
-      bb.Backbone.points spanning
+      ~base:(V.of_csr bb.Backbone.snap.Shard.udg)
+      bb.Backbone.snap.Shard.points spanning
   in
   List.map
     (fun (name, v, spans) ->

@@ -1,5 +1,6 @@
 module G = Netgraph.Graph
 module V = Netgraph.View
+module Csr = Netgraph.Csr
 module P = Geometry.Point
 
 (* Routers read the topology through {!Netgraph.View}, so the same
@@ -585,25 +586,33 @@ let gfg_step g points ~dst u header =
         | Some w -> advance g points ~dst u st w
       end
 
-let hierarchical (bb : Backbone.t) ~src ~dst =
+let hierarchical (s : Shard.snapshot) ~src ~dst =
   obs_hierarchical
-    (let udg = bb.Backbone.udg in
-     let n = Array.length bb.Backbone.points in
+    (let udg = s.Shard.udg in
+     let n = Array.length s.Shard.points in
+     (* a backbone node is its own gateway; a dominatee enters at its
+        smallest-id dominator (UDG rows are ascending) *)
+     let gateway u =
+       if s.Shard.backbone.(u) then u
+       else
+         match
+           Csr.fold_neighbors udg u
+             (fun d v ->
+               if d < 0 && s.Shard.roles.(v) = Mis.Dominator then v else d)
+             (-1)
+         with
+         | -1 -> invalid_arg "Routing.hierarchical: node has no dominator"
+         | d -> d
+     in
      if src < 0 || src >= n || dst < 0 || dst >= n then None
      else if src = dst then Some [ src ]
-     else if G.has_edge udg src dst then Some [ src; dst ]
+     else if Csr.mem_edge udg src dst then Some [ src; dst ]
      else
-       let cds = bb.Backbone.cds in
-       let enter = Cds.dominator_of cds udg src in
-       let exit = Cds.dominator_of cds udg dst in
+       let enter = gateway src in
+       let exit = gateway dst in
        let backbone_path =
          if enter = exit then Some [ enter ]
-         else
-           (* perimeter mode runs on the sealed planar snapshot — the
-              read-optimized twin of [ldel_icds_g], identical routes *)
-           gfg
-             (V.of_csr bb.Backbone.planar_csr)
-             bb.Backbone.points ~src:enter ~dst:exit
+         else gfg (V.of_csr s.Shard.pldel) s.Shard.points ~src:enter ~dst:exit
        in
        match backbone_path with
        | None -> None

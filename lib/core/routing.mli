@@ -144,12 +144,13 @@ val gfg_step :
   header ->
   decision
 
-(** [hierarchical backbone ~src ~dst] is dominating-set-based routing:
-    a direct hop when the nodes are adjacent, otherwise src → its
-    dominator → GFG over the planar backbone [LDel(ICDS)] (routed on
-    the sealed [planar_csr] snapshot) → dst's dominator → dst.  It
-    follows the node-id contract above. *)
-val hierarchical : Backbone.t -> src:int -> dst:int -> int list option
+(** [hierarchical snap ~src ~dst] is dominating-set-based routing:
+    a direct hop when the nodes are adjacent in [snap.udg], otherwise
+    src → its smallest-id dominator → GFG over the planar backbone
+    [snap.pldel] (LDel(ICDS)) → dst's dominator → dst.  A backbone
+    node is its own gateway.  It reads only the snapshot and follows
+    the node-id contract above. *)
+val hierarchical : Shard.snapshot -> src:int -> dst:int -> int list option
 
 (** Success statistics of a router over every connected node pair:
     delivery ratio, and average stretch of delivered routes relative

@@ -22,11 +22,8 @@ type snapshot = {
   owners : int array array;  (* tile ownership sets, ascending ids *)
   udg : Csr.t;
   roles : Mis.role array;
-  connectors : Connectors.t;
-  ldel : Ldel.csr_parts;
   backbone : bool array;
   cds : Csr.t;
-  cds' : Csr.t;
   icds : Csr.t;
   icds' : Csr.t;
   pldel : Csr.t;
@@ -110,6 +107,16 @@ let seal_pldel ?pool icds points { Ldel.gabriel; tri; kept } =
       end);
   Csr.filter_arcs ?pool ~points icds (fun k -> Bytes.get mark k <> '\000')
 
+(* A dominatee-dominator link is a UDG edge whose ends differ in being
+   a dominator; one byte per node keeps the test in cache. *)
+let primed ?pool ?points roles icds' base =
+  let dom =
+    Bytes.init (Array.length roles) (fun u ->
+        if roles.(u) = Mis.Dominator then '\001' else '\000')
+  in
+  Csr.filter ?pool ?points icds' (fun u v ->
+      Bytes.get dom u <> Bytes.get dom v || Csr.mem_edge base u v)
+
 let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
   Obs.span "shard" (fun () ->
       let owners =
@@ -147,7 +154,7 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
             Connectors.find_csr ?pool ~owners udg roles)
       in
       let n = Array.length points in
-      let backbone, link, icds', icds, ldel =
+      let backbone, icds', icds, ldel =
         Obs.span "shard.ldel" (fun () ->
             let backbone =
               Array.init n (fun u ->
@@ -182,31 +189,19 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
               Obs.span "ldel.icds" (fun () ->
                   Csr.filter ?pool icds' both_backbone)
             in
-            ( backbone,
-              link,
-              icds',
-              icds,
-              Ldel.build_csr ?pool ~owners icds points ~radius ))
+            (backbone, icds', icds, Ldel.build_csr ?pool ~owners icds points ~radius))
       in
-      (* [cds] holds connector-path edges and [pldel] sits inside the
-         ICDS, so both lie in [icds'], and each primed variant is the
-         row filter of [icds'] to the unprimed edges plus the links.
-         [pldel] itself is the ICDS filtered to the arcs LDel marks.
-         DESIGN.md §10. *)
+      let cds = connectors.Connectors.cds in
+      (* [pldel] is the ICDS filtered to the arcs LDel marks; it sits
+         inside the ICDS, so it lies in [icds'] and [pldel'] is its
+         [primed] filter.  DESIGN.md §10. *)
       Obs.span "shard.assemble" (fun () ->
-          let cds = connectors.Connectors.cds in
-          let cds' =
-            Obs.span "assemble.cds'" (fun () ->
-                Csr.filter ?pool icds' (fun u v ->
-                    link u v || Csr.mem_edge cds u v))
-          in
           let pldel =
             Obs.span "assemble.pldel" (fun () -> seal_pldel ?pool icds points ldel)
           in
           let pldel' =
             Obs.span "assemble.pldel'" (fun () ->
-                Csr.filter ?pool ~points icds' (fun u v ->
-                    link u v || Csr.mem_edge pldel u v))
+                primed ?pool ~points roles icds' pldel)
           in
           {
             points;
@@ -214,11 +209,8 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
             owners;
             udg;
             roles;
-            connectors;
-            ldel;
             backbone;
             cds;
-            cds';
             icds;
             icds';
             pldel;

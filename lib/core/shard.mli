@@ -19,32 +19,43 @@
     See DESIGN.md §10 for the tile/halo geometry and the 2-locality
     argument behind per-tile ownership. *)
 
-(** Everything the pipeline produces.  The CSR fields are the sealed
-    forms of the [Backbone.t]/[Cds.t] graphs: [cds]/[icds] span the
-    backbone nodes only, the primed variants add dominatee→dominator
-    links, [pldel] is the planar LDel(ICDS) backbone (sealed with
-    Euclidean arc weights), [pldel'] its primed variant.
-    [connectors] is the elections' sealed outcome; [cds] is its
-    [Connectors.cds], the CSR the elections sealed, shared.  Its list
-    form is {!Connectors.to_result}.  [ldel] is LDel(ICDS) packed on
-    the arcs of [icds] (Gabriel flags, the flat triangle array, the
-    kept flags); its list form is [Ldel.to_parts icds ldel]. *)
+(** Everything the pipeline produces, each structure once.  The CSR
+    fields are sealed: [cds]/[icds] span the backbone nodes only,
+    [icds'] adds the dominatee→dominator links, [pldel] is LDel(ICDS)
+    after Algorithm 3 (sealed with Euclidean arc weights) and [pldel']
+    its {!primed} variant, which is not planar: its links cross
+    backbone edges.  [cds] is the CSR the connector elections
+    sealed ({!Connectors.find_csr}).  CDS′ is not kept: it is
+    [primed s.roles s.icds' s.cds], computed when a caller asks. *)
 type snapshot = {
   points : Geometry.Point.t array;
   radius : float;
   owners : int array array;  (** tile ownership sets, ascending ids *)
   udg : Netgraph.Csr.t;
   roles : Mis.role array;
-  connectors : Connectors.t;
-  ldel : Ldel.csr_parts;  (** packed on the arcs of [icds] *)
-  backbone : bool array;
+  backbone : bool array;  (** dominator or connector *)
   cds : Netgraph.Csr.t;
-  cds' : Netgraph.Csr.t;
   icds : Netgraph.Csr.t;
   icds' : Netgraph.Csr.t;
   pldel : Netgraph.Csr.t;
   pldel' : Netgraph.Csr.t;
 }
+
+(** [primed roles icds' base] is [base] plus the dominatee–dominator
+    links under [roles]: the row filter of [icds'] to the edges of
+    [base] and the edges whose ends differ in being a dominator.
+    [base] must lie in [icds'] (the CDS and PLDel(ICDS) do), so
+    [primed s.roles s.icds' s.cds] is CDS′ and [primed s.roles s.icds'
+    s.pldel] is the snapshot's [pldel'].  [pool] and [points] are
+    {!Netgraph.Csr.filter}'s: the result is the same for any job
+    count, and [points] adds Euclidean arc weights. *)
+val primed :
+  ?pool:Netgraph.Pool.t ->
+  ?points:Geometry.Point.t array ->
+  Mis.role array ->
+  Netgraph.Csr.t ->
+  Netgraph.Csr.t ->
+  Netgraph.Csr.t
 
 (** [tiling points ~radius] is the tile partition of the node ids:
     grid buckets of square tiles whose side is (a hair over)
@@ -66,15 +77,16 @@ val tiling :
     priority as in {!Mis.compute_csr}.  [udg] substitutes a pre-built
     snapshot for the UDG stage (the quasi-UDG robustness path — its
     RNG sequence is inherently serial).  After the elections the UDG
-    is read once, by the [icds'] row filter; [icds], [cds'] and
-    [pldel'] are row filters of [icds'], and [pldel] is the filter of
-    [icds] to the arcs LDel marks.  Stage timings land in the
+    is read once, by the [icds'] row filter; [icds] and [pldel'] are
+    row filters of [icds'], and [pldel] is the filter of [icds] to the
+    arcs LDel marks.  Neither the elections' pair arrays nor LDel's
+    packed parts outlive the build.  Stage timings land in the
     [shard.*] spans, which cover the whole build: [shard.connectors]
     has the children [connectors.index], [connectors.elect] and
     [connectors.seal] (the CDS is sealed there), [shard.ldel] the
     children [ldel.icds'], [ldel.icds], [ldel.l1], [ldel.l2] and
     [ldel.planarize], and [shard.assemble] one child per structure it
-    seals: [assemble.cds'], [assemble.pldel] and [assemble.pldel'];
+    seals: [assemble.pldel] and [assemble.pldel'];
     tile count and populations in the [shard.tiles]
     gauge / [shard.tile_pop] distribution.
     @raise Invalid_argument when [radius <= 0], [tiles < 1], or [udg]

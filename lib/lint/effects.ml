@@ -418,8 +418,8 @@ let rules =
       doc =
         "Graph.add_edge / remove_edge reachable from a Pool callback mutate \
          the Hashtbl-backed Netgraph.Graph from worker domains.  Collect \
-         edge lists and seal through Netgraph.Builder/Csr, or G.of_edges / \
-         G.union for legacy record shapes.";
+         edge lists and seal a Netgraph.Csr (a row filter or Csr.of_rows), \
+         or G.of_edges / G.union for legacy record shapes.";
     };
     {
       id = "E001";
@@ -500,7 +500,7 @@ let base_message (s : site) =
   | Graph_mut ->
     s.e_text
     ^ " mutates a Hashtbl graph on a parallel path; collect an edge list \
-       and seal it through Netgraph.Builder/Csr (or G.of_edges / G.union)"
+       and seal it as a Netgraph.Csr (or G.of_edges / G.union)"
   | Blocking_io ->
     "blocking I/O " ^ s.e_text
     ^ " in a parallel region without an Atomic/DLS guard on the chain"

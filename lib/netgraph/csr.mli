@@ -24,8 +24,7 @@ type t
 val of_graph : ?points:Geometry.Point.t array -> ?beta:float -> Graph.t -> t
 
 (** [of_rows ~offsets ~targets ()] adopts pre-built CSR rows without
-    going through a {!Graph.t} — the sealing primitive of {!Builder}
-    and the sharded construction pipeline.  [offsets] has length
+    going through a {!Graph.t}.  [offsets] has length
     [n + 1] with [offsets.(0) = 0]; row [u] is
     [targets.(offsets.(u)) .. targets.(offsets.(u+1) - 1)] and must be
     strictly increasing (sorted, duplicate-free) with in-range,
@@ -68,19 +67,6 @@ val filter :
     and [keep] pure.  [points] weighs the kept arcs as in {!filter}. *)
 val filter_arcs :
   ?pool:Pool.t -> ?points:Geometry.Point.t array -> t -> (int -> bool) -> t
-
-(** [adopt ~offsets ~targets ()] wraps rows that are valid by
-    construction, without {!of_rows}'s checks: the seal of {!Builder}.
-    [points]/[beta] weigh the arcs as in {!of_graph}, the same floats;
-    with [pool] that row pass fans out over its domains. *)
-val adopt :
-  ?pool:Pool.t ->
-  ?points:Geometry.Point.t array ->
-  ?beta:float ->
-  offsets:int array ->
-  targets:int array ->
-  unit ->
-  t
 
 val node_count : t -> int
 

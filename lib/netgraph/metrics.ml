@@ -290,8 +290,8 @@ let power_stretch ?(one_hop_direct = true) ?(jobs = 1) ~base ~sub points ~beta
    pair. *)
 let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
     points =
-  let n = Graph.node_count base in
-  if Graph.node_count sub <> n then
+  let n = View.node_count base in
+  if View.node_count sub <> n then
     invalid_arg "Metrics.sampled_stretch: node count mismatch";
   let ns = Array.length sources in
   Array.iter
@@ -299,8 +299,8 @@ let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
       if s < 0 || s >= n then
         invalid_arg "Metrics.sampled_stretch: source out of range")
     sources;
-  let base_csr = Csr.of_graph ~points base in
-  let sub_csr = Csr.of_graph ~points sub in
+  let base_csr = View.to_csr ~points base in
+  let sub_csr = View.to_csr ~points sub in
   let len_sum = Array.make ns 0. and len_mx = Array.make ns 0. in
   let len_cnt = Array.make ns 0 in
   let hop_sum = Array.make ns 0. and hop_mx = Array.make ns 0. in

@@ -124,7 +124,7 @@ val sampled_stretch :
   ?one_hop_direct:bool ->
   ?jobs:int ->
   sources:int array ->
-  base:Graph.t -> sub:Graph.t -> Geometry.Point.t array -> stretch
+  base:View.t -> sub:View.t -> Geometry.Point.t array -> stretch
 
 (** Stretch of a single pair: [(length ratio, hop ratio)], or [None]
     when the pair is disconnected in either graph. *)

@@ -5,8 +5,8 @@
     against this signature and accept the legacy mutable {!Graph.t}
     and the read-optimized {!Csr.t} uniformly: wrap with {!of_graph}
     or {!of_csr} and call the same functions.  Construction code
-    should produce {!Csr.t} via {!Builder} and hand consumers a
-    snapshot view; [Graph]-typed entry points remain as thin adapters
+    should produce {!Csr.t} (row filters, {!Csr.of_rows}) and hand
+    consumers a snapshot view; [Graph]-typed entry points remain as thin adapters
     for tests and examples. *)
 
 type t

@@ -2,8 +2,8 @@
 
     A store holds the current {e epoch} — an immutable, sealed
     all-CSR {!Core.Shard.snapshot} plus the structures derived from
-    it once per epoch (the [pldel'] snapshot the query engine forwards
-    on, and the UDG re-sealed {e with} Euclidean weights so
+    it once per epoch (the non-planar [pldel'] snapshot the query
+    engine forwards on, see {!route}, and the UDG re-sealed {e with} Euclidean weights so
     stretch queries have their shortest-path denominator).  Updates
     build the next snapshot off to the side and {!publish} it with a
     single atomic pointer swap; readers {!pin} the epoch they start
@@ -39,9 +39,14 @@ val id : epoch -> int
 val points : epoch -> Geometry.Point.t array
 val node_count : epoch -> int
 
-(** The serving structure: [pldel'] (the planar LDel(ICDS) backbone
-    with dominatee links, spanning all nodes).  Routers read it as
-    [Netgraph.View.of_csr (route e)]. *)
+(** The serving structure: [pldel'], LDel(ICDS) plus the
+    dominatee–dominator links, spanning all nodes.  Routers read it as
+    [Netgraph.View.of_csr (route e)].  It is {e not} planar: the links
+    cross backbone edges, about 1.5 crossings per node on uniform
+    deployments, so GFG's delivery guarantee does not hold on it and
+    GFG delivers well short of every query at scale.  The planar
+    backbone is the snapshot's [pldel], which {!Core.Routing.hierarchical}
+    routes on. *)
 val route : epoch -> Netgraph.Csr.t
 
 (** The epoch's UDG with Euclidean arc weights — the shortest-path

@@ -112,12 +112,13 @@ let test_yao_not_hop_spanner_on_line () =
   (* the paper's structure: one dominator covers the whole clique, so
      hierarchical routing reaches anything in O(1) hops *)
   let bb = Core.Backbone.build pts ~radius in
-  (match Core.Routing.hierarchical bb ~src:0 ~dst:(n - 1) with
+  (match Core.Routing.hierarchical bb.Core.Backbone.snap ~src:0 ~dst:(n - 1) with
   | Some p -> check "backbone O(1) hops" true (List.length p <= 4)
   | None -> Alcotest.fail "backbone must route");
   let s =
     Netgraph.Metrics.stretch_factors ~base:udg
-      ~sub:bb.Core.Backbone.ldel_icds' pts
+      ~sub:(Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.pldel')
+      pts
   in
   check "hop stretch constant" true (s.Netgraph.Metrics.hop_max <= 3.5)
 

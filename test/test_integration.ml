@@ -2,6 +2,8 @@
    experiment harness, and cross-structure consistency. *)
 
 module G = Netgraph.Graph
+module V = Netgraph.View
+module Csr = Netgraph.Csr
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -13,6 +15,9 @@ let build seed n radius =
       ~max_attempts:2000
   in
   Core.Backbone.build pts ~radius
+
+(* every edge of the view [v] is an edge of [g] *)
+let within v g = V.fold_edges v (fun ok u w -> ok && G.has_edge g u w) true
 
 let test_pipeline_structures () =
   let bb = build 400L 80 50. in
@@ -30,7 +35,7 @@ let test_pipeline_structures () =
      which add only UDG edges anyway *)
   List.iter
     (fun (name, g, _) ->
-      check (name ^ " within UDG") true (G.is_subgraph g bb.Core.Backbone.udg))
+      check (name ^ " within UDG") true (within g bb.Core.Backbone.udg))
     structures
 
 let test_sparseness () =
@@ -41,7 +46,7 @@ let test_sparseness () =
   List.iter
     (fun (name, g, _) ->
       if name <> "UDG" then
-        check (name ^ " sparse") true (G.edge_count g <= 6 * n))
+        check (name ^ " sparse") true (V.edge_count g <= 6 * n))
     (Core.Backbone.structures bb)
 
 let test_quality_rows () =
@@ -117,9 +122,10 @@ let test_experiments_comm_quick () =
 let test_ldel_icds'_equals_planar_plus_links () =
   let bb = build 405L 70 50. in
   (* LDel(ICDS') = PLDel(ICDS) + dominatee-dominator links *)
-  G.iter_edges bb.Core.Backbone.ldel_icds' (fun u v ->
+  let s = bb.Core.Backbone.snap in
+  Csr.iter_edges s.Core.Shard.pldel' (fun u v ->
       let in_planar = G.has_edge bb.Core.Backbone.ldel_icds_g u v in
-      let roles = bb.Core.Backbone.cds.Core.Cds.roles in
+      let roles = s.Core.Shard.roles in
       let dominatee_link =
         (roles.(u) = Core.Mis.Dominatee && roles.(v) = Core.Mis.Dominator)
         || (roles.(v) = Core.Mis.Dominatee && roles.(u) = Core.Mis.Dominator)
@@ -142,7 +148,7 @@ let test_run_config_equals_build () =
     (G.equal via_build.Core.Backbone.udg via_run.Core.Backbone.udg);
   List.iter2
     (fun (name, g1, _) (_, g2, _) ->
-      check (name ^ " identical via run") true (G.equal g1 g2))
+      check (name ^ " identical via run") true (V.edges g1 = V.edges g2))
     (Core.Backbone.structures via_build)
     (Core.Backbone.structures via_run)
 
@@ -167,8 +173,7 @@ let test_run_quasi_radio () =
   (* derived structures still live inside the (quasi) UDG *)
   List.iter
     (fun (name, g, _) ->
-      check (name ^ " within quasi UDG") true
-        (G.is_subgraph g bb.Core.Backbone.udg))
+      check (name ^ " within quasi UDG") true (within g bb.Core.Backbone.udg))
     (Core.Backbone.structures bb)
 
 let test_registry_is_single_source () =
@@ -202,6 +207,120 @@ let test_registry_is_single_source () =
         (scope = if expect_backbone_only then `Backbone_only else `Spans_all))
     (Core.Backbone.structures bb)
 
+(* Table I as the Graph-typed registry computed it before the registry
+   read the snapshot: every structure thawed with [Csr.to_graph], the
+   baselines built on the thawed UDG, and the primed rows rebuilt as
+   their base plus each dominatee's links to the dominators it hears
+   (never through [Shard.primed]); the rows as one fused stretch pass
+   over the thawed graphs. *)
+module Thaw_oracle = struct
+  module M = Netgraph.Metrics
+
+  let structures (s : Core.Shard.snapshot) =
+    let open Core.Shard in
+    let udg = Csr.to_graph s.udg in
+    let links = G.create (Array.length s.points) in
+    Array.iteri
+      (fun u r ->
+        if r = Core.Mis.Dominatee then
+          List.iter (G.add_edge links u) (Core.Mis.dominators_of udg s.roles u))
+      s.roles;
+    let primed g = G.union g links in
+    let cds = Csr.to_graph s.cds and pldel = Csr.to_graph s.pldel in
+    [
+      ("UDG", udg, `Spans_all);
+      ("RNG", Wireless.Proximity.rng_graph udg s.points, `Spans_all);
+      ("GG", Wireless.Proximity.gabriel_graph udg s.points, `Spans_all);
+      ( "LDel",
+        (Core.Ldel.build udg s.points ~radius:s.radius).Core.Ldel.planar,
+        `Spans_all );
+      ("CDS", cds, `Backbone_only);
+      ("CDS'", primed cds, `Spans_all);
+      ("ICDS", Csr.to_graph s.icds, `Backbone_only);
+      ("ICDS'", Csr.to_graph s.icds', `Spans_all);
+      ("LDel(ICDS)", pldel, `Backbone_only);
+      ("LDel(ICDS')", primed pldel, `Spans_all);
+    ]
+
+  let rows ~jobs (s : Core.Shard.snapshot) =
+    let entries = structures s in
+    let spanning =
+      List.filter_map
+        (fun (name, g, scope) ->
+          if scope = `Spans_all then Some (name, g) else None)
+        entries
+    in
+    let udg = match entries with (_, g, _) :: _ -> g | [] -> assert false in
+    let stretch = M.combined_stretch ~jobs ~base:udg s.Core.Shard.points spanning in
+    List.map
+      (fun (name, g, scope) ->
+        let d = M.degree_stats g in
+        let st f =
+          if scope = `Spans_all then
+            Some (f (List.assoc name stretch).M.c_stretch)
+          else None
+        in
+        {
+          Core.Quality.name;
+          deg_avg = d.M.deg_avg;
+          deg_max = d.M.deg_max;
+          len_avg = st (fun s -> s.M.len_avg);
+          len_max = st (fun s -> s.M.len_max);
+          hop_avg = st (fun s -> s.M.hop_avg);
+          hop_max = st (fun s -> s.M.hop_max);
+          edges = d.M.edges;
+        })
+      entries
+end
+
+(* Every Table I row read off the snapshot equals the thaw oracle's,
+   bit for bit, for any tiling and job count.  Constant density (side
+   10 sqrt n); R = 25 gives about 20 neighbours and a connected UDG,
+   while n = 2000 runs at R = 10, below the percolation threshold:
+   hundreds of components, which keeps its all-pairs stretch cheap and
+   covers structures built per component. *)
+let test_table1_equals_thaw_oracle () =
+  List.iter
+    (fun (seed, n, radius) ->
+      let rng = Wireless.Rand.create seed in
+      let pts =
+        Wireless.Deploy.uniform rng ~n ~side:(10. *. sqrt (float_of_int n))
+      in
+      let cfg partition jobs =
+        {
+          Core.Backbone.Config.default with
+          Core.Backbone.Config.radius;
+          partition;
+          jobs;
+        }
+      in
+      let want =
+        Thaw_oracle.rows ~jobs:2
+          (Core.Backbone.snapshot (cfg (Core.Backbone.Config.Tiles 1) 1) pts)
+      in
+      List.iter
+        (fun (partition, jobs) ->
+          let got = Core.Quality.rows (Core.Backbone.run (cfg partition jobs) pts) in
+          List.iter2
+            (fun (w : Core.Quality.row) (g : Core.Quality.row) ->
+              check
+                (Printf.sprintf "seed=%Ld n=%d %s jobs=%d %s" seed n
+                   (match partition with
+                   | Core.Backbone.Config.Auto -> "auto"
+                   | Core.Backbone.Config.Tiles k -> Printf.sprintf "tiles=%d" k)
+                   jobs w.Core.Quality.name)
+                true (w = g))
+            want got)
+        Core.Backbone.Config.
+          [
+            (Tiles 1, 1); (Tiles 1, 2); (Tiles 2, 1); (Tiles 2, 2); (Auto, 1);
+            (Auto, 2);
+          ])
+    [
+      (1L, 20, 25.); (2L, 20, 25.); (3L, 500, 25.); (4L, 500, 25.);
+      (5L, 2000, 10.); (6L, 2000, 10.);
+    ]
+
 let test_deterministic_pipeline () =
   let bb1 = build 406L 60 50. in
   let bb2 = build 406L 60 50. in
@@ -234,5 +353,7 @@ let suites =
           test_registry_is_single_source;
         Alcotest.test_case "pipeline deterministic" `Quick
           test_deterministic_pipeline;
+        Alcotest.test_case "Table I = thaw oracle" `Slow
+          test_table1_equals_thaw_oracle;
       ] );
   ]

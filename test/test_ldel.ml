@@ -604,7 +604,11 @@ let test_crossing_fixture () =
   (* and the protocol still equals the centralized build *)
   let bb = Core.Backbone.build pts ~radius in
   let pr = Core.Protocol.run pts ~radius in
-  let ldel = bb.Core.Backbone.ldel_icds in
+  let ldel =
+    Core.Ldel.build
+      (Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.icds)
+      pts ~radius
+  in
   check "triangles" true (pr.Core.Protocol.ldel_triangles = ldel.Core.Ldel.triangles);
   check "kept" true (pr.Core.Protocol.kept_triangles = ldel.Core.Ldel.kept_triangles);
   check "gabriel" true (pr.Core.Protocol.gabriel_edges = ldel.Core.Ldel.gabriel_edges);

@@ -117,21 +117,21 @@ let build seed n radius =
 let test_refresh_identity_when_static () =
   let bb = build 700L 80 50. in
   checki "no broken links" 0
-    (Core.Maintenance.needs_refresh bb bb.Core.Backbone.points);
-  let next, stats = Core.Maintenance.refresh bb bb.Core.Backbone.points in
+    (Core.Maintenance.needs_refresh bb bb.Core.Backbone.snap.Core.Shard.points);
+  let next, stats = Core.Maintenance.refresh bb bb.Core.Backbone.snap.Core.Shard.points in
   checki "no role changes" 0 stats.Core.Maintenance.role_changes;
   checki "no backbone changes" 0 stats.Core.Maintenance.backbone_changes;
   checki "no edge changes" 0 stats.Core.Maintenance.edge_changes;
   check "identical structure" true
-    (Netgraph.Graph.equal next.Core.Backbone.ldel_icds'
-       bb.Core.Backbone.ldel_icds')
+    (Netgraph.Csr.edges next.Core.Backbone.snap.Core.Shard.pldel'
+    = Netgraph.Csr.edges bb.Core.Backbone.snap.Core.Shard.pldel')
 
 let test_refresh_valid_after_motion () =
   let bb = build 701L 80 50. in
   let rng = Wireless.Rand.create 99L in
   let m =
     Wireless.Mobility.random_waypoint rng ~side:200. ~min_speed:3.
-      ~max_speed:6. ~init:bb.Core.Backbone.points
+      ~max_speed:6. ~init:bb.Core.Backbone.snap.Core.Shard.points
   in
   let prev = ref bb in
   for _ = 1 to 5 do
@@ -140,16 +140,18 @@ let test_refresh_valid_after_motion () =
     let udg = Wireless.Udg.build positions ~radius:50. in
     if Netgraph.Components.is_connected udg then begin
       let next, _ = Core.Maintenance.refresh !prev positions in
-      let roles = next.Core.Backbone.cds.Core.Cds.roles in
+      let s = next.Core.Backbone.snap in
+      let roles = s.Core.Shard.roles in
       check "MIS independent" true (Core.Mis.is_independent udg roles);
       check "MIS dominating" true (Core.Mis.is_dominating udg roles);
       check "backbone connected" true
-        (Netgraph.Components.connected_within next.Core.Backbone.cds.Core.Cds.cds
-           (Core.Cds.backbone_nodes next.Core.Backbone.cds));
+        (Netgraph.Components.connected_within_v
+           (Netgraph.View.of_csr s.Core.Shard.cds)
+           (List.filter (fun u -> s.Core.Shard.backbone.(u))
+              (List.init (Array.length roles) Fun.id)));
       check "planar" true
         (Netgraph.Planarity.is_planar next.Core.Backbone.ldel_icds_g positions);
-      check "spans" true
-        (Netgraph.Components.is_connected next.Core.Backbone.ldel_icds');
+      check "spans" true (Netgraph.Csr.is_connected s.Core.Shard.pldel');
       prev := next
     end
   done
@@ -167,7 +169,7 @@ let test_refresh_more_stable_than_rebuild () =
         let rng = Wireless.Rand.create 123L in
         let m =
           Wireless.Mobility.random_waypoint rng ~side:200. ~min_speed:2.
-            ~max_speed:4. ~init:bb.Core.Backbone.points
+            ~max_speed:4. ~init:bb.Core.Backbone.snap.Core.Shard.points
         in
         let prev = ref bb in
         let churn = ref 0 in
@@ -196,12 +198,16 @@ let test_needs_refresh_counts () =
   let bb = build 703L 60 50. in
   (* teleport one backbone node far away: every one of its structure
      links breaks *)
-  let positions = Array.copy bb.Core.Backbone.points in
-  let victim = List.hd (Core.Cds.backbone_nodes bb.Core.Backbone.cds) in
+  let positions = Array.copy bb.Core.Backbone.snap.Core.Shard.points in
+  let s = bb.Core.Backbone.snap in
+  let victim =
+    List.find (fun u -> s.Core.Shard.backbone.(u))
+      (List.init (Array.length positions) Fun.id)
+  in
   positions.(victim) <- P.make 1e6 1e6;
   let broken = Core.Maintenance.needs_refresh bb positions in
   checki "all incident links broke"
-    (Netgraph.Graph.degree bb.Core.Backbone.ldel_icds' victim)
+    (Netgraph.Csr.degree s.Core.Shard.pldel' victim)
     broken
 
 let suites =

@@ -338,7 +338,8 @@ let backbone_instance seed =
       ~max_attempts:2000
   in
   let bb = Core.Backbone.build pts ~radius:50. in
-  (pts, bb.Core.Backbone.udg, bb.Core.Backbone.ldel_icds')
+  (pts, bb.Core.Backbone.udg,
+   Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.pldel')
 
 (* maxima are grouping-insensitive, so they must match exactly;
    averages may differ from the reference only in float-sum grouping *)
@@ -441,7 +442,8 @@ let test_edgeless_weighted () =
       check (name ^ ": stretch_factors") true
         (M.stretch_factors ~base:g ~sub:g pts = no_pair);
       check (name ^ ": sampled_stretch") true
-        (M.sampled_stretch ~sources:[| 0 |] ~base:g ~sub:g pts = no_pair);
+        (let v = Netgraph.View.of_graph g in
+         M.sampled_stretch ~sources:[| 0 |] ~base:v ~sub:v pts = no_pair);
       check (name ^ ": power_stretch") true
         (M.power_stretch ~base:g ~sub:g pts ~beta:2. = (1., 1.)))
     edgeless_fixtures

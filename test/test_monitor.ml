@@ -144,7 +144,7 @@ let test_monitor_violation_injection () =
     check "value above limit" true (v.Core.Monitor.v_value > 0.);
     check "witness node implicated" true
       (v.Core.Monitor.v_node >= 0
-      && v.Core.Monitor.v_node < Array.length bb.Core.Backbone.points);
+      && v.Core.Monitor.v_node < Array.length bb.Core.Backbone.snap.Core.Shard.points);
     check "also in the accumulated list" true
       (List.mem v (Core.Monitor.violations mon))
 

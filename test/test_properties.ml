@@ -231,7 +231,7 @@ let prop_ldel_icds'_spans =
     (arb (gen_instance ~min:30 ~max:90 ~radius:50.) print_points)
     (fun pts ->
       let bb = Core.Backbone.build pts ~radius:50. in
-      Netgraph.Components.is_connected bb.Core.Backbone.ldel_icds')
+      Netgraph.Csr.is_connected bb.Core.Backbone.snap.Core.Shard.pldel')
 
 let prop_rng_lune_empty =
   QCheck.Test.make ~name:"RNG edges have empty lunes" ~count:15
@@ -313,9 +313,9 @@ let prop_protocol_equals_centralized =
           pts
       in
       let pr = Core.Protocol.run pts ~radius:50. in
-      pr.Core.Protocol.roles = bb.Core.Backbone.cds.Core.Cds.roles
-      && pr.Core.Protocol.cds_edges
-         = bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.cds_edges
+      let s = bb.Core.Backbone.snap in
+      pr.Core.Protocol.roles = s.Core.Shard.roles
+      && pr.Core.Protocol.cds_edges = Netgraph.Csr.edges s.Core.Shard.cds
       && G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
 
 (* The protocol's message accounting, derived from the structures it

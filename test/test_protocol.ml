@@ -2,6 +2,7 @@
    centralized pipeline, message bounds, per-phase accounting. *)
 
 module G = Netgraph.Graph
+module Csr = Netgraph.Csr
 module E = Distsim.Engine
 
 let check = Alcotest.(check bool)
@@ -20,25 +21,24 @@ let test_matches_centralized () =
     let pts = instance (Int64.of_int seed) 70 50. in
     let bb = Core.Backbone.build pts ~radius:50. in
     let pr = Core.Protocol.run pts ~radius:50. in
-    check "roles" true (pr.Core.Protocol.roles = bb.Core.Backbone.cds.Core.Cds.roles);
+    let s = bb.Core.Backbone.snap in
+    let ldel = Core.Ldel.build (Csr.to_graph s.Core.Shard.icds) pts ~radius:50. in
+    check "roles" true (pr.Core.Protocol.roles = s.Core.Shard.roles);
     check "connectors" true
       (pr.Core.Protocol.connector
-      = bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.connector);
+      = Array.mapi
+          (fun u b -> b && s.Core.Shard.roles.(u) <> Core.Mis.Dominator)
+          s.Core.Shard.backbone);
     check "cds edges" true
-      (pr.Core.Protocol.cds_edges
-      = bb.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.cds_edges);
+      (pr.Core.Protocol.cds_edges = Csr.edges s.Core.Shard.cds);
     check "icds edges" true
-      (pr.Core.Protocol.icds_edges
-      = List.sort compare (G.edges bb.Core.Backbone.cds.Core.Cds.icds));
+      (pr.Core.Protocol.icds_edges = Csr.edges s.Core.Shard.icds);
     check "ldel triangles" true
-      (pr.Core.Protocol.ldel_triangles
-      = bb.Core.Backbone.ldel_icds.Core.Ldel.triangles);
+      (pr.Core.Protocol.ldel_triangles = ldel.Core.Ldel.triangles);
     check "kept triangles" true
-      (pr.Core.Protocol.kept_triangles
-      = bb.Core.Backbone.ldel_icds.Core.Ldel.kept_triangles);
+      (pr.Core.Protocol.kept_triangles = ldel.Core.Ldel.kept_triangles);
     check "gabriel edges" true
-      (pr.Core.Protocol.gabriel_edges
-      = bb.Core.Backbone.ldel_icds.Core.Ldel.gabriel_edges);
+      (pr.Core.Protocol.gabriel_edges = ldel.Core.Ldel.gabriel_edges);
     check "final graphs" true
       (G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
   done
@@ -146,8 +146,9 @@ let test_ldel2_matches_centralized () =
     let pts = instance (Int64.of_int seed) 70 50. in
     let bb = Core.Backbone.build pts ~radius:50. in
     let l2c =
-      Core.Ldel.build_k bb.Core.Backbone.cds.Core.Cds.icds pts ~radius:50.
-        ~k:2
+      Core.Ldel.build_k
+        (Csr.to_graph bb.Core.Backbone.snap.Core.Shard.icds)
+        pts ~radius:50. ~k:2
     in
     let l2d = Core.Protocol.run_ldel2 pts ~radius:50. in
     check "triangles equal" true

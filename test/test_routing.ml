@@ -79,7 +79,7 @@ let test_hierarchical_delivery () =
     let rng = Wireless.Rand.create 999L in
     for _ = 1 to 50 do
       let src = Wireless.Rand.int rng n and dst = Wireless.Rand.int rng n in
-      match Core.Routing.hierarchical bb ~src ~dst with
+      match Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst with
       | Some p ->
         check "starts" true (List.hd p = src);
         check "ends" true (List.nth p (List.length p - 1) = dst)
@@ -92,7 +92,7 @@ let test_hierarchical_adjacent_direct () =
   let bb = Core.Backbone.build pts ~radius:50. in
   let udg = bb.Core.Backbone.udg in
   G.iter_edges udg (fun u v ->
-      match Core.Routing.hierarchical bb ~src:u ~dst:v with
+      match Core.Routing.hierarchical bb.Core.Backbone.snap ~src:u ~dst:v with
       | Some p -> check "one hop" true (List.length p <= 2)
       | None -> Alcotest.fail "adjacent must deliver")
 
@@ -104,7 +104,7 @@ let test_hierarchical_path_edges_exist () =
   for src = 0 to n - 1 do
     let dst = (src + 17) mod n in
     if src <> dst then
-      match Core.Routing.hierarchical bb ~src ~dst with
+      match Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst with
       | Some p ->
         check "UDG-realizable" true
           (Netgraph.Traversal.is_path bb.Core.Backbone.udg p)
@@ -199,14 +199,13 @@ let test_variants_delivery_rates () =
 let test_evaluate () =
   let pts = instance 315L 60 50. in
   let bb = Core.Backbone.build pts ~radius:50. in
-  let planar = bb.Core.Backbone.ldel_icds' in
   let rng = Wireless.Rand.create 5L in
   let ev =
     Core.Routing.evaluate
-      ~router:(fun ~src ~dst -> Core.Routing.hierarchical bb ~src ~dst)
+      ~router:(fun ~src ~dst ->
+        Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst)
       ~base:(V.of_graph bb.Core.Backbone.udg) pts ~pairs:40 rng
   in
-  ignore planar;
   Alcotest.(check int) "all pairs sampled" 40 ev.Core.Routing.pairs;
   Alcotest.(check int) "all delivered" 40 ev.Core.Routing.delivered;
   check "stretch sane" true
@@ -265,7 +264,7 @@ let test_endpoint_contract () =
       ("mfr", fun ~src ~dst -> R.mfr v pts ~src ~dst);
       ("nfp", fun ~src ~dst -> R.nfp v pts ~src ~dst);
       ("gfg", fun ~src ~dst -> R.gfg v pts ~src ~dst);
-      ("hierarchical", fun ~src ~dst -> R.hierarchical bb ~src ~dst);
+      ("hierarchical", fun ~src ~dst -> R.hierarchical bb.Core.Backbone.snap ~src ~dst);
     ]
 
 (* Routes do not depend on the representation: on random (possibly

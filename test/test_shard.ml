@@ -167,7 +167,7 @@ let test_wide_span () =
           edge_list (name ^ " run udg") want (G.edges t.Core.Backbone.udg);
           edge_list (name ^ " run pldel")
             (Csr.edges s.Core.Shard.pldel)
-            (Csr.edges t.Core.Backbone.planar_csr))
+            (G.edges t.Core.Backbone.ldel_icds_g))
         [ (Core.Backbone.Config.Auto, 1); (Core.Backbone.Config.Tiles 2, 2) ])
     (wide_span_fixtures ())
 
@@ -593,54 +593,59 @@ let prop_ldel_oracle =
       let pts = Wireless.Deploy.uniform rng ~n ~side:150. in
       ldel_match pts ~radius)
 
-(* --- Builder / View ------------------------------------------------- *)
+(* --- Rows / View ---------------------------------------------------- *)
 
-module B = Netgraph.Builder
 module V = Netgraph.View
 
-let test_builder_seal () =
-  let b = B.create 5 in
-  B.add_edges b [ (1, 2); (2, 1); (0, 4); (1, 2) ];
-  checki "pending counts duplicates" 4 (B.pending b);
-  let csr = B.seal b in
+(* The undirected edge list [es] on [n] nodes as sorted, duplicate-free
+   rows, sealed by [Csr.of_rows]: the tests' seal for edge lists. *)
+let seal_edges ?points n es =
+  let rows = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v))
+    es;
+  let rows = Array.map (List.sort_uniq Int.compare) rows in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun u r -> offsets.(u + 1) <- offsets.(u) + List.length r) rows;
+  let targets = Array.of_list (List.concat (Array.to_list rows)) in
+  Csr.of_rows ?points ~offsets ~targets ()
+
+let test_rows_seal () =
+  let csr = seal_edges 5 [ (1, 2); (2, 1); (0, 4); (1, 2) ] in
   edge_list "dedup both orientations" [ (0, 4); (1, 2) ] (Csr.edges csr);
-  let b2 = B.create 5 in
-  B.add_edges b2 [ (4, 0); (1, 2) ];
-  edge_list "append order irrelevant" (Csr.edges csr)
-    (Csr.edges (B.seal b2));
-  let into = B.create 5 in
-  B.add_edge into 0 4;
-  B.append ~into b2;
-  edge_list "append stitches" [ (0, 4); (1, 2) ] (Csr.edges (B.seal into));
-  (* seal is non-destructive: keep appending, seal again *)
-  B.add_edge b2 3 4;
-  edge_list "incremental reseal" [ (0, 4); (1, 2); (3, 4) ]
-    (Csr.edges (B.seal b2));
-  check "self-loop rejected" true
-    (try
-       B.add_edge b2 1 1;
-       false
-     with Invalid_argument _ -> true);
-  check "out-of-range rejected" true
-    (try
-       B.add_edge b2 0 5;
-       false
-     with Invalid_argument _ -> true);
-  (* pooled seal is bit-identical to the serial seal *)
+  edge_list "order irrelevant" (Csr.edges csr)
+    (Csr.edges (seal_edges 5 [ (4, 0); (2, 1) ]));
+  edge_list "adopted rows"
+    [ (0, 1); (0, 2); (1, 2) ]
+    (Csr.edges
+       (Csr.of_rows ~offsets:[| 0; 2; 4; 6 |]
+          ~targets:[| 1; 2; 0; 2; 0; 1 |] ()));
+  let rejected name offsets targets =
+    check name true
+      (try
+         ignore (Csr.of_rows ~offsets ~targets ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejected "self-loop rejected" [| 0; 1; 2 |] [| 0; 0 |];
+  rejected "out-of-range rejected" [| 0; 1; 2 |] [| 2; 0 |];
+  rejected "unsorted row rejected" [| 0; 2; 3; 4 |] [| 2; 1; 0; 0 |];
+  rejected "duplicate rejected" [| 0; 2; 4 |] [| 1; 1; 0; 0 |];
+  rejected "offsets.(0) rejected" [| 1; 2; 2 |] [| 1; 0 |];
+  rejected "short targets rejected" [| 0; 1; 3 |] [| 1; 0 |];
+  (* sealed weights are [of_graph]'s floats, serial or pooled *)
   let pts, g = deployment 32L 300 200. 25. in
-  let bb = B.create (Array.length pts) in
-  B.add_graph bb g;
-  let serial = B.seal ~points:pts bb in
+  let n = Array.length pts in
+  let sealed = seal_edges ~points:pts n (G.edges g) in
+  check "rows seal weights" true (sealed = Csr.of_graph ~points:pts g);
+  check "rows seal power weights" true
+    (Csr.with_weights ~beta:2.5 sealed pts
+    = Csr.of_graph ~points:pts ~beta:2.5 g);
   Pool.with_pool ~jobs:3 (fun p ->
-      let pooled = B.seal ~pool:p ~points:pts bb in
-      edge_list "pooled seal" (Csr.edges serial) (Csr.edges pooled);
-      (* the pooled row passes weigh each arc with the serial floats *)
-      check "pooled seal weights" true (pooled = Csr.of_graph ~points:pts g);
-      check "pooled seal power weights" true
-        (B.seal ~pool:p ~points:pts ~beta:2.5 bb
-        = Csr.of_graph ~points:pts ~beta:2.5 g);
       let keep u v = (u + v) mod 3 <> 0 in
-      let sub = G.create (Array.length pts) in
+      let sub = G.create n in
       G.iter_edges g (fun u v -> if keep u v then G.add_edge sub u v);
       check "pooled filter weights" true
         (Csr.filter ~pool:p ~points:pts (Csr.of_graph g) keep
@@ -780,25 +785,28 @@ let test_ldel_halo () =
 
 (* --- Full pipeline -------------------------------------------------- *)
 
+(* CDS': the snapshot keeps no copy *)
+let cds' (s : Core.Shard.snapshot) =
+  Core.Shard.primed s.Core.Shard.roles s.Core.Shard.icds' s.Core.Shard.cds
+
+let same_snapshot tag (a : Core.Shard.snapshot) (b : Core.Shard.snapshot) =
+  let open Core.Shard in
+  let edges name f = edge_list (tag ^ " " ^ name) (Csr.edges (f a)) (Csr.edges (f b)) in
+  check (tag ^ " roles") true (a.roles = b.roles);
+  check (tag ^ " backbone") true (a.backbone = b.backbone);
+  edges "udg" (fun s -> s.udg);
+  edges "cds" (fun s -> s.cds);
+  edges "cds'" cds';
+  edges "icds" (fun s -> s.icds);
+  edges "icds'" (fun s -> s.icds');
+  edges "pldel" (fun s -> s.pldel);
+  edges "pldel'" (fun s -> s.pldel')
+
 let same_backbone tag (a : Core.Backbone.t) (b : Core.Backbone.t) =
+  same_snapshot tag a.Core.Backbone.snap b.Core.Backbone.snap;
   check (tag ^ " udg") true (G.equal a.Core.Backbone.udg b.Core.Backbone.udg);
-  check (tag ^ " roles") true
-    (a.Core.Backbone.cds.Core.Cds.roles = b.Core.Backbone.cds.Core.Cds.roles);
-  edge_list (tag ^ " cds_edges")
-    a.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.cds_edges
-    b.Core.Backbone.cds.Core.Cds.connectors.Core.Connectors.cds_edges;
-  check (tag ^ " cds' graph") true
-    (G.equal a.Core.Backbone.cds.Core.Cds.cds' b.Core.Backbone.cds.Core.Cds.cds');
-  check (tag ^ " icds graph") true
-    (G.equal a.Core.Backbone.cds.Core.Cds.icds b.Core.Backbone.cds.Core.Cds.icds);
   check (tag ^ " planar") true
-    (G.equal a.Core.Backbone.ldel_icds_g b.Core.Backbone.ldel_icds_g);
-  check (tag ^ " primed planar") true
-    (G.equal a.Core.Backbone.ldel_icds' b.Core.Backbone.ldel_icds');
-  edge_list
-    (tag ^ " planar csr")
-    (Csr.edges a.Core.Backbone.planar_csr)
-    (Csr.edges b.Core.Backbone.planar_csr)
+    (G.equal a.Core.Backbone.ldel_icds_g b.Core.Backbone.ldel_icds_g)
 
 (* serial ([Tiles 1]) vs sharded [Backbone.run]: identical records for
    jobs 1/2/4 and a sweep of tile counts *)
@@ -834,8 +842,8 @@ let test_pipeline_identity () =
         [ 2; 3; 5 ])
     [ 1; 2; 4 ]
 
-(* [Backbone.snapshot] agrees with the record the sharded [run]
-   materializes *)
+(* [Backbone.snapshot] is the snapshot [run] keeps, and [run]'s two
+   graphs are its thaws *)
 let test_snapshot_matches_run () =
   let rng = Wireless.Rand.create 22L in
   let pts = Wireless.Deploy.uniform rng ~n:500 ~side:300. in
@@ -849,23 +857,11 @@ let test_snapshot_matches_run () =
   in
   let t = Core.Backbone.run cfg pts in
   let s = Core.Backbone.snapshot cfg pts in
-  check "roles" true (t.Core.Backbone.cds.Core.Cds.roles = s.Core.Shard.roles);
+  same_snapshot "run" t.Core.Backbone.snap s;
   edge_list "udg" (G.edges t.Core.Backbone.udg) (Csr.edges s.Core.Shard.udg);
-  edge_list "icds"
-    (G.edges t.Core.Backbone.cds.Core.Cds.icds)
-    (Csr.edges s.Core.Shard.icds);
-  edge_list "icds'"
-    (G.edges t.Core.Backbone.cds.Core.Cds.icds')
-    (Csr.edges s.Core.Shard.icds');
-  edge_list "cds"
-    (G.edges t.Core.Backbone.cds.Core.Cds.cds)
-    (Csr.edges s.Core.Shard.cds);
   edge_list "pldel"
     (G.edges t.Core.Backbone.ldel_icds_g)
-    (Csr.edges s.Core.Shard.pldel);
-  edge_list "pldel'"
-    (G.edges t.Core.Backbone.ldel_icds')
-    (Csr.edges s.Core.Shard.pldel')
+    (Csr.edges s.Core.Shard.pldel)
 
 (* quasi radio: the UDG stage is serial (RNG stream) but the sharded
    stages must still reproduce the one-tile build on it *)
@@ -884,64 +880,49 @@ let test_pipeline_quasi () =
   let sharded = Core.Backbone.run (cfg (Core.Backbone.Config.Tiles 3)) pts in
   same_backbone "quasi" serial sharded
 
-(* The Builder-based assembly the row filters and arc marks replaced:
-   the oracle every sealed structure of the snapshot must equal.  Its
+(* The edge-list assembly the row filters and arc marks replaced: the
+   oracle every sealed structure of the snapshot must equal.  Its
    inputs are the oracles' own, never the snapshot's parts: connector
    lists from [Connectors_oracle], and LDel lists from the list
    builder run on the ICDS it seals itself. *)
 module Assemble_oracle = struct
-  module Builder = Netgraph.Builder
   module Mis = Core.Mis
   module Connectors = Core.Connectors
   module Ldel = Core.Ldel
 
-  let add_dominatee_links_csr b udg roles =
-    Array.iteri
-      (fun u r ->
-        if r = Mis.Dominatee then
-          Csr.iter_neighbors udg u (fun d ->
-              if roles.(d) = Mis.Dominator then Builder.add_edge b u d))
-      roles
-
-  let run ?pool points ~radius udg roles (connectors : Connectors.result) =
+  let run points ~radius udg roles (connectors : Connectors.result) =
     let n = Array.length points in
     let backbone =
       Array.init n (fun u ->
           roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u))
     in
-    let seal_of ?points fill =
-      let b = Builder.create n in
-      fill b;
-      Builder.seal ?pool ?points b
+    (* each dominatee to each dominator it hears *)
+    let links =
+      List.concat
+        (List.init n (fun u ->
+             if roles.(u) = Mis.Dominatee then
+               List.filter_map
+                 (fun d -> if roles.(d) = Mis.Dominator then Some (u, d) else None)
+                 (Csr.neighbors udg u)
+             else []))
     in
-    let cds_b = Builder.create n in
-    Builder.add_edges cds_b connectors.Connectors.cds_edges;
-    let cds = Builder.seal ?pool cds_b in
-    add_dominatee_links_csr cds_b udg roles;
-    let cds' = Builder.seal ?pool cds_b in
-    let icds_b = Builder.create n in
-    Csr.iter_edges udg (fun u v ->
-        if backbone.(u) && backbone.(v) then Builder.add_edge icds_b u v);
-    let icds = Builder.seal ?pool icds_b in
+    let cds_edges = connectors.Connectors.cds_edges in
+    let icds_edges =
+      List.filter (fun (u, v) -> backbone.(u) && backbone.(v)) (Csr.edges udg)
+    in
+    let icds = seal_edges n icds_edges in
     let ldel = Test_ldel.Ldel_oracle.build icds points ~radius in
-    add_dominatee_links_csr icds_b udg roles;
-    let icds' = Builder.seal ?pool icds_b in
-    let add_pldel b =
-      Builder.add_edges b ldel.Ldel.p_gabriel;
-      List.iter
-        (fun (a, b', c) ->
-          Builder.add_edge b a b';
-          Builder.add_edge b b' c;
-          Builder.add_edge b a c)
-        ldel.Ldel.p_kept
+    let pldel_edges =
+      ldel.Ldel.p_gabriel
+      @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) ldel.Ldel.p_kept
     in
-    let pldel = seal_of ~points add_pldel in
-    let pldel' =
-      seal_of ~points (fun b ->
-          add_pldel b;
-          add_dominatee_links_csr b udg roles)
-    in
-    (backbone, cds, cds', icds, icds', pldel, pldel')
+    ( backbone,
+      seal_edges n cds_edges,
+      seal_edges n (cds_edges @ links),
+      icds,
+      seal_edges n (icds_edges @ links),
+      seal_edges ~points n pldel_edges,
+      seal_edges ~points n (pldel_edges @ links) )
 end
 
 let subgraph sub super =
@@ -955,7 +936,7 @@ let check_assembly tag (s : Core.Shard.snapshot) =
   in
   check (tag ^ " backbone") true (backbone = s.backbone);
   check (tag ^ " cds") true (cds = s.cds);
-  check (tag ^ " cds'") true (cds' = s.cds');
+  check (tag ^ " cds'") true (cds' = primed s.roles s.icds' s.cds);
   check (tag ^ " icds") true (icds = s.icds);
   check (tag ^ " icds'") true (icds' = s.icds');
   check (tag ^ " pldel") true (pldel = s.pldel);
@@ -1050,7 +1031,7 @@ let test_stage_spans () =
     (children "shard/shard.ldel/");
   Alcotest.(check (list string))
     "assemble children"
-    [ "assemble.cds'"; "assemble.pldel"; "assemble.pldel'" ]
+    [ "assemble.pldel"; "assemble.pldel'" ]
     (children "shard/shard.assemble/")
 
 (* tiling invariants: every node exactly once, tile side >= radius *)
@@ -1135,7 +1116,7 @@ let suites =
       ] );
     ( "shard.builder",
       [
-        Alcotest.test_case "builder seal" `Quick test_builder_seal;
+        Alcotest.test_case "of_rows seal" `Quick test_rows_seal;
         Alcotest.test_case "view dispatch" `Quick test_view_dispatch;
       ] );
     ( "shard.halo",
@@ -1150,7 +1131,7 @@ let suites =
         Alcotest.test_case "snapshot matches run" `Quick
           test_snapshot_matches_run;
         Alcotest.test_case "quasi radio" `Quick test_pipeline_quasi;
-        Alcotest.test_case "assembly = Builder oracle" `Quick
+        Alcotest.test_case "assembly = rows oracle" `Quick
           test_assembly_oracle;
         Alcotest.test_case "stage spans" `Quick test_stage_spans;
         Alcotest.test_case "tiling partition" `Quick test_tiling_partition;

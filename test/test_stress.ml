@@ -199,7 +199,7 @@ let test_pipeline_scale_500 () =
   check "planar at scale" true
     (Netgraph.Planarity.is_planar bb.Core.Backbone.ldel_icds_g pts);
   check "spans at scale" true
-    (Netgraph.Components.is_connected bb.Core.Backbone.ldel_icds');
+    (Netgraph.Csr.is_connected bb.Core.Backbone.snap.Core.Shard.pldel');
   let pr = Core.Protocol.run pts ~radius:30. in
   check "protocol agrees at scale" true
     (G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g);

@@ -15,7 +15,8 @@ let test_svg_basic () =
   let world = Geometry.Bbox.of_points (Array.to_list pts) in
   let svg = Viz.Svg.create ~width:300 ~height:300 ~world in
   let g = G.of_edges 3 [ (0, 1); (1, 2) ] in
-  Viz.Svg.add_edges svg pts g ~stroke:"black" ~stroke_width:1.;
+  Viz.Svg.add_edges svg pts (Netgraph.View.of_graph g) ~stroke:"black"
+    ~stroke_width:1.;
   Viz.Svg.add_nodes svg pts ~style_of:(fun i ->
       if i = 0 then Viz.Svg.dominator_style else Viz.Svg.dominatee_style);
   Viz.Svg.add_path svg pts [ 0; 1; 2 ] ~stroke:"red" ~stroke_width:2.;
@@ -53,7 +54,9 @@ let test_svg_writes_file () =
   let pts = [| P.make 0. 0.; P.make 1. 1. |] in
   let world = Geometry.Bbox.of_points (Array.to_list pts) in
   let svg = Viz.Svg.create ~width:50 ~height:50 ~world in
-  Viz.Svg.add_edges svg pts (G.of_edges 2 [ (0, 1) ]) ~stroke:"blue"
+  Viz.Svg.add_edges svg pts
+    (Netgraph.View.of_graph (G.of_edges 2 [ (0, 1) ]))
+    ~stroke:"blue"
     ~stroke_width:0.5;
   let file = Filename.temp_file "geospanner" ".svg" in
   Viz.Svg.write_file svg file;
