@@ -13,8 +13,10 @@
    compares it against its committed BENCH_*.json baseline: counters
    must match exactly, span timings may regress by at most
    --check-threshold (default 0.5, i.e. +50%).  The baseline's
-   bench.jobs pin (and for the pipeline its bench.release profile
-   stamp) is validated before anything is compared.  Any
+   bench.jobs pin (and for the metrics and pipeline gates its
+   bench.release profile stamp) is validated before anything is
+   compared.  The serve gate also holds the paper's claim as an
+   absolute bound: every gfg and stretch query is delivered.  Any
    violation fails the run with exit code 1.  The pipeline gate
    compares only top-level spans — nested stage spans are
    milliseconds-scale and dominated by scheduler noise, while the
@@ -763,6 +765,7 @@ let bench_metrics ?check quick jobs =
   Obs.set_enabled true;
   Obs.reset ();
   Obs.add c_bench_jobs jobs;
+  if release_build then Obs.add c_bench_release 1;
   let checks =
     List.map
       (fun (n, radius) ->
@@ -859,7 +862,11 @@ let bench_metrics ?check quick jobs =
     (* regression gate: compare this run against the committed baseline
        instead of overwriting it *)
     let reference = read_baseline file in
-    if not (validate_bench_jobs file reference jobs) then begin
+    if
+      not
+        (validate_bench_release file reference
+        && validate_bench_jobs file reference jobs)
+    then begin
       Obs.set_enabled was;
       exit 1
     end;
@@ -1145,6 +1152,34 @@ let bench_serve ?check quick jobs =
       ()
   in
   let r_lat = serve "lat.j1" 1 true w_lat in
+  (* per kind: the queries of one kind alone, closed loop at jobs = 1,
+     once without latency sampling (throughput and allocation) and
+     once with it (the tail of the service time) *)
+  let kinds =
+    List.init Serve.Workload.kinds (fun k ->
+        let qs =
+          Array.of_list
+            (List.filter
+               (fun q -> w.Serve.Workload.kind.(q) = k)
+               (List.init q_count Fun.id))
+        in
+        let pick a = Array.map (fun q -> a.(q)) qs in
+        let sub =
+          {
+            w with
+            Serve.Workload.count = Array.length qs;
+            kind = pick w.Serve.Workload.kind;
+            src = pick w.Serve.Workload.src;
+            dst = pick w.Serve.Workload.dst;
+          }
+        in
+        let name = Serve.Workload.op_name k in
+        let r = serve name 1 false sub in
+        let lat = serve (name ^ ".lat") 1 true sub in
+        ( name,
+          Serve.Engine.summarize r,
+          (Serve.Engine.summarize lat).Serve.Engine.s_lat_p99_us ))
+  in
   let s1 = Serve.Engine.summarize r1
   and sj = Serve.Engine.summarize rj
   and ss = Serve.Engine.summarize r_scrape
@@ -1172,6 +1207,19 @@ let bench_serve ?check quick jobs =
   count "queries" q_count;
   count "delivered" s1.Serve.Engine.s_delivered;
   count "hops_total" hops_total;
+  List.iter
+    (fun (name, (s : Serve.Engine.summary), p99) ->
+      count (name ^ ".queries") s.Serve.Engine.s_queries;
+      count (name ^ ".delivered") s.Serve.Engine.s_delivered;
+      let gauge key v =
+        Obs.set_gauge
+          (Obs.gauge (Printf.sprintf "bench.serve.%s.%s.n%d" name key n))
+          v
+      in
+      gauge "qps" s.Serve.Engine.s_qps;
+      gauge "lat_p99_us" p99;
+      gauge "minor_words_per_query" s.Serve.Engine.s_minor_per_query)
+    kinds;
   pf "@.%-10s %14s %12s %10s@." "variant" "queries/s" "elapsed(s)" "speedup";
   pf "%-10s %14.0f %12.3f %10s@." "jobs=1" s1.Serve.Engine.s_qps
     r1.Serve.Engine.elapsed_s "1.00";
@@ -1198,7 +1246,40 @@ let bench_serve ?check quick jobs =
     sl.Serve.Engine.s_lat_p999_us (q_count / 10);
   pf "allocation: %.2f minor words/query at jobs = 1 (steady-state scratch)@."
     s1.Serve.Engine.s_minor_per_query;
+  pf "drops:      %s@." (Serve.Engine.drops_line s1);
+  pf "@.%-8s %8s %10s %12s %12s %12s@." "kind" "queries" "delivered"
+    "queries/s" "p99 (us)" "words/query";
+  List.iter
+    (fun (name, (s : Serve.Engine.summary), p99) ->
+      pf "%-8s %8d %10d %12.0f %12.1f %12.2f@." name s.Serve.Engine.s_queries
+        s.Serve.Engine.s_delivered s.Serve.Engine.s_qps p99
+        s.Serve.Engine.s_minor_per_query)
+    kinds;
   pf "(per-query results verified bit-identical across job counts)@.";
+  (* the paper's claim, an absolute bound: GFG over the planar backbone
+     delivers every query on a connected deployment *)
+  let undelivered = ref 0 and first = ref None in
+  Array.iteri
+    (fun q h ->
+      let k = w.Serve.Workload.kind.(q) in
+      if
+        h < 0
+        && (k = Serve.Workload.k_gfg || k = Serve.Workload.k_stretch)
+      then begin
+        incr undelivered;
+        if Option.is_none !first then
+          first := Some (w.Serve.Workload.src.(q), w.Serve.Workload.dst.(q))
+      end)
+    (Array.sub r1.Serve.Engine.hops 0 q_count);
+  (match !first with
+  | None -> pf "  [claim ok: every gfg and stretch query delivered]@."
+  | Some (src, dst) ->
+    pf
+      "  [claim FAILED: %d gfg/stretch queries undelivered on a connected \
+       deployment, the first %d -> %d]@."
+      !undelivered src dst;
+    Obs.set_enabled was;
+    exit 1);
   let osnap = Obs.Snapshot.capture () in
   let file = "BENCH_serve.json" in
   (match check with

@@ -1517,6 +1517,7 @@ let serve_cmd =
           s.Serve.Engine.s_lat_p999_us;
       Printf.printf "alloc:      %.2f minor words/query (caller domain)\n"
         s.Serve.Engine.s_minor_per_query;
+      Printf.printf "drops:      %s\n" (Serve.Engine.drops_line s);
       let tel = Obs.Telemetry.create () in
       Serve.Engine.to_telemetry tel r;
       List.iter

@@ -65,8 +65,8 @@ let () =
     (Netgraph.Graph.edge_count bb.Core.Backbone.udg)
     (Netgraph.Graph.edge_count planar_backbone);
 
-  (* 5. Route a packet with dominating-set-based routing: direct to
-     in-range destinations, via the planar backbone otherwise. *)
+  (* 5. Route a packet the paper's way: greedy over the UDG, and from
+     a local minimum GFG over the planar backbone. *)
   match Core.Routing.hierarchical snap ~src:0 ~dst:(Array.length points - 1) with
   | Some path ->
     Printf.printf "route 0 -> %d: %s (%d hops)\n"

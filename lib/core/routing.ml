@@ -25,9 +25,8 @@ module P = Geometry.Point
 
 let max_steps g = (4 * V.edge_count g) + 16
 
-(* Per-scheme route/delivery counters and a shared hop distribution.
-   [hierarchical] drives [gfg] on the backbone, so a hierarchical
-   route also charges one gfg route — counters count invocations. *)
+(* Per-scheme route/delivery counters and a shared hop distribution,
+   charged by the list wrappers only. *)
 let d_hops = Obs.dist "routing.path_hops"
 let c_gfg_steps = Obs.counter "routing.gfg.steps"
 
@@ -57,7 +56,8 @@ let obs_hierarchical = instrumented "hierarchical"
    3 — perimeter entry distance to dst (greedy resumes below it)
    4 — best crossing distance of the entry->dst segment so far
    5, 6 — the toward-dst vector at the current node
-   7 — its norm *)
+   7 — its norm
+   8 — distance to dst of the last edge's crossing (see [crossing]) *)
 type scratch = {
   mutable mark : int array;  (* mark.(u) = stamp  <=>  visited this query *)
   mutable stamp : int;
@@ -71,9 +71,12 @@ type scratch = {
   mutable cur : int;
   mutable best : int;  (* scan result, -1 = none *)
   mutable steps : int;
-  mutable state : int;  (* 0 = routing, 1 = delivered, 2 = dropped *)
+  mutable state : int;
+      (* 0 = routing, 1 = delivered, 2 = dropped, 3 = at a local
+         minimum of [hierarchical_into]'s greedy phase *)
+  mutable drop : int;  (* index into [drop_reasons]; -1 unless dropped *)
   mutable mode : int;  (* gfg header: 0 = greedy, 1 = perimeter *)
-  mutable entry : P.t;  (* position where perimeter mode was entered *)
+  mutable entry : int;  (* node where perimeter mode was entered *)
   mutable start_u : int;  (* first directed edge of the current face *)
   mutable start_w : int;
   mutable p_first : bool;  (* still on the starting edge of this face *)
@@ -98,7 +101,7 @@ module Scratch = struct
         stamp = 0;
         path = Array.make 16 0;
         len = 0;
-        fl = Array.make 8 0.;
+        fl = Array.make 9 0.;
         g = V.of_graph (G.create 0);
         pts = [||];
         dst = 0;
@@ -106,8 +109,9 @@ module Scratch = struct
         best = -1;
         steps = 0;
         state = 0;
+        drop = -1;
         mode = 0;
-        entry = P.origin;
+        entry = -1;
         start_u = -1;
         start_w = -1;
         p_first = true;
@@ -215,6 +219,7 @@ module Scratch = struct
 
   let path sc = sc.path
   let path_len sc = sc.len
+  let drop sc = sc.drop
 
   let path_list sc =
     let rec build i acc =
@@ -223,6 +228,20 @@ module Scratch = struct
     build (sc.len - 1) []
 end
 
+(* Drop reasons, indices into [drop_reasons] *)
+let local_minimum = 0
+let face_loop = 1
+let revisit = 2
+let step_cap = 3
+let out_of_range = 4
+
+let drop_reasons =
+  [| "local_minimum"; "face_loop"; "revisit"; "step_cap"; "out_of_range" |]
+
+let fail sc reason =
+  sc.state <- 2;
+  sc.drop <- reason
+
 let in_range g u = u >= 0 && u < V.node_count g
 
 let prepare sc g points ~dst =
@@ -230,7 +249,22 @@ let prepare sc g points ~dst =
   sc.g <- g;
   sc.pts <- points;
   sc.dst <- dst;
-  sc.len <- 0
+  sc.len <- 0;
+  sc.drop <- -1
+
+(* an out-of-range [src] or [dst]: nothing routed *)
+let rejected sc =
+  sc.len <- 0;
+  sc.drop <- out_of_range;
+  -1
+
+(* the hop count of a finished query, or -1 with its path cleared *)
+let finish sc =
+  if sc.state = 1 then sc.len - 1
+  else begin
+    sc.len <- 0;
+    -1
+  end
 
 (* du into fl.(0), then the strictly-closer scan *)
 let closer_scan sc u =
@@ -241,10 +275,7 @@ let closer_scan sc u =
   V.iter_neighbors sc.g u sc.scan_closer
 
 let greedy_into sc g points ~src ~dst =
-  if not (in_range g src && in_range g dst) then begin
-    sc.len <- 0;
-    -1
-  end
+  if not (in_range g src && in_range g dst) then rejected sc
   else begin
     prepare sc g points ~dst;
     sc.cur <- src;
@@ -256,10 +287,10 @@ let greedy_into sc g points ~src ~dst =
         Scratch.push sc u;
         sc.state <- 1
       end
-      else if sc.steps <= 0 then sc.state <- 2
+      else if sc.steps <= 0 then fail sc step_cap
       else begin
         closer_scan sc u;
-        if sc.best < 0 then sc.state <- 2
+        if sc.best < 0 then fail sc local_minimum
         else begin
           Scratch.push sc u;
           sc.cur <- sc.best;
@@ -267,11 +298,7 @@ let greedy_into sc g points ~src ~dst =
         end
       end
     done;
-    if sc.state = 1 then sc.len - 1
-    else begin
-      sc.len <- 0;
-      -1
-    end
+    finish sc
   end
 
 (* toward-dst vector and norm at u, into fl.(5..7) *)
@@ -287,10 +314,7 @@ let toward_setup sc u =
    stamped visited guard, since compass/MFR can loop on some
    instances even where greedy cannot). *)
 let directional_into sc g points ~src ~dst scan =
-  if not (in_range g src && in_range g dst) then begin
-    sc.len <- 0;
-    -1
-  end
+  if not (in_range g src && in_range g dst) then rejected sc
   else begin
     prepare sc g points ~dst;
     sc.stamp <- sc.stamp + 1;
@@ -303,7 +327,8 @@ let directional_into sc g points ~src ~dst scan =
         Scratch.push sc u;
         sc.state <- 1
       end
-      else if sc.steps <= 0 || sc.mark.(u) = sc.stamp then sc.state <- 2
+      else if sc.steps <= 0 then fail sc step_cap
+      else if sc.mark.(u) = sc.stamp then fail sc revisit
       else begin
         sc.mark.(u) <- sc.stamp;
         if V.has_edge g u dst then begin
@@ -315,7 +340,7 @@ let directional_into sc g points ~src ~dst scan =
           toward_setup sc u;
           sc.best <- -1;
           V.iter_neighbors g u scan;
-          if sc.best < 0 then sc.state <- 2
+          if sc.best < 0 then fail sc local_minimum
           else begin
             Scratch.push sc u;
             sc.cur <- sc.best;
@@ -324,11 +349,7 @@ let directional_into sc g points ~src ~dst scan =
         end
       end
     done;
-    if sc.state = 1 then sc.len - 1
-    else begin
-      sc.len <- 0;
-      -1
-    end
+    finish sc
   end
 
 let compass_into sc g points ~src ~dst =
@@ -345,23 +366,48 @@ let ccw_scan sc u =
   sc.best <- -1;
   V.iter_neighbors sc.g u sc.scan_ccw
 
+(* Distance to dst of the proper crossing of edge (u, w) with the
+   segment entry -> dst, or nan when they do not properly cross, into
+   fl.(8) (a float result would be boxed).  The arithmetic is
+   [Geometry.Segment.intersection_point]'s, operation for operation,
+   on scratch floats instead of allocated points and segments.  An
+   edge sharing an end with the segment never crosses it properly:
+   that orientation is exactly collinear, which [orient2d] settles
+   only on its allocating exact path, so it is not asked. *)
+let crossing sc u w =
+  let module Pr = Geometry.Predicates in
+  let e = sc.entry and d = sc.dst in
+  let pu = sc.pts.(u) and pw = sc.pts.(w) in
+  let pe = sc.pts.(e) and pd = sc.pts.(d) in
+  if
+    u <> e && w <> e && u <> d && w <> d
+    && Pr.opposite (Pr.orient2d pu pw pe) (Pr.orient2d pu pw pd)
+    && Pr.opposite (Pr.orient2d pe pd pu) (Pr.orient2d pe pd pw)
+  then begin
+    let rx = pw.P.x -. pu.P.x and ry = pw.P.y -. pu.P.y in
+    let sx = pd.P.x -. pe.P.x and sy = pd.P.y -. pe.P.y in
+    let denom = (rx *. sy) -. (ry *. sx) in
+    if Float.equal denom 0. then sc.fl.(8) <- nan
+    else begin
+      let t =
+        (((pe.P.x -. pu.P.x) *. sy) -. ((pe.P.y -. pu.P.y) *. sx)) /. denom
+      in
+      let dx = pu.P.x +. (t *. rx) -. pd.P.x
+      and dy = pu.P.y +. (t *. ry) -. pd.P.y in
+      sc.fl.(8) <- sqrt ((dx *. dx) +. (dy *. dy))
+    end
+  end
+  else sc.fl.(8) <- nan
+
 (* pivot around [u] handling face changes, then forward along the
-   settled edge.  Segment construction/intersection allocates, so a
-   perimeter hop is not allocation-free — only the greedy steady
-   state is; recovery is the rare path. *)
+   settled edge *)
 let rec advance_k sc u w =
-  if (not sc.p_first) && u = sc.start_u && w = sc.start_w then sc.state <- 2
+  if (not sc.p_first) && u = sc.start_u && w = sc.start_w then
+    fail sc face_loop
   else begin
-    let pts = sc.pts in
-    let seg_uw = Geometry.Segment.make pts.(u) pts.(w) in
-    let seg_ed = Geometry.Segment.make sc.entry pts.(sc.dst) in
-    let cross =
-      match Geometry.Segment.intersection_point seg_uw seg_ed with
-      | Some p ->
-        let d = P.dist p pts.(sc.dst) in
-        if d < sc.fl.(4) -. 1e-12 then d else nan
-      | None -> nan
-    in
+    crossing sc u w;
+    let d = sc.fl.(8) in
+    let cross = if d < sc.fl.(4) -. 1e-12 then d else nan in
     if Float.is_nan cross then begin
       sc.p_first <- false;
       sc.prev <- u;
@@ -371,10 +417,10 @@ let rec advance_k sc u w =
       sc.steps <- sc.steps - 1
     end
     else begin
-      let pu = pts.(u) and pw = pts.(w) in
+      let pu = sc.pts.(u) and pw = sc.pts.(w) in
       sc.fl.(2) <- atan2 (pw.P.y -. pu.P.y) (pw.P.x -. pu.P.x);
       ccw_scan sc u;
-      if sc.best < 0 then sc.state <- 2
+      if sc.best < 0 then fail sc local_minimum
       else begin
         let w' = sc.best in
         sc.fl.(4) <- cross;
@@ -390,10 +436,10 @@ let enter_perimeter_k sc u =
   let pu = sc.pts.(u) and pd = sc.pts.(sc.dst) in
   sc.fl.(2) <- atan2 (pd.P.y -. pu.P.y) (pd.P.x -. pu.P.x);
   ccw_scan sc u;
-  if sc.best < 0 then sc.state <- 2
+  if sc.best < 0 then fail sc local_minimum
   else begin
     let w = sc.best in
-    sc.entry <- pu;
+    sc.entry <- u;
     let dx = pu.P.x -. pd.P.x and dy = pu.P.y -. pd.P.y in
     let d = sqrt ((dx *. dx) +. (dy *. dy)) in
     sc.fl.(3) <- d;
@@ -414,11 +460,44 @@ let gfg_greedy_step sc u =
   end
   else enter_perimeter_k sc u
 
+(* GFG from [src] to [sc.dst] over [sc.g], appending to the path
+   already in the scratch; leaves [sc.state] at 1 or 2 *)
+let gfg_walk sc ~src =
+  let dst = sc.dst in
+  sc.cur <- src;
+  sc.steps <- max_steps sc.g;
+  sc.state <- 0;
+  sc.mode <- 0;
+  sc.prev <- -1;
+  while sc.state = 0 do
+    if sc.steps <= 0 then fail sc step_cap
+    else begin
+      Obs.incr c_gfg_steps;
+      let u = sc.cur in
+      if u = dst then begin
+        Scratch.push sc u;
+        sc.state <- 1
+      end
+      else if sc.mode = 0 then gfg_greedy_step sc u
+      else begin
+        let pts = sc.pts in
+        let pu = pts.(u) and pd = pts.(dst) in
+        let dx = pu.P.x -. pd.P.x and dy = pu.P.y -. pd.P.y in
+        let du = sqrt ((dx *. dx) +. (dy *. dy)) in
+        if du < sc.fl.(3) then gfg_greedy_step sc u
+        else begin
+          let pp = pts.(sc.prev) in
+          sc.fl.(2) <- atan2 (pp.P.y -. pu.P.y) (pp.P.x -. pu.P.x);
+          ccw_scan sc u;
+          if sc.best < 0 then fail sc local_minimum
+          else advance_k sc u sc.best
+        end
+      end
+    end
+  done
+
 let gfg_into sc g points ~src ~dst =
-  if not (in_range g src && in_range g dst) then begin
-    sc.len <- 0;
-    -1
-  end
+  if not (in_range g src && in_range g dst) then rejected sc
   else begin
     prepare sc g points ~dst;
     if src = dst then begin
@@ -426,43 +505,78 @@ let gfg_into sc g points ~src ~dst =
       0
     end
     else begin
-      sc.cur <- src;
-      sc.steps <- max_steps g;
-      sc.state <- 0;
-      sc.mode <- 0;
-      sc.prev <- -1;
-      while sc.state = 0 do
-        if sc.steps <= 0 then sc.state <- 2
-        else begin
-          Obs.incr c_gfg_steps;
-          let u = sc.cur in
-          if u = dst then begin
-            Scratch.push sc u;
-            sc.state <- 1
-          end
-          else if sc.mode = 0 then gfg_greedy_step sc u
-          else begin
-            let pts = sc.pts in
-            let pu = pts.(u) and pd = pts.(dst) in
-            let dx = pu.P.x -. pd.P.x and dy = pu.P.y -. pd.P.y in
-            let du = sqrt ((dx *. dx) +. (dy *. dy)) in
-            if du < sc.fl.(3) then gfg_greedy_step sc u
-            else begin
-              let pp = pts.(sc.prev) in
-              sc.fl.(2) <- atan2 (pp.P.y -. pu.P.y) (pp.P.x -. pu.P.x);
-              ccw_scan sc u;
-              if sc.best < 0 then sc.state <- 2
-              else advance_k sc u sc.best
-            end
-          end
-        end
-      done;
-      if sc.state = 1 then sc.len - 1
-      else begin
-        sc.len <- 0;
-        -1
-      end
+      gfg_walk sc ~src;
+      finish sc
     end
+  end
+
+(* A backbone node is its own gateway; a dominatee enters at its
+   smallest-id dominator, the first in its ascending UDG row. *)
+let gateway (s : Shard.snapshot) u =
+  if s.Shard.backbone.(u) then u
+  else begin
+    let off = Csr.offsets s.Shard.udg and tgt = Csr.targets s.Shard.udg in
+    let k = ref off.(u) and d = ref (-1) in
+    while !d < 0 && !k < off.(u + 1) do
+      let v = tgt.(!k) in
+      if s.Shard.roles.(v) = Mis.Dominator then d := v;
+      incr k
+    done;
+    if !d < 0 then invalid_arg "Routing.hierarchical: node has no dominator";
+    !d
+  end
+
+(* GPSR's split (Karp–Kung): greedy over the full neighbour table
+   while it makes progress, recovery over the planar subgraph *)
+let hierarchical_into sc (s : Shard.snapshot) ~udg ~pldel ~src ~dst =
+  let pts = s.Shard.points in
+  let n = Array.length pts in
+  if src < 0 || src >= n || dst < 0 || dst >= n then rejected sc
+  else begin
+    prepare sc udg pts ~dst;
+    sc.cur <- src;
+    sc.steps <- max_steps udg;
+    sc.state <- 0;
+    while sc.state = 0 do
+      let u = sc.cur in
+      if u = dst then begin
+        Scratch.push sc u;
+        sc.state <- 1
+      end
+      else if sc.steps <= 0 then fail sc step_cap
+      else if V.has_edge udg u dst then begin
+        Scratch.push sc u;
+        sc.cur <- dst;
+        sc.steps <- sc.steps - 1
+      end
+      else begin
+        closer_scan sc u;
+        if sc.best < 0 then sc.state <- 3
+        else begin
+          Scratch.push sc u;
+          sc.cur <- sc.best;
+          sc.steps <- sc.steps - 1
+        end
+      end
+    done;
+    if sc.state = 3 then begin
+      (* u -> its gateway -> GFG over PLDel -> dst's gateway -> dst *)
+      let u = sc.cur in
+      let enter = gateway s u and exit = gateway s dst in
+      if enter <> u then Scratch.push sc u;
+      if enter = exit then begin
+        Scratch.push sc enter;
+        sc.state <- 1
+      end
+      else begin
+        sc.g <- pldel;
+        sc.dst <- exit;
+        gfg_walk sc ~src:enter;
+        sc.dst <- dst
+      end;
+      if sc.state = 1 && exit <> dst then Scratch.push sc dst
+    end;
+    finish sc
   end
 
 let listed obs kernel g points ~src ~dst =
@@ -476,6 +590,13 @@ let compass g = listed obs_compass compass_into g
 let mfr g = listed obs_mfr mfr_into g
 let nfp g = listed obs_nfp nfp_into g
 let gfg g = listed obs_gfg gfg_into g
+
+let hierarchical (s : Shard.snapshot) ~src ~dst =
+  let sc = Scratch.create ~n:(Array.length s.Shard.points) () in
+  let udg = V.of_csr s.Shard.udg and pldel = V.of_csr s.Shard.pldel in
+  obs_hierarchical
+    (if hierarchical_into sc s ~udg ~pldel ~src ~dst < 0 then None
+     else Some (Scratch.path_list sc))
 
 (* Perimeter-mode machinery of the per-node forwarding automaton.
    [gfg_step] drives the packet-level protocol in [Packetsim]; the
@@ -585,41 +706,6 @@ let gfg_step g points ~dst u header =
         | None -> Drop
         | Some w -> advance g points ~dst u st w
       end
-
-let hierarchical (s : Shard.snapshot) ~src ~dst =
-  obs_hierarchical
-    (let udg = s.Shard.udg in
-     let n = Array.length s.Shard.points in
-     (* a backbone node is its own gateway; a dominatee enters at its
-        smallest-id dominator (UDG rows are ascending) *)
-     let gateway u =
-       if s.Shard.backbone.(u) then u
-       else
-         match
-           Csr.fold_neighbors udg u
-             (fun d v ->
-               if d < 0 && s.Shard.roles.(v) = Mis.Dominator then v else d)
-             (-1)
-         with
-         | -1 -> invalid_arg "Routing.hierarchical: node has no dominator"
-         | d -> d
-     in
-     if src < 0 || src >= n || dst < 0 || dst >= n then None
-     else if src = dst then Some [ src ]
-     else if Csr.mem_edge udg src dst then Some [ src; dst ]
-     else
-       let enter = gateway src in
-       let exit = gateway dst in
-       let backbone_path =
-         if enter = exit then Some [ enter ]
-         else gfg (V.of_csr s.Shard.pldel) s.Shard.points ~src:enter ~dst:exit
-       in
-       match backbone_path with
-       | None -> None
-       | Some p ->
-         let p = if enter = src then p else src :: p in
-         let p = if exit = dst then p else p @ [ dst ] in
-         Some p)
 
 type evaluation = {
   pairs : int;

@@ -8,8 +8,8 @@
     the destination), as in the protocols the paper cites.
 
     All routers return the traversed node path (inclusive of both
-    endpoints), or [None] when the packet is dropped (greedy local
-    minimum with no recovery, or a step budget exhausted).
+    endpoints), or [None] when the packet is dropped; a kernel leaves
+    the reason in its scratch ({!drop_reasons}).
 
     Every router is one [_into] kernel routing into a caller-owned
     {!Scratch.t} with no per-query allocation on the steady path (the
@@ -48,13 +48,31 @@ module Scratch : sig
 
   (** Allocating copy of the last delivered path. *)
   val path_list : t -> int list
+
+  (** Why the last query dropped, as an index into {!drop_reasons};
+      [-1] after a delivery. *)
+  val drop : t -> int
 end
+
+(** The drop reasons, indexed by {!Scratch.drop}:
+    - ["local_minimum"]: no neighbor qualifies — greedy or MFR/NFP
+      without progress, or a node with no edge to leave by;
+    - ["face_loop"]: GFG's perimeter walk came back to the first edge
+      of its face without crossing closer, so [dst] is unreachable
+      from [src] in the graph;
+    - ["revisit"]: compass, MFR or NFP came back to a node;
+    - ["step_cap"]: the step budget (4 · edges + 16) ran out;
+    - ["out_of_range"]: [src] or [dst] is not a node id. *)
+val drop_reasons : string array
 
 (** The [_into] kernels: route and leave the path in the scratch,
     returning the hop count ([>= 0], with [0] for [src = dst]) or
     [-1] when the packet is dropped (including out-of-range ids).
-    Unlike the list wrappers they record no per-route obs metrics
-    (the serve engine aggregates its own), with one exception: the
+    None allocates on the steady path, perimeter hops included (only
+    a growing path buffer and the exact fallback of
+    {!Geometry.Predicates.orient2d} do).  Unlike the
+    list wrappers they record no per-route obs metrics (the serve
+    engine aggregates its own), with one exception: the
     [routing.gfg.steps] counter, which counts forwarding decisions
     exactly as the historical implementation did. *)
 
@@ -144,12 +162,35 @@ val gfg_step :
   header ->
   decision
 
-(** [hierarchical snap ~src ~dst] is dominating-set-based routing:
-    a direct hop when the nodes are adjacent in [snap.udg], otherwise
-    src → its smallest-id dominator → GFG over the planar backbone
-    [snap.pldel] (LDel(ICDS)) → dst's dominator → dst.  A backbone
-    node is its own gateway.  It reads only the snapshot and follows
-    the node-id contract above. *)
+(** [hierarchical_into sc snap ~udg ~pldel ~src ~dst] is GPSR's
+    split (Karp and Kung) on the paper's backbone, the route the serve
+    engine answers [gfg] and [stretch] queries with.  [udg] and
+    [pldel] are views of [snap.udg] and [snap.pldel], made once by the
+    caller.
+
+    - Greedy over the full UDG rows while some neighbor is strictly
+      closer to [dst]; a [dst] adjacent in the UDG is one direct hop.
+    - At a local minimum [u]: [u] → its gateway → {!gfg_into} over the
+      planar PLDel(ICDS) → [dst]'s gateway → [dst].  A backbone node is
+      its own gateway; a dominatee's is its smallest-id dominator.
+
+    The scratch holds the whole walked path, every step a UDG edge.
+    Delivery is guaranteed when the UDG is connected, since PLDel(ICDS)
+    is then planar and connects the backbone; the hop count has no
+    constant-factor bound, as GFG's has none.
+    @raise Invalid_argument when a non-backbone node on the recovery
+    path has no dominator (not a snapshot the pipeline built). *)
+val hierarchical_into :
+  Scratch.t ->
+  Shard.snapshot ->
+  udg:Netgraph.View.t ->
+  pldel:Netgraph.View.t ->
+  src:int ->
+  dst:int ->
+  int
+
+(** [hierarchical snap ~src ~dst] is {!hierarchical_into}'s list
+    wrapper, on a fresh scratch and fresh views of the snapshot. *)
 val hierarchical : Shard.snapshot -> src:int -> dst:int -> int list option
 
 (** Success statistics of a router over every connected node pair:

@@ -258,35 +258,48 @@ let bfs t s =
    entries are recognized by key: [dist] only ever decreases, so the
    single entry whose key equals the final distance settles the node
    and every other (strictly larger) entry is skipped. *)
-let sssp_into t w ~heap ~dist s =
+(* [target] >= 0 stops the search once it is settled *)
+let sssp_into t w ~heap ~dist ~target s =
   Array.fill dist 0 t.n infinity;
   dist.(s) <- 0.;
   Heap.clear heap;
-  Heap.push heap 0. s;
+  Heap.push_at heap dist s;
+  (* an entry is current exactly when its key is still dist.(u) (a
+     key is dist.(u) when pushed, and dist only falls), so d below is
+     the key; keys travel in arrays, and the steady loop boxes no
+     float *)
   while not (Heap.is_empty heap) do
-    let d = Heap.min_key heap in
     let u = Heap.min_value heap in
+    let current = Heap.min_within heap dist in
     Heap.remove_min heap;
-    if d <= dist.(u) then
+    if current && u = target then Heap.clear heap
+    else if current then begin
+      let d = dist.(u) in
       for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
         let v = t.targets.(k) in
         let nd = d +. w.(k) in
         if nd < dist.(v) then begin
           dist.(v) <- nd;
-          Heap.push heap nd v
+          Heap.push_at heap dist v
         end
       done
+    end
   done
 
 let dijkstra_into t ~heap ~dist s =
   if not (has_weights t) then
     invalid_arg "Csr.dijkstra: snapshot built without points";
-  sssp_into t t.ew ~heap ~dist s
+  sssp_into t t.ew ~heap ~dist ~target:(-1) s
+
+let dijkstra_to t ~heap ~dist s d =
+  if not (has_weights t) then
+    invalid_arg "Csr.dijkstra: snapshot built without points";
+  sssp_into t t.ew ~heap ~dist ~target:d s
 
 let power_into t ~heap ~dist s =
   if not (has_power_weights t) then
     invalid_arg "Csr.power_sssp: snapshot built without beta";
-  sssp_into t t.pw ~heap ~dist s
+  sssp_into t t.pw ~heap ~dist ~target:(-1) s
 
 let dijkstra t s =
   let dist = Array.make (max 1 t.n) infinity in

@@ -144,6 +144,12 @@ val bfs : t -> int -> int array
     @raise Invalid_argument when the snapshot has no weights. *)
 val dijkstra_into : t -> heap:Heap.t -> dist:float array -> int -> unit
 
+(** [dijkstra_to t ~heap ~dist s d] is [dijkstra_into t ~heap ~dist s]
+    stopped once [d] is settled: [dist.(d)] is exact (the same float),
+    every other entry an upper bound.
+    @raise Invalid_argument when the snapshot has no weights. *)
+val dijkstra_to : t -> heap:Heap.t -> dist:float array -> int -> int -> unit
+
 val dijkstra : t -> int -> float array
 
 (** Power SSSP over the [dist^beta] arc costs; requires power

@@ -23,8 +23,11 @@ let grow h =
   h.keys <- keys;
   h.vals <- vals
 
-let push h key value =
-  if h.size = Array.length h.keys then grow h;
+(* sift up the entry staged at the hole [h.keys.(h.size)]: the key
+   travels in the array, so no float crosses a call (a float argument
+   is boxed wherever the call is not inlined) *)
+let sift_up h value =
+  let key = h.keys.(h.size) in
   (* sift up by moving the hole, writing the new entry once *)
   let i = ref h.size in
   h.size <- h.size + 1;
@@ -41,6 +44,16 @@ let push h key value =
   h.keys.(!i) <- key;
   h.vals.(!i) <- value
 
+let push h key value =
+  if h.size = Array.length h.keys then grow h;
+  h.keys.(h.size) <- key;
+  sift_up h value
+
+let push_at h keys value =
+  if h.size = Array.length h.keys then grow h;
+  h.keys.(h.size) <- keys.(value);
+  sift_up h value
+
 let min_key h =
   if h.size = 0 then invalid_arg "Heap.min_key: empty";
   h.keys.(0)
@@ -48,6 +61,10 @@ let min_key h =
 let min_value h =
   if h.size = 0 then invalid_arg "Heap.min_value: empty";
   h.vals.(0)
+
+let min_within h keys =
+  if h.size = 0 then invalid_arg "Heap.min_within: empty";
+  h.keys.(0) <= keys.(h.vals.(0))
 
 let remove_min h =
   if h.size = 0 then invalid_arg "Heap.remove_min: empty";

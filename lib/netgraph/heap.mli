@@ -26,11 +26,22 @@ val clear : t -> unit
 (** [push h key value] inserts an entry. *)
 val push : t -> float -> int -> unit
 
+(** [push_at h keys value] is [push h keys.(value) value]; no float
+    crosses the call, so it never boxes one (a float argument is boxed
+    wherever the call is not inlined, e.g. across [-opaque] modules). *)
+val push_at : t -> float array -> int -> unit
+
 (** Smallest key / its value.  Unspecified among equal keys.
     @raise Invalid_argument when empty. *)
 val min_key : t -> float
 
 val min_value : t -> int
+
+(** [min_within h keys] is [min_key h <= keys.(min_value h)], without
+    boxing the key: whether a lazy-deletion Dijkstra's minimum entry
+    is still current in its [keys] = distance array.
+    @raise Invalid_argument when empty. *)
+val min_within : t -> float array -> bool
 
 (** Remove the minimum entry.
     @raise Invalid_argument when empty. *)

@@ -13,6 +13,16 @@ let c_batches = Obs.counter "serve.batches"
 let d_hops = Obs.dist "serve.hops"
 let d_stretch = Obs.dist "serve.stretch"
 let g_minor = Obs.gauge "serve.minor_words_per_query"
+let reasons = Array.length R.drop_reasons
+
+(* kind x drop-reason counters, [serve.drops.<kind>.<reason>] *)
+let c_drops =
+  Array.init Workload.kinds (fun k ->
+      Array.map
+        (fun r ->
+          Obs.counter
+            (Printf.sprintf "serve.drops.%s.%s" (Workload.op_name k) r))
+        R.drop_reasons)
 
 (* Mergeable histograms: observed into per-slot instances inside the
    quiesced fan-out, then merged into these registry cells post-join
@@ -34,16 +44,19 @@ type results = {
   batch_s : float array;
   elapsed_s : float;
   minor_words : float;
+  drops : int array array;
 }
 
 (* Per-slot worker state, created on a slot's first batch and reused
    for the rest of the run: this is what makes the steady-state query
    path allocation-free.  [dist]/[heap] serve the stretch queries'
-   Dijkstra and are only sized when one arrives. *)
+   Dijkstra and are only sized when one arrives; [drops.(kind).(reason)]
+   counts the slot's dropped queries. *)
 type slot_state = {
   rsc : R.Scratch.t;
   heap : Netgraph.Heap.t;
   mutable dist : float array;
+  drops : int array array;
   sh_hops : Obs.Histogram.t;
   sh_lat : Obs.Histogram.t;
 }
@@ -78,8 +91,10 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
          from [on_batch] rolls the epoch only at a batch boundary,
          which keeps per-query results independent of scheduling *)
       let e = Store.pin store in
+      let snap = Store.snapshot e in
       let pts = Store.points e in
-      let view = Netgraph.View.of_csr (Store.route e) in
+      let udg = Netgraph.View.of_csr snap.Core.Shard.udg
+      and pldel = Netgraph.View.of_csr snap.Core.Shard.pldel in
       let n = Store.node_count e in
       let eid = Store.id e in
       let lo = batch_edge.(b) and hi = batch_edge.(b + 1) in
@@ -97,27 +112,38 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
         in
         let src = srcs.(q) and dst = dsts.(q) in
         let k = kinds.(q) in
+        (* greedy and compass are one-hop localized rules and need no
+           planarity: they run on the UDG; gfg and stretch recover
+           over the planar PLDel *)
         let h =
-          if k = Workload.k_greedy then R.greedy_into st.rsc view pts ~src ~dst
+          if k = Workload.k_greedy then R.greedy_into st.rsc udg pts ~src ~dst
           else if k = Workload.k_compass then
-            R.compass_into st.rsc view pts ~src ~dst
-          else R.gfg_into st.rsc view pts ~src ~dst
+            R.compass_into st.rsc udg pts ~src ~dst
+          else R.hierarchical_into st.rsc snap ~udg ~pldel ~src ~dst
         in
         hops.(q) <- h;
-        if h >= 0 then Obs.Histogram.observe_int st.sh_hops h;
+        if h >= 0 then Obs.Histogram.observe_int st.sh_hops h
+        else begin
+          let row = st.drops.(k) and r = R.Scratch.drop st.rsc in
+          row.(r) <- row.(r) + 1
+        end;
         epoch.(q) <- eid;
         if k = Workload.k_stretch && h >= 0 then begin
           if src = dst then stretch.(q) <- 1.
           else begin
             if Array.length st.dist < n then st.dist <- Array.make n infinity;
-            Csr.dijkstra_into (Store.udg_w e) ~heap:st.heap ~dist:st.dist src;
+            Csr.dijkstra_to (Store.udg_w e) ~heap:st.heap ~dist:st.dist src dst;
             let d = st.dist.(dst) in
             if d > 0. && d < infinity then begin
               let p = R.Scratch.path st.rsc
               and len = R.Scratch.path_len st.rsc in
               let acc = ref 0. in
               for i = 0 to len - 2 do
-                acc := !acc +. P.dist pts.(p.(i)) pts.(p.(i + 1))
+                (* [P.dist], spelled out: its float result would be
+                   boxed where the call is not inlined *)
+                let a = pts.(p.(i)) and b = pts.(p.(i + 1)) in
+                let dx = a.P.x -. b.P.x and dy = a.P.y -. b.P.y in
+                acc := !acc +. sqrt ((dx *. dx) +. (dy *. dy))
               done;
               stretch.(q) <- !acc /. d
             end
@@ -141,6 +167,7 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
                       rsc = R.Scratch.create ~n ();
                       heap = Netgraph.Heap.create ();
                       dist = [||];
+                      drops = Array.make_matrix Workload.kinds reasons 0;
                       sh_hops = Obs.Histogram.create ();
                       sh_lat = Obs.Histogram.create ();
                     }
@@ -168,13 +195,21 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
       if not (Float.is_nan stretch.(q)) then Obs.observe d_stretch stretch.(q)
     done;
     Obs.add c_delivered !delivered;
+    let drops = Array.make_matrix Workload.kinds reasons 0 in
     Array.iter
       (function
         | Some st ->
           Obs.merge_hist ~into:h_hops st.sh_hops;
-          Obs.merge_hist ~into:h_latency st.sh_lat
+          Obs.merge_hist ~into:h_latency st.sh_lat;
+          Array.iteri
+            (fun k row ->
+              Array.iteri (fun r c -> drops.(k).(r) <- drops.(k).(r) + c) row)
+            st.drops
         | None -> ())
       states;
+    Array.iteri
+      (fun k row -> Array.iteri (fun r c -> Obs.add c_drops.(k).(r) c) row)
+      drops;
     if count > 0 then Obs.set_gauge g_minor (minor /. float_of_int count);
     {
       count;
@@ -186,6 +221,7 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
       batch_s;
       elapsed_s = elapsed;
       minor_words = minor;
+      drops;
     }
   in
   match pool with
@@ -207,13 +243,21 @@ type summary = {
   s_stretch_p50 : float;
   s_stretch_max : float;
   s_minor_per_query : float;
+  s_drops : (string * string * int) list;
 }
 
 let summarize (r : results) =
   let hop_sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.9; 0.99 ] () in
   let lat_sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.9; 0.99; 0.999 ] () in
   let str_sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.9; 0.99 ] () in
-  let delivered = ref 0 in
+  let delivered = ref 0 and drops = ref [] in
+  for k = Array.length r.drops - 1 downto 0 do
+    for i = reasons - 1 downto 0 do
+      let c = r.drops.(k).(i) in
+      if c > 0 then
+        drops := (Workload.op_name k, R.drop_reasons.(i), c) :: !drops
+    done
+  done;
   for q = 0 to r.count - 1 do
     if r.hops.(q) >= 0 then begin
       incr delivered;
@@ -240,7 +284,15 @@ let summarize (r : results) =
     s_stretch_max = Obs.Sketch.max_value str_sk;
     s_minor_per_query =
       (if r.count > 0 then r.minor_words /. float_of_int r.count else 0.);
+    s_drops = !drops;
   }
+
+let drops_line s =
+  match s.s_drops with
+  | [] -> "none"
+  | drops ->
+    String.concat ", "
+      (List.map (fun (k, r, c) -> Printf.sprintf "%s/%s %d" k r c) drops)
 
 let to_telemetry tel (r : results) =
   let nb = Array.length r.batch_edge - 1 in

@@ -9,10 +9,13 @@
     the results ([hops], [stretch], [epoch]) is bit-identical for any
     [jobs].
 
+    Each batch makes one view of the pinned snapshot's UDG and one of
+    its PLDel; {!Workload} says which kind routes on which.
+
     Steady-state allocation: each pool slot owns one {!Core.Routing.Scratch.t}
     (plus a Dijkstra heap/dist pair for stretch probes), created on
     the slot's first query and reused for the rest of the run.  With
-    [latency:false] and a closed-loop workload, a greedy/compass route
+    [latency:false] and a closed-loop workload, a query of any kind
     performs no per-query heap allocation and no clock reads — the
     configuration the allocation gauge probe measures. *)
 
@@ -32,6 +35,9 @@ type results = {
   elapsed_s : float;
   minor_words : float;
       (** caller-domain [Gc.minor_words] delta over the run *)
+  drops : int array array;
+      (** [drops.(kind).(reason)]: dropped queries by kind code and
+          {!Core.Routing.drop_reasons} index *)
 }
 
 (** [run ~store w] serves workload [w].  [jobs] (default 1) sizes a
@@ -42,9 +48,10 @@ type results = {
     default true) reads the wall clock twice per query; switch it off
     for throughput/allocation measurements.  Registry metrics
     ([serve.queries], [serve.delivered], [serve.batches],
-    [serve.hops], [serve.stretch] and the
-    [serve.minor_words_per_query] gauge) are recorded on the caller
-    after the join, in query order — deterministic for any [jobs]. *)
+    [serve.hops], [serve.stretch], [serve.drops.<kind>.<reason>] and
+    the [serve.minor_words_per_query] gauge) are recorded on the
+    caller after the join, in query and slot order — deterministic for
+    any [jobs]. *)
 val run :
   ?jobs:int ->
   ?pool:Netgraph.Pool.t ->
@@ -70,11 +77,18 @@ type summary = {
   s_stretch_p50 : float;
   s_stretch_max : float;
   s_minor_per_query : float;
+  s_drops : (string * string * int) list;
+      (** nonzero drop counts as (kind, reason, count), in kind-code
+          then reason order *)
 }
 
 (** P² sketch quantiles over the result arrays ([nan] where no sample
     fed a sketch — e.g. latencies of a [latency:false] run). *)
 val summarize : results -> summary
+
+(** The drop counts on one line, ["gfg/face_loop 2, greedy/local_minimum
+    40"], or ["none"]. *)
+val drops_line : summary -> string
 
 (** Per-batch rounds ([serve.qps], [serve.delivered], [serve.epoch],
     and [serve.p50_us]/[serve.p99_us] when latency was sampled) for

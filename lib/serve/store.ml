@@ -47,6 +47,5 @@ let publish t snap =
 let id e = e.id
 let points e = e.snap.Core.Shard.points
 let node_count e = Array.length e.snap.Core.Shard.points
-let route e = e.snap.Core.Shard.pldel'
 let udg_w e = e.udg_w
 let snapshot e = e.snap

@@ -1,10 +1,12 @@
 (** Epoch-pinned snapshot store: the read side of the serving layer.
 
     A store holds the current {e epoch} — an immutable, sealed
-    all-CSR {!Core.Shard.snapshot} plus the structures derived from
-    it once per epoch (the non-planar [pldel'] snapshot the query
-    engine forwards on, see {!route}, and the UDG re-sealed {e with} Euclidean weights so
-    stretch queries have their shortest-path denominator).  Updates
+    all-CSR {!Core.Shard.snapshot} plus the UDG re-sealed {e with}
+    Euclidean weights, derived once per epoch so stretch queries have
+    their shortest-path denominator.  An epoch serves four things of
+    the snapshot: [points], [roles] (the gateways), [udg] (greedy
+    hops, hand-offs and stretch probes) and the planar [pldel] (GFG's
+    recovery, see {!Core.Routing.hierarchical_into}).  Updates
     build the next snapshot off to the side and {!publish} it with a
     single atomic pointer swap; readers {!pin} the epoch they start
     on and keep using it for as long as they like — queries in flight
@@ -39,19 +41,10 @@ val id : epoch -> int
 val points : epoch -> Geometry.Point.t array
 val node_count : epoch -> int
 
-(** The serving structure: [pldel'], LDel(ICDS) plus the
-    dominatee–dominator links, spanning all nodes.  Routers read it as
-    [Netgraph.View.of_csr (route e)].  It is {e not} planar: the links
-    cross backbone edges, about 1.5 crossings per node on uniform
-    deployments, so GFG's delivery guarantee does not hold on it and
-    GFG delivers well short of every query at scale.  The planar
-    backbone is the snapshot's [pldel], which {!Core.Routing.hierarchical}
-    routes on. *)
-val route : epoch -> Netgraph.Csr.t
-
 (** The epoch's UDG with Euclidean arc weights — the shortest-path
     baseline for stretch queries (sealed weightless by the pipeline;
     re-sealed here once per epoch). *)
 val udg_w : epoch -> Netgraph.Csr.t
 
+(** The epoch's snapshot, which the engine routes on. *)
 val snapshot : epoch -> Core.Shard.snapshot

@@ -7,6 +7,7 @@ let k_greedy = 0
 let k_gfg = 1
 let k_compass = 2
 let k_stretch = 3
+let kinds = 4
 
 let op_name = function
   | 0 -> "greedy"

@@ -9,16 +9,23 @@
     engine's per-query result log bit-identical across worker
     counts. *)
 
-(** Kind codes stored in {!t.kind}: {!k_greedy}, {!k_gfg},
-    {!k_compass} route with the corresponding kernel; {!k_stretch}
-    routes with GFG and divides the walked length by the UDG
-    shortest-path distance. *)
+(** Kind codes stored in {!t.kind}, and the graph each routes on:
+    - {!k_greedy} and {!k_compass} run {!Core.Routing.greedy_into} and
+      {!Core.Routing.compass_into} on the UDG: one-hop localized rules
+      that need no planarity;
+    - {!k_gfg} runs {!Core.Routing.hierarchical_into}: greedy on the
+      UDG, GFG recovery over the planar PLDel(ICDS);
+    - {!k_stretch} routes as {!k_gfg} and divides the walked length
+      by the UDG shortest-path distance. *)
 
 val k_greedy : int
 
 val k_gfg : int
 val k_compass : int
 val k_stretch : int
+
+(** The number of kind codes: they run [0 .. kinds - 1]. *)
+val kinds : int
 
 (** Display name of a kind code (["greedy"], ["gfg"], ["compass"],
     ["stretch"]). *)

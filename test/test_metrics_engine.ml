@@ -129,7 +129,15 @@ let test_csr_traversals_exact () =
         (* float distances must match bit for bit, not approximately *)
         check "dijkstra exact" true (C.dijkstra c s = T.dijkstra g pts s);
         check "power exact" true
-          (C.power_sssp c s = M.weighted_sssp g power_cost s)
+          (C.power_sssp c s = M.weighted_sssp g power_cost s);
+        (* stopped at each target, the target's distance is the same
+           float *)
+        let full = C.dijkstra c s in
+        let heap = Netgraph.Heap.create () and dist = Array.make 60 0. in
+        for d = 0 to G.node_count g - 1 do
+          C.dijkstra_to c ~heap ~dist s d;
+          check "dijkstra_to exact" true (Float.equal dist.(d) full.(d))
+        done
       done)
     [ 21L; 22L ]
 

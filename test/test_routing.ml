@@ -111,6 +111,63 @@ let test_hierarchical_path_edges_exist () =
       | None -> Alcotest.fail "undelivered"
   done
 
+(* The kernel and its list wrapper answer alike, out-of-range ids
+   included, with one scratch shared across queries and snapshots;
+   every delivered path walks UDG edges from src to dst. *)
+let test_hierarchical_kernel_is_wrapper () =
+  let sc = R.Scratch.create () in
+  let recovered = ref 0 in
+  List.iter
+    (fun (seed, n, radius) ->
+      let pts = instance seed n radius in
+      let s = (Core.Backbone.build pts ~radius).Core.Backbone.snap in
+      let udg = V.of_csr s.Core.Shard.udg
+      and pldel = V.of_csr s.Core.Shard.pldel in
+      let rng = Wireless.Rand.create seed in
+      for _ = 1 to 300 do
+        let src = Wireless.Rand.int rng (n + 2) - 1
+        and dst = Wireless.Rand.int rng (n + 2) - 1 in
+        if
+          src >= 0 && src < n && dst >= 0 && dst < n
+          && R.greedy_into sc udg pts ~src ~dst < 0
+        then incr recovered;
+        let h = R.hierarchical_into sc s ~udg ~pldel ~src ~dst in
+        match R.hierarchical s ~src ~dst with
+        | None -> check "both drop" true (h < 0)
+        | Some p ->
+          check "same path" true (h >= 0 && R.Scratch.path_list sc = p);
+          check "src to dst" true
+            (List.hd p = src && List.nth p (List.length p - 1) = dst);
+          check "UDG edges" true
+            (Netgraph.Traversal.is_path
+               (Netgraph.Csr.to_graph s.Core.Shard.udg)
+               p)
+      done)
+    [ (320L, 90, 32.); (321L, 150, 25.); (322L, 40, 45.) ];
+  (* greedy alone stalls on some pairs: the recovery path ran *)
+  check "recovery exercised" true (!recovered > 0)
+
+(* Each kernel leaves the reason of a drop in its scratch. *)
+let test_drop_reasons () =
+  let sc = R.Scratch.create () in
+  let reason () = R.drop_reasons.(R.Scratch.drop sc) in
+  (* the "C" fixture: greedy stalls at the dead end *)
+  let pts =
+    [| P.make 0. 0.; P.make 0. 2.; P.make 2. 2.; P.make 2. 0.; P.make 0.9 0. |]
+  in
+  let c = V.of_graph (G.of_edges 5 [ (0, 4); (0, 1); (1, 2); (2, 3) ]) in
+  check "greedy dropped" true (R.greedy_into sc c pts ~src:0 ~dst:3 < 0);
+  Alcotest.(check string) "greedy" "local_minimum" (reason ());
+  check "gfg delivers" true (R.gfg_into sc c pts ~src:0 ~dst:3 >= 0);
+  Alcotest.(check int) "no reason after a delivery" (-1) (R.Scratch.drop sc);
+  (* two components: the perimeter walk closes its face *)
+  let pts2 = [| P.make 0. 0.; P.make 1. 0.; P.make 50. 0.; P.make 51. 0. |] in
+  let two = V.of_graph (G.of_edges 4 [ (0, 1); (2, 3) ]) in
+  check "gfg dropped" true (R.gfg_into sc two pts2 ~src:0 ~dst:3 < 0);
+  Alcotest.(check string) "gfg" "face_loop" (reason ());
+  check "out of range" true (R.compass_into sc two pts2 ~src:0 ~dst:4 < 0);
+  Alcotest.(check string) "range" "out_of_range" (reason ())
+
 let test_variants_on_line () =
   (* on a straight chain every directional rule routes hop by hop *)
   let pts = Array.init 6 (fun i -> P.make (float_of_int i) 0.) in
@@ -357,6 +414,9 @@ let suites =
           test_hierarchical_adjacent_direct;
         Alcotest.test_case "hierarchical uses UDG links" `Quick
           test_hierarchical_path_edges_exist;
+        Alcotest.test_case "hierarchical kernel = list wrapper" `Quick
+          test_hierarchical_kernel_is_wrapper;
+        Alcotest.test_case "drop reasons" `Quick test_drop_reasons;
         Alcotest.test_case "variants on a line" `Quick test_variants_on_line;
         Alcotest.test_case "variants choose differently" `Quick
           test_variants_choose_differently;

@@ -43,10 +43,9 @@ let test_store_epochs () =
   (* the old pin is still a fully usable generation *)
   Alcotest.(check int) "old pin unchanged" 0 (Serve.Store.id e0);
   check "old view still routes" true
-    (Core.Routing.greedy
-       (Netgraph.View.of_csr (Serve.Store.route e0))
-       (Serve.Store.points e0) ~src:0 ~dst:0
-    = Some [ 0 ])
+    (Core.Routing.hierarchical (Serve.Store.snapshot e0) ~src:0
+       ~dst:(Array.length pts - 1)
+    <> None)
 
 (* ---------------- workload ---------------- *)
 
@@ -138,6 +137,8 @@ let test_engine_jobs_identical () =
   check "stretch identical (NaN-aware)" true
     (compare r1.E.stretch r2.E.stretch = 0
     && compare r1.E.stretch r4.E.stretch = 0);
+  check "drop counts identical" true
+    (r1.E.drops = r2.E.drops && r1.E.drops = r4.E.drops);
   (* and the result logs are byte-identical *)
   let l1 = serve_jsonl w r1 in
   Alcotest.(check string) "jsonl identical 1/2" l1 (serve_jsonl w r2);
@@ -180,15 +181,17 @@ let test_engine_churn_epochs () =
     r.E.epoch
 
 (* The acceptance gate for the zero-allocation query path: a
-   100k-query greedy/compass run at jobs = 1 with latency sampling off
+   100k-query run of every kind at jobs = 1 with latency sampling off
    must stay within a few minor words per query — the per-batch
-   closures and one-time scratch warmup, nothing per-query. *)
+   closures and one-time scratch warmup, nothing per-query.  The mix
+   holds GFG's recovery (perimeter hops included) and stretch probes
+   (a Dijkstra each). *)
 let test_engine_alloc_gate () =
   let pts = instance 94L 400 40. in
   let store = Serve.Store.create (snapshot_of pts 40.) in
   let w =
     W.generate ~seed:19L ~n:(Array.length pts) ~count:100_000
-      ~mix:{ W.greedy = 0.7; gfg = 0.; compass = 0.3; stretch = 0. }
+      ~mix:{ W.greedy = 0.4; gfg = 0.3; compass = 0.2; stretch = 0.1 }
       ()
   in
   let r = E.run ~jobs:1 ~batch:8192 ~latency:false ~store w in
@@ -247,6 +250,70 @@ let test_engine_empty_workload () =
   let s = E.summarize r in
   Alcotest.(check int) "nothing delivered" 0 s.E.s_delivered
 
+(* ---------------- the served route ---------------- *)
+
+(* GFG's delivery guarantee on the exact epoch the engine serves: on
+   connected deployments at the density the benchmarks use (R = 25,
+   side 10 sqrt n), every gfg and stretch query the engine answers is
+   delivered, identically at jobs 1 and 2.  The same queries through
+   the kernel on the pinned snapshot walk UDG edges from src to dst
+   with the engine's hop count, and the list wrapper agrees.  No hop
+   bound is asserted: GFG has no constant hop-stretch guarantee. *)
+let test_served_epoch_delivers () =
+  List.iter
+    (fun n ->
+      for seed = 1 to 5 do
+        let radius = 25. in
+        let side = 10. *. sqrt (float_of_int n) in
+        let pts, _ =
+          Wireless.Deploy.connected_uniform
+            (Wireless.Rand.create (Int64.of_int seed))
+            ~n ~side ~radius ~max_attempts:200
+        in
+        let store = Serve.Store.create (snapshot_of pts radius) in
+        let w =
+          W.generate ~seed:(Int64.of_int (100 + seed)) ~n ~count:600
+            ~mix:{ W.greedy = 0.; gfg = 0.9; compass = 0.; stretch = 0.1 }
+            ~skew:(W.Hotspot { nodes = 16; frac = 0.3 })
+            ()
+        in
+        let r1 = E.run ~jobs:1 ~batch:128 ~latency:false ~store w in
+        let r2 = E.run ~jobs:2 ~batch:128 ~latency:false ~store w in
+        let tag = Printf.sprintf "n %d seed %d" n seed in
+        check (tag ^ ": hops identical at jobs 1 and 2") true
+          (r1.E.hops = r2.E.hops);
+        let snap = Serve.Store.snapshot (Serve.Store.pin store) in
+        let udg = Netgraph.View.of_csr snap.Core.Shard.udg
+        and pldel = Netgraph.View.of_csr snap.Core.Shard.pldel in
+        let sc = Core.Routing.Scratch.create ~n () in
+        for q = 0 to w.W.count - 1 do
+          let src = w.W.src.(q) and dst = w.W.dst.(q) in
+          let h =
+            Core.Routing.hierarchical_into sc snap ~udg ~pldel ~src ~dst
+          in
+          if r1.E.hops.(q) < 0 then
+            Alcotest.failf "%s: %s query %d -> %d dropped (%s)" tag
+              (W.op_name w.W.kind.(q)) src dst
+              Core.Routing.drop_reasons.(Core.Routing.Scratch.drop sc);
+          if h <> r1.E.hops.(q) then
+            Alcotest.failf "%s: kernel %d hops, engine %d" tag h r1.E.hops.(q);
+          let p = Core.Routing.Scratch.path sc in
+          if p.(0) <> src || p.(h) <> dst then
+            Alcotest.failf "%s: path runs %d -> %d, query %d -> %d" tag p.(0)
+              p.(h) src dst;
+          for i = 0 to h - 1 do
+            if not (Netgraph.Csr.mem_edge snap.Core.Shard.udg p.(i) p.(i + 1))
+            then
+              Alcotest.failf "%s: hop %d -> %d is no UDG edge" tag p.(i)
+                p.(i + 1)
+          done;
+          match Core.Routing.hierarchical snap ~src ~dst with
+          | Some l when List.length l = h + 1 -> ()
+          | _ -> Alcotest.failf "%s: list wrapper disagrees on %d -> %d" tag src dst
+        done
+      done)
+    [ 200; 2000; 20_000 ]
+
 (* ---------------- result log ---------------- *)
 
 let test_jsonl_roundtrip () =
@@ -299,5 +366,7 @@ let suites =
         Alcotest.test_case "engine: empty workload" `Quick
           test_engine_empty_workload;
         Alcotest.test_case "result log round-trips" `Quick test_jsonl_roundtrip;
+        Alcotest.test_case "served epoch delivers every gfg/stretch query"
+          `Slow test_served_epoch_delivers;
       ] );
   ]
