@@ -17,8 +17,8 @@
    bench.release profile stamp) is validated before anything is
    compared.  The serve gate also holds the paper's claim as an
    absolute bound: every gfg and stretch query is delivered.  Any
-   violation fails the run with exit code 1.  The pipeline gate
-   compares only top-level spans — nested stage spans are
+   violation fails the run with exit code 1.  The pipeline and serve
+   gates compare only top-level spans — nested stage spans are
    milliseconds-scale and dominated by scheduler noise, while the
    determinism counters (edge counts per structure) already pin the
    outputs exactly.
@@ -168,25 +168,21 @@ let ablation_clustering cfg =
     let doms = ref 0. and edges = ref 0. and stretch = ref 0. and k = ref 0 in
     List.iter
       (fun pts ->
-        let udg = Wireless.Udg.build pts ~radius in
-        let roles =
-          Core.Mis.compute udg ~priority:(priority udg)
+        let udg = Wireless.Udg.build_csr pts ~radius in
+        let snap =
+          Core.Shard.pipeline ~priority:(priority udg) ~udg pts ~radius
         in
-        let conn = Core.Connectors.find udg roles in
-        let cds = Core.Cds.build udg roles conn in
-        let l = Core.Ldel.build cds.Core.Cds.icds pts ~radius in
-        let ldel' = Netgraph.Graph.copy l.Core.Ldel.planar in
-        Array.iteri
-          (fun u r ->
-            if r = Core.Mis.Dominatee then
-              List.iter
-                (fun d -> Netgraph.Graph.add_edge ldel' u d)
-                (Core.Mis.dominators_of udg roles u))
-          roles;
-        let s = Netgraph.Metrics.stretch_factors ~base:udg ~sub:ldel' pts in
-        doms := !doms +. float_of_int (List.length (Core.Mis.dominators roles));
+        let s =
+          Netgraph.Metrics.stretch_factors_v ~base:(Netgraph.View.of_csr udg)
+            ~sub:(Netgraph.View.of_csr snap.Core.Shard.pldel')
+            pts
+        in
+        doms :=
+          !doms
+          +. float_of_int
+               (List.length (Core.Mis.dominators snap.Core.Shard.roles));
         edges :=
-          !edges +. float_of_int (Netgraph.Graph.edge_count cds.Core.Cds.cds);
+          !edges +. float_of_int (Netgraph.Csr.edge_count snap.Core.Shard.cds);
         stretch := !stretch +. s.Netgraph.Metrics.len_avg;
         incr k)
       (instances cfg 100 radius);
@@ -194,7 +190,7 @@ let ablation_clustering cfg =
     (!doms /. k, !edges /. k, !stretch /. k)
   in
   let d1, e1, s1 = stats (fun _ _ -> 0) in
-  let d2, e2, s2 = stats (fun udg u -> -Netgraph.Graph.degree udg u) in
+  let d2, e2, s2 = stats (fun udg u -> -Netgraph.Csr.degree udg u) in
   pf "%-22s %10s %10s %12s@." "priority" "dominators" "CDS edges" "len stretch";
   pf "%-22s %10.1f %10.1f %12.3f@." "smallest-ID (paper)" d1 e1 s1;
   pf "%-22s %10.1f %10.1f %12.3f@." "highest-degree-first" d2 e2 s2
@@ -244,22 +240,34 @@ let ablation_connectors cfg =
   List.iter
     (fun pts ->
       let udg = Wireless.Udg.build pts ~radius in
-      let roles = Core.Mis.compute udg in
+      let csr = Netgraph.Csr.of_graph udg in
+      let roles = Core.Mis.compute_csr csr in
       List.iter
         (fun (name, find) ->
-          let conn = find udg roles in
-          let cds = Core.Cds.build udg roles conn in
+          let conn : Core.Connectors.result = find udg roles in
+          let connector = conn.Core.Connectors.connector in
+          let backbone u = roles.(u) = Core.Mis.Dominator || connector.(u) in
+          let cds =
+            Netgraph.Csr.of_graph
+              (Netgraph.Graph.of_edges (Array.length pts)
+                 conn.Core.Connectors.cds_edges)
+          in
+          let icds =
+            Netgraph.Csr.filter csr (fun u v -> backbone u && backbone v)
+          in
+          (* the UDG holds every dominatee link, so it stands in for
+             the variant's ICDS' *)
+          let cds' = Core.Shard.primed roles csr cds in
           let connectors =
-            Array.fold_left (fun a c -> if c then a + 1 else a) 0
-              conn.Core.Connectors.connector
+            Array.fold_left (fun a c -> if c then a + 1 else a) 0 connector
           in
           bump (name, "connectors") (float_of_int connectors);
-          bump (name, "cds edges")
-            (float_of_int (Netgraph.Graph.edge_count cds.Core.Cds.cds));
+          bump (name, "cds edges") (float_of_int (Netgraph.Csr.edge_count cds));
           bump (name, "icds edges")
-            (float_of_int (Netgraph.Graph.edge_count cds.Core.Cds.icds));
+            (float_of_int (Netgraph.Csr.edge_count icds));
           let s =
-            Netgraph.Metrics.stretch_factors ~base:udg ~sub:cds.Core.Cds.cds'
+            Netgraph.Metrics.stretch_factors_v
+              ~base:(Netgraph.View.of_csr csr) ~sub:(Netgraph.View.of_csr cds')
               pts
           in
           bump (name, "hop avg") s.Netgraph.Metrics.hop_avg)
@@ -346,11 +354,12 @@ let extension_broadcast cfg =
       List.iter
         (fun pts ->
           let udg = Wireless.Udg.build pts ~radius in
-          let cds = Core.Cds.of_udg udg in
+          let snap = Core.Shard.pipeline pts ~radius in
+          let backbone = snap.Core.Shard.backbone in
           let of_ o = o.Core.Broadcast.transmissions in
           f := !f + of_ (Core.Broadcast.flood udg ~source:0);
           r := !r + of_ (Core.Broadcast.rng_relay udg pts ~source:0);
-          let bb = Core.Broadcast.backbone_broadcast udg cds ~source:0 in
+          let bb = Core.Broadcast.backbone_broadcast udg ~backbone ~source:0 in
           b := !b + of_ bb;
           cover := Float.min !cover (Core.Broadcast.coverage bb);
           incr k)
@@ -398,21 +407,17 @@ let extension_quasi_udg cfg =
           if Netgraph.Components.is_connected g then begin
             incr k;
             (* run the paper's construction on the non-ideal graph *)
-            let cds = Core.Cds.of_udg g in
-            let l = Core.Ldel.build cds.Core.Cds.icds pts ~radius:r_max in
-            let planar = l.Core.Ldel.planar in
-            if Netgraph.Planarity.is_planar planar pts then incr planar_ok;
-            crossings := !crossings + Netgraph.Planarity.crossing_count planar pts;
-            edges := !edges + Netgraph.Graph.edge_count planar;
-            let spanning = Netgraph.Graph.copy planar in
-            Array.iteri
-              (fun u r ->
-                if r = Core.Mis.Dominatee then
-                  List.iter
-                    (fun d -> Netgraph.Graph.add_edge spanning u d)
-                    (Core.Mis.dominators_of g cds.Core.Cds.roles u))
-              cds.Core.Cds.roles;
-            if Netgraph.Components.is_connected spanning then incr connected_ok
+            let snap =
+              Core.Shard.pipeline ~udg:(Netgraph.Csr.of_graph g) pts
+                ~radius:r_max
+            in
+            let planar = Netgraph.View.of_csr snap.Core.Shard.pldel in
+            if Netgraph.Planarity.is_planar_v planar pts then incr planar_ok;
+            crossings :=
+              !crossings + Netgraph.Planarity.crossing_count_v planar pts;
+            edges := !edges + Netgraph.View.edge_count planar;
+            if Netgraph.Csr.is_connected snap.Core.Shard.pldel' then
+              incr connected_ok
           end)
         (instances { cfg with Core.Experiments.instances = 5 } 100 r_max);
       let kf = float_of_int (max 1 !k) in
@@ -457,15 +462,17 @@ let extension_bounds cfg =
   let worst_hop = ref 0. and worst_len = ref 0. in
   List.iter
     (fun pts ->
-      let udg = Wireless.Udg.build pts ~radius in
-      let cds = Core.Cds.of_udg udg in
-      let roles = cds.Core.Cds.roles in
+      let snap = Core.Shard.pipeline pts ~radius in
+      let udg = snap.Core.Shard.udg and roles = snap.Core.Shard.roles in
       Array.iteri
         (fun u r ->
           if r = Core.Mis.Dominatee then
             max_doms_per_dominatee :=
               max !max_doms_per_dominatee
-                (List.length (Core.Mis.dominators_of udg roles u)))
+                (Netgraph.Csr.fold_neighbors udg u
+                   (fun c v ->
+                     if roles.(v) = Core.Mis.Dominator then c + 1 else c)
+                   0))
         roles;
       Array.iteri
         (fun u _ ->
@@ -481,10 +488,15 @@ let extension_bounds cfg =
         pts;
       max_icds_deg :=
         max !max_icds_deg
-          (Netgraph.Metrics.degree_stats cds.Core.Cds.icds)
+          (Netgraph.Metrics.degree_stats_v
+             (Netgraph.View.of_csr snap.Core.Shard.icds))
             .Netgraph.Metrics.deg_max;
+      let cds' =
+        Core.Shard.primed roles snap.Core.Shard.icds' snap.Core.Shard.cds
+      in
       let s =
-        Netgraph.Metrics.stretch_factors ~base:udg ~sub:cds.Core.Cds.cds' pts
+        Netgraph.Metrics.stretch_factors_v ~base:(Netgraph.View.of_csr udg)
+          ~sub:(Netgraph.View.of_csr cds') pts
       in
       worst_hop := Float.max !worst_hop s.Netgraph.Metrics.hop_max;
       worst_len := Float.max !worst_len s.Netgraph.Metrics.len_max)
@@ -753,6 +765,49 @@ let validate_bench_release file (reference : Obs.Snapshot.t) =
        false
      end
 
+(* Nested stage spans are milliseconds-scale and dominated by
+   scheduler noise, while the determinism counters already pin the
+   outputs exactly: they stay in the committed JSON for inspection, and
+   only top-level spans are gated. *)
+let top_level_spans (reference : Obs.Snapshot.t) =
+  {
+    reference with
+    Obs.Snapshot.spans =
+      List.filter
+        (fun (sp : Obs.Snapshot.span_stats) ->
+          not (String.contains sp.Obs.Snapshot.path '/'))
+        reference.Obs.Snapshot.spans;
+  }
+
+(* The one regression gate.  Without [check], [snap] becomes the new
+   baseline [file].  With [check = Some threshold], the committed
+   baseline is read, its bench.jobs pin (and with [release] its
+   bench.release stamp) validated, narrowed by [filter], and [snap]
+   compared against it; any failure restores the obs switch to [was]
+   and exits 1. *)
+let gate ?(release = true) ?(filter = Fun.id) ~was ~jobs file snap check =
+  let fail () =
+    Obs.set_enabled was;
+    exit 1
+  in
+  match check with
+  | None -> write_baseline file snap
+  | Some threshold -> (
+    let reference = read_baseline file in
+    if
+      not
+        ((not release || validate_bench_release file reference)
+        && validate_bench_jobs file reference jobs)
+    then fail ();
+    match
+      Obs.Snapshot.compare_against ~threshold ~reference:(filter reference)
+        snap
+    with
+    | [] -> pf "  [check ok: within +%.0f%% of %s]@." (100. *. threshold) file
+    | mismatches ->
+      pp_mismatches file threshold mismatches;
+      fail ())
+
 let bench_metrics ?check quick jobs =
   header
     (Printf.sprintf
@@ -856,28 +911,7 @@ let bench_metrics ?check quick jobs =
         (ts /. tj))
     checks;
   pf "(all variants returned identical stretch results)@.";
-  let file = "BENCH_metrics.json" in
-  (match check with
-  | Some threshold ->
-    (* regression gate: compare this run against the committed baseline
-       instead of overwriting it *)
-    let reference = read_baseline file in
-    if
-      not
-        (validate_bench_release file reference
-        && validate_bench_jobs file reference jobs)
-    then begin
-      Obs.set_enabled was;
-      exit 1
-    end;
-    (match Obs.Snapshot.compare_against ~threshold ~reference snap with
-    | [] ->
-      pf "  [check ok: within +%.0f%% of %s]@." (100. *. threshold) file
-    | mismatches ->
-      pp_mismatches file threshold mismatches;
-      Obs.set_enabled was;
-      exit 1)
-  | None -> write_baseline file snap);
+  gate ~was ~jobs "BENCH_metrics.json" snap check;
   Obs.set_enabled was
 
 (* ------------------------------------------------------------------ *)
@@ -1002,39 +1036,9 @@ let bench_pipeline ?check quick jobs =
       else pf "%-9d %12s %12.3f %12s@." n "-" t1 "-")
     (List.rev !timed);
   pf "(outputs verified bit-identical across tilings and job counts)@.";
-  let file = "BENCH_pipeline.json" in
-  (match check with
-  | Some threshold ->
-    let reference = read_baseline file in
-    if
-      not
-        (validate_bench_release file reference
-        && validate_bench_jobs file reference jobs)
-    then begin
-      Obs.set_enabled was;
-      exit 1
-    end;
-    (* Gate on counters (exact: the determinism edge counts) and the
-       top-level per-case spans (multi-second aggregates).  Nested
-       stage spans stay in the committed JSON for inspection but are
-       too short and scheduler-sensitive for a +threshold gate. *)
-    let reference =
-      {
-        reference with
-        Obs.Snapshot.spans =
-          List.filter
-            (fun (sp : Obs.Snapshot.span_stats) ->
-              not (String.contains sp.Obs.Snapshot.path '/'))
-            reference.Obs.Snapshot.spans;
-      }
-    in
-    (match Obs.Snapshot.compare_against ~threshold ~reference snap with
-    | [] -> pf "  [check ok: within +%.0f%% of %s]@." (100. *. threshold) file
-    | mismatches ->
-      pp_mismatches file threshold mismatches;
-      Obs.set_enabled was;
-      exit 1)
-  | None -> write_baseline file snap);
+  (* counters exact (the determinism edge counts), top-level per-case
+     spans within the threshold *)
+  gate ~filter:top_level_spans ~was ~jobs "BENCH_pipeline.json" snap check;
   Obs.set_enabled was
 
 (* ------------------------------------------------------------------ *)
@@ -1281,35 +1285,23 @@ let bench_serve ?check quick jobs =
     Obs.set_enabled was;
     exit 1);
   let osnap = Obs.Snapshot.capture () in
-  let file = "BENCH_serve.json" in
-  (match check with
-  | Some threshold ->
-    let reference = read_baseline file in
-    if not (validate_bench_jobs file reference jobs) then begin
-      Obs.set_enabled was;
-      exit 1
-    end;
-    (* Gate on everything deterministic — counters, dist counts and
-       the hop histogram bucket-for-bucket.  The latency histogram's
-       values are wall-clock, so its bucket shape varies run to run:
-       it stays in the committed JSON for inspection but is excluded
-       here, mirroring the pipeline gate's nested-span filter. *)
-    let reference =
-      {
-        reference with
-        Obs.Snapshot.hists =
-          List.filter
-            (fun (name, _) -> name <> "serve.latency_us.hist")
-            reference.Obs.Snapshot.hists;
-      }
-    in
-    (match Obs.Snapshot.compare_against ~threshold ~reference osnap with
-    | [] -> pf "  [check ok: within +%.0f%% of %s]@." (100. *. threshold) file
-    | mismatches ->
-      pp_mismatches file threshold mismatches;
-      Obs.set_enabled was;
-      exit 1)
-  | None -> write_baseline file osnap);
+  (* Gate on everything deterministic — counters, dist counts and the
+     hop histogram bucket-for-bucket — and the top-level spans.  The
+     latency histogram's values are wall-clock, so its bucket shape
+     varies run to run: like the nested build-stage spans, it stays in
+     the committed JSON for inspection but is not gated.  The baseline
+     is a dev-profile run, so there is no release stamp to check. *)
+  let filter reference =
+    let r = top_level_spans reference in
+    {
+      r with
+      Obs.Snapshot.hists =
+        List.filter
+          (fun (name, _) -> name <> "serve.latency_us.hist")
+          r.Obs.Snapshot.hists;
+    }
+  in
+  gate ~release:false ~filter ~was ~jobs "BENCH_serve.json" osnap check;
   Obs.set_enabled was
 
 (* ------------------------------------------------------------------ *)

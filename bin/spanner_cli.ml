@@ -538,7 +538,7 @@ let broadcast_cmd =
     with_trace trace @@ fun () ->
     let pts = deployment ~seed ~n ~side ~radius ~connected:true ~input in
     let udg = Wireless.Udg.build pts ~radius in
-    let cds = Core.Cds.of_udg udg in
+    let backbone = (Core.Shard.pipeline pts ~radius).Core.Shard.backbone in
     let report name (o : Core.Broadcast.outcome) =
       Printf.printf "%-12s %6d transmissions  %5.1f%% coverage  %d rounds\n"
         name o.Core.Broadcast.transmissions
@@ -547,7 +547,7 @@ let broadcast_cmd =
     in
     report "flood" (Core.Broadcast.flood udg ~source);
     report "rng-relay" (Core.Broadcast.rng_relay udg pts ~source);
-    report "backbone" (Core.Broadcast.backbone_broadcast udg cds ~source);
+    report "backbone" (Core.Broadcast.backbone_broadcast udg ~backbone ~source);
     0
   in
   let doc = "broadcast one packet network-wide and compare relay disciplines" in

@@ -6,7 +6,10 @@
     door: examples, the CLI, the benchmarks and the experiment sweeps
     all consume this record.  There is one construction path: the
     sharded CSR pipeline ({!Shard.pipeline}); [run] is {!snapshot}
-    plus a thaw of two of its CSRs into mutable graphs.  The reference
+    plus a thaw of two of its CSRs into mutable graphs.  The CDS
+    family the lemmas speak of is read off the snapshot: CDS, ICDS
+    and ICDS′ are its fields and CDS′ is {!Shard.primed} of its CDS;
+    no second assembly exists.  The reference
     implementation is {!Protocol}, the distributed rendition of the
     same stages, which must agree with the snapshot on roles,
     connector edges and the planar backbone. *)
@@ -42,7 +45,7 @@ module Config : sig
     radius : float;  (** transmission radius, shared by all nodes *)
     priority : (int -> int) option;
         (** clustering order override (smaller wins; default the node
-            id, the paper's smallest-ID rule — see {!Cds.of_udg}) *)
+            id, the paper's smallest-ID rule — see {!Mis.compute_csr}) *)
     radio : radio;
     sink : Obs.sink option;
         (** when set, {!run} enables the observability layer for the

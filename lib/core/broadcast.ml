@@ -51,8 +51,8 @@ let run_relay udg ~source ~should_relay =
 
 let flood udg ~source = run_relay udg ~source ~should_relay:(fun _ _ -> true)
 
-let backbone_broadcast udg (cds : Cds.t) ~source =
-  run_relay udg ~source ~should_relay:(fun me _ -> cds.Cds.backbone.(me))
+let backbone_broadcast udg ~backbone ~source =
+  run_relay udg ~source ~should_relay:(fun me _ -> backbone.(me))
 
 let rng_relay udg points ~source =
   let rng_g = Wireless.Proximity.rng_graph udg points in

@@ -30,9 +30,11 @@ val coverage : outcome -> float
 (** [flood udg ~source] — blind flooding. *)
 val flood : Netgraph.Graph.t -> source:int -> outcome
 
-(** [backbone_broadcast udg cds ~source] — only backbone nodes (and
-    the source itself) relay. *)
-val backbone_broadcast : Netgraph.Graph.t -> Cds.t -> source:int -> outcome
+(** [backbone_broadcast udg ~backbone ~source] — only the nodes
+    flagged in [backbone] (a snapshot's [backbone], dominators and
+    connectors) and the source itself relay. *)
+val backbone_broadcast :
+  Netgraph.Graph.t -> backbone:bool array -> source:int -> outcome
 
 (** [rng_relay udg points ~source] — neighbor-elimination relay on
     the relative neighborhood graph. *)

@@ -1,18 +1,7 @@
 module G = Netgraph.Graph
 
-type result = {
-  connector : bool array;
-  cds_edges : (int * int) list;
-  two_hop_pairs : (int * int) list;
-  three_hop_pairs : (int * int) list;
-}
-
-type t = {
-  connector : bool array;
-  cds : Netgraph.Csr.t;
-  two_hop : int array;
-  three_hop : int array;
-}
+type result = { connector : bool array; cds_edges : (int * int) list }
+type t = { connector : bool array; cds : Netgraph.Csr.t }
 
 let candidates_two_hop g roles u v =
   List.filter
@@ -31,19 +20,6 @@ let elect g candidates = elect_by (G.has_edge g) candidates
 
 let ordered_edge u v = (Int.min u v, Int.max u v)
 
-(* (u, v) pairs packed two ints each, [u] ascending then [v] *)
-let unpack pairs =
-  List.init (Array.length pairs / 2) (fun i ->
-      (pairs.(2 * i), pairs.((2 * i) + 1)))
-
-let to_result t =
-  {
-    connector = t.connector;
-    cds_edges = Netgraph.Csr.edges t.cds;
-    two_hop_pairs = unpack t.two_hop;
-    three_hop_pairs = unpack t.three_hop;
-  }
-
 (* A growable int buffer; each worker domain keeps a few for its whole
    fan-out, so the elections allocate only when one outgrows them. *)
 type buf = { mutable a : int array; mutable len : int }
@@ -58,18 +34,6 @@ let push b x =
   end;
   b.a.(b.len) <- x;
   b.len <- b.len + 1
-
-(* insertion sort of a.(lo .. hi-1): a dominator's targets are few *)
-let sort_slice (a : int array) lo hi =
-  for k = lo + 1 to hi - 1 do
-    let x = a.(k) in
-    let j = ref (k - 1) in
-    while !j >= lo && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
 
 (* The dominator index: row u of the result is the Dominator-filtered
    UDG row of u, ascending, as offsets and targets.  Count, prefix
@@ -137,26 +101,18 @@ let dominator_index ?pool csr roles =
    flat: each worker domain owns growable int buffers and stamp
    arrays, the candidates of each target v are a chain of cells
    ([head.(v)], then [cell] pairs of candidate and next cell), and the
-   winners go straight into the output:
-   - an installed edge sets its two arcs in [installed], a byte per
-     UDG arc; racing writes only ever store the same byte, like the
-     [connector] flags, and the CDS is the row filter of the UDG to
-     the marked arcs — sorted, deduplicated and sealed in one pass;
-   - a pair (u, v) is owned by u: u's targets, sorted, go into its
-     tile's buffer and their number into [count.(u)], and a prefix
-     sum over the counts places every owner's run in the packed,
-     lexicographic pair array.
-   So the result is the same for any tiling and any job count. *)
+   winners go straight into the output: an installed edge sets its
+   two arcs in [installed], a byte per UDG arc.  Racing writes only
+   ever store the same byte, like the [connector] flags, and the CDS
+   is the row filter of the UDG to the marked arcs — sorted,
+   deduplicated and sealed in one pass.  So the result is the same
+   for any tiling and any job count. *)
 let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
   let module C = Netgraph.Csr in
   let n = C.node_count csr in
-  let ntiles = Array.length owners in
   let off = C.offsets csr and adj = C.targets csr in
   let connector = Array.make n false in
   let installed = Bytes.make (Array.length adj) '\000' in
-  let two_count = Array.make n 0 and three_count = Array.make n 0 in
-  let two_by_tile = Array.make ntiles [||] in
-  let three_by_tile = Array.make ntiles [||] in
   let install a b =
     Bytes.set installed (C.arc csr a b) '\001';
     Bytes.set installed (C.arc csr b a) '\001'
@@ -171,7 +127,6 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
     let head = Array.make n (-1) and cell = buf () in
     let targets = buf () and cands = buf () in
     let first = buf () and second = buf () in
-    let two = buf () and three = buf () in
     let chain v w =
       push cell w;
       push cell head.(v);
@@ -201,13 +156,6 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
         if !wins then push out w
       done
     in
-    (* u's targets, sorted, appended to the tile's pair buffer *)
-    let own_targets pairs =
-      sort_slice targets.a 0 targets.len;
-      for i = 0 to targets.len - 1 do
-        push pairs targets.a.(i)
-      done
-    in
     (* steps 3-4 for the unordered pairs (u, v), owned by u = min.
        Stamps every dominator two hops from u through a dominatee
        (u itself included) and returns the stamp. *)
@@ -228,8 +176,6 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
             if v > u then chain v w
           done
       done;
-      own_targets two;
-      two_count.(u) <- targets.len;
       for i = 0 to targets.len - 1 do
         let v = targets.a.(i) in
         take v;
@@ -272,8 +218,6 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
           done
         end
       done;
-      own_targets three;
-      three_count.(u) <- targets.len;
       for i = 0 to targets.len - 1 do
         let v = targets.a.(i) in
         take v;
@@ -323,15 +267,12 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
       done
     in
     fun t ->
-      two.len <- 0;
-      three.len <- 0;
       Array.iter
         (fun u ->
           if roles.(u) = Mis.Dominator then three_hop_at u (two_hop_at u))
-        owners.(t);
-      two_by_tile.(t) <- Array.sub two.a 0 two.len;
-      three_by_tile.(t) <- Array.sub three.a 0 three.len
+        owners.(t)
   in
+  let ntiles = Array.length owners in
   (match pool with
   | Some p ->
     Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n:ntiles mk_body)
@@ -340,31 +281,7 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
     for t = 0 to ntiles - 1 do
       body t
     done);
-  (connector, installed, (two_count, two_by_tile), (three_count, three_by_tile))
-
-(* Owner u's run of [count.(u)] targets sits in its tile's buffer, in
-   the tile's owner order; a prefix sum over the counts gives the
-   run's slot in the lexicographic pair array. *)
-let pack owners (count, by_tile) =
-  let n = Array.length count in
-  let start = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    start.(u + 1) <- start.(u) + count.(u)
-  done;
-  let pairs = Array.make (2 * start.(n)) 0 in
-  Array.iteri
-    (fun t targets ->
-      let i = ref 0 in
-      Array.iter
-        (fun u ->
-          for j = start.(u) to start.(u + 1) - 1 do
-            pairs.(2 * j) <- u;
-            pairs.((2 * j) + 1) <- targets.(!i);
-            incr i
-          done)
-        owners.(t))
-    by_tile;
-  pairs
+  (connector, installed)
 
 let find_csr ?pool ?owners csr roles =
   let owners =
@@ -375,7 +292,7 @@ let find_csr ?pool ?owners csr roles =
   let index =
     Obs.span "connectors.index" (fun () -> dominator_index ?pool csr roles)
   in
-  let connector, installed, two, three =
+  let connector, installed =
     Obs.span "connectors.elect" (fun () ->
         elect_tiles ?pool ~owners csr roles index)
   in
@@ -385,11 +302,11 @@ let find_csr ?pool ?owners csr roles =
         cds =
           Netgraph.Csr.filter_arcs ?pool csr (fun k ->
               Bytes.get installed k <> '\000');
-        two_hop = pack owners two;
-        three_hop = pack owners three;
       })
 
-let find g roles = to_result (find_csr (Netgraph.Csr.of_graph g) roles)
+let find g roles =
+  let t = find_csr (Netgraph.Csr.of_graph g) roles in
+  { connector = t.connector; cds_edges = Netgraph.Csr.edges t.cds }
 
 (* The Alzoubi-style dominator-initiated selection: one deterministic
    path per ordered dominator pair.  Dominator u "decides the next
@@ -401,8 +318,6 @@ let find_alzoubi g roles =
   let edges = Hashtbl.create 64 in
   let add_edge u v = Hashtbl.replace edges (ordered_edge u v) () in
   let doms = Mis.dominators roles in
-  let two_hop_pairs = ref [] in
-  let three_hop_pairs = ref [] in
   let pick = function [] -> None | x :: _ -> Some x (* lists are sorted *) in
   List.iter
     (fun u ->
@@ -412,7 +327,6 @@ let find_alzoubi g roles =
         (fun v ->
           match pick (candidates_two_hop g roles u v) with
           | Some w ->
-            if u < v then two_hop_pairs := (u, v) :: !two_hop_pairs;
             connector.(w) <- true;
             add_edge u w;
             add_edge w v
@@ -444,7 +358,6 @@ let find_alzoubi g roles =
               (match x with
               | None -> ()
               | Some x ->
-                three_hop_pairs := (u, v) :: !three_hop_pairs;
                 connector.(w) <- true;
                 connector.(x) <- true;
                 add_edge u w;
@@ -490,7 +403,6 @@ let find_alzoubi g roles =
             (match x with
             | None -> ()
             | Some x ->
-              three_hop_pairs := (u, v) :: !three_hop_pairs;
               connector.(w) <- true;
               connector.(x) <- true;
               add_edge u w;
@@ -502,8 +414,6 @@ let find_alzoubi g roles =
     connector;
     cds_edges =
       List.sort G.compare_edge (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
-    two_hop_pairs = List.sort G.compare_edge !two_hop_pairs;
-    three_hop_pairs = List.sort_uniq G.compare_edge !three_hop_pairs;
   }
 
 (* Baker-Ephremides linked clusters: highest-ID gateways. *)
@@ -513,8 +423,6 @@ let find_baker g roles =
   let edges = Hashtbl.create 64 in
   let add_edge u v = Hashtbl.replace edges (ordered_edge u v) () in
   let doms = Mis.dominators roles in
-  let two_hop_pairs = ref [] in
-  let three_hop_pairs = ref [] in
   List.iter
     (fun u ->
       List.iter
@@ -524,7 +432,6 @@ let find_baker g roles =
             | _ :: _ as common ->
               (* overlapping clusters: highest ID in the intersection *)
               let w = List.fold_left max (List.hd common) common in
-              two_hop_pairs := (u, v) :: !two_hop_pairs;
               connector.(w) <- true;
               add_edge u w;
               add_edge w v
@@ -555,7 +462,6 @@ let find_baker g roles =
                     (fun best p -> if better p best then p else best)
                     first rest
                 in
-                three_hop_pairs := (u, v) :: !three_hop_pairs;
                 connector.(x) <- true;
                 connector.(y) <- true;
                 add_edge u x;
@@ -570,6 +476,4 @@ let find_baker g roles =
     connector;
     cds_edges =
       List.sort G.compare_edge (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
-    two_hop_pairs = List.sort G.compare_edge !two_hop_pairs;
-    three_hop_pairs = List.sort_uniq G.compare_edge !three_hop_pairs;
   }

@@ -20,34 +20,24 @@
     [TryConnector] message exchanges and must install the identical
     backbone edges. *)
 
+(** An election outcome in list form, as {!find} and the baseline
+    selections return it. *)
 type result = {
   connector : bool array;  (** elected as connector for some pair *)
   cds_edges : (int * int) list;
       (** backbone edges: dominator–connector and connector–connector
-          links installed by the elections, each with [u < v] *)
-  two_hop_pairs : (int * int) list;
-      (** dominator pairs at hop distance 2 that were processed *)
-  three_hop_pairs : (int * int) list;
-      (** ordered dominator pairs processed by the 3-hop stage *)
+          links installed by the elections, each with [u < v],
+          lexicographic *)
 }
 
-(** The same outcome in sealed form, as {!find_csr} produces it: no
-    lists, so the construction pipeline keeps it at a few words per
-    pair. *)
+(** The same outcome in sealed form, as {!find_csr} produces it and
+    {!Shard.pipeline} keeps it.  The elections record no dominator
+    pairs: the installed edges are the whole output. *)
 type t = {
   connector : bool array;
   cds : Netgraph.Csr.t;
       (** the backbone edges of [cds_edges], sealed without weights *)
-  two_hop : int array;
-      (** the [two_hop_pairs], packed: pair [i] is
-          [(two_hop.(2i), two_hop.(2i+1))], in the same order *)
-  three_hop : int array;  (** the [three_hop_pairs], packed the same way *)
 }
-
-(** [to_result t] is [t] in list form: [cds_edges] is
-    [Csr.edges t.cds] and the pair lists unpack the arrays, so each
-    list is sorted lexicographically.  Linear in the output. *)
-val to_result : t -> result
 
 (** [find_csr csr roles] runs the two elections of Algorithm 1 on the
     CSR snapshot [csr] of the unit disk graph with the clustering
@@ -57,9 +47,8 @@ val to_result : t -> result
     node ids) each pair is processed exactly once from its owner's
     tile; with [pool] the tiles fan out across its domains.  The
     elections mark the installed UDG arcs and the CDS is the row
-    filter of [csr] to them; each owner's pairs land in their own
-    slots of the packed arrays.  So the output is bit-identical for
-    any tiling and any job count.  Spans [connectors.index] (the
+    filter of [csr] to them, so the output is bit-identical for any
+    tiling and any job count.  Spans [connectors.index] (the
     dominator index), [connectors.elect] and [connectors.seal] cover
     the call. *)
 val find_csr :
@@ -69,8 +58,9 @@ val find_csr :
   Mis.role array ->
   t
 
-(** [find g roles] is [to_result (find_csr (Csr.of_graph g) roles)]:
-    the one-tile, pool-less elections on a mutable graph. *)
+(** [find g roles] is [find_csr (Csr.of_graph g) roles] in list form
+    ([cds_edges] is [Csr.edges t.cds]): the one-tile, pool-less
+    elections on a mutable graph. *)
 val find : Netgraph.Graph.t -> Mis.role array -> result
 
 (** [candidates_two_hop g roles u v] is the candidate connector set

@@ -1,4 +1,4 @@
-module G = Netgraph.Graph
+module Csr = Netgraph.Csr
 module P = Geometry.Point
 
 type policy = Static | Energy_aware of int
@@ -12,6 +12,14 @@ type report = {
   spent : float array;
 }
 
+(* the structures one epoch routes on *)
+type backbone = {
+  udg : Csr.t;  (* the alive UDG *)
+  roles : Mis.role array;
+  backbone : bool array;
+  cds : Netgraph.View.t;
+}
+
 let delivery_ratio r =
   if r.attempted = 0 then 1.
   else float_of_int r.delivered /. float_of_int r.attempted
@@ -21,7 +29,7 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
   if sink < 0 || sink >= n then invalid_arg "Energy.run: sink out of range";
   if epochs <= 0 || battery <= 0. || beta <= 0. then
     invalid_arg "Energy.run: non-positive parameter";
-  let full_udg = Wireless.Udg.build points ~radius in
+  let full_udg = Wireless.Udg.build_csr points ~radius in
   let remaining = Array.make n battery in
   let alive = Array.make n true in
   let spent = Array.make n 0. in
@@ -29,12 +37,11 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
   let first_death = ref None in
   let attempted = ref 0 and delivered = ref 0 in
 
-  let alive_graph () = G.induced full_udg (fun u -> alive.(u)) in
-
-  (* rebuild the backbone over the alive nodes; the priority realizes
-     the rotation policy *)
+  (* rebuild the backbone over the alive UDG with the two stages the
+     router reads, clustering and the connector elections; the
+     priority realizes the rotation policy *)
   let rebuild () =
-    let g = alive_graph () in
+    let udg = Csr.filter full_udg (fun u v -> alive.(u) && alive.(v)) in
     let priority =
       match policy with
       | Static -> fun u -> if alive.(u) then 0 else 1
@@ -45,33 +52,27 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
           if not alive.(u) then max_int
           else int_of_float ((battery -. remaining.(u)) /. battery *. 1000.)
     in
-    (Cds.of_udg ~priority g, g)
+    let roles = Mis.compute_csr ~priority udg in
+    let conn = Connectors.find_csr udg roles in
+    let backbone =
+      Array.init n (fun u ->
+          roles.(u) = Mis.Dominator || conn.Connectors.connector.(u))
+    in
+    { udg; roles; backbone; cds = Netgraph.View.of_csr conn.Connectors.cds }
   in
   let structure = ref (rebuild ()) in
 
   let route src =
-    let cds, g = !structure in
+    let { udg; roles; backbone; cds } = !structure in
     if src = sink then None
-    else if G.has_edge g src sink then Some [ src; sink ]
+    else if Csr.mem_edge udg src sink then Some [ src; sink ]
     else begin
       (* dominating-set routing over the alive backbone: enter at the
-         dominator, BFS over the CDS graph (hop-greedy suffices for
-         energy accounting), exit at the sink's dominator *)
-      let enter =
-        if cds.Cds.backbone.(src) then src
-        else
-          match Mis.dominators_of g cds.Cds.roles src with
-          | d :: _ -> d
-          | [] -> src
-      in
-      let exit =
-        if cds.Cds.backbone.(sink) then sink
-        else
-          match Mis.dominators_of g cds.Cds.roles sink with
-          | d :: _ -> d
-          | [] -> sink
-      in
-      match Netgraph.Traversal.bfs_path cds.Cds.cds enter exit with
+         gateway, BFS over the CDS (hop-greedy suffices for energy
+         accounting), exit at the sink's gateway *)
+      let enter = Routing.gateway ~udg ~roles ~backbone src in
+      let exit = Routing.gateway ~udg ~roles ~backbone sink in
+      match Netgraph.Traversal.bfs_path_v cds enter exit with
       | None -> None
       | Some p ->
         let p = if enter = src then p else src :: p in
@@ -121,8 +122,7 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
     in
     if rotate then structure := rebuild ();
     (* stop when the sink is isolated among alive nodes *)
-    let _, g = !structure in
-    if G.degree g sink = 0 then continue := false
+    if Csr.degree !structure.udg sink = 0 then continue := false
   done;
   {
     first_death = !first_death;

@@ -512,17 +512,17 @@ let gfg_into sc g points ~src ~dst =
 
 (* A backbone node is its own gateway; a dominatee enters at its
    smallest-id dominator, the first in its ascending UDG row. *)
-let gateway (s : Shard.snapshot) u =
-  if s.Shard.backbone.(u) then u
+let gateway ~udg ~roles ~backbone u =
+  if backbone.(u) then u
   else begin
-    let off = Csr.offsets s.Shard.udg and tgt = Csr.targets s.Shard.udg in
+    let off = Csr.offsets udg and tgt = Csr.targets udg in
     let k = ref off.(u) and d = ref (-1) in
     while !d < 0 && !k < off.(u + 1) do
       let v = tgt.(!k) in
-      if s.Shard.roles.(v) = Mis.Dominator then d := v;
+      if roles.(v) = Mis.Dominator then d := v;
       incr k
     done;
-    if !d < 0 then invalid_arg "Routing.hierarchical: node has no dominator";
+    if !d < 0 then invalid_arg "Routing.gateway: node has no dominator";
     !d
   end
 
@@ -562,7 +562,10 @@ let hierarchical_into sc (s : Shard.snapshot) ~udg ~pldel ~src ~dst =
     if sc.state = 3 then begin
       (* u -> its gateway -> GFG over PLDel -> dst's gateway -> dst *)
       let u = sc.cur in
-      let enter = gateway s u and exit = gateway s dst in
+      let rows = s.Shard.udg and roles = s.Shard.roles in
+      let backbone = s.Shard.backbone in
+      let enter = gateway ~udg:rows ~roles ~backbone u
+      and exit = gateway ~udg:rows ~roles ~backbone dst in
       if enter <> u then Scratch.push sc u;
       if enter = exit then begin
         Scratch.push sc enter;

@@ -162,6 +162,20 @@ val gfg_step :
   header ->
   decision
 
+(** [gateway ~udg ~roles ~backbone u] is where [u] enters the
+    backbone: [u] itself when [backbone.(u)], otherwise its smallest-id
+    dominator under [roles], the first dominator in its ascending
+    [udg] row.  The one gateway rule: {!hierarchical_into} and
+    {!Energy} both route through it.
+    @raise Invalid_argument when [u] is off the backbone and has no
+    dominator. *)
+val gateway :
+  udg:Netgraph.Csr.t ->
+  roles:Mis.role array ->
+  backbone:bool array ->
+  int ->
+  int
+
 (** [hierarchical_into sc snap ~udg ~pldel ~src ~dst] is GPSR's
     split (Karp and Kung) on the paper's backbone, the route the serve
     engine answers [gfg] and [stretch] queries with.  [udg] and

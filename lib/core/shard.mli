@@ -46,7 +46,10 @@ type snapshot = {
     [base] and the edges whose ends differ in being a dominator.
     [base] must lie in [icds'] (the CDS and PLDel(ICDS) do), so
     [primed s.roles s.icds' s.cds] is CDS′ and [primed s.roles s.icds'
-    s.pldel] is the snapshot's [pldel'].  [pool] and [points] are
+    s.pldel] is the snapshot's [pldel'].  Any supergraph of the
+    dominatee links and [base] gives the same result in place of
+    [icds']: the UDG does, for a CDS some other connector selection
+    installed.  [pool] and [points] are
     {!Netgraph.Csr.filter}'s: the result is the same for any job
     count, and [points] adds Euclidean arc weights. *)
 val primed :
@@ -79,16 +82,17 @@ val tiling :
     RNG sequence is inherently serial).  After the elections the UDG
     is read once, by the [icds'] row filter; [icds] and [pldel'] are
     row filters of [icds'], and [pldel] is the filter of [icds] to the
-    arcs LDel marks.  Neither the elections' pair arrays nor LDel's
-    packed parts outlive the build.  Stage timings land in the
-    [shard.*] spans, which cover the whole build: [shard.connectors]
-    has the children [connectors.index], [connectors.elect] and
-    [connectors.seal] (the CDS is sealed there), [shard.ldel] the
-    children [ldel.icds'], [ldel.icds], [ldel.l1], [ldel.l2] and
-    [ldel.planarize], and [shard.assemble] one child per structure it
-    seals: [assemble.pldel] and [assemble.pldel'];
-    tile count and populations in the [shard.tiles]
-    gauge / [shard.tile_pop] distribution.
+    arcs LDel marks.  LDel's packed parts do not outlive the build.
+    This is the one assembly of the CDS family: the lemma tests,
+    broadcast and the bench ablations all read this snapshot.  Stage
+    timings land in the [shard.*] spans, which cover the whole build:
+    [shard.connectors] has the children [connectors.index],
+    [connectors.elect] and [connectors.seal] (the CDS is sealed
+    there), [shard.ldel] the children [ldel.icds'], [ldel.icds],
+    [ldel.l1], [ldel.l2] and [ldel.planarize], and [shard.assemble]
+    one child per structure it seals: [assemble.pldel] and
+    [assemble.pldel']; tile count and populations in the
+    [shard.tiles] gauge / [shard.tile_pop] distribution.
     @raise Invalid_argument when [radius <= 0], [tiles < 1], or [udg]
     disagrees with [points] on the node count. *)
 val pipeline :

@@ -31,11 +31,13 @@ let test_flood_latency_is_eccentricity () =
 
 let test_backbone_broadcast () =
   for seed = 910 to 914 do
-    let _, udg = instance (Int64.of_int seed) 80 50. in
-    let cds = Core.Cds.of_udg udg in
-    let o = Core.Broadcast.backbone_broadcast udg cds ~source:5 in
+    let pts, udg = instance (Int64.of_int seed) 80 50. in
+    let backbone = (Core.Shard.pipeline pts ~radius:50.).Core.Shard.backbone in
+    let o = Core.Broadcast.backbone_broadcast udg ~backbone ~source:5 in
     Alcotest.(check (float 1e-9)) "full coverage" 1. (Core.Broadcast.coverage o);
-    let backbone_size = List.length (Core.Cds.backbone_nodes cds) in
+    let backbone_size =
+      Array.fold_left (fun c b -> if b then c + 1 else c) 0 backbone
+    in
     (* only backbone nodes plus possibly the source transmit *)
     check "cheaper than flooding" true
       (o.Core.Broadcast.transmissions <= backbone_size + 1);
@@ -46,19 +48,20 @@ let test_backbone_broadcast () =
 let test_backbone_source_is_dominatee () =
   (* a dominatee source must still reach everyone (its dominator picks
      the packet up) *)
-  let _, udg = instance 915L 70 50. in
-  let cds = Core.Cds.of_udg udg in
+  let pts, udg = instance 915L 70 50. in
+  let s = Core.Shard.pipeline pts ~radius:50. in
+  let backbone = s.Core.Shard.backbone in
   let dominatee =
     match
-      Array.to_list cds.Core.Cds.roles
+      Array.to_list s.Core.Shard.roles
       |> List.mapi (fun i r -> (i, r))
       |> List.find_opt (fun (i, r) ->
-             r = Core.Mis.Dominatee && not cds.Core.Cds.backbone.(i))
+             r = Core.Mis.Dominatee && not backbone.(i))
     with
     | Some (i, _) -> i
     | None -> 0
   in
-  let o = Core.Broadcast.backbone_broadcast udg cds ~source:dominatee in
+  let o = Core.Broadcast.backbone_broadcast udg ~backbone ~source:dominatee in
   Alcotest.(check (float 1e-9)) "full coverage" 1. (Core.Broadcast.coverage o)
 
 let test_rng_relay () =

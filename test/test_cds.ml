@@ -1,7 +1,10 @@
-(* Connectors (Algorithm 1) and the CDS structure family. *)
+(* Connectors (Algorithm 1) and the CDS structure family, read off the
+   snapshot the pipeline builds. *)
 
 module G = Netgraph.Graph
 module P = Geometry.Point
+module Csr = Netgraph.Csr
+module V = Netgraph.View
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -14,6 +17,20 @@ let random_instance seed n side radius =
     Wireless.Deploy.connected_uniform rng ~n ~side ~radius ~max_attempts:2000
   in
   (pts, Wireless.Udg.build pts ~radius)
+
+let snapshot seed n side radius =
+  let pts, _ = random_instance seed n side radius in
+  Core.Shard.pipeline pts ~radius
+
+let backbone_nodes backbone =
+  List.filter (fun u -> backbone.(u)) (List.init (Array.length backbone) Fun.id)
+
+(* every edge of [a] is an edge of [b] *)
+let subgraph a b =
+  Csr.fold_edges a (fun ok u v -> ok && Csr.mem_edge b u v) true
+
+let cds' (s : Core.Shard.snapshot) =
+  Core.Shard.primed s.Core.Shard.roles s.Core.Shard.icds' s.Core.Shard.cds
 
 (* ---------------- elect ---------------- *)
 
@@ -69,11 +86,7 @@ let test_find_path3 () =
   let r = Core.Connectors.find g roles in
   check "1 is connector" true r.Core.Connectors.connector.(1);
   Alcotest.(check (list (pair int int)))
-    "edges" [ (0, 1); (1, 2) ] r.Core.Connectors.cds_edges;
-  Alcotest.(check (list (pair int int)))
-    "two-hop pair" [ (0, 2) ] r.Core.Connectors.two_hop_pairs;
-  Alcotest.(check (list (pair int int)))
-    "no three-hop pairs" [] r.Core.Connectors.three_hop_pairs
+    "edges" [ (0, 1); (1, 2) ] r.Core.Connectors.cds_edges
 
 let test_find_path4_three_hop () =
   (* path 0-1-2-3: dominators 0, 2... greedy MIS on path4 = {0, 2};
@@ -107,81 +120,94 @@ let test_find_skips_joined_pairs () =
   let roles = Core.Mis.compute g in
   let r = Core.Connectors.find g roles in
   check "common dominatee elected" true r.Core.Connectors.connector.(2);
+  check "no 3-hop connectors for (0,1)" false
+    (r.Core.Connectors.connector.(3) || r.Core.Connectors.connector.(4));
   Alcotest.(check (list (pair int int)))
-    "no 3-hop pairs for (0,1)" []
-    (List.filter
-       (fun (a, b) -> (a = 0 && b = 1) || (a = 1 && b = 0))
-       r.Core.Connectors.three_hop_pairs)
+    "edges" [ (0, 2); (1, 2) ] r.Core.Connectors.cds_edges
 
-(* ---------------- CDS properties on random instances ---------------- *)
+(* ---------------- CDS properties on the snapshot ---------------- *)
 
-let backbone_connected (cds : Core.Cds.t) =
-  Netgraph.Components.connected_within cds.Core.Cds.cds
-    (Core.Cds.backbone_nodes cds)
+let backbone_connected (s : Core.Shard.snapshot) =
+  Netgraph.Components.connected_within_v (V.of_csr s.Core.Shard.cds)
+    (backbone_nodes s.Core.Shard.backbone)
 
 let test_cds_connectivity_random () =
   for seed = 70 to 79 do
-    let _, udg = random_instance (Int64.of_int seed) 80 200. 50. in
-    let cds = Core.Cds.of_udg udg in
-    check "CDS connects the backbone" true (backbone_connected cds);
-    check "CDS' spans everything" true
-      (Netgraph.Components.is_connected cds.Core.Cds.cds');
-    check "ICDS' spans everything" true
-      (Netgraph.Components.is_connected cds.Core.Cds.icds')
+    let s = snapshot (Int64.of_int seed) 80 200. 50. in
+    check "CDS connects the backbone" true (backbone_connected s);
+    check "CDS' spans everything" true (Csr.is_connected (cds' s));
+    check "ICDS' spans everything" true (Csr.is_connected s.Core.Shard.icds')
   done
 
 let test_structure_inclusions () =
-  let _, udg = random_instance 80L 80 200. 50. in
-  let cds = Core.Cds.of_udg udg in
-  check "CDS ⊆ ICDS" true (G.is_subgraph cds.Core.Cds.cds cds.Core.Cds.icds);
-  check "CDS ⊆ CDS'" true (G.is_subgraph cds.Core.Cds.cds cds.Core.Cds.cds');
-  check "CDS' ⊆ ICDS'" true (G.is_subgraph cds.Core.Cds.cds' cds.Core.Cds.icds');
-  check "ICDS ⊆ UDG" true (G.is_subgraph cds.Core.Cds.icds udg);
-  check "ICDS' ⊆ UDG" true (G.is_subgraph cds.Core.Cds.icds' udg)
+  let s = snapshot 80L 80 200. 50. in
+  let open Core.Shard in
+  check "CDS ⊆ ICDS" true (subgraph s.cds s.icds);
+  check "CDS ⊆ CDS'" true (subgraph s.cds (cds' s));
+  check "CDS' ⊆ ICDS'" true (subgraph (cds' s) s.icds');
+  check "ICDS ⊆ UDG" true (subgraph s.icds s.udg);
+  check "ICDS' ⊆ UDG" true (subgraph s.icds' s.udg)
 
 let test_cds_edges_touch_backbone_only () =
-  let _, udg = random_instance 81L 70 200. 50. in
-  let cds = Core.Cds.of_udg udg in
-  G.iter_edges cds.Core.Cds.cds (fun u v ->
+  let s = snapshot 81L 70 200. 50. in
+  Csr.iter_edges s.Core.Shard.cds (fun u v ->
       check "backbone endpoints" true
-        (cds.Core.Cds.backbone.(u) && cds.Core.Cds.backbone.(v)))
+        (s.Core.Shard.backbone.(u) && s.Core.Shard.backbone.(v)))
 
 let test_icds_is_induced () =
-  let _, udg = random_instance 82L 70 200. 50. in
-  let cds = Core.Cds.of_udg udg in
-  G.iter_edges udg (fun u v ->
-      let both = cds.Core.Cds.backbone.(u) && cds.Core.Cds.backbone.(v) in
-      check "induced" true (G.has_edge cds.Core.Cds.icds u v = both))
+  let s = snapshot 82L 70 200. 50. in
+  Csr.iter_edges s.Core.Shard.udg (fun u v ->
+      let both = s.Core.Shard.backbone.(u) && s.Core.Shard.backbone.(v) in
+      check "induced" true (Csr.mem_edge s.Core.Shard.icds u v = both))
 
+(* CDS' is exactly the CDS plus every UDG link between a dominatee and
+   a dominator *)
 let test_cds'_adds_exactly_dominatee_links () =
-  let _, udg = random_instance 83L 70 200. 50. in
-  let cds = Core.Cds.of_udg udg in
-  G.iter_edges cds.Core.Cds.cds' (fun u v ->
-      let in_cds = G.has_edge cds.Core.Cds.cds u v in
-      let dominatee_link =
-        (cds.Core.Cds.roles.(u) = Core.Mis.Dominatee
-        && cds.Core.Cds.roles.(v) = Core.Mis.Dominator)
-        || (cds.Core.Cds.roles.(v) = Core.Mis.Dominatee
-           && cds.Core.Cds.roles.(u) = Core.Mis.Dominator)
-      in
-      check "edge classified" true (in_cds || dominatee_link))
+  let s = snapshot 83L 70 200. 50. in
+  let roles = s.Core.Shard.roles and cds' = cds' s in
+  let dominatee_link u v =
+    (roles.(u) = Core.Mis.Dominatee && roles.(v) = Core.Mis.Dominator)
+    || (roles.(v) = Core.Mis.Dominatee && roles.(u) = Core.Mis.Dominator)
+  in
+  Csr.iter_edges s.Core.Shard.udg (fun u v ->
+      let want = Csr.mem_edge s.Core.Shard.cds u v || dominatee_link u v in
+      check "edge classified" true (Csr.mem_edge cds' u v = want))
 
-let test_dominator_of () =
-  (* star: 0 dominates 1 and 2; no connectors, so the leaves are pure
-     dominatees *)
-  let g = G.of_edges 3 [ (0, 1); (0, 2) ] in
-  let cds = Core.Cds.of_udg g in
-  checki "dominatee routes to dominator" 0 (Core.Cds.dominator_of cds g 1);
-  checki "backbone node is its own" 0 (Core.Cds.dominator_of cds g 0);
+(* a geometric instance: nodes at [xs] on the x axis *)
+let line_snapshot xs ~radius =
+  Core.Shard.pipeline (Array.map (fun x -> P.make x 0.) xs) ~radius
+
+let test_gateway () =
+  let gateway (s : Core.Shard.snapshot) =
+    Core.Routing.gateway ~udg:s.Core.Shard.udg ~roles:s.Core.Shard.roles
+      ~backbone:s.Core.Shard.backbone
+  in
+  (* star: 0 dominates 1 and 2, which are out of each other's range;
+     no connectors, so the leaves are pure dominatees *)
+  let star = line_snapshot [| 0.; 1.; -1. |] ~radius:1.5 in
+  checki "dominatee routes to dominator" 0 (gateway star 1);
+  checki "backbone node is its own" 0 (gateway star 0);
   (* on a path, the middle node is a connector and so its own gateway *)
-  let cds3 = Core.Cds.of_udg (path 3) in
-  checki "connector is its own" 1 (Core.Cds.dominator_of cds3 (path 3) 1)
+  let path3 = line_snapshot [| 0.; 1.; 2. |] ~radius:1.2 in
+  checki "connector is its own" 1 (gateway path3 1);
+  (* a dominatee with two dominators enters at the smaller *)
+  let two = line_snapshot [| 0.; 2.; 1. |] ~radius:1.2 in
+  checki "smallest-id dominator" 0
+    (Core.Routing.gateway ~udg:two.Core.Shard.udg ~roles:two.Core.Shard.roles
+       ~backbone:(Array.make 3 false) 2);
+  check "no dominator raises" true
+    (match
+       Core.Routing.gateway ~udg:star.Core.Shard.udg
+         ~roles:(Array.make 3 Core.Mis.Dominatee) ~backbone:(Array.make 3 false)
+         1
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_backbone_nodes () =
-  let g = path 3 in
-  let cds = Core.Cds.of_udg g in
+  let s = line_snapshot [| 0.; 1.; 2. |] ~radius:1.2 in
   Alcotest.(check (list int)) "all three on path3" [ 0; 1; 2 ]
-    (Core.Cds.backbone_nodes cds)
+    (backbone_nodes s.Core.Shard.backbone)
 
 (* Lemma 4 / Lemma 8: backbone degrees bounded by a constant
    independent of n.  We check a generous numeric bound across
@@ -189,13 +215,29 @@ let test_backbone_nodes () =
    degrees stay small. *)
 let test_bounded_backbone_degree () =
   for seed = 90 to 94 do
-    let _, udg = random_instance (Int64.of_int seed) 120 200. 60. in
-    let cds = Core.Cds.of_udg udg in
-    let dcds = Netgraph.Metrics.degree_stats cds.Core.Cds.cds in
-    let dicds = Netgraph.Metrics.degree_stats cds.Core.Cds.icds in
+    let s = snapshot (Int64.of_int seed) 120 200. 60. in
+    let degree g = Netgraph.Metrics.degree_stats_v (V.of_csr g) in
+    let dcds = degree s.Core.Shard.cds and dicds = degree s.Core.Shard.icds in
     check "CDS degree bounded" true (dcds.Netgraph.Metrics.deg_max <= 30);
     check "ICDS degree bounded" true (dicds.Netgraph.Metrics.deg_max <= 40)
   done
+
+(* A baseline selection's CDS connects its backbone, and its CDS' —
+   [Core.Shard.primed] of its CDS over the UDG, which holds every
+   dominatee link — spans every node. *)
+let variant_connected udg roles (r : Core.Connectors.result) =
+  let udg = Csr.of_graph udg in
+  let cds = Csr.of_graph (G.of_edges (Csr.node_count udg) r.cds_edges) in
+  let backbone =
+    Array.mapi
+      (fun u role ->
+        role = Core.Mis.Dominator || r.Core.Connectors.connector.(u))
+      roles
+  in
+  check "CDS connects the backbone" true
+    (Netgraph.Components.connected_within_v (V.of_csr cds)
+       (backbone_nodes backbone));
+  check "CDS' spans" true (Csr.is_connected (Core.Shard.primed roles udg cds))
 
 (* ---------------- Alzoubi-style selection ---------------- *)
 
@@ -211,11 +253,7 @@ let test_alzoubi_connectivity_random () =
   for seed = 840 to 847 do
     let _, udg = random_instance (Int64.of_int seed) 80 200. 50. in
     let roles = Core.Mis.compute udg in
-    let r = Core.Connectors.find_alzoubi udg roles in
-    let cds = Core.Cds.build udg roles r in
-    check "CDS connects the backbone" true (backbone_connected cds);
-    check "CDS' spans" true
-      (Netgraph.Components.is_connected cds.Core.Cds.cds')
+    variant_connected udg roles (Core.Connectors.find_alzoubi udg roles)
   done
 
 let test_alzoubi_leaner_than_elections () =
@@ -265,11 +303,7 @@ let test_baker_connectivity_random () =
   for seed = 870 to 875 do
     let _, udg = random_instance (Int64.of_int seed) 80 200. 50. in
     let roles = Core.Mis.compute udg in
-    let r = Core.Connectors.find_baker udg roles in
-    let cds = Core.Cds.build udg roles r in
-    check "CDS connects the backbone" true (backbone_connected cds);
-    check "CDS' spans" true
-      (Netgraph.Components.is_connected cds.Core.Cds.cds')
+    variant_connected udg roles (Core.Connectors.find_baker udg roles)
   done
 
 let suites =
@@ -307,7 +341,7 @@ let suites =
         Alcotest.test_case "ICDS is induced" `Quick test_icds_is_induced;
         Alcotest.test_case "CDS' = CDS + dominatee links" `Quick
           test_cds'_adds_exactly_dominatee_links;
-        Alcotest.test_case "dominator_of" `Quick test_dominator_of;
+        Alcotest.test_case "gateway" `Quick test_gateway;
         Alcotest.test_case "backbone nodes" `Quick test_backbone_nodes;
         Alcotest.test_case "bounded backbone degree" `Quick
           test_bounded_backbone_degree;

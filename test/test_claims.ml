@@ -162,22 +162,32 @@ let test_bounds_values () =
   check "keil-gutwin ~ 2.42" true
     (Float.abs (Core.Bounds.delaunay_stretch -. 2.4184) < 1e-3)
 
+(* L1 and L8 on the snapshot the pipeline builds, one tile and a 3x3
+   tiling *)
 let test_bounds_hold_empirically () =
   for seed = 880 to 883 do
-    let pts, udg = random_instance (Int64.of_int seed) 90 50. in
-    let cds = Core.Cds.of_udg udg in
-    let roles = cds.Core.Cds.roles in
-    ignore pts;
-    Array.iteri
-      (fun u r ->
-        if r = Core.Mis.Dominatee then
-          check "L1 respected" true
-            (List.length (Core.Mis.dominators_of udg roles u)
-            <= Core.Bounds.max_dominators_per_dominatee))
-      roles;
-    let d = Netgraph.Metrics.degree_stats cds.Core.Cds.icds in
-    check "L8 respected" true
-      (d.Netgraph.Metrics.deg_max <= Core.Bounds.icds_degree)
+    let pts, _ = random_instance (Int64.of_int seed) 90 50. in
+    List.iter
+      (fun tiles ->
+        let s = Core.Shard.pipeline ~tiles pts ~radius:50. in
+        let udg = s.Core.Shard.udg and roles = s.Core.Shard.roles in
+        Array.iteri
+          (fun u r ->
+            if r = Core.Mis.Dominatee then
+              check "L1 respected" true
+                (Netgraph.Csr.fold_neighbors udg u
+                   (fun c v ->
+                     if roles.(v) = Core.Mis.Dominator then c + 1 else c)
+                   0
+                <= Core.Bounds.max_dominators_per_dominatee))
+          roles;
+        let d =
+          Netgraph.Metrics.degree_stats_v
+            (Netgraph.View.of_csr s.Core.Shard.icds)
+        in
+        check "L8 respected" true
+          (d.Netgraph.Metrics.deg_max <= Core.Bounds.icds_degree))
+      [ 1; 3 ]
   done
 
 let suites =

@@ -244,16 +244,23 @@ let test_ldel_on_icds () =
   (* the pipeline case: LDel over the induced backbone stays planar,
      connected on backbone nodes, and only touches backbone nodes *)
   for seed = 130 to 134 do
-    let pts, udg = random_instance (Int64.of_int seed) 90 200. 50. in
-    let cds = Core.Cds.of_udg udg in
-    let l = Core.Ldel.build cds.Core.Cds.icds pts ~radius:50. in
+    let pts, _ = random_instance (Int64.of_int seed) 90 200. 50. in
+    let s = Core.Shard.pipeline pts ~radius:50. in
+    let backbone = s.Core.Shard.backbone in
+    let l =
+      Core.Ldel.build (Netgraph.Csr.to_graph s.Core.Shard.icds) pts ~radius:50.
+    in
     check "planar" true (Netgraph.Planarity.is_planar l.Core.Ldel.planar pts);
     check "backbone connected" true
       (Netgraph.Components.connected_within l.Core.Ldel.planar
-         (Core.Cds.backbone_nodes cds));
+         (List.filter
+            (fun u -> backbone.(u))
+            (List.init (Array.length pts) Fun.id)));
     G.iter_edges l.Core.Ldel.planar (fun u v ->
-        check "backbone only" true
-          (cds.Core.Cds.backbone.(u) && cds.Core.Cds.backbone.(v)))
+        check "backbone only" true (backbone.(u) && backbone.(v)));
+    Alcotest.(check (list (pair int int)))
+      "the snapshot's pldel" (G.edges l.Core.Ldel.planar)
+      (Netgraph.Csr.edges s.Core.Shard.pldel)
   done
 
 let test_degenerate_inputs () =

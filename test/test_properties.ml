@@ -170,54 +170,82 @@ let prop_lemma2_bounded_dominators_in_disk =
           !count <= 25)
         pts)
 
+(* The snapshots the lemma properties read: the pipeline's one-tile
+   build and a 3x3 tiling of the same deployment. *)
+let snapshots pts ~radius =
+  List.map (fun tiles -> Core.Shard.pipeline ~tiles pts ~radius) [ 1; 3 ]
+
+let cds' (s : Core.Shard.snapshot) =
+  Core.Shard.primed s.Core.Shard.roles s.Core.Shard.icds' s.Core.Shard.cds
+
 let prop_cds_connected =
   QCheck.Test.make ~name:"CDS connects the backbone" ~count:20
     (arb (gen_instance ~min:30 ~max:100 ~radius:50.) print_points)
     (fun pts ->
-      let g = Wireless.Udg.build pts ~radius:50. in
-      let cds = Core.Cds.of_udg g in
-      Netgraph.Components.connected_within cds.Core.Cds.cds
-        (Core.Cds.backbone_nodes cds))
+      List.for_all
+        (fun (s : Core.Shard.snapshot) ->
+          let backbone = s.Core.Shard.backbone in
+          Netgraph.Components.connected_within_v
+            (Netgraph.View.of_csr s.Core.Shard.cds)
+            (List.filter
+               (fun u -> backbone.(u))
+               (List.init (Array.length pts) Fun.id)))
+        (snapshots pts ~radius:50.))
 
+(* Lemma 5: a UDG path of h hops maps to at most
+   [Bounds.hop_stretch * h + 2] hops in CDS'. *)
 let prop_lemma5_hop_stretch =
   QCheck.Test.make
     ~name:"Lemma 5: CDS' hop distance ≤ 3h + 2" ~count:12
     (arb (gen_instance ~min:25 ~max:70 ~radius:50.) print_points)
     (fun pts ->
-      let g = Wireless.Udg.build pts ~radius:50. in
-      let cds = Core.Cds.of_udg g in
-      let n = Array.length pts in
-      let ok = ref true in
-      for s = 0 to n - 1 do
-        let hb = Netgraph.Traversal.bfs g s in
-        let hs = Netgraph.Traversal.bfs cds.Core.Cds.cds' s in
-        for t = 0 to n - 1 do
-          if t <> s && hb.(t) <> max_int then
-            if hs.(t) = max_int || hs.(t) > (3 * hb.(t)) + 2 then ok := false
-        done
-      done;
-      !ok)
+      List.for_all
+        (fun (s : Core.Shard.snapshot) ->
+          let cds' = cds' s in
+          let n = Array.length pts in
+          let ok = ref true in
+          for src = 0 to n - 1 do
+            let hb = Netgraph.Csr.bfs s.Core.Shard.udg src in
+            let hs = Netgraph.Csr.bfs cds' src in
+            for t = 0 to n - 1 do
+              if t <> src && hb.(t) <> max_int then
+                if
+                  hs.(t) = max_int
+                  || hs.(t) > (Core.Bounds.hop_stretch * hb.(t)) + 2
+                then ok := false
+            done
+          done;
+          !ok)
+        (snapshots pts ~radius:50.))
 
+(* Lemma 6: a UDG path of length len maps to a CDS' path of length at
+   most [Bounds.length_stretch * len + 5R]. *)
 let prop_lemma6_length_stretch =
   QCheck.Test.make
     ~name:"Lemma 6: CDS' length ≤ 6·len + 5R" ~count:12
     (arb (gen_instance ~min:25 ~max:70 ~radius:50.) print_points)
     (fun pts ->
       let radius = 50. in
-      let g = Wireless.Udg.build pts ~radius in
-      let cds = Core.Cds.of_udg g in
-      let n = Array.length pts in
-      let ok = ref true in
-      for s = 0 to n - 1 do
-        let db = Netgraph.Traversal.dijkstra g pts s in
-        let ds = Netgraph.Traversal.dijkstra cds.Core.Cds.cds' pts s in
-        for t = 0 to n - 1 do
-          if t <> s && db.(t) < infinity then
-            if ds.(t) > (6. *. db.(t)) +. (5. *. radius) +. 1e-6 then
-              ok := false
-        done
-      done;
-      !ok)
+      List.for_all
+        (fun (s : Core.Shard.snapshot) ->
+          let udg = Netgraph.View.of_csr s.Core.Shard.udg in
+          let cds' = Netgraph.View.of_csr (cds' s) in
+          let n = Array.length pts in
+          let ok = ref true in
+          for src = 0 to n - 1 do
+            let db = Netgraph.Traversal.dijkstra_v udg pts src in
+            let ds = Netgraph.Traversal.dijkstra_v cds' pts src in
+            for t = 0 to n - 1 do
+              if t <> src && db.(t) < infinity then
+                if
+                  ds.(t)
+                  > (float_of_int Core.Bounds.length_stretch *. db.(t))
+                    +. (5. *. radius) +. 1e-6
+                then ok := false
+            done
+          done;
+          !ok)
+        (snapshots pts ~radius))
 
 let prop_pldel_planar =
   QCheck.Test.make ~name:"PLDel(ICDS) is planar" ~count:15

@@ -219,18 +219,13 @@ let test_connectors_csr_identity () =
         (fun tiles ->
           with_jobs jobs (fun pool ->
               let got =
-                Core.Connectors.to_result
-                  (Core.Connectors.find_csr ?pool ?owners:tiles csr roles)
+                Core.Connectors.find_csr ?pool ?owners:tiles csr roles
               in
               let tag s = Printf.sprintf "%s jobs=%d" s jobs in
               check (tag "connector") true
                 (want.Core.Connectors.connector = got.Core.Connectors.connector);
               edge_list (tag "cds_edges") want.Core.Connectors.cds_edges
-                got.Core.Connectors.cds_edges;
-              edge_list (tag "two_hop") want.Core.Connectors.two_hop_pairs
-                got.Core.Connectors.two_hop_pairs;
-              edge_list (tag "three_hop") want.Core.Connectors.three_hop_pairs
-                got.Core.Connectors.three_hop_pairs))
+                (Csr.edges got.Core.Connectors.cds)))
         [
           None;
           Some (spatial_tiles pts 4);
@@ -241,10 +236,21 @@ let test_connectors_csr_identity () =
 (* The elections as they ran before the dominator index: every
    two-hop dominator found by walking full UDG rows, adjacency by
    binary search, the gate as a common-dominatee list per target.
-   Kept as the reference the indexed kernel must equal. *)
+   Kept as the reference the indexed kernel must equal.  It also lists
+   every dominator pair it processed with the number of connectors
+   elected for it, so the per-pair bounds can be checked. *)
 module Connectors_oracle = struct
   module C = Netgraph.Csr
   module Mis = Core.Mis
+
+  type t = {
+    result : Core.Connectors.result;
+    two_hop : ((int * int) * int) list;
+        (* dominator pairs at hop distance 2, each with its connector
+           count, lexicographic *)
+    three_hop : ((int * int) * int) list;
+        (* ordered pairs processed by the 3-hop stage, the same way *)
+  }
 
   let ordered_edge u v = (min u v, max u v)
 
@@ -278,12 +284,13 @@ module Connectors_oracle = struct
             C.iter_neighbors csr w (fun v ->
                 if v > u && roles.(v) = Mis.Dominator && mark.(v) <> s then begin
                   mark.(v) <- s;
-                  two := (u, v) :: !two;
+                  let won = elect_csr (common_dominatees u v) in
+                  two := ((u, v), List.length won) :: !two;
                   List.iter
                     (fun w' ->
                       connector.(w') <- true;
                       edges := ordered_edge u w' :: ordered_edge w' v :: !edges)
-                    (elect_csr (common_dominatees u v))
+                    won
                 end))
     in
     let three_hop_at u =
@@ -319,7 +326,6 @@ module Connectors_oracle = struct
           end);
       G.sorted_tbl_iter Int.compare
         (fun v cands ->
-          three := (u, v) :: !three;
           let first = elect_csr cands in
           let second_cands =
             List.sort_uniq compare
@@ -337,6 +343,7 @@ module Connectors_oracle = struct
                  first)
           in
           let second = elect_csr second_cands in
+          three := ((u, v), List.length first + List.length second) :: !three;
           List.iter
             (fun w ->
               connector.(w) <- true;
@@ -360,11 +367,26 @@ module Connectors_oracle = struct
       end
     done;
     {
-      Core.Connectors.connector;
-      cds_edges = List.sort_uniq compare !edges;
-      two_hop_pairs = List.sort compare !two;
-      three_hop_pairs = List.sort compare !three;
+      result =
+        { Core.Connectors.connector; cds_edges = List.sort_uniq compare !edges };
+      two_hop = List.sort compare !two;
+      three_hop = List.sort compare !three;
     }
+
+  (* the kernel's sealed output equals the oracle's *)
+  let equal o (got : Core.Connectors.t) =
+    o.result.Core.Connectors.connector = got.Core.Connectors.connector
+    && o.result.Core.Connectors.cds_edges = C.edges got.Core.Connectors.cds
+
+  (* Bounds: at most 2 connectors per two-hop pair (the lune
+     argument), at most 25 per three-hop ordered pair *)
+  let pair_bounds_hold o =
+    List.for_all
+      (fun (_, c) -> c <= Core.Bounds.max_connectors_two_hop_pair)
+      o.two_hop
+    && List.for_all
+         (fun (_, c) -> c <= Core.Bounds.max_connectors_three_hop_pair)
+         o.three_hop
 end
 
 let test_connectors_oracle () =
@@ -379,7 +401,12 @@ let test_connectors_oracle () =
       check
         (Printf.sprintf "seed=%Ld R=%g has three-hop pairs" seed radius)
         true
-        (want.Core.Connectors.three_hop_pairs <> []);
+        (want.Connectors_oracle.three_hop <> []);
+      check
+        (Printf.sprintf "seed=%Ld R=%g connectors per pair within bounds" seed
+           radius)
+        true
+        (Connectors_oracle.pair_bounds_hold want);
       List.iter
         (fun (name, tiles) ->
           let owners = Core.Shard.tiling ?tiles pts ~radius in
@@ -391,7 +418,7 @@ let test_connectors_oracle () =
                     (Printf.sprintf "seed=%Ld R=%g %s jobs=%d" seed radius name
                        jobs)
                     true
-                    (want = Core.Connectors.to_result got)))
+                    (Connectors_oracle.equal want got)))
             [ 1; 2 ])
         [ ("Tiles 1", Some 1); ("Tiles 2", Some 2); ("Tiles 3", Some 3); ("Auto", None) ])
     [ (51L, 14.); (52L, 14.); (53L, 14.); (51L, 40.); (52L, 40.); (53L, 40.) ]
@@ -402,17 +429,17 @@ let connectors_match pts ~radius =
   let csr = Wireless.Udg.build_csr pts ~radius in
   let roles = Core.Mis.compute_csr csr in
   let want = Connectors_oracle.find_csr csr roles in
-  List.for_all
-    (fun tiles ->
-      let owners = Core.Shard.tiling ?tiles pts ~radius in
-      List.for_all
-        (fun jobs ->
-          with_jobs jobs (fun pool ->
-              want
-              = Core.Connectors.to_result
-                  (Core.Connectors.find_csr ?pool ~owners csr roles)))
-        [ 1; 2 ])
-    [ Some 1; Some 2; Some 3; None ]
+  Connectors_oracle.pair_bounds_hold want
+  && List.for_all
+       (fun tiles ->
+         let owners = Core.Shard.tiling ?tiles pts ~radius in
+         List.for_all
+           (fun jobs ->
+             with_jobs jobs (fun pool ->
+                 Connectors_oracle.equal want
+                   (Core.Connectors.find_csr ?pool ~owners csr roles)))
+           [ 1; 2 ])
+       [ Some 1; Some 2; Some 3; None ]
 
 let test_connectors_hostile () =
   let p x y = Geometry.Point.make x y in
@@ -492,9 +519,9 @@ let test_ldel_csr_identity () =
 (* the induced backbone graph has isolated nodes and sparse rows — the
    other shape [build_csr] must tile *)
 let test_ldel_csr_on_backbone () =
-  let pts, g = deployment 16L 250 200. 30. in
-  let cds = Core.Cds.of_udg g in
-  let icds = cds.Core.Cds.icds in
+  let pts, _ = deployment 16L 250 200. 30. in
+  let snap = Core.Shard.pipeline pts ~radius:30. in
+  let icds = Csr.to_graph snap.Core.Shard.icds in
   let want = Core.Ldel.build icds pts ~radius:30. in
   with_jobs 2 @@ fun pool ->
   let csr = Csr.of_graph icds in
@@ -692,15 +719,16 @@ let halo_ids grid cell ~rings =
   List.sort_uniq Int.compare !acc
 
 (* Connector elections are 2-local around the owning dominator: the
-   serial algorithm, re-run on just the halo (cells within Chebyshev
-   3 of the tile — 3 hops at cell = radius), reproduces exactly the
-   pairs owned by the tile's dominators.  This is the property that
+   serial algorithm ([Connectors_oracle], which lists the pairs it
+   processes), re-run on just the halo (cells within Chebyshev 3 of
+   the tile — 3 hops at cell = radius), reproduces exactly the pairs
+   owned by the tile's dominators.  This is the property that
    makes per-tile sharding correct. *)
 let test_connectors_halo () =
   let radius = 30. in
   let pts, g = deployment 31L 800 300. radius in
   let roles = Core.Mis.compute g in
-  let full = Core.Connectors.find g roles in
+  let full = Connectors_oracle.find_csr (Csr.of_graph g) roles in
   let grid = Wireless.Cellgrid.create ~cell_size:radius pts in
   let n_cells = Wireless.Cellgrid.cells grid in
   List.iter
@@ -711,12 +739,12 @@ let test_connectors_halo () =
       in
       let sub_g = Wireless.Udg.build sub_pts ~radius in
       let sub_roles = Array.map (fun u -> roles.(u)) old_of in
-      let sub = Core.Connectors.find sub_g sub_roles in
+      let sub = Connectors_oracle.find_csr (Csr.of_graph sub_g) sub_roles in
       let in_tile u = Wireless.Cellgrid.cell_of grid u = cell in
       (* tile-owned pairs of the full run, in halo coordinates *)
       let owned pairs =
         List.filter_map
-          (fun (u, v) ->
+          (fun ((u, v), _) ->
             if in_tile u then
               match (remap u, remap v) with
               | Some u', Some v' -> Some (u', v')
@@ -726,15 +754,18 @@ let test_connectors_halo () =
       in
       (* tile-owned pairs of the halo re-run *)
       let sub_owned pairs =
-        List.filter (fun (u', _) -> in_tile old_of.(u')) pairs
+        List.filter_map
+          (fun ((u', v'), _) ->
+            if in_tile old_of.(u') then Some (u', v') else None)
+          pairs
       in
       let tag s = Printf.sprintf "%s cell=%d" s cell in
       edge_list (tag "two-hop halo")
-        (owned full.Core.Connectors.two_hop_pairs)
-        (sub_owned sub.Core.Connectors.two_hop_pairs);
+        (owned full.Connectors_oracle.two_hop)
+        (sub_owned sub.Connectors_oracle.two_hop);
       edge_list (tag "three-hop halo")
-        (owned full.Core.Connectors.three_hop_pairs)
-        (sub_owned sub.Core.Connectors.three_hop_pairs))
+        (owned full.Connectors_oracle.three_hop)
+        (sub_owned sub.Connectors_oracle.three_hop))
     [ 0; 17; 23; 38 ]
 
 (* LDel(1) is 2-local: a triangle needs its own corner neighborhoods
@@ -932,7 +963,7 @@ let check_assembly tag (s : Core.Shard.snapshot) =
   let open Core.Shard in
   let backbone, cds, cds', icds, icds', pldel, pldel' =
     Assemble_oracle.run s.points ~radius:s.radius s.udg s.roles
-      (Connectors_oracle.find_csr s.udg s.roles)
+      (Connectors_oracle.find_csr s.udg s.roles).Connectors_oracle.result
   in
   check (tag ^ " backbone") true (backbone = s.backbone);
   check (tag ^ " cds") true (cds = s.cds);
