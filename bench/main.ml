@@ -16,9 +16,11 @@
    bench.jobs pin (and for the metrics and pipeline gates its
    bench.release profile stamp) is validated before anything is
    compared.  The serve gate also holds the paper's claim as an
-   absolute bound: every gfg and stretch query is delivered.  Any
-   violation fails the run with exit code 1.  The pipeline and serve
-   gates compare only top-level spans — nested stage spans are
+   absolute bound: every gfg and stretch query is delivered; the
+   pipeline's protocol leg holds two: the message-level PLDel(ICDS)
+   equals the centralized one, and every protocol phase stays within
+   its round budget.  Any violation fails the run with exit code 1.
+   The pipeline and serve gates compare only top-level spans — nested stage spans are
    milliseconds-scale and dominated by scheduler noise, while the
    determinism counters (edge counts per structure) already pin the
    outputs exactly.
@@ -353,8 +355,8 @@ let extension_broadcast cfg =
       let cover = ref 1. in
       List.iter
         (fun pts ->
-          let udg = Wireless.Udg.build pts ~radius in
           let snap = Core.Shard.pipeline pts ~radius in
+          let udg = snap.Core.Shard.udg in
           let backbone = snap.Core.Shard.backbone in
           let of_ o = o.Core.Broadcast.transmissions in
           f := !f + of_ (Core.Broadcast.flood udg ~source:0);
@@ -918,6 +920,90 @@ let bench_metrics ?check quick jobs =
 (* Construction pipeline benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The protocol leg: [Protocol.run], the message-level construction
+   behind Figures 10 and 12 and the oracle of the Shard kernels, once
+   over the Section IV grid (n = 20..100 at R = 60, R = 20..60 at
+   n = 500, one deployment per point).  Its distsim message and round
+   counters are gated exactly with the pipeline's; two absolute gates
+   hold on every instance, with or without --check: the protocol's
+   PLDel(ICDS) equals the centralized snapshot's, and every phase stays
+   within its round budget, the paper's O(1) rounds.  Connectors,
+   status and LDel run a fixed schedule (elections decided in rounds
+   1, 2 and 4; one broadcast; rounds 0-4), plus the silent round that
+   ends a run.  The smallest-ID clustering has none: its rounds follow
+   the longest chain of decreasing ids, 4-12 on this grid over 40
+   seeds, so its budget is a constant 16. *)
+type protocol_leg = {
+  instances : int;
+  phases : (string * int * int * int) list;
+      (* phase, most rounds on any instance, budget, messages *)
+  violations : string list;
+}
+
+let protocol_budgets = List.combine Core.Protocol.phases [ 16; 6; 2; 5 ]
+
+let protocol_leg () =
+  let grid =
+    List.map (fun n -> (n, 60.)) [ 20; 30; 40; 50; 60; 70; 80; 90; 100 ]
+    @ List.map
+        (fun r -> (500, r))
+        [ 20.; 25.; 30.; 35.; 40.; 45.; 50.; 55.; 60. ]
+  in
+  (* drawing the deployments and the centralized reference is not the
+     leg's work: they run unobserved, so the leg's counters and spans
+     are the protocol's alone *)
+  let unobserved f =
+    let was = Obs.enabled () in
+    Obs.set_enabled false;
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
+  in
+  let cfg = { Core.Experiments.default with Core.Experiments.instances = 1 } in
+  let insts =
+    unobserved (fun () ->
+        List.map
+          (fun (n, radius) -> (n, radius, List.hd (instances cfg n radius)))
+          grid)
+  in
+  let runs =
+    Obs.span "bench.pipeline.protocol" (fun () ->
+        List.map (fun (_, radius, pts) -> Core.Protocol.run pts ~radius) insts)
+  in
+  let rounds = Array.make 4 0 and messages = Array.make 4 0 in
+  let violations = ref [] in
+  let violation fmt = Printf.ksprintf (fun v -> violations := v :: !violations) fmt in
+  List.iter2
+    (fun (n, radius, pts) (pr : Core.Protocol.result) ->
+      let centralized =
+        unobserved (fun () -> (Core.Shard.pipeline pts ~radius).Core.Shard.pldel)
+      in
+      if
+        Netgraph.Csr.edges centralized
+        <> Netgraph.Graph.edges pr.Core.Protocol.ldel_graph
+      then
+        violation "protocol PLDel(ICDS) differs from the centralized one at \
+                   n = %d, R = %g" n radius;
+      List.iteri
+        (fun i ((phase, budget), (st : Distsim.Engine.stats)) ->
+          let r = st.Distsim.Engine.rounds in
+          if r > budget then
+            violation "protocol phase %s took %d rounds (budget %d) at n = %d, \
+                       R = %g" phase r budget n radius;
+          rounds.(i) <- max rounds.(i) r;
+          messages.(i) <- messages.(i) + Distsim.Engine.total_sent st)
+        (List.combine protocol_budgets
+           Core.Protocol.
+             [ pr.stats_cluster; pr.stats_connector; pr.stats_status;
+               pr.stats_ldel ]))
+    insts runs;
+  {
+    instances = List.length insts;
+    phases =
+      List.mapi
+        (fun i (phase, budget) -> (phase, rounds.(i), budget, messages.(i)))
+        protocol_budgets;
+    violations = List.rev !violations;
+  }
+
 (* The sharded CSR pipeline ([Backbone.snapshot]: tiles, row filters,
    sealed snapshots, no mutable graph materialized) at
    constant density.  Each compared size is built three ways — one
@@ -1009,6 +1095,7 @@ let bench_pipeline ?check quick jobs =
     (Netgraph.Csr.edge_count big.S.udg)
     (Netgraph.Csr.edge_count big.S.pldel);
   timed := (n_big, false) :: !timed;
+  let proto = protocol_leg () in
   let snap = Obs.Snapshot.capture () in
   let seconds path =
     match
@@ -1036,8 +1123,23 @@ let bench_pipeline ?check quick jobs =
       else pf "%-9d %12s %12.3f %12s@." n "-" t1 "-")
     (List.rev !timed);
   pf "(outputs verified bit-identical across tilings and job counts)@.";
-  (* counters exact (the determinism edge counts), top-level per-case
-     spans within the threshold *)
+  pf "@.protocol leg: %d Section IV instances@." proto.instances;
+  pf "%-11s %8s %8s %10s %10s@." "phase" "rounds" "budget" "messages" "time (s)";
+  List.iter
+    (fun (phase, rounds, budget, messages) ->
+      pf "%-11s %8d %8d %10d %10.3f@." phase rounds budget messages
+        (seconds ("bench.pipeline.protocol/protocol/" ^ phase)))
+    proto.phases;
+  (match proto.violations with
+  | [] ->
+    pf "  [claim ok: PLDel(ICDS) = centralized, every phase within budget]@."
+  | vs ->
+    List.iter (fun v -> pf "  [claim FAILED: %s]@." v) vs;
+    Obs.set_enabled was;
+    exit 1);
+  (* counters exact (the determinism edge counts and the protocol's
+     message and round counts), top-level per-case spans within the
+     threshold *)
   gate ~filter:top_level_spans ~was ~jobs "BENCH_pipeline.json" snap check;
   Obs.set_enabled was
 

@@ -537,8 +537,8 @@ let broadcast_cmd =
     with_stats stats_fmt @@ fun () ->
     with_trace trace @@ fun () ->
     let pts = deployment ~seed ~n ~side ~radius ~connected:true ~input in
-    let udg = Wireless.Udg.build pts ~radius in
-    let backbone = (Core.Shard.pipeline pts ~radius).Core.Shard.backbone in
+    let snap = Core.Shard.pipeline pts ~radius in
+    let udg = snap.Core.Shard.udg and backbone = snap.Core.Shard.backbone in
     let report name (o : Core.Broadcast.outcome) =
       Printf.printf "%-12s %6d transmissions  %5.1f%% coverage  %d rounds\n"
         name o.Core.Broadcast.transmissions
@@ -728,8 +728,9 @@ let trace_cmd =
            causal chain of depth n-1 — the depth gate's negative
            fixture. *)
         let g =
-          Netgraph.Graph.of_edges size
-            (List.init (size - 1) (fun i -> (i, i + 1)))
+          Netgraph.Csr.of_graph
+            (Netgraph.Graph.of_edges size
+               (List.init (size - 1) (fun i -> (i, i + 1))))
         in
         let protocol =
           {

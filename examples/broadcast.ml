@@ -19,13 +19,15 @@ let () =
         Wireless.Deploy.connected_uniform rng ~n ~side:200. ~radius:60.
           ~max_attempts:1000
       in
-      let udg = Wireless.Udg.build pts ~radius:60. in
       let snap = Core.Shard.pipeline pts ~radius:60. in
-      let backbone = snap.Core.Shard.backbone in
+      let udg = snap.Core.Shard.udg and backbone = snap.Core.Shard.backbone in
       let f = Core.Broadcast.flood udg ~source:0 in
       let r = Core.Broadcast.rng_relay udg pts ~source:0 in
       let b = Core.Broadcast.backbone_broadcast udg ~backbone ~source:0 in
-      let deg = (Netgraph.Metrics.degree_stats udg).Netgraph.Metrics.deg_avg in
+      let deg =
+        (Netgraph.Metrics.degree_stats_v (Netgraph.View.of_csr udg))
+          .Netgraph.Metrics.deg_avg
+      in
       Printf.printf "%5d %8.1f | %9d %9d %9d | %9.2f %9.2f %9.2f\n" n deg
         f.Core.Broadcast.transmissions r.Core.Broadcast.transmissions
         b.Core.Broadcast.transmissions

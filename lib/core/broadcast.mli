@@ -27,16 +27,18 @@ type outcome = {
 (** Fraction of nodes reached. *)
 val coverage : outcome -> float
 
-(** [flood udg ~source] — blind flooding. *)
-val flood : Netgraph.Graph.t -> source:int -> outcome
+(** [flood udg ~source] — blind flooding.  Every discipline runs on
+    the UDG as a CSR snapshot, e.g. a {!Shard.snapshot}'s [udg]. *)
+val flood : Netgraph.Csr.t -> source:int -> outcome
 
 (** [backbone_broadcast udg ~backbone ~source] — only the nodes
     flagged in [backbone] (a snapshot's [backbone], dominators and
     connectors) and the source itself relay. *)
 val backbone_broadcast :
-  Netgraph.Graph.t -> backbone:bool array -> source:int -> outcome
+  Netgraph.Csr.t -> backbone:bool array -> source:int -> outcome
 
 (** [rng_relay udg points ~source] — neighbor-elimination relay on
-    the relative neighborhood graph. *)
+    the relative neighborhood graph (built from a thawed copy of
+    [udg]). *)
 val rng_relay :
-  Netgraph.Graph.t -> Geometry.Point.t array -> source:int -> outcome
+  Netgraph.Csr.t -> Geometry.Point.t array -> source:int -> outcome

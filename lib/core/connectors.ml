@@ -315,8 +315,8 @@ let find g roles =
 let find_alzoubi g roles =
   let n = G.node_count g in
   let connector = Array.make n false in
-  let edges = Hashtbl.create 64 in
-  let add_edge u v = Hashtbl.replace edges (ordered_edge u v) () in
+  let edges = ref [] in
+  let add_edge u v = edges := ordered_edge u v :: !edges in
   let doms = Mis.dominators roles in
   let pick = function [] -> None | x :: _ -> Some x (* lists are sorted *) in
   List.iter
@@ -366,18 +366,18 @@ let find_alzoubi g roles =
         two_hop;
       (* three-hop-only targets do not appear in two_hop_dominators of
          u itself; enumerate them through u's dominatees' views *)
-      let targets = Hashtbl.create 8 in
+      let targets = ref [] in
       List.iter
         (fun w ->
           if roles.(w) = Mis.Dominatee then
             List.iter
               (fun v ->
-                if v <> u && not (List.mem v two_hop) then
-                  Hashtbl.replace targets v ())
+                if v <> u && not (List.exists (Int.equal v) two_hop) then
+                  targets := v :: !targets)
               (Mis.two_hop_dominators g roles w))
         (G.neighbors g u);
-      G.sorted_tbl_iter Int.compare
-        (fun v () ->
+      List.iter
+        (fun v ->
           let w =
             pick
               (List.filter
@@ -408,20 +408,20 @@ let find_alzoubi g roles =
               add_edge u w;
               add_edge w x;
               add_edge x v))
-        targets)
+        (List.sort_uniq Int.compare !targets))
     doms;
   {
     connector;
     cds_edges =
-      List.sort G.compare_edge (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
+      List.sort_uniq G.compare_edge !edges;
   }
 
 (* Baker-Ephremides linked clusters: highest-ID gateways. *)
 let find_baker g roles =
   let n = G.node_count g in
   let connector = Array.make n false in
-  let edges = Hashtbl.create 64 in
-  let add_edge u v = Hashtbl.replace edges (ordered_edge u v) () in
+  let edges = ref [] in
+  let add_edge u v = edges := ordered_edge u v :: !edges in
   let doms = Mis.dominators roles in
   List.iter
     (fun u ->
@@ -475,5 +475,5 @@ let find_baker g roles =
   {
     connector;
     cds_edges =
-      List.sort G.compare_edge (Hashtbl.fold (fun e () acc -> e :: acc) edges []);
+      List.sort_uniq G.compare_edge !edges;
   }

@@ -94,16 +94,16 @@ let dominators_of g roles u =
 
 let two_hop_dominators g roles u =
   let one_hop = G.neighbors g u in
-  let at_two = Hashtbl.create 16 in
+  let at_two = ref [] in
   List.iter
     (fun v ->
       List.iter
         (fun w ->
           if w <> u && (not (G.has_edge g u w)) && roles.(w) = Dominator then
-            Hashtbl.replace at_two w ())
+            at_two := w :: !at_two)
         (G.neighbors g v))
     one_hop;
-  List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) at_two [])
+  List.sort_uniq Int.compare !at_two
 
 let is_independent g roles =
   G.fold_edges g

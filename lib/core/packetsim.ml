@@ -32,7 +32,9 @@ type node_state = {
   mutable ns_delivered : int list option;  (* the packet's path if it ended here *)
 }
 
-let run_one g points ~src ~dst ~use_perimeter =
+(* [csr] is [g] frozen for the engine; [many] freezes it once for all
+   of its packets *)
+let run_one g csr points ~src ~dst ~use_perimeter =
   let view = Netgraph.View.of_graph g in
   (* forwarding decisions read the destination off the packet itself,
      as a radio would; [run_one]'s [dst] only originates and collects.
@@ -82,7 +84,7 @@ let run_one g points ~src ~dst ~use_perimeter =
           st);
     }
   in
-  let states, stats = E.run ~classify:(fun _ -> "Data") g proto in
+  let states, stats = E.run ~classify:(fun _ -> "Data") csr proto in
   Obs.incr c_packets;
   Obs.observe d_tx (float_of_int (E.total_sent stats));
   Obs.observe d_rounds (float_of_int stats.E.rounds);
@@ -103,25 +105,25 @@ let run_one g points ~src ~dst ~use_perimeter =
       rounds = stats.E.rounds;
     }
 
-let gpsr g points ~src ~dst = run_one g points ~src ~dst ~use_perimeter:true
+let gpsr g points ~src ~dst =
+  run_one g (Netgraph.Csr.of_graph g) points ~src ~dst ~use_perimeter:true
 
 let greedy g points ~src ~dst =
-  run_one g points ~src ~dst ~use_perimeter:false
+  run_one g (Netgraph.Csr.of_graph g) points ~src ~dst ~use_perimeter:false
 
 let many g points ~pairs rng ~router =
   Obs.span "packetsim.many" @@ fun () ->
   let n = G.node_count g in
   (* fewer than two nodes admit no src <> dst pair *)
   let pairs = if n < 2 then 0 else pairs in
+  let c = Netgraph.Csr.of_graph g in
   let delivered = ref 0 and tx = ref 0 and sent = ref 0 in
   while !sent < pairs do
     let src = Wireless.Rand.int rng n and dst = Wireless.Rand.int rng n in
     if src <> dst then begin
       incr sent;
       let r =
-        match router with
-        | `Gpsr -> gpsr g points ~src ~dst
-        | `Greedy -> greedy g points ~src ~dst
+        run_one g c points ~src ~dst ~use_perimeter:(router = `Gpsr)
       in
       if r.delivered then begin
         incr delivered;

@@ -78,7 +78,10 @@ val icds_stats : result -> Distsim.Engine.stats
 val ldel_stats : result -> Distsim.Engine.stats
 
 (** [run points ~radius] executes the full protocol stack on the unit
-    disk graph of [points]. *)
+    disk graph of [points], built once as a CSR snapshot
+    ({!Wireless.Udg.build_csr}) that every phase's engine run reads.
+    @raise Invalid_argument when [radius <= 0], or beyond [2^20] nodes:
+    the protocol tables pack node ids into 20 bits. *)
 val run : Geometry.Point.t array -> radius:float -> result
 
 
@@ -95,5 +98,5 @@ type ldel2_result = {
     Delaunay — one [NeighborTable] broadcast per node replaces
     Algorithm 3's two triangle-gossip rounds because LDel² is planar
     outright.  The result equals the centralized
-    [Ldel.build_k ~k:2] over ICDS (tested). *)
+    [Ldel.build_k ~k:2] over ICDS (tested).  Raises as {!run}. *)
 val run_ldel2 : Geometry.Point.t array -> radius:float -> ldel2_result

@@ -9,8 +9,14 @@
     exactly the "communication cost" curves of the paper's Figures 10
     and 12.
 
-    The simulation is deterministic: nodes are stepped in id order and
-    inboxes are sorted by sender id. *)
+    The engine runs on a {!Netgraph.Csr} snapshot of the connectivity
+    graph and reads its rows in place.  The simulation is
+    deterministic: nodes are stepped in id order, and an inbox holds
+    its messages in sender id order, then in the order each sender
+    broadcast them.  Nodes stepping in id order is also what makes each
+    sender's broadcasts of a round one contiguous run in the round's
+    send buffer, so a node's inbox is gathered from that buffer over
+    its row just before its step, never held across the round. *)
 
 (** One message as its receivers see it.  The engine allocates one
     record per broadcast and shares it among all of the sender's
@@ -18,18 +24,22 @@
     cell, not a copy. *)
 type 'msg delivery = { from : int; msg : 'msg }
 
-(** Per-node view handed to the protocol each round. *)
+(** Per-node view handed to the protocol each round.  A node's
+    neighbors are the row [init] received; the context does not repeat
+    them. *)
 type 'msg context = {
   me : int;
   round : int;  (** 0-based; round 0 has empty inboxes *)
-  neighbors : int list;  (** 1-hop neighbors in the connectivity graph *)
   broadcast : 'msg -> unit;
-      (** transmit once; heard by every neighbor next round *)
+      (** transmit once; heard by every neighbor next round.  Valid
+          only during the [on_round] call it was handed to. *)
 }
 
 type ('state, 'msg) protocol = {
-  init : int -> int list -> 'state;
-      (** initial state from node id and neighbor list *)
+  init : int -> int array -> 'state;
+      (** initial state from node id and its row of the snapshot: the
+          1-hop neighbors in increasing id order, in a fresh array the
+          protocol may keep *)
   on_round : 'msg context -> 'state -> 'msg delivery list -> 'state;
       (** react to this round's inbox; may broadcast *)
 }
@@ -50,7 +60,7 @@ val total_sent : stats -> int
     @raise Invalid_argument on mismatched node counts. *)
 val merge : stats -> stats -> stats
 
-(** [run ?max_rounds ?min_rounds ~classify graph protocol] executes
+(** [run ?max_rounds ?min_rounds ~classify csr protocol] executes
     the protocol until a round in which no node transmits (quiescence),
     or until [max_rounds] (default [4 * n + 16]) rounds have run —
     protocols in this library quiesce in O(1) rounds, so hitting the
@@ -60,11 +70,19 @@ val merge : stats -> stats -> stats
     before it happened to be silent.  [classify] names each message's
     kind for the per-kind counters.  Returns final per-node states and
     the stats.
+
+    Inbox order: the messages node [v] receives in round [r + 1] are
+    those its neighbors broadcast in round [r], ordered by sender id,
+    and each sender's in the order it broadcast them.  Lamport stamps
+    ({!Stamp}) are a separate pass at the start of each round, over the
+    previous round's messages in send order and each message's
+    receivers in increasing id, so the traced [Send]/[Deliver] stream
+    does not depend on how inboxes are assembled.
     @raise Failure when [max_rounds] is exceeded. *)
 val run :
   ?max_rounds:int ->
   ?min_rounds:int ->
   classify:('msg -> string) ->
-  Netgraph.Graph.t ->
+  Netgraph.Csr.t ->
   ('state, 'msg) protocol ->
   'state array * stats

@@ -178,7 +178,9 @@ let test_engine_random_protocols_terminate () =
             st + List.length inbox);
       }
     in
-    let states, stats = E.run ~classify:(fun () -> "m") g proto in
+    let states, stats =
+      E.run ~classify:(fun () -> "m") (Netgraph.Csr.of_graph g) proto
+    in
     checki "sent = plan" (Array.fold_left ( + ) 0 plan) (E.total_sent stats);
     (* total receptions = sum over senders of their degree x msgs *)
     let expected_rx = ref 0 in

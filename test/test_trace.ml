@@ -159,7 +159,9 @@ let test_engine_send_deliver () =
     }
   in
   T.start ();
-  let _, stats = E.run ~classify:(fun _ -> "id") g proto in
+  let _, stats =
+    E.run ~classify:(fun _ -> "id") (Netgraph.Csr.of_graph g) proto
+  in
   T.stop ();
   let evs = T.events () in
   let sends, delivers =
@@ -417,7 +419,8 @@ let relay_protocol =
         else fired);
   }
 
-let path_graph n = G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1)))
+let path_graph n =
+  Netgraph.Csr.of_graph (G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1))))
 
 let relay_events n =
   T.start ();
