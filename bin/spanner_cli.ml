@@ -1258,15 +1258,10 @@ let monitor_cmd =
     List.iter
       (fun name ->
         let series = List.map snd (Obs.Telemetry.series tel name) in
-        match Obs.Telemetry.sketch tel name with
-        | None -> ()
-        | Some sk ->
-          Printf.printf "  %-18s last=%10.2f p50=%10.2f p90=%10.2f max=%10.2f  %s\n"
-            name (lastv name)
-            (Obs.Sketch.quantile sk 0.5)
-            (Obs.Sketch.quantile sk 0.9)
-            (Obs.Sketch.max_value sk)
-            (Obs.Telemetry.sparkline series))
+        let q = Obs.quantiles (Array.of_list series) [| 0.5; 0.9; 1. |] in
+        Printf.printf "  %-18s last=%10.2f p50=%10.2f p90=%10.2f max=%10.2f  %s\n"
+          name (lastv name) q.(0) q.(1) q.(2)
+          (Obs.Telemetry.sparkline series))
       (Obs.Telemetry.names tel);
     List.iter
       (fun (v : Core.Monitor.violation) ->

@@ -15,7 +15,8 @@ let run ~delay udg =
         (fun me nbrs ->
           {
             decided = None;
-            waiting_on = List.length (List.filter (fun v -> v < me) nbrs);
+            waiting_on =
+              Array.fold_left (fun c v -> if v < me then c + 1 else c) 0 nbrs;
             smaller_dominator = false;
           });
       AE.on_start =

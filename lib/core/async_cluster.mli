@@ -22,5 +22,5 @@ type msg = Decided of bool  (** "I am a dominator" / "I am a dominatee" *)
     [stats.sent] is exactly one per node). *)
 val run :
   delay:(from:int -> dst:int -> seq:int -> float) ->
-  Netgraph.Graph.t ->
+  Netgraph.Csr.t ->
   Mis.role array * Distsim.Async_engine.stats

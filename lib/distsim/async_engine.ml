@@ -6,15 +6,10 @@ let g_finish = Obs.gauge "distsim.async.finish_time"
 
 type 'msg delivery = { from : int; time : float; msg : 'msg }
 
-type 'msg context = {
-  me : int;
-  now : float;
-  neighbors : int list;
-  broadcast : 'msg -> unit;
-}
+type 'msg context = { me : int; now : float; broadcast : 'msg -> unit }
 
 type ('state, 'msg) protocol = {
-  init : int -> int list -> 'state;
+  init : int -> int array -> 'state;
   on_start : 'msg context -> 'state -> 'state;
   on_message : 'msg context -> 'state -> 'msg delivery -> 'state;
 }
@@ -26,18 +21,28 @@ type stats = {
   by_kind : (string * int) list;
 }
 
-(* Event queue: a binary min-heap on (time, tiebreak).  The tiebreak
-   (a global sequence number) makes simultaneous deliveries process in
-   send order, keeping runs deterministic for a deterministic delay
-   function. *)
+(* One pending delivery to [dst] of a send stamped [(lam, sseq)]. *)
+type 'msg pending = {
+  tb : int;
+  dst : int;
+  lam : int;
+  sseq : int;
+  d : 'msg delivery;
+}
+
+(* Event queue: a binary min-heap on (delivery time, tiebreak).  The
+   tiebreak (a global sequence number) makes simultaneous deliveries
+   process in send order, keeping runs deterministic for a
+   deterministic delay function. *)
 module Heap = struct
-  type 'a t = { mutable data : (float * int * 'a) array; mutable size : int }
+  type 'msg t = { mutable data : 'msg pending array; mutable size : int }
 
   let create () = { data = [||]; size = 0 }
 
-  let lt (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
+  let lt a b =
+    a.d.time < b.d.time || (a.d.time = b.d.time && a.tb < b.tb)
 
-  let push h ((_, _, _) as e) =
+  let push h e =
     if h.size = Array.length h.data then begin
       let cap = max 16 (2 * h.size) in
       let bigger = Array.make cap e in
@@ -79,13 +84,18 @@ module Heap = struct
     end
 end
 
-let run ?(max_messages = 10_000_000) ?(classify = fun _ -> "msg") ~delay graph
+let run ?(max_messages = 10_000_000) ?(classify = fun _ -> "msg") ~delay csr
     protocol =
-  let n = Netgraph.Graph.node_count graph in
-  let neighbors = Array.init n (Netgraph.Graph.neighbors graph) in
-  let states = Array.init n (fun i -> protocol.init i neighbors.(i)) in
+  let module C = Netgraph.Csr in
+  let n = C.node_count csr in
+  let offsets = C.offsets csr and targets = C.targets csr in
+  let states =
+    Array.init n (fun u ->
+        protocol.init u
+          (Array.sub targets offsets.(u) (offsets.(u + 1) - offsets.(u))))
+  in
   let sent = Array.make n 0 in
-  let kinds = Hashtbl.create 8 in
+  let kinds = Engine.Tally.create () in
   let queue = Heap.create () in
   let stamp = Stamp.create n in
   let seq = ref 0 in
@@ -93,23 +103,20 @@ let run ?(max_messages = 10_000_000) ?(classify = fun _ -> "msg") ~delay graph
   let transmit u now m =
     sent.(u) <- sent.(u) + 1;
     let k = classify m in
-    Hashtbl.replace kinds k
-      (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k));
+    Engine.Tally.add kinds k;
     let lam, sseq = Stamp.send stamp ~round:(-1) ~time:now ~kind:k ~src:u in
-    List.iter
-      (fun v ->
-        let d = delay ~from:u ~dst:v ~seq:!seq in
-        if d <= 0. then invalid_arg "Async_engine.run: non-positive delay";
-        incr tiebreak;
-        (* encode the receiver in the payload triple via a wrapper *)
-        Heap.push queue
-          (now +. d, !tiebreak, (v, lam, sseq, { from = u; time = now +. d; msg = m })))
-      neighbors.(u);
+    for a = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = targets.(a) in
+      let d = delay ~from:u ~dst:v ~seq:!seq in
+      if d <= 0. then invalid_arg "Async_engine.run: non-positive delay";
+      incr tiebreak;
+      Heap.push queue
+        { tb = !tiebreak; dst = v; lam; sseq;
+          d = { from = u; time = now +. d; msg = m } }
+    done;
     incr seq
   in
-  let ctx u now =
-    { me = u; now; neighbors = neighbors.(u); broadcast = (fun m -> transmit u now m) }
-  in
+  let ctx u now = { me = u; now; broadcast = (fun m -> transmit u now m) } in
   for u = 0 to n - 1 do
     states.(u) <- protocol.on_start (ctx u 0.) states.(u)
   done;
@@ -118,10 +125,11 @@ let run ?(max_messages = 10_000_000) ?(classify = fun _ -> "msg") ~delay graph
   let rec loop () =
     match Heap.pop queue with
     | None -> ()
-    | Some (t, _, (v, lam, sseq, d)) ->
+    | Some { dst = v; lam; sseq; d; _ } ->
       incr deliveries;
       if !deliveries > max_messages then
         failwith "Async_engine.run: delivery bound exceeded";
+      let t = d.time in
       finish := t;
       let k = if !Obs.Trace.on then classify d.msg else "" in
       Stamp.deliver stamp ~round:(-1) ~time:t ~kind:k ~src:d.from ~dst:v
@@ -130,9 +138,7 @@ let run ?(max_messages = 10_000_000) ?(classify = fun _ -> "msg") ~delay graph
       loop ()
   in
   loop ();
-  let by_kind =
-    List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) kinds [])
-  in
+  let by_kind = Engine.Tally.to_list kinds in
   if !Obs.on then begin
     Obs.incr c_runs;
     Obs.add c_sent (Array.fold_left ( + ) 0 sent);

@@ -16,16 +16,21 @@
 
 type 'msg delivery = { from : int; time : float; msg : 'msg }
 
+(** Per-node view handed to the protocol at start and on each
+    delivery.  A node's neighbors are the row [init] received; the
+    context does not repeat them. *)
 type 'msg context = {
   me : int;
   now : float;
-  neighbors : int list;
   broadcast : 'msg -> unit;
       (** transmit once; each neighbor receives it after its own delay *)
 }
 
 type ('state, 'msg) protocol = {
-  init : int -> int list -> 'state;
+  init : int -> int array -> 'state;
+      (** initial state from node id and its row of the snapshot: the
+          1-hop neighbors in increasing id order, in a fresh array the
+          protocol may keep *)
   on_start : 'msg context -> 'state -> 'state;
       (** called once per node at time 0, in id order *)
   on_message : 'msg context -> 'state -> 'msg delivery -> 'state;
@@ -39,8 +44,11 @@ type stats = {
       (** total transmissions per message kind, sorted by kind *)
 }
 
-(** [run ~delay ~max_messages graph protocol] drives the event loop to
-    quiescence (empty event queue).  [delay ~from ~dst ~seq] gives the
+(** [run ~delay ~max_messages csr protocol] drives the event loop to
+    quiescence (empty event queue) on a {!Netgraph.Csr} snapshot of
+    the connectivity graph.  A broadcast reaches the sender's row in
+    increasing id order; deliveries due at the same time are processed
+    in that send order.  [delay ~from ~dst ~seq] gives the
     latency of the [seq]-th transmission overall from [from] to [dst];
     it must be [> 0].  [max_messages] (default [10_000_000]) bounds
     total deliveries — exceeding it signals a non-terminating
@@ -53,6 +61,6 @@ val run :
   ?max_messages:int ->
   ?classify:('msg -> string) ->
   delay:(from:int -> dst:int -> seq:int -> float) ->
-  Netgraph.Graph.t ->
+  Netgraph.Csr.t ->
   ('state, 'msg) protocol ->
   'state array * stats

@@ -110,21 +110,27 @@ let push b d ~lam ~sseq ~kind =
   b.kind.(b.len) <- kind;
   b.len <- b.len + 1
 
-(* per-kind transmission tallies; [classify] returns a handful of
-   distinct names, so a short list scanned with a physical-equality
-   fast path beats hashing the name per message *)
-type tally = { name : string; mutable count : int }
+(* [classify] returns a handful of distinct names, so a short list
+   scanned with a physical-equality fast path beats hashing the name
+   per message *)
+module Tally = struct
+  type cell = { name : string; mutable count : int }
+  type t = cell list ref
 
-let tally_of tallies k =
-  let rec find = function
-    | t :: _ when t.name == k || String.equal t.name k -> t
-    | _ :: rest -> find rest
-    | [] ->
-      let t = { name = k; count = 0 } in
-      tallies := t :: !tallies;
-      t
-  in
-  find !tallies
+  let create () : t = ref []
+
+  let add (t : t) k =
+    let rec find = function
+      | c :: _ when c.name == k || String.equal c.name k ->
+        c.count <- c.count + 1
+      | _ :: rest -> find rest
+      | [] -> t := { name = k; count = 1 } :: !t
+    in
+    find !t
+
+  let to_list (t : t) =
+    List.sort by_name (List.map (fun c -> (c.name, c.count)) !t)
+end
 
 let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
   let module C = Netgraph.Csr in
@@ -137,7 +143,7 @@ let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
           (Array.sub targets offsets.(u) (offsets.(u + 1) - offsets.(u))))
   in
   let sent = Array.make n 0 in
-  let tallies = ref [] in
+  let tallies = Tally.create () in
   let stamp = Stamp.create n in
   (* [prev] holds the messages broadcast last round (this round's
      deliveries), [cur] collects this round's broadcasts *)
@@ -148,8 +154,7 @@ let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
     let u = !me in
     sent.(u) <- sent.(u) + 1;
     let k = classify m in
-    let t = tally_of tallies k in
-    t.count <- t.count + 1;
+    Tally.add tallies k;
     let lam, sseq = Stamp.send stamp ~round:!rounds ~time:0. ~kind:k ~src:u in
     push !cur { from = u; msg = m } ~lam ~sseq ~kind:k
   in
@@ -196,9 +201,7 @@ let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
     incr rounds;
     if c.len = 0 && !rounds >= min_rounds then quiescent := true
   done;
-  let by_kind =
-    List.sort by_name (List.map (fun t -> (t.name, t.count)) !tallies)
-  in
+  let by_kind = Tally.to_list tallies in
   let stats = { rounds = !rounds; sent; by_kind } in
   flush_stats_to_obs ~rounds:stats.rounds ~sent ~by_kind;
   (states, stats)

@@ -60,6 +60,19 @@ val total_sent : stats -> int
     @raise Invalid_argument on mismatched node counts. *)
 val merge : stats -> stats -> stats
 
+(** Per-kind transmission counts, as both engines keep them. *)
+module Tally : sig
+  type t
+
+  val create : unit -> t
+
+  (** Count one transmission of the named kind. *)
+  val add : t -> string -> unit
+
+  (** [(kind, count)] pairs, sorted by kind. *)
+  val to_list : t -> (string * int) list
+end
+
 (** [run ?max_rounds ?min_rounds ~classify csr protocol] executes
     the protocol until a round in which no node transmits (quiescence),
     or until [max_rounds] (default [4 * n + 16]) rounds have run —

@@ -33,16 +33,35 @@ type span_cell = { mutable s_calls : int; mutable s_seconds : float }
 
 type gauge = { mutable g_value : float; mutable g_set : bool }
 
-(* Fixed-bucket mergeable histograms.  P-squared sketches estimate
-   quantiles but two sketches cannot be combined without loss; a
-   histogram over one global log-2 bucket ladder merges by element-wise
-   addition, so a merged result is independent of how observations were
-   split across slots or domains — the property the serve engine needs
-   to keep jobs-bit-identity.  The ladder covers 2^-10 .. 2^30 (values
-   at or below the first bound land in bucket 0; anything above the
-   last bound lands in the overflow bucket), which spans both hop
-   counts and microsecond latencies.  Bucketing is a binary search over
-   exact powers of two — no logs, no rounding ambiguity. *)
+(* Exact quantiles of values held in full: one sorted copy, linear
+   interpolation at rank q*(n-1). *)
+let quantiles xs qs =
+  let a =
+    Array.of_seq (Seq.filter (fun x -> not (Float.is_nan x)) (Array.to_seq xs))
+  in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  Array.map
+    (fun q ->
+      if n = 0 then nan
+      else begin
+        let pos = Float.min 1. (Float.max 0. q) *. float_of_int (n - 1) in
+        let i = int_of_float pos in
+        let f = pos -. float_of_int i in
+        (* [f = 0.] at the top rank, where [a.(i + 1)] does not exist *)
+        if f = 0. then a.(i) else a.(i) +. (f *. (a.(i + 1) -. a.(i)))
+      end)
+    qs
+
+(* Fixed-bucket mergeable histograms over one global log-2 bucket
+   ladder: two merge by element-wise addition, so a merged result is
+   independent of how observations were split across slots or domains
+   — the property the serve engine needs to keep jobs-bit-identity.
+   The ladder covers 2^-10 .. 2^30 (values at or below the first bound
+   land in bucket 0; anything above the last bound lands in the
+   overflow bucket), which spans both hop counts and microsecond
+   latencies.  Bucketing is a binary search over exact powers of two —
+   no logs, no rounding ambiguity. *)
 module Histogram = struct
   let bounds = Array.init 41 (fun i -> ldexp 1. (i - 10))
   let buckets_len = Array.length bounds + 1
@@ -177,7 +196,6 @@ let span_path = ref ""
 module Trace = struct
   (* lint: domain-local toggled between runs, read-only in parallel regions *)
   let on = ref false
-  let enabled () = !on
 
   type payload =
     | Span_begin of string
@@ -1096,7 +1114,6 @@ let merge_hist ~into src = if !on then Histogram.merge_into ~into src
 (* GC sampling is its own switch, like Trace: a single load-and-branch
    at each span boundary when armed, nothing at all when not. *)
 let gc_gauges = ref false
-let gc_sampling () = !gc_gauges
 let set_gc_sampling b = gc_gauges := b
 
 let g_gc_minor = gauge "gc.minor_words"
@@ -1336,254 +1353,17 @@ module Recorder = struct
     | None -> ()
 end
 
-(* The P-squared streaming quantile estimator (Jain & Chlamtac, CACM
-   1985), extended variant: for target quantiles q_1 < ... < q_m it
-   keeps 2m+3 markers at probabilities 0, q_1/2, q_1, (q_1+q_2)/2,
-   ..., q_m, (1+q_m)/2, 1.  Each observation shifts markers by at most
-   one position, adjusting heights with a piecewise-parabolic fit
-   (falling back to linear when the parabola would break height
-   ordering), so heights stay sorted and quantile estimates are
-   monotone in q.  Until the stream is as long as the marker count the
-   raw samples are kept and answers are exact. *)
-module Sketch = struct
-  type t = {
-    targets : float list;
-    probs : float array; (* marker probabilities, increasing, 0 and 1 incl. *)
-    heights : float array; (* marker heights q_i *)
-    pos : float array; (* actual marker positions n_i (1-based) *)
-    mutable count : int;
-    buffer : float array; (* first observations, exact mode *)
-  }
-
-  let create ?(quantiles = [ 0.5; 0.9; 0.99 ]) () =
-    if quantiles = [] then invalid_arg "Obs.Sketch.create: no quantiles";
-    List.iter
-      (fun q ->
-        if not (q > 0. && q < 1.) then
-          invalid_arg "Obs.Sketch.create: quantile outside (0, 1)")
-      quantiles;
-    let qs = List.sort_uniq compare quantiles in
-    let m = List.length qs in
-    let probs = Array.make ((2 * m) + 3) 0. in
-    List.iteri (fun i q -> probs.((2 * i) + 2) <- q) qs;
-    probs.((2 * m) + 2) <- 1.;
-    (* midpoints between consecutive principal markers *)
-    for i = 0 to m do
-      probs.((2 * i) + 1) <- (probs.(2 * i) +. probs.((2 * i) + 2)) /. 2.
-    done;
-    let k = Array.length probs in
-    {
-      targets = qs;
-      probs;
-      heights = Array.make k 0.;
-      pos = Array.make k 0.;
-      count = 0;
-      buffer = Array.make k 0.;
-    }
-
-  let targets t = t.targets
-  let count t = t.count
-
-  let reset t =
-    t.count <- 0
-
-  let markers t = Array.length t.probs
-
-  (* leave exact mode: sort the buffer into the initial marker heights *)
-  let init_markers t =
-    let k = markers t in
-    Array.sort compare t.buffer;
-    Array.blit t.buffer 0 t.heights 0 k;
-    for i = 0 to k - 1 do
-      t.pos.(i) <- float_of_int (i + 1)
-    done
-
-  let parabolic t i s =
-    let q = t.heights and n = t.pos in
-    q.(i)
-    +. s
-       /. (n.(i + 1) -. n.(i - 1))
-       *. (((n.(i) -. n.(i - 1) +. s) *. (q.(i + 1) -. q.(i))
-            /. (n.(i + 1) -. n.(i)))
-          +. ((n.(i + 1) -. n.(i) -. s) *. (q.(i) -. q.(i - 1))
-             /. (n.(i) -. n.(i - 1))))
-
-  let linear t i s =
-    let q = t.heights and n = t.pos in
-    let j = i + int_of_float s in
-    q.(i) +. (s *. (q.(j) -. q.(i)) /. (n.(j) -. n.(i)))
-
-  let observe t x =
-    let k = markers t in
-    if t.count < k then begin
-      t.buffer.(t.count) <- x;
-      t.count <- t.count + 1;
-      if t.count = k then init_markers t
-    end
-    else begin
-      t.count <- t.count + 1;
-      let q = t.heights and n = t.pos in
-      (* locate the cell and stretch the extremes *)
-      let cell =
-        if x < q.(0) then begin
-          q.(0) <- x;
-          0
-        end
-        else if x >= q.(k - 1) then begin
-          q.(k - 1) <- x;
-          k - 2
-        end
-        else begin
-          let j = ref 0 in
-          while not (x >= q.(!j) && x < q.(!j + 1)) do
-            Stdlib.incr j
-          done;
-          !j
-        end
-      in
-      for i = cell + 1 to k - 1 do
-        n.(i) <- n.(i) +. 1.
-      done;
-      (* adjust interior markers toward their desired positions *)
-      for i = 1 to k - 2 do
-        let desired = 1. +. (float_of_int (t.count - 1) *. t.probs.(i)) in
-        let d = desired -. n.(i) in
-        if
-          (d >= 1. && n.(i + 1) -. n.(i) > 1.)
-          || (d <= -1. && n.(i - 1) -. n.(i) < -1.)
-        then begin
-          let s = if d >= 0. then 1. else -1. in
-          let h = parabolic t i s in
-          if q.(i - 1) < h && h < q.(i + 1) then q.(i) <- h
-          else q.(i) <- linear t i s;
-          n.(i) <- n.(i) +. s
-        end
-      done
-    end
-
-  (* piecewise-linear interpolation over (probability, height) points;
-     in exact mode the sorted sample at rank q*(n-1) with linear
-     interpolation between neighbours *)
-  let quantile t q =
-    if t.count = 0 then nan
-    else begin
-      let q = Float.min 1. (Float.max 0. q) in
-      let interp xs ys m =
-        (* xs increasing (weakly); find the bracketing pair *)
-        if q <= xs.(0) then ys.(0)
-        else if q >= xs.(m - 1) then ys.(m - 1)
-        else begin
-          let i = ref 0 in
-          while xs.(!i + 1) < q do
-            Stdlib.incr i
-          done;
-          let x0 = xs.(!i) and x1 = xs.(!i + 1) in
-          if x1 -. x0 <= 0. then ys.(!i + 1)
-          else
-            let w = (q -. x0) /. (x1 -. x0) in
-            ys.(!i) +. (w *. (ys.(!i + 1) -. ys.(!i)))
-        end
-      in
-      if t.count < markers t then begin
-        let m = t.count in
-        let sorted = Array.sub t.buffer 0 m in
-        Array.sort compare sorted;
-        if m = 1 then sorted.(0)
-        else begin
-          let xs =
-            Array.init m (fun i -> float_of_int i /. float_of_int (m - 1))
-          in
-          interp xs sorted m
-        end
-      end
-      else begin
-        let k = markers t in
-        let denom = float_of_int (t.count - 1) in
-        let xs =
-          Array.init k (fun i ->
-              if denom <= 0. then t.probs.(i) else (t.pos.(i) -. 1.) /. denom)
-        in
-        interp xs t.heights k
-      end
-    end
-
-  let min_value t =
-    if t.count = 0 then nan
-    else if t.count < markers t then
-      Array.fold_left Float.min infinity (Array.sub t.buffer 0 t.count)
-    else t.heights.(0)
-
-  let max_value t =
-    if t.count = 0 then nan
-    else if t.count < markers t then
-      Array.fold_left Float.max neg_infinity (Array.sub t.buffer 0 t.count)
-    else t.heights.(markers t - 1)
-
-  (* replay a sketch's contents into [into]: raw samples while in exact
-     mode, otherwise each marker height weighted by the count mass
-     between it and its predecessor, so counts add exactly *)
-  let replay_into into t =
-    if t.count < markers t then
-      for i = 0 to t.count - 1 do
-        observe into t.buffer.(i)
-      done
-    else begin
-      let k = markers t in
-      let prev = ref 0. in
-      for i = 0 to k - 1 do
-        let w =
-          if i = k - 1 then t.count - int_of_float !prev
-          else
-            let here = Float.round t.pos.(i) in
-            let w = int_of_float (here -. !prev) in
-            prev := here;
-            w
-        in
-        for _ = 1 to max 0 w do
-          observe into t.heights.(i)
-        done
-      done
-    end
-
-  let merge a b =
-    let t = create ~quantiles:a.targets () in
-    replay_into t a;
-    replay_into t b;
-    t
-end
-
-(* Round-clock telemetry: named probes recorded per round, with one
-   Sketch per probe summarizing the full run.  Pull probes registered
-   with [register] are sampled by [sample]; anything can also push
-   values directly with [record]. *)
+(* Round-clock telemetry: named probes pushed with [record], each
+   keeping its whole history, so any summary of it can be exact. *)
 module Telemetry = struct
-  type cell = {
-    mutable t_fn : (unit -> float) option;
-    mutable t_values : (int * float) list; (* reversed *)
-    t_sketch : Sketch.t;
-  }
+  type cell = { mutable t_values : (int * float) list (* reversed *) }
 
   type t = {
     tbl : (string, cell) Hashtbl.t;
-    mutable order : string list; (* registration order, reversed *)
     mutable t_rounds : int list; (* reversed *)
   }
 
-  let create () = { tbl = Hashtbl.create 16; order = []; t_rounds = [] }
-
-  let cell t name =
-    match Hashtbl.find_opt t.tbl name with
-    | Some c -> c
-    | None ->
-      let c =
-        { t_fn = None; t_values = [];
-          t_sketch = Sketch.create () }
-      in
-      Hashtbl.add t.tbl name c;
-      t.order <- name :: t.order;
-      c
-
-  let register t name fn = (cell t name).t_fn <- Some fn
+  let create () = { tbl = Hashtbl.create 16; t_rounds = [] }
 
   let note_round t round =
     match t.t_rounds with
@@ -1592,22 +1372,15 @@ module Telemetry = struct
 
   let record t ~round name v =
     note_round t round;
-    let c = cell t name in
-    c.t_values <- (round, v) :: c.t_values;
-    Sketch.observe c.t_sketch v
-
-  let sample t ~round =
-    note_round t round;
-    List.iter
-      (fun name ->
-        let c = Hashtbl.find t.tbl name in
-        match c.t_fn with
-        | Some fn -> record t ~round name (fn ())
-        | None -> ())
-      (List.rev t.order)
+    match Hashtbl.find_opt t.tbl name with
+    | Some c -> c.t_values <- (round, v) :: c.t_values
+    | None -> Hashtbl.add t.tbl name { t_values = [ (round, v) ] }
 
   let rounds t = List.rev t.t_rounds
-  let names t = List.sort compare (List.rev t.order)
+
+  let names t =
+    List.sort String.compare
+      (Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl [])
 
   let series t name =
     match Hashtbl.find_opt t.tbl name with
@@ -1616,28 +1389,27 @@ module Telemetry = struct
 
   let last t name =
     match Hashtbl.find_opt t.tbl name with
-    | None | Some { t_values = []; _ } -> None
-    | Some { t_values = (_, v) :: _; _ } -> Some v
+    | None | Some { t_values = [] } -> None
+    | Some { t_values = (_, v) :: _ } -> Some v
 
-  let sketch t name =
-    Option.map (fun c -> c.t_sketch) (Hashtbl.find_opt t.tbl name)
-
-  let reset t =
-    Hashtbl.reset t.tbl;
-    t.order <- [];
-    t.t_rounds <- []
-
-  (* rows in round order, names sorted within a round *)
+  (* One row per entry of [rounds t]: every probe, names sorted, with
+     the first value it recorded in that round.  A table of first values
+     per probe keeps this linear in the history plus the output. *)
   let rows t =
-    let ns = names t in
+    let firsts =
+      List.map
+        (fun name ->
+          let h = Hashtbl.create 64 in
+          (* newest first: the value left for a round is its first *)
+          List.iter (fun (r, v) -> Hashtbl.replace h r v)
+            (Hashtbl.find t.tbl name).t_values;
+          (name, h))
+        (names t)
+    in
     List.map
       (fun round ->
         ( round,
-          List.filter_map
-            (fun name ->
-              List.assoc_opt round (series t name)
-              |> Option.map (fun v -> (name, v)))
-            ns ))
+          List.map (fun (name, h) -> (name, Hashtbl.find_opt h round)) firsts ))
       (rounds t)
 
   let write_jsonl fmt t =
@@ -1645,9 +1417,12 @@ module Telemetry = struct
       (fun (round, cells) ->
         List.iter
           (fun (name, v) ->
-            Format.fprintf fmt
-              "{\"kind\":\"telemetry\",\"round\":%d,\"name\":%S,\"value\":%s}@."
-              round name (g17 v))
+            Option.iter
+              (fun v ->
+                Format.fprintf fmt
+                  "{\"kind\":\"telemetry\",\"round\":%d,\"name\":%S,\"value\":%s}@."
+                  round name (g17 v))
+              v)
           cells)
       (rows t)
 
@@ -1674,19 +1449,15 @@ module Telemetry = struct
     |> List.rev_map (fun (r, cells) -> (r, List.rev cells))
 
   let write_csv fmt t =
-    let ns = names t in
     Format.fprintf fmt "round%s@."
-      (String.concat "" (List.map (fun n -> "," ^ n) ns));
+      (String.concat "" (List.map (fun n -> "," ^ n) (names t)));
     List.iter
       (fun (round, cells) ->
         Format.fprintf fmt "%d%s@." round
           (String.concat ""
              (List.map
-                (fun n ->
-                  match List.assoc_opt n cells with
-                  | Some v -> "," ^ g17 v
-                  | None -> ",")
-                ns)))
+                (function _, Some v -> "," ^ g17 v | _, None -> ",")
+                cells)))
       (rows t)
 
   let spark_bars =

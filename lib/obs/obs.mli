@@ -90,16 +90,25 @@ val set_gauge : gauge -> float -> unit
     [set_gauge]. *)
 val gauge_value : gauge -> float
 
+(** {1 Quantiles} *)
+
+(** [quantiles xs qs] is the exact [q]-quantile of [xs] for each [q]
+    of [qs] (clamped to [[0, 1]]): NaNs are dropped, a copy is sorted
+    once, and each [q] reads the sorted values at rank [q * (n - 1)],
+    interpolating linearly between neighbours.  Every entry is [nan]
+    when no value is left.  [xs] is not modified. *)
+val quantiles : float array -> float array -> float array
+
 (** {1 Histograms}
 
     Fixed-bucket mergeable histograms over one global log-2 bucket
-    ladder.  Where a {!Sketch} estimates quantiles but cannot be
-    combined losslessly, two histograms merge by element-wise bucket
-    addition — the merged result is independent of how observations
-    were split across pool slots or domains, which is what lets the
-    serve engine record per-slot and merge post-join without breaking
+    ladder.  Two histograms merge by element-wise bucket addition —
+    the merged result is independent of how observations were split
+    across pool slots or domains, which is what lets the serve engine
+    record per-slot and merge post-join without breaking
     jobs-bit-identity — and the bucket counts expose directly as a
-    Prometheus [histogram] with cumulative [le] buckets.
+    Prometheus [histogram] with cumulative [le] buckets.  For exact
+    quantiles of values held in full, use {!quantiles}.
 
     The ladder is the 41 exact powers of two [2^-10 .. 2^30] plus an
     overflow bucket: wide enough for hop counts and microsecond
@@ -111,10 +120,7 @@ val gauge_value : gauge -> float
 module Histogram : sig
   type t
 
-  (** The shared bucket upper bounds, increasing.  Every histogram has
-      [Array.length bounds + 1] buckets; the last is [+Inf]. *)
-  val bounds : float array
-
+  (** Buckets per histogram: the 41 bounds plus the [+Inf] bucket. *)
   val buckets_len : int
 
   (** A fresh, empty histogram — a plain value, no global switch
@@ -143,11 +149,6 @@ module Histogram : sig
       upper estimate exact to within one bucket width; [nan] when
       empty, [+inf] when the rank lands in the overflow bucket. *)
   val quantile : t -> float -> float
-
-  (** [quantile] over raw snapshot data. *)
-  val quantile_of : count:int -> int array -> float -> float
-
-  val reset : t -> unit
 end
 
 (** [histogram name] returns the registry histogram under [name],
@@ -174,7 +175,6 @@ val merge_hist : into:Histogram.t -> Histogram.t -> unit
     paths. *)
 
 val gc_gauges : bool ref
-val gc_sampling : unit -> bool
 val set_gc_sampling : bool -> unit
 
 (** {1 Spans}
@@ -219,8 +219,6 @@ module Trace : sig
       cheap while events record, and vice versa.  Hot paths guard
       compound event construction with [if !Obs.Trace.on then ...]. *)
   val on : bool ref
-
-  val enabled : unit -> bool
 
   (** [start ?capacity ()] clears all ring buffers, resizes them to
       [capacity] events (default [65536]; new per-domain buffers also
@@ -297,7 +295,6 @@ module Trace : sig
 
   val span_begin : string -> unit
   val span_end : string -> unit
-  val count : string -> int -> unit
 
   (** Raw protocol-event hooks.  Outside [lib/obs] and [lib/distsim]
       these must not be called directly — the clocks they record are
@@ -467,84 +464,24 @@ module Causal : sig
   val write_dot : Format.formatter -> Trace.event list -> unit
 end
 
-(** {1 Quantile sketches}
-
-    The P² streaming estimator (Jain & Chlamtac, CACM 1985), extended
-    to a set of target quantiles: [2m + 3] markers track the empirical
-    CDF so medians and tail quantiles of a long stream are available
-    without retaining samples.  Until the stream is as long as the
-    marker count the raw samples are kept and answers are exact.
-    Marker heights are kept ordered, so {!Sketch.quantile} is monotone
-    in [q]; for smooth distributions estimates land within a couple of
-    percent of the exact quantile (tested against exact computations
-    in [test_sketch]).  A sketch is a plain value with no global
-    switch — {!Telemetry} feeds one per probe. *)
-
-module Sketch : sig
-  type t
-
-  (** [create ?quantiles ()] tracks the given target quantiles, each
-      strictly between 0 and 1 (default [[0.5; 0.9; 0.99]]).
-      @raise Invalid_argument on an empty or out-of-range list. *)
-  val create : ?quantiles:float list -> unit -> t
-
-  val observe : t -> float -> unit
-
-  (** Observations so far. *)
-  val count : t -> int
-
-  (** [quantile t q] estimates the [q]-quantile ([q] clamped to
-      [[0, 1]]) by interpolating the marker CDF; exact while the
-      sketch still holds all samples.  [nan] when empty. *)
-  val quantile : t -> float -> float
-
-  (** Exact minimum observed; [nan] when empty. *)
-  val min_value : t -> float
-
-  (** Exact maximum observed; [nan] when empty. *)
-  val max_value : t -> float
-
-  (** Tracked target quantiles, increasing, duplicates removed. *)
-  val targets : t -> float list
-
-  (** [merge a b] is a fresh sketch over [a]'s targets summarizing
-      both inputs: each input's marker staircase is replayed with its
-      observation weight, so counts add exactly while quantile
-      estimates remain approximations. *)
-  val merge : t -> t -> t
-
-  (** Forget every observation, keeping the targets. *)
-  val reset : t -> unit
-end
-
 (** {1 Telemetry time-series}
 
     A round-clock recorder, the third observability pillar next to the
     cumulative registry (counters/dists/spans) and the event {!Trace}:
-    named probes are sampled once per round into an in-memory
-    time-series, one {!Sketch} per probe summarizing the whole run.
-    Pull probes registered with {!Telemetry.register} are sampled by
-    {!Telemetry.sample}; computed values can be pushed directly with
-    {!Telemetry.record}.  Series export as JSON-lines or CSV and
-    render as terminal sparklines (the [spanner_cli monitor] health
-    table).  A recorder is a plain value — no global switch. *)
+    named probes push values per round with {!Telemetry.record} into
+    an in-memory time-series that keeps every value, so a run's
+    summary is exact ({!quantiles} over a {!Telemetry.series}).
+    Series export as JSON-lines or CSV and render as terminal
+    sparklines (the [spanner_cli monitor] health table).  A recorder
+    is a plain value — no global switch. *)
 
 module Telemetry : sig
   type t
 
   val create : unit -> t
 
-  (** [register t name f] makes [f] a pull probe: every {!sample} tick
-      records [f ()] under [name].  Re-registering replaces the
-      function and keeps the recorded history. *)
-  val register : t -> string -> (unit -> float) -> unit
-
-  (** [record t ~round name v] pushes one value directly. *)
+  (** [record t ~round name v] appends one value to [name]'s series. *)
   val record : t -> round:int -> string -> float -> unit
-
-  (** [sample t ~round] ticks the round clock: every registered pull
-      probe is sampled once, in registration order. *)
-  val sample : t -> round:int -> unit
 
   (** Rounds seen, in recording order. *)
   val rounds : t -> int list
@@ -558,11 +495,6 @@ module Telemetry : sig
 
   (** Most recently recorded value of a probe. *)
   val last : t -> string -> float option
-
-  (** Quantile summary over everything recorded under a name. *)
-  val sketch : t -> string -> Sketch.t option
-
-  val reset : t -> unit
 
   (** One [{"kind":"telemetry","round":..,"name":..,"value":..}]
       object per recorded value — rounds in recording order, names
@@ -631,10 +563,8 @@ module Recorder : sig
   (** All buffered entries, merged across domains in sequence order. *)
   val entries : unit -> entry list
 
-  (** The merged ring as one JSON array (oldest first). *)
-  val to_json_string : unit -> string
-
-  (** [dump fmt ()] writes {!to_json_string} to [fmt] and flushes. *)
+  (** [dump fmt ()] writes the merged ring to [fmt] as one JSON array
+      (oldest first) and flushes. *)
   val dump : Format.formatter -> unit -> unit
 
   (** Resize every ring (default capacity 256 entries per domain),
@@ -669,8 +599,8 @@ module Snapshot : sig
     h_count : int;
     h_sum : float;
     h_buckets : int array;
-        (** per-bucket (non-cumulative) counts over
-            {!Histogram.bounds}; length {!Histogram.buckets_len} *)
+        (** per-bucket (non-cumulative) counts over the bucket
+            ladder; length {!Histogram.buckets_len} *)
   }
 
   type t = {
@@ -686,11 +616,6 @@ module Snapshot : sig
 
   (** Population standard deviation, from count/sum/sumsq. *)
   val dist_stddev : dist_stats -> float
-
-  val hist_mean : hist_stats -> float
-
-  (** {!Histogram.quantile} over captured stats. *)
-  val hist_quantile : hist_stats -> float -> float
 
   (** Capture the registry's current state.  Counters are reported
       even when zero; distributions and histograms only once observed.

@@ -247,9 +247,6 @@ type summary = {
 }
 
 let summarize (r : results) =
-  let hop_sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.9; 0.99 ] () in
-  let lat_sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.9; 0.99; 0.999 ] () in
-  let str_sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.9; 0.99 ] () in
   let delivered = ref 0 and drops = ref [] in
   for k = Array.length r.drops - 1 downto 0 do
     for i = reasons - 1 downto 0 do
@@ -258,30 +255,34 @@ let summarize (r : results) =
         drops := (Workload.op_name k, R.drop_reasons.(i), c) :: !drops
     done
   done;
-  for q = 0 to r.count - 1 do
-    if r.hops.(q) >= 0 then begin
-      incr delivered;
-      Obs.Sketch.observe hop_sk (float_of_int r.hops.(q))
-    end;
-    if not (Float.is_nan r.stretch.(q)) then
-      Obs.Sketch.observe str_sk r.stretch.(q);
-    if
-      Array.length r.latency_us > q && not (Float.is_nan r.latency_us.(q))
-    then Obs.Sketch.observe lat_sk r.latency_us.(q)
-  done;
+  let hops =
+    Array.init r.count (fun q ->
+        if r.hops.(q) >= 0 then begin
+          incr delivered;
+          float_of_int r.hops.(q)
+        end
+        else nan)
+  in
+  let hop = Obs.quantiles hops [| 0.5; 0.99 |] in
+  let str = Obs.quantiles (Array.sub r.stretch 0 r.count) [| 0.5; 1. |] in
+  let lat =
+    Obs.quantiles
+      (Array.sub r.latency_us 0 (min r.count (Array.length r.latency_us)))
+      [| 0.5; 0.99; 0.999 |]
+  in
   {
     s_queries = r.count;
     s_delivered = !delivered;
     s_qps =
       (if r.elapsed_s > 0. then float_of_int r.count /. r.elapsed_s else nan);
     s_elapsed_s = r.elapsed_s;
-    s_hop_p50 = Obs.Sketch.quantile hop_sk 0.5;
-    s_hop_p99 = Obs.Sketch.quantile hop_sk 0.99;
-    s_lat_p50_us = Obs.Sketch.quantile lat_sk 0.5;
-    s_lat_p99_us = Obs.Sketch.quantile lat_sk 0.99;
-    s_lat_p999_us = Obs.Sketch.quantile lat_sk 0.999;
-    s_stretch_p50 = Obs.Sketch.quantile str_sk 0.5;
-    s_stretch_max = Obs.Sketch.max_value str_sk;
+    s_hop_p50 = hop.(0);
+    s_hop_p99 = hop.(1);
+    s_lat_p50_us = lat.(0);
+    s_lat_p99_us = lat.(1);
+    s_lat_p999_us = lat.(2);
+    s_stretch_p50 = str.(0);
+    s_stretch_max = str.(1);
     s_minor_per_query =
       (if r.count > 0 then r.minor_words /. float_of_int r.count else 0.);
     s_drops = !drops;
@@ -312,15 +313,9 @@ let to_telemetry tel (r : results) =
       Obs.Telemetry.record tel ~round:b "serve.epoch"
         (float_of_int r.epoch.(lo));
       if with_lat then begin
-        let sk = Obs.Sketch.create ~quantiles:[ 0.5; 0.99 ] () in
-        for q = lo to hi - 1 do
-          if not (Float.is_nan r.latency_us.(q)) then
-            Obs.Sketch.observe sk r.latency_us.(q)
-        done;
-        Obs.Telemetry.record tel ~round:b "serve.p50_us"
-          (Obs.Sketch.quantile sk 0.5);
-        Obs.Telemetry.record tel ~round:b "serve.p99_us"
-          (Obs.Sketch.quantile sk 0.99)
+        let p = Obs.quantiles (Array.sub r.latency_us lo m) [| 0.5; 0.99 |] in
+        Obs.Telemetry.record tel ~round:b "serve.p50_us" p.(0);
+        Obs.Telemetry.record tel ~round:b "serve.p99_us" p.(1)
       end
     end
   done

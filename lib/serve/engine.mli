@@ -82,8 +82,10 @@ type summary = {
           then reason order *)
 }
 
-(** P² sketch quantiles over the result arrays ([nan] where no sample
-    fed a sketch — e.g. latencies of a [latency:false] run). *)
+(** Exact quantiles ({!Obs.quantiles}) over the result arrays: hops of
+    the delivered queries, stretch of the delivered probes, latencies.
+    [nan] where no value is held — e.g. latencies of a
+    [latency:false] run. *)
 val summarize : results -> summary
 
 (** The drop counts on one line, ["gfg/face_loop 2, greedy/local_minimum

@@ -7,6 +7,6 @@ let () =
    @ Test_maintenance.suites @ Test_claims.suites @ Test_broadcast.suites
    @ Test_packetsim.suites @ Test_stress.suites @ Test_async.suites
    @ Test_energy.suites @ Test_integration.suites @ Test_obs.suites
-   @ Test_metrics_engine.suites @ Test_trace.suites @ Test_sketch.suites
+   @ Test_metrics_engine.suites @ Test_trace.suites
    @ Test_monitor.suites @ Test_shard.suites @ Test_serve.suites
    @ Test_export.suites @ Test_lint.suites)

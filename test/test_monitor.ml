@@ -1,4 +1,4 @@
-(* Telemetry recorder semantics (push/pull, exports, sparklines) and
+(* Telemetry recorder semantics (push, exports, sparklines) and
    the invariant health monitor: a sound backbone passes every probe,
    tightened thresholds surface violations, and violations fire typed
    trace alerts that survive the Chrome round-trip. *)
@@ -25,35 +25,20 @@ let render f x =
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_telemetry_pull_probes () =
-  let t = T.create () in
-  let tick = ref 0. in
-  T.register t "tick" (fun () ->
-      tick := !tick +. 1.;
-      !tick);
-  T.register t "const" (fun () -> 7.);
-  T.sample t ~round:0;
-  T.sample t ~round:1;
-  T.sample t ~round:2;
-  Alcotest.(check (list int)) "rounds" [ 0; 1; 2 ] (T.rounds t);
-  Alcotest.(check (list (pair int (float 0.))))
-    "pull series" [ (0, 1.); (1, 2.); (2, 3.) ] (T.series t "tick");
-  Alcotest.(check (option (float 0.))) "last" (Some 7.) (T.last t "const");
-  Alcotest.(check (list string)) "names sorted" [ "const"; "tick" ] (T.names t)
-
-let test_telemetry_push_and_sketch () =
+let test_telemetry_push_and_median () =
   let t = T.create () in
   for r = 0 to 99 do
     T.record t ~round:r "v" (float_of_int r)
   done;
-  checki "one hundred rounds" 100 (List.length (T.rounds t));
-  (match T.sketch t "v" with
-  | None -> Alcotest.fail "sketch missing"
-  | Some sk ->
-    checki "sketch fed" 100 (Obs.Sketch.count sk);
-    check "median near 50" true
-      (abs_float (Obs.Sketch.quantile sk 0.5 -. 49.5) < 2.));
-  check "unknown probe" true (T.series t "nope" = [] && T.sketch t "nope" = None)
+  Alcotest.(check (list int)) "one round per push" (List.init 100 Fun.id)
+    (T.rounds t);
+  Alcotest.(check (list string)) "names" [ "v" ] (T.names t);
+  Alcotest.(check (option (float 0.))) "last" (Some 99.) (T.last t "v");
+  let series = List.map snd (T.series t "v") in
+  checki "every value kept" 100 (List.length series);
+  Alcotest.(check (float 0.)) "exact median of 0..99" 49.5
+    (Obs.quantiles (Array.of_list series) [| 0.5 |]).(0);
+  check "unknown probe" true (T.series t "nope" = [] && T.last t "nope" = None)
 
 let test_telemetry_jsonl_roundtrip () =
   let t = T.create () in
@@ -228,9 +213,8 @@ let suites =
   [
     ( "telemetry",
       [
-        Alcotest.test_case "pull probes" `Quick test_telemetry_pull_probes;
-        Alcotest.test_case "push + sketch" `Quick
-          test_telemetry_push_and_sketch;
+        Alcotest.test_case "push + exact median" `Quick
+          test_telemetry_push_and_median;
         Alcotest.test_case "jsonl round-trip" `Quick
           test_telemetry_jsonl_roundtrip;
         Alcotest.test_case "csv export" `Quick test_telemetry_csv;

@@ -177,6 +177,65 @@ let test_protocol_message_counters_deterministic () =
   checki "per-kind counters sum to the total" total by_kind_total
 
 (* ------------------------------------------------------------------ *)
+(* Exact quantiles                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: NaNs dropped, a sorted list, linear interpolation at
+   rank q*(n-1); [nan] when nothing is left. *)
+let quantile_oracle xs q =
+  let a =
+    Array.of_list
+      (List.sort compare
+         (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list xs)))
+  in
+  let n = Array.length a in
+  if n = 0 then nan
+  else begin
+    let pos = q *. float_of_int (n - 1) in
+    let i = int_of_float (floor pos) in
+    if i >= n - 1 then a.(n - 1)
+    else a.(i) +. ((pos -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+  end
+
+(* short arrays over a few values (duplicates), NaNs among them, and
+   the q = 0 / q = 1 ends among the probes *)
+let gen_quantile_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (4, map float_of_int (int_range (-3) 3)); (2, float_range (-1e3) 1e3);
+        (1, return nan) ]
+  in
+  let q =
+    frequency [ (1, return 0.); (1, return 1.); (3, float_range 0. 1.) ]
+  in
+  pair
+    (frequency
+       [ (1, return [||]); (1, map (fun x -> [| x |]) value);
+         (6, array_size (int_range 2 40) value) ])
+    (array_size (int_range 1 6) q)
+
+let prop_quantiles_match_oracle =
+  QCheck.Test.make ~name:"quantiles = sort oracle" ~count:2000
+    (QCheck.make
+       ~print:(fun (xs, qs) ->
+         let fs a =
+           String.concat ";" (Array.to_list (Array.map string_of_float a))
+         in
+         Printf.sprintf "xs=[%s] qs=[%s]" (fs xs) (fs qs))
+       gen_quantile_case)
+    (fun (xs, qs) ->
+      let before = Array.copy xs in
+      let got = Obs.quantiles xs qs in
+      Array.length got = Array.length qs
+      && Array.for_all2
+           (fun q g ->
+             let want = quantile_oracle xs q in
+             Float.equal want g)
+           qs got
+      && Array.for_all2 Float.equal before xs)
+
+(* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -534,6 +593,7 @@ let suites =
           (isolated test_span_unwinds_on_exception);
         Alcotest.test_case "gauge basics" `Quick (isolated test_gauge_basics);
         Alcotest.test_case "gc gauges" `Quick (isolated test_gc_gauges);
+        QCheck_alcotest.to_alcotest prop_quantiles_match_oracle;
         Alcotest.test_case "histogram basics" `Quick
           (isolated test_histogram_basics);
         Alcotest.test_case "histogram merge commutes" `Quick

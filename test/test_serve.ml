@@ -250,6 +250,33 @@ let test_engine_empty_workload () =
   let s = E.summarize r in
   Alcotest.(check int) "nothing delivered" 0 s.E.s_delivered
 
+(* [summarize] reads exact quantiles of the result arrays: on a served
+   n = 2000 workload at R = 25, every percentile equals a sort over the
+   arrays (a streaming estimate read this hop p50 as 12.002). *)
+let test_summarize_exact () =
+  let n = 2000 and radius = 25. in
+  let pts, _ =
+    Wireless.Deploy.connected_uniform (Wireless.Rand.create 1L) ~n
+      ~side:(10. *. sqrt (float_of_int n)) ~radius ~max_attempts:200
+  in
+  let store = Serve.Store.create (snapshot_of pts radius) in
+  let w = W.generate ~seed:101L ~n ~count:20_000 () in
+  let r = E.run ~batch:2048 ~store w in
+  let s = E.summarize r in
+  let hops =
+    Array.map (fun h -> if h >= 0 then float_of_int h else nan) r.E.hops
+  in
+  let exact what xs q got =
+    Alcotest.(check (float 0.)) what (Test_obs.quantile_oracle xs q) got
+  in
+  exact "hop p50" hops 0.5 s.E.s_hop_p50;
+  exact "hop p99" hops 0.99 s.E.s_hop_p99;
+  exact "stretch p50" r.E.stretch 0.5 s.E.s_stretch_p50;
+  exact "stretch max" r.E.stretch 1. s.E.s_stretch_max;
+  exact "latency p50" r.E.latency_us 0.5 s.E.s_lat_p50_us;
+  exact "latency p99" r.E.latency_us 0.99 s.E.s_lat_p99_us;
+  exact "latency p999" r.E.latency_us 0.999 s.E.s_lat_p999_us
+
 (* ---------------- the served route ---------------- *)
 
 (* GFG's delivery guarantee on the exact epoch the engine serves: on
@@ -365,6 +392,8 @@ let suites =
           test_engine_open_loop_latency;
         Alcotest.test_case "engine: empty workload" `Quick
           test_engine_empty_workload;
+        Alcotest.test_case "engine: summarize is exact" `Slow
+          test_summarize_exact;
         Alcotest.test_case "result log round-trips" `Quick test_jsonl_roundtrip;
         Alcotest.test_case "served epoch delivers every gfg/stretch query"
           `Slow test_served_epoch_delivers;

@@ -191,7 +191,7 @@ let test_engine_send_deliver () =
 
 let test_async_by_kind () =
   let pts = deployment 11L 30 60. in
-  let udg = Wireless.Udg.build pts ~radius:60. in
+  let udg = Wireless.Udg.build_csr pts ~radius:60. in
   let delay ~from:_ ~dst:_ ~seq = 1. +. (float_of_int (seq mod 7) /. 10.) in
   let roles, stats = Core.Async_cluster.run ~delay udg in
   let doms =
@@ -609,7 +609,7 @@ let test_chrome_flows_roundtrip () =
 let test_async_classify_tracing () =
   Obs.set_enabled true;
   let pts = deployment 11L 30 60. in
-  let udg = Wireless.Udg.build pts ~radius:60. in
+  let udg = Wireless.Udg.build_csr pts ~radius:60. in
   let delay ~from:_ ~dst:_ ~seq = 1. +. (float_of_int (seq mod 7) /. 10.) in
   T.start ();
   let _, stats = Core.Async_cluster.run ~delay udg in
@@ -636,7 +636,8 @@ let test_async_classify_tracing () =
     List.fold_left
       (fun acc (e : T.event) ->
         match e.T.payload with
-        | T.Send { kind; src; _ } when kind = k -> acc + G.degree udg src
+        | T.Send { kind; src; _ } when kind = k ->
+          acc + Netgraph.Csr.degree udg src
         | _ -> acc)
       0 evs
   in
