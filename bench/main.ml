@@ -1454,61 +1454,6 @@ let bench_causal quick =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Static analyzer self-run                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The lint layer's interprocedural pass (DESIGN.md §15) runs on every
-   `dune runtest`; tracking its cost here keeps analyzer regressions
-   as visible as any other hot path.  The three phases are timed
-   separately because they scale differently: tokenization is linear
-   in bytes, call-graph construction in tokens, and effect
-   propagation in SCC edges. *)
-let bench_lint () =
-  header "Static analyzer self-run: tokenize + call graph + effects";
-  if not (Sys.file_exists "lib") then
-    pf "lint: lib/ not found (run from the repository root); skipped@."
-  else begin
-    let files =
-      Lint.Engine.project_files "."
-      |> List.filter (fun (p, _) ->
-             String.length p > 4 && String.sub p 0 4 = "lib/")
-    in
-    let bytes =
-      List.fold_left (fun a (_, c) -> a + String.length c) 0 files
-    in
-    let t0 = Unix.gettimeofday () in
-    let n_tokens =
-      List.fold_left
-        (fun a (_, c) -> a + List.length (Lint.Tokenizer.tokenize c))
-        0 files
-    in
-    let t_tok = Unix.gettimeofday () -. t0 in
-    let t1 = Unix.gettimeofday () in
-    let g = Lint.Callgraph.of_sources files in
-    let t_graph = Unix.gettimeofday () -. t1 in
-    let t2 = Unix.gettimeofday () in
-    let a = Lint.Effects.analyze g in
-    let findings = Lint.Effects.findings a in
-    let t_eff = Unix.gettimeofday () -. t2 in
-    let s = Lint.Effects.stats a in
-    Obs.add (Obs.counter "bench.lint.files") (List.length files);
-    Obs.add (Obs.counter "bench.lint.tokens") n_tokens;
-    Obs.add (Obs.counter "bench.lint.functions") s.Lint.Effects.s_functions;
-    Obs.add (Obs.counter "bench.lint.edges") s.Lint.Effects.s_edges;
-    Obs.add (Obs.counter "bench.lint.seeds") s.Lint.Effects.s_seeds;
-    Obs.add (Obs.counter "bench.lint.reachable") s.Lint.Effects.s_reachable;
-    pf "sources: %d files, %d KB, %d tokens@." (List.length files)
-      (bytes / 1024) n_tokens;
-    pf "tokenize: %.3fs (%.1f MB/s)@." t_tok
-      (float_of_int bytes /. t_tok /. 1e6);
-    pf "call graph: %.3fs (%d functions, %d edges, %d parallel seeds)@."
-      t_graph s.Lint.Effects.s_functions s.Lint.Effects.s_edges
-      s.Lint.Effects.s_seeds;
-    pf "effects: %.3fs (%d reachable, %d findings pre-suppression)@." t_eff
-      s.Lint.Effects.s_reachable (List.length findings)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1657,7 +1602,6 @@ let () =
       ("pipeline", fun () -> bench_pipeline ?check quick !jobs);
       ("serve", fun () -> bench_serve ?check quick !jobs);
       ("causal", fun () -> bench_causal quick);
-      ("lint", fun () -> bench_lint ());
       ("micro", micro);
     ]
   in

@@ -1,4 +1,4 @@
-(* spanner_lint — the repo's own static analyzer (see DESIGN.md §9, §15).
+(* spanner_lint — the repo's own static analyzer (see DESIGN.md §9).
 
    Exit codes are part of the contract:
      0  clean (no unsuppressed findings)
@@ -9,15 +9,12 @@
    usage-error exit code stays exactly 2. *)
 
 let usage =
-  "usage: spanner_lint [options]\n\
-  \       spanner_lint graph [--root DIR] [--dot FILE] [--summary FUNC] \
-   [--json]\n\n\
+  "usage: spanner_lint [options]\n\n\
    Lint the repository's OCaml sources against the project invariants\n\
-   (determinism, float robustness, multicore safety, hygiene).  The\n\
-   determinism/multicore rules are interprocedural: effect summaries are\n\
-   propagated over the call graph and findings fire only on sites\n\
-   reachable from a Netgraph.Pool parallel callback, with the witness\n\
-   call chain in the message.\n\n\
+   (determinism, float robustness, multicore safety, hygiene).  Every\n\
+   rule is a single-file token check; the determinism, multicore and\n\
+   I/O rules patrol every lib/** unit outside their sanctioned homes\n\
+   (lib/obs; see --list-rules).\n\n\
    options:\n\
   \  --root DIR         repository root to scan (default: .)\n\
   \  --json             emit kind-tagged JSON lines instead of text\n\
@@ -28,26 +25,13 @@ let usage =
   \  --write-baseline FILE  write current findings as a fresh baseline\n\
   \                     (pruning stale entries, keeping reasons) and exit\n\
   \  --list-rules       print the rule catalog and exit\n\
-  \  --help             this message\n\n\
-   graph subcommand (call-graph and effect-summary introspection):\n\
-  \  --dot FILE         write the effect-colored DOT call graph ('-' = stdout)\n\
-  \  --summary FUNC     print FUNC's effect set and parallel witness chain\n\
-  \  --json             print the {functions, edges, seeds, reachable} summary\n"
+  \  --help             this message\n"
 
 let die_usage msg =
   prerr_string (msg ^ "\n" ^ usage);
   exit 2
 
-let known_rule id =
-  Lint.Rules.find id <> None || Lint.Effects.find_rule id <> None
-
 let list_rules () =
-  List.iter
-    (fun (r : Lint.Effects.rule_info) ->
-      Printf.printf "%s  [%s, %s]  %s\n      %s\n" r.id r.family
-        (Lint.Diag.severity_to_string r.severity)
-        r.title r.doc)
-    Lint.Effects.rules;
   List.iter
     (fun (r : Lint.Rules.rule) ->
       Printf.printf "%s  [%s, %s]  %s\n      %s\n" r.id r.family
@@ -55,72 +39,12 @@ let list_rules () =
         r.title r.doc)
     Lint.Rules.all
 
-(* ---------- graph subcommand ---------- *)
-
-let load_analysis root =
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    die_usage (Printf.sprintf "root %S is not a directory" root);
-  let lib_files =
-    Lint.Engine.project_files root
-    |> List.filter (fun (p, _) ->
-           String.length p > 4 && String.sub p 0 4 = "lib/")
-  in
-  Lint.Effects.analyze (Lint.Callgraph.of_sources lib_files)
-
-let run_graph args =
-  let root = ref "." in
-  let dot = ref None in
-  let summary = ref None in
-  let json = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--help" :: _ | "-h" :: _ ->
-      print_string usage;
-      exit 0
-    | "--root" :: dir :: rest ->
-      root := dir;
-      parse rest
-    | "--dot" :: file :: rest ->
-      dot := Some file;
-      parse rest
-    | "--summary" :: f :: rest ->
-      summary := Some f;
-      parse rest
-    | "--json" :: rest ->
-      json := true;
-      parse rest
-    | ("--root" | "--dot" | "--summary") :: [] -> die_usage "missing argument"
-    | arg :: _ -> die_usage (Printf.sprintf "unknown argument %S" arg)
-  in
-  parse args;
-  let a = load_analysis !root in
-  (match !dot with
-  | Some "-" -> print_string (Lint.Effects.to_dot a)
-  | Some file ->
-    let oc = open_out_bin file in
-    output_string oc (Lint.Effects.to_dot a);
-    close_out oc
-  | None -> ());
-  (match !summary with
-  | Some f -> (
-    match Lint.Effects.function_summary a f with
-    | Some s -> print_string s
-    | None -> die_usage (Printf.sprintf "unknown function %S" f))
-  | None -> ());
-  let s = Lint.Effects.stats a in
-  if !json then print_endline (Lint.Effects.stats_json s)
-  else if !dot = None && !summary = None then
-    Printf.printf
-      "spanner_lint graph: %d functions, %d edges, %d parallel seeds, %d \
-       reachable\n"
-      s.s_functions s.s_edges s.s_seeds s.s_reachable;
-  exit 0
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ---------- main lint driver ---------- *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (match args with "graph" :: rest -> run_graph rest | _ -> ());
   let root = ref "." in
   let json = ref false in
   let rule_ids = ref [] in
@@ -172,7 +96,7 @@ let () =
         (List.map
            (fun id ->
              let id = String.trim id in
-             if known_rule id then id
+             if Lint.Rules.find id <> None then id
              else die_usage (Printf.sprintf "unknown rule %S" id))
            ids)
   in
@@ -185,12 +109,16 @@ let () =
         | None -> (Filename.concat !root "lint.baseline", false)
       in
       if Sys.file_exists path then
-        try Lint.Baseline.read path
+        try Lint.Baseline.of_string (read_file path)
         with Failure msg | Sys_error msg -> die_usage msg
       else if explicit then die_usage (Printf.sprintf "no baseline %S" path)
       else []
   in
-  let res = Lint.Engine.run ?only ~baseline !root in
+  let files =
+    Lint.Engine.scan_files !root
+    |> List.map (fun p -> (p, read_file (Filename.concat !root p)))
+  in
+  let res = Lint.Engine.run ?only ~baseline files in
   (match !write_baseline with
   | Some file ->
     let all = res.findings @ List.map fst res.grandfathered in
@@ -199,7 +127,8 @@ let () =
         (List.sort Lint.Diag.compare all)
       |> Lint.Baseline.merge_reasons ~old:baseline
     in
-    Lint.Baseline.write file entries;
+    Out_channel.with_open_bin file (fun oc ->
+        output_string oc (Lint.Baseline.to_string entries));
     Printf.printf "spanner_lint: wrote %d baseline entries to %s\n"
       (List.length entries) file;
     exit 0

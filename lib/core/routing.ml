@@ -651,7 +651,8 @@ let closer_neighbor g points ~dst u =
 (* pivot around [u] handling face changes, then forward along the
    settled edge *)
 let rec advance g points ~dst u st w =
-  if (not st.p_first) && (u, w) = st.p_start then Drop
+  let su, sw = st.p_start in
+  if (not st.p_first) && Int.equal u su && Int.equal w sw then Drop
   else
     let seg_uw = Geometry.Segment.make points.(u) points.(w) in
     let seg_ed = Geometry.Segment.make st.p_entry points.(dst) in

@@ -38,13 +38,6 @@ let of_string s =
   |> List.mapi (fun i l -> (i + 1, l))
   |> List.filter_map (fun (i, l) -> parse_line i l)
 
-let read path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_string s
-
 let to_string entries =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -57,11 +50,6 @@ let to_string entries =
         (Printf.sprintf "%s\t%s\t%d\t%s\n" e.rule e.file e.count e.reason))
     entries;
   Buffer.contents b
-
-let write path entries =
-  let oc = open_out_bin path in
-  output_string oc (to_string entries);
-  close_out oc
 
 let apply entries findings =
   (* consume budgets in position order so which findings are

@@ -11,13 +11,8 @@ type entry = { rule : string; file : string; count : int; reason : string }
 (** Raises [Failure] with a line number on malformed entries. *)
 val of_string : string -> entry list
 
-(** [read path] — {!of_string} on a file's contents. *)
-val read : string -> entry list
-
 (** Render entries with the format header; {!of_string} round-trips. *)
 val to_string : entry list -> string
-
-val write : string -> entry list -> unit
 
 (** [apply entries findings] splits findings (sorted by position) into
     (still failing, grandfathered-with-reason). *)

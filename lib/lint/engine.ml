@@ -1,7 +1,8 @@
 (* Ties the pieces together: walk the tree, tokenize, run the rule
    catalog, honour inline suppressions, then net the committed
    baseline off.  Directory walks and finding lists are sorted, so a
-   run's output is bit-identical across machines. *)
+   run's output is bit-identical across machines.  Reading the files
+   is the caller's: the library does no I/O (rule E001). *)
 
 type result = {
   findings : Diag.t list;  (* unsuppressed, after the baseline *)
@@ -40,13 +41,6 @@ let scan_files root =
       if Sys.file_exists abs then walk d abs)
     scan_dirs;
   List.rev !out
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
 
 (* ---------- inline suppressions ----------
 
@@ -128,78 +122,28 @@ let lint_source ?(rules = Rules.all) ?(has_mli = true) ~path contents =
   let kept, cut = List.partition (fun d -> not (suppressed sups d)) raw in
   (List.sort Diag.compare kept, List.length cut)
 
-let lint_file ?rules ~root path =
-  let abs = Filename.concat root path in
-  let has_mli = Sys.file_exists (abs ^ "i") in
-  lint_source ?rules ~has_mli ~path (read_file abs)
-
-(* ---------- whole-project lint ----------
-
-   Local rules run per .ml file; the interprocedural layer
-   (Callgraph + Effects) runs once over lib/** with .mli siblings
-   paired in.  Effect findings honour the same inline suppressions,
-   looked up in whichever file the finding lands in (including .mli
-   files for E003). *)
-
-let keep_rule only id =
-  match only with None -> true | Some ids -> List.mem id ids
-
-let comments_of_source contents =
-  List.filter
-    (fun t -> t.Tokenizer.kind = Tokenizer.Comment)
-    (Tokenizer.tokenize contents)
-
-let apply_file_suppressions files findings =
-  let cache = Hashtbl.create 16 in
-  let sups_of path =
-    match Hashtbl.find_opt cache path with
-    | Some s -> s
-    | None ->
-      let s =
-        match List.assoc_opt path files with
-        | Some contents -> suppressions_of_comments (comments_of_source contents)
-        | None -> []
-      in
-      Hashtbl.replace cache path s;
-      s
-  in
-  List.partition (fun (d : Diag.t) -> not (suppressed (sups_of d.file) d)) findings
-
-let under_lib p = String.length p > 4 && String.sub p 0 4 = "lib/"
+(* ---------- whole-project lint ---------- *)
 
 let lint_project ?only files =
-  let local_rules =
-    List.filter (fun (r : Rules.rule) -> keep_rule only r.Rules.id) Rules.all
+  let rules =
+    match only with
+    | None -> Rules.all
+    | Some ids -> List.filter (fun (r : Rules.rule) -> List.mem r.id ids) Rules.all
   in
-  let mls =
-    List.filter (fun (p, _) -> Filename.check_suffix p ".ml") files
+  let mls = List.filter (fun (p, _) -> Filename.check_suffix p ".ml") files in
+  let findings, cut =
+    List.fold_left
+      (fun (all, cut) (path, contents) ->
+        let has_mli = List.mem_assoc (path ^ "i") files in
+        let found, c = lint_source ~rules ~has_mli ~path contents in
+        (List.rev_append found all, cut + c))
+      ([], 0) mls
   in
-  let all = ref [] and cut_total = ref 0 in
-  List.iter
-    (fun (path, contents) ->
-      let has_mli = List.mem_assoc (path ^ "i") files in
-      let findings, cut = lint_source ~rules:local_rules ~has_mli ~path contents in
-      all := List.rev_append findings !all;
-      cut_total := !cut_total + cut)
-    mls;
-  let lib_files = List.filter (fun (p, _) -> under_lib p) files in
-  let effect_findings =
-    if List.exists (fun (p, _) -> Filename.check_suffix p ".ml") lib_files then
-      Effects.findings ?only (Effects.analyze (Callgraph.of_sources lib_files))
-    else []
-  in
-  let kept, cut = apply_file_suppressions files effect_findings in
-  cut_total := !cut_total + List.length cut;
-  (List.sort Diag.compare (List.rev_append kept !all), !cut_total, List.length mls)
+  (List.sort Diag.compare findings, cut, List.length mls)
 
-(* ---------- whole-tree run ---------- *)
+(* ---------- baseline netting ---------- *)
 
-let project_files root =
-  scan_files root
-  |> List.map (fun p -> (p, read_file (Filename.concat root p)))
-
-let run ?only ?(baseline = []) root =
-  let files = project_files root in
+let run ?only ?(baseline = []) files =
   let sorted, suppressed, nml = lint_project ?only files in
   let findings, grandfathered = Baseline.apply baseline sorted in
   let used = Hashtbl.create 16 in

@@ -1,12 +1,11 @@
-(** Walking, per-file linting, interprocedural analysis, suppression
-    and baseline plumbing.
+(** Walking, per-file linting, suppression and baseline plumbing.
 
     The tree walk covers [lib], [bin], [bench], [examples] and [test]
     under a root, skipping [_build], [fixtures] and dot-directories;
     directory entries are visited in sorted order so reports are
-    bit-identical across machines.  Local rules ({!Rules.all}) run per
-    .ml file; the interprocedural layer ({!Callgraph} + {!Effects})
-    runs once over lib/** with .mli siblings paired in. *)
+    bit-identical across machines.  Every rule ({!Rules.all}) runs per
+    .ml file; the caller reads the files, so the library stays free of
+    I/O. *)
 
 type result = {
   findings : Diag.t list;  (** unsuppressed, after the baseline; sorted *)
@@ -22,15 +21,11 @@ type result = {
     under [root]. *)
 val scan_files : string -> string list
 
-(** [(path, contents)] for every scanned file. *)
-val project_files : string -> (string * string) list
-
 (** [lint_source ~path contents] lints one compilation unit with the
-    given local rules (default: {!Rules.all}), applying inline
+    given rules (default: {!Rules.all}), applying inline
     suppressions.  [has_mli] (default [true]) feeds H001; [path] is
     the repo-relative path used for rule scoping.  Returns sorted
-    findings and the count of inline-suppressed ones.  Interprocedural
-    rules need the whole project: see {!lint_project}. *)
+    findings and the count of inline-suppressed ones. *)
 val lint_source :
   ?rules:Rules.rule list ->
   ?has_mli:bool ->
@@ -38,20 +33,18 @@ val lint_source :
   string ->
   Diag.t list * int
 
-(** [lint_file ~root path] — {!lint_source} on a file on disk;
-    [has_mli] is derived from the sibling [.mli]'s existence. *)
-val lint_file :
-  ?rules:Rules.rule list -> root:string -> string -> Diag.t list * int
-
-(** [lint_project files] lints an in-memory project: local rules on
-    every [.ml] entry, plus the Callgraph/Effects pass over the
-    [lib/**] entries ([.mli] contents paired by path).  [only] filters
-    by rule id across both layers.  Returns (sorted findings,
-    inline-suppressed count, number of .ml files). *)
+(** [lint_project files] lints an in-memory project of
+    [(path, contents)] pairs: every rule on every [.ml] entry, with
+    [has_mli] read off the [.mli] entries.  [only] filters by rule id.
+    Returns (sorted findings, inline-suppressed count, number of .ml
+    files). *)
 val lint_project :
   ?only:string list -> (string * string) list -> Diag.t list * int * int
 
-(** Lint the whole tree under [root] and net off [baseline]; [only]
-    filters by rule id. *)
+(** {!lint_project} over [files] (typically {!scan_files}' paths with
+    their contents), netted off [baseline]. *)
 val run :
-  ?only:string list -> ?baseline:Baseline.entry list -> string -> result
+  ?only:string list ->
+  ?baseline:Baseline.entry list ->
+  (string * string) list ->
+  result

@@ -55,21 +55,170 @@ let tok ctx i =
 
 let tok_text ctx i = match tok ctx i with Some t -> t.T.text | None -> ""
 
-(* The determinism and multicore rules (D001 D002 D003 M001 M002) that
-   used to live here as path heuristics were retargeted to
-   reachability-based diagnostics in [Effects]; they fire only on
-   sites whose function is reachable from a Netgraph.Pool callback,
-   and each finding carries the witness call chain.  This catalog
-   keeps the purely local, single-file rules. *)
-
-(* ---------- F001: polymorphic compare / min / max ---------- *)
-
-let float_scope = [ "lib/geometry"; "lib/netgraph"; "lib/delaunay" ]
+let contains_sub needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n = 0 || go 0
 
 let is_definition_prev ctx i =
   match tok_text ctx (i - 1) with
   | "let" | "and" | "val" | "method" | "external" -> true
   | _ -> false
+
+(* The determinism, multicore and I/O rules patrol every library unit;
+   lib/obs is the sanctioned home of clocks, shared registries and
+   output, so it is exempt from all of them.  Rules that own a further
+   home (rand.ml for D001, graph.ml for D002, lib/viz for E001) name it
+   themselves. *)
+let lib_unit path = under "lib" path && not (under "lib/obs" path)
+
+(* ---------- D001: Stdlib.Random ---------- *)
+
+let d001_check ctx =
+  if (not (lib_unit ctx.path)) || ctx.path = "lib/wireless/rand.ml" then []
+  else
+    Array.to_list ctx.code
+    |> List.filter_map (fun t ->
+           if t.T.kind = T.Ident && T.has_component t "Random" then
+             Some
+               (finding ctx "D001" Diag.Error t.T.line t.T.col
+                  ("use of " ^ t.T.text
+                 ^ ": Stdlib.Random is nondeterministic across runs; thread \
+                    a seeded Wireless.Rand through instead"))
+           else None)
+
+(* ---------- D002: Hashtbl iteration order ---------- *)
+
+let d002_sort_window_before = 8
+let d002_sort_window_after = 48
+
+let d002_check ctx =
+  if (not (lib_unit ctx.path)) || ctx.path = "lib/netgraph/graph.ml" then []
+  else begin
+    let out = ref [] in
+    Array.iteri
+      (fun i t ->
+        if
+          t.T.kind = T.Ident
+          && T.has_component t "Hashtbl"
+          && (match T.last_component t with "iter" | "fold" -> true | _ -> false)
+        then begin
+          (* allowed when the call visibly feeds a sort: List.sort /
+             List.sort_uniq / Graph.sorted_tbl_* within a small token
+             window before (sort wraps the fold) or after (fold result
+             piped into a sort) *)
+          let sorted = ref false in
+          for k = i - d002_sort_window_before to i + d002_sort_window_after do
+            match tok ctx k with
+            | Some u
+              when u.T.kind = T.Ident
+                   && contains_sub "sort"
+                        (String.lowercase_ascii (T.last_component u)) ->
+              sorted := true
+            | _ -> ()
+          done;
+          if not !sorted then
+            out :=
+              finding ctx "D002" Diag.Error t.T.line t.T.col
+                (t.T.text
+               ^ " iterates in hash order, which can leak into outputs; \
+                  route through Graph.sorted_tbl_iter/fold or sort the \
+                  result")
+              :: !out
+        end)
+      ctx.code;
+    List.rev !out
+  end
+
+(* ---------- D003: wall clocks outside lib/obs ---------- *)
+
+let d003_check ctx =
+  if not (lib_unit ctx.path) then []
+  else
+    Array.to_list ctx.code
+    |> List.filter_map (fun t ->
+           let hit =
+             t.T.kind = T.Ident
+             && ((T.has_component t "Sys" && T.last_component t = "time")
+                || T.has_component t "Unix"
+                   && (match T.last_component t with
+                      | "gettimeofday" | "time" -> true
+                      | _ -> false))
+           in
+           if hit then
+             Some
+               (finding ctx "D003" Diag.Error t.T.line t.T.col
+                  ("wall-clock call " ^ t.T.text
+                 ^ " outside lib/obs breaks reproducibility; report \
+                    timings through Obs spans"))
+           else None)
+
+(* ---------- E001: direct I/O in library code ---------- *)
+
+(* Stdlib channel operations, bare or qualified by one of the modules
+   that re-export them.  [fprintf] is left out: the pp functions print
+   to a formatter their caller passes in, which is the caller's I/O. *)
+let e001_channel_op = function
+  | "print_string" | "print_endline" | "print_newline" | "print_char"
+  | "print_int" | "print_float" | "print_bytes" | "prerr_string"
+  | "prerr_endline" | "prerr_newline" | "read_line" | "output_string"
+  | "output_char" | "output_byte" | "output_bytes" | "output_value"
+  | "input_line" | "input_value" | "really_input_string" | "open_in"
+  | "open_in_bin" | "open_out" | "open_out_bin" | "close_in" | "close_out"
+  | "flush" | "flush_all" | "printf" | "eprintf" ->
+    true
+  | _ -> false
+
+let e001_std_stream = function
+  | "stdout" | "stderr" | "Stdlib.stdout" | "Stdlib.stderr"
+  | "Format.std_formatter" | "Format.err_formatter" ->
+    true
+  | _ -> false
+
+let e001_hit ctx i t =
+  let last = T.last_component t in
+  match T.path_components t.T.text with
+  | [ _ ] -> e001_channel_op last
+  | ("In_channel" | "Out_channel") :: _
+  | "Stdlib" :: ("In_channel" | "Out_channel") :: _ ->
+    true
+  | ("Stdlib" | "Printf" | "Format") :: _ ->
+    e001_channel_op last
+    || (last = "fprintf" && e001_std_stream (tok_text ctx (i + 1)))
+  | "Unix" :: _ -> (
+    match last with
+    | "read" | "write" | "select" | "sleep" | "sleepf" | "openfile"
+    | "system" ->
+      true
+    | _ -> false)
+  | "Thread" :: _ -> (
+    match last with
+    | "create" | "join" | "delay" | "yield" -> true
+    | _ -> false)
+  | _ -> false
+
+let e001_check ctx =
+  if (not (lib_unit ctx.path)) || under "lib/viz" ctx.path then []
+  else begin
+    let out = ref [] in
+    Array.iteri
+      (fun i t ->
+        if t.T.kind = T.Ident && (not (is_definition_prev ctx i))
+           && e001_hit ctx i t
+        then
+          out :=
+            finding ctx "E001" Diag.Error t.T.line t.T.col
+              ("direct I/O " ^ t.T.text
+             ^ " in library code; return the data, print through a \
+                formatter the caller passes in, or report through Obs")
+            :: !out)
+      ctx.code;
+    List.rev !out
+  end
+
+(* ---------- F001: polymorphic compare / min / max ---------- *)
+
+let float_scope = [ "lib/geometry"; "lib/netgraph"; "lib/delaunay" ]
 
 let float_flavored t =
   t.T.kind = T.Float_lit
@@ -152,6 +301,114 @@ let f002_check ctx =
               :: !out
         end)
       ctx.code;
+    List.rev !out
+  end
+
+(* ---------- M001: module-toplevel mutable state ---------- *)
+
+let m001_mutable_ctor t =
+  t.T.kind = T.Ident
+  && (t.T.text = "ref"
+     || (T.has_component t "Hashtbl" && T.last_component t = "create")
+     || (T.has_component t "Array"
+        &&
+        match T.last_component t with
+        | "make" | "create_float" | "make_matrix" -> true
+        | _ -> false)
+     || (T.has_component t "Bytes" && T.last_component t = "create")
+     || (T.has_component t "Buffer" && T.last_component t = "create")
+     || (T.has_component t "Queue" && T.last_component t = "create")
+     || (T.has_component t "Stack" && T.last_component t = "create"))
+
+let m001_domain_safe t =
+  t.T.kind = T.Ident
+  && (T.has_component t "Atomic" || T.has_component t "DLS"
+    || T.has_component t "Mutex")
+
+let m001_check ctx =
+  if not (lib_unit ctx.path) then []
+  else begin
+    let annotated_lines =
+      List.filter_map
+        (fun c ->
+          if contains_sub "lint: domain-local" c.T.text then Some c.T.line
+          else None)
+        ctx.comments
+    in
+    let n = Array.length ctx.code in
+    let boundary t =
+      t.T.col = 1 && t.T.kind = T.Ident
+      &&
+      match t.T.text with
+      | "let" | "and" | "type" | "module" | "open" | "include" | "exception"
+      | "external" | "class" ->
+        true
+      | _ -> false
+    in
+    let out = ref [] in
+    let i = ref 0 in
+    while !i < n do
+      let t = ctx.code.(!i) in
+      if boundary t && (t.T.text = "let" || t.T.text = "and") then begin
+        (* item extent: up to the next structure-level keyword *)
+        let stop = ref (!i + 1) in
+        while !stop < n && not (boundary ctx.code.(!stop)) do
+          incr stop
+        done;
+        (* [let [rec] name = rhs] — only constant bindings can pin
+           shared state; anything with parameters allocates per call *)
+        let j = if tok_text ctx (!i + 1) = "rec" then !i + 2 else !i + 1 in
+        let is_const_binding =
+          match tok ctx j with
+          | Some name when name.T.kind = T.Ident -> (
+            match tok_text ctx (j + 1) with "=" | ":" -> true | _ -> false)
+          | _ -> false
+        in
+        if is_const_binding then begin
+          let rhs_is_function =
+            (* find the '=' then look at the first RHS token *)
+            let rec eq k =
+              if k >= !stop then None
+              else if ctx.code.(k).T.text = "=" && ctx.code.(k).T.kind = T.Op
+              then Some (k + 1)
+              else eq (k + 1)
+            in
+            match eq (j + 1) with
+            | Some k -> (
+              match tok_text ctx k with "fun" | "function" -> true | _ -> false)
+            | None -> true
+          in
+          if not rhs_is_function then begin
+            let last_line = ctx.code.(!stop - 1).T.line in
+            let exempt =
+              List.exists
+                (fun l -> l >= t.T.line - 1 && l <= last_line)
+                annotated_lines
+              ||
+              let safe = ref false in
+              for k = !i to !stop - 1 do
+                if m001_domain_safe ctx.code.(k) then safe := true
+              done;
+              !safe
+            in
+            if not exempt then
+              for k = !i to !stop - 1 do
+                let c = ctx.code.(k) in
+                if m001_mutable_ctor c then
+                  out :=
+                    finding ctx "M001" Diag.Error c.T.line c.T.col
+                      ("module-toplevel mutable state (" ^ c.T.text
+                     ^ ") is shared across Netgraph.Pool worker domains; \
+                        use Atomic / Domain.DLS or annotate with (* lint: \
+                        domain-local reason *)")
+                    :: !out
+              done
+          end
+        end;
+        i := !stop
+      end
+      else incr i
+    done;
     List.rev !out
   end
 
@@ -290,6 +547,57 @@ let o002_check ctx =
 let all =
   [
     {
+      id = "D001";
+      family = "determinism";
+      severity = Diag.Error;
+      title = "no Stdlib.Random in library code";
+      doc =
+        "Stdlib.Random makes runs unreproducible, and its shared state makes \
+         a Netgraph.Pool region schedule-dependent.  All randomness flows \
+         from the seeded, splittable Wireless.Rand; lib/wireless/rand.ml \
+         and lib/obs are exempt.";
+      check = d001_check;
+    };
+    {
+      id = "D002";
+      family = "determinism";
+      severity = Diag.Error;
+      title = "no order-leaking Hashtbl iteration in library code";
+      doc =
+        "Hashtbl.iter/fold visit bindings in hash order, which varies with \
+         insertion history and hash seeds; results that reach outputs or \
+         metrics must go through Graph.sorted_tbl_iter/fold or an explicit \
+         sort (a *sort* within a few tokens of the call is recognised).  \
+         lib/netgraph/graph.ml hosts the wrappers and is exempt, as is \
+         lib/obs.";
+      check = d002_check;
+    };
+    {
+      id = "D003";
+      family = "determinism";
+      severity = Diag.Error;
+      title = "no wall clocks in library code outside lib/obs";
+      doc =
+        "Sys.time and Unix.gettimeofday readings differ run to run and \
+         domain to domain; only the observability layer (lib/obs), whose \
+         spans are kept apart from results, may read them.  Everything \
+         else reports timings through Obs spans.";
+      check = d003_check;
+    };
+    {
+      id = "E001";
+      family = "multicore-safety";
+      severity = Diag.Error;
+      title = "no direct I/O in library code";
+      doc =
+        "Prints, channel open/close/read/write and Unix/Thread blocking \
+         calls in lib/** serialize a Netgraph.Pool region and interleave \
+         output nondeterministically.  Library code returns data, prints \
+         through a formatter its caller passes in (Format.fprintf ppf), or \
+         reports through Obs; lib/obs and lib/viz are the output homes.";
+      check = e001_check;
+    };
+    {
       id = "F001";
       family = "float-robustness";
       severity = Diag.Error;
@@ -341,6 +649,18 @@ let all =
          message turns an impossible state into an undiagnosable crash; \
          say why the branch cannot happen.";
       check = h003_check;
+    };
+    {
+      id = "M001";
+      family = "multicore-safety";
+      severity = Diag.Error;
+      title = "no shared toplevel mutable state in library code";
+      doc =
+        "Module-toplevel refs, hash tables and scratch arrays in lib/** are \
+         shared across Netgraph.Pool worker domains and race silently.  \
+         Use Atomic, Domain.DLS, pass state explicitly, or annotate the \
+         binding with (* lint: domain-local reason *); lib/obs is exempt.";
+      check = m001_check;
     };
     {
       id = "O001";

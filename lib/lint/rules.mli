@@ -1,10 +1,14 @@
-(** The local rule catalog: single-file project invariants checked at
-    the token level.  The determinism and multicore rules (D001 D002
-    D003 M001 M002) and the parallel-region E-rules are
-    interprocedural and live in {!Effects}; this catalog holds the
-    rules a single compilation unit can answer.
+(** The rule catalog: single-file project invariants checked at the
+    token level.
 
     Families (see DESIGN.md §9 for the rationale per rule):
+    - determinism, over every lib/** unit outside lib/obs: D001 no
+      [Stdlib.Random] (lib/wireless/rand.ml exempt); D002 no
+      unsorted [Hashtbl.iter]/[fold] (lib/netgraph/graph.ml exempt);
+      D003 no wall clocks.
+    - multicore-safety, same scope: M001 no unguarded module-toplevel
+      mutable state; E001 no direct stdout/stderr/channel/Unix/Thread
+      I/O (lib/viz exempt too).
     - float-robustness: F001 no polymorphic [compare]/[min]/[max] on
       floats in lib/geometry, lib/netgraph, lib/delaunay; F002 no
       exact float-literal equality outside predicates.ml.
@@ -30,7 +34,7 @@ type rule = {
   check : ctx -> Diag.t list;
 }
 
-(** All local rules, in catalog order (stable, id-sorted). *)
+(** All rules, in catalog order (stable, id-sorted). *)
 val all : rule list
 
 val find : string -> rule option

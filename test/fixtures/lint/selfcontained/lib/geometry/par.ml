@@ -1,21 +1,21 @@
-(* Parallel-seeded side of the fixture: a Pool.parallel_for callback
-   whose chain reaches Random / a wall clock / shared mutable state,
-   so the retargeted interprocedural rules (and E001/E002) also fire
-   on this tree.  Never built. *)
+(* Parallel side of the fixture: a Pool.parallel_for callback that
+   reaches Random, shared mutable state and direct I/O.  The rules are
+   single-file, so each site fires where it stands — in the callback's
+   helpers and in [cold], which no callback reaches, alike.  Never
+   built. *)
 
-let hits = ref 0
+let hits = ref 0 (* M001: shared toplevel ref *)
 
-let noise () = Random.float 1.0 (* D001, via the chain below *)
+let noise () = Random.float 1.0 (* D001 *)
 
 let jitter x =
-  incr hits (* M001: shared toplevel ref *) ;
+  incr hits;
   x +. noise ()
 
 let step u =
-  print_endline "step" (* E001: blocking I/O, no guard on the chain *) ;
-  if u < 0.0 then failwith "negative" (* E002: no handler on the chain *) ;
+  print_endline "step" (* E001: direct I/O in library code *) ;
   jitter u
 
 let run pool xs = Netgraph.Pool.parallel_for pool ~n:(Array.length xs) (fun i -> step xs.(i))
 
-let cold () = Random.bits () (* not reachable from any seed: must NOT fire *)
+let cold () = Random.bits () (* D001: reachability does not matter *)

@@ -1,11 +1,9 @@
 (* The lint layer: tokenizer behaviour on the constructs that usually
    break naive scanners (plus the torture cases that broke this one),
-   positive and negative fixtures for the local rules, multi-file
-   projects exercising the interprocedural layer (call-graph
-   resolution hard cases, Pool-reachability retargeting with witness
-   chains, E001–E003), suppression and baseline round-trips, the DOT
-   export's structure, and the self-lint — the repo must come out
-   clean under its own analyzer. *)
+   positive and negative fixtures for every rule (each fires on a
+   lib/** path outside its home and stays quiet in its home),
+   suppression and baseline round-trips, and the self-lint — the repo
+   must come out clean under its own analyzer. *)
 
 let check = Alcotest.(check bool)
 
@@ -90,6 +88,109 @@ let lint ?(path = "lib/geometry/snippet.ml") ?(has_mli = true) src =
 
 let rules_of ds = List.map (fun d -> d.Lint.Diag.rule) ds
 let fires r ?path ?has_mli src = List.mem r (rules_of (lint ?path ?has_mli src))
+
+let d001 () =
+  check "Random in lib/core flagged" true
+    (fires "D001" ~path:"lib/core/x.ml" "let pick n = Random.int n");
+  check "qualified Stdlib.Random flagged" true
+    (fires "D001" ~path:"lib/serve/x.ml" "let () = Stdlib.Random.self_init ()");
+  check "rand.ml is the home" false
+    (fires "D001" ~path:"lib/wireless/rand.ml" "let pick n = Random.int n");
+  check "lib/obs exempt" false
+    (fires "D001" ~path:"lib/obs/x.ml" "let pick n = Random.int n");
+  check "outside lib out of scope" false
+    (fires "D001" ~path:"test/x.ml" "let pick n = Random.int n");
+  (* single-file: a Random site fires whether or not any
+     Pool.parallel_for callback reaches it *)
+  let findings, _, _ =
+    Lint.Engine.lint_project ~only:[ "D001" ]
+      [
+        ( "lib/core/a.ml",
+          "let unrelated () = Random.int 7\n\n\
+           let calm x = x + 1\n\n\
+           let spread p = Netgraph.Pool.parallel_for p ~n:2 (fun i -> calm i)\n"
+        );
+      ]
+  in
+  check "fires off every Pool path" true
+    (match findings with
+    | [ d ] -> d.Lint.Diag.rule = "D001" && d.Lint.Diag.line = 1
+    | _ -> false)
+
+let d002 () =
+  check "unsorted fold in lib/core flagged" true
+    (fires "D002" ~path:"lib/core/x.ml"
+       "let keys tbl = Hashtbl.fold (fun k _ a -> k :: a) tbl []");
+  check "Hashtbl.iter feeding output flagged" true
+    (fires "D002" ~path:"lib/core/x.ml"
+       "let dump ppf tbl =\n\
+       \  Hashtbl.iter (fun k v -> Format.fprintf ppf \"%d %d\" k v) tbl");
+  check "sort-wrapped fold allowed" false
+    (fires "D002" ~path:"lib/core/x.ml"
+       "let keys tbl =\n\
+       \  List.sort Int.compare (Hashtbl.fold (fun k _ a -> k :: a) tbl [])");
+  check "fold piped into a sort allowed" false
+    (fires "D002" ~path:"lib/core/x.ml"
+       "let keys tbl =\n\
+       \  Hashtbl.fold (fun k _ a -> k :: a) tbl [] |> List.sort_uniq Int.compare");
+  check "graph.ml is the home" false
+    (fires "D002" ~path:"lib/netgraph/graph.ml"
+       "let keys tbl = Hashtbl.fold (fun k _ a -> k :: a) tbl []");
+  check "lib/obs exempt" false
+    (fires "D002" ~path:"lib/obs/x.ml"
+       "let keys tbl = Hashtbl.fold (fun k _ a -> k :: a) tbl []")
+
+let d003 () =
+  check "gettimeofday in lib/core flagged" true
+    (fires "D003" ~path:"lib/core/x.ml" "let now () = Unix.gettimeofday ()");
+  check "Sys.time in lib/serve flagged" true
+    (fires "D003" ~path:"lib/serve/x.ml" "let now () = Sys.time ()");
+  check "lib/obs is the home" false
+    (fires "D003" ~path:"lib/obs/x.ml" "let now () = Unix.gettimeofday ()");
+  check "bench out of scope" false
+    (fires "D003" ~path:"bench/x.ml" "let now () = Unix.gettimeofday ()")
+
+let e001 () =
+  check "print_string in lib/core flagged" true
+    (fires "E001" ~path:"lib/core/x.ml" "let f () = print_string \"x\"");
+  check "Printf.printf flagged" true
+    (fires "E001" ~path:"lib/core/x.ml" "let f n = Printf.printf \"%d\" n");
+  check "fprintf to stderr flagged" true
+    (fires "E001" ~path:"lib/core/x.ml" "let f n = Printf.fprintf stderr \"%d\" n");
+  check "channel open flagged" true
+    (fires "E001" ~path:"lib/serve/x.ml" "let f p = open_in_bin p");
+  check "In_channel read flagged" true
+    (fires "E001" ~path:"lib/lint/x.ml"
+       "let f p = In_channel.with_open_bin p In_channel.input_all");
+  check "Unix sleep flagged" true
+    (fires "E001" ~path:"lib/distsim/x.ml" "let f () = Unix.sleepf 0.1");
+  check "fprintf to a caller's formatter fine" false
+    (fires "E001" ~path:"lib/core/x.ml"
+       "let pp ppf n = Format.fprintf ppf \"%d\" n");
+  check "defining flush fine" false
+    (fires "E001" ~path:"lib/core/x.ml" "let flush t = t.n <- 0");
+  check "lib/obs is a home" false
+    (fires "E001" ~path:"lib/obs/x.ml" "let f () = print_string \"x\"");
+  check "lib/viz is a home" false
+    (fires "E001" ~path:"lib/viz/x.ml" "let f () = print_string \"x\"");
+  check "bin out of scope" false
+    (fires "E001" ~path:"bin/x.ml" "let f () = print_string \"x\"")
+
+let m001 () =
+  check "toplevel ref in lib/core flagged" true
+    (fires "M001" ~path:"lib/core/x.ml" "let acc = ref []");
+  check "toplevel table flagged" true
+    (fires "M001" ~path:"lib/netgraph/x.ml" "let cache = Hashtbl.create 16");
+  check "Atomic global fine" false
+    (fires "M001" ~path:"lib/core/x.ml" "let acc = Atomic.make 0");
+  check "domain-local note fine" false
+    (fires "M001" ~path:"lib/core/x.ml"
+       "(* lint: domain-local written once before any pool opens *)\n\
+        let table = Array.make 16 0");
+  check "function-local state fine" false
+    (fires "M001" ~path:"lib/core/x.ml" "let f () = let acc = ref 0 in !acc");
+  check "lib/obs exempt" false
+    (fires "M001" ~path:"lib/obs/x.ml" "let acc = ref []")
 
 let f001 () =
   check "List.sort compare flagged" true
@@ -178,286 +279,6 @@ let o002 () =
   check "unrelated sends out of scope" false
     (fires "O002" ~path:"lib/core/x.ml" "let f ch m = Channel.send ch m")
 
-(* ---------- interprocedural layer ---------- *)
-
-(* [lint_project] over an in-memory multi-file project; [only]
-   restricts to the rule under test so H001 etc. stay out of the way. *)
-let project ?only files =
-  let findings, _, _ = Lint.Engine.lint_project ?only files in
-  findings
-
-let pfires rule ?only files =
-  List.exists (fun d -> d.Lint.Diag.rule = rule) (project ?only files)
-
-let msg_of rule files =
-  match
-    List.filter (fun d -> d.Lint.Diag.rule = rule) (project ~only:[ rule ] files)
-  with
-  | d :: _ -> d.Lint.Diag.message
-  | [] -> ""
-
-let contains sub s =
-  let n = String.length sub and h = String.length s in
-  let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-(* Acceptance case: a multi-hop chain from a Pool.parallel_for
-   callback to the flagged effect site, and the same effect in a
-   function no seed reaches staying unflagged. *)
-let retarget_chain () =
-  let reachable =
-    [
-      ( "lib/core/a.ml",
-        "let leaf () = Random.int 5\n\n\
-         let middle () = leaf () + 1\n\n\
-         let driver p =\n\
-        \  Netgraph.Pool.parallel_for p ~n:2 (fun i -> ignore (middle () + i))\n"
-      );
-    ]
-  in
-  check "D001 fires through the chain" true
-    (pfires "D001" ~only:[ "D001" ] reachable);
-  let m = msg_of "D001" reachable in
-  check "witness chain is multi-hop" true
-    (contains "->" m && contains "middle" m && contains "leaf" m);
-  check "chain names the Pool call site" true
-    (contains "Pool call at lib/core/a.ml" m);
-  let unreachable =
-    [
-      ( "lib/core/a.ml",
-        "let unrelated () = Random.int 7\n\n\
-         let calm x = x + 1\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:2 (fun i -> calm i)\n"
-      );
-    ]
-  in
-  check "effectful but unreachable: not flagged" false
-    (pfires "D001" ~only:[ "D001" ] unreachable)
-
-let retarget_rules () =
-  let seeded body =
-    [
-      ( "lib/core/a.ml",
-        body
-        ^ "\nlet driver p = Netgraph.Pool.parallel_for p ~n:2 (fun i -> work i)\n"
-      );
-    ]
-  in
-  check "D003 clock on parallel path" true
-    (pfires "D003" ~only:[ "D003" ]
-       (seeded "let work _ = Unix.gettimeofday ()"));
-  check "D003 clock off parallel path" false
-    (pfires "D003" ~only:[ "D003" ]
-       [ ("lib/core/a.ml", "let cold () = Unix.gettimeofday ()\n") ]);
-  check "D002 unordered fold on parallel path" true
-    (pfires "D002" ~only:[ "D002" ]
-       (seeded "let work tbl = Hashtbl.fold (fun k _ a -> k :: a) tbl []"));
-  check "D002 sort-wrapped fold allowed" false
-    (pfires "D002" ~only:[ "D002" ]
-       (seeded
-          "let work tbl =\n\
-          \  List.sort cmp (Hashtbl.fold (fun k _ a -> k :: a) tbl [])"));
-  check "M001 shared global touched on parallel path" true
-    (pfires "M001" ~only:[ "M001" ]
-       (seeded "let acc = ref []\n\nlet work x = acc := x :: !acc"));
-  check "M001 Atomic global fine" false
-    (pfires "M001" ~only:[ "M001" ]
-       (seeded "let acc = Atomic.make 0\n\nlet work _ = Atomic.incr acc"));
-  check "M001 unreferenced global fine" false
-    (pfires "M001" ~only:[ "M001" ]
-       (seeded "let acc = ref []\n\nlet work x = x + 1"));
-  check "M002 graph mutation on parallel path" true
-    (pfires "M002" ~only:[ "M002" ]
-       (seeded "let work g = Netgraph.Graph.add_edge g 0 1"));
-  check "M002 builder sealing fine" false
-    (pfires "M002" ~only:[ "M002" ]
-       (seeded "let work b = Builder.add_edge b 0 1"))
-
-let e001_e002 () =
-  let files body =
-    [
-      ( "lib/core/a.ml",
-        body
-        ^ "\nlet driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> work i)\n"
-      );
-    ]
-  in
-  check "E001 unguarded print on parallel path" true
-    (pfires "E001" ~only:[ "E001" ]
-       (files "let work _ = print_endline \"x\""));
-  check "E001 guarded by an Atomic on the chain" false
-    (pfires "E001" ~only:[ "E001" ]
-       (files
-          "let once = Atomic.make false\n\n\
-           let work _ =\n\
-          \  if not (Atomic.exchange once true) then print_endline \"x\""));
-  check "E001 off the parallel path" false
-    (pfires "E001" ~only:[ "E001" ]
-       [ ("lib/core/a.ml", "let report () = print_endline \"x\"\n") ]);
-  check "E002 escaping failwith" true
-    (pfires "E002" ~only:[ "E002" ]
-       (files "let work u = if u < 0 then failwith \"neg\" else u"));
-  check "E002 handler on the chain" false
-    (pfires "E002" ~only:[ "E002" ]
-       (files
-          "let risky u = if u < 0 then failwith \"neg\" else u\n\n\
-           let work u = try risky u with _ -> 0"))
-
-let e003 () =
-  let drift =
-    [
-      ("lib/core/c.ml", "let visible () = 1\n\nlet hidden () = 2\n");
-      ("lib/core/c.mli", "val visible : unit -> int\n\nval ghost : unit -> int\n");
-    ]
-  in
-  let fs = project ~only:[ "E003" ] drift in
-  check "missing implementation flagged at the .mli" true
-    (List.exists
-       (fun d ->
-         d.Lint.Diag.file = "lib/core/c.mli" && contains "ghost" d.Lint.Diag.message)
-       fs);
-  check "dead unexported value flagged at the .ml" true
-    (List.exists
-       (fun d ->
-         d.Lint.Diag.file = "lib/core/c.ml" && contains "hidden" d.Lint.Diag.message)
-       fs);
-  let agreed =
-    [
-      ("lib/core/c.ml", "let visible () = 1\n\nlet helper () = 2\n\nlet also () = helper ()\n");
-      ("lib/core/c.mli", "val visible : unit -> int\n\nval also : unit -> int\n");
-    ]
-  in
-  check "agreeing surfaces are clean" false (pfires "E003" ~only:[ "E003" ] agreed);
-  let hazard =
-    [
-      ("lib/core/c.ml", "let hidden () = 2\n");
-      ("lib/core/c.mli", "include module type of Base\n");
-    ]
-  in
-  check "include in the .mli skips the unit" false
-    (pfires "E003" ~only:[ "E003" ] hazard)
-
-(* ---------- call-graph hard cases ---------- *)
-
-let cg_functor () =
-  let pos =
-    [
-      ( "lib/core/f.ml",
-        "module Cfg = struct\n\
-        \  let n = 3\n\
-         end\n\n\
-         module Mk (R : sig\n\
-        \  val n : int\n\
-         end) =\n\
-         struct\n\
-        \  let noisy () = Random.int R.n\n\n\
-        \  let unused_noise () = Random.bits ()\n\
-         end\n\n\
-         module Inst = Mk (Cfg)\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> Inst.noisy ())\n"
-      );
-    ]
-  in
-  let fs =
-    List.filter (fun d -> d.Lint.Diag.rule = "D001") (project ~only:[ "D001" ] pos)
-  in
-  check "call through the functor instance is reachable" true
-    (List.exists (fun d -> contains "noisy" d.Lint.Diag.message) fs);
-  check "uncalled functor member is not flagged" false
-    (List.exists (fun d -> contains "unused_noise" d.Lint.Diag.message) fs)
-
-let cg_local_open () =
-  let pos =
-    [
-      ( "lib/core/f.ml",
-        "module Helpers = struct\n\
-        \  let noisy () = Random.int 4\n\
-         end\n\n\
-         let f () =\n\
-        \  let open Helpers in\n\
-        \  noisy ()\n\n\
-         let lone () = Random.int 8\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
-  let fs =
-    List.filter (fun d -> d.Lint.Diag.rule = "D001") (project ~only:[ "D001" ] pos)
-  in
-  check "name through a let-open resolves and is reachable" true
-    (List.exists (fun d -> contains "noisy" d.Lint.Diag.message) fs);
-  check "effectful toplevel nothing calls stays unflagged" false
-    (List.exists (fun d -> contains "lone" d.Lint.Diag.message) fs)
-
-let cg_alias () =
-  let files call =
-    [
-      ( "lib/core/f.ml",
-        "module Helpers = struct\n\
-        \  let noisy () = Random.int 4\n\
-         end\n\n\
-         module H = Helpers\n\n\
-         let f () = " ^ call
-        ^ "\n\nlet driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
-  check "aliased module path reaches the definition" true
-    (pfires "D001" ~only:[ "D001" ] (files "H.noisy ()"));
-  check "alias without the call stays clean" false
-    (pfires "D001" ~only:[ "D001" ] (files "0"))
-
-let cg_shadowing () =
-  let shadowed =
-    [
-      ( "lib/core/f.ml",
-        "let noisy () = Random.int 4\n\n\
-         let f () =\n\
-        \  let noisy () = 0 in\n\
-        \  noisy ()\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
-  check "local shadow cuts reachability to the toplevel" false
-    (pfires "D001" ~only:[ "D001" ] shadowed);
-  let unshadowed =
-    [
-      ( "lib/core/f.ml",
-        "let noisy () = Random.int 4\n\n\
-         let f () = noisy ()\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun _ -> f ())\n"
-      );
-    ]
-  in
-  check "without the shadow the toplevel is reachable" true
-    (pfires "D001" ~only:[ "D001" ] unshadowed)
-
-let cg_mutual_rec () =
-  let pos =
-    [
-      ( "lib/core/f.ml",
-        "let rec ping n = if n = 0 then Random.int 3 else pong (n - 1)\n\n\
-         and pong n = ping (n / 2)\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> pong i)\n"
-      );
-    ]
-  in
-  check "mutual recursion: effect reaches through the cycle" true
-    (pfires "D001" ~only:[ "D001" ] pos);
-  let neg =
-    [
-      ( "lib/core/f.ml",
-        "let rec ping n = if n = 0 then Random.int 3 else pong (n - 1)\n\n\
-         and pong n = ping (n / 2)\n\n\
-         let other i = i + 1\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> other i)\n"
-      );
-    ]
-  in
-  check "cycle no seed reaches stays unflagged" false
-    (pfires "D001" ~only:[ "D001" ] neg)
-
 (* ---------- suppressions ---------- *)
 
 let suppression () =
@@ -484,20 +305,18 @@ let suppression () =
   in
   check "reasonless suppression is inert" true
     (fires "H002" ~path:"lib/core/x.ml" reasonless);
-  (* interprocedural findings honour the same inline suppressions *)
+  (* project runs honour the same inline suppressions *)
   let proj =
     [
       ( "lib/core/a.ml",
         "let work _ =\n\
         \  (* lint: disable E001 single writer: the pool pins slot 0 *)\n\
-        \  print_endline \"x\"\n\n\
-         let driver p = Netgraph.Pool.parallel_for p ~n:1 (fun i -> work i)\n"
-      );
+        \  print_endline \"x\"\n" );
     ]
   in
   let findings, cut, _ = Lint.Engine.lint_project ~only:[ "E001" ] proj in
-  check "effect finding suppressed in its file" true (findings = []);
-  check "effect suppression counted" true (cut = 1)
+  check "project finding suppressed in its file" true (findings = []);
+  check "project suppression counted" true (cut = 1)
 
 (* ---------- baseline ---------- *)
 
@@ -603,30 +422,28 @@ let json_roundtrip () =
     | [ one ] -> Lint.Diag.equal d one
     | _ -> false)
 
-(* ---------- self-lint, stats, DOT ---------- *)
+(* ---------- self-lint ---------- *)
 
 (* Tests run from _build/default/test; the tree above it is the
    (copied) repository root, declared as deps in test/dune. *)
 let repo_root = ".."
 
-let self_analysis () =
-  let files =
-    Lint.Engine.project_files repo_root
-    |> List.filter (fun (p, _) ->
-           String.length p > 4 && String.sub p 0 4 = "lib/")
-  in
-  Lint.Effects.analyze (Lint.Callgraph.of_sources files)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let repo_files () =
+  Lint.Engine.scan_files repo_root
+  |> List.map (fun p -> (p, read_file (Filename.concat repo_root p)))
 
 let self_lint () =
   let baseline_file = Filename.concat repo_root "lint.baseline" in
   check "baseline present" true (Sys.file_exists baseline_file);
-  let baseline = Lint.Baseline.read baseline_file in
+  let baseline = Lint.Baseline.of_string (read_file baseline_file) in
   List.iter
     (fun (e : Lint.Baseline.entry) ->
       check ("baseline reason: " ^ e.file) true
         (String.trim e.reason <> ""))
     baseline;
-  let res = Lint.Engine.run ~baseline repo_root in
+  let res = Lint.Engine.run ~baseline (repo_files ()) in
   List.iter
     (fun d -> Format.eprintf "self-lint: %a@." Lint.Diag.pp d)
     res.findings;
@@ -649,94 +466,36 @@ let self_stale_baseline () =
   let fake =
     [
       { Lint.Baseline.rule = "D002"; file = "lib/obs/obs.ml"; count = 4;
-        reason = "retired by the reachability retargeting" };
+        reason = "order-insensitive reset" };
     ]
   in
-  let res = Lint.Engine.run ~baseline:fake repo_root in
+  let res = Lint.Engine.run ~baseline:fake (repo_files ()) in
   check "stale entry surfaces in unused_baseline" true
     (res.unused_baseline <> [])
 
-let count_sub sub s =
-  let n = String.length sub and h = String.length s in
-  let c = ref 0 in
-  for i = 0 to h - n do
-    if String.sub s i n = sub then incr c
-  done;
-  !c
-
-(* Acceptance case: the DOT export parses structurally, the
-   parallel-reachable cluster is non-empty, and the edge count matches
-   the JSON summary. *)
-let graph_dot () =
-  let a = self_analysis () in
-  let dot = Lint.Effects.to_dot a in
-  let s = Lint.Effects.stats a in
-  check "starts as a digraph" true
-    (String.length dot > 16 && String.sub dot 0 8 = "digraph ");
-  check "braces balance" true (count_sub "{" dot = count_sub "}" dot);
-  check "has the parallel cluster" true
-    (contains "subgraph cluster_parallel {" dot);
-  (* cluster body = everything between the cluster opener and the
-     first closing brace at that nesting: it must contain node lines *)
-  check "cluster is non-empty" true (s.Lint.Effects.s_reachable > 0);
-  let cluster_nodes =
-    (* reachable nodes are emitted inside the cluster, one per line *)
-    count_sub "\n    n" dot
-  in
-  check "reachable nodes sit inside the cluster" true
-    (cluster_nodes = s.Lint.Effects.s_reachable);
-  check "edge count matches the JSON summary" true
-    (count_sub " -> " dot = s.Lint.Effects.s_edges);
-  let j = Lint.Effects.stats_json s in
-  check "stats json shape" true
-    (contains "\"kind\":\"callgraph\"" j
-    && contains (Printf.sprintf "\"edges\":%d" s.Lint.Effects.s_edges) j);
-  check "analysis is substantial" true
-    (s.Lint.Effects.s_functions > 500
-    && s.Lint.Effects.s_edges > 1000
-    && s.Lint.Effects.s_seeds > 5)
-
-let graph_summary () =
-  let a = self_analysis () in
-  (match Lint.Effects.function_summary a "triangulate" with
-  | Some s ->
-    check "summary names the def site" true
-      (contains "lib/delaunay/triangulation.ml" s);
-    check "summary reports reachability" true
-      (contains "parallel-reachable: yes" s);
-    check "summary has a witness chain" true (contains " -> " s)
-  | None -> Alcotest.fail "triangulate not found by suffix");
-  check "unknown function is None" true
-    (Lint.Effects.function_summary a "no_such_function_anywhere" = None)
-
 let catalog () =
-  let local = Lint.Rules.all in
-  let inter = Lint.Effects.rules in
-  check "at least 8 rules across both catalogs" true
-    (List.length local + List.length inter >= 8);
+  let rules = Lint.Rules.all in
+  let ids = List.map (fun (r : Lint.Rules.rule) -> r.id) rules in
+  check "twelve rules, id-sorted" true
+    (List.length ids = 12 && ids = List.sort String.compare ids);
   let families =
     List.sort_uniq String.compare
-      (List.map (fun (r : Lint.Rules.rule) -> r.family) local
-      @ List.map (fun (r : Lint.Effects.rule_info) -> r.family) inter)
+      (List.map (fun (r : Lint.Rules.rule) -> r.family) rules)
   in
   check "four families" true (List.length families = 4);
   List.iter
     (fun (r : Lint.Rules.rule) ->
       check ("doc for " ^ r.id) true (String.length r.doc > 20))
-    local;
-  List.iter
-    (fun (r : Lint.Effects.rule_info) ->
-      check ("doc for " ^ r.id) true (String.length r.doc > 20))
-    inter;
-  check "interprocedural find" true
-    (match Lint.Effects.find_rule "D001" with
+    rules;
+  check "find" true
+    (match Lint.Rules.find "D001" with
     | Some r -> r.id = "D001" && r.family = "determinism"
     | None -> false);
-  check "local find" true
-    (match Lint.Rules.find "F001" with Some r -> r.id = "F001" | None -> false);
-  check "local catalog no longer owns D001" true (Lint.Rules.find "D001" = None);
-  check "find miss" true
-    (Lint.Rules.find "Z999" = None && Lint.Effects.find_rule "Z999" = None)
+  check "retired ids are gone" true
+    (List.for_all
+       (fun id -> Lint.Rules.find id = None)
+       [ "M002"; "E002"; "E003" ]);
+  check "find miss" true (Lint.Rules.find "Z999" = None)
 
 let suites =
   [
@@ -751,29 +510,19 @@ let suites =
       ] );
     ( "lint.rules",
       [
+        Alcotest.test_case "D001 Stdlib.Random" `Quick d001;
+        Alcotest.test_case "D002 hash-order iter" `Quick d002;
+        Alcotest.test_case "D003 wall clocks" `Quick d003;
+        Alcotest.test_case "E001 direct I/O" `Quick e001;
         Alcotest.test_case "F001 poly compare" `Quick f001;
         Alcotest.test_case "F002 float literal eq" `Quick f002;
         Alcotest.test_case "H001 missing mli" `Quick h001;
         Alcotest.test_case "H002 obj magic" `Quick h002;
         Alcotest.test_case "H003 silent dead ends" `Quick h003;
+        Alcotest.test_case "M001 toplevel mutable" `Quick m001;
         Alcotest.test_case "O001 metric name convention" `Quick o001;
         Alcotest.test_case "O002 stamped trace events" `Quick o002;
         Alcotest.test_case "catalog" `Quick catalog;
-      ] );
-    ( "lint.effects",
-      [
-        Alcotest.test_case "retarget: witness chain" `Quick retarget_chain;
-        Alcotest.test_case "retarget: D002 D003 M001 M002" `Quick retarget_rules;
-        Alcotest.test_case "E001/E002 guards and handlers" `Quick e001_e002;
-        Alcotest.test_case "E003 mli drift" `Quick e003;
-      ] );
-    ( "lint.callgraph",
-      [
-        Alcotest.test_case "functor application" `Quick cg_functor;
-        Alcotest.test_case "local open" `Quick cg_local_open;
-        Alcotest.test_case "module alias" `Quick cg_alias;
-        Alcotest.test_case "shadowed names" `Quick cg_shadowing;
-        Alcotest.test_case "mutual let rec" `Quick cg_mutual_rec;
       ] );
     ( "lint.plumbing",
       [
@@ -787,7 +536,5 @@ let suites =
       [
         Alcotest.test_case "repo self-lints clean" `Quick self_lint;
         Alcotest.test_case "stale baseline detection" `Quick self_stale_baseline;
-        Alcotest.test_case "dot export structure" `Quick graph_dot;
-        Alcotest.test_case "function summary" `Quick graph_summary;
       ] );
   ]
