@@ -156,10 +156,7 @@ let fold_edges t f init =
 
 let edges t = List.rev (fold_edges t (fun acc u v -> (u, v) :: acc) [])
 
-let to_graph t =
-  let g = Graph.create t.n in
-  iter_edges t (Graph.add_edge g);
-  g
+let to_graph t = Graph.of_sorted_rows ~offsets:t.offsets ~targets:t.targets
 
 let with_weights ?beta t points =
   let ew, pw =

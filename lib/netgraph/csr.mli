@@ -120,9 +120,9 @@ val fold_edges : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
     (allocates; for tests and interop). *)
 val edges : t -> (int * int) list
 
-(** Thaw back into the legacy mutable representation — the adapter for
-    consumers that still require a {!Graph.t}.  Linear in the edge
-    count; avoid on million-node snapshots. *)
+(** Thaw back into the mutable representation — the adapter for
+    consumers that still require a {!Graph.t}.  One copy of each row,
+    O(n + m); the graph shares no array with the snapshot. *)
 val to_graph : t -> Graph.t
 
 (** {1 Traversals}

@@ -6,10 +6,17 @@
     this one type, so quality metrics and routing run uniformly over
     all of them.
 
-    The representation is an adjacency list per node kept sorted and
-    duplicate-free, which makes neighbor iteration cheap and edge
-    queries logarithmic; the structures involved are sparse (linear
-    number of edges), so this is the right trade-off. *)
+    The representation is one sorted, duplicate-free int row per node
+    plus its degree, with spare capacity doubled as a row fills:
+    {!degree} is O(1), {!has_edge} a binary search, O(log d), and
+    neighbor iteration a scan of one array.  {!add_edge} appends in
+    O(1) when the new neighbor is above the row's last entry (edges
+    added in increasing id order, as {!induced} and {!Csr.to_graph}
+    do) and shifts the row, O(d), otherwise; {!remove_edge} shifts,
+    O(d).  The structures involved are sparse (bounded degree), so
+    the shifts stay short.  The iterators read the live rows: adding
+    or removing edges of a graph while iterating over that same graph
+    is unspecified. *)
 
 type t
 
@@ -66,11 +73,20 @@ val compare_edge : int * int -> int * int -> int
 (** [of_edges n edges] builds a graph from an edge list. *)
 val of_edges : int -> (int * int) list -> t
 
-(** Deep copy. *)
+(** [of_sorted_rows ~offsets ~targets] is the graph whose node [u]
+    has neighbors [targets.(offsets.(u)) .. targets.(offsets.(u+1) - 1)]
+    — a CSR snapshot's arrays, which it copies row by row in
+    O(n + m) and does not alias.  The rows are trusted, not checked:
+    each must be strictly increasing, in range, free of [u] itself,
+    and the rows symmetric; {!Csr.to_graph} is the caller. *)
+val of_sorted_rows : offsets:int array -> targets:int array -> t
+
+(** Deep copy: no row is shared, so mutating either graph leaves the
+    other unchanged. *)
 val copy : t -> t
 
-(** [union g1 g2] is the graph with every edge of both (same node
-    count required).
+(** [union g1 g2] is a fresh graph with every edge of both (same
+    node count required); neither argument is shared or changed.
     @raise Invalid_argument on mismatched node counts. *)
 val union : t -> t -> t
 

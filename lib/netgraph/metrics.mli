@@ -77,7 +77,10 @@ type combined = { c_stretch : stretch; c_power : (float * float) option }
     all of them, and each source visits the target scan for length,
     hop and (with [?beta]) power together.  This is what Table I and
     the stretch sweeps call — comparing [k] structures costs
-    [(k + 1) * n] SSSP passes per metric instead of [2 k n].
+    [(k + 1) * n] SSSP passes per metric instead of [2 k n].  A sub
+    that is the base itself ({!View.same}, as Table I's UDG row is)
+    reuses the base's distances and costs none; [metrics.sssp]
+    counts the passes that run.
 
     Results are exactly {!stretch_factors} / {!power_stretch} of each
     pair, for any [jobs].

@@ -9,6 +9,12 @@ type t = Adj of Graph.t | Snapshot of Csr.t
 let of_graph g = Adj g
 let of_csr c = Snapshot c
 
+let same a b =
+  match a, b with
+  | Adj g, Adj h -> g == h
+  | Snapshot c, Snapshot d -> c == d
+  | _ -> false
+
 let node_count = function
   | Adj g -> Graph.node_count g
   | Snapshot c -> Csr.node_count c

@@ -14,6 +14,11 @@ type t
 val of_graph : Graph.t -> t
 val of_csr : Csr.t -> t
 
+(** [same a b] holds when both views wrap the very same graph value
+    (physical equality), so anything computed on one holds for the
+    other. *)
+val same : t -> t -> bool
+
 val node_count : t -> int
 
 (** Number of undirected edges. *)

@@ -53,8 +53,9 @@ let connected_uniform rng ~n ~side ~radius ~max_attempts =
         (No_connected_instance { n; side; radius; attempts = max_attempts })
     else
       let pts = uniform rng ~n ~side in
-      let g = Udg.build pts ~radius in
-      if Netgraph.Components.is_connected g then (pts, attempt)
+      let udg = Udg.build_csr pts ~radius in
+      Udg.observe_queries udg;
+      if Netgraph.Csr.is_connected udg then (pts, attempt)
       else go (attempt + 1)
   in
   go 1

@@ -1,34 +1,20 @@
 module P = Geometry.Point
 
-let build points ~radius =
-  if radius <= 0. then invalid_arg "Udg.build: radius <= 0";
-  let n = Array.length points in
-  let g = Netgraph.Graph.create n in
-  if n > 1 then begin
-    let grid = Geometry.Grid.create ~cell_size:radius points in
-    for u = 0 to n - 1 do
-      List.iter
-        (fun v -> if v > u then Netgraph.Graph.add_edge g u v)
-        (Geometry.Grid.neighbors_within grid u radius)
-    done
-  end;
-  g
-
 (* CSR-native construction, two closure-free passes (count, fill).
    Coordinates are copied into two float arrays in bucket order, so
    each grid row of a node's 3x3 block is one contiguous run of
-   [Cellgrid.order]; the in-range predicate is [build]'s ([P.dist]
-   spelled out), so the edge set is identical.  The fill pass writes
-   each row straight into its final slots and sorts it there (cells
-   are scanned row-major, not by id).  Both passes write only node
-   [u]'s own slots and read the immutable grid, so they fan out over
-   the pool and the snapshot is bit-identical for any job count.  A
-   one-pass variant (rows to per-domain scratch, then a blit) scans
-   once but leaves ~2x the row arrays as major-heap garbage and a
-   higher peak heap.  Each node's neighbor query is charged to
-   [grid.queries] on the caller's domain after the join, as [build]'s
-   per-node grid queries are. *)
+   [Cellgrid.order]; the in-range predicate is [P.dist u v <= radius]
+   spelled out.  The fill pass writes each row straight into its
+   final slots and sorts it there (cells are scanned row-major, not
+   by id).  Both passes write only node [u]'s own slots and read the
+   immutable grid, so they fan out over the pool and the snapshot is
+   bit-identical for any job count.  A one-pass variant (rows to
+   per-domain scratch, then a blit) scans once but leaves ~2x the row
+   arrays as major-heap garbage and a higher peak heap.  Each node's
+   neighbor query is charged to [grid.queries] on the caller's domain
+   after the join, as [Geometry.Grid] charges its per-node queries. *)
 let c_grid_queries = Obs.counter "grid.queries"
+let d_query_results = Obs.dist "grid.query_results"
 
 (* Dense deployments (a few nodes per radius-wide cell) stay on the
    radius grid; only wide, sparse spans get wider cells. *)
@@ -109,6 +95,19 @@ let build_csr ?pool points ~radius =
     Netgraph.Csr.of_rows ~offsets ~targets ()
   end
 
+let observe_queries c =
+  let n = Netgraph.Csr.node_count c in
+  if Obs.enabled () && n > 1 then
+    for u = 0 to n - 1 do
+      Obs.observe d_query_results (float_of_int (Netgraph.Csr.degree c u))
+    done
+
+let build points ~radius =
+  if radius <= 0. then invalid_arg "Udg.build: radius <= 0";
+  let c = build_csr points ~radius in
+  observe_queries c;
+  Netgraph.Csr.to_graph c
+
 let neighborhood g u ~hops =
   let dist = Netgraph.Traversal.bfs g u in
   let acc = ref [] in
@@ -135,18 +134,22 @@ let is_udg points ~radius g =
     (* every in-range pair (found by the grid, O(n) of them for
        bounded density) must be an edge; then matching edge counts
        rule out any out-of-range edge without scanning the n^2
-       absent pairs *)
-    let grid = Geometry.Grid.create ~cell_size:radius points in
+       absent pairs.  The grid compares squared distances, which at
+       [radius] itself can round the other way from [P.dist]'s sqrt,
+       so it only proposes candidates, over a slightly wider range,
+       and [P.dist <= radius] decides. *)
+    let wide = radius *. (1. +. 1e-9) in
+    let grid = Geometry.Grid.create ~cell_size:wide points in
     let in_range = ref 0 in
     let all_edges = ref true in
     for u = 0 to n - 1 do
       List.iter
         (fun v ->
-          if v > u then begin
+          if v > u && P.dist points.(u) points.(v) <= radius then begin
             incr in_range;
             if not (Netgraph.Graph.has_edge g u v) then all_edges := false
           end)
-        (Geometry.Grid.neighbors_within grid u radius)
+        (Geometry.Grid.neighbors_within grid u wide)
     done;
     !all_edges && Netgraph.Graph.edge_count g = !in_range
   end

@@ -3,19 +3,15 @@
     Two nodes are linked exactly when their Euclidean distance is at
     most the transmission radius; after the paper's scaling the radius
     is "one unit", but the experiments vary it, so it stays a
-    parameter here.  Construction uses the spatial grid, i.e. the same
+    parameter here.  Construction uses a spatial grid, i.e. the same
     neighbor-discovery a node would do by listening locally. *)
 
-(** [build points ~radius] is the unit disk graph of range [radius].
-    @raise Invalid_argument when [radius <= 0]. *)
-val build : Geometry.Point.t array -> radius:float -> Netgraph.Graph.t
-
-(** [build_csr points ~radius] is the same unit disk graph, emitted
-    directly as a {!Netgraph.Csr} snapshot — no intermediate mutable
-    graph, so this is the entry point for million-node pipelines.
-    With [pool], the per-node count/fill passes fan out across its
-    domains; the snapshot is bit-identical to
-    [Csr.of_graph (build points ~radius)] for any job count.
+(** [build_csr points ~radius] is the unit disk graph of range
+    [radius] as a {!Netgraph.Csr} snapshot: [u] and [v] are linked
+    exactly when [Geometry.Point.dist] puts them within [radius].  It
+    is the one UDG kernel.  With [pool], the per-node count/fill
+    passes fan out across its domains; the snapshot is bit-identical
+    for any job count.  Counts one [grid.queries] per node.
     @raise Invalid_argument when [radius <= 0]. *)
 val build_csr :
   ?pool:Netgraph.Pool.t ->
@@ -23,14 +19,26 @@ val build_csr :
   radius:float ->
   Netgraph.Csr.t
 
+(** [build points ~radius] is [Csr.to_graph (build_csr points ~radius)],
+    with {!observe_queries} run on the snapshot.
+    @raise Invalid_argument when [radius <= 0]. *)
+val build : Geometry.Point.t array -> radius:float -> Netgraph.Graph.t
+
+(** [observe_queries udg] records each node's degree in [udg] in the
+    [grid.query_results] dist, one sample per node as a per-node grid
+    query would (nothing for fewer than two nodes).  The callers that
+    hold a UDG for its own sake ({!build}, [Deploy.connected_uniform])
+    run it; the pipelines' {!build_csr} does not. *)
+val observe_queries : Netgraph.Csr.t -> unit
+
 (** [neighborhood points ~radius u ~hops] is the set of nodes within
     [hops] hops of [u] in the UDG (the paper's [N_k(u)], including [u]
     itself), computed from an existing graph. *)
 val neighborhood : Netgraph.Graph.t -> int -> hops:int -> int list
 
 (** [is_udg points ~radius g] checks that [g] is exactly the unit disk
-    graph of [points] — every in-range pair linked, no out-of-range
-    link. *)
+    graph of [points] — every pair with [Geometry.Point.dist] at most
+    [radius] linked, no other link. *)
 val is_udg : Geometry.Point.t array -> radius:float -> Netgraph.Graph.t -> bool
 
 (** [build_quasi rng points ~r_min ~r_max] is the quasi unit disk

@@ -524,6 +524,23 @@ let test_is_udg_degenerate () =
   check "radius 0 extra edge" false
     (Wireless.Udg.is_udg pts ~radius:0. (G.of_edges 2 [ (0, 1) ]))
 
+(* R equal to a pair's own distance, where the squared-distance test
+   and [P.dist]'s sqrt can round apart: the kernel links every such
+   pair, and is_udg must agree with the brute-force definition *)
+let test_is_udg_at_radius () =
+  let rand = mk_rand 44L in
+  for _ = 1 to 400 do
+    let pts =
+      Array.init 3 (fun _ -> P.make (100. *. rand ()) (100. *. rand ()))
+    in
+    let radius = P.dist pts.(0) pts.(1) in
+    let g = Wireless.Udg.build pts ~radius in
+    check "linked at R = distance" true (G.has_edge g 0 1);
+    check "is_udg = brute force" (brute_force_is_udg pts ~radius g)
+      (Wireless.Udg.is_udg pts ~radius g);
+    check "verifies" true (Wireless.Udg.is_udg pts ~radius g)
+  done
+
 let suites =
   [
     ( "netgraph.heap",
@@ -575,5 +592,7 @@ let suites =
       [
         Alcotest.test_case "grid verification" `Quick test_is_udg;
         Alcotest.test_case "degenerate inputs" `Quick test_is_udg_degenerate;
+        Alcotest.test_case "radius at a pair's distance" `Quick
+          test_is_udg_at_radius;
       ] );
   ]

@@ -79,6 +79,142 @@ let test_graph_subgraph_induced () =
   check "equal self" true (G.equal g (G.copy g));
   check "not equal" false (G.equal g h)
 
+(* ---------------- Graph against a Set model ---------------- *)
+
+(* A persistent edge set is the reference: every operation is run on
+   both, and after each one every query must read the same from the
+   graph as from the set. *)
+module Es = Set.Make (struct
+  type t = int * int
+
+  let compare = G.compare_edge
+end)
+
+type op = Add of int * int | Remove of int * int
+
+let norm u v = if u < v then (u, v) else (v, u)
+let valid n u v = u >= 0 && u < n && v >= 0 && v < n && u <> v
+
+let model_neighbors m u =
+  List.sort Int.compare
+    (Es.fold
+       (fun (a, b) acc ->
+         if a = u then b :: acc else if b = u then a :: acc else acc)
+       m [])
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun x -> acc := x :: !acc);
+  List.rev !acc
+
+let agrees n g m =
+  let ids = List.init (n + 2) (fun i -> i - 1) in
+  G.node_count g = n
+  && G.edge_count g = Es.cardinal m
+  && G.edges g = Es.elements m
+  && collect (fun f -> G.iter_edges g (fun u v -> f (u, v))) = Es.elements m
+  && List.rev (G.fold_edges g (fun acc u v -> (u, v) :: acc) []) = Es.elements m
+  && List.for_all
+       (fun u ->
+         let want = model_neighbors m u in
+         G.neighbors g u = want
+         && G.degree g u = List.length want
+         && collect (G.iter_neighbors g u) = want
+         && List.rev (G.fold_neighbors g u (fun acc v -> v :: acc) []) = want)
+       (List.init n Fun.id)
+  && List.for_all
+       (fun u ->
+         List.for_all
+           (fun v -> G.has_edge g u v = (valid n u v && Es.mem (norm u v) m))
+           ids)
+       ids
+
+(* [op] on [g] and on [m]; [None] when the graph and the model
+   disagree on whether it raises, or on any query after it *)
+let step n g m op =
+  let u, v, run, model =
+    match op with
+    | Add (u, v) -> (u, v, G.add_edge, Es.add)
+    | Remove (u, v) -> (u, v, G.remove_edge, Es.remove)
+  in
+  let m' =
+    match run g u v with
+    | () -> if valid n u v then Some (model (norm u v) m) else None
+    | exception Invalid_argument _ -> if valid n u v then None else Some m
+  in
+  match m' with Some m' when agrees n g m' -> Some m' | _ -> None
+
+let play n ops =
+  let g = G.create n in
+  ( g,
+    List.fold_left
+      (fun m op -> Option.bind m (fun m -> step n g m op))
+      (Some Es.empty) ops )
+
+(* flip every pair: removals shift rows in place, additions grow
+   them, so a row shared with another graph would show *)
+let complement g =
+  let n = G.node_count g in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if G.has_edge g u v then G.remove_edge g u v else G.add_edge g u v
+    done
+  done
+
+let gen_model_case =
+  let open QCheck.Gen in
+  int_range 0 12 >>= fun n ->
+  let id = int_range (-1) n in
+  let op =
+    map3
+      (fun add u v -> if add then Add (u, v) else Remove (u, v))
+      (frequency [ (3, return true); (2, return false) ])
+      id id
+  in
+  let ops = list_size (int_range 0 60) op in
+  map3 (fun a b keep -> (n, a, b, keep)) ops ops (array_size (return n) bool)
+
+let prop_graph_matches_model =
+  QCheck.Test.make ~name:"Graph matches a Set model" ~count:300
+    (QCheck.make
+       ~print:(fun (n, a, b, _) ->
+         Printf.sprintf "n=%d, %d + %d ops" n (List.length a) (List.length b))
+       gen_model_case)
+    (fun (n, ops_g, ops_h, keep) ->
+      match (play n ops_g, play n ops_h) with
+      | (g, Some m), (h, Some mh) ->
+        G.equal g h = Es.equal m mh
+        && G.equal g (G.of_edges n (List.rev (Es.elements m)))
+        && G.is_subgraph g h = Es.subset m mh
+        && agrees n
+             (G.induced g (fun u -> keep.(u)))
+             (Es.filter (fun (u, v) -> keep.(u) && keep.(v)) m)
+        && (let c = G.copy g in
+            agrees n c m
+            &&
+            (complement c;
+             agrees n g m))
+        && (let un = G.union g h in
+            agrees n un (Es.union m mh)
+            &&
+            (complement un;
+             agrees n g m && agrees n h mh))
+        &&
+        let c = Netgraph.Csr.of_graph g in
+        let offsets = Array.copy (Netgraph.Csr.offsets c)
+        and targets = Array.copy (Netgraph.Csr.targets c) in
+        let t = Netgraph.Csr.to_graph c in
+        let back = Netgraph.Csr.of_graph t in
+        agrees n t m
+        && Netgraph.Csr.offsets back = offsets
+        && Netgraph.Csr.targets back = targets
+        &&
+        (complement t;
+         Netgraph.Csr.offsets c = offsets
+         && Netgraph.Csr.targets c = targets
+         && Netgraph.Csr.edges c = Es.elements m)
+      | _ -> false)
+
 (* ---------------- Traversal ---------------- *)
 
 let path_graph n =
@@ -279,6 +415,7 @@ let suites =
         Alcotest.test_case "copy/union" `Quick test_graph_copy_union;
         Alcotest.test_case "subgraph/induced" `Quick
           test_graph_subgraph_induced;
+        QCheck_alcotest.to_alcotest prop_graph_matches_model;
       ] );
     ( "netgraph.traversal",
       [

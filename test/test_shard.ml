@@ -148,7 +148,7 @@ let test_wide_span () =
       let g = Wireless.Cellgrid.create ~max_cells:cap ~cell_size:radius pts in
       check (name ^ " grid capped") true
         (Wireless.Cellgrid.cells g <= cap && g.Wireless.Cellgrid.cell >= radius);
-      let want = G.edges (Wireless.Udg.build pts ~radius) in
+      let want = brute_udg pts radius in
       edge_list (name ^ " build_csr") want
         (Csr.edges (Wireless.Udg.build_csr pts ~radius));
       List.iter
