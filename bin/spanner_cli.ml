@@ -339,14 +339,12 @@ let build_cmd =
     Printf.printf "%-13s %8s %8s %8s\n" "structure" "edges" "deg_avg" "deg_max";
     List.iter
       (fun (name, g, _) ->
-        let d = Netgraph.Metrics.degree_stats_v g in
+        let d = Netgraph.Metrics.degree_stats g in
         Printf.printf "%-13s %8d %8.2f %8d\n" name d.Netgraph.Metrics.edges
           d.Netgraph.Metrics.deg_avg d.Netgraph.Metrics.deg_max)
       (Core.Backbone.structures bb);
     Printf.printf "planar backbone: %b\n"
-      (Netgraph.Planarity.is_planar_v
-         (Netgraph.View.of_csr snap.Core.Shard.pldel)
-         pts);
+      (Netgraph.Planarity.is_planar snap.Core.Shard.pldel pts);
     0
   in
   let doc = "construct all backbone structures and print statistics" in
@@ -404,12 +402,9 @@ let route_cmd =
     let result =
       match scheme with
       | `Greedy ->
-        Core.Routing.greedy
-          (Netgraph.View.of_csr bb.Core.Backbone.snap.Core.Shard.udg)
-          pts ~src ~dst
+        Core.Routing.greedy bb.Core.Backbone.snap.Core.Shard.udg pts ~src ~dst
       | `Gfg ->
-        let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
-        Core.Routing.gfg (Netgraph.View.of_graph planar) pts ~src ~dst
+        Core.Routing.gfg (Core.Backbone.ldel_full bb) pts ~src ~dst
       | `Hier -> Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst
     in
     match result with
@@ -418,12 +413,10 @@ let route_cmd =
         (Netgraph.Traversal.path_hops path)
         (Netgraph.Traversal.path_length pts path)
         (String.concat " -> " (List.map string_of_int path));
-      (match
-         Netgraph.Metrics.pair_stretch ~base:bb.Core.Backbone.udg
-           ~sub:bb.Core.Backbone.udg pts src dst
-       with
+      let udg = bb.Core.Backbone.snap.Core.Shard.udg in
+      (match Netgraph.Metrics.pair_stretch ~base:udg ~sub:udg pts src dst with
       | Some _ ->
-        let sp = Netgraph.Traversal.dijkstra bb.Core.Backbone.udg pts src in
+        let sp = Netgraph.Csr.dijkstra (Netgraph.Csr.with_weights udg pts) src in
         if sp.(dst) > 0. then
           Printf.printf "stretch vs UDG shortest path: %.3f\n"
             (Netgraph.Traversal.path_length pts path /. sp.(dst))
@@ -465,7 +458,7 @@ let protocol_cmd =
       (fun (k, c) -> Printf.printf "  %-20s %d\n" k c)
       (Core.Protocol.ldel_stats r).Distsim.Engine.by_kind;
     Printf.printf "distributed PLDel(ICDS): %d edges, planar=%b\n"
-      (Netgraph.Graph.edge_count r.Core.Protocol.ldel_graph)
+      (Netgraph.Csr.edge_count r.Core.Protocol.ldel_graph)
       (Netgraph.Planarity.is_planar r.Core.Protocol.ldel_graph pts);
     0
   in
@@ -510,8 +503,8 @@ let dump_cmd =
     with
     | Some (name, g, _) ->
       Printf.printf "# %s: %d nodes, %d edges\n" name
-        (Netgraph.View.node_count g) (Netgraph.View.edge_count g);
-      Netgraph.View.iter_edges g (fun u v ->
+        (Netgraph.Csr.node_count g) (Netgraph.Csr.edge_count g);
+      Netgraph.Csr.iter_edges g (fun u v ->
           let (pu : Geometry.Point.t) = pts.(u)
           and (pv : Geometry.Point.t) = pts.(v) in
           Printf.printf "%d,%d,%.4f,%.4f,%.4f,%.4f\n" u v pu.x pu.y pv.x pv.y);
@@ -728,9 +721,7 @@ let trace_cmd =
            causal chain of depth n-1 — the depth gate's negative
            fixture. *)
         let g =
-          Netgraph.Csr.of_graph
-            (Netgraph.Graph.of_edges size
-               (List.init (size - 1) (fun i -> (i, i + 1))))
+          Netgraph.Csr.of_edges size (List.init (size - 1) (fun i -> (i, i + 1)))
         in
         let protocol =
           {

@@ -25,7 +25,7 @@ let () =
       let r = Core.Broadcast.rng_relay udg pts ~source:0 in
       let b = Core.Broadcast.backbone_broadcast udg ~backbone ~source:0 in
       let deg =
-        (Netgraph.Metrics.degree_stats_v (Netgraph.View.of_csr udg))
+        (Netgraph.Metrics.degree_stats udg)
           .Netgraph.Metrics.deg_avg
       in
       Printf.printf "%5d %8.1f | %9d %9d %9d | %9.2f %9.2f %9.2f\n" n deg

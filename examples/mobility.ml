@@ -49,7 +49,7 @@ let () =
       let broken = Core.Maintenance.needs_refresh !bb positions in
       if broken > 0 then begin
         let udg = Wireless.Udg.build positions ~radius in
-        if Netgraph.Components.is_connected udg then begin
+        if Netgraph.Csr.is_connected udg then begin
           let next, stats = policy !bb positions in
           incr repairs;
           churn := !churn + stats.Core.Maintenance.role_changes;

@@ -23,9 +23,8 @@ let () =
      -> CDS family -> localized Delaunay planarization.  The [Config]
      record is the front door; [partition = Auto] tiles large
      instances for the sharded CSR pipeline automatically, with
-     bit-identical results.  (At million-node scale, prefer
-     [Core.Backbone.snapshot], which returns sealed CSR structures and
-     never materializes a mutable graph.) *)
+     bit-identical results.  Every structure is a sealed
+     [Netgraph.Csr.t] in [bb.snap]. *)
   let bb =
     Core.Backbone.run
       { Core.Backbone.Config.default with Core.Backbone.Config.radius = 60. }
@@ -40,7 +39,7 @@ let () =
   Printf.printf "backbone: %d dominators, %d nodes total\n" dominators backbone;
 
   (* 3. The headline guarantees, checked live on this instance. *)
-  let planar_backbone = bb.Core.Backbone.ldel_icds_g in
+  let planar_backbone = snap.Core.Shard.pldel in
   Printf.printf "LDel(ICDS) is planar:      %b\n"
     (Netgraph.Planarity.is_planar planar_backbone points);
   Printf.printf "LDel(ICDS') spans all:     %b\n"
@@ -50,10 +49,8 @@ let () =
     d.Netgraph.Metrics.deg_max d.Netgraph.Metrics.deg_avg;
 
   let s =
-    Netgraph.Metrics.stretch_factors_v
-      ~base:(Netgraph.View.of_csr snap.Core.Shard.udg)
-      ~sub:(Netgraph.View.of_csr snap.Core.Shard.pldel')
-      points
+    Netgraph.Metrics.stretch_factors ~base:snap.Core.Shard.udg
+      ~sub:snap.Core.Shard.pldel' points
   in
   Printf.printf "length stretch:            avg %.3f  max %.3f\n"
     s.Netgraph.Metrics.len_avg s.Netgraph.Metrics.len_max;
@@ -62,8 +59,8 @@ let () =
 
   (* 4. Sparseness: the backbone keeps a linear number of links. *)
   Printf.printf "UDG edges %d  ->  backbone edges %d\n"
-    (Netgraph.Graph.edge_count bb.Core.Backbone.udg)
-    (Netgraph.Graph.edge_count planar_backbone);
+    (Netgraph.Csr.edge_count snap.Core.Shard.udg)
+    (Netgraph.Csr.edge_count planar_backbone);
 
   (* 5. Route a packet the paper's way: greedy over the UDG, and from
      a local minimum GFG over the planar backbone. *)

@@ -23,30 +23,26 @@ let () =
       { Core.Backbone.Config.default with Core.Backbone.Config.radius = 60. }
       points
   in
-  let udg = bb.Core.Backbone.udg in
+  let udg = bb.Core.Backbone.snap.Core.Shard.udg in
   let gg = Wireless.Proximity.gabriel_graph udg points in
-  let pldel = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+  let pldel = Core.Backbone.ldel_full bb in
 
   Printf.printf "network: %d nodes, UDG %d edges, GG %d, PLDel %d, backbone %d\n\n"
     n
-    (Netgraph.Graph.edge_count udg)
-    (Netgraph.Graph.edge_count gg)
-    (Netgraph.Graph.edge_count pldel)
-    (Netgraph.Graph.edge_count bb.Core.Backbone.ldel_icds_g);
+    (Netgraph.Csr.edge_count udg)
+    (Netgraph.Csr.edge_count gg)
+    (Netgraph.Csr.edge_count pldel)
+    (Netgraph.Csr.edge_count bb.Core.Backbone.snap.Core.Shard.pldel);
 
-  (* routers read a topology through a view; wrap each graph once *)
-  let udg_v = Netgraph.View.of_graph udg
-  and gg_v = Netgraph.View.of_graph gg
-  and pldel_v = Netgraph.View.of_graph pldel in
   let schemes =
     [
       ( "greedy / UDG",
-        fun ~src ~dst -> Core.Routing.greedy udg_v points ~src ~dst );
+        fun ~src ~dst -> Core.Routing.greedy udg points ~src ~dst );
       ( "greedy / GG",
-        fun ~src ~dst -> Core.Routing.greedy gg_v points ~src ~dst );
-      ("GFG / GG", fun ~src ~dst -> Core.Routing.gfg gg_v points ~src ~dst);
+        fun ~src ~dst -> Core.Routing.greedy gg points ~src ~dst );
+      ("GFG / GG", fun ~src ~dst -> Core.Routing.gfg gg points ~src ~dst);
       ( "GFG / PLDel(V)",
-        fun ~src ~dst -> Core.Routing.gfg pldel_v points ~src ~dst );
+        fun ~src ~dst -> Core.Routing.gfg pldel points ~src ~dst );
       ( "DS-based / backbone",
         fun ~src ~dst -> Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst );
     ]
@@ -56,7 +52,7 @@ let () =
   List.iter
     (fun (name, router) ->
       let ev =
-        Core.Routing.evaluate ~router ~base:udg_v points ~pairs:300
+        Core.Routing.evaluate ~router ~base:udg points ~pairs:300
           (Wireless.Rand.create 1L)
       in
       Printf.printf "%-22s %4d/%-4d %12.3f %12.3f\n" name
@@ -67,14 +63,14 @@ let () =
   (* one concrete route, end to end *)
   print_newline ();
   let src = 0 and dst = n - 1 in
-  (match Core.Routing.greedy udg_v points ~src ~dst with
+  (match Core.Routing.greedy udg points ~src ~dst with
   | Some p ->
     Printf.printf "greedy %d->%d delivered in %d hops\n" src dst
       (Netgraph.Traversal.path_hops p)
   | None -> Printf.printf "greedy %d->%d stuck at a local minimum\n" src dst);
   match Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst with
   | Some p ->
-    let sp = Netgraph.Traversal.bfs udg src in
+    let sp = Netgraph.Csr.bfs udg src in
     Printf.printf
       "dominating-set routing %d->%d: %d hops (flooding optimum %d)\n" src dst
       (Netgraph.Traversal.path_hops p)

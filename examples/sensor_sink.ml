@@ -45,7 +45,7 @@ let () =
       { Core.Backbone.Config.default with Core.Backbone.Config.radius = 60. }
       points
   in
-  let udg = bb.Core.Backbone.udg in
+  let udg = bb.Core.Backbone.snap.Core.Shard.udg in
   Printf.printf "%d sensors, sink = node %d\n\n" n sink;
 
   (* one epoch: every sensor reports once *)

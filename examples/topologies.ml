@@ -57,7 +57,7 @@ let () =
     (fun (name, g, _) ->
       let file = Filename.concat dir (slug name ^ ".csv") in
       let oc = open_out file in
-      Netgraph.View.iter_edges g (fun u v ->
+      Netgraph.Csr.iter_edges g (fun u v ->
           let (pu : Geometry.Point.t) = points.(u)
           and (pv : Geometry.Point.t) = points.(v) in
           Printf.fprintf oc "%.4f,%.4f,%.4f,%.4f\n" pu.x pu.y pv.x pv.y);
@@ -71,6 +71,6 @@ let () =
       let svg_file = Filename.concat dir (slug name ^ ".svg") in
       Viz.Svg.write_file svg svg_file;
       Printf.printf "%-14s %4d edges  -> %s, %s\n" name
-        (Netgraph.View.edge_count g) file svg_file)
+        (Netgraph.Csr.edge_count g) file svg_file)
     (Core.Backbone.structures bb);
   Printf.printf "\nOpen the SVGs to see Figure 7; the CSVs feed any plotter.\n"

@@ -1,8 +1,11 @@
-module G = Netgraph.Graph
 module Csr = Netgraph.Csr
-module V = Netgraph.View
 
-type t = { snap : Shard.snapshot; jobs : int; udg : G.t; ldel_icds_g : G.t }
+type t = {
+  snap : Shard.snapshot;
+  jobs : int;
+  udg : Csr.t;
+  ldel_icds_g : Csr.t;
+}
 
 module Config = struct
   type radio = Disk | Quasi of { r_min : float; seed : int64 }
@@ -56,10 +59,9 @@ let pipeline (cfg : Config.t) points =
     | Config.Quasi { r_min; seed } ->
       Some
         (Obs.span "udg" (fun () ->
-             Netgraph.Csr.of_graph
-               (Wireless.Udg.build_quasi
-                  (Wireless.Rand.create seed)
-                  points ~r_min ~r_max:radius)))
+             Wireless.Udg.build_quasi
+               (Wireless.Rand.create seed)
+               points ~r_min ~r_max:radius))
   in
   Shard.pipeline ~jobs:cfg.Config.jobs ?tiles ?priority:cfg.Config.priority
     ?udg points ~radius
@@ -71,18 +73,19 @@ let run (cfg : Config.t) points =
   with_sink cfg.Config.sink (fun () ->
       Obs.span "backbone" (fun () ->
           let snap = pipeline cfg points in
-          Obs.span "thaw" (fun () ->
-              {
-                snap;
-                jobs = max 1 cfg.Config.jobs;
-                udg = Csr.to_graph snap.Shard.udg;
-                ldel_icds_g = Csr.to_graph snap.Shard.pldel;
-              })))
+          {
+            snap;
+            jobs = max 1 cfg.Config.jobs;
+            udg = snap.Shard.udg;
+            ldel_icds_g = snap.Shard.pldel;
+          }))
 
 let build ?priority points ~radius =
   run { Config.default with Config.radius; priority } points
 
-let ldel_full t = Ldel.build t.udg t.snap.Shard.points ~radius:t.snap.Shard.radius
+let ldel_full t =
+  Ldel.planar t.udg
+    (Ldel.build t.udg t.snap.Shard.points ~radius:t.snap.Shard.radius)
 
 (* The structure registry: Table I order, defined in exactly one
    place.  The four baseline rows span all nodes by construction; the
@@ -93,17 +96,17 @@ let ldel_full t = Ldel.build t.udg t.snap.Shard.points ~radius:t.snap.Shard.radi
 
 type scope = [ `Spans_all | `Backbone_only ]
 
-let baseline_registry : (string * (t -> V.t) * scope) list =
-  let on_udg f t = V.of_graph (f t.udg t.snap.Shard.points) in
+let baseline_registry : (string * (t -> Csr.t) * scope) list =
+  let on_udg f t = f t.udg t.snap.Shard.points in
   [
-    ("UDG", (fun t -> V.of_csr t.snap.Shard.udg), `Spans_all);
+    ("UDG", (fun t -> t.udg), `Spans_all);
     ("RNG", on_udg Wireless.Proximity.rng_graph, `Spans_all);
     ("GG", on_udg Wireless.Proximity.gabriel_graph, `Spans_all);
-    ("LDel", (fun t -> V.of_graph (ldel_full t).Ldel.planar), `Spans_all);
+    ("LDel", ldel_full, `Spans_all);
   ]
 
-let backbone_registry : (string * (t -> V.t) * scope) list =
-  let snap f t = V.of_csr (f t.snap) in
+let backbone_registry : (string * (t -> Csr.t) * scope) list =
+  let snap f t = f t.snap in
   [
     ("CDS", snap (fun s -> s.Shard.cds), `Backbone_only);
     ( "CDS'",
@@ -120,17 +123,12 @@ let registry = baseline_registry @ backbone_registry
 let names = List.map (fun (n, _, _) -> n) registry
 
 let materialize entries t =
-  List.map (fun (name, view, scope) -> (name, view t, scope)) entries
+  List.map (fun (name, graph, scope) -> (name, graph t, scope)) entries
 
 let structures t = materialize registry t
 let backbone_structures t = materialize backbone_registry t
 
-(* Graph-typed for callers that still want a [Graph.t]: each view is
-   thawed here, on demand. *)
 let spanning_backbone_structures t =
-  List.filter_map
-    (fun (name, view, scope) ->
-      if scope = `Spans_all then
-        Some (name, Csr.to_graph (V.to_csr (view t)), scope)
-      else None)
-    backbone_registry
+  List.filter
+    (fun (_, _, scope) -> scope = `Spans_all)
+    (backbone_structures t)

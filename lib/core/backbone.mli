@@ -6,7 +6,7 @@
     door: examples, the CLI, the benchmarks and the experiment sweeps
     all consume this record.  There is one construction path: the
     sharded CSR pipeline ({!Shard.pipeline}); [run] is {!snapshot}
-    plus a thaw of two of its CSRs into mutable graphs.  The CDS
+    under an obs span.  The CDS
     family the lemmas speak of is read off the snapshot: CDS, ICDS
     and ICDS′ are its fields and CDS′ is {!Shard.primed} of its CDS;
     no second assembly exists.  The reference
@@ -14,15 +14,18 @@
     same stages, which must agree with the snapshot on roles,
     connector edges and the planar backbone. *)
 
-(** The snapshot, each structure once, plus two thawed copies. *)
+(** The snapshot, each structure once. *)
 type t = {
   snap : Shard.snapshot;  (** every structure, sealed *)
   jobs : int;
       (** worker-domain budget carried from the config — the default
           parallelism for metrics computed on this instance *)
-  udg : Netgraph.Graph.t;  (** [snap.udg], thawed *)
-  ldel_icds_g : Netgraph.Graph.t;
-      (** PLDel(ICDS), the planar backbone: [snap.pldel], thawed *)
+  udg : Netgraph.Csr.t;
+      (** [snap.udg] itself, under the name the benchmark program
+          under [perfbench/] reads *)
+  ldel_icds_g : Netgraph.Csr.t;
+      (** PLDel(ICDS), the planar backbone: [snap.pldel] itself, under
+          the name the benchmark program under [perfbench/] reads *)
 }
 
 (** Pipeline configuration — one record instead of a growing pile of
@@ -45,7 +48,7 @@ module Config : sig
     radius : float;  (** transmission radius, shared by all nodes *)
     priority : (int -> int) option;
         (** clustering order override (smaller wins; default the node
-            id, the paper's smallest-ID rule — see {!Mis.compute_csr}) *)
+            id, the paper's smallest-ID rule — see {!Mis.compute}) *)
     radio : radio;
     sink : Obs.sink option;
         (** when set, {!run} enables the observability layer for the
@@ -64,21 +67,17 @@ module Config : sig
   val default : t
 end
 
-(** [run cfg points] runs the whole pipeline: {!snapshot}, then a thaw
-    of [snap.udg] and [snap.pldel] into the mutable graphs of {!t}.
-    The UDG need not be connected, but the spanner guarantees only
-    hold per component.  Stage timings are charged to obs spans
-    [backbone/shard/shard.udg], [.../shard.mis],
-    [.../shard.connectors], [.../shard.ldel] and [.../shard.assemble],
-    plus [backbone/thaw] for the two graphs.  For million-node
-    instances prefer {!snapshot}, which skips the thaw entirely. *)
+(** [run cfg points] runs the whole pipeline, {!snapshot}, under the
+    obs span [backbone].  The UDG need not be connected, but the
+    spanner guarantees only hold per component.  Stage timings are
+    charged to obs spans [backbone/shard/shard.udg], [.../shard.mis],
+    [.../shard.connectors], [.../shard.ldel] and
+    [.../shard.assemble]. *)
 val run : Config.t -> Geometry.Point.t array -> t
 
 (** [snapshot cfg points] runs the sharded CSR-native pipeline
     ({!Shard.pipeline}) under [cfg] — partition, jobs, radio, priority
-    and sink are honored — and returns the sealed snapshot without
-    ever materializing a mutable graph.  This is the front door for
-    million-node instances. *)
+    and sink are honored — and returns the sealed snapshot. *)
 val snapshot : Config.t -> Geometry.Point.t array -> Shard.snapshot
 
 (** [build points ~radius] is
@@ -89,10 +88,10 @@ val snapshot : Config.t -> Geometry.Point.t array -> Shard.snapshot
 val build :
   ?priority:(int -> int) -> Geometry.Point.t array -> radius:float -> t
 
-(** [ldel_full t] lazily computes LDel/PLDel over the whole UDG — the
-    "LDel" baseline row of Table I (not part of the backbone
-    pipeline, so it is not built eagerly). *)
-val ldel_full : t -> Ldel.t
+(** [ldel_full t] computes PLDel over the whole UDG — the "LDel"
+    baseline row of Table I (not part of the backbone pipeline, so it
+    is not built eagerly). *)
+val ldel_full : t -> Netgraph.Csr.t
 
 (** {1 Structure registry}
 
@@ -102,27 +101,25 @@ val ldel_full : t -> Ldel.t
     then are stretch factors defined).  The registry is the single
     source of that list: the CLI, the experiment sweeps and the bench
     harness all consume it rather than maintaining their own copies.
-    The backbone rows are views of the snapshot's CSRs; CDS′ is
-    {!Shard.primed} of the CDS, filtered when its view is asked for.
-    The baseline rows RNG, GG and LDel(V) are computed on the thawed
-    UDG. *)
+    The UDG and backbone rows are the snapshot's CSRs themselves; CDS′
+    is {!Shard.primed} of the CDS, filtered when its row is asked for.
+    The baseline rows RNG, GG and LDel(V) are computed on the UDG. *)
 
 type scope = [ `Spans_all | `Backbone_only ]
 
-val registry : (string * (t -> Netgraph.View.t) * scope) list
+val registry : (string * (t -> Netgraph.Csr.t) * scope) list
 
 (** Registry names, in Table I order. *)
 val names : string list
 
 (** [structures t] materializes the whole registry on one instance. *)
-val structures : t -> (string * Netgraph.View.t * scope) list
+val structures : t -> (string * Netgraph.Csr.t * scope) list
 
 (** The six backbone-family rows (CDS … LDel(ICDS′)) — Figure 8's
     structures. *)
-val backbone_structures : t -> (string * Netgraph.View.t * scope) list
+val backbone_structures : t -> (string * Netgraph.Csr.t * scope) list
 
 (** The spanning backbone rows (CDS′, ICDS′, LDel(ICDS′)) — the
-    structures whose stretch Figures 9 and 11 track — each thawed into
-    a mutable graph on the call. *)
+    structures whose stretch Figures 9 and 11 track. *)
 val spanning_backbone_structures :
-  t -> (string * Netgraph.Graph.t * scope) list
+  t -> (string * Netgraph.Csr.t * scope) list

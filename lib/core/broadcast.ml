@@ -1,4 +1,3 @@
-module G = Netgraph.Graph
 module E = Distsim.Engine
 
 type outcome = {
@@ -55,11 +54,10 @@ let backbone_broadcast udg ~backbone ~source =
   run_relay udg ~source ~should_relay:(fun me _ -> backbone.(me))
 
 let rng_relay udg points ~source =
-  (* the RNG is built on the legacy graph, so thaw a copy for it *)
-  let rng_g = Wireless.Proximity.rng_graph (Netgraph.Csr.to_graph udg) points in
+  let rng_g = Wireless.Proximity.rng_graph udg points in
   run_relay udg ~source ~should_relay:(fun me heard_from ->
       (* relay only if some RNG neighbor has not (necessarily) heard
          the packet yet: it is not among the senders we heard *)
       List.exists
         (fun v -> not (List.mem v heard_from))
-        (G.neighbors rng_g me))
+        (Netgraph.Csr.neighbors rng_g me))

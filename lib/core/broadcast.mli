@@ -38,7 +38,6 @@ val backbone_broadcast :
   Netgraph.Csr.t -> backbone:bool array -> source:int -> outcome
 
 (** [rng_relay udg points ~source] — neighbor-elimination relay on
-    the relative neighborhood graph (built from a thawed copy of
-    [udg]). *)
+    the relative neighborhood graph of [udg]. *)
 val rng_relay :
   Netgraph.Csr.t -> Geometry.Point.t array -> source:int -> outcome

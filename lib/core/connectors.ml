@@ -1,12 +1,11 @@
-module G = Netgraph.Graph
+module C = Netgraph.Csr
 
-type result = { connector : bool array; cds_edges : (int * int) list }
-type t = { connector : bool array; cds : Netgraph.Csr.t }
+type t = { connector : bool array; cds : C.t }
 
 let candidates_two_hop g roles u v =
   List.filter
-    (fun w -> roles.(w) = Mis.Dominatee && G.has_edge g w v)
-    (G.neighbors g u)
+    (fun w -> roles.(w) = Mis.Dominatee && C.mem_edge g w v)
+    (C.neighbors g u)
 
 (* The local-minimum rule over any adjacency test: a candidate wins
    when no other candidate it can hear has a smaller id. *)
@@ -16,9 +15,7 @@ let elect_by adjacent (candidates : int list) =
       List.for_all (fun x -> x = w || (not (adjacent w x)) || w < x) candidates)
     candidates
 
-let elect g candidates = elect_by (G.has_edge g) candidates
-
-let ordered_edge u v = (Int.min u v, Int.max u v)
+let elect g candidates = elect_by (C.mem_edge g) candidates
 
 (* A growable int buffer; each worker domain keeps a few for its whole
    fan-out, so the elections allocate only when one outgrows them. *)
@@ -40,7 +37,6 @@ let push b x =
    sum, fill — each row writes only its own slots, so the passes fan
    out over the pool like [Csr.filter]'s. *)
 let dominator_index ?pool csr roles =
-  let module C = Netgraph.Csr in
   let n = C.node_count csr in
   let off = C.offsets csr and adj = C.targets csr in
   let each body =
@@ -108,7 +104,6 @@ let dominator_index ?pool csr roles =
    deduplicated and sealed in one pass.  So the result is the same
    for any tiling and any job count. *)
 let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
-  let module C = Netgraph.Csr in
   let n = C.node_count csr in
   let off = C.offsets csr and adj = C.targets csr in
   let connector = Array.make n false in
@@ -283,11 +278,11 @@ let elect_tiles ?pool ~owners csr roles (dom_off, dom_adj) =
     done);
   (connector, installed)
 
-let find_csr ?pool ?owners csr roles =
+let find ?pool ?owners csr roles =
   let owners =
     match owners with
     | Some o -> o
-    | None -> [| Array.init (Netgraph.Csr.node_count csr) (fun u -> u) |]
+    | None -> [| Array.init (C.node_count csr) (fun u -> u) |]
   in
   let index =
     Obs.span "connectors.index" (fun () -> dominator_index ?pool csr roles)
@@ -300,23 +295,19 @@ let find_csr ?pool ?owners csr roles =
       {
         connector;
         cds =
-          Netgraph.Csr.filter_arcs ?pool csr (fun k ->
+          C.filter_arcs ?pool csr (fun k ->
               Bytes.get installed k <> '\000');
       })
-
-let find g roles =
-  let t = find_csr (Netgraph.Csr.of_graph g) roles in
-  { connector = t.connector; cds_edges = Netgraph.Csr.edges t.cds }
 
 (* The Alzoubi-style dominator-initiated selection: one deterministic
    path per ordered dominator pair.  Dominator u "decides the next
    node on the path" — realized here as smallest-ID choices, which is
    what a node collecting its neighbors' announcements would pick. *)
 let find_alzoubi g roles =
-  let n = G.node_count g in
+  let n = C.node_count g in
   let connector = Array.make n false in
   let edges = ref [] in
-  let add_edge u v = edges := ordered_edge u v :: !edges in
+  let link u v = edges := (u, v) :: !edges in
   let doms = Mis.dominators roles in
   let pick = function [] -> None | x :: _ -> Some x (* lists are sorted *) in
   List.iter
@@ -328,8 +319,8 @@ let find_alzoubi g roles =
           match pick (candidates_two_hop g roles u v) with
           | Some w ->
             connector.(w) <- true;
-            add_edge u w;
-            add_edge w v
+            link u w;
+            link w v
           | None ->
             (* v is reachable in three hops only (no common dominatee):
                u picks its smallest dominatee w that can see a
@@ -341,9 +332,9 @@ let find_alzoubi g roles =
                      roles.(w) = Mis.Dominatee
                      && List.exists
                           (fun x ->
-                            roles.(x) = Mis.Dominatee && G.has_edge g x v)
-                          (G.neighbors g w))
-                   (G.neighbors g u))
+                            roles.(x) = Mis.Dominatee && C.mem_edge g x v)
+                          (C.neighbors g w))
+                   (C.neighbors g u))
             in
             (match w with
             | None -> ()
@@ -352,17 +343,17 @@ let find_alzoubi g roles =
                 pick
                   (List.filter
                      (fun x ->
-                       roles.(x) = Mis.Dominatee && G.has_edge g x v)
-                     (G.neighbors g w))
+                       roles.(x) = Mis.Dominatee && C.mem_edge g x v)
+                     (C.neighbors g w))
               in
               (match x with
               | None -> ()
               | Some x ->
                 connector.(w) <- true;
                 connector.(x) <- true;
-                add_edge u w;
-                add_edge w x;
-                add_edge x v)))
+                link u w;
+                link w x;
+                link x v)))
         two_hop;
       (* three-hop-only targets do not appear in two_hop_dominators of
          u itself; enumerate them through u's dominatees' views *)
@@ -375,7 +366,7 @@ let find_alzoubi g roles =
                 if v <> u && not (List.exists (Int.equal v) two_hop) then
                   targets := v :: !targets)
               (Mis.two_hop_dominators g roles w))
-        (G.neighbors g u);
+        (C.neighbors g u);
       List.iter
         (fun v ->
           let w =
@@ -386,9 +377,9 @@ let find_alzoubi g roles =
                    && List.exists
                         (fun x ->
                           roles.(x) = Mis.Dominatee && x <> w
-                          && G.has_edge g x v)
-                        (G.neighbors g w))
-                 (G.neighbors g u))
+                          && C.mem_edge g x v)
+                        (C.neighbors g w))
+                 (C.neighbors g u))
           in
           match w with
           | None -> ()
@@ -397,31 +388,27 @@ let find_alzoubi g roles =
               pick
                 (List.filter
                    (fun x ->
-                     roles.(x) = Mis.Dominatee && x <> w && G.has_edge g x v)
-                   (G.neighbors g w))
+                     roles.(x) = Mis.Dominatee && x <> w && C.mem_edge g x v)
+                   (C.neighbors g w))
             in
             (match x with
             | None -> ()
             | Some x ->
               connector.(w) <- true;
               connector.(x) <- true;
-              add_edge u w;
-              add_edge w x;
-              add_edge x v))
+              link u w;
+              link w x;
+              link x v))
         (List.sort_uniq Int.compare !targets))
     doms;
-  {
-    connector;
-    cds_edges =
-      List.sort_uniq G.compare_edge !edges;
-  }
+  { connector; cds = C.of_edges n !edges }
 
 (* Baker-Ephremides linked clusters: highest-ID gateways. *)
 let find_baker g roles =
-  let n = G.node_count g in
+  let n = C.node_count g in
   let connector = Array.make n false in
   let edges = ref [] in
-  let add_edge u v = edges := ordered_edge u v :: !edges in
+  let link u v = edges := (u, v) :: !edges in
   let doms = Mis.dominators roles in
   List.iter
     (fun u ->
@@ -433,8 +420,8 @@ let find_baker g roles =
               (* overlapping clusters: highest ID in the intersection *)
               let w = List.fold_left max (List.hd common) common in
               connector.(w) <- true;
-              add_edge u w;
-              add_edge w v
+              link u w;
+              link w v
             | [] ->
               (* nonoverlapping: adjacent dominatee pairs, one from
                  each cluster *)
@@ -446,10 +433,10 @@ let find_baker g roles =
                       (fun y ->
                         if
                           roles.(y) = Mis.Dominatee && y <> x
-                          && G.has_edge g y v
+                          && C.mem_edge g y v
                         then pairs := (x, y) :: !pairs)
-                      (G.neighbors g x))
-                (G.neighbors g u);
+                      (C.neighbors g x))
+                (C.neighbors g u);
               (match !pairs with
               | [] -> ()
               | first :: rest ->
@@ -464,16 +451,12 @@ let find_baker g roles =
                 in
                 connector.(x) <- true;
                 connector.(y) <- true;
-                add_edge u x;
-                add_edge x y;
-                add_edge y v)
+                link u x;
+                link x y;
+                link y v)
           end)
         (List.filter (fun v -> v <> u) doms))
     doms;
   (* restrict to pairs within three hops: the nonoverlapping search
      above already only finds dominatee pairs, i.e. 3-hop paths *)
-  {
-    connector;
-    cds_edges =
-      List.sort_uniq G.compare_edge !edges;
-  }
+  { connector; cds = C.of_edges n !edges }

@@ -17,7 +17,7 @@ type backbone = {
   udg : Csr.t;  (* the alive UDG *)
   roles : Mis.role array;
   backbone : bool array;
-  cds : Netgraph.View.t;
+  cds : Csr.t;
 }
 
 let delivery_ratio r =
@@ -29,7 +29,7 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
   if sink < 0 || sink >= n then invalid_arg "Energy.run: sink out of range";
   if epochs <= 0 || battery <= 0. || beta <= 0. then
     invalid_arg "Energy.run: non-positive parameter";
-  let full_udg = Wireless.Udg.build_csr points ~radius in
+  let full_udg = Wireless.Udg.build points ~radius in
   let remaining = Array.make n battery in
   let alive = Array.make n true in
   let spent = Array.make n 0. in
@@ -52,13 +52,13 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
           if not alive.(u) then max_int
           else int_of_float ((battery -. remaining.(u)) /. battery *. 1000.)
     in
-    let roles = Mis.compute_csr ~priority udg in
-    let conn = Connectors.find_csr udg roles in
+    let roles = Mis.compute ~priority udg in
+    let conn = Connectors.find udg roles in
     let backbone =
       Array.init n (fun u ->
           roles.(u) = Mis.Dominator || conn.Connectors.connector.(u))
     in
-    { udg; roles; backbone; cds = Netgraph.View.of_csr conn.Connectors.cds }
+    { udg; roles; backbone; cds = conn.Connectors.cds }
   in
   let structure = ref (rebuild ()) in
 
@@ -72,7 +72,7 @@ let run points ~radius ~sink ~policy ~epochs ~battery ~beta =
          accounting), exit at the sink's gateway *)
       let enter = Routing.gateway ~udg ~roles ~backbone src in
       let exit = Routing.gateway ~udg ~roles ~backbone sink in
-      match Netgraph.Traversal.bfs_path_v cds enter exit with
+      match Netgraph.Traversal.bfs_path cds enter exit with
       | None -> None
       | Some p ->
         let p = if enter = src then p else src :: p in

@@ -1,4 +1,3 @@
-module G = Netgraph.Graph
 module M = Netgraph.Metrics
 module E = Distsim.Engine
 
@@ -98,7 +97,7 @@ let default_radii = [ 20.; 25.; 30.; 35.; 40.; 45.; 50.; 55.; 60. ]
 let degree_values bb =
   List.concat_map
     (fun (name, g) ->
-      let d = M.degree_stats_v g in
+      let d = M.degree_stats g in
       [
         (name ^ " deg max", float_of_int d.M.deg_max);
         (name ^ " deg avg", d.M.deg_avg);
@@ -123,8 +122,8 @@ let stretch_values (bb : Backbone.t) =
   (* one fused pass shares the UDG shortest-path trees across the
      three spanning curves instead of recomputing them per structure *)
   let combined =
-    M.combined_stretch_v ~jobs:bb.Backbone.jobs
-      ~base:(Netgraph.View.of_csr bb.Backbone.snap.Shard.udg)
+    M.combined_stretch ~jobs:bb.Backbone.jobs
+      ~base:bb.Backbone.snap.Shard.udg
       bb.Backbone.snap.Shard.points spanning
   in
   List.concat_map
@@ -186,8 +185,8 @@ let comm_and_degree_vs_radius ?(cfg = default) ?(n = 500)
           let r = Protocol.run pts ~radius in
           let graphs =
             [
-              ("CDS", G.of_edges n r.Protocol.cds_edges);
-              ("ICDS", G.of_edges n r.Protocol.icds_edges);
+              ("CDS", Netgraph.Csr.of_edges n r.Protocol.cds_edges);
+              ("ICDS", Netgraph.Csr.of_edges n r.Protocol.icds_edges);
               ("LDelICDS", r.Protocol.ldel_graph);
             ]
           in

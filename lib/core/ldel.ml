@@ -1,14 +1,8 @@
-module G = Netgraph.Graph
+module C = Netgraph.Csr
 module P = Geometry.Point
 module Pred = Geometry.Predicates
 
-type t = {
-  ldel1 : G.t;
-  planar : G.t;
-  gabriel_edges : (int * int) list;
-  triangles : (int * int * int) list;
-  kept_triangles : (int * int * int) list;
-}
+type t = { gabriel : Bytes.t; tri : int array; kept : Bytes.t }
 
 let norm3 ((a : int), (b : int), (c : int)) =
   let lo = Int.min a b and hi = Int.max a b in
@@ -32,7 +26,7 @@ let local_triangles_of_neighborhood ~me ~me_pos ~nbrs =
 
 let local_delaunay_triangles g points u =
   local_triangles_of_neighborhood ~me:u ~me_pos:points.(u)
-    ~nbrs:(List.map (fun v -> (v, points.(v))) (G.neighbors g u))
+    ~nbrs:(List.map (fun v -> (v, points.(v))) (C.neighbors g u))
 
 let fits points ~radius a b c =
   P.dist points.(a) points.(b) <= radius
@@ -130,45 +124,6 @@ let circumcircle_contains_corner points (a, b, c) (p, q, r) =
 let triangle_bbox points (a, b, c) =
   Geometry.Bbox.of_points [ points.(a); points.(b); points.(c) ]
 
-let graph_of n gabriel triangles =
-  G.of_edges n
-    (gabriel
-    @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) triangles)
-
-type parts = {
-  p_gabriel : (int * int) list;
-  p_triangles : (int * int * int) list;
-  p_kept : (int * int * int) list;
-}
-
-type csr_parts = { gabriel : Bytes.t; tri : int array; kept : Bytes.t }
-
-let to_parts csr { gabriel; tri; kept } =
-  let module C = Netgraph.Csr in
-  let off = C.offsets csr and adj = C.targets csr in
-  let p_gabriel = ref [] in
-  for u = C.node_count csr - 1 downto 0 do
-    for k = off.(u + 1) - 1 downto off.(u) do
-      if Bytes.get gabriel k <> '\000' then p_gabriel := (u, adj.(k)) :: !p_gabriel
-    done
-  done;
-  let p_triangles = ref [] and p_kept = ref [] in
-  for t = (Array.length tri / 3) - 1 downto 0 do
-    let abc = (tri.(3 * t), tri.((3 * t) + 1), tri.((3 * t) + 2)) in
-    p_triangles := abc :: !p_triangles;
-    if Bytes.get kept t <> '\000' then p_kept := abc :: !p_kept
-  done;
-  { p_gabriel = !p_gabriel; p_triangles = !p_triangles; p_kept = !p_kept }
-
-let of_parts n { p_gabriel; p_triangles; p_kept } =
-  {
-    ldel1 = graph_of n p_gabriel p_triangles;
-    planar = graph_of n p_gabriel p_kept;
-    gabriel_edges = p_gabriel;
-    triangles = p_triangles;
-    kept_triangles = p_kept;
-  }
-
 let shares_corner (a1 : int) b1 c1 a2 b2 c2 =
   a1 = a2 || a1 = b2 || a1 = c2 || b1 = a2 || b1 = b2 || b1 = c2 || c1 = a2
   || c1 = b2 || c1 = c2
@@ -199,7 +154,6 @@ let shares_corner (a1 : int) b1 c1 a2 b2 c2 =
    loses nothing: the flags after the join are the same for any job
    count. *)
 let planarize ?pool csr points ~radius tri =
-  let module C = Netgraph.Csr in
   let module G = Wireless.Cellgrid in
   let m = Array.length tri / 3 in
   let kept = Bytes.make m '\001' in
@@ -297,7 +251,6 @@ let planarize ?pool csr points ~radius tri =
 (* [N_k(u) \ {u}] of every node, ascending, as rows on offsets (a
    full BFS per node: [build_k] is for small instances). *)
 let k_hop_rows csr hops =
-  let module C = Netgraph.Csr in
   let n = C.node_count csr in
   let rows =
     Array.init n (fun u ->
@@ -326,9 +279,8 @@ let k_hop_rows csr hops =
    output lands in its own slots, sorted there, and the triangles are
    laid out flat in node order; Algorithm 3 flags the survivors.  So
    the outputs are the same for any tiling and job count, and no list
-   is built ({!to_parts} reads them off). *)
+   is built. *)
 let build_parts ?pool ?owners ~hops csr points ~radius =
-  let module C = Netgraph.Csr in
   let n = C.node_count csr in
   let owners =
     match owners with
@@ -437,14 +389,47 @@ let build_parts ?pool ?owners ~hops csr points ~radius =
   in
   { gabriel; tri; kept }
 
-let build_csr ?pool ?owners csr points ~radius =
+let build ?pool ?owners csr points ~radius =
   build_parts ?pool ?owners ~hops:1 csr points ~radius
 
-let build g points ~radius =
-  let csr = Netgraph.Csr.of_graph g in
-  of_parts (G.node_count g) (to_parts csr (build_csr csr points ~radius))
-
-let build_k g points ~radius ~k =
+let build_k csr points ~radius ~k =
   if k < 1 then invalid_arg "Ldel.build_k: k < 1";
-  let csr = Netgraph.Csr.of_graph g in
-  of_parts (G.node_count g) (to_parts csr (build_parts ~hops:k csr points ~radius))
+  build_parts ~hops:k csr points ~radius
+
+(* A row filter of [csr]: one byte per arc, set on both arcs of each
+   Gabriel edge and of each edge of a kept triangle.  Gabriel edges
+   are marked from their owner arc's row and triangles from their
+   place in [tri] (min corner first), on the pool; two workers may set
+   one byte, but only ever to the same value, so the marks after the
+   join are the same for any job count. *)
+let planar ?pool ?points csr { gabriel; tri; kept } =
+  let off = C.offsets csr and adj = C.targets csr in
+  let mark = Bytes.make (Array.length adj) '\000' in
+  let link a b =
+    Bytes.set mark (C.arc csr a b) '\001';
+    Bytes.set mark (C.arc csr b a) '\001'
+  in
+  let each n body =
+    match pool with
+    | Some p when n > 0 ->
+      Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> body))
+    | _ ->
+      for i = 0 to n - 1 do
+        body i
+      done
+  in
+  each (C.node_count csr) (fun u ->
+      for k = off.(u) to off.(u + 1) - 1 do
+        if Bytes.get gabriel k <> '\000' then begin
+          Bytes.set mark k '\001';
+          Bytes.set mark (C.arc csr adj.(k) u) '\001'
+        end
+      done);
+  each (Bytes.length kept) (fun t ->
+      if Bytes.get kept t <> '\000' then begin
+        let a = tri.(3 * t) and b = tri.((3 * t) + 1) and c = tri.((3 * t) + 2) in
+        link a b;
+        link b c;
+        link a c
+      end);
+  C.filter_arcs ?pool ?points csr (fun k -> Bytes.get mark k <> '\000')

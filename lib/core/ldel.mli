@@ -14,9 +14,8 @@
     the survivors plus the Gabriel edges form the planar graph
     [PLDel(G)] the paper routes on.
 
-    {!build_csr} is the centralized construction stage
-    ({!Shard.pipeline} runs it per tile); {!build} and {!build_k} are
-    adapters over it.  Each node computes only its own star in
+    {!build} is the centralized construction stage
+    ({!Shard.pipeline} runs it per tile).  Each node computes only its own star in
     [Del(N(u))] with {!Delaunay.Star} (O(d log d), Bowyer–Watson on
     exact ties), and a triangle is accepted when it is consecutive in
     all three corners' links.  Accepted triangles that share a corner
@@ -27,31 +26,10 @@
     must produce identical output (asserted by the integration
     tests). *)
 
-type t = {
-  ldel1 : Netgraph.Graph.t;  (** LDel¹: Gabriel edges + triangle edges *)
-  planar : Netgraph.Graph.t;
-      (** PLDel: Gabriel edges + surviving triangle edges *)
-  gabriel_edges : (int * int) list;  (** with [u < v], sorted *)
-  triangles : (int * int * int) list;
-      (** accepted 1-localized Delaunay triangles, sorted triples *)
-  kept_triangles : (int * int * int) list;
-      (** triangles surviving planarization *)
-}
-
-(** The three edge/triangle lists of a build, without the materialized
-    graphs.  Field for field equal to the corresponding fields of
-    {!t}. *)
-type parts = {
-  p_gabriel : (int * int) list;
-  p_triangles : (int * int * int) list;
-  p_kept : (int * int * int) list;
-}
-
-(** What {!build_csr} computes, packed flat on the arcs of the graph it
+(** What {!build} computes, packed flat on the arcs of the graph it
     ran on: no lists, a byte per arc and per triangle plus three ints
-    per triangle.  The sharded pipeline marks the arcs of its [pldel]
-    from these and then drops them. *)
-type csr_parts = {
+    per triangle.  {!planar} seals PLDel from it. *)
+type t = {
   gabriel : Bytes.t;
       (** one byte per arc of the input CSR (indexed like
           {!Netgraph.Csr.targets}): ['\001'] on the arc [u -> v] with
@@ -66,7 +44,7 @@ type csr_parts = {
           planarization (Algorithm 3) *)
 }
 
-(** [build_csr csr points ~radius] computes LDel¹ and PLDel of the
+(** [build csr points ~radius] computes LDel¹ and PLDel of the
     graph [csr] (edges must join nodes at distance [<= radius]; nodes
     with no incident edge are simply isolated — this is how the
     construction runs on the induced backbone ICDS, whose vertex set
@@ -81,46 +59,45 @@ type csr_parts = {
     Spans [ldel.l1], [ldel.l2] and [ldel.planarize] cover the call.
     @raise Invalid_argument when two nodes of a neighbourhood
     coincide. *)
-val build_csr :
+val build :
   ?pool:Netgraph.Pool.t ->
   ?owners:int array array ->
   Netgraph.Csr.t ->
   Geometry.Point.t array ->
   radius:float ->
-  csr_parts
-
-(** [to_parts csr p] is [p] in list form, where [csr] is the graph
-    {!build_csr} ran on: [p_gabriel] reads the flagged arcs off in row
-    order, [p_triangles] unpacks [tri], [p_kept] keeps the triangles
-    flagged in [kept], so each list is sorted lexicographically.
-    Linear in the arc and triangle counts; for {!build} and tests. *)
-val to_parts : Netgraph.Csr.t -> csr_parts -> parts
-
-(** [of_parts n parts] materializes the two graphs from the lists. *)
-val of_parts : int -> parts -> t
-
-(** [build g points ~radius] is [of_parts n (to_parts csr (build_csr
-    csr points ~radius))] with [csr = Csr.of_graph g]: the one-tile,
-    pool-less build on a mutable graph. *)
-val build : Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> t
+  t
 
 (** [build_k g points ~radius ~k] is the k-localized Delaunay graph
     [LDel^k]: triangles must have circumcircles empty of every
     corner's k-hop neighborhood.  Li et al. prove [LDel^k] is planar
-    outright for [k >= 2] (the [planar]/[ldel1] fields then coincide —
-    the test-suite verifies this empirically); larger [k] trades
-    communication for fewer crossings.  It runs {!build_csr}'s stages
+    outright for [k >= 2] (Algorithm 3 then keeps every accepted
+    triangle — the test-suite verifies this empirically); larger [k] trades
+    communication for fewer crossings.  It runs {!build}'s stages
     with k-hop local neighborhoods (Gabriel edges and Algorithm 3 stay
     1-hop); [build_k ~k:1 = build].
     @raise Invalid_argument when [k < 1]. *)
 val build_k :
-  Netgraph.Graph.t -> Geometry.Point.t array -> radius:float -> k:int -> t
+  Netgraph.Csr.t -> Geometry.Point.t array -> radius:float -> k:int -> t
+
+(** [planar csr t] is PLDel: the row filter of [csr] to the Gabriel
+    edges of [t] and the edges of its kept triangles, where [csr] is
+    the graph [t] was built on.  Every triangle edge must be an edge of
+    [csr]: always so for {!build}, and for {!build_k} when [csr] links
+    every pair within [radius] (a UDG, or the ICDS).  [pool] and
+    [points] are {!Netgraph.Csr.filter_arcs}'s: the result is the same
+    for any job count, and [points] adds Euclidean arc weights. *)
+val planar :
+  ?pool:Netgraph.Pool.t ->
+  ?points:Geometry.Point.t array ->
+  Netgraph.Csr.t ->
+  t ->
+  Netgraph.Csr.t
 
 (** [local_delaunay_triangles g points u] is the set of triangles
     incident to [u] in [Del(N₁(u))] — what node [u] computes in
     Algorithm 2 — as normalized sorted triples. *)
 val local_delaunay_triangles :
-  Netgraph.Graph.t -> Geometry.Point.t array -> int -> (int * int * int) list
+  Netgraph.Csr.t -> Geometry.Point.t array -> int -> (int * int * int) list
 
 (** Same computation from a node's own view: its id, position, and
     1-hop neighbors with positions.  The distributed protocol calls
@@ -151,7 +128,7 @@ val circumcircle_contains_corner :
 (** [triangle_bbox points t] is the bounding box of [t]'s corners.
     Two triangles whose boxes do not {!Geometry.Bbox.overlaps} cannot
     intersect in the sense of {!triangles_intersect}, so both
-    planarizations ({!build_csr} and {!Protocol}) test boxes first. *)
+    planarizations ({!build} and {!Protocol}) test boxes first. *)
 val triangle_bbox : Geometry.Point.t array -> int * int * int -> Geometry.Bbox.t
 
 (** [triangles_intersect points t1 t2] decides whether two triangles

@@ -1,4 +1,4 @@
-module G = Netgraph.Graph
+module C = Netgraph.Csr
 
 type role = Dominator | Dominatee
 
@@ -15,8 +15,7 @@ type role = Dominator | Dominatee
    conflict-free up to idempotent gray writes: a neighbor touched from
    two tiles is written the same value.  The fixpoint is therefore
    bit-identical for any tiling and any job count. *)
-let compute_csr ?pool ?owners ?(priority = fun u -> u) csr =
-  let module C = Netgraph.Csr in
+let compute ?pool ?owners ?(priority = fun u -> u) csr =
   let n = C.node_count csr in
   let owners =
     match owners with
@@ -81,8 +80,6 @@ let compute_csr ?pool ?owners ?(priority = fun u -> u) csr =
       | 2 -> Dominatee
       | _ -> assert false (* fixpoint colors every node *))
 
-let compute ?priority g = compute_csr ?priority (Netgraph.Csr.of_graph g)
-
 let dominators roles =
   let acc = ref [] in
   Array.iteri (fun u r -> if r = Dominator then acc := u :: !acc) roles;
@@ -90,33 +87,33 @@ let dominators roles =
 
 let dominators_of g roles u =
   if roles.(u) = Dominator then []
-  else List.filter (fun v -> roles.(v) = Dominator) (G.neighbors g u)
+  else List.filter (fun v -> roles.(v) = Dominator) (C.neighbors g u)
 
 let two_hop_dominators g roles u =
-  let one_hop = G.neighbors g u in
+  let one_hop = C.neighbors g u in
   let at_two = ref [] in
   List.iter
     (fun v ->
       List.iter
         (fun w ->
-          if w <> u && (not (G.has_edge g u w)) && roles.(w) = Dominator then
+          if w <> u && (not (C.mem_edge g u w)) && roles.(w) = Dominator then
             at_two := w :: !at_two)
-        (G.neighbors g v))
+        (C.neighbors g v))
     one_hop;
   List.sort_uniq Int.compare !at_two
 
 let is_independent g roles =
-  G.fold_edges g
+  C.fold_edges g
     (fun acc u v -> acc && not (roles.(u) = Dominator && roles.(v) = Dominator))
     true
 
 let is_dominating g roles =
-  let n = G.node_count g in
+  let n = C.node_count g in
   let ok = ref true in
   for u = 0 to n - 1 do
     if
       roles.(u) = Dominatee
-      && not (List.exists (fun v -> roles.(v) = Dominator) (G.neighbors g u))
+      && not (List.exists (fun v -> roles.(v) = Dominator) (C.neighbors g u))
     then ok := false
   done;
   !ok

@@ -1,5 +1,4 @@
 module Csr = Netgraph.Csr
-module V = Netgraph.View
 module Components = Netgraph.Components
 module Planarity = Netgraph.Planarity
 module Metrics = Netgraph.Metrics
@@ -121,7 +120,7 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
     end
   in
   (* geometric planarity of the planar backbone *)
-  let crossings = Planarity.crossing_pairs_v (V.of_csr s.Shard.pldel) pts in
+  let crossings = Planarity.crossing_pairs s.Shard.pldel pts in
   let cross_node =
     match crossings with ((u, _), _) :: _ -> u | [] -> -1
   in
@@ -130,8 +129,8 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
     t.thresholds.max_crossings cross_node;
   (* the routing structure must not disconnect what the radio graph
      connects *)
-  let udg_parts = Components.count_v (V.of_csr s.Shard.udg) in
-  let routing_parts = Components.count_v (V.of_csr s.Shard.pldel') in
+  let udg_parts = Components.count s.Shard.udg in
+  let routing_parts = Components.count s.Shard.pldel' in
   gate "extra_components"
     (float_of_int (routing_parts - udg_parts))
     t.thresholds.max_extra_components (-1);
@@ -180,7 +179,7 @@ let observe t ~round ?(extra = []) (bb : Backbone.t) =
       let sources = pick_sources t ~round n in
       match
         Metrics.sampled_stretch ~jobs:t.jobs ~sources
-          ~base:(V.of_csr s.Shard.udg) ~sub:(V.of_csr s.Shard.pldel') pts
+          ~base:s.Shard.udg ~sub:s.Shard.pldel' pts
       with
       | { Metrics.len_max; hop_max; _ } -> (len_max, hop_max)
       | exception Invalid_argument _ -> (infinity, infinity)

@@ -1,4 +1,3 @@
-module G = Netgraph.Graph
 module E = Distsim.Engine
 
 let c_packets = Obs.counter "packetsim.packets"
@@ -32,17 +31,14 @@ type node_state = {
   mutable ns_delivered : int list option;  (* the packet's path if it ended here *)
 }
 
-(* [csr] is [g] frozen for the engine; [many] freezes it once for all
-   of its packets *)
-let run_one g csr points ~src ~dst ~use_perimeter =
-  let view = Netgraph.View.of_graph g in
+let run_one g points ~src ~dst ~use_perimeter =
   (* forwarding decisions read the destination off the packet itself,
      as a radio would; [run_one]'s [dst] only originates and collects.
      Both disciplines run the GFG automaton; plain greedy drops where
      GFG would enter perimeter mode, and only GPSR decisions count as
      GFG steps. *)
   let step ~dst u header =
-    let d = Routing.gfg_step view points ~dst u header in
+    let d = Routing.gfg_step g points ~dst u header in
     if use_perimeter then begin
       Obs.incr c_gfg_steps;
       d
@@ -52,7 +48,7 @@ let run_one g csr points ~src ~dst ~use_perimeter =
       | Routing.Forward (_, Routing.Perimeter _) -> Routing.Drop
       | d -> d
   in
-  let ttl0 = (4 * G.edge_count g) + 16 in
+  let ttl0 = (4 * Netgraph.Csr.edge_count g) + 16 in
   let proto =
     {
       E.init = (fun _ _ -> { ns_delivered = None });
@@ -84,7 +80,7 @@ let run_one g csr points ~src ~dst ~use_perimeter =
           st);
     }
   in
-  let states, stats = E.run ~classify:(fun _ -> "Data") csr proto in
+  let states, stats = E.run ~classify:(fun _ -> "Data") g proto in
   Obs.incr c_packets;
   Obs.observe d_tx (float_of_int (E.total_sent stats));
   Obs.observe d_rounds (float_of_int stats.E.rounds);
@@ -106,24 +102,23 @@ let run_one g csr points ~src ~dst ~use_perimeter =
     }
 
 let gpsr g points ~src ~dst =
-  run_one g (Netgraph.Csr.of_graph g) points ~src ~dst ~use_perimeter:true
+  run_one g points ~src ~dst ~use_perimeter:true
 
 let greedy g points ~src ~dst =
-  run_one g (Netgraph.Csr.of_graph g) points ~src ~dst ~use_perimeter:false
+  run_one g points ~src ~dst ~use_perimeter:false
 
 let many g points ~pairs rng ~router =
   Obs.span "packetsim.many" @@ fun () ->
-  let n = G.node_count g in
+  let n = Netgraph.Csr.node_count g in
   (* fewer than two nodes admit no src <> dst pair *)
   let pairs = if n < 2 then 0 else pairs in
-  let c = Netgraph.Csr.of_graph g in
   let delivered = ref 0 and tx = ref 0 and sent = ref 0 in
   while !sent < pairs do
     let src = Wireless.Rand.int rng n and dst = Wireless.Rand.int rng n in
     if src <> dst then begin
       incr sent;
       let r =
-        run_one g c points ~src ~dst ~use_perimeter:(router = `Gpsr)
+        run_one g points ~src ~dst ~use_perimeter:(router = `Gpsr)
       in
       if r.delivered then begin
         incr delivered;

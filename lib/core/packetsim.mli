@@ -25,13 +25,13 @@ type result = {
     forwarding over [g] (planar for the delivery guarantee).  Returns
     the observed trajectory. *)
 val gpsr :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int -> result
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int -> result
 
 (** [greedy g points ~src ~dst] ships one packet with plain greedy
     forwarding: the same automaton, dropping where GPSR would enter
     perimeter mode (at local minima). *)
 val greedy :
-  Netgraph.Graph.t -> Geometry.Point.t array -> src:int -> dst:int -> result
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int -> result
 
 (** [many g points ~pairs rng ~router] ships packets for [pairs]
     random source/destination pairs in one shared simulation-per-pair
@@ -40,7 +40,7 @@ val greedy :
     of fewer than two nodes has no pair to send: the result is
     [(0, 0, 0.)]. *)
 val many :
-  Netgraph.Graph.t ->
+  Netgraph.Csr.t ->
   Geometry.Point.t array ->
   pairs:int ->
   Wireless.Rand.t ->

@@ -244,7 +244,7 @@ let connectors_protocol (cluster : cluster_state array) =
       c_edges = [];
     }
   in
-  let add_edge st u v = st.c_edges <- ordered_edge u v :: st.c_edges in
+  let install st u v = st.c_edges <- ordered_edge u v :: st.c_edges in
   let candidacy st pair pos = Tbl.find_opt st.c_by_key (election_key pair pos) in
   let claim ctx st pair pos =
     let c =
@@ -276,9 +276,9 @@ let connectors_protocol (cluster : cluster_state array) =
           | Some c when from < c.least_rival -> c.least_rival <- from
           | _ -> ())
         | IamConnector ((u, v), Single) ->
-          if me = u || me = v then add_edge st me from
+          if me = u || me = v then install st me from
         | IamConnector (((u, v) as pair), First) ->
-          if me = u then add_edge st me from;
+          if me = u then install st me from;
           if st.c_role = `Dominatee && dominator_index st v >= 0 then begin
             let c =
               match candidacy st pair Second with
@@ -288,9 +288,9 @@ let connectors_protocol (cluster : cluster_state array) =
             c.heard_first <- from :: c.heard_first
           end
         | IamConnector (((_, v) as pair), Second) -> (
-          if me = v then add_edge st me from;
+          if me = v then install st me from;
           match candidacy st pair First with
-          | Some c when c.elected -> add_edge st me from
+          | Some c when c.elected -> install st me from
           | _ -> ())
         | Hello _ | IamDominator | IamDominatee _ | Status _ | Proposal _
         | Accept _ | Reject _ | ShareTriangles _ | RemainingTriangles _
@@ -338,12 +338,12 @@ let connectors_protocol (cluster : cluster_state array) =
             let u, v = c.pair in
             match c.pos with
             | Single ->
-              add_edge st u me;
-              add_edge st me v
-            | First -> add_edge st u me
+              install st u me;
+              install st me v
+            | First -> install st u me
             | Second ->
-              add_edge st me v;
-              List.iter (fun w -> add_edge st w me) c.heard_first
+              install st me v;
+              List.iter (fun w -> install st w me) c.heard_first
           end)
         st.c_candidacies;
     st
@@ -561,7 +561,7 @@ let ldel_protocol (status : status_state array)
       end;
       (* round 3: apply the removal rule and gossip survivors; pairs
          whose boxes are disjoint are decided by the same exact
-         prefilter [Ldel.build_csr] applies *)
+         prefilter [Ldel.build] applies *)
       if ctx.E.round = 3 then begin
         let known =
           Array.of_list
@@ -699,7 +699,7 @@ type result = {
   ldel_triangles : (int * int * int) list;
   kept_triangles : (int * int * int) list;
   gabriel_edges : (int * int) list;
-  ldel_graph : G.t;
+  ldel_graph : Netgraph.Csr.t;
   stats_cluster : E.stats;
   stats_connector : E.stats;
   stats_status : E.stats;
@@ -709,7 +709,7 @@ type result = {
 type ldel2_result = {
   l2_triangles : (int * int * int) list;
   l2_gabriel_edges : (int * int) list;
-  l2_graph : G.t;
+  l2_graph : Netgraph.Csr.t;
   l2_stats : E.stats;
 }
 
@@ -747,15 +747,9 @@ let unanimous tables f ks =
     ks
 
 let graph_of n gabriel triangles =
-  let g = G.create n in
-  List.iter (fun (u, v) -> G.add_edge g u v) gabriel;
-  List.iter
-    (fun (a, b, c) ->
-      G.add_edge g a b;
-      G.add_edge g b c;
-      G.add_edge g a c)
-    triangles;
-  g
+  Netgraph.Csr.of_edges n
+    (gabriel
+    @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) triangles)
 
 (* the UDG every phase runs on, frozen once *)
 let udg_of points ~radius =
@@ -763,7 +757,7 @@ let udg_of points ~radius =
     invalid_arg
       (Printf.sprintf "Protocol: %d nodes exceed the %d packed ids allow"
          (Array.length points) max_nodes);
-  Wireless.Udg.build_csr points ~radius
+  Wireless.Udg.build points ~radius
 
 let run points ~radius =
   Obs.span "protocol" @@ fun () ->

@@ -61,7 +61,7 @@ type result = {
   ldel_triangles : (int * int * int) list;  (** accepted LDel¹ triangles *)
   kept_triangles : (int * int * int) list;  (** after planarization *)
   gabriel_edges : (int * int) list;  (** of ICDS *)
-  ldel_graph : Netgraph.Graph.t;  (** distributed PLDel(ICDS) *)
+  ldel_graph : Netgraph.Csr.t;  (** distributed PLDel(ICDS) *)
   stats_cluster : Distsim.Engine.stats;
   stats_connector : Distsim.Engine.stats;
   stats_status : Distsim.Engine.stats;
@@ -79,7 +79,7 @@ val ldel_stats : result -> Distsim.Engine.stats
 
 (** [run points ~radius] executes the full protocol stack on the unit
     disk graph of [points], built once as a CSR snapshot
-    ({!Wireless.Udg.build_csr}) that every phase's engine run reads.
+    ({!Wireless.Udg.build}) that every phase's engine run reads.
     @raise Invalid_argument when [radius <= 0], or beyond [2^20] nodes:
     the protocol tables pack node ids into 20 bits. *)
 val run : Geometry.Point.t array -> radius:float -> result
@@ -89,7 +89,7 @@ val run : Geometry.Point.t array -> radius:float -> result
 type ldel2_result = {
   l2_triangles : (int * int * int) list;
   l2_gabriel_edges : (int * int) list;
-  l2_graph : Netgraph.Graph.t;
+  l2_graph : Netgraph.Csr.t;
   l2_stats : Distsim.Engine.stats;  (** the LDel² phase only *)
 }
 

@@ -1,5 +1,4 @@
 module M = Netgraph.Metrics
-module V = Netgraph.View
 
 type row = {
   name : string;
@@ -13,7 +12,7 @@ type row = {
 }
 
 let degree_row ~name g stretch =
-  let d = M.degree_stats_v g in
+  let d = M.degree_stats g in
   match stretch with
   | None ->
     {
@@ -50,8 +49,7 @@ let rows ?jobs bb =
       entries
   in
   let stretch_by_name =
-    M.combined_stretch_v ~jobs
-      ~base:(V.of_csr bb.Backbone.snap.Shard.udg)
+    M.combined_stretch ~jobs ~base:bb.Backbone.snap.Shard.udg
       bb.Backbone.snap.Shard.points spanning
   in
   List.map

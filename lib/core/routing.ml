@@ -1,13 +1,9 @@
-module G = Netgraph.Graph
-module V = Netgraph.View
 module Csr = Netgraph.Csr
 module P = Geometry.Point
 
-(* Routers read the topology through {!Netgraph.View}, so the same
-   code serves mutable graphs and sealed CSR snapshots (neighbor
-   iteration is ascending in both representations, so routes are
-   identical); each list router is a thin wrapper over its [_into]
-   kernel below.
+(* Routers read the topology as a sealed CSR, whose rows iterate in
+   ascending id order; each list router is a thin wrapper over its
+   [_into] kernel below.
 
    The kernels route into a caller-owned {!Scratch} and are written
    for the serve engine's steady state: no per-query heap allocation.
@@ -23,7 +19,7 @@ module P = Geometry.Point
    points, where "replace best" conditions are spelled as the
    negation of the original "keep best" guards. *)
 
-let max_steps g = (4 * V.edge_count g) + 16
+let max_steps g = (4 * Csr.edge_count g) + 16
 
 (* Per-scheme route/delivery counters and a shared hop distribution,
    charged by the list wrappers only. *)
@@ -65,7 +61,7 @@ type scratch = {
   mutable len : int;  (* nodes of the last delivered path; 0 otherwise *)
   fl : float array;
   (* query registers, set by the kernels *)
-  mutable g : V.t;
+  mutable g : Csr.t;
   mutable pts : P.t array;
   mutable dst : int;
   mutable cur : int;
@@ -102,7 +98,7 @@ module Scratch = struct
         path = Array.make 16 0;
         len = 0;
         fl = Array.make 9 0.;
-        g = V.of_graph (G.create 0);
+        g = Csr.of_edges 0 [];
         pts = [||];
         dst = 0;
         cur = 0;
@@ -242,10 +238,10 @@ let fail sc reason =
   sc.state <- 2;
   sc.drop <- reason
 
-let in_range g u = u >= 0 && u < V.node_count g
+let in_range g u = u >= 0 && u < Csr.node_count g
 
 let prepare sc g points ~dst =
-  Scratch.ensure sc (V.node_count g);
+  Scratch.ensure sc (Csr.node_count g);
   sc.g <- g;
   sc.pts <- points;
   sc.dst <- dst;
@@ -272,7 +268,7 @@ let closer_scan sc u =
   let dx = pu.P.x -. pd.P.x and dy = pu.P.y -. pd.P.y in
   sc.fl.(0) <- sqrt ((dx *. dx) +. (dy *. dy));
   sc.best <- -1;
-  V.iter_neighbors sc.g u sc.scan_closer
+  Csr.iter_neighbors sc.g u sc.scan_closer
 
 let greedy_into sc g points ~src ~dst =
   if not (in_range g src && in_range g dst) then rejected sc
@@ -331,7 +327,7 @@ let directional_into sc g points ~src ~dst scan =
       else if sc.mark.(u) = sc.stamp then fail sc revisit
       else begin
         sc.mark.(u) <- sc.stamp;
-        if V.has_edge g u dst then begin
+        if Csr.mem_edge g u dst then begin
           Scratch.push sc u;
           sc.cur <- dst;
           sc.steps <- sc.steps - 1
@@ -339,7 +335,7 @@ let directional_into sc g points ~src ~dst scan =
         else begin
           toward_setup sc u;
           sc.best <- -1;
-          V.iter_neighbors g u scan;
+          Csr.iter_neighbors g u scan;
           if sc.best < 0 then fail sc local_minimum
           else begin
             Scratch.push sc u;
@@ -364,7 +360,7 @@ let nfp_into sc g points ~src ~dst =
 (* first edge counterclockwise from fl.(2) around u *)
 let ccw_scan sc u =
   sc.best <- -1;
-  V.iter_neighbors sc.g u sc.scan_ccw
+  Csr.iter_neighbors sc.g u sc.scan_ccw
 
 (* Distance to dst of the proper crossing of edge (u, w) with the
    segment entry -> dst, or nan when they do not properly cross, into
@@ -528,8 +524,8 @@ let gateway ~udg ~roles ~backbone u =
 
 (* GPSR's split (Karp–Kung): greedy over the full neighbour table
    while it makes progress, recovery over the planar subgraph *)
-let hierarchical_into sc (s : Shard.snapshot) ~udg ~pldel ~src ~dst =
-  let pts = s.Shard.points in
+let hierarchical_into sc (s : Shard.snapshot) ~src ~dst =
+  let pts = s.Shard.points and udg = s.Shard.udg in
   let n = Array.length pts in
   if src < 0 || src >= n || dst < 0 || dst >= n then rejected sc
   else begin
@@ -544,7 +540,7 @@ let hierarchical_into sc (s : Shard.snapshot) ~udg ~pldel ~src ~dst =
         sc.state <- 1
       end
       else if sc.steps <= 0 then fail sc step_cap
-      else if V.has_edge udg u dst then begin
+      else if Csr.mem_edge udg u dst then begin
         Scratch.push sc u;
         sc.cur <- dst;
         sc.steps <- sc.steps - 1
@@ -562,17 +558,16 @@ let hierarchical_into sc (s : Shard.snapshot) ~udg ~pldel ~src ~dst =
     if sc.state = 3 then begin
       (* u -> its gateway -> GFG over PLDel -> dst's gateway -> dst *)
       let u = sc.cur in
-      let rows = s.Shard.udg and roles = s.Shard.roles in
-      let backbone = s.Shard.backbone in
-      let enter = gateway ~udg:rows ~roles ~backbone u
-      and exit = gateway ~udg:rows ~roles ~backbone dst in
+      let roles = s.Shard.roles and backbone = s.Shard.backbone in
+      let enter = gateway ~udg ~roles ~backbone u
+      and exit = gateway ~udg ~roles ~backbone dst in
       if enter <> u then Scratch.push sc u;
       if enter = exit then begin
         Scratch.push sc enter;
         sc.state <- 1
       end
       else begin
-        sc.g <- pldel;
+        sc.g <- s.Shard.pldel;
         sc.dst <- exit;
         gfg_walk sc ~src:enter;
         sc.dst <- dst
@@ -583,7 +578,7 @@ let hierarchical_into sc (s : Shard.snapshot) ~udg ~pldel ~src ~dst =
   end
 
 let listed obs kernel g points ~src ~dst =
-  let sc = Scratch.create ~n:(V.node_count g) () in
+  let sc = Scratch.create ~n:(Csr.node_count g) () in
   obs
     (if kernel sc g points ~src ~dst < 0 then None
      else Some (Scratch.path_list sc))
@@ -596,9 +591,8 @@ let gfg g = listed obs_gfg gfg_into g
 
 let hierarchical (s : Shard.snapshot) ~src ~dst =
   let sc = Scratch.create ~n:(Array.length s.Shard.points) () in
-  let udg = V.of_csr s.Shard.udg and pldel = V.of_csr s.Shard.pldel in
   obs_hierarchical
-    (if hierarchical_into sc s ~udg ~pldel ~src ~dst < 0 then None
+    (if hierarchical_into sc s ~src ~dst < 0 then None
      else Some (Scratch.path_list sc))
 
 (* Perimeter-mode machinery of the per-node forwarding automaton.
@@ -610,7 +604,7 @@ let hierarchical (s : Shard.snapshot) ~src ~dst =
    counter: [Packetsim]'s GPSR discipline charges [routing.gfg.steps]
    per decision, as [gfg_into] does per loop step. *)
 let next_ccw g points v ~from_angle =
-  let nbrs = V.neighbors g v in
+  let nbrs = Csr.neighbors g v in
   let angle w = P.angle_of (P.sub points.(w) points.(v)) in
   let rel w =
     let a = angle w -. from_angle in
@@ -645,7 +639,7 @@ let closer_neighbor g points ~dst u =
       match acc with
       | Some (_, dbest) when dbest <= dv -> acc
       | _ -> if dv < du then Some (v, dv) else acc)
-    None (V.neighbors g u)
+    None (Csr.neighbors g u)
   |> Option.map fst
 
 (* pivot around [u] handling face changes, then forward along the
@@ -720,7 +714,8 @@ type evaluation = {
 
 let evaluate ~router ~base points ~pairs rng =
   Obs.span "routing.evaluate" @@ fun () ->
-  let n = V.node_count base in
+  let n = Csr.node_count base in
+  let weighted = Csr.with_weights base points in
   let delivered = ref 0 in
   let len_sum = ref 0. and hop_sum = ref 0. and measured = ref 0 in
   let tried = ref 0 in
@@ -731,14 +726,14 @@ let evaluate ~router ~base points ~pairs rng =
     let src = Wireless.Rand.int rng n in
     let dst = Wireless.Rand.int rng n in
     if src <> dst then begin
-      let hops = Netgraph.Traversal.bfs_v base src in
+      let hops = Csr.bfs base src in
       if hops.(dst) <> max_int then begin
         incr tried;
         match router ~src ~dst with
         | None -> ()
         | Some path ->
           incr delivered;
-          let sp = Netgraph.Traversal.dijkstra_v base points src in
+          let sp = Csr.dijkstra weighted src in
           let plen = Netgraph.Traversal.path_length points path in
           if sp.(dst) > 0. then begin
             incr measured;

@@ -16,9 +16,7 @@
     serve engine's form), plus one list wrapper of the plain name
     that runs the kernel on a fresh scratch and records the
     [routing.<name>.routes/delivered] counters.  Both read the
-    topology as a {!Netgraph.View.t}: wrap a mutable graph with
-    [View.of_graph] or a sealed snapshot with [View.of_csr] once, and
-    the routes are bit-identical either way.
+    topology as a sealed {!Netgraph.Csr.t}.
 
     Node-id handling is uniform: [src = dst] delivers the trivial
     path [[src]] (hop count 0), and an out-of-range [src] or [dst]
@@ -77,29 +75,29 @@ val drop_reasons : string array
     exactly as the historical implementation did. *)
 
 val greedy_into :
-  Scratch.t -> Netgraph.View.t -> Geometry.Point.t array ->
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
 val compass_into :
-  Scratch.t -> Netgraph.View.t -> Geometry.Point.t array ->
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
 val mfr_into :
-  Scratch.t -> Netgraph.View.t -> Geometry.Point.t array ->
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
 val nfp_into :
-  Scratch.t -> Netgraph.View.t -> Geometry.Point.t array ->
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
 val gfg_into :
-  Scratch.t -> Netgraph.View.t -> Geometry.Point.t array ->
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
 (** [greedy g points ~src ~dst] forwards to the neighbor strictly
     closest to the destination; fails at a local minimum. *)
 val greedy :
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [compass g points ~src ~dst] forwards to the neighbor whose
@@ -107,7 +105,7 @@ val greedy :
     al.); unlike greedy it can loop, so traversal is cycle-guarded
     and returns [None] on a revisit. *)
 val compass :
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [mfr g points ~src ~dst] is Most Forward within Radius
@@ -115,14 +113,14 @@ val compass :
     progress — the projection of the step onto the line toward the
     destination; fails when no neighbor makes positive progress. *)
 val mfr :
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [nfp g points ~src ~dst] is Nearest with Forward Progress (Hou &
     Li): the closest neighbor that still makes positive progress —
     the power-friendly variant. *)
 val nfp :
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** [gfg g points ~src ~dst] is greedy routing with face-routing
@@ -130,7 +128,7 @@ val nfp :
     cross-the-[sd]-line face changes).  Delivery is guaranteed when
     [g] is planar and [src], [dst] are in the same component. *)
 val gfg :
-  Netgraph.View.t -> Geometry.Point.t array -> src:int -> dst:int ->
+  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
 (** The GFG packet header: greedy mode, or perimeter mode with the
@@ -155,7 +153,7 @@ type decision = Deliver | Forward of int * header | Drop
     a caller running it as GPSR charges [routing.gfg.steps] once per
     decision, as {!gfg_into} does. *)
 val gfg_step :
-  Netgraph.View.t ->
+  Netgraph.Csr.t ->
   Geometry.Point.t array ->
   dst:int ->
   int ->
@@ -176,11 +174,9 @@ val gateway :
   int ->
   int
 
-(** [hierarchical_into sc snap ~udg ~pldel ~src ~dst] is GPSR's
+(** [hierarchical_into sc snap ~src ~dst] is GPSR's
     split (Karp and Kung) on the paper's backbone, the route the serve
-    engine answers [gfg] and [stretch] queries with.  [udg] and
-    [pldel] are views of [snap.udg] and [snap.pldel], made once by the
-    caller.
+    engine answers [gfg] and [stretch] queries with.
 
     - Greedy over the full UDG rows while some neighbor is strictly
       closer to [dst]; a [dst] adjacent in the UDG is one direct hop.
@@ -197,14 +193,12 @@ val gateway :
 val hierarchical_into :
   Scratch.t ->
   Shard.snapshot ->
-  udg:Netgraph.View.t ->
-  pldel:Netgraph.View.t ->
   src:int ->
   dst:int ->
   int
 
 (** [hierarchical snap ~src ~dst] is {!hierarchical_into}'s list
-    wrapper, on a fresh scratch and fresh views of the snapshot. *)
+    wrapper, on a fresh scratch. *)
 val hierarchical : Shard.snapshot -> src:int -> dst:int -> int list option
 
 (** Success statistics of a router over every connected node pair:
@@ -218,12 +212,12 @@ type evaluation = {
 }
 
 (** [evaluate ~router ~base points ~pairs rng] samples [pairs] random
-    connected node pairs in [base] and runs [router] on each.  A view
+    connected node pairs in [base] and runs [router] on each.  A graph
     with fewer than two nodes has no pair: the result is all zeros and
     [rng] is not drawn from. *)
 val evaluate :
   router:(src:int -> dst:int -> int list option) ->
-  base:Netgraph.View.t ->
+  base:Netgraph.Csr.t ->
   Geometry.Point.t array ->
   pairs:int ->
   Wireless.Rand.t ->

@@ -68,45 +68,6 @@ let tiling ?tiles points ~radius =
     Array.init (Wireless.Cellgrid.cells grid) (Wireless.Cellgrid.nodes_of grid)
   end
 
-(* [pldel] as a row filter of the ICDS: one byte per ICDS arc, set
-   on both arcs of each Gabriel edge and of each edge of a kept
-   triangle.  Gabriel edges are marked from their owner arc's row and
-   triangles from their place in [tri] (min corner first), on the
-   pool; two workers may set one byte, but only ever to the same
-   value, so the marks after the join are the same for any job
-   count. *)
-let seal_pldel ?pool icds points { Ldel.gabriel; tri; kept } =
-  let off = Csr.offsets icds and adj = Csr.targets icds in
-  let mark = Bytes.make (Array.length adj) '\000' in
-  let link a b =
-    Bytes.set mark (Csr.arc icds a b) '\001';
-    Bytes.set mark (Csr.arc icds b a) '\001'
-  in
-  let each n body =
-    match pool with
-    | Some p when n > 0 ->
-      Obs.quiesced (fun () -> Netgraph.Pool.parallel_for p ~n (fun () -> body))
-    | _ ->
-      for i = 0 to n - 1 do
-        body i
-      done
-  in
-  each (Csr.node_count icds) (fun u ->
-      for k = off.(u) to off.(u + 1) - 1 do
-        if Bytes.get gabriel k <> '\000' then begin
-          Bytes.set mark k '\001';
-          Bytes.set mark (Csr.arc icds adj.(k) u) '\001'
-        end
-      done);
-  each (Bytes.length kept) (fun t ->
-      if Bytes.get kept t <> '\000' then begin
-        let a = tri.(3 * t) and b = tri.((3 * t) + 1) and c = tri.((3 * t) + 2) in
-        link a b;
-        link b c;
-        link a c
-      end);
-  Csr.filter_arcs ?pool ~points icds (fun k -> Bytes.get mark k <> '\000')
-
 (* A dominatee-dominator link is a UDG edge whose ends differ in being
    a dominator; one byte per node keeps the test in cache. *)
 let primed ?pool ?points roles icds' base =
@@ -143,15 +104,15 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
           csr
         | None ->
           Obs.span "shard.udg" (fun () ->
-              Wireless.Udg.build_csr ?pool points ~radius)
+              Wireless.Udg.build ?pool points ~radius)
       in
       let roles =
         Obs.span "shard.mis" (fun () ->
-            Mis.compute_csr ?pool ~owners ?priority udg)
+            Mis.compute ?pool ~owners ?priority udg)
       in
       let connectors =
         Obs.span "shard.connectors" (fun () ->
-            Connectors.find_csr ?pool ~owners udg roles)
+            Connectors.find ?pool ~owners udg roles)
       in
       let n = Array.length points in
       let backbone, icds', icds, ldel =
@@ -189,7 +150,7 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
               Obs.span "ldel.icds" (fun () ->
                   Csr.filter ?pool icds' both_backbone)
             in
-            (backbone, icds', icds, Ldel.build_csr ?pool ~owners icds points ~radius))
+            (backbone, icds', icds, Ldel.build ?pool ~owners icds points ~radius))
       in
       let cds = connectors.Connectors.cds in
       (* [pldel] is the ICDS filtered to the arcs LDel marks; it sits
@@ -197,7 +158,8 @@ let pipeline ?(jobs = 1) ?tiles ?priority ?udg points ~radius =
          [primed] filter.  DESIGN.md §10. *)
       Obs.span "shard.assemble" (fun () ->
           let pldel =
-            Obs.span "assemble.pldel" (fun () -> seal_pldel ?pool icds points ldel)
+            Obs.span "assemble.pldel" (fun () ->
+                Ldel.planar ?pool ~points icds ldel)
           in
           let pldel' =
             Obs.span "assemble.pldel'" (fun () ->

@@ -25,7 +25,7 @@
     after Algorithm 3 (sealed with Euclidean arc weights) and [pldel']
     its {!primed} variant, which is not planar: its links cross
     backbone edges.  [cds] is the CSR the connector elections
-    sealed ({!Connectors.find_csr}).  CDS′ is not kept: it is
+    sealed ({!Connectors.find}).  CDS′ is not kept: it is
     [primed s.roles s.icds' s.cds], computed when a caller asks. *)
 type snapshot = {
   points : Geometry.Point.t array;
@@ -77,7 +77,7 @@ val tiling :
     [jobs] (default 1) is above 1, the per-tile stages fan out on a
     {!Netgraph.Pool} of [jobs] domains opened for the call; otherwise
     everything runs on the caller's domain.  [priority] is the MIS
-    priority as in {!Mis.compute_csr}.  [udg] substitutes a pre-built
+    priority as in {!Mis.compute}.  [udg] substitutes a pre-built
     snapshot for the UDG stage (the quasi-UDG robustness path — its
     RNG sequence is inherently serial).  After the elections the UDG
     is read once, by the [icds'] row filter; [icds] and [pldel'] are

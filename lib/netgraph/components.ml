@@ -1,49 +1,40 @@
-(* Labelling runs on a CSR snapshot: freezing the adjacency costs one
-   O(n + m) pass and the flood fills then touch flat int arrays
-   instead of allocating neighbor lists; a view that already is a
-   snapshot skips the freeze.  The labelling rule is unchanged: each
-   node gets the smallest node id of its component. *)
+(* A component's label is its smallest node id, so each component has
+   exactly one node labelled with itself. *)
+let count g =
+  let label = Csr.component_labels g in
+  let c = ref 0 in
+  Array.iteri (fun i l -> if l = i then incr c) label;
+  !c
 
-let component_labels_v g = Csr.component_labels (View.to_csr g)
-
-let count_v g =
-  let label = component_labels_v g in
-  let distinct = Hashtbl.create 16 in
-  Array.iter (fun l -> Hashtbl.replace distinct l ()) label;
-  Hashtbl.length distinct
-
-let is_connected_v g = View.node_count g = 0 || count_v g = 1
-
-let connected_within_v g nodes =
+(* BFS over the members only: [stamp] is 1 on a member, 2 once seen *)
+let connected_within g nodes =
   match nodes with
   | [] | [ _ ] -> true
   | s :: _ ->
-    let members = Hashtbl.create (List.length nodes) in
-    List.iter (fun u -> Hashtbl.replace members u ()) nodes;
-    let seen = Hashtbl.create (List.length nodes) in
-    let q = Queue.create () in
-    Hashtbl.replace seen s ();
-    Queue.add s q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      View.iter_neighbors g u (fun v ->
-          if Hashtbl.mem members v && not (Hashtbl.mem seen v) then begin
-            Hashtbl.replace seen v ();
-            Queue.add v q
+    let stamp = Bytes.make (Csr.node_count g) '\000' in
+    List.iter (fun u -> Bytes.set stamp u '\001') nodes;
+    let queue = Array.make (List.length nodes) 0 in
+    Bytes.set stamp s '\002';
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Csr.iter_neighbors g u (fun v ->
+          if Bytes.get stamp v = '\001' then begin
+            Bytes.set stamp v '\002';
+            queue.(!tail) <- v;
+            incr tail
           end)
     done;
-    List.for_all (Hashtbl.mem seen) nodes
+    List.for_all (fun u -> Bytes.get stamp u = '\002') nodes
 
-let reachable_v g s =
-  let dist = Traversal.bfs_v g s in
+let reachable g s =
+  let dist = Csr.bfs g s in
   let acc = ref [] in
-  Array.iteri (fun i d -> if d <> max_int then acc := i :: !acc) dist;
-  List.rev !acc
+  for i = Array.length dist - 1 downto 0 do
+    if dist.(i) <> max_int then acc := i :: !acc
+  done;
+  !acc
 
-(* ------------- legacy Graph-typed adapters ------------- *)
-
-let component_labels g = component_labels_v (View.of_graph g)
-let count g = count_v (View.of_graph g)
-let is_connected g = is_connected_v (View.of_graph g)
-let connected_within g nodes = connected_within_v (View.of_graph g) nodes
-let reachable g s = reachable_v (View.of_graph g) s
+let is_connected = Csr.is_connected

@@ -1,31 +1,18 @@
-(** Connectivity queries.
-
-    The [_v] forms work over a read-only {!View.t} ({!Graph.t} or
-    {!Csr.t}); the [Graph]-typed functions are thin adapters kept for
-    existing callers. *)
-
-val component_labels_v : View.t -> int array
-val count_v : View.t -> int
-val is_connected_v : View.t -> bool
-val connected_within_v : View.t -> int list -> bool
-val reachable_v : View.t -> int -> int list
-
-(** [component_labels g] assigns each node the smallest node id of its
-    connected component. *)
-val component_labels : Graph.t -> int array
+(** Connectivity queries.  Component labels and whole-graph
+    connectivity are {!Csr.component_labels} and {!Csr.is_connected}. *)
 
 (** Number of connected components (isolated nodes count). *)
-val count : Graph.t -> int
-
-(** [is_connected g] holds when the whole graph is one component.
-    The empty graph is connected. *)
-val is_connected : Graph.t -> bool
+val count : Csr.t -> int
 
 (** [connected_within g nodes] holds when the nodes in the set induce
     a connected subgraph of [g] (using only edges between members).
     An empty or singleton set is connected. *)
-val connected_within : Graph.t -> int list -> bool
+val connected_within : Csr.t -> int list -> bool
 
 (** [reachable g s] is the list of nodes reachable from [s]
-    (including [s]). *)
-val reachable : Graph.t -> int -> int list
+    (including [s]), in increasing id order. *)
+val reachable : Csr.t -> int -> int list
+
+(** {!Csr.is_connected} under its old name, kept only for the
+    benchmark program under [perfbench/]. *)
+val is_connected : Csr.t -> bool

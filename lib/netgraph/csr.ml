@@ -1,6 +1,6 @@
 (* Offsets + flat neighbor array.  Arc [k] for node [u] lives at
-   [offsets.(u) <= k < offsets.(u+1)]; rows are sorted because
-   [Graph.iter_neighbors] yields neighbors in increasing id order.
+   [offsets.(u) <= k < offsets.(u+1)]; every constructor leaves each
+   row strictly increasing.
    [ew]/[pw] are empty arrays (not options) so the hot loops index
    them without an indirection; emptiness doubles as the "absent"
    flag — except on a snapshot with no arcs, whose weight arrays are
@@ -53,28 +53,6 @@ let weights_of =
         body u
       done)
 
-let of_graph ?points ?beta g =
-  let n = Graph.node_count g in
-  let m = Graph.edge_count g in
-  (match points, beta with
-  | None, Some _ -> invalid_arg "Csr.of_graph: beta requires points"
-  | Some pts, _ when Array.length pts < n ->
-    invalid_arg "Csr.of_graph: fewer points than nodes"
-  | _ -> ());
-  let offsets = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + Graph.degree g u
-  done;
-  let targets = Array.make (2 * m) 0 in
-  for u = 0 to n - 1 do
-    let k = ref offsets.(u) in
-    Graph.iter_neighbors g u (fun v ->
-        targets.(!k) <- v;
-        incr k)
-  done;
-  let ew, pw = weights_of ?points ?beta ~n ~offsets ~targets () in
-  { n; m; offsets; targets; ew; pw }
-
 let of_rows ?points ?beta ~offsets ~targets () =
   let n = Array.length offsets - 1 in
   if n < 0 then invalid_arg "Csr.of_rows: empty offsets";
@@ -117,7 +95,10 @@ let fold_neighbors t u f init =
   done;
   !acc
 
-let neighbors t u = List.rev (fold_neighbors t u (fun acc v -> v :: acc) [])
+let neighbors t u =
+  let lo = t.offsets.(u) in
+  let rec go k acc = if k < lo then acc else go (k - 1) (t.targets.(k) :: acc) in
+  go (t.offsets.(u + 1) - 1) []
 
 let arc t u v =
   let lo = ref t.offsets.(u) and hi = ref (t.offsets.(u + 1) - 1) in
@@ -156,8 +137,6 @@ let fold_edges t f init =
 
 let edges t = List.rev (fold_edges t (fun acc u v -> (u, v) :: acc) [])
 
-let to_graph t = Graph.of_sorted_rows ~offsets:t.offsets ~targets:t.targets
-
 let with_weights ?beta t points =
   let ew, pw =
     weights_of ~points ?beta ~n:t.n ~offsets:t.offsets ~targets:t.targets ()
@@ -170,6 +149,55 @@ let adopt ?pool ?points ?beta ~offsets ~targets () =
     weigh ~each:(each_row ?pool) ?points ?beta ~n ~offsets ~targets ()
   in
   { n; m = Array.length targets / 2; offsets; targets; ew; pw }
+
+(* Both arcs of every edge land in their rows unsorted; each row is
+   then sorted and its duplicates dropped, compacting the rows left in
+   place (a row's write position never passes its read position). *)
+let of_edges n es =
+  if n < 0 then invalid_arg "Csr.of_edges: negative size";
+  let bound = Array.make (n + 1) 0 in
+  List.iter
+    (fun (u, v) ->
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg
+          (Printf.sprintf "Csr.of_edges: node id out of range (%d, %d)" u v);
+      if u = v then invalid_arg "Csr.of_edges: self-loop";
+      bound.(u + 1) <- bound.(u + 1) + 1;
+      bound.(v + 1) <- bound.(v + 1) + 1)
+    es;
+  for u = 0 to n - 1 do
+    bound.(u + 1) <- bound.(u) + bound.(u + 1)
+  done;
+  let arcs = Array.make bound.(n) 0 in
+  let next = Array.sub bound 0 n in
+  List.iter
+    (fun (u, v) ->
+      arcs.(next.(u)) <- v;
+      next.(u) <- next.(u) + 1;
+      arcs.(next.(v)) <- u;
+      next.(v) <- next.(v) + 1)
+    es;
+  let offsets = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let row = Array.sub arcs bound.(u) (bound.(u + 1) - bound.(u)) in
+    Array.sort Int.compare row;
+    let w = ref offsets.(u) in
+    Array.iteri
+      (fun i v ->
+        if i = 0 || row.(i - 1) <> v then begin
+          arcs.(!w) <- v;
+          incr w
+        end)
+      row;
+    offsets.(u + 1) <- !w
+  done;
+  adopt ~offsets ~targets:(Array.sub arcs 0 offsets.(n)) ()
+
+let equal a b =
+  let same x y =
+    Array.length x = Array.length y && Array.for_all2 Int.equal x y
+  in
+  a.n = b.n && same a.offsets b.offsets && same a.targets b.targets
 
 (* Row filter: a subset of sorted rows is sorted, so no sort or
    dedup.  The row passes (count, fill, weigh) write only row [u]'s

@@ -1,38 +1,50 @@
-(** Read-optimized graph snapshots in compressed sparse row form.
+(** Undirected graphs over dense integer node ids [0 .. n-1], in
+    compressed sparse row form: the library's one graph type.
 
-    {!Graph.t} is the mutable build-time representation; a [Csr.t]
-    freezes it into two int arrays — per-node offsets and a flat,
-    row-sorted neighbor array — so traversals touch contiguous memory
-    and neighbor iteration allocates nothing.  Optionally the snapshot
+    Every topology the library builds — the unit disk graph, the
+    proximity baselines, the CDS backbone variants and the localized
+    Delaunay structures — is a [Csr.t], sealed once and read-only
+    after: two int arrays, per-node offsets and a flat, row-sorted
+    neighbor array, so traversals touch contiguous memory and
+    neighbor iteration allocates nothing.  Builders seal rows
+    ({!of_rows}), filter a sealed graph ({!filter}, {!filter_arcs}) or
+    collect an edge list ({!of_edges}).  Optionally the snapshot
     precomputes per-arc edge weights (Euclidean length, and the
     [|e|^beta] power cost), so Dijkstra relaxations stop recomputing
     [Point.dist] in the inner loop.
 
-    This is the substrate of the metrics engine: all-pairs stretch
-    runs one SSSP per source, and on CSR each pass is a tight loop
-    over int/float arrays that is safe to run from multiple domains
-    at once (snapshots are immutable after construction). *)
+    Snapshots are immutable, so any number of domains may read one at
+    once: the metrics engine runs one SSSP per source on a pool, each
+    pass a tight loop over int/float arrays. *)
 
 type t
 
-(** [of_graph g] snapshots [g] without weights.  With [points], each
-    arc [u->v] additionally carries the Euclidean weight
-    [Point.dist points.(u) points.(v)]; with [beta] (requires
-    [points]) also the power weight [dist^beta].
-    @raise Invalid_argument when [beta] is given without [points] or
-    [points] is shorter than the node count. *)
-val of_graph : ?points:Geometry.Point.t array -> ?beta:float -> Graph.t -> t
+(** [of_edges n edges] is the graph on [n] nodes with the given
+    undirected edges, each row sorted: duplicates and reversed copies
+    of an edge count once.  Without weights.
+    @raise Invalid_argument on a negative [n], a self-loop or an
+    out-of-range id. *)
+val of_edges : int -> (int * int) list -> t
 
-(** [of_rows ~offsets ~targets ()] adopts pre-built CSR rows without
-    going through a {!Graph.t}.  [offsets] has length
+(** [equal a b] holds when both graphs have the same node count and
+    the same rows, i.e. the same edge set; arc weights are not
+    compared. *)
+val equal : t -> t -> bool
+
+(** [of_rows ~offsets ~targets ()] adopts pre-built CSR rows.
+    [offsets] has length
     [n + 1] with [offsets.(0) = 0]; row [u] is
     [targets.(offsets.(u)) .. targets.(offsets.(u+1) - 1)] and must be
     strictly increasing (sorted, duplicate-free) with in-range,
     non-self targets.  Rows must be symmetric ([v] in row [u] iff [u]
     in row [v]); this is the caller's obligation — the cheap structural
     checks here do not verify it.  The arrays are adopted, not copied.
-    [points]/[beta] precompute arc weights as in {!of_graph}.
-    @raise Invalid_argument on malformed offsets or rows. *)
+    With [points], each arc [u->v] additionally carries the Euclidean
+    weight [Point.dist points.(u) points.(v)]; with [beta] (requires
+    [points]) also the power weight [dist^beta].
+    @raise Invalid_argument on malformed offsets or rows, when [beta]
+    is given without [points], or when [points] is shorter than the
+    node count. *)
 val of_rows :
   ?points:Geometry.Point.t array ->
   ?beta:float ->
@@ -52,7 +64,7 @@ val with_weights : ?beta:float -> t -> Geometry.Point.t array -> t
     kept rows are too.  [keep] must be symmetric ([keep u v = keep v u])
     and pure; with [pool] the count and fill passes fan out over its
     domains and the result is the same for any job count.  [points]
-    adds Euclidean arc weights, the same floats as {!of_graph}'s,
+    adds Euclidean arc weights, the same floats as {!of_rows}',
     weighed in a row pass on the pool too. *)
 val filter :
   ?pool:Pool.t ->
@@ -120,18 +132,12 @@ val fold_edges : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
     (allocates; for tests and interop). *)
 val edges : t -> (int * int) list
 
-(** Thaw back into the mutable representation — the adapter for
-    consumers that still require a {!Graph.t}.  One copy of each row,
-    O(n + m); the graph shares no array with the snapshot. *)
-val to_graph : t -> Graph.t
-
 (** {1 Traversals}
 
     The [_into] forms write into caller-owned scratch so a worker can
     run thousands of sources with zero steady-state allocation; the
-    plain forms allocate fresh result arrays.  Distances match
-    {!Traversal.bfs} / {!Traversal.dijkstra} bit for bit (unreachable:
-    [max_int] / [infinity]). *)
+    plain forms allocate fresh result arrays.  Unreachable nodes get
+    [max_int] (hops) or [infinity] (lengths). *)
 
 (** [bfs_into t ~dist ~queue s]: hop distances from [s] into [dist]
     (length [n], fully overwritten); [queue] is an [n]-slot scratch
@@ -161,8 +167,10 @@ val power_sssp : t -> int -> float array
 
 (** {1 Components} *)
 
-(** Same labelling rule as {!Components.component_labels}: each node
-    is labelled with the smallest node id of its component. *)
+(** [component_labels t] labels each node with the smallest node id
+    of its connected component. *)
 val component_labels : t -> int array
 
+(** [is_connected t] holds when the whole graph is one component.
+    The empty graph is connected. *)
 val is_connected : t -> bool

@@ -1,7 +1,7 @@
 (** Array-backed binary min-heap over [(float, int)] pairs.
 
     The one priority queue behind every shortest-path computation in
-    the library: {!Traversal.dijkstra}, the weighted SSSP inside
+    the library: {!Traversal.dijkstra_path}, the weighted SSSP inside
     {!Metrics}, and the CSR engine all share this module instead of
     carrying private copies.  Keys are compared as floats; entries
     with equal keys pop in unspecified order (Dijkstra's distances do

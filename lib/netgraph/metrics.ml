@@ -1,11 +1,11 @@
 type degree_stats = { deg_avg : float; deg_max : int; edges : int }
 
-let degree_stats_v g =
-  let n = View.node_count g in
-  let m = View.edge_count g in
+let degree_stats g =
+  let n = Csr.node_count g in
+  let m = Csr.edge_count g in
   let deg_max = ref 0 in
   for u = 0 to n - 1 do
-    let d = View.degree g u in
+    let d = Csr.degree g u in
     if d > !deg_max then deg_max := d
   done;
   {
@@ -13,8 +13,6 @@ let degree_stats_v g =
     deg_max = !deg_max;
     edges = m;
   }
-
-let degree_stats g = degree_stats_v (View.of_graph g)
 
 type stretch = {
   len_avg : float;
@@ -32,7 +30,7 @@ let c_sssp = Obs.counter "metrics.sssp"
    costs that are not precomputable per arc.  The engine below never
    calls this; it runs on CSR snapshots with baked-in weights. *)
 let weighted_sssp g cost s =
-  let n = Graph.node_count g in
+  let n = Csr.node_count g in
   let dist = Array.make n infinity in
   dist.(s) <- 0.;
   let heap = Heap.create () in
@@ -42,7 +40,7 @@ let weighted_sssp g cost s =
     let u = Heap.min_value heap in
     Heap.remove_min heap;
     if d <= dist.(u) then
-      Graph.iter_neighbors g u (fun v ->
+      Csr.iter_neighbors g u (fun v ->
           let nd = d +. cost u v in
           if nd < dist.(v) then begin
             dist.(v) <- nd;
@@ -63,29 +61,38 @@ let weighted_sssp g cost s =
 (* independent of the worker count.                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [g] with the arc weights the engine reads: a snapshot that already
+   has them is used as is (its weights are trusted to be those of
+   [points]), any other gets them computed from [points]. *)
+let weighted ?beta points g =
+  let ok =
+    Csr.has_weights g && (Option.is_none beta || Csr.has_power_weights g)
+  in
+  if ok then g else Csr.with_weights ?beta g points
+
 let fused ~one_hop_direct ~jobs ~want_len ~want_hop ~beta ~base points subs =
-  let n = View.node_count base in
+  let n = Csr.node_count base in
   List.iter
     (fun (_, sub) ->
-      if View.node_count sub <> n then
+      if Csr.node_count sub <> n then
         invalid_arg "Metrics: node count mismatch")
     subs;
   let want_pow = beta <> None in
   let nsubs = List.length subs in
-  let base_csr = View.to_csr ~points ?beta base in
+  let base_w = weighted ?beta points base in
   (* a sub that is the base itself (Table I's UDG row) shares its CSR,
      and its distances are the base's: no SSSP runs for it *)
-  let subs_csr =
+  let subs_w =
     Array.of_list
       (List.map
          (fun (_, g) ->
-           if View.same g base then base_csr else View.to_csr ~points ?beta g)
+           if g == base then base_w else weighted ?beta points g)
          subs)
   in
   let own_subs =
     Array.fold_left
-      (fun c sub -> if sub != base_csr then c + 1 else c)
-      0 subs_csr
+      (fun c sub -> if sub != base_w then c + 1 else c)
+      0 subs_w
   in
   (* per-(sub, source) partial accumulators; [||] when the metric is
      off so a stray access fails loudly *)
@@ -109,14 +116,14 @@ let fused ~one_hop_direct ~jobs ~want_len ~want_hop ~beta ~base points subs =
     let adj = Bytes.make (max 1 n) '\000' in
     fun s ->
       if !Obs.Trace.on then Obs.Trace.span_begin "metrics.source";
-      if want_len then Csr.dijkstra_into base_csr ~heap ~dist:db_len s;
-      if want_hop then Csr.bfs_into base_csr ~dist:db_hop ~queue s;
-      if want_pow then Csr.power_into base_csr ~heap ~dist:db_pow s;
+      if want_len then Csr.dijkstra_into base_w ~heap ~dist:db_len s;
+      if want_hop then Csr.bfs_into base_w ~dist:db_hop ~queue s;
+      if want_pow then Csr.power_into base_w ~heap ~dist:db_pow s;
       if one_hop_direct then
-        Csr.iter_neighbors base_csr s (fun v -> Bytes.set adj v '\001');
+        Csr.iter_neighbors base_w s (fun v -> Bytes.set adj v '\001');
       for k = 0 to nsubs - 1 do
-        let sub = subs_csr.(k) in
-        let own = sub != base_csr in
+        let sub = subs_w.(k) in
+        let own = sub != base_w in
         if own then begin
           if want_len then Csr.dijkstra_into sub ~heap ~dist:ds_len s;
           if want_hop then Csr.bfs_into sub ~dist:ds_hop ~queue s;
@@ -214,7 +221,7 @@ let fused ~one_hop_direct ~jobs ~want_len ~want_hop ~beta ~base points subs =
         errors.(k).(s) <- !err
       done;
       if one_hop_direct then
-        Csr.iter_neighbors base_csr s (fun v -> Bytes.set adj v '\000');
+        Csr.iter_neighbors base_w s (fun v -> Bytes.set adj v '\000');
       if !Obs.Trace.on then Obs.Trace.span_end "metrics.source"
   in
   let jobs = max 1 (min jobs (max 1 n)) in
@@ -266,17 +273,12 @@ let fused ~one_hop_direct ~jobs ~want_len ~want_hop ~beta ~base points subs =
       (name, { c_stretch = { len_avg; len_max; hop_avg; hop_max }; c_power }))
     subs
 
-let combined_stretch_v ?(one_hop_direct = true) ?(jobs = 1) ?beta ~base points
+let combined_stretch ?(one_hop_direct = true) ?(jobs = 1) ?beta ~base points
     subs =
   fused ~one_hop_direct ~jobs ~want_len:true ~want_hop:true ~beta ~base points
     subs
 
-let combined_stretch ?one_hop_direct ?jobs ?beta ~base points subs =
-  combined_stretch_v ?one_hop_direct ?jobs ?beta ~base:(View.of_graph base)
-    points
-    (List.map (fun (name, g) -> (name, View.of_graph g)) subs)
-
-let stretch_factors_v ?(one_hop_direct = true) ?(jobs = 1) ~base ~sub points =
+let stretch_factors ?(one_hop_direct = true) ?(jobs = 1) ~base ~sub points =
   match
     fused ~one_hop_direct ~jobs ~want_len:true ~want_hop:true ~beta:None ~base
       points
@@ -285,16 +287,12 @@ let stretch_factors_v ?(one_hop_direct = true) ?(jobs = 1) ~base ~sub points =
   | [ (_, c) ] -> c.c_stretch
   | _ -> assert false (* fused returns one cell per requested sub *)
 
-let stretch_factors ?one_hop_direct ?jobs ~base ~sub points =
-  stretch_factors_v ?one_hop_direct ?jobs ~base:(View.of_graph base)
-    ~sub:(View.of_graph sub) points
-
 let power_stretch ?(one_hop_direct = true) ?(jobs = 1) ~base ~sub points ~beta
     =
   match
     fused ~one_hop_direct ~jobs ~want_len:false ~want_hop:false
-      ~beta:(Some beta) ~base:(View.of_graph base) points
-      [ ("", View.of_graph sub) ]
+      ~beta:(Some beta) ~base points
+      [ ("", sub) ]
   with
   | [ (_, { c_power = Some p; _ }) ] -> p
   | _ -> assert false (* beta:(Some _) forces a power cell per sub *)
@@ -307,8 +305,8 @@ let power_stretch ?(one_hop_direct = true) ?(jobs = 1) ~base ~sub points ~beta
    pair. *)
 let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
     points =
-  let n = View.node_count base in
-  if View.node_count sub <> n then
+  let n = Csr.node_count base in
+  if Csr.node_count sub <> n then
     invalid_arg "Metrics.sampled_stretch: node count mismatch";
   let ns = Array.length sources in
   Array.iter
@@ -316,8 +314,8 @@ let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
       if s < 0 || s >= n then
         invalid_arg "Metrics.sampled_stretch: source out of range")
     sources;
-  let base_csr = View.to_csr ~points base in
-  let sub_csr = View.to_csr ~points sub in
+  let base_w = weighted points base in
+  let sub_w = weighted points sub in
   let len_sum = Array.make ns 0. and len_mx = Array.make ns 0. in
   let len_cnt = Array.make ns 0 in
   let hop_sum = Array.make ns 0. and hop_mx = Array.make ns 0. in
@@ -331,12 +329,12 @@ let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
     let adj = Bytes.make (max 1 n) '\000' in
     fun i ->
       let s = sources.(i) in
-      Csr.dijkstra_into base_csr ~heap ~dist:db_len s;
-      Csr.bfs_into base_csr ~dist:db_hop ~queue s;
-      Csr.dijkstra_into sub_csr ~heap ~dist:ds_len s;
-      Csr.bfs_into sub_csr ~dist:ds_hop ~queue s;
+      Csr.dijkstra_into base_w ~heap ~dist:db_len s;
+      Csr.bfs_into base_w ~dist:db_hop ~queue s;
+      Csr.dijkstra_into sub_w ~heap ~dist:ds_len s;
+      Csr.bfs_into sub_w ~dist:ds_hop ~queue s;
       if one_hop_direct then
-        Csr.iter_neighbors base_csr s (fun v -> Bytes.set adj v '\001');
+        Csr.iter_neighbors base_w s (fun v -> Bytes.set adj v '\001');
       let lsum = ref 0. and lmx = ref 0. and lcnt = ref 0 in
       let hsum = ref 0. and hmx = ref 0. and hcnt = ref 0 in
       let err = ref (-1) in
@@ -371,7 +369,7 @@ let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
           end
       done;
       if one_hop_direct then
-        Csr.iter_neighbors base_csr s (fun v -> Bytes.set adj v '\000');
+        Csr.iter_neighbors base_w s (fun v -> Bytes.set adj v '\000');
       len_sum.(i) <- !lsum;
       len_mx.(i) <- !lmx;
       len_cnt.(i) <- !lcnt;
@@ -408,19 +406,17 @@ let sampled_stretch ?(one_hop_direct = true) ?(jobs = 1) ~sources ~base ~sub
   { len_avg; len_max; hop_avg; hop_max }
 
 let pair_stretch ~base ~sub points s t =
-  let db = Traversal.dijkstra base points s in
-  let ds = Traversal.dijkstra sub points s in
-  let hb = Traversal.bfs base s in
-  let hs = Traversal.bfs sub s in
+  let db = Csr.dijkstra (weighted points base) s in
+  let ds = Csr.dijkstra (weighted points sub) s in
+  let hb = Csr.bfs base s in
+  let hs = Csr.bfs sub s in
   if db.(t) = infinity || ds.(t) = infinity || Float.equal db.(t) 0. then None
   else
     Some
       ( ds.(t) /. db.(t),
         float_of_int hs.(t) /. float_of_int (max 1 hb.(t)) )
 
-let total_edge_length_v g points =
-  View.fold_edges g
+let total_edge_length g points =
+  Csr.fold_edges g
     (fun acc u v -> acc +. Geometry.Point.dist points.(u) points.(v))
     0.
-
-let total_edge_length g points = total_edge_length_v (View.of_graph g) points

@@ -4,7 +4,8 @@
 
     All-pairs stretch is the library's dominant cost (one SSSP per
     source per metric per graph), so it runs on a fused engine: graphs
-    are frozen into {!Csr} snapshots, every requested metric (length,
+    get their arc weights once (a snapshot that already has them is
+    used as is), every requested metric (length,
     hop, optionally power) is computed in one pass per source, the
     base graph's distances are shared across all compared
     substructures ({!combined_stretch}), and sources fan out across a
@@ -18,11 +19,7 @@ type degree_stats = {
   edges : int;      (** number of undirected edges *)
 }
 
-val degree_stats : Graph.t -> degree_stats
-
-(** Same statistics over a read-only {!View.t} — accepts legacy
-    graphs and {!Csr.t} snapshots uniformly. *)
-val degree_stats_v : View.t -> degree_stats
+val degree_stats : Csr.t -> degree_stats
 
 type stretch = {
   len_avg : float;  (** average length stretch over connected pairs *)
@@ -52,7 +49,7 @@ type stretch = {
 val stretch_factors :
   ?one_hop_direct:bool ->
   ?jobs:int ->
-  base:Graph.t -> sub:Graph.t -> Geometry.Point.t array -> stretch
+  base:Csr.t -> sub:Csr.t -> Geometry.Point.t array -> stretch
 
 (** [power_stretch ~base ~sub points ~beta] is the power stretch
     factor with path cost [sum |link|^beta] (the paper's power model
@@ -61,8 +58,8 @@ val stretch_factors :
 val power_stretch :
   ?one_hop_direct:bool ->
   ?jobs:int ->
-  base:Graph.t ->
-  sub:Graph.t ->
+  base:Csr.t ->
+  sub:Csr.t ->
   Geometry.Point.t array ->
   beta:float ->
   float * float
@@ -78,7 +75,8 @@ type combined = { c_stretch : stretch; c_power : (float * float) option }
     hop and (with [?beta]) power together.  This is what Table I and
     the stretch sweeps call — comparing [k] structures costs
     [(k + 1) * n] SSSP passes per metric instead of [2 k n].  A sub
-    that is the base itself ({!View.same}, as Table I's UDG row is)
+    that is the base itself (physically equal, as Table I's UDG row
+    is)
     reuses the base's distances and costs none; [metrics.sssp]
     counts the passes that run.
 
@@ -91,27 +89,10 @@ val combined_stretch :
   ?one_hop_direct:bool ->
   ?jobs:int ->
   ?beta:float ->
-  base:Graph.t ->
+  base:Csr.t ->
   Geometry.Point.t array ->
-  (string * Graph.t) list ->
+  (string * Csr.t) list ->
   (string * combined) list
-
-(** View-typed engine entry points: identical semantics and numbers,
-    but base and substructures may be {!Csr.t} snapshots (already
-    weight-sealed snapshots skip the freeze entirely). *)
-val combined_stretch_v :
-  ?one_hop_direct:bool ->
-  ?jobs:int ->
-  ?beta:float ->
-  base:View.t ->
-  Geometry.Point.t array ->
-  (string * View.t) list ->
-  (string * combined) list
-
-val stretch_factors_v :
-  ?one_hop_direct:bool ->
-  ?jobs:int ->
-  base:View.t -> sub:View.t -> Geometry.Point.t array -> stretch
 
 (** [sampled_stretch ~sources ~base ~sub points] is length/hop stretch
     restricted to the given source nodes, each measured against every
@@ -127,24 +108,22 @@ val sampled_stretch :
   ?one_hop_direct:bool ->
   ?jobs:int ->
   sources:int array ->
-  base:View.t -> sub:View.t -> Geometry.Point.t array -> stretch
+  base:Csr.t -> sub:Csr.t -> Geometry.Point.t array -> stretch
 
 (** Stretch of a single pair: [(length ratio, hop ratio)], or [None]
     when the pair is disconnected in either graph. *)
 val pair_stretch :
-  base:Graph.t ->
-  sub:Graph.t ->
+  base:Csr.t ->
+  sub:Csr.t ->
   Geometry.Point.t array ->
   int ->
   int ->
   (float * float) option
 
 (** Total Euclidean length of all edges. *)
-val total_edge_length : Graph.t -> Geometry.Point.t array -> float
-
-val total_edge_length_v : View.t -> Geometry.Point.t array -> float
+val total_edge_length : Csr.t -> Geometry.Point.t array -> float
 
 (** [weighted_sssp g cost s] is Dijkstra from [s] with arbitrary edge
     costs [cost u v] — the generic fallback for costs that cannot be
     precomputed per CSR arc.  Unreachable nodes get [infinity]. *)
-val weighted_sssp : Graph.t -> (int -> int -> float) -> int -> float array
+val weighted_sssp : Csr.t -> (int -> int -> float) -> int -> float array

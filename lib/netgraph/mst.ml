@@ -1,5 +1,4 @@
-(* Kruskal with path-compressing union-find, over the read-only View
-   (legacy Graph entry points are adapters at the bottom). *)
+(* Kruskal with path-compressing union-find. *)
 
 (* explicit (weight, u, v) comparator: Float.compare on the weight
    keeps the hot sort monomorphic (no polymorphic-compare boxing) and
@@ -24,38 +23,39 @@ let find parent x =
   compress x;
   r
 
-let minimum_spanning_forest_v g points =
-  let n = View.node_count g in
-  let m = View.edge_count g in
+let minimum_spanning_forest g points =
+  let n = Csr.node_count g in
+  let m = Csr.edge_count g in
   (* edges in one flat array sorted in place — no per-edge list cells;
      ties break on (u, v) so the forest is deterministic regardless of
      iteration order *)
   let edges = Array.make m (0., 0, 0) in
   let i = ref 0 in
-  View.iter_edges g (fun u v ->
+  Csr.iter_edges g (fun u v ->
       edges.(!i) <- (Geometry.Point.dist points.(u) points.(v), u, v);
       incr i);
   Array.sort cmp_edge edges;
   let parent = Array.init n (fun i -> i) in
-  let forest = Graph.create n in
-  Array.iter
-    (fun (_, u, v) ->
-      let ru = find parent u and rv = find parent v in
-      if ru <> rv then begin
-        parent.(ru) <- rv;
-        Graph.add_edge forest u v
-      end)
-    edges;
-  forest
-
-let minimum_spanning_forest g points =
-  minimum_spanning_forest_v (View.of_graph g) points
+  let forest =
+    Array.fold_left
+      (fun acc (_, u, v) ->
+        let ru = find parent u and rv = find parent v in
+        if ru <> rv then begin
+          parent.(ru) <- rv;
+          (u, v) :: acc
+        end
+        else acc)
+      [] edges
+  in
+  Csr.of_edges n forest
 
 let forest_weight g points = Metrics.total_edge_length g points
 
 let is_spanning_forest g f =
-  Graph.is_subgraph f g
+  Csr.node_count f = Csr.node_count g
+  && Csr.fold_edges f (fun acc u v -> acc && Csr.mem_edge g u v) true
   (* acyclic: edges = nodes - components *)
-  && Graph.edge_count f = Graph.node_count f - Components.count f
+  && Csr.edge_count f = Csr.node_count f - Components.count f
   (* connects the same components *)
-  && Components.component_labels f = Components.component_labels g
+  && Array.for_all2 Int.equal (Csr.component_labels f)
+       (Csr.component_labels g)

@@ -8,17 +8,11 @@
 (** [minimum_spanning_forest g points] is the minimum-weight spanning
     forest of [g] (one tree per connected component) with edge weight
     [dist points.(u) points.(v)], via Kruskal with union-find. *)
-val minimum_spanning_forest :
-  Graph.t -> Geometry.Point.t array -> Graph.t
-
-(** Same computation over a read-only view (accepts {!Csr.t}
-    snapshots); the forest itself is small, so it stays a {!Graph.t}. *)
-val minimum_spanning_forest_v :
-  View.t -> Geometry.Point.t array -> Graph.t
+val minimum_spanning_forest : Csr.t -> Geometry.Point.t array -> Csr.t
 
 (** Total Euclidean weight of the forest of [g]. *)
-val forest_weight : Graph.t -> Geometry.Point.t array -> float
+val forest_weight : Csr.t -> Geometry.Point.t array -> float
 
 (** [is_spanning_forest g f] checks that [f] is a subgraph of [g],
     acyclic, and connects exactly the components of [g]. *)
-val is_spanning_forest : Graph.t -> Graph.t -> bool
+val is_spanning_forest : Csr.t -> Csr.t -> bool

@@ -1,15 +1,12 @@
-(* Written against the read-only View; Graph-typed adapters at the
-   bottom keep existing callers compiling. *)
-
 let segments g (points : Geometry.Point.t array) =
   List.map
     (fun (u, v) -> ((u, v), Geometry.Segment.make points.(u) points.(v)))
-    (View.edges g)
+    (Csr.edges g)
 
 let share_endpoint ((u1 : int), v1) (u2, v2) =
   u1 = u2 || u1 = v2 || v1 = u2 || v1 = v2
 
-let crossing_pairs_v g points =
+let crossing_pairs g points =
   let segs = Array.of_list (segments g points) in
   let m = Array.length segs in
   let acc = ref [] in
@@ -24,9 +21,9 @@ let crossing_pairs_v g points =
   done;
   List.rev !acc
 
-let crossing_count_v g points = List.length (crossing_pairs_v g points)
+let crossing_count g points = List.length (crossing_pairs g points)
 
-let is_planar_v g points =
+let is_planar g points =
   (* Same pairwise scan as [crossing_pairs] but with early exit. *)
   let segs = Array.of_list (segments g points) in
   let m = Array.length segs in
@@ -47,13 +44,8 @@ let is_planar_v g points =
   in
   outer 0
 
-let euler_bound_ok_v g =
-  let n = View.node_count g in
-  n < 3 || View.edge_count g <= (3 * n) - 6
+let euler_bound_ok g =
+  let n = Csr.node_count g in
+  n < 3 || Csr.edge_count g <= (3 * n) - 6
 
-(* ------------- legacy Graph-typed adapters ------------- *)
-
-let crossing_pairs g points = crossing_pairs_v (View.of_graph g) points
-let crossing_count g points = crossing_count_v (View.of_graph g) points
-let is_planar g points = is_planar_v (View.of_graph g) points
-let euler_bound_ok g = euler_bound_ok_v (View.of_graph g)
+let crossing_count_v = crossing_count

@@ -1,25 +1,5 @@
-(* All traversals are written once against the read-only View; the
-   Graph-typed entry points below are thin adapters, so legacy callers
-   and CSR snapshots get bit-identical distances from the same code. *)
-
-let bfs_v g s =
-  let n = View.node_count g in
-  let dist = Array.make n max_int in
-  dist.(s) <- 0;
-  let q = Queue.create () in
-  Queue.add s q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    View.iter_neighbors g u (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q
-        end)
-  done;
-  dist
-
 let bfs_parents g s =
-  let n = View.node_count g in
+  let n = Csr.node_count g in
   let parent = Array.make n (-1) in
   let seen = Array.make n false in
   seen.(s) <- true;
@@ -27,7 +7,7 @@ let bfs_parents g s =
   Queue.add s q;
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
-    View.iter_neighbors g u (fun v ->
+    Csr.iter_neighbors g u (fun v ->
         if not seen.(v) then begin
           seen.(v) <- true;
           parent.(v) <- u;
@@ -40,12 +20,12 @@ let reconstruct parent s t =
   let rec go acc v = if v = s then s :: acc else go (v :: acc) parent.(v) in
   go [] t
 
-let bfs_path_v g s t =
+let bfs_path g s t =
   let parent, seen = bfs_parents g s in
   if not seen.(t) then None else Some (reconstruct parent s t)
 
 let dijkstra_with_parents g points s =
-  let n = View.node_count g in
+  let n = Csr.node_count g in
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   dist.(s) <- 0.;
@@ -58,7 +38,7 @@ let dijkstra_with_parents g points s =
     (* [dist] only decreases, so exactly one entry per node carries
        its final distance; strictly larger entries are stale *)
     if d <= dist.(u) then
-      View.iter_neighbors g u (fun v ->
+      Csr.iter_neighbors g u (fun v ->
           let w = Geometry.Point.dist points.(u) points.(v) in
           let nd = d +. w in
           if nd < dist.(v) then begin
@@ -69,9 +49,7 @@ let dijkstra_with_parents g points s =
   done;
   (dist, parent)
 
-let dijkstra_v g points s = fst (dijkstra_with_parents g points s)
-
-let dijkstra_path_v g points s t =
+let dijkstra_path g points s t =
   let dist, parent = dijkstra_with_parents g points s in
   if dist.(t) = infinity then None else Some (reconstruct parent s t)
 
@@ -85,35 +63,25 @@ let path_length points p =
 
 let path_hops = function [] -> 0 | p -> List.length p - 1
 
-let is_path_v g = function
+let is_path g = function
   | [] -> false
   | p ->
     let rec go = function
-      | u :: (v :: _ as rest) -> View.has_edge g u v && go rest
+      | u :: (v :: _ as rest) -> Csr.mem_edge g u v && go rest
       | [ _ ] | [] -> true
     in
     go p
 
-let eccentricity_v g s =
+let eccentricity g s =
   Array.fold_left
     (fun acc d -> if d <> max_int && d > acc then d else acc)
-    0 (bfs_v g s)
+    0 (Csr.bfs g s)
 
-let diameter_v g =
-  let n = View.node_count g in
+let diameter g =
+  let n = Csr.node_count g in
   let best = ref 0 in
   for s = 0 to n - 1 do
-    let e = eccentricity_v g s in
+    let e = eccentricity g s in
     if e > !best then best := e
   done;
   !best
-
-(* ------------- legacy Graph-typed adapters ------------- *)
-
-let bfs g s = bfs_v (View.of_graph g) s
-let bfs_path g s t = bfs_path_v (View.of_graph g) s t
-let dijkstra g points s = dijkstra_v (View.of_graph g) points s
-let dijkstra_path g points s t = dijkstra_path_v (View.of_graph g) points s t
-let is_path g p = is_path_v (View.of_graph g) p
-let eccentricity g s = eccentricity_v (View.of_graph g) s
-let diameter g = diameter_v (View.of_graph g)

@@ -2,42 +2,19 @@
 
     The spanner definitions in the paper are stated for two metrics:
     the hop metric (number of links) and the length metric (sum of
-    Euclidean link lengths).  Both traversals return per-source
-    distance arrays so stretch factors can be computed over all pairs.
-
-    Every traversal exists in two forms: a [_v] function over a
-    read-only {!View.t} (works on {!Graph.t} and {!Csr.t} alike) and
-    the historical [Graph]-typed adapter, which is [_v] composed with
-    {!View.of_graph}.  Results are bit-identical. *)
-
-val bfs_v : View.t -> int -> int array
-val bfs_path_v : View.t -> int -> int -> int list option
-val dijkstra_v : View.t -> Geometry.Point.t array -> int -> float array
-
-val dijkstra_path_v :
-  View.t -> Geometry.Point.t array -> int -> int -> int list option
-
-val is_path_v : View.t -> int list -> bool
-val eccentricity_v : View.t -> int -> int
-val diameter_v : View.t -> int
-
-(** Distance by hops from a single source.  Unreachable nodes get
-    [max_int]. *)
-val bfs : Graph.t -> int -> int array
+    Euclidean link lengths).  Per-source distance arrays are
+    {!Csr.bfs} and {!Csr.dijkstra}; this module adds the paths
+    themselves and the measures built on them. *)
 
 (** [bfs_path g s t] is a shortest-hop path from [s] to [t] inclusive,
     or [None] when unreachable. *)
-val bfs_path : Graph.t -> int -> int -> int list option
-
-(** Euclidean shortest-path lengths from a single source, with edge
-    weight [dist points.(u) points.(v)].  Unreachable nodes get
-    [infinity]. *)
-val dijkstra : Graph.t -> Geometry.Point.t array -> int -> float array
+val bfs_path : Csr.t -> int -> int -> int list option
 
 (** [dijkstra_path g points s t] is a shortest-length path from [s]
-    to [t] inclusive, or [None] when unreachable. *)
+    to [t] inclusive, with edge weight [dist points.(u) points.(v)],
+    or [None] when unreachable. *)
 val dijkstra_path :
-  Graph.t -> Geometry.Point.t array -> int -> int -> int list option
+  Csr.t -> Geometry.Point.t array -> int -> int -> int list option
 
 (** [path_length points p] is the Euclidean length of the node path. *)
 val path_length : Geometry.Point.t array -> int list -> float
@@ -47,10 +24,10 @@ val path_hops : int list -> int
 
 (** [is_path g p] holds when consecutive nodes of [p] are adjacent in
     [g]. *)
-val is_path : Graph.t -> int list -> bool
+val is_path : Csr.t -> int list -> bool
 
 (** [eccentricity g s] is the largest finite hop distance from [s]. *)
-val eccentricity : Graph.t -> int -> int
+val eccentricity : Csr.t -> int -> int
 
 (** Largest hop distance over all pairs (graph must be connected). *)
-val diameter : Graph.t -> int
+val diameter : Csr.t -> int

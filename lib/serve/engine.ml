@@ -93,8 +93,7 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
       let e = Store.pin store in
       let snap = Store.snapshot e in
       let pts = Store.points e in
-      let udg = Netgraph.View.of_csr snap.Core.Shard.udg
-      and pldel = Netgraph.View.of_csr snap.Core.Shard.pldel in
+      let udg = snap.Core.Shard.udg in
       let n = Store.node_count e in
       let eid = Store.id e in
       let lo = batch_edge.(b) and hi = batch_edge.(b + 1) in
@@ -119,7 +118,7 @@ let run ?(jobs = 1) ?pool ?batch ?(latency = true) ?on_batch ~store
           if k = Workload.k_greedy then R.greedy_into st.rsc udg pts ~src ~dst
           else if k = Workload.k_compass then
             R.compass_into st.rsc udg pts ~src ~dst
-          else R.hierarchical_into st.rsc snap ~udg ~pldel ~src ~dst
+          else R.hierarchical_into st.rsc snap ~src ~dst
         in
         hops.(q) <- h;
         if h >= 0 then Obs.Histogram.observe_int st.sh_hops h

@@ -9,8 +9,8 @@
     the results ([hops], [stretch], [epoch]) is bit-identical for any
     [jobs].
 
-    Each batch makes one view of the pinned snapshot's UDG and one of
-    its PLDel; {!Workload} says which kind routes on which.
+    Each batch routes on the pinned snapshot's UDG and its PLDel;
+    {!Workload} says which kind routes on which.
 
     Steady-state allocation: each pool slot owns one {!Core.Routing.Scratch.t}
     (plus a Dijkstra heap/dist pair for stretch probes), created on

@@ -38,7 +38,7 @@ let add_edges t points g ~stroke ~stroke_width =
   Buffer.add_string t.buf
     (Printf.sprintf "<g stroke=\"%s\" stroke-width=\"%g\">\n" stroke
        stroke_width);
-  Netgraph.View.iter_edges g (fun u v ->
+  Netgraph.Csr.iter_edges g (fun u v ->
       let x1, y1 = project t points.(u) and x2, y2 = project t points.(v) in
       Buffer.add_string t.buf
         (Printf.sprintf "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\"/>\n"

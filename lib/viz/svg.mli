@@ -30,7 +30,7 @@ val create : width:int -> height:int -> world:Geometry.Bbox.t -> t
 val add_edges :
   t ->
   Geometry.Point.t array ->
-  Netgraph.View.t ->
+  Netgraph.Csr.t ->
   stroke:string ->
   stroke_width:float ->
   unit

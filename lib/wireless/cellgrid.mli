@@ -8,11 +8,11 @@
     ascending order, so every iteration here is deterministic.
 
     With [cell_size] = the transmission radius this drives CSR-native
-    UDG construction ({!Udg.build_csr}) and the triangle-pair search of
+    UDG construction ({!Udg.build}) and the triangle-pair search of
     LDel planarization; with [cell_size] = the tile side its buckets
     are exactly the tile ownership sets of {!Core.Shard}. *)
 
-(** The buckets are public for closure-free kernels ({!Udg.build_csr}
+(** The buckets are public for closure-free kernels ({!Udg.build}
     scans a 3x3 block straight off [start]/[order]); treat every
     array as read-only. *)
 type t = private {

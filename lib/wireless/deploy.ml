@@ -53,7 +53,7 @@ let connected_uniform rng ~n ~side ~radius ~max_attempts =
         (No_connected_instance { n; side; radius; attempts = max_attempts })
     else
       let pts = uniform rng ~n ~side in
-      let udg = Udg.build_csr pts ~radius in
+      let udg = Udg.build pts ~radius in
       Udg.observe_queries udg;
       if Netgraph.Csr.is_connected udg then (pts, attempt)
       else go (attempt + 1)

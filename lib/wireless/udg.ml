@@ -20,8 +20,8 @@ let d_query_results = Obs.dist "grid.query_results"
    radius grid; only wide, sparse spans get wider cells. *)
 let max_cells n = (4 * n) + 64
 
-let build_csr ?pool points ~radius =
-  if radius <= 0. then invalid_arg "Udg.build_csr: radius <= 0";
+let build ?pool points ~radius =
+  if radius <= 0. then invalid_arg "Udg.build: radius <= 0";
   let n = Array.length points in
   if n <= 1 then
     Netgraph.Csr.of_rows ~offsets:(Array.make (n + 1) 0) ~targets:[||] ()
@@ -102,21 +102,15 @@ let observe_queries c =
       Obs.observe d_query_results (float_of_int (Netgraph.Csr.degree c u))
     done
 
-let build points ~radius =
-  if radius <= 0. then invalid_arg "Udg.build: radius <= 0";
-  let c = build_csr points ~radius in
-  observe_queries c;
-  Netgraph.Csr.to_graph c
-
 let neighborhood g u ~hops =
-  let dist = Netgraph.Traversal.bfs g u in
+  let dist = Netgraph.Csr.bfs g u in
   let acc = ref [] in
   Array.iteri (fun v d -> if d <= hops then acc := v :: !acc) dist;
   List.rev !acc
 
 let is_udg points ~radius g =
   let n = Array.length points in
-  Netgraph.Graph.node_count g = n
+  Netgraph.Csr.node_count g = n
   &&
   if radius <= 0. then
     (* degenerate radius the grid cannot index; only coincident pairs
@@ -125,11 +119,11 @@ let is_udg points ~radius g =
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
         let in_range = P.dist points.(u) points.(v) <= radius in
-        if in_range <> Netgraph.Graph.has_edge g u v then ok := false
+        if in_range <> Netgraph.Csr.mem_edge g u v then ok := false
       done
     done;
     !ok
-  else if n <= 1 then Netgraph.Graph.edge_count g = 0
+  else if n <= 1 then Netgraph.Csr.edge_count g = 0
   else begin
     (* every in-range pair (found by the grid, O(n) of them for
        bounded density) must be an edge; then matching edge counts
@@ -147,11 +141,11 @@ let is_udg points ~radius g =
         (fun v ->
           if v > u && P.dist points.(u) points.(v) <= radius then begin
             incr in_range;
-            if not (Netgraph.Graph.has_edge g u v) then all_edges := false
+            if not (Netgraph.Csr.mem_edge g u v) then all_edges := false
           end)
         (Geometry.Grid.neighbors_within grid u wide)
     done;
-    !all_edges && Netgraph.Graph.edge_count g = !in_range
+    !all_edges && Netgraph.Csr.edge_count g = !in_range
   end
 
 
@@ -159,7 +153,7 @@ let build_quasi rng points ~r_min ~r_max =
   if r_min <= 0. || r_max < r_min then
     invalid_arg "Udg.build_quasi: need 0 < r_min <= r_max";
   let n = Array.length points in
-  let g = Netgraph.Graph.create n in
+  let edges = ref [] in
   if n > 1 then begin
     let grid = Geometry.Grid.create ~cell_size:r_max points in
     for u = 0 to n - 1 do
@@ -172,9 +166,9 @@ let build_quasi rng points ~r_min ~r_max =
               || (r_max > r_min
                  && Rand.float rng 1. < (r_max -. d) /. (r_max -. r_min))
             in
-            if keep then Netgraph.Graph.add_edge g u v
+            if keep then edges := (u, v) :: !edges
           end)
         (Geometry.Grid.neighbors_within grid u r_max)
     done
   end;
-  g
+  Netgraph.Csr.of_edges n !edges

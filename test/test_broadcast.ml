@@ -27,7 +27,7 @@ let test_flood_latency_is_eccentricity () =
   let _, snap = instance 901L 60 40. in
   let udg = snap.Core.Shard.udg in
   let o = Core.Broadcast.flood udg ~source:0 in
-  let ecc = Netgraph.Traversal.eccentricity_v (Netgraph.View.of_csr udg) 0 in
+  let ecc = Netgraph.Traversal.eccentricity udg 0 in
   (* one round per hop ring, +1 to observe quiescence, +1 for the
      initial send round *)
   check "latency tracks eccentricity" true
@@ -79,7 +79,7 @@ let test_rng_relay () =
 
 let test_broadcast_disconnected () =
   (* two components: only the source's side is reached *)
-  let udg = C.of_graph (Netgraph.Graph.of_edges 4 [ (0, 1); (2, 3) ]) in
+  let udg = Netgraph.Csr.of_edges 4 [ (0, 1); (2, 3) ] in
   let o = Core.Broadcast.flood udg ~source:0 in
   check "own side reached" true
     (o.Core.Broadcast.reached.(0) && o.Core.Broadcast.reached.(1));
@@ -88,7 +88,7 @@ let test_broadcast_disconnected () =
   Alcotest.(check (float 1e-9)) "half coverage" 0.5 (Core.Broadcast.coverage o)
 
 let test_broadcast_single_node () =
-  let udg = C.of_graph (Netgraph.Graph.create 1) in
+  let udg = Netgraph.Csr.of_edges 1 [] in
   let o = Core.Broadcast.flood udg ~source:0 in
   check "source reached" true o.Core.Broadcast.reached.(0);
   checki "one send" 1 o.Core.Broadcast.transmissions

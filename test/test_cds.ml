@@ -1,15 +1,13 @@
 (* Connectors (Algorithm 1) and the CDS structure family, read off the
    snapshot the pipeline builds. *)
 
-module G = Netgraph.Graph
 module P = Geometry.Point
 module Csr = Netgraph.Csr
-module V = Netgraph.View
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let path n = G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1)))
+let path n = Csr.of_edges n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let random_instance seed n side radius =
   let rng = Wireless.Rand.create seed in
@@ -63,7 +61,7 @@ let test_elect_winners_never_adjacent () =
     List.iter
       (fun w ->
         List.iter
-          (fun x -> if x <> w then check "independent" false (G.has_edge g w x))
+          (fun x -> if x <> w then check "independent" false (Csr.mem_edge g w x))
           winners)
       winners
   done
@@ -86,7 +84,7 @@ let test_find_path3 () =
   let r = Core.Connectors.find g roles in
   check "1 is connector" true r.Core.Connectors.connector.(1);
   Alcotest.(check (list (pair int int)))
-    "edges" [ (0, 1); (1, 2) ] r.Core.Connectors.cds_edges
+    "edges" [ (0, 1); (1, 2) ] (Csr.edges r.Core.Connectors.cds)
 
 let test_find_path4_three_hop () =
   (* path 0-1-2-3: dominators 0, 2... greedy MIS on path4 = {0, 2};
@@ -96,7 +94,7 @@ let test_find_path4_three_hop () =
      hops apart.  A clean 3-hop case needs a crafted graph: two stars
      joined by an edge between leaves. *)
   let g =
-    G.of_edges 6 [ (0, 2); (2, 3); (3, 1); (0, 4); (1, 5) ]
+    Csr.of_edges 6 [ (0, 2); (2, 3); (3, 1); (0, 4); (1, 5) ]
     (* dominators 0 and 1 (smallest ids, non-adjacent); 2 dominatee of
        0; 3 dominatee of 1; d(0,1) = 3 via 0-2-3-1 *)
   in
@@ -108,27 +106,27 @@ let test_find_path4_three_hop () =
   check "2 connector" true r.Core.Connectors.connector.(2);
   check "3 connector" true r.Core.Connectors.connector.(3);
   check "chain edges" true
-    (List.mem (0, 2) r.Core.Connectors.cds_edges
-    && List.mem (2, 3) r.Core.Connectors.cds_edges
-    && List.mem (1, 3) r.Core.Connectors.cds_edges)
+    (List.mem (0, 2) (Csr.edges r.Core.Connectors.cds)
+    && List.mem (2, 3) (Csr.edges r.Core.Connectors.cds)
+    && List.mem (1, 3) (Csr.edges r.Core.Connectors.cds))
 
 let test_find_skips_joined_pairs () =
   (* diamond: dominators 0 and 1 share the common dominatee 2 (two
      hops); node 3 also links them but the three-hop stage must not
      fire because a common dominatee exists *)
-  let g = G.of_edges 5 [ (0, 2); (2, 1); (0, 3); (3, 4); (4, 1) ] in
+  let g = Csr.of_edges 5 [ (0, 2); (2, 1); (0, 3); (3, 4); (4, 1) ] in
   let roles = Core.Mis.compute g in
   let r = Core.Connectors.find g roles in
   check "common dominatee elected" true r.Core.Connectors.connector.(2);
   check "no 3-hop connectors for (0,1)" false
     (r.Core.Connectors.connector.(3) || r.Core.Connectors.connector.(4));
   Alcotest.(check (list (pair int int)))
-    "edges" [ (0, 2); (1, 2) ] r.Core.Connectors.cds_edges
+    "edges" [ (0, 2); (1, 2) ] (Csr.edges r.Core.Connectors.cds)
 
 (* ---------------- CDS properties on the snapshot ---------------- *)
 
 let backbone_connected (s : Core.Shard.snapshot) =
-  Netgraph.Components.connected_within_v (V.of_csr s.Core.Shard.cds)
+  Netgraph.Components.connected_within s.Core.Shard.cds
     (backbone_nodes s.Core.Shard.backbone)
 
 let test_cds_connectivity_random () =
@@ -216,7 +214,7 @@ let test_backbone_nodes () =
 let test_bounded_backbone_degree () =
   for seed = 90 to 94 do
     let s = snapshot (Int64.of_int seed) 120 200. 60. in
-    let degree g = Netgraph.Metrics.degree_stats_v (V.of_csr g) in
+    let degree g = Netgraph.Metrics.degree_stats g in
     let dcds = degree s.Core.Shard.cds and dicds = degree s.Core.Shard.icds in
     check "CDS degree bounded" true (dcds.Netgraph.Metrics.deg_max <= 30);
     check "ICDS degree bounded" true (dicds.Netgraph.Metrics.deg_max <= 40)
@@ -225,9 +223,8 @@ let test_bounded_backbone_degree () =
 (* A baseline selection's CDS connects its backbone, and its CDS' —
    [Core.Shard.primed] of its CDS over the UDG, which holds every
    dominatee link — spans every node. *)
-let variant_connected udg roles (r : Core.Connectors.result) =
-  let udg = Csr.of_graph udg in
-  let cds = Csr.of_graph (G.of_edges (Csr.node_count udg) r.cds_edges) in
+let variant_connected udg roles (r : Core.Connectors.t) =
+  let cds = r.Core.Connectors.cds in
   let backbone =
     Array.mapi
       (fun u role ->
@@ -235,8 +232,7 @@ let variant_connected udg roles (r : Core.Connectors.result) =
       roles
   in
   check "CDS connects the backbone" true
-    (Netgraph.Components.connected_within_v (V.of_csr cds)
-       (backbone_nodes backbone));
+    (Netgraph.Components.connected_within cds (backbone_nodes backbone));
   check "CDS' spans" true (Csr.is_connected (Core.Shard.primed roles udg cds))
 
 (* ---------------- Alzoubi-style selection ---------------- *)
@@ -247,7 +243,7 @@ let test_alzoubi_path3 () =
   let r = Core.Connectors.find_alzoubi g roles in
   check "1 is connector" true r.Core.Connectors.connector.(1);
   Alcotest.(check (list (pair int int)))
-    "edges" [ (0, 1); (1, 2) ] r.Core.Connectors.cds_edges
+    "edges" [ (0, 1); (1, 2) ] (Csr.edges r.Core.Connectors.cds)
 
 let test_alzoubi_connectivity_random () =
   for seed = 840 to 847 do
@@ -265,8 +261,8 @@ let test_alzoubi_leaner_than_elections () =
     let roles = Core.Mis.compute udg in
     let a = Core.Connectors.find_alzoubi udg roles in
     let e = Core.Connectors.find udg roles in
-    total_a := !total_a + List.length a.Core.Connectors.cds_edges;
-    total_e := !total_e + List.length e.Core.Connectors.cds_edges
+    total_a := !total_a + Csr.edge_count a.Core.Connectors.cds;
+    total_e := !total_e + Csr.edge_count e.Core.Connectors.cds
   done;
   check
     (Printf.sprintf "alzoubi edges (%d) <= election edges (%d)" !total_a
@@ -283,12 +279,12 @@ let test_baker_path3_highest_id () =
   let r = Core.Connectors.find_baker g roles in
   check "1 gateway" true r.Core.Connectors.connector.(1);
   Alcotest.(check (list (pair int int)))
-    "edges" [ (0, 1); (1, 2) ] r.Core.Connectors.cds_edges
+    "edges" [ (0, 1); (1, 2) ] (Csr.edges r.Core.Connectors.cds)
 
 let test_baker_picks_highest () =
   (* dominators 0 and 1 with two common dominatees 2 and 3: Baker's
      rule picks 3 (highest), the paper's election picks 2 (lowest) *)
-  let g = G.of_edges 4 [ (0, 2); (0, 3); (1, 2); (1, 3) ] in
+  let g = Csr.of_edges 4 [ (0, 2); (0, 3); (1, 2); (1, 3) ] in
   let roles = Core.Mis.compute g in
   let baker = Core.Connectors.find_baker g roles in
   let paper = Core.Connectors.find g roles in

@@ -2,7 +2,7 @@
    behind connectivity, and Section I's argument that Yao-family
    structures are not hop spanners while the CDS family is. *)
 
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module P = Geometry.Point
 
 let check = Alcotest.(check bool)
@@ -24,7 +24,7 @@ let test_mst_small () =
   let g = G.of_edges 4 [ (0, 1); (1, 2); (2, 3); (3, 0); (0, 2) ] in
   let f = Netgraph.Mst.minimum_spanning_forest g pts in
   checki "n-1 edges" 3 (G.edge_count f);
-  check "diagonal dropped" false (G.has_edge f 0 2);
+  check "diagonal dropped" false (G.mem_edge f 0 2);
   check "valid forest" true (Netgraph.Mst.is_spanning_forest g f);
   Alcotest.(check (float 1e-9)) "weight" 3. (Netgraph.Mst.forest_weight f pts)
 
@@ -47,7 +47,7 @@ let test_mst_weight_optimal_vs_random_tree () =
     let q = Queue.create () in
     seen.(0) <- true;
     Queue.add 0 q;
-    let t = G.create (Array.length pts) in
+    let tree = ref [] in
     while not (Queue.is_empty q) do
       let u = Queue.pop q in
       List.iter
@@ -55,12 +55,12 @@ let test_mst_weight_optimal_vs_random_tree () =
           if not seen.(v) then begin
             seen.(v) <- true;
             parent.(v) <- u;
-            G.add_edge t u v;
+            tree := (u, v) :: !tree;
             Queue.add v q
           end)
         (G.neighbors udg u)
     done;
-    t
+    G.of_edges (Array.length pts) !tree
   in
   check "mst lighter" true
     (Netgraph.Mst.forest_weight f pts
@@ -74,8 +74,8 @@ let test_mst_containment_chain () =
     let mst = Netgraph.Mst.minimum_spanning_forest udg pts in
     let rng_g = Wireless.Proximity.rng_graph udg pts in
     let gg = Wireless.Proximity.gabriel_graph udg pts in
-    check "MST ⊆ RNG" true (G.is_subgraph mst rng_g);
-    check "RNG ⊆ GG" true (G.is_subgraph rng_g gg)
+    check "MST ⊆ RNG" true (Tgraph.is_subgraph mst rng_g);
+    check "RNG ⊆ GG" true (Tgraph.is_subgraph rng_g gg)
   done
 
 let test_mst_in_ldel () =
@@ -84,8 +84,8 @@ let test_mst_in_ldel () =
      close the chain from the MST side *)
   let pts, udg = random_instance 820L 70 50. in
   let mst = Netgraph.Mst.minimum_spanning_forest udg pts in
-  let l = Core.Ldel.build udg pts ~radius:50. in
-  check "MST ⊆ PLDel" true (G.is_subgraph mst l.Core.Ldel.planar)
+  let planar = Core.Ldel.planar udg (Core.Ldel.build udg pts ~radius:50.) in
+  check "MST ⊆ PLDel" true (Tgraph.is_subgraph mst planar)
 
 (* ---------------- Yao is not a hop spanner ---------------- *)
 
@@ -106,7 +106,7 @@ let test_yao_not_hop_spanner_on_line () =
   let udg = Wireless.Udg.build pts ~radius in
   checki "udg is a clique" (n * (n - 1) / 2) (G.edge_count udg);
   let yao = Wireless.Proximity.yao_graph udg pts ~cones:6 in
-  let hops_yao = (Netgraph.Traversal.bfs yao 0).(n - 1) in
+  let hops_yao = (Netgraph.Csr.bfs yao 0).(n - 1) in
   (* ends adjacent in UDG but Θ(n) apart in Yao *)
   checki "yao collapses to the path" (n - 1) hops_yao;
   (* the paper's structure: one dominator covers the whole clique, so
@@ -117,7 +117,7 @@ let test_yao_not_hop_spanner_on_line () =
   | None -> Alcotest.fail "backbone must route");
   let s =
     Netgraph.Metrics.stretch_factors ~base:udg
-      ~sub:(Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.pldel')
+      ~sub:bb.Core.Backbone.snap.Core.Shard.pldel'
       pts
   in
   check "hop stretch constant" true (s.Netgraph.Metrics.hop_max <= 3.5)
@@ -182,8 +182,8 @@ let test_bounds_hold_empirically () =
                 <= Core.Bounds.max_dominators_per_dominatee))
           roles;
         let d =
-          Netgraph.Metrics.degree_stats_v
-            (Netgraph.View.of_csr s.Core.Shard.icds)
+          Netgraph.Metrics.degree_stats
+            s.Core.Shard.icds
         in
         check "L8 respected" true
           (d.Netgraph.Metrics.deg_max <= Core.Bounds.icds_degree))

@@ -2,12 +2,12 @@
    counters, quiescence, and a property against the list-based engine
    it replaced. *)
 
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module E = Distsim.Engine
 
 (* the engine runs on CSR snapshots; the tests draw graphs as edge
    lists *)
-let csr n edges = Netgraph.Csr.of_graph (G.of_edges n edges)
+let csr n edges = (G.of_edges n edges)
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -170,7 +170,7 @@ let test_isolated_nodes () =
 (* ------------------------------------------------------------------ *)
 
 (* The pre-CSR [Engine.run], kept as a reference: neighbor lists from
-   a [Graph.t], every inbox scattered up front from the in-flight list,
+   the graph, every inbox scattered up front from the in-flight list,
    Lamport stamps through the same [Stamp] helper.  It has no obs
    flush; [run] below compares what the two return and trace. *)
 module Reference = struct
@@ -331,7 +331,7 @@ let prop_engine_matches_reference =
       in
       let (s, st), tr =
         traced (fun () ->
-            E.run ~min_rounds:c.min_rounds ~classify (Netgraph.Csr.of_graph g)
+            E.run ~min_rounds:c.min_rounds ~classify g
               {
                 E.init = (fun me row -> init_state me (Array.to_list row));
                 E.on_round =

@@ -1,9 +1,7 @@
 (* End-to-end integration: the full pipeline on fixed seeds, the
    experiment harness, and cross-structure consistency. *)
 
-module G = Netgraph.Graph
-module V = Netgraph.View
-module Csr = Netgraph.Csr
+module G = Netgraph.Csr
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -16,8 +14,8 @@ let build seed n radius =
   in
   Core.Backbone.build pts ~radius
 
-(* every edge of the view [v] is an edge of [g] *)
-let within v g = V.fold_edges v (fun ok u w -> ok && G.has_edge g u w) true
+(* every edge of [v] is an edge of [g] *)
+let within v g = G.fold_edges v (fun ok u w -> ok && G.mem_edge g u w) true
 
 let test_pipeline_structures () =
   let bb = build 400L 80 50. in
@@ -46,12 +44,23 @@ let test_sparseness () =
   List.iter
     (fun (name, g, _) ->
       if name <> "UDG" then
-        check (name ^ " sparse") true (V.edge_count g <= 6 * n))
+        check (name ^ " sparse") true (G.edge_count g <= 6 * n))
     (Core.Backbone.structures bb)
 
 let test_quality_rows () =
   let bb = build 402L 70 50. in
-  let rows = Core.Quality.rows bb in
+  let sssp = Obs.counter "metrics.sssp" in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let rows =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () -> Core.Quality.rows bb)
+  in
+  (* seven spanning rows, each a length and a hop pass per source; the
+     UDG row is the base itself and shares its passes: 2 x (1 + 6) *)
+  checki "14 SSSPs per source" (14 * 70) (Obs.value sssp);
+  Obs.reset ();
   checki "ten rows" 10 (List.length rows);
   List.iter
     (fun (r : Core.Quality.row) ->
@@ -123,8 +132,8 @@ let test_ldel_icds'_equals_planar_plus_links () =
   let bb = build 405L 70 50. in
   (* LDel(ICDS') = PLDel(ICDS) + dominatee-dominator links *)
   let s = bb.Core.Backbone.snap in
-  Csr.iter_edges s.Core.Shard.pldel' (fun u v ->
-      let in_planar = G.has_edge bb.Core.Backbone.ldel_icds_g u v in
+  G.iter_edges s.Core.Shard.pldel' (fun u v ->
+      let in_planar = G.mem_edge bb.Core.Backbone.ldel_icds_g u v in
       let roles = s.Core.Shard.roles in
       let dominatee_link =
         (roles.(u) = Core.Mis.Dominatee && roles.(v) = Core.Mis.Dominator)
@@ -148,7 +157,7 @@ let test_run_config_equals_build () =
     (G.equal via_build.Core.Backbone.udg via_run.Core.Backbone.udg);
   List.iter2
     (fun (name, g1, _) (_, g2, _) ->
-      check (name ^ " identical via run") true (V.edges g1 = V.edges g2))
+      check (name ^ " identical via run") true (G.edges g1 = G.edges g2))
     (Core.Backbone.structures via_build)
     (Core.Backbone.structures via_run)
 
@@ -169,7 +178,7 @@ let test_run_quasi_radio () =
   in
   let disk = Core.Backbone.build pts ~radius:50. in
   check "quasi udg within disk udg" true
-    (G.is_subgraph bb.Core.Backbone.udg disk.Core.Backbone.udg);
+    (Tgraph.is_subgraph bb.Core.Backbone.udg disk.Core.Backbone.udg);
   (* derived structures still live inside the (quasi) UDG *)
   List.iter
     (fun (name, g, _) ->
@@ -207,37 +216,39 @@ let test_registry_is_single_source () =
         (scope = if expect_backbone_only then `Backbone_only else `Spans_all))
     (Core.Backbone.structures bb)
 
-(* Table I as the Graph-typed registry computed it before the registry
-   read the snapshot: every structure thawed with [Csr.to_graph], the
-   baselines built on the thawed UDG, and the primed rows rebuilt as
-   their base plus each dominatee's links to the dominators it hears
-   (never through [Shard.primed]); the rows as one fused stretch pass
-   over the thawed graphs. *)
-module Thaw_oracle = struct
+(* Table I rebuilt beside the registry: the baselines built on the
+   snapshot's UDG, and the primed rows rebuilt as their base plus each
+   dominatee's links to the dominators it hears (never through
+   [Shard.primed]); the rows as one fused stretch pass over those
+   graphs. *)
+module Table_oracle = struct
   module M = Netgraph.Metrics
 
   let structures (s : Core.Shard.snapshot) =
     let open Core.Shard in
-    let udg = Csr.to_graph s.udg in
-    let links = G.create (Array.length s.points) in
+    let udg = s.udg in
+    let links = ref [] in
     Array.iteri
       (fun u r ->
         if r = Core.Mis.Dominatee then
-          List.iter (G.add_edge links u) (Core.Mis.dominators_of udg s.roles u))
+          List.iter
+            (fun d -> links := (u, d) :: !links)
+            (Core.Mis.dominators_of udg s.roles u))
       s.roles;
-    let primed g = G.union g links in
-    let cds = Csr.to_graph s.cds and pldel = Csr.to_graph s.pldel in
+    let links = G.of_edges (Array.length s.points) !links in
+    let primed g = Tgraph.union g links in
+    let cds = s.cds and pldel = s.pldel in
     [
       ("UDG", udg, `Spans_all);
       ("RNG", Wireless.Proximity.rng_graph udg s.points, `Spans_all);
       ("GG", Wireless.Proximity.gabriel_graph udg s.points, `Spans_all);
       ( "LDel",
-        (Core.Ldel.build udg s.points ~radius:s.radius).Core.Ldel.planar,
+        Core.Ldel.planar udg (Core.Ldel.build udg s.points ~radius:s.radius),
         `Spans_all );
       ("CDS", cds, `Backbone_only);
       ("CDS'", primed cds, `Spans_all);
-      ("ICDS", Csr.to_graph s.icds, `Backbone_only);
-      ("ICDS'", Csr.to_graph s.icds', `Spans_all);
+      ("ICDS", s.icds, `Backbone_only);
+      ("ICDS'", s.icds', `Spans_all);
       ("LDel(ICDS)", pldel, `Backbone_only);
       ("LDel(ICDS')", primed pldel, `Spans_all);
     ]
@@ -273,7 +284,7 @@ module Thaw_oracle = struct
       entries
 end
 
-(* Every Table I row read off the snapshot equals the thaw oracle's,
+(* Every Table I row read off the snapshot equals the table oracle's,
    bit for bit, for any tiling and job count.  Constant density (side
    10 sqrt n); R = 25 gives about 20 neighbours and a connected UDG,
    while n = 2000 runs at R = 10, below the percolation threshold:
@@ -295,7 +306,7 @@ let test_table1_equals_thaw_oracle () =
         }
       in
       let want =
-        Thaw_oracle.rows ~jobs:2
+        Table_oracle.rows ~jobs:2
           (Core.Backbone.snapshot (cfg (Core.Backbone.Config.Tiles 1) 1) pts)
       in
       List.iter

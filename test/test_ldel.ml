@@ -1,7 +1,7 @@
 (* Localized Delaunay (Algorithms 2-3): local triangle computation,
    acceptance, planarization. *)
 
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module P = Geometry.Point
 
 let check = Alcotest.(check bool)
@@ -192,30 +192,30 @@ let test_circumcircle_contains () =
 
 let test_ldel_contains_gabriel () =
   let pts, udg = random_instance 101L 80 200. 50. in
-  let l = Core.Ldel.build udg pts ~radius:50. in
+  let l = Tgraph.ldel_build udg pts ~radius:50. in
   let gg = Wireless.Proximity.gabriel_graph udg pts in
-  check "GG ⊆ LDel1" true (G.is_subgraph gg l.Core.Ldel.ldel1);
-  check "GG ⊆ PLDel" true (G.is_subgraph gg l.Core.Ldel.planar)
+  check "GG ⊆ LDel1" true (Tgraph.is_subgraph gg l.Tgraph.ldel1);
+  check "GG ⊆ PLDel" true (Tgraph.is_subgraph gg l.Tgraph.planar)
 
 let test_ldel_contains_udel () =
   (* unit Delaunay triangles are 1-localized Delaunay triangles, so
      UDel ⊆ LDel1 *)
   let pts, udg = random_instance 102L 80 200. 50. in
-  let l = Core.Ldel.build udg pts ~radius:50. in
+  let l = Tgraph.ldel_build udg pts ~radius:50. in
   let udel = Wireless.Proximity.udel pts ~radius:50. in
-  check "UDel ⊆ LDel1" true (G.is_subgraph udel l.Core.Ldel.ldel1)
+  check "UDel ⊆ LDel1" true (Tgraph.is_subgraph udel l.Tgraph.ldel1)
 
 let test_pldel_planar_and_connected () =
   for seed = 110 to 119 do
     let pts, udg = random_instance (Int64.of_int seed) 90 200. 50. in
-    let l = Core.Ldel.build udg pts ~radius:50. in
-    check "planar" true (Netgraph.Planarity.is_planar l.Core.Ldel.planar pts);
+    let l = Tgraph.ldel_build udg pts ~radius:50. in
+    check "planar" true (Netgraph.Planarity.is_planar l.Tgraph.planar pts);
     check "connected" true
-      (Netgraph.Components.is_connected l.Core.Ldel.planar);
+      (Netgraph.Csr.is_connected l.Tgraph.planar);
     check "planar ⊆ ldel1" true
-      (G.is_subgraph l.Core.Ldel.planar l.Core.Ldel.ldel1);
+      (Tgraph.is_subgraph l.Tgraph.planar l.Tgraph.ldel1);
     check "ldel1 within UDG distance" true
-      (G.fold_edges l.Core.Ldel.ldel1
+      (G.fold_edges l.Tgraph.ldel1
          (fun acc u v -> acc && P.dist pts.(u) pts.(v) <= 50.)
          true)
   done
@@ -223,22 +223,22 @@ let test_pldel_planar_and_connected () =
 let test_ldel1_thickness_two_edge_bound () =
   (* LDel1 has thickness 2, hence at most 2(3n - 6) edges *)
   let pts, udg = random_instance 120L 100 200. 60. in
-  let l = Core.Ldel.build udg pts ~radius:60. in
+  let l = Tgraph.ldel_build udg pts ~radius:60. in
   let n = Array.length pts in
   check "edge bound" true
-    (G.edge_count l.Core.Ldel.ldel1 <= 2 * ((3 * n) - 6))
+    (G.edge_count l.Tgraph.ldel1 <= 2 * ((3 * n) - 6))
 
 let test_kept_subset_accepted () =
   let pts, udg = random_instance 121L 80 200. 50. in
-  let l = Core.Ldel.build udg pts ~radius:50. in
+  let l = Tgraph.ldel_build udg pts ~radius:50. in
   let module TS = Set.Make (struct
     type t = int * int * int
 
     let compare = compare
   end) in
-  let acc = TS.of_list l.Core.Ldel.triangles in
+  let acc = TS.of_list l.Tgraph.triangles in
   check "kept ⊆ accepted" true
-    (List.for_all (fun t -> TS.mem t acc) l.Core.Ldel.kept_triangles)
+    (List.for_all (fun t -> TS.mem t acc) l.Tgraph.kept_triangles)
 
 let test_ldel_on_icds () =
   (* the pipeline case: LDel over the induced backbone stays planar,
@@ -248,18 +248,18 @@ let test_ldel_on_icds () =
     let s = Core.Shard.pipeline pts ~radius:50. in
     let backbone = s.Core.Shard.backbone in
     let l =
-      Core.Ldel.build (Netgraph.Csr.to_graph s.Core.Shard.icds) pts ~radius:50.
+      Tgraph.ldel_build s.Core.Shard.icds pts ~radius:50.
     in
-    check "planar" true (Netgraph.Planarity.is_planar l.Core.Ldel.planar pts);
+    check "planar" true (Netgraph.Planarity.is_planar l.Tgraph.planar pts);
     check "backbone connected" true
-      (Netgraph.Components.connected_within l.Core.Ldel.planar
+      (Netgraph.Components.connected_within l.Tgraph.planar
          (List.filter
             (fun u -> backbone.(u))
             (List.init (Array.length pts) Fun.id)));
-    G.iter_edges l.Core.Ldel.planar (fun u v ->
+    G.iter_edges l.Tgraph.planar (fun u v ->
         check "backbone only" true (backbone.(u) && backbone.(v)));
     Alcotest.(check (list (pair int int)))
-      "the snapshot's pldel" (G.edges l.Core.Ldel.planar)
+      "the snapshot's pldel" (G.edges l.Tgraph.planar)
       (Netgraph.Csr.edges s.Core.Shard.pldel)
   done
 
@@ -267,26 +267,26 @@ let test_degenerate_inputs () =
   (* two nodes: single Gabriel edge, no triangles *)
   let pts = [| P.make 0. 0.; P.make 1. 0. |] in
   let udg = Wireless.Udg.build pts ~radius:2. in
-  let l = Core.Ldel.build udg pts ~radius:2. in
-  checki "no triangles" 0 (List.length l.Core.Ldel.triangles);
-  check "edge kept" true (G.has_edge l.Core.Ldel.planar 0 1);
+  let l = Tgraph.ldel_build udg pts ~radius:2. in
+  checki "no triangles" 0 (List.length l.Tgraph.triangles);
+  check "edge kept" true (G.mem_edge l.Tgraph.planar 0 1);
   (* collinear nodes: consecutive edges are Gabriel, no triangles *)
   let pts = Array.init 4 (fun i -> P.make (float_of_int i) 0.) in
   let udg = Wireless.Udg.build pts ~radius:1.5 in
-  let l = Core.Ldel.build udg pts ~radius:1.5 in
-  checki "no triangles" 0 (List.length l.Core.Ldel.triangles);
+  let l = Tgraph.ldel_build udg pts ~radius:1.5 in
+  checki "no triangles" 0 (List.length l.Tgraph.triangles);
   check "path kept" true
-    (G.has_edge l.Core.Ldel.planar 0 1
-    && G.has_edge l.Core.Ldel.planar 1 2
-    && G.has_edge l.Core.Ldel.planar 2 3);
+    (G.mem_edge l.Tgraph.planar 0 1
+    && G.mem_edge l.Tgraph.planar 1 2
+    && G.mem_edge l.Tgraph.planar 2 3);
   (* two coincident nodes that only hear each other: one Gabriel edge;
      no neighbourhood has two neighbours to triangulate, so the
      duplicate is not an error *)
   let pts = [| P.make 0. 0.; P.make 0. 0.; P.make 100. 100. |] in
   let udg = Wireless.Udg.build pts ~radius:1. in
-  let l = Core.Ldel.build udg pts ~radius:1. in
+  let l = Tgraph.ldel_build udg pts ~radius:1. in
   check "coincident pair: Gabriel edge" true
-    (l.Core.Ldel.gabriel_edges = [ (0, 1) ] && l.Core.Ldel.triangles = [])
+    (l.Tgraph.gabriel_edges = [ (0, 1) ] && l.Tgraph.triangles = [])
 
 let test_dense_equals_udel_plus () =
   (* when the radius covers the whole deployment, every node sees
@@ -298,14 +298,14 @@ let test_dense_equals_udel_plus () =
   in
   let radius = 100. in
   let udg = Wireless.Udg.build pts ~radius in
-  let l = Core.Ldel.build udg pts ~radius in
+  let l = Tgraph.ldel_build udg pts ~radius in
   let del = Delaunay.Triangulation.triangulate pts in
   let del_edges = Delaunay.Triangulation.edges del in
   check "LDel1 = Del when everyone sees everyone" true
-    (List.sort compare (G.edges l.Core.Ldel.ldel1) = del_edges);
+    (List.sort compare (G.edges l.Tgraph.ldel1) = del_edges);
   check "planarization removes nothing" true
-    (List.length l.Core.Ldel.kept_triangles
-    = List.length l.Core.Ldel.triangles)
+    (List.length l.Tgraph.kept_triangles
+    = List.length l.Tgraph.triangles)
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm 3 against the planarization it replaced                   *)
@@ -380,7 +380,7 @@ let oracle_planarize ?pool csr points ~radius tris_list =
   end
 
 (* The list builder LDel had before its parts were packed, kept as the
-   oracle of [Ldel.to_parts] and of the snapshot's [pldel]: every
+   oracle of the packed build and of the snapshot's [pldel]: every
    node's star from [Delaunay.Star], a triangle accepted from its min
    corner when it is consecutive in all three corners' links and its
    links fit, Gabriel edges from the owner side of each row, all as
@@ -440,11 +440,7 @@ module Ldel_oracle = struct
                  else None)
                row))
     in
-    {
-      Core.Ldel.p_gabriel = gabriel;
-      p_triangles = triangles;
-      p_kept = oracle_planarize csr points ~radius triangles;
-    }
+    (gabriel, triangles, oracle_planarize csr points ~radius triangles)
 end
 
 (* A uniform deployment's UDG with each edge dropped with probability
@@ -454,10 +450,12 @@ let thinned_instance seed n radius drop =
   let rng = Wireless.Rand.create seed in
   let pts = Wireless.Deploy.uniform rng ~n ~side:100. in
   let udg = Wireless.Udg.build pts ~radius in
-  let g = G.create n in
-  G.iter_edges udg (fun u v ->
-      if Wireless.Rand.float rng 1. >= drop then G.add_edge g u v);
-  (pts, g)
+  let kept =
+    G.fold_edges udg
+      (fun acc u v -> if Wireless.Rand.float rng 1. >= drop then (u, v) :: acc else acc)
+      []
+  in
+  (pts, G.of_edges n kept)
 
 let gen_instance =
   QCheck.Gen.(
@@ -471,11 +469,10 @@ let prop_planarize_matches_oracle =
   QCheck.Test.make ~name:"Algorithm 3 = pre-shortcut planarization" ~count:150
     (QCheck.make ~print:print_instance gen_instance)
     (fun (seed, n, radius, drop) ->
-      let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
-      let csr = Netgraph.Csr.of_graph g in
-      let parts = Core.Ldel.to_parts csr (Core.Ldel.build_csr csr pts ~radius) in
-      parts.Core.Ldel.p_kept
-      = oracle_planarize csr pts ~radius parts.Core.Ldel.p_triangles)
+      let pts, csr = thinned_instance (Int64.of_int seed) n radius drop in
+      let parts = Tgraph.ldel csr (Core.Ldel.build csr pts ~radius) in
+      parts.Tgraph.kept_triangles
+      = oracle_planarize csr pts ~radius parts.Tgraph.triangles)
 
 (* the packed build, read off as lists, against the list builder it
    replaced, on the same thinned family *)
@@ -483,9 +480,8 @@ let prop_packed_matches_list_builder =
   QCheck.Test.make ~name:"to_parts (build_csr) = list builder" ~count:150
     (QCheck.make ~print:print_instance gen_instance)
     (fun (seed, n, radius, drop) ->
-      let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
-      let csr = Netgraph.Csr.of_graph g in
-      Core.Ldel.to_parts csr (Core.Ldel.build_csr csr pts ~radius)
+      let pts, csr = thinned_instance (Int64.of_int seed) n radius drop in
+      Tgraph.ldel_lists (Tgraph.ldel csr (Core.Ldel.build csr pts ~radius))
       = Ldel_oracle.build csr pts ~radius)
 
 let test_planarize_removes_like_oracle () =
@@ -494,24 +490,23 @@ let test_planarize_removes_like_oracle () =
   let removals = ref 0 in
   Netgraph.Pool.with_pool ~jobs:2 (fun pool ->
       for seed = 1 to 40 do
-        let pts, g = thinned_instance (Int64.of_int seed) 120 30. 0.3 in
-        let csr = Netgraph.Csr.of_graph g in
+        let pts, csr = thinned_instance (Int64.of_int seed) 120 30. 0.3 in
         let build ?pool ?owners () =
-          Core.Ldel.to_parts csr
-            (Core.Ldel.build_csr ?pool ?owners csr pts ~radius:30.)
+          Tgraph.ldel csr
+            (Core.Ldel.build ?pool ?owners csr pts ~radius:30.)
         in
         let want =
-          oracle_planarize csr pts ~radius:30. (build ()).Core.Ldel.p_triangles
+          oracle_planarize csr pts ~radius:30. (build ()).Tgraph.triangles
         in
         let owners = Core.Shard.tiling ~tiles:3 pts ~radius:30. in
         let serial = build () in
         let pooled = build ~pool ~owners () in
-        check "serial = oracle" true (serial.Core.Ldel.p_kept = want);
+        check "serial = oracle" true (serial.Tgraph.kept_triangles = want);
         check "pooled = serial" true (pooled = serial);
         removals :=
           !removals
-          + List.length serial.Core.Ldel.p_triangles
-          - List.length serial.Core.Ldel.p_kept
+          + List.length serial.Tgraph.triangles
+          - List.length serial.Tgraph.kept_triangles
       done);
   check "some triangles removed" true (!removals > 0)
 
@@ -525,7 +520,7 @@ let prop_shared_corner_disjoint =
     (fun (seed, n, radius, drop) ->
       let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
       let tris =
-        Array.of_list (Core.Ldel.build g pts ~radius).Core.Ldel.triangles
+        Array.of_list (Tgraph.ldel_build g pts ~radius).Tgraph.triangles
       in
       let ok = ref true in
       Array.iteri
@@ -576,9 +571,9 @@ let sorted_triples l =
 let test_crossing_fixture () =
   let pts = crossing_fixture and radius = crossing_radius in
   let udg = Wireless.Udg.build pts ~radius in
-  let l = Core.Ldel.build udg pts ~radius in
-  check "1-5 is Gabriel" true (List.mem (1, 5) l.Core.Ldel.gabriel_edges);
-  check "(0,2,3) kept" true (List.mem (0, 2, 3) l.Core.Ldel.kept_triangles);
+  let l = Tgraph.ldel_build udg pts ~radius in
+  check "1-5 is Gabriel" true (List.mem (1, 5) l.Tgraph.gabriel_edges);
+  check "(0,2,3) kept" true (List.mem (0, 2, 3) l.Tgraph.kept_triangles);
   let crosses (p, q) (r, s) =
     Geometry.Segment.properly_intersect
       (Geometry.Segment.make pts.(p) pts.(q))
@@ -587,10 +582,9 @@ let test_crossing_fixture () =
   check "1-5 crosses 2-3" true (crosses (1, 5) (2, 3));
   check "1-5 crosses 0-3" true (crosses (1, 5) (0, 3));
   check "PLDel(UDG) not planar here" false
-    (Netgraph.Planarity.is_planar l.Core.Ldel.planar pts);
+    (Netgraph.Planarity.is_planar l.Tgraph.planar pts);
   (* the star kernel agrees with Bowyer–Watson at every node *)
-  let csr = Netgraph.Csr.of_graph udg in
-  let nbrs = Netgraph.Csr.targets csr and off = Netgraph.Csr.offsets csr in
+  let nbrs = Netgraph.Csr.targets udg and off = Netgraph.Csr.offsets udg in
   let link = Array.make (Array.length nbrs) 0 and closed = Array.make 6 false in
   let sc = Delaunay.Star.scratch () in
   for u = 0 to 5 do
@@ -612,13 +606,13 @@ let test_crossing_fixture () =
   let bb = Core.Backbone.build pts ~radius in
   let pr = Core.Protocol.run pts ~radius in
   let ldel =
-    Core.Ldel.build
-      (Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.icds)
+    Tgraph.ldel_build
+      bb.Core.Backbone.snap.Core.Shard.icds
       pts ~radius
   in
-  check "triangles" true (pr.Core.Protocol.ldel_triangles = ldel.Core.Ldel.triangles);
-  check "kept" true (pr.Core.Protocol.kept_triangles = ldel.Core.Ldel.kept_triangles);
-  check "gabriel" true (pr.Core.Protocol.gabriel_edges = ldel.Core.Ldel.gabriel_edges);
+  check "triangles" true (pr.Core.Protocol.ldel_triangles = ldel.Tgraph.triangles);
+  check "kept" true (pr.Core.Protocol.kept_triangles = ldel.Tgraph.kept_triangles);
+  check "gabriel" true (pr.Core.Protocol.gabriel_edges = ldel.Tgraph.gabriel_edges);
   check "graphs" true
     (G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
 

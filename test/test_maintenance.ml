@@ -138,15 +138,15 @@ let test_refresh_valid_after_motion () =
     Wireless.Mobility.step_many m 3;
     let positions = Array.copy (Wireless.Mobility.positions m) in
     let udg = Wireless.Udg.build positions ~radius:50. in
-    if Netgraph.Components.is_connected udg then begin
+    if Netgraph.Csr.is_connected udg then begin
       let next, _ = Core.Maintenance.refresh !prev positions in
       let s = next.Core.Backbone.snap in
       let roles = s.Core.Shard.roles in
       check "MIS independent" true (Core.Mis.is_independent udg roles);
       check "MIS dominating" true (Core.Mis.is_dominating udg roles);
       check "backbone connected" true
-        (Netgraph.Components.connected_within_v
-           (Netgraph.View.of_csr s.Core.Shard.cds)
+        (Netgraph.Components.connected_within
+           s.Core.Shard.cds
            (List.filter (fun u -> s.Core.Shard.backbone.(u))
               (List.init (Array.length roles) Fun.id)));
       check "planar" true
@@ -177,7 +177,7 @@ let test_refresh_more_stable_than_rebuild () =
           Wireless.Mobility.step_many m 2;
           let positions = Array.copy (Wireless.Mobility.positions m) in
           let udg = Wireless.Udg.build positions ~radius:50. in
-          if Netgraph.Components.is_connected udg then begin
+          if Netgraph.Csr.is_connected udg then begin
             let next, stats = policy !prev positions in
             churn := !churn + stats.Core.Maintenance.role_changes;
             prev := next

@@ -1,11 +1,9 @@
 (* Tests for the multicore metrics engine: the shared Heap, CSR
-   snapshots vs the mutable Graph, the Domain pool, and the fused
+   snapshots against list oracles, the Domain pool, and the fused
    all-pairs stretch — including the bit-identity guarantee across
    worker counts and a regression against a verbatim copy of the
    implementation the engine replaced. *)
 
-module G = Netgraph.Graph
-module T = Netgraph.Traversal
 module C = Netgraph.Csr
 module H = Netgraph.Heap
 module M = Netgraph.Metrics
@@ -70,48 +68,76 @@ let test_heap_interleaved () =
 (* ---------------- Graph neighbor iteration ---------------- *)
 
 let test_graph_neighbor_iteration () =
-  let g = G.of_edges 5 [ (0, 3); (0, 1); (2, 0) ] in
+  let g = C.of_edges 5 [ (0, 3); (0, 1); (2, 0) ] in
   let seen = ref [] in
-  G.iter_neighbors g 0 (fun v -> seen := v :: !seen);
+  C.iter_neighbors g 0 (fun v -> seen := v :: !seen);
   Alcotest.(check (list int)) "iter order" [ 1; 2; 3 ] (List.rev !seen);
-  checki "fold degree" 3 (G.fold_neighbors g 0 (fun acc _ -> acc + 1) 0);
-  checki "fold sum" 6 (G.fold_neighbors g 0 (fun acc v -> acc + v) 0);
-  checki "fold isolated" 0 (G.fold_neighbors g 4 (fun acc _ -> acc + 1) 0)
+  checki "fold degree" 3 (C.fold_neighbors g 0 (fun acc _ -> acc + 1) 0);
+  checki "fold sum" 6 (C.fold_neighbors g 0 (fun acc v -> acc + v) 0);
+  checki "fold isolated" 0 (C.fold_neighbors g 4 (fun acc _ -> acc + 1) 0)
 
-(* ---------------- CSR vs Graph ---------------- *)
+(* ---------------- CSR vs list oracles ---------------- *)
 
 let random_udg seed ~n ~radius =
   let rng = Wireless.Rand.create seed in
   let pts = Wireless.Deploy.uniform rng ~n ~side:200. in
   (pts, Wireless.Udg.build pts ~radius)
 
+(* hop distances by a queue over neighbor lists, independent of the
+   CSR kernels *)
+let reference_bfs g s =
+  let dist = Array.make (C.node_count g) max_int in
+  dist.(s) <- 0;
+  let q = Queue.create () in
+  Queue.add s q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun v ->
+        if dist.(v) = max_int then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v q
+        end)
+      (C.neighbors g u)
+  done;
+  dist
+
 let reference_labels g =
   (* smallest-id component labels via repeated BFS, independent of
      both Components and Csr *)
-  let n = G.node_count g in
+  let n = C.node_count g in
   let label = Array.make n (-1) in
   for s = 0 to n - 1 do
     if label.(s) < 0 then
       Array.iteri
         (fun v d -> if d <> max_int then label.(v) <- s)
-        (T.bfs g s)
+        (reference_bfs g s)
   done;
   label
 
+(* the UDG kernel's rows against the graph sealed from the brute-force
+   pair list *)
 let test_csr_structure () =
   List.iter
     (fun seed ->
-      let _, g = random_udg seed ~n:60 ~radius:50. in
-      let c = C.of_graph g in
-      checki "nodes" (G.node_count g) (C.node_count c);
-      checki "edges" (G.edge_count g) (C.edge_count c);
-      for u = 0 to G.node_count g - 1 do
-        checki "degree" (G.degree g u) (C.degree c u);
+      let pts, c = random_udg seed ~n:60 ~radius:50. in
+      let pairs = ref [] in
+      for u = 0 to 59 do
+        for v = u + 1 to 59 do
+          if P.dist pts.(u) pts.(v) <= 50. then pairs := (u, v) :: !pairs
+        done
+      done;
+      let g = Netgraph.Graph.of_edges 60 !pairs in
+      check "equal" true (Netgraph.Graph.equal g c);
+      checki "nodes" (C.node_count g) (C.node_count c);
+      checki "edges" (C.edge_count g) (C.edge_count c);
+      for u = 0 to C.node_count g - 1 do
+        checki "degree" (C.degree g u) (C.degree c u);
         Alcotest.(check (list int))
-          "neighbors" (G.neighbors g u) (C.neighbors c u);
-        for v = 0 to G.node_count g - 1 do
+          "neighbors" (C.neighbors g u) (C.neighbors c u);
+        for v = 0 to C.node_count g - 1 do
           if u <> v then
-            check "mem_edge" (G.has_edge g u v) (C.mem_edge c u v)
+            check "mem_edge" (C.mem_edge g u v) (C.mem_edge c u v)
         done
       done)
     [ 11L; 12L; 13L ]
@@ -120,21 +146,23 @@ let test_csr_traversals_exact () =
   List.iter
     (fun seed ->
       let pts, g = random_udg seed ~n:60 ~radius:50. in
-      let c = C.of_graph ~points:pts ~beta:2. g in
+      let c = C.with_weights ~beta:2. g pts in
       check "has weights" true (C.has_weights c);
       check "has power weights" true (C.has_power_weights c);
+      let euclid u v = P.dist pts.(u) pts.(v) in
       let power_cost u v = P.dist pts.(u) pts.(v) ** 2. in
-      for s = 0 to G.node_count g - 1 do
-        check "bfs exact" true (C.bfs c s = T.bfs g s);
+      for s = 0 to C.node_count g - 1 do
+        check "bfs exact" true (C.bfs c s = reference_bfs g s);
         (* float distances must match bit for bit, not approximately *)
-        check "dijkstra exact" true (C.dijkstra c s = T.dijkstra g pts s);
+        check "dijkstra exact" true
+          (C.dijkstra c s = M.weighted_sssp g euclid s);
         check "power exact" true
           (C.power_sssp c s = M.weighted_sssp g power_cost s);
         (* stopped at each target, the target's distance is the same
            float *)
         let full = C.dijkstra c s in
         let heap = Netgraph.Heap.create () and dist = Array.make 60 0. in
-        for d = 0 to G.node_count g - 1 do
+        for d = 0 to C.node_count g - 1 do
           C.dijkstra_to c ~heap ~dist s d;
           check "dijkstra_to exact" true (Float.equal dist.(d) full.(d))
         done
@@ -142,24 +170,24 @@ let test_csr_traversals_exact () =
     [ 21L; 22L ]
 
 let test_csr_weightless_raises () =
-  let g = G.of_edges 2 [ (0, 1) ] in
-  let c = C.of_graph g in
+  let c = C.of_edges 2 [ (0, 1) ] in
   let raises f = try f (); false with Invalid_argument _ -> true in
   check "dijkstra needs weights" true (raises (fun () -> ignore (C.dijkstra c 0)));
   check "power needs beta" true
     (raises (fun () ->
-         ignore (C.power_sssp (C.of_graph ~points:[| P.make 0. 0.; P.make 1. 0. |] g) 0)))
+         ignore (C.power_sssp (C.with_weights c [| P.make 0. 0.; P.make 1. 0. |]) 0)))
 
 let test_csr_components () =
   List.iter
     (fun seed ->
-      let _, g = random_udg seed ~n:50 ~radius:25. in
-      let c = C.of_graph g in
-      check "labels" true (C.component_labels c = reference_labels g);
+      let _, c = random_udg seed ~n:50 ~radius:25. in
+      let labels = reference_labels c in
+      check "labels" true (C.component_labels c = labels);
       check "connectivity" true
-        (C.is_connected c = Netgraph.Components.is_connected g);
-      check "components module agrees" true
-        (Netgraph.Components.component_labels g = reference_labels g))
+        (C.is_connected c = Array.for_all (fun l -> l = 0) labels);
+      check "count agrees" true
+        (Netgraph.Components.count c
+        = List.length (List.sort_uniq compare (Array.to_list labels))))
     [ 31L; 32L; 33L ]
 
 (* ---------------- Pool ---------------- *)
@@ -267,7 +295,7 @@ let test_pool_chunks_slots () =
    must reproduce. *)
 module Reference = struct
   let sssp g cost s =
-    let n = G.node_count g in
+    let n = C.node_count g in
     let dist = Array.make n infinity in
     let settled = Array.make n false in
     dist.(s) <- 0.;
@@ -286,7 +314,7 @@ module Reference = struct
                 dist.(v) <- nd;
                 H.push h nd v
               end)
-            (G.neighbors g u)
+            (C.neighbors g u)
         end;
         loop ()
     in
@@ -294,13 +322,13 @@ module Reference = struct
     dist
 
   let generic_stretch ~one_hop_direct ~base ~sub sssp to_float =
-    let n = G.node_count base in
+    let n = C.node_count base in
     let sum = ref 0. and maxr = ref 0. and pairs = ref 0 in
     for s = 0 to n - 1 do
       let db = sssp base s in
       let ds = sssp sub s in
       for t = s + 1 to n - 1 do
-        if one_hop_direct && G.has_edge base s t then begin
+        if one_hop_direct && C.mem_edge base s t then begin
           sum := !sum +. 1.;
           if !maxr < 1. then maxr := 1.;
           incr pairs
@@ -328,7 +356,7 @@ module Reference = struct
         (fun g s -> sssp g euclid s) float_dist
     in
     let hop = generic_stretch ~one_hop_direct ~base ~sub
-        (fun g s -> T.bfs g s) hop_dist
+        (fun g s -> reference_bfs g s) hop_dist
     in
     (len, hop)
 
@@ -347,7 +375,7 @@ let backbone_instance seed =
   in
   let bb = Core.Backbone.build pts ~radius:50. in
   (pts, bb.Core.Backbone.udg,
-   Netgraph.Csr.to_graph bb.Core.Backbone.snap.Core.Shard.pldel')
+   bb.Core.Backbone.snap.Core.Shard.pldel')
 
 (* maxima are grouping-insensitive, so they must match exactly;
    averages may differ from the reference only in float-sum grouping *)
@@ -410,8 +438,8 @@ let test_combined_multiple_subs () =
 
 let test_engine_disconnected_raises () =
   let pts = [| P.make 0. 0.; P.make 1. 0.; P.make 2. 0. |] in
-  let base = G.of_edges 3 [ (0, 1); (1, 2); (0, 2) ] in
-  let sub = G.of_edges 3 [ (0, 1) ] in
+  let base = C.of_edges 3 [ (0, 1); (1, 2); (0, 2) ] in
+  let sub = C.of_edges 3 [ (0, 1) ] in
   let got =
     try
       ignore (M.stretch_factors ~one_hop_direct:false ~jobs:2 ~base ~sub pts);
@@ -438,8 +466,8 @@ let test_edgeless_weighted () =
   List.iter
     (fun (name, pts) ->
       let g = Wireless.Udg.build pts ~radius:1.2 in
-      checki (name ^ ": no edges") 0 (G.edge_count g);
-      let c = C.of_graph ~points:pts ~beta:2. g in
+      checki (name ^ ": no edges") 0 (C.edge_count g);
+      let c = C.with_weights ~beta:2. g pts in
       check (name ^ ": weighted") true (C.has_weights c);
       check (name ^ ": power weighted") true (C.has_power_weights c);
       checkf (name ^ ": dijkstra") 0. (C.dijkstra c 0).(0);
@@ -450,8 +478,7 @@ let test_edgeless_weighted () =
       check (name ^ ": stretch_factors") true
         (M.stretch_factors ~base:g ~sub:g pts = no_pair);
       check (name ^ ": sampled_stretch") true
-        (let v = Netgraph.View.of_graph g in
-         M.sampled_stretch ~sources:[| 0 |] ~base:v ~sub:v pts = no_pair);
+        (M.sampled_stretch ~sources:[| 0 |] ~base:g ~sub:g pts = no_pair);
       check (name ^ ": power_stretch") true
         (M.power_stretch ~base:g ~sub:g pts ~beta:2. = (1., 1.)))
     edgeless_fixtures
@@ -460,12 +487,12 @@ let test_edgeless_weighted () =
 
 let brute_force_is_udg pts ~radius g =
   let n = Array.length pts in
-  G.node_count g = n
+  C.node_count g = n
   &&
   let ok = ref true in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      if P.dist pts.(u) pts.(v) <= radius <> G.has_edge g u v then ok := false
+      if P.dist pts.(u) pts.(v) <= radius <> C.mem_edge g u v then ok := false
     done
   done;
   !ok
@@ -477,10 +504,9 @@ let test_is_udg () =
       let pts, g = random_udg seed ~n:50 ~radius in
       check "built UDG verifies" true (Wireless.Udg.is_udg pts ~radius g);
       (* removing any edge must be caught *)
-      (match G.edges g with
-      | (u, v) :: _ ->
-        let g' = G.copy g in
-        G.remove_edge g' u v;
+      (match C.edges g with
+      | _ :: rest ->
+        let g' = C.of_edges 50 rest in
         check "missing edge detected" false (Wireless.Udg.is_udg pts ~radius g')
       | [] -> ());
       (* adding an out-of-range edge must be caught by the edge count *)
@@ -493,36 +519,38 @@ let test_is_udg () =
       done;
       (match !far with
       | Some (u, v) ->
-        let g' = G.copy g in
-        G.add_edge g' u v;
+        let g' = C.of_edges 50 ((u, v) :: C.edges g) in
         check "extra edge detected" false (Wireless.Udg.is_udg pts ~radius g')
       | None -> ());
       (* agree with the O(n^2) definition on arbitrary graphs *)
       let rand = mk_rand seed in
-      let mangled = G.copy g in
-      List.iter
-        (fun _ ->
-          let u = int_of_float (rand () *. 50.) in
-          let v = int_of_float (rand () *. 50.) in
-          if u <> v then
-            if G.has_edge mangled u v then G.remove_edge mangled u v
-            else G.add_edge mangled u v)
-        [ (); (); () ];
+      let toggled =
+        List.fold_left
+          (fun es () ->
+            let u = int_of_float (rand () *. 50.) in
+            let v = int_of_float (rand () *. 50.) in
+            let e = (min u v, max u v) in
+            if u = v then es
+            else if List.mem e es then List.filter (fun x -> x <> e) es
+            else e :: es)
+          (C.edges g) [ (); (); () ]
+      in
+      let mangled = C.of_edges 50 toggled in
       check "matches brute force" (brute_force_is_udg pts ~radius mangled)
         (Wireless.Udg.is_udg pts ~radius mangled))
     [ 41L; 42L; 43L ]
 
 let test_is_udg_degenerate () =
-  check "empty" true (Wireless.Udg.is_udg [||] ~radius:1. (G.create 0));
+  check "empty" true (Wireless.Udg.is_udg [||] ~radius:1. (C.of_edges 0 []));
   check "singleton" true
-    (Wireless.Udg.is_udg [| P.make 0. 0. |] ~radius:1. (G.create 1));
+    (Wireless.Udg.is_udg [| P.make 0. 0. |] ~radius:1. (C.of_edges 1 []));
   check "node count mismatch" false
-    (Wireless.Udg.is_udg [| P.make 0. 0. |] ~radius:1. (G.create 2));
+    (Wireless.Udg.is_udg [| P.make 0. 0. |] ~radius:1. (C.of_edges 2 []));
   (* radius 0: distinct points are never in range *)
   let pts = [| P.make 0. 0.; P.make 1. 0. |] in
-  check "radius 0 empty graph" true (Wireless.Udg.is_udg pts ~radius:0. (G.create 2));
+  check "radius 0 empty graph" true (Wireless.Udg.is_udg pts ~radius:0. (C.of_edges 2 []));
   check "radius 0 extra edge" false
-    (Wireless.Udg.is_udg pts ~radius:0. (G.of_edges 2 [ (0, 1) ]))
+    (Wireless.Udg.is_udg pts ~radius:0. (C.of_edges 2 [ (0, 1) ]))
 
 (* R equal to a pair's own distance, where the squared-distance test
    and [P.dist]'s sqrt can round apart: the kernel links every such
@@ -535,7 +563,7 @@ let test_is_udg_at_radius () =
     in
     let radius = P.dist pts.(0) pts.(1) in
     let g = Wireless.Udg.build pts ~radius in
-    check "linked at R = distance" true (G.has_edge g 0 1);
+    check "linked at R = distance" true (C.mem_edge g 0 1);
     check "is_udg = brute force" (brute_force_is_udg pts ~radius g)
       (Wireless.Udg.is_udg pts ~radius g);
     check "verifies" true (Wireless.Udg.is_udg pts ~radius g)

@@ -1,6 +1,6 @@
 (* Clustering: the smallest-ID maximal independent set. *)
 
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -27,7 +27,7 @@ let test_star_center_large_id () =
     (Core.Mis.dominators roles)
 
 let test_isolated_nodes_are_dominators () =
-  let roles = Core.Mis.compute (G.create 3) in
+  let roles = Core.Mis.compute (G.of_edges 3 []) in
   Alcotest.(check (list int)) "all" [ 0; 1; 2 ] (Core.Mis.dominators roles)
 
 let test_greedy_equivalence () =

@@ -1,7 +1,7 @@
 (* Unit tests for the graph substrate: structure, traversal,
    components, metrics, planarity. *)
 
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module T = Netgraph.Traversal
 module P = Geometry.Point
 
@@ -12,39 +12,26 @@ let checkf = Alcotest.(check (float 1e-9))
 (* ---------------- Graph ---------------- *)
 
 let test_graph_basic () =
-  let g = G.create 4 in
-  checki "nodes" 4 (G.node_count g);
-  checki "no edges" 0 (G.edge_count g);
-  G.add_edge g 0 1;
-  G.add_edge g 1 2;
-  G.add_edge g 0 1;
-  (* duplicate is a no-op *)
+  checki "nodes" 4 (G.node_count (G.of_edges 4 []));
+  checki "no edges" 0 (G.edge_count (G.of_edges 4 []));
+  (* a repeated edge counts once *)
+  let g = G.of_edges 4 [ (0, 1); (1, 2); (0, 1) ] in
   checki "edges" 2 (G.edge_count g);
-  check "has 0-1" true (G.has_edge g 0 1);
-  check "symmetric" true (G.has_edge g 1 0);
-  check "no 0-2" false (G.has_edge g 0 2);
+  check "has 0-1" true (G.mem_edge g 0 1);
+  check "symmetric" true (G.mem_edge g 1 0);
+  check "no 0-2" false (G.mem_edge g 0 2);
   Alcotest.(check (list int)) "neighbors sorted" [ 0; 2 ] (G.neighbors g 1);
   checki "degree" 2 (G.degree g 1)
 
-let test_graph_remove () =
-  let g = G.of_edges 3 [ (0, 1); (1, 2) ] in
-  G.remove_edge g 0 1;
-  checki "one left" 1 (G.edge_count g);
-  check "gone" false (G.has_edge g 0 1);
-  G.remove_edge g 0 1;
-  (* removing twice is a no-op *)
-  checki "still one" 1 (G.edge_count g)
-
 let test_graph_invalid () =
-  let g = G.create 3 in
   check "self loop" true
     (try
-       G.add_edge g 1 1;
+       ignore (G.of_edges 3 [ (0, 1); (1, 1) ]);
        false
      with Invalid_argument _ -> true);
   check "out of range" true
     (try
-       G.add_edge g 0 3;
+       ignore (G.of_edges 3 [ (0, 3) ]);
        false
      with Invalid_argument _ -> true)
 
@@ -57,43 +44,30 @@ let test_graph_edges_iter () =
   let sum = G.fold_edges g (fun acc u v -> acc + u + v) 0 in
   checki "fold visits each edge once" 7 sum
 
-let test_graph_copy_union () =
-  let g1 = G.of_edges 3 [ (0, 1) ] in
-  let g2 = G.copy g1 in
-  G.add_edge g2 1 2;
-  checki "copy independent" 1 (G.edge_count g1);
-  let u = G.union g1 (G.of_edges 3 [ (1, 2) ]) in
-  checki "union" 2 (G.edge_count u);
-  check "union mismatch" true
-    (try
-       ignore (G.union g1 (G.create 4));
-       false
-     with Invalid_argument _ -> true)
-
+(* the induced subgraph is the row filter to edges with both ends
+   kept; the node set (and ids) are unchanged *)
 let test_graph_subgraph_induced () =
   let g = G.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let h = G.induced g (fun u -> u <> 2) in
+  let h = G.filter g (fun u v -> u <> 2 && v <> 2) in
   checki "induced drops edges at 2" 1 (G.edge_count h);
-  check "subgraph" true (G.is_subgraph h g);
-  check "not subgraph" false (G.is_subgraph g h);
-  check "equal self" true (G.equal g (G.copy g));
+  checki "same nodes" 4 (G.node_count h);
+  check "subgraph" true (G.fold_edges h (fun ok u v -> ok && G.mem_edge g u v) true);
+  check "equal self" true (G.equal g (G.of_edges 4 (G.edges g)));
   check "not equal" false (G.equal g h)
 
-(* ---------------- Graph against a Set model ---------------- *)
+(* ---------------- Csr.of_edges against a Set model ---------------- *)
 
-(* A persistent edge set is the reference: every operation is run on
-   both, and after each one every query must read the same from the
-   graph as from the set. *)
+(* A persistent edge set is the reference: the graph sealed from an
+   edge list must read the same as the set of its normalized pairs,
+   through every query and iteration. *)
 module Es = Set.Make (struct
   type t = int * int
 
-  let compare = G.compare_edge
+  let compare = Netgraph.Graph.compare_edge
 end)
 
-type op = Add of int * int | Remove of int * int
-
-let norm u v = if u < v then (u, v) else (v, u)
-let valid n u v = u >= 0 && u < n && v >= 0 && v < n && u <> v
+let norm (u, v) = if u < v then (u, v) else (v, u)
+let valid n (u, v) = u >= 0 && u < n && v >= 0 && v < n && u <> v
 
 let model_neighbors m u =
   List.sort Int.compare
@@ -108,7 +82,6 @@ let collect iter =
   List.rev !acc
 
 let agrees n g m =
-  let ids = List.init (n + 2) (fun i -> i - 1) in
   G.node_count g = n
   && G.edge_count g = Es.cardinal m
   && G.edges g = Es.elements m
@@ -120,100 +93,83 @@ let agrees n g m =
          G.neighbors g u = want
          && G.degree g u = List.length want
          && collect (G.iter_neighbors g u) = want
-         && List.rev (G.fold_neighbors g u (fun acc v -> v :: acc) []) = want)
+         && List.rev (G.fold_neighbors g u (fun acc v -> v :: acc) []) = want
+         && List.for_all
+              (fun v -> G.mem_edge g u v = Es.mem (norm (u, v)) m)
+              (List.init (n + 2) (fun i -> i - 1)))
        (List.init n Fun.id)
-  && List.for_all
-       (fun u ->
-         List.for_all
-           (fun v -> G.has_edge g u v = (valid n u v && Es.mem (norm u v) m))
-           ids)
-       ids
 
-(* [op] on [g] and on [m]; [None] when the graph and the model
-   disagree on whether it raises, or on any query after it *)
-let step n g m op =
-  let u, v, run, model =
-    match op with
-    | Add (u, v) -> (u, v, G.add_edge, Es.add)
-    | Remove (u, v) -> (u, v, G.remove_edge, Es.remove)
+(* [of_edges n es] raises exactly when some pair is a self-loop or
+   out of range, and otherwise reads as the model *)
+let seals_as_model n es =
+  let ok = List.for_all (valid n) es in
+  match G.of_edges n es with
+  | g -> ok && agrees n g (Es.of_list (List.map norm es))
+  | exception Invalid_argument _ -> not ok
+
+let insert_at i x l =
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+(* valid pairs, some repeated as given and some reversed, and now and
+   then one more pair at a random place that may be bad *)
+let gen_edges n =
+  let open QCheck.Gen in
+  let id = int_range 0 (max 0 (n - 1)) in
+  list_size (int_range 0 30) (pair id id) >>= fun raw ->
+  let es = List.filter (valid n) raw in
+  list_size (int_range 0 10) (pair nat bool) >>= fun picks ->
+  let copies =
+    if es = [] then []
+    else
+      List.map
+        (fun (i, flip) ->
+          let u, v = List.nth es (i mod List.length es) in
+          if flip then (v, u) else (u, v))
+        picks
   in
-  let m' =
-    match run g u v with
-    | () -> if valid n u v then Some (model (norm u v) m) else None
-    | exception Invalid_argument _ -> if valid n u v then None else Some m
+  let es = es @ copies in
+  let odd =
+    oneof [ pair (int_range (-1) n) (int_range (-1) n); map (fun u -> (u, u)) id ]
   in
-  match m' with Some m' when agrees n g m' -> Some m' | _ -> None
-
-let play n ops =
-  let g = G.create n in
-  ( g,
-    List.fold_left
-      (fun m op -> Option.bind m (fun m -> step n g m op))
-      (Some Es.empty) ops )
-
-(* flip every pair: removals shift rows in place, additions grow
-   them, so a row shared with another graph would show *)
-let complement g =
-  let n = G.node_count g in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if G.has_edge g u v then G.remove_edge g u v else G.add_edge g u v
-    done
-  done
+  frequency
+    [
+      (3, return es);
+      ( 1,
+        odd >>= fun e ->
+        int_range 0 (List.length es) >|= fun i -> insert_at i e es );
+    ]
 
 let gen_model_case =
   let open QCheck.Gen in
   int_range 0 12 >>= fun n ->
-  let id = int_range (-1) n in
-  let op =
-    map3
-      (fun add u v -> if add then Add (u, v) else Remove (u, v))
-      (frequency [ (3, return true); (2, return false) ])
-      id id
-  in
-  let ops = list_size (int_range 0 60) op in
-  map3 (fun a b keep -> (n, a, b, keep)) ops ops (array_size (return n) bool)
+  map2 (fun a b -> (n, a, b)) (gen_edges n) (gen_edges n)
 
-let prop_graph_matches_model =
-  QCheck.Test.make ~name:"Graph matches a Set model" ~count:300
+let prop_of_edges_matches_model =
+  QCheck.Test.make ~name:"Csr.of_edges = Set model" ~count:300
     (QCheck.make
-       ~print:(fun (n, a, b, _) ->
-         Printf.sprintf "n=%d, %d + %d ops" n (List.length a) (List.length b))
+       ~print:(fun (n, a, b) ->
+         let show es =
+           String.concat " "
+             (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) es)
+         in
+         Printf.sprintf "n=%d\n[%s]\n[%s]" n (show a) (show b))
        gen_model_case)
-    (fun (n, ops_g, ops_h, keep) ->
-      match (play n ops_g, play n ops_h) with
-      | (g, Some m), (h, Some mh) ->
-        G.equal g h = Es.equal m mh
-        && G.equal g (G.of_edges n (List.rev (Es.elements m)))
-        && G.is_subgraph g h = Es.subset m mh
-        && agrees n
-             (G.induced g (fun u -> keep.(u)))
-             (Es.filter (fun (u, v) -> keep.(u) && keep.(v)) m)
-        && (let c = G.copy g in
-            agrees n c m
-            &&
-            (complement c;
-             agrees n g m))
-        && (let un = G.union g h in
-            agrees n un (Es.union m mh)
-            &&
-            (complement un;
-             agrees n g m && agrees n h mh))
-        &&
-        let c = Netgraph.Csr.of_graph g in
-        let offsets = Array.copy (Netgraph.Csr.offsets c)
-        and targets = Array.copy (Netgraph.Csr.targets c) in
-        let t = Netgraph.Csr.to_graph c in
-        let back = Netgraph.Csr.of_graph t in
-        agrees n t m
-        && Netgraph.Csr.offsets back = offsets
-        && Netgraph.Csr.targets back = targets
-        &&
-        (complement t;
-         Netgraph.Csr.offsets c = offsets
-         && Netgraph.Csr.targets c = targets
-         && Netgraph.Csr.edges c = Es.elements m)
-      | _ -> false)
+    (fun (n, a, b) ->
+      seals_as_model n a && seals_as_model n b
+      && ((not (List.for_all (valid n) a && List.for_all (valid n) b))
+         ||
+         let g = G.of_edges n a and h = G.of_edges n b in
+         let m = Es.of_list (List.map norm a)
+         and mh = Es.of_list (List.map norm b) in
+         let pts =
+           Array.init n (fun i ->
+               P.make (float_of_int i) (float_of_int (i * i mod 7)))
+         in
+         G.equal g h = Es.equal m mh
+         && G.equal g (G.of_edges n (List.rev (Es.elements m)))
+         (* weights are not compared *)
+         && G.equal g (G.with_weights ~beta:2. g pts)
+         && G.equal (G.with_weights g pts) h = Es.equal m mh))
 
 (* ---------------- Traversal ---------------- *)
 
@@ -222,7 +178,7 @@ let path_graph n =
 
 let test_bfs_path_graph () =
   let g = path_graph 5 in
-  let d = T.bfs g 0 in
+  let d = G.bfs g 0 in
   Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 4 |] d;
   match T.bfs_path g 0 4 with
   | Some p -> Alcotest.(check (list int)) "path" [ 0; 1; 2; 3; 4 ] p
@@ -230,13 +186,13 @@ let test_bfs_path_graph () =
 
 let test_bfs_unreachable () =
   let g = G.of_edges 4 [ (0, 1); (2, 3) ] in
-  let d = T.bfs g 0 in
+  let d = G.bfs g 0 in
   checki "unreachable max_int" max_int d.(2);
   check "no path" true (T.bfs_path g 0 3 = None)
 
 let test_bfs_shortcut () =
   let g = G.of_edges 4 [ (0, 1); (1, 2); (2, 3); (0, 3) ] in
-  checki "direct" 1 (T.bfs g 0).(3)
+  checki "direct" 1 (G.bfs g 0).(3)
 
 let test_dijkstra_vs_bfs_unit_lengths () =
   (* with all points colinear at unit spacing, Dijkstra distance =
@@ -244,7 +200,7 @@ let test_dijkstra_vs_bfs_unit_lengths () =
   let n = 6 in
   let g = path_graph n in
   let pts = Array.init n (fun i -> P.make (float_of_int i) 0.) in
-  let dd = T.dijkstra g pts 0 and bd = T.bfs g 0 in
+  let dd = G.dijkstra (G.with_weights g pts) 0 and bd = G.bfs g 0 in
   for i = 0 to n - 1 do
     checkf "consistent" (float_of_int bd.(i)) dd.(i)
   done
@@ -253,7 +209,7 @@ let test_dijkstra_prefers_short_detour () =
   (* 0 -- 2 direct is long; 0 - 1 - 2 detour is shorter *)
   let pts = [| P.make 0. 0.; P.make 1. 5.; P.make 2. 0. |] in
   let g = G.of_edges 3 [ (0, 2); (0, 1); (1, 2) ] in
-  let d = T.dijkstra g pts 0 in
+  let d = G.dijkstra (G.with_weights g pts) 0 in
   checkf "direct shorter here" 2. d.(2);
   match T.dijkstra_path g pts 0 2 with
   | Some p -> Alcotest.(check (list int)) "direct path" [ 0; 2 ] p
@@ -265,7 +221,7 @@ let test_dijkstra_detour_wins () =
   (* direct |02| = 10; detour via 1 ~ 10.002: direct wins.  Now move
      1 onto the line: detour exactly 10.0 either way; make direct
      artificially long by placing 2 further *)
-  let d = T.dijkstra g pts 0 in
+  let d = G.dijkstra (G.with_weights g pts) 0 in
   check "direct wins" true (d.(2) = 10.)
 
 let test_path_helpers () =
@@ -290,7 +246,7 @@ let test_diameter () =
 let test_components () =
   let g = G.of_edges 6 [ (0, 1); (1, 2); (3, 4) ] in
   checki "three components" 3 (Netgraph.Components.count g);
-  check "not connected" false (Netgraph.Components.is_connected g);
+  check "not connected" false (G.is_connected g);
   check "connected subset" true
     (Netgraph.Components.connected_within g [ 0; 1; 2 ]);
   check "disconnected subset" false
@@ -301,9 +257,8 @@ let test_components () =
   Alcotest.(check (list int))
     "reachable" [ 0; 1; 2 ]
     (Netgraph.Components.reachable g 0);
-  check "empty connected" true (Netgraph.Components.is_connected (G.create 0));
-  check "singleton connected" true
-    (Netgraph.Components.is_connected (G.create 1))
+  check "empty connected" true (G.is_connected (G.of_edges 0 []));
+  check "singleton connected" true (G.is_connected (G.of_edges 1 []))
 
 (* ---------------- Metrics ---------------- *)
 
@@ -358,7 +313,7 @@ let test_pair_stretch () =
     checkf "len" (sqrt 2.) len;
     checkf "hops" 2. hops
   | None -> Alcotest.fail "expected stretch");
-  let disconnected = G.create 3 in
+  let disconnected = G.of_edges 3 [] in
   check "disconnected none" true
     (Netgraph.Metrics.pair_stretch ~base ~sub:disconnected pts 0 2 = None)
 
@@ -396,12 +351,12 @@ let test_planarity () =
 let test_euler_bound () =
   check "sparse ok" true (Netgraph.Planarity.euler_bound_ok (path_graph 5));
   (* K5: 10 edges > 3*5-6 = 9 *)
-  let k5 = G.create 5 in
-  for u = 0 to 4 do
-    for v = u + 1 to 4 do
-      G.add_edge k5 u v
-    done
-  done;
+  let k5 =
+    G.of_edges 5
+      (List.concat_map
+         (fun u -> List.init (4 - u) (fun i -> (u, u + 1 + i)))
+         [ 0; 1; 2; 3; 4 ])
+  in
   check "K5 fails" false (Netgraph.Planarity.euler_bound_ok k5)
 
 let suites =
@@ -409,13 +364,11 @@ let suites =
     ( "netgraph.graph",
       [
         Alcotest.test_case "basic" `Quick test_graph_basic;
-        Alcotest.test_case "remove" `Quick test_graph_remove;
         Alcotest.test_case "invalid" `Quick test_graph_invalid;
         Alcotest.test_case "edges/iter" `Quick test_graph_edges_iter;
-        Alcotest.test_case "copy/union" `Quick test_graph_copy_union;
         Alcotest.test_case "subgraph/induced" `Quick
           test_graph_subgraph_induced;
-        QCheck_alcotest.to_alcotest prop_graph_matches_model;
+        QCheck_alcotest.to_alcotest prop_of_edges_matches_model;
       ] );
     ( "netgraph.traversal",
       [

@@ -1,7 +1,7 @@
 (* Packet-level routing: the distsim-hosted GPSR must traverse exactly
    the path the centralized route computation predicts. *)
 
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module P = Geometry.Point
 
 let check = Alcotest.(check bool)
@@ -19,13 +19,13 @@ let test_packet_equals_path_gpsr () =
   for seed = 930 to 933 do
     let pts = instance (Int64.of_int seed) 60 50. in
     let bb = Core.Backbone.build pts ~radius:50. in
-    let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+    let planar = (Core.Backbone.ldel_full bb) in
     let n = Array.length pts in
     for src = 0 to n - 1 do
       let dst = (src + (n / 2)) mod n in
       if src <> dst then begin
         let expected =
-          Core.Routing.gfg (Netgraph.View.of_graph planar) pts ~src ~dst
+          Core.Routing.gfg planar pts ~src ~dst
         in
         let got = Core.Packetsim.gpsr planar pts ~src ~dst in
         match expected with
@@ -80,7 +80,7 @@ let test_packet_unreachable () =
 let test_many () =
   let pts = instance 935L 60 50. in
   let bb = Core.Backbone.build pts ~radius:50. in
-  let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+  let planar = (Core.Backbone.ldel_full bb) in
   let delivered, pairs, avg_tx =
     Core.Packetsim.many planar pts ~pairs:50
       (Wireless.Rand.create 7L)
@@ -95,7 +95,7 @@ let test_many () =
 let test_many_tiny () =
   List.iter
     (fun pts ->
-      let g = G.create (Array.length pts) in
+      let g = G.of_edges (Array.length pts) [] in
       List.iter
         (fun router ->
           check

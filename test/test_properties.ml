@@ -3,7 +3,7 @@
 
 module P = Geometry.Point
 module Pred = Geometry.Predicates
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 
 (* ---------------- generators ---------------- *)
 
@@ -185,8 +185,8 @@ let prop_cds_connected =
       List.for_all
         (fun (s : Core.Shard.snapshot) ->
           let backbone = s.Core.Shard.backbone in
-          Netgraph.Components.connected_within_v
-            (Netgraph.View.of_csr s.Core.Shard.cds)
+          Netgraph.Components.connected_within
+            s.Core.Shard.cds
             (List.filter
                (fun u -> backbone.(u))
                (List.init (Array.length pts) Fun.id)))
@@ -228,13 +228,13 @@ let prop_lemma6_length_stretch =
       let radius = 50. in
       List.for_all
         (fun (s : Core.Shard.snapshot) ->
-          let udg = Netgraph.View.of_csr s.Core.Shard.udg in
-          let cds' = Netgraph.View.of_csr (cds' s) in
+          let udg = Netgraph.Csr.with_weights s.Core.Shard.udg pts in
+          let cds' = Netgraph.Csr.with_weights (cds' s) pts in
           let n = Array.length pts in
           let ok = ref true in
           for src = 0 to n - 1 do
-            let db = Netgraph.Traversal.dijkstra_v udg pts src in
-            let ds = Netgraph.Traversal.dijkstra_v cds' pts src in
+            let db = Netgraph.Csr.dijkstra udg src in
+            let ds = Netgraph.Csr.dijkstra cds' src in
             for t = 0 to n - 1 do
               if t <> src && db.(t) < infinity then
                 if
@@ -298,8 +298,8 @@ let prop_gfg_delivers =
     (arb (gen_instance ~min:30 ~max:70 ~radius:50.) print_points)
     (fun pts ->
       let bb = Core.Backbone.build pts ~radius:50. in
-      let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
-      let planar_v = Netgraph.View.of_graph planar in
+      let planar = (Core.Backbone.ldel_full bb) in
+      let planar_v = planar in
       let n = Array.length pts in
       let ok = ref true in
       for src = 0 to min 10 (n - 1) do

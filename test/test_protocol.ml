@@ -1,7 +1,6 @@
 (* The distributed protocol stack: exact agreement with the
    centralized pipeline, message bounds, per-phase accounting. *)
 
-module G = Netgraph.Graph
 module Csr = Netgraph.Csr
 module E = Distsim.Engine
 
@@ -22,7 +21,7 @@ let test_matches_centralized () =
     let bb = Core.Backbone.build pts ~radius:50. in
     let pr = Core.Protocol.run pts ~radius:50. in
     let s = bb.Core.Backbone.snap in
-    let ldel = Core.Ldel.build (Csr.to_graph s.Core.Shard.icds) pts ~radius:50. in
+    let ldel = Tgraph.ldel_build s.Core.Shard.icds pts ~radius:50. in
     check "roles" true (pr.Core.Protocol.roles = s.Core.Shard.roles);
     check "connectors" true
       (pr.Core.Protocol.connector
@@ -34,13 +33,13 @@ let test_matches_centralized () =
     check "icds edges" true
       (pr.Core.Protocol.icds_edges = Csr.edges s.Core.Shard.icds);
     check "ldel triangles" true
-      (pr.Core.Protocol.ldel_triangles = ldel.Core.Ldel.triangles);
+      (pr.Core.Protocol.ldel_triangles = ldel.Tgraph.triangles);
     check "kept triangles" true
-      (pr.Core.Protocol.kept_triangles = ldel.Core.Ldel.kept_triangles);
+      (pr.Core.Protocol.kept_triangles = ldel.Tgraph.kept_triangles);
     check "gabriel edges" true
-      (pr.Core.Protocol.gabriel_edges = ldel.Core.Ldel.gabriel_edges);
+      (pr.Core.Protocol.gabriel_edges = ldel.Tgraph.gabriel_edges);
     check "final graphs" true
-      (G.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
+      (Csr.equal pr.Core.Protocol.ldel_graph bb.Core.Backbone.ldel_icds_g)
   done
 
 let test_message_kinds_present () =
@@ -146,17 +145,17 @@ let test_ldel2_matches_centralized () =
     let pts = instance (Int64.of_int seed) 70 50. in
     let bb = Core.Backbone.build pts ~radius:50. in
     let l2c =
-      Core.Ldel.build_k
-        (Csr.to_graph bb.Core.Backbone.snap.Core.Shard.icds)
+      Tgraph.ldel_build_k
+        bb.Core.Backbone.snap.Core.Shard.icds
         pts ~radius:50. ~k:2
     in
     let l2d = Core.Protocol.run_ldel2 pts ~radius:50. in
     check "triangles equal" true
-      (l2d.Core.Protocol.l2_triangles = l2c.Core.Ldel.triangles);
+      (l2d.Core.Protocol.l2_triangles = l2c.Tgraph.triangles);
     check "gabriel equal" true
-      (l2d.Core.Protocol.l2_gabriel_edges = l2c.Core.Ldel.gabriel_edges);
+      (l2d.Core.Protocol.l2_gabriel_edges = l2c.Tgraph.gabriel_edges);
     check "graphs equal (planar without removal)" true
-      (G.equal l2d.Core.Protocol.l2_graph l2c.Core.Ldel.planar);
+      (Csr.equal l2d.Core.Protocol.l2_graph l2c.Tgraph.planar);
     check "planar" true
       (Netgraph.Planarity.is_planar l2d.Core.Protocol.l2_graph pts)
   done

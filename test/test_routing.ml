@@ -1,7 +1,6 @@
 (* Geographic routing: greedy, GFG (GPSR-style), hierarchical. *)
 
-module G = Netgraph.Graph
-module V = Netgraph.View
+module G = Netgraph.Csr
 module P = Geometry.Point
 module R = Core.Routing
 
@@ -17,7 +16,7 @@ let instance seed n radius =
 
 let test_greedy_straight_line () =
   let pts = Array.init 5 (fun i -> P.make (float_of_int i) 0.) in
-  let g = V.of_graph (Wireless.Udg.build pts ~radius:1.2) in
+  let g = (Wireless.Udg.build pts ~radius:1.2) in
   (match Core.Routing.greedy g pts ~src:0 ~dst:4 with
   | Some p -> Alcotest.(check (list int)) "direct chain" [ 0; 1; 2; 3; 4 ] p
   | None -> Alcotest.fail "greedy should succeed on a line");
@@ -38,10 +37,9 @@ let test_greedy_local_minimum () =
     |]
   in
   let g = G.of_edges 5 [ (0, 4); (0, 1); (1, 2); (2, 3) ] in
-  let v = V.of_graph g in
-  check "greedy stuck" true (Core.Routing.greedy v pts ~src:0 ~dst:3 = None);
+  check "greedy stuck" true (Core.Routing.greedy g pts ~src:0 ~dst:3 = None);
   (* GFG recovers via the perimeter *)
-  match Core.Routing.gfg v pts ~src:0 ~dst:3 with
+  match Core.Routing.gfg g pts ~src:0 ~dst:3 with
   | Some p ->
     check "valid path" true (Netgraph.Traversal.is_path g p);
     check "ends at dst" true (List.nth p (List.length p - 1) = 3)
@@ -51,14 +49,14 @@ let test_gfg_delivery_guarantee () =
   for seed = 300 to 304 do
     let pts = instance (Int64.of_int seed) 60 50. in
     let bb = Core.Backbone.build pts ~radius:50. in
-    let planar = (Core.Backbone.ldel_full bb).Core.Ldel.planar in
+    let planar = Core.Backbone.ldel_full bb in
     check "planar precondition" true
       (Netgraph.Planarity.is_planar planar pts);
     let n = Array.length pts in
     for src = 0 to n - 1 do
       let dst = (src + (n / 2)) mod n in
       if src <> dst then
-        match Core.Routing.gfg (V.of_graph planar) pts ~src ~dst with
+        match Core.Routing.gfg planar pts ~src ~dst with
         | Some p ->
           check "path valid" true (Netgraph.Traversal.is_path planar p);
           check "starts at src" true (List.hd p = src)
@@ -68,7 +66,7 @@ let test_gfg_delivery_guarantee () =
 
 let test_gfg_disconnected_returns_none () =
   let pts = [| P.make 0. 0.; P.make 1. 0.; P.make 50. 0.; P.make 51. 0. |] in
-  let g = V.of_graph (G.of_edges 4 [ (0, 1); (2, 3) ]) in
+  let g = G.of_edges 4 [ (0, 1); (2, 3) ] in
   check "unreachable" true (Core.Routing.gfg g pts ~src:0 ~dst:3 = None)
 
 let test_hierarchical_delivery () =
@@ -121,8 +119,7 @@ let test_hierarchical_kernel_is_wrapper () =
     (fun (seed, n, radius) ->
       let pts = instance seed n radius in
       let s = (Core.Backbone.build pts ~radius).Core.Backbone.snap in
-      let udg = V.of_csr s.Core.Shard.udg
-      and pldel = V.of_csr s.Core.Shard.pldel in
+      let udg = s.Core.Shard.udg in
       let rng = Wireless.Rand.create seed in
       for _ = 1 to 300 do
         let src = Wireless.Rand.int rng (n + 2) - 1
@@ -131,7 +128,7 @@ let test_hierarchical_kernel_is_wrapper () =
           src >= 0 && src < n && dst >= 0 && dst < n
           && R.greedy_into sc udg pts ~src ~dst < 0
         then incr recovered;
-        let h = R.hierarchical_into sc s ~udg ~pldel ~src ~dst in
+        let h = R.hierarchical_into sc s ~src ~dst in
         match R.hierarchical s ~src ~dst with
         | None -> check "both drop" true (h < 0)
         | Some p ->
@@ -139,9 +136,7 @@ let test_hierarchical_kernel_is_wrapper () =
           check "src to dst" true
             (List.hd p = src && List.nth p (List.length p - 1) = dst);
           check "UDG edges" true
-            (Netgraph.Traversal.is_path
-               (Netgraph.Csr.to_graph s.Core.Shard.udg)
-               p)
+            (Netgraph.Traversal.is_path udg p)
       done)
     [ (320L, 90, 32.); (321L, 150, 25.); (322L, 40, 45.) ];
   (* greedy alone stalls on some pairs: the recovery path ran *)
@@ -155,14 +150,14 @@ let test_drop_reasons () =
   let pts =
     [| P.make 0. 0.; P.make 0. 2.; P.make 2. 2.; P.make 2. 0.; P.make 0.9 0. |]
   in
-  let c = V.of_graph (G.of_edges 5 [ (0, 4); (0, 1); (1, 2); (2, 3) ]) in
+  let c = G.of_edges 5 [ (0, 4); (0, 1); (1, 2); (2, 3) ] in
   check "greedy dropped" true (R.greedy_into sc c pts ~src:0 ~dst:3 < 0);
   Alcotest.(check string) "greedy" "local_minimum" (reason ());
   check "gfg delivers" true (R.gfg_into sc c pts ~src:0 ~dst:3 >= 0);
   Alcotest.(check int) "no reason after a delivery" (-1) (R.Scratch.drop sc);
   (* two components: the perimeter walk closes its face *)
   let pts2 = [| P.make 0. 0.; P.make 1. 0.; P.make 50. 0.; P.make 51. 0. |] in
-  let two = V.of_graph (G.of_edges 4 [ (0, 1); (2, 3) ]) in
+  let two = G.of_edges 4 [ (0, 1); (2, 3) ] in
   check "gfg dropped" true (R.gfg_into sc two pts2 ~src:0 ~dst:3 < 0);
   Alcotest.(check string) "gfg" "face_loop" (reason ());
   check "out of range" true (R.compass_into sc two pts2 ~src:0 ~dst:4 < 0);
@@ -171,7 +166,7 @@ let test_drop_reasons () =
 let test_variants_on_line () =
   (* on a straight chain every directional rule routes hop by hop *)
   let pts = Array.init 6 (fun i -> P.make (float_of_int i) 0.) in
-  let g = V.of_graph (Wireless.Udg.build pts ~radius:1.2) in
+  let g = (Wireless.Udg.build pts ~radius:1.2) in
   List.iter
     (fun (name, route) ->
       match route g pts ~src:0 ~dst:5 with
@@ -197,7 +192,7 @@ let test_variants_choose_differently () =
       P.make 7. 0.; (* dst *)
     |]
   in
-  let g = V.of_graph (G.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ]) in
+  let g = G.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   (match Core.Routing.greedy g pts ~src:0 ~dst:3 with
   | Some (_ :: v :: _) ->
     Alcotest.(check int) "greedy takes nearest-to-dst" 1 v
@@ -213,7 +208,7 @@ let test_variants_choose_differently () =
 let test_variants_fail_without_progress () =
   (* dead end: no neighbor makes forward progress *)
   let pts = [| P.make 0. 0.; P.make (-1.) 0.; P.make 5. 0. |] in
-  let g = V.of_graph (G.of_edges 3 [ (0, 1) ]) in
+  let g = G.of_edges 3 [ (0, 1) ] in
   check "greedy stuck" true (Core.Routing.greedy g pts ~src:0 ~dst:2 = None);
   check "mfr stuck" true (Core.Routing.mfr g pts ~src:0 ~dst:2 = None);
   check "nfp stuck" true (Core.Routing.nfp g pts ~src:0 ~dst:2 = None)
@@ -223,7 +218,6 @@ let test_variants_delivery_rates () =
      pairs and produce valid paths *)
   let pts = instance 320L 100 60. in
   let g = Wireless.Udg.build pts ~radius:60. in
-  let v = V.of_graph g in
   let n = Array.length pts in
   List.iter
     (fun (name, route, threshold) ->
@@ -232,7 +226,7 @@ let test_variants_delivery_rates () =
         let dst = (src + (n / 3)) mod n in
         if src <> dst then begin
           incr total;
-          match route v pts ~src ~dst with
+          match route g pts ~src ~dst with
           | Some p ->
             check (name ^ " path valid") true (Netgraph.Traversal.is_path g p);
             incr ok
@@ -261,7 +255,7 @@ let test_evaluate () =
     Core.Routing.evaluate
       ~router:(fun ~src ~dst ->
         Core.Routing.hierarchical bb.Core.Backbone.snap ~src ~dst)
-      ~base:(V.of_graph bb.Core.Backbone.udg) pts ~pairs:40 rng
+      ~base:bb.Core.Backbone.udg pts ~pairs:40 rng
   in
   Alcotest.(check int) "all pairs sampled" 40 ev.Core.Routing.pairs;
   Alcotest.(check int) "all delivered" 40 ev.Core.Routing.delivered;
@@ -281,11 +275,11 @@ let test_evaluate_tiny () =
   in
   List.iter
     (fun (name, pts) ->
-      let g = G.create (Array.length pts) in
+      let g = G.of_edges (Array.length pts) [] in
       let ev =
         R.evaluate
           ~router:(fun ~src ~dst:_ -> Some [ src ])
-          ~base:(V.of_graph g) pts ~pairs:3 (Wireless.Rand.create 1L)
+          ~base:g pts ~pairs:3 (Wireless.Rand.create 1L)
       in
       check name true (ev = zero))
     [ ("empty view", [||]); ("one node", [| P.make 0. 0. |]) ]
@@ -296,7 +290,6 @@ let test_evaluate_tiny () =
 let test_endpoint_contract () =
   let pts = instance 55L 40 60. in
   let g = Wireless.Udg.build pts ~radius:60. in
-  let v = V.of_graph g in
   let bb = Core.Backbone.build pts ~radius:60. in
   let n = Array.length pts in
   List.iter
@@ -316,21 +309,20 @@ let test_endpoint_contract () =
       check (name ^ ": src = dst negative") true
         (router ~src:(-1) ~dst:(-1) = None))
     [
-      ("greedy", fun ~src ~dst -> R.greedy v pts ~src ~dst);
-      ("compass", fun ~src ~dst -> R.compass v pts ~src ~dst);
-      ("mfr", fun ~src ~dst -> R.mfr v pts ~src ~dst);
-      ("nfp", fun ~src ~dst -> R.nfp v pts ~src ~dst);
-      ("gfg", fun ~src ~dst -> R.gfg v pts ~src ~dst);
+      ("greedy", fun ~src ~dst -> R.greedy g pts ~src ~dst);
+      ("compass", fun ~src ~dst -> R.compass g pts ~src ~dst);
+      ("mfr", fun ~src ~dst -> R.mfr g pts ~src ~dst);
+      ("nfp", fun ~src ~dst -> R.nfp g pts ~src ~dst);
+      ("gfg", fun ~src ~dst -> R.gfg g pts ~src ~dst);
       ("hierarchical", fun ~src ~dst -> R.hierarchical bb.Core.Backbone.snap ~src ~dst);
     ]
 
-(* Routes do not depend on the representation: on random (possibly
+(* Routes do not depend on the entry point: on random (possibly
    disconnected) UDGs and their PLDel, every router answers the same
-   through the list wrapper over a [Graph]-backed view, the list
-   wrapper over a sealed CSR view (the serve engine's input), and the
-   [_into] kernel with one scratch shared across all queries (its
-   stamped marks and path buffer carry nothing between routes).  The
-   fold of [gfg_step] is [gfg]. *)
+   through the list wrapper and through the [_into] kernel with one
+   scratch shared across all queries (its stamped marks and path
+   buffer carry nothing between routes).  The fold of [gfg_step] is
+   [gfg]. *)
 let gfg_fold v pts ~src ~dst =
   let rec walk u header budget acc =
     if budget <= 0 then None
@@ -340,7 +332,7 @@ let gfg_fold v pts ~src ~dst =
       | R.Drop -> None
       | R.Forward (w, header') -> walk w header' (budget - 1) (u :: acc)
   in
-  walk src R.Greedy ((4 * V.edge_count v) + 16) []
+  walk src R.Greedy ((4 * G.edge_count v) + 16) []
 
 let routers =
   [
@@ -355,21 +347,19 @@ let representation_agrees (seed, n, radius) =
   let rng = Wireless.Rand.create (Int64.of_int seed) in
   let pts = Wireless.Deploy.uniform rng ~n ~side:200. in
   let udg = Wireless.Udg.build pts ~radius in
-  let pldel = (Core.Ldel.build udg pts ~radius).Core.Ldel.planar in
+  let pldel = (Tgraph.ldel_build udg pts ~radius).Tgraph.planar in
   let queries = Wireless.Rand.split rng in
   let shared = R.Scratch.create () in
   List.for_all
     (fun g ->
-      let gv = V.of_graph g and cv = V.of_csr (Netgraph.Csr.of_graph g) in
       List.for_all
         (fun _ ->
           let src = Wireless.Rand.int queries n
           and dst = Wireless.Rand.int queries n in
           List.for_all
             (fun (name, route, into) ->
-              let via_graph = route gv pts ~src ~dst in
-              let via_csr = route cv pts ~src ~dst in
-              let hops = into shared cv pts ~src ~dst in
+              let via_list = route g pts ~src ~dst in
+              let hops = into shared g pts ~src ~dst in
               let via_into =
                 if hops < 0 then None
                 else begin
@@ -379,8 +369,8 @@ let representation_agrees (seed, n, radius) =
                   Some (R.Scratch.path_list shared)
                 end
               in
-              via_graph = via_csr && via_graph = via_into
-              && (name <> "gfg" || via_graph = gfg_fold gv pts ~src ~dst)
+              via_list = via_into
+              && (name <> "gfg" || via_list = gfg_fold g pts ~src ~dst)
               || QCheck.Test.fail_reportf "%s: %d -> %d disagrees" name src
                    dst)
             routers)

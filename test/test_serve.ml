@@ -310,14 +310,10 @@ let test_served_epoch_delivers () =
         check (tag ^ ": hops identical at jobs 1 and 2") true
           (r1.E.hops = r2.E.hops);
         let snap = Serve.Store.snapshot (Serve.Store.pin store) in
-        let udg = Netgraph.View.of_csr snap.Core.Shard.udg
-        and pldel = Netgraph.View.of_csr snap.Core.Shard.pldel in
         let sc = Core.Routing.Scratch.create ~n () in
         for q = 0 to w.W.count - 1 do
           let src = w.W.src.(q) and dst = w.W.dst.(q) in
-          let h =
-            Core.Routing.hierarchical_into sc snap ~udg ~pldel ~src ~dst
-          in
+          let h = Core.Routing.hierarchical_into sc snap ~src ~dst in
           if r1.E.hops.(q) < 0 then
             Alcotest.failf "%s: %s query %d -> %d dropped (%s)" tag
               (W.op_name w.W.kind.(q)) src dst

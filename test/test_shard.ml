@@ -1,9 +1,8 @@
 (* Sharded CSR-native construction: the one-tile serial build
-   ([Tiles 1], and the Graph adapters [Mis.compute] / [Connectors.find]
-   / [Ldel.build] over it) is bit-identical to every other tiling and
-   job count. *)
+   ([Tiles 1], and the stage kernels [Mis.compute] / [Connectors.find]
+   / [Ldel.build] run with one tile) is bit-identical to every other
+   tiling and job count. *)
 
-module G = Netgraph.Graph
 module Csr = Netgraph.Csr
 module Pool = Netgraph.Pool
 
@@ -42,18 +41,18 @@ let test_udg_csr_identity () =
   List.iter
     (fun jobs ->
       let pts, g = deployment 11L 300 200. 25. in
-      let want = Csr.edges (Csr.of_graph g) in
+      let want = Csr.edges g in
       with_jobs jobs (fun pool ->
-          let csr = Wireless.Udg.build_csr ?pool pts ~radius:25. in
+          let csr = Wireless.Udg.build ?pool pts ~radius:25. in
           edge_list
             (Printf.sprintf "udg edges jobs=%d" jobs)
             want (Csr.edges csr)))
     [ 1; 2; 4 ]
 
 let test_udg_csr_tiny () =
-  let csr = Wireless.Udg.build_csr [||] ~radius:1. in
+  let csr = Wireless.Udg.build [||] ~radius:1. in
   checki "empty nodes" 0 (Csr.node_count csr);
-  let csr = Wireless.Udg.build_csr [| { Geometry.Point.x = 0.; y = 0. } |] ~radius:1. in
+  let csr = Wireless.Udg.build [| { Geometry.Point.x = 0.; y = 0. } |] ~radius:1. in
   checki "single node" 1 (Csr.node_count csr);
   checki "single node edges" 0 (Csr.edge_count csr)
 
@@ -116,7 +115,7 @@ let test_udg_kernel_oracle () =
               edge_list
                 (Printf.sprintf "%s jobs=%d" name jobs)
                 want
-                (Csr.edges (Wireless.Udg.build_csr ?pool pts ~radius))))
+                (Csr.edges (Wireless.Udg.build ?pool pts ~radius))))
         [ 1; 2; 4 ])
     udg_oracle_cases
 
@@ -149,8 +148,8 @@ let test_wide_span () =
       check (name ^ " grid capped") true
         (Wireless.Cellgrid.cells g <= cap && g.Wireless.Cellgrid.cell >= radius);
       let want = brute_udg pts radius in
-      edge_list (name ^ " build_csr") want
-        (Csr.edges (Wireless.Udg.build_csr pts ~radius));
+      edge_list (name ^ " build") want
+        (Csr.edges (Wireless.Udg.build pts ~radius));
       List.iter
         (fun (partition, jobs) ->
           let cfg =
@@ -164,10 +163,10 @@ let test_wide_span () =
           let s = Core.Backbone.snapshot cfg pts in
           edge_list (name ^ " snapshot udg") want (Csr.edges s.Core.Shard.udg);
           let t = Core.Backbone.run cfg pts in
-          edge_list (name ^ " run udg") want (G.edges t.Core.Backbone.udg);
+          edge_list (name ^ " run udg") want (Csr.edges t.Core.Backbone.udg);
           edge_list (name ^ " run pldel")
             (Csr.edges s.Core.Shard.pldel)
-            (G.edges t.Core.Backbone.ldel_icds_g))
+            (Csr.edges t.Core.Backbone.ldel_icds_g))
         [ (Core.Backbone.Config.Auto, 1); (Core.Backbone.Config.Tiles 2, 2) ])
     (wide_span_fixtures ())
 
@@ -175,14 +174,13 @@ let test_wide_span () =
 
 let test_mis_csr_identity () =
   let pts, g = deployment 12L 400 200. 22. in
-  let csr = Csr.of_graph g in
   let want = Core.Mis.compute g in
   List.iter
     (fun jobs ->
       List.iter
         (fun tiles ->
           with_jobs jobs (fun pool ->
-              let got = Core.Mis.compute_csr ?pool ?owners:tiles csr in
+              let got = Core.Mis.compute ?pool ?owners:tiles g in
               check
                 (Printf.sprintf "mis jobs=%d" jobs)
                 true (want = got)))
@@ -200,9 +198,9 @@ let test_mis_csr_priority () =
   check "priority changes the clustering" true (want <> Core.Mis.compute g);
   with_jobs 2 (fun pool ->
       let got =
-        Core.Mis.compute_csr ?pool
-          ~owners:(round_robin_tiles (G.node_count g) 5)
-          ~priority (Csr.of_graph g)
+        Core.Mis.compute ?pool
+          ~owners:(round_robin_tiles (Csr.node_count g) 5)
+          ~priority g
       in
       check "priority identical across tiles" true (want = got))
 
@@ -210,7 +208,6 @@ let test_mis_csr_priority () =
 
 let test_connectors_csr_identity () =
   let pts, g = deployment 14L 400 200. 22. in
-  let csr = Csr.of_graph g in
   let roles = Core.Mis.compute g in
   let want = Core.Connectors.find g roles in
   List.iter
@@ -219,12 +216,13 @@ let test_connectors_csr_identity () =
         (fun tiles ->
           with_jobs jobs (fun pool ->
               let got =
-                Core.Connectors.find_csr ?pool ?owners:tiles csr roles
+                Core.Connectors.find ?pool ?owners:tiles g roles
               in
               let tag s = Printf.sprintf "%s jobs=%d" s jobs in
               check (tag "connector") true
                 (want.Core.Connectors.connector = got.Core.Connectors.connector);
-              edge_list (tag "cds_edges") want.Core.Connectors.cds_edges
+              edge_list (tag "cds_edges")
+                (Csr.edges want.Core.Connectors.cds)
                 (Csr.edges got.Core.Connectors.cds)))
         [
           None;
@@ -243,8 +241,11 @@ module Connectors_oracle = struct
   module C = Netgraph.Csr
   module Mis = Core.Mis
 
+  (* the election outcome in list form *)
+  type result = { connector : bool array; cds_edges : (int * int) list }
+
   type t = {
-    result : Core.Connectors.result;
+    result : result;
     two_hop : ((int * int) * int) list;
         (* dominator pairs at hop distance 2, each with its connector
            count, lexicographic *)
@@ -260,14 +261,14 @@ module Connectors_oracle = struct
         List.for_all (fun x -> x = w || (not (adjacent w x)) || w < x) candidates)
       candidates
 
-  let find_csr csr roles =
-    let n = C.node_count csr in
+  let find g roles =
+    let n = C.node_count g in
     let connector = Array.make n false in
-    let elect_csr = elect_by (C.mem_edge csr) in
+    let elect_csr = elect_by (C.mem_edge g) in
     let common_dominatees u v =
       let acc = ref [] in
-      C.iter_neighbors csr u (fun w ->
-          if roles.(w) = Mis.Dominatee && C.mem_edge csr w v then
+      C.iter_neighbors g u (fun w ->
+          if roles.(w) = Mis.Dominatee && C.mem_edge g w v then
             acc := w :: !acc);
       List.rev !acc
     in
@@ -279,9 +280,9 @@ module Connectors_oracle = struct
     let two_hop_at u =
       incr mstamp;
       let s = !mstamp in
-      C.iter_neighbors csr u (fun w ->
+      C.iter_neighbors g u (fun w ->
           if roles.(w) = Mis.Dominatee then
-            C.iter_neighbors csr w (fun v ->
+            C.iter_neighbors g w (fun v ->
                 if v > u && roles.(v) = Mis.Dominator && mark.(v) <> s then begin
                   mark.(v) <- s;
                   let won = elect_csr (common_dominatees u v) in
@@ -304,17 +305,17 @@ module Connectors_oracle = struct
         gval.(v)
       in
       let cands_by_v = Hashtbl.create 16 in
-      C.iter_neighbors csr u (fun w ->
+      C.iter_neighbors g u (fun w ->
           if roles.(w) = Mis.Dominatee then begin
             incr sstamp;
             let s = !sstamp in
-            C.iter_neighbors csr w (fun y ->
-                C.iter_neighbors csr y (fun v ->
+            C.iter_neighbors g w (fun y ->
+                C.iter_neighbors g y (fun v ->
                     if
                       v <> w && v <> u
                       && roles.(v) = Mis.Dominator
                       && seen.(v) <> s
-                      && not (C.mem_edge csr w v)
+                      && not (C.mem_edge g w v)
                     then begin
                       seen.(v) <- s;
                       if gate_open v then
@@ -324,18 +325,18 @@ module Connectors_oracle = struct
                                (Hashtbl.find_opt cands_by_v v))
                     end))
           end);
-      G.sorted_tbl_iter Int.compare
+      Netgraph.Graph.sorted_tbl_iter Int.compare
         (fun v cands ->
           let first = elect_csr cands in
           let second_cands =
             List.sort_uniq compare
               (List.concat_map
                  (fun w ->
-                   C.fold_neighbors csr w
+                   C.fold_neighbors g w
                      (fun acc x ->
                        if
                          roles.(x) = Mis.Dominatee
-                         && C.mem_edge csr x v
+                         && C.mem_edge g x v
                          && x <> w
                        then x :: acc
                        else acc)
@@ -355,7 +356,7 @@ module Connectors_oracle = struct
               edges := ordered_edge x v :: !edges;
               List.iter
                 (fun w ->
-                  if C.mem_edge csr w x then edges := ordered_edge w x :: !edges)
+                  if C.mem_edge g w x then edges := ordered_edge w x :: !edges)
                 first)
             second)
         cands_by_v
@@ -368,15 +369,15 @@ module Connectors_oracle = struct
     done;
     {
       result =
-        { Core.Connectors.connector; cds_edges = List.sort_uniq compare !edges };
+        { connector; cds_edges = List.sort_uniq compare !edges };
       two_hop = List.sort compare !two;
       three_hop = List.sort compare !three;
     }
 
   (* the kernel's sealed output equals the oracle's *)
   let equal o (got : Core.Connectors.t) =
-    o.result.Core.Connectors.connector = got.Core.Connectors.connector
-    && o.result.Core.Connectors.cds_edges = C.edges got.Core.Connectors.cds
+    o.result.connector = got.Core.Connectors.connector
+    && o.result.cds_edges = C.edges got.Core.Connectors.cds
 
   (* Bounds: at most 2 connectors per two-hop pair (the lune
      argument), at most 25 per three-hop ordered pair *)
@@ -395,9 +396,9 @@ let test_connectors_oracle () =
       let n = 500 in
       let rng = Wireless.Rand.create seed in
       let pts = Wireless.Deploy.uniform rng ~n ~side:200. in
-      let csr = Wireless.Udg.build_csr pts ~radius in
-      let roles = Core.Mis.compute_csr csr in
-      let want = Connectors_oracle.find_csr csr roles in
+      let csr = Wireless.Udg.build pts ~radius in
+      let roles = Core.Mis.compute csr in
+      let want = Connectors_oracle.find csr roles in
       check
         (Printf.sprintf "seed=%Ld R=%g has three-hop pairs" seed radius)
         true
@@ -413,7 +414,7 @@ let test_connectors_oracle () =
           List.iter
             (fun jobs ->
               with_jobs jobs (fun pool ->
-                  let got = Core.Connectors.find_csr ?pool ~owners csr roles in
+                  let got = Core.Connectors.find ?pool ~owners csr roles in
                   check
                     (Printf.sprintf "seed=%Ld R=%g %s jobs=%d" seed radius name
                        jobs)
@@ -426,9 +427,9 @@ let test_connectors_oracle () =
 (* the flat kernel against the oracle on one input, every listed
    tiling and jobs 1 and 2 *)
 let connectors_match pts ~radius =
-  let csr = Wireless.Udg.build_csr pts ~radius in
-  let roles = Core.Mis.compute_csr csr in
-  let want = Connectors_oracle.find_csr csr roles in
+  let csr = Wireless.Udg.build pts ~radius in
+  let roles = Core.Mis.compute csr in
+  let want = Connectors_oracle.find csr roles in
   Connectors_oracle.pair_bounds_hold want
   && List.for_all
        (fun tiles ->
@@ -437,7 +438,7 @@ let connectors_match pts ~radius =
            (fun jobs ->
              with_jobs jobs (fun pool ->
                  Connectors_oracle.equal want
-                   (Core.Connectors.find_csr ?pool ~owners csr roles)))
+                   (Core.Connectors.find ?pool ~owners csr roles)))
            [ 1; 2 ])
        [ Some 1; Some 2; Some 3; None ]
 
@@ -490,49 +491,46 @@ let tri_list = Alcotest.(check (list (triple int int int)))
 
 let test_ldel_csr_identity () =
   let pts, g = deployment 15L 300 200. 28. in
-  let csr = Csr.of_graph g in
-  let want = Core.Ldel.build g pts ~radius:28. in
+  let want = Tgraph.ldel_build g pts ~radius:28. in
   List.iter
     (fun jobs ->
       List.iter
         (fun tiles ->
           with_jobs jobs (fun pool ->
               let parts =
-                Core.Ldel.to_parts csr
-                  (Core.Ldel.build_csr ?pool ?owners:tiles csr pts ~radius:28.)
+                Tgraph.ldel g
+                  (Core.Ldel.build ?pool ?owners:tiles g pts ~radius:28.)
               in
               let tag s = Printf.sprintf "%s jobs=%d" s jobs in
-              edge_list (tag "gabriel") want.Core.Ldel.gabriel_edges
-                parts.Core.Ldel.p_gabriel;
-              tri_list (tag "triangles") want.Core.Ldel.triangles
-                parts.Core.Ldel.p_triangles;
-              tri_list (tag "kept") want.Core.Ldel.kept_triangles
-                parts.Core.Ldel.p_kept;
-              let rebuilt = Core.Ldel.of_parts (Array.length pts) parts in
+              edge_list (tag "gabriel") want.Tgraph.gabriel_edges
+                parts.Tgraph.gabriel_edges;
+              tri_list (tag "triangles") want.Tgraph.triangles
+                parts.Tgraph.triangles;
+              tri_list (tag "kept") want.Tgraph.kept_triangles
+                parts.Tgraph.kept_triangles;
               check (tag "ldel1 graph") true
-                (G.equal want.Core.Ldel.ldel1 rebuilt.Core.Ldel.ldel1);
+                (Csr.equal want.Tgraph.ldel1 parts.Tgraph.ldel1);
               check (tag "planar graph") true
-                (G.equal want.Core.Ldel.planar rebuilt.Core.Ldel.planar)))
+                (Csr.equal want.Tgraph.planar parts.Tgraph.planar)))
         [ None; Some (spatial_tiles pts 3) ])
     [ 1; 2; 4 ]
 
 (* the induced backbone graph has isolated nodes and sparse rows — the
-   other shape [build_csr] must tile *)
+   other shape [Ldel.build] must tile *)
 let test_ldel_csr_on_backbone () =
   let pts, _ = deployment 16L 250 200. 30. in
   let snap = Core.Shard.pipeline pts ~radius:30. in
-  let icds = Csr.to_graph snap.Core.Shard.icds in
-  let want = Core.Ldel.build icds pts ~radius:30. in
+  let icds = snap.Core.Shard.icds in
+  let want = Tgraph.ldel_build icds pts ~radius:30. in
   with_jobs 2 @@ fun pool ->
-  let csr = Csr.of_graph icds in
   let parts =
-    Core.Ldel.to_parts csr
-      (Core.Ldel.build_csr ?pool ~owners:(spatial_tiles pts 3) csr pts
+    Tgraph.ldel icds
+      (Core.Ldel.build ?pool ~owners:(spatial_tiles pts 3) icds pts
          ~radius:30.)
   in
-  edge_list "gabriel" want.Core.Ldel.gabriel_edges parts.Core.Ldel.p_gabriel;
-  tri_list "triangles" want.Core.Ldel.triangles parts.Core.Ldel.p_triangles;
-  tri_list "kept" want.Core.Ldel.kept_triangles parts.Core.Ldel.p_kept
+  edge_list "gabriel" want.Tgraph.gabriel_edges parts.Tgraph.gabriel_edges;
+  tri_list "triangles" want.Tgraph.triangles parts.Tgraph.triangles;
+  tri_list "kept" want.Tgraph.kept_triangles parts.Tgraph.kept_triangles
 
 (* The packed build against the list builder it replaced
    ([Test_ldel.Ldel_oracle]), on the UDG and on the induced ICDS (whose
@@ -540,9 +538,9 @@ let test_ldel_csr_on_backbone () =
    an input either builds the same lists or raises the same
    exception. *)
 let ldel_match pts ~radius =
-  let udg = Wireless.Udg.build_csr pts ~radius in
-  let roles = Core.Mis.compute_csr udg in
-  let conn = Core.Connectors.find_csr udg roles in
+  let udg = Wireless.Udg.build pts ~radius in
+  let roles = Core.Mis.compute udg in
+  let conn = Core.Connectors.find udg roles in
   let bb u =
     roles.(u) = Core.Mis.Dominator || conn.Core.Connectors.connector.(u)
   in
@@ -561,8 +559,9 @@ let ldel_match pts ~radius =
               with_jobs jobs (fun pool ->
                   want
                   = outcome (fun () ->
-                        Core.Ldel.to_parts csr
-                          (Core.Ldel.build_csr ?pool ~owners csr pts ~radius))))
+                        Tgraph.ldel_lists
+                          (Tgraph.ldel csr
+                             (Core.Ldel.build ?pool ~owners csr pts ~radius)))))
             [ 1; 2 ])
         [ Some 1; Some 2; Some 3; None ])
     [ udg; icds ]
@@ -597,18 +596,18 @@ let test_ldel_hostile () =
   (* the cases are not vacuous: duplicates raise, a chain has Gabriel
      edges and no triangle *)
   let dup = (fun (_, pts, _) -> pts) (List.nth cases 4) in
-  let csr = Wireless.Udg.build_csr dup ~radius:10. in
+  let csr = Wireless.Udg.build dup ~radius:10. in
   check "duplicates raise" true
-    (match Core.Ldel.build_csr csr dup ~radius:10. with
+    (match Core.Ldel.build csr dup ~radius:10. with
     | _ -> false
     | exception Invalid_argument _ -> true);
   let chain = Array.init 30 (fun i -> p (float_of_int i *. 9.) 0.) in
-  let csr = Wireless.Udg.build_csr chain ~radius:10. in
+  let csr = Wireless.Udg.build chain ~radius:10. in
   let parts =
-    Core.Ldel.to_parts csr (Core.Ldel.build_csr csr chain ~radius:10.)
+    Tgraph.ldel csr (Core.Ldel.build csr chain ~radius:10.)
   in
-  checki "chain gabriel" 29 (List.length parts.Core.Ldel.p_gabriel);
-  checki "chain triangles" 0 (List.length parts.Core.Ldel.p_triangles)
+  checki "chain gabriel" 29 (List.length parts.Tgraph.gabriel_edges);
+  checki "chain triangles" 0 (List.length parts.Tgraph.triangles)
 
 let prop_ldel_oracle =
   QCheck.Test.make ~name:"packed LDel = list builder (any n, R, tiling, jobs)"
@@ -620,9 +619,7 @@ let prop_ldel_oracle =
       let pts = Wireless.Deploy.uniform rng ~n ~side:150. in
       ldel_match pts ~radius)
 
-(* --- Rows / View ---------------------------------------------------- *)
-
-module V = Netgraph.View
+(* --- Rows ------------------------------------------------------------ *)
 
 (* The undirected edge list [es] on [n] nodes as sorted, duplicate-free
    rows, sealed by [Csr.of_rows]: the tests' seal for edge lists. *)
@@ -662,42 +659,35 @@ let test_rows_seal () =
   rejected "duplicate rejected" [| 0; 2; 4 |] [| 1; 1; 0; 0 |];
   rejected "offsets.(0) rejected" [| 1; 2; 2 |] [| 1; 0 |];
   rejected "short targets rejected" [| 0; 1; 3 |] [| 1; 0 |];
-  (* sealed weights are [of_graph]'s floats, serial or pooled *)
+  (* sealed weights are [with_weights]'s floats, serial or pooled *)
   let pts, g = deployment 32L 300 200. 25. in
   let n = Array.length pts in
-  let sealed = seal_edges ~points:pts n (G.edges g) in
-  check "rows seal weights" true (sealed = Csr.of_graph ~points:pts g);
+  let sealed = seal_edges ~points:pts n (Csr.edges g) in
+  check "rows seal weights" true (sealed = Csr.with_weights g pts);
   check "rows seal power weights" true
-    (Csr.with_weights ~beta:2.5 sealed pts
-    = Csr.of_graph ~points:pts ~beta:2.5 g);
+    (Csr.with_weights ~beta:2.5 sealed pts = Csr.with_weights ~beta:2.5 g pts);
   Pool.with_pool ~jobs:3 (fun p ->
       let keep u v = (u + v) mod 3 <> 0 in
-      let sub = G.create n in
-      G.iter_edges g (fun u v -> if keep u v then G.add_edge sub u v);
+      let sub =
+        seal_edges ~points:pts n
+          (List.filter (fun (u, v) -> keep u v) (Csr.edges g))
+      in
       check "pooled filter weights" true
-        (Csr.filter ~pool:p ~points:pts (Csr.of_graph g) keep
-        = Csr.of_graph ~points:pts sub))
+        (Csr.filter ~pool:p ~points:pts g keep = sub))
 
+(* The names the benchmark program under perfbench/ compiles against
+   are the library's own functions, not second implementations. *)
 let test_view_dispatch () =
-  let _, g = deployment 33L 200 200. 30. in
-  let vg = V.of_graph g and vc = V.of_csr (Csr.of_graph g) in
-  checki "node_count" (V.node_count vg) (V.node_count vc);
-  checki "edge_count" (V.edge_count vg) (V.edge_count vc);
-  edge_list "edges agree" (V.edges vg) (V.edges vc);
-  edge_list "edges match graph" (G.edges g) (V.edges vc);
-  let rows_agree = ref true in
-  for u = 0 to V.node_count vg - 1 do
-    if V.neighbors vg u <> V.neighbors vc u then rows_agree := false;
-    if V.degree vg u <> V.degree vc u then rows_agree := false
-  done;
-  check "neighbor rows agree" true !rows_agree;
-  check "has_edge symmetric" true
-    (match G.edges g with
-    | (u, v) :: _ -> V.has_edge vc u v && V.has_edge vc v u
-    | [] -> true);
-  (* a snapshot view freezes to itself when no weights are demanded *)
-  let c = Csr.of_graph g in
-  check "to_csr reuses snapshot" true (V.to_csr (V.of_csr c) == c)
+  let pts, g = deployment 33L 200 200. 30. in
+  check "View.of_graph is the identity" true (Netgraph.View.of_graph g == g);
+  check "Graph.of_edges seals the same rows" true
+    (Netgraph.Graph.equal (Netgraph.Graph.of_edges (Csr.node_count g) (Csr.edges g)) g);
+  let pldel = (Core.Shard.pipeline pts ~radius:30.).Core.Shard.pldel in
+  checki "crossing_count_v"
+    (Netgraph.Planarity.crossing_count pldel pts)
+    (Netgraph.Planarity.crossing_count_v pldel pts);
+  check "Components.is_connected" true
+    (Netgraph.Components.is_connected g = Csr.is_connected g)
 
 (* --- Halo properties ------------------------------------------------ *)
 
@@ -728,7 +718,7 @@ let test_connectors_halo () =
   let radius = 30. in
   let pts, g = deployment 31L 800 300. radius in
   let roles = Core.Mis.compute g in
-  let full = Connectors_oracle.find_csr (Csr.of_graph g) roles in
+  let full = Connectors_oracle.find g roles in
   let grid = Wireless.Cellgrid.create ~cell_size:radius pts in
   let n_cells = Wireless.Cellgrid.cells grid in
   List.iter
@@ -739,7 +729,7 @@ let test_connectors_halo () =
       in
       let sub_g = Wireless.Udg.build sub_pts ~radius in
       let sub_roles = Array.map (fun u -> roles.(u)) old_of in
-      let sub = Connectors_oracle.find_csr (Csr.of_graph sub_g) sub_roles in
+      let sub = Connectors_oracle.find sub_g sub_roles in
       let in_tile u = Wireless.Cellgrid.cell_of grid u = cell in
       (* tile-owned pairs of the full run, in halo coordinates *)
       let owned pairs =
@@ -776,7 +766,7 @@ let test_connectors_halo () =
 let test_ldel_halo () =
   let radius = 28. in
   let pts, g = deployment 34L 600 250. radius in
-  let full = Core.Ldel.build g pts ~radius in
+  let full = Tgraph.ldel_build g pts ~radius in
   let grid = Wireless.Cellgrid.create ~cell_size:radius pts in
   let n_cells = Wireless.Cellgrid.cells grid in
   List.iter
@@ -785,7 +775,7 @@ let test_ldel_halo () =
       let old_of, remap, sub_pts =
         induce pts (halo_ids grid cell ~rings:2)
       in
-      let sub = Core.Ldel.build (Wireless.Udg.build sub_pts ~radius) sub_pts ~radius in
+      let sub = Tgraph.ldel_build (Wireless.Udg.build sub_pts ~radius) sub_pts ~radius in
       let in_tile u = Wireless.Cellgrid.cell_of grid u = cell in
       let tag s = Printf.sprintf "%s cell=%d" s cell in
       edge_list (tag "gabriel halo")
@@ -796,10 +786,10 @@ let test_ldel_halo () =
                | Some u', Some v' -> Some (u', v')
                | _ -> None
              else None)
-           full.Core.Ldel.gabriel_edges)
+           full.Tgraph.gabriel_edges)
         (List.filter
            (fun (u', _) -> in_tile old_of.(u'))
-           sub.Core.Ldel.gabriel_edges);
+           sub.Tgraph.gabriel_edges);
       tri_list (tag "triangle halo")
         (List.filter_map
            (fun (a, b, c) ->
@@ -808,10 +798,10 @@ let test_ldel_halo () =
                | Some a', Some b', Some c' -> Some (a', b', c')
                | _ -> None
              else None)
-           full.Core.Ldel.triangles)
+           full.Tgraph.triangles)
         (List.filter
            (fun (a', _, _) -> in_tile old_of.(a'))
-           sub.Core.Ldel.triangles))
+           sub.Tgraph.triangles))
     [ 0; 11; 29 ]
 
 (* --- Full pipeline -------------------------------------------------- *)
@@ -835,9 +825,9 @@ let same_snapshot tag (a : Core.Shard.snapshot) (b : Core.Shard.snapshot) =
 
 let same_backbone tag (a : Core.Backbone.t) (b : Core.Backbone.t) =
   same_snapshot tag a.Core.Backbone.snap b.Core.Backbone.snap;
-  check (tag ^ " udg") true (G.equal a.Core.Backbone.udg b.Core.Backbone.udg);
+  check (tag ^ " udg") true (Csr.equal a.Core.Backbone.udg b.Core.Backbone.udg);
   check (tag ^ " planar") true
-    (G.equal a.Core.Backbone.ldel_icds_g b.Core.Backbone.ldel_icds_g)
+    (Csr.equal a.Core.Backbone.ldel_icds_g b.Core.Backbone.ldel_icds_g)
 
 (* serial ([Tiles 1]) vs sharded [Backbone.run]: identical records for
    jobs 1/2/4 and a sweep of tile counts *)
@@ -874,7 +864,7 @@ let test_pipeline_identity () =
     [ 1; 2; 4 ]
 
 (* [Backbone.snapshot] is the snapshot [run] keeps, and [run]'s two
-   graphs are its thaws *)
+   graphs are the snapshot's own, not copies *)
 let test_snapshot_matches_run () =
   let rng = Wireless.Rand.create 22L in
   let pts = Wireless.Deploy.uniform rng ~n:500 ~side:300. in
@@ -889,10 +879,10 @@ let test_snapshot_matches_run () =
   let t = Core.Backbone.run cfg pts in
   let s = Core.Backbone.snapshot cfg pts in
   same_snapshot "run" t.Core.Backbone.snap s;
-  edge_list "udg" (G.edges t.Core.Backbone.udg) (Csr.edges s.Core.Shard.udg);
-  edge_list "pldel"
-    (G.edges t.Core.Backbone.ldel_icds_g)
-    (Csr.edges s.Core.Shard.pldel)
+  check "udg is snap.udg" true
+    (t.Core.Backbone.udg == t.Core.Backbone.snap.Core.Shard.udg);
+  check "ldel_icds_g is snap.pldel" true
+    (t.Core.Backbone.ldel_icds_g == t.Core.Backbone.snap.Core.Shard.pldel)
 
 (* quasi radio: the UDG stage is serial (RNG stream) but the sharded
    stages must still reproduce the one-tile build on it *)
@@ -921,11 +911,11 @@ module Assemble_oracle = struct
   module Connectors = Core.Connectors
   module Ldel = Core.Ldel
 
-  let run points ~radius udg roles (connectors : Connectors.result) =
+  let run points ~radius udg roles (connectors : Connectors_oracle.result) =
     let n = Array.length points in
     let backbone =
       Array.init n (fun u ->
-          roles.(u) = Mis.Dominator || connectors.Connectors.connector.(u))
+          roles.(u) = Mis.Dominator || connectors.Connectors_oracle.connector.(u))
     in
     (* each dominatee to each dominator it hears *)
     let links =
@@ -937,15 +927,14 @@ module Assemble_oracle = struct
                  (Csr.neighbors udg u)
              else []))
     in
-    let cds_edges = connectors.Connectors.cds_edges in
+    let cds_edges = connectors.Connectors_oracle.cds_edges in
     let icds_edges =
       List.filter (fun (u, v) -> backbone.(u) && backbone.(v)) (Csr.edges udg)
     in
     let icds = seal_edges n icds_edges in
-    let ldel = Test_ldel.Ldel_oracle.build icds points ~radius in
+    let gabriel, _, kept = Test_ldel.Ldel_oracle.build icds points ~radius in
     let pldel_edges =
-      ldel.Ldel.p_gabriel
-      @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) ldel.Ldel.p_kept
+      gabriel @ List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) kept
     in
     ( backbone,
       seal_edges n cds_edges,
@@ -956,14 +945,13 @@ module Assemble_oracle = struct
       seal_edges ~points n (pldel_edges @ links) )
 end
 
-let subgraph sub super =
-  Csr.fold_edges sub (fun ok u v -> ok && Csr.mem_edge super u v) true
+let subgraph = Tgraph.is_subgraph
 
 let check_assembly tag (s : Core.Shard.snapshot) =
   let open Core.Shard in
   let backbone, cds, cds', icds, icds', pldel, pldel' =
     Assemble_oracle.run s.points ~radius:s.radius s.udg s.roles
-      (Connectors_oracle.find_csr s.udg s.roles).Connectors_oracle.result
+      (Connectors_oracle.find s.udg s.roles).Connectors_oracle.result
   in
   check (tag ^ " backbone") true (backbone = s.backbone);
   check (tag ^ " cds") true (cds = s.cds);
@@ -1005,8 +993,7 @@ let test_assembly_oracle () =
   let rng = Wireless.Rand.create 34L in
   let pts = Wireless.Deploy.uniform rng ~n:400 ~side:220. in
   let udg =
-    Csr.of_graph
-      (Wireless.Udg.build_quasi (Wireless.Rand.create 5L) pts ~r_min:22.
+    (Wireless.Udg.build_quasi (Wireless.Rand.create 5L) pts ~r_min:22.
          ~r_max:34.)
   in
   List.iter

@@ -5,7 +5,7 @@
 module P = Geometry.Point
 module Pred = Geometry.Predicates
 module DT = Delaunay.Triangulation
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module E = Distsim.Engine
 
 let check = Alcotest.(check bool)
@@ -179,7 +179,7 @@ let test_engine_random_protocols_terminate () =
       }
     in
     let states, stats =
-      E.run ~classify:(fun () -> "m") (Netgraph.Csr.of_graph g) proto
+      E.run ~classify:(fun () -> "m") g proto
     in
     checki "sent = plan" (Array.fold_left ( + ) 0 plan) (E.total_sent stats);
     (* total receptions = sum over senders of their degree x msgs *)

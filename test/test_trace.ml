@@ -3,7 +3,7 @@
    aggregation, the message audit, and the bench regression gate. *)
 
 module T = Obs.Trace
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module E = Distsim.Engine
 
 let check = Alcotest.(check bool)
@@ -160,7 +160,7 @@ let test_engine_send_deliver () =
   in
   T.start ();
   let _, stats =
-    E.run ~classify:(fun _ -> "id") (Netgraph.Csr.of_graph g) proto
+    E.run ~classify:(fun _ -> "id") g proto
   in
   T.stop ();
   let evs = T.events () in
@@ -185,13 +185,13 @@ let test_engine_send_deliver () =
       | T.Send { round; _ } -> checki "sends happen in round 0" 0 round
       | T.Deliver { round; src; dst; _ } ->
         checki "delivery lands one round after the send" 1 round;
-        check "src/dst are an edge" true (G.has_edge g src dst)
+        check "src/dst are an edge" true (G.mem_edge g src dst)
       | _ -> ())
     (sends @ delivers)
 
 let test_async_by_kind () =
   let pts = deployment 11L 30 60. in
-  let udg = Wireless.Udg.build_csr pts ~radius:60. in
+  let udg = Wireless.Udg.build pts ~radius:60. in
   let delay ~from:_ ~dst:_ ~seq = 1. +. (float_of_int (seq mod 7) /. 10.) in
   let roles, stats = Core.Async_cluster.run ~delay udg in
   let doms =
@@ -420,7 +420,7 @@ let relay_protocol =
   }
 
 let path_graph n =
-  Netgraph.Csr.of_graph (G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1))))
+  (G.of_edges n (List.init (n - 1) (fun i -> (i, i + 1))))
 
 let relay_events n =
   T.start ();
@@ -609,7 +609,7 @@ let test_chrome_flows_roundtrip () =
 let test_async_classify_tracing () =
   Obs.set_enabled true;
   let pts = deployment 11L 30 60. in
-  let udg = Wireless.Udg.build_csr pts ~radius:60. in
+  let udg = Wireless.Udg.build pts ~radius:60. in
   let delay ~from:_ ~dst:_ ~seq = 1. +. (float_of_int (seq mod 7) /. 10.) in
   T.start ();
   let _, stats = Core.Async_cluster.run ~delay udg in

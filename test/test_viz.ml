@@ -1,7 +1,7 @@
 (* SVG rendering and the LDel^k extension. *)
 
 module P = Geometry.Point
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 
 let check = Alcotest.(check bool)
 
@@ -15,7 +15,7 @@ let test_svg_basic () =
   let world = Geometry.Bbox.of_points (Array.to_list pts) in
   let svg = Viz.Svg.create ~width:300 ~height:300 ~world in
   let g = G.of_edges 3 [ (0, 1); (1, 2) ] in
-  Viz.Svg.add_edges svg pts (Netgraph.View.of_graph g) ~stroke:"black"
+  Viz.Svg.add_edges svg pts g ~stroke:"black"
     ~stroke_width:1.;
   Viz.Svg.add_nodes svg pts ~style_of:(fun i ->
       if i = 0 then Viz.Svg.dominator_style else Viz.Svg.dominatee_style);
@@ -55,7 +55,7 @@ let test_svg_writes_file () =
   let world = Geometry.Bbox.of_points (Array.to_list pts) in
   let svg = Viz.Svg.create ~width:50 ~height:50 ~world in
   Viz.Svg.add_edges svg pts
-    (Netgraph.View.of_graph (G.of_edges 2 [ (0, 1) ]))
+    ((G.of_edges 2 [ (0, 1) ]))
     ~stroke:"blue"
     ~stroke_width:0.5;
   let file = Filename.temp_file "geospanner" ".svg" in
@@ -117,51 +117,51 @@ let random_instance seed n radius =
 
 let test_ldel_k1_equals_build () =
   let pts, udg = random_instance 500L 70 50. in
-  let l1 = Core.Ldel.build udg pts ~radius:50. in
-  let lk = Core.Ldel.build_k udg pts ~radius:50. ~k:1 in
-  check "same triangles" true (l1.Core.Ldel.triangles = lk.Core.Ldel.triangles);
+  let l1 = Tgraph.ldel_build udg pts ~radius:50. in
+  let lk = Tgraph.ldel_build_k udg pts ~radius:50. ~k:1 in
+  check "same triangles" true (l1.Tgraph.triangles = lk.Tgraph.triangles);
   check "same planar graph" true
-    (G.equal l1.Core.Ldel.planar lk.Core.Ldel.planar)
+    (G.equal l1.Tgraph.planar lk.Tgraph.planar)
 
 let test_ldel_k2_planar_without_removal () =
   (* Li et al.: LDel^k is planar outright for k >= 2 — the
      planarization pass must remove nothing *)
   for seed = 510 to 515 do
     let pts, udg = random_instance (Int64.of_int seed) 80 50. in
-    let l2 = Core.Ldel.build_k udg pts ~radius:50. ~k:2 in
+    let l2 = Tgraph.ldel_build_k udg pts ~radius:50. ~k:2 in
     check "ldel2 planar before removal" true
-      (Netgraph.Planarity.is_planar l2.Core.Ldel.ldel1 pts);
+      (Netgraph.Planarity.is_planar l2.Tgraph.ldel1 pts);
     check "nothing removed" true
-      (List.length l2.Core.Ldel.kept_triangles
-      = List.length l2.Core.Ldel.triangles)
+      (List.length l2.Tgraph.kept_triangles
+      = List.length l2.Tgraph.triangles)
   done
 
 let test_ldel_k_monotone () =
   (* larger k sees more blockers, so accepts fewer (or equal)
      triangles: LDel^{k+1} triangles ⊆ LDel^k triangles *)
   let pts, udg = random_instance 520L 80 50. in
-  let l1 = Core.Ldel.build_k udg pts ~radius:50. ~k:1 in
-  let l2 = Core.Ldel.build_k udg pts ~radius:50. ~k:2 in
-  let l3 = Core.Ldel.build_k udg pts ~radius:50. ~k:3 in
+  let l1 = Tgraph.ldel_build_k udg pts ~radius:50. ~k:1 in
+  let l2 = Tgraph.ldel_build_k udg pts ~radius:50. ~k:2 in
+  let l3 = Tgraph.ldel_build_k udg pts ~radius:50. ~k:3 in
   let module TS = Set.Make (struct
     type t = int * int * int
 
     let compare = compare
   end) in
-  let s1 = TS.of_list l1.Core.Ldel.triangles in
-  let s2 = TS.of_list l2.Core.Ldel.triangles in
-  let s3 = TS.of_list l3.Core.Ldel.triangles in
+  let s1 = TS.of_list l1.Tgraph.triangles in
+  let s2 = TS.of_list l2.Tgraph.triangles in
+  let s3 = TS.of_list l3.Tgraph.triangles in
   check "LDel2 ⊆ LDel1" true (TS.subset s2 s1);
   check "LDel3 ⊆ LDel2" true (TS.subset s3 s2)
 
 let test_ldel_k2_contains_udel () =
   (* unit Delaunay triangles survive any k *)
   let pts, udg = random_instance 521L 70 50. in
-  let l2 = Core.Ldel.build_k udg pts ~radius:50. ~k:2 in
+  let l2 = Tgraph.ldel_build_k udg pts ~radius:50. ~k:2 in
   let udel = Wireless.Proximity.udel pts ~radius:50. in
-  check "UDel ⊆ LDel2" true (G.is_subgraph udel l2.Core.Ldel.ldel1);
+  check "UDel ⊆ LDel2" true (Tgraph.is_subgraph udel l2.Tgraph.ldel1);
   check "LDel2 connected" true
-    (Netgraph.Components.is_connected l2.Core.Ldel.planar)
+    (Netgraph.Csr.is_connected l2.Tgraph.planar)
 
 let test_ldel_k_invalid () =
   let pts, udg = random_instance 522L 20 50. in

@@ -2,7 +2,7 @@
    baselines. *)
 
 module P = Geometry.Point
-module G = Netgraph.Graph
+module G = Netgraph.Csr
 module R = Wireless.Rand
 
 let check = Alcotest.(check bool)
@@ -126,7 +126,7 @@ let test_connected_uniform () =
   in
   check "attempts positive" true (attempts >= 1);
   let g = Wireless.Udg.build pts ~radius:60. in
-  check "connected" true (Netgraph.Components.is_connected g)
+  check "connected" true (Netgraph.Csr.is_connected g)
 
 let test_connected_uniform_impossible () =
   let rng = R.create 13L in
@@ -154,9 +154,9 @@ let test_udg_matches_definition () =
 let test_udg_small () =
   let pts = [| P.make 0. 0.; P.make 1. 0.; P.make 2.5 0. |] in
   let g = Wireless.Udg.build pts ~radius:1.5 in
-  check "0-1" true (G.has_edge g 0 1);
-  check "1-2" true (G.has_edge g 1 2);
-  check "0-2 too far" false (G.has_edge g 0 2);
+  check "0-1" true (G.mem_edge g 0 1);
+  check "1-2" true (G.mem_edge g 1 2);
+  check "0-2 too far" false (G.mem_edge g 0 2);
   check "bad radius" true
     (try
        ignore (Wireless.Udg.build pts ~radius:0.);
@@ -166,7 +166,7 @@ let test_udg_small () =
 let test_udg_boundary_inclusive () =
   let pts = [| P.make 0. 0.; P.make 1. 0. |] in
   let g = Wireless.Udg.build pts ~radius:1. in
-  check "exactly at radius linked" true (G.has_edge g 0 1)
+  check "exactly at radius linked" true (G.mem_edge g 0 1)
 
 let test_neighborhood () =
   let pts = Array.init 5 (fun i -> P.make (float_of_int i) 0.) in
@@ -182,29 +182,31 @@ let test_neighborhood () =
 
 let brute_rng pts udg =
   let n = Array.length pts in
-  let g = G.create n in
-  G.iter_edges udg (fun u v ->
-      let blocked = ref false in
-      for w = 0 to n - 1 do
-        if w <> u && w <> v && Geometry.Circle.in_lune pts.(u) pts.(v) pts.(w)
-        then blocked := true
-      done;
-      if not !blocked then G.add_edge g u v);
-  g
+  G.of_edges n
+    (List.filter
+       (fun (u, v) ->
+         let blocked = ref false in
+         for w = 0 to n - 1 do
+           if w <> u && w <> v && Geometry.Circle.in_lune pts.(u) pts.(v) pts.(w)
+           then blocked := true
+         done;
+         not !blocked)
+       (G.edges udg))
 
 let brute_gabriel pts udg =
   let n = Array.length pts in
-  let g = G.create n in
-  G.iter_edges udg (fun u v ->
-      let blocked = ref false in
-      for w = 0 to n - 1 do
-        if
-          w <> u && w <> v
-          && Geometry.Circle.in_diametral pts.(u) pts.(v) pts.(w)
-        then blocked := true
-      done;
-      if not !blocked then G.add_edge g u v);
-  g
+  G.of_edges n
+    (List.filter
+       (fun (u, v) ->
+         let blocked = ref false in
+         for w = 0 to n - 1 do
+           if
+             w <> u && w <> v
+             && Geometry.Circle.in_diametral pts.(u) pts.(v) pts.(w)
+           then blocked := true
+         done;
+         not !blocked)
+       (G.edges udg))
 
 let random_instance seed n side radius =
   let rng = R.create seed in
@@ -228,8 +230,8 @@ let test_rng_subset_gabriel_subset_udg () =
   let pts, udg = random_instance 22L 80 200. 60. in
   let rng_g = Wireless.Proximity.rng_graph udg pts in
   let gg = Wireless.Proximity.gabriel_graph udg pts in
-  check "RNG ⊆ GG" true (G.is_subgraph rng_g gg);
-  check "GG ⊆ UDG" true (G.is_subgraph gg udg)
+  check "RNG ⊆ GG" true (Tgraph.is_subgraph rng_g gg);
+  check "GG ⊆ UDG" true (Tgraph.is_subgraph gg udg)
 
 let test_rng_gabriel_connected () =
   (* both contain the Euclidean MST of the UDG, hence stay connected *)
@@ -237,8 +239,8 @@ let test_rng_gabriel_connected () =
     let pts, udg = random_instance (Int64.of_int seed) 60 200. 60. in
     let rng_g = Wireless.Proximity.rng_graph udg pts in
     let gg = Wireless.Proximity.gabriel_graph udg pts in
-    check "RNG connected" true (Netgraph.Components.is_connected rng_g);
-    check "GG connected" true (Netgraph.Components.is_connected gg)
+    check "RNG connected" true (Netgraph.Csr.is_connected rng_g);
+    check "GG connected" true (Netgraph.Csr.is_connected gg)
   done
 
 let test_gabriel_planar () =
@@ -251,8 +253,8 @@ let test_gabriel_planar () =
 let test_yao_graph () =
   let pts, udg = random_instance 23L 80 200. 60. in
   let yao = Wireless.Proximity.yao_graph udg pts ~cones:6 in
-  check "Yao ⊆ UDG" true (G.is_subgraph yao udg);
-  check "Yao connected" true (Netgraph.Components.is_connected yao);
+  check "Yao ⊆ UDG" true (Tgraph.is_subgraph yao udg);
+  check "Yao connected" true (Netgraph.Csr.is_connected yao);
   (* out-degree bound: at most [cones] choices per node, so the graph
      has at most cones * n edges *)
   check "sparse" true
@@ -269,19 +271,19 @@ let test_yao_small_cone_selection () =
   let pts = [| P.make 0. 0.; P.make 1. 0.1; P.make 2. 0.2 |] in
   let udg = Wireless.Udg.build pts ~radius:3. in
   let yao = Wireless.Proximity.yao_graph udg pts ~cones:4 in
-  check "keeps nearest" true (G.has_edge yao 0 1);
+  check "keeps nearest" true (G.mem_edge yao 0 1);
   (* 0-2 may exist only due to 2's own cone choice toward 0; 2's
      nearest in that cone is 1, so 0-2 must be absent *)
-  check "drops farther" false (G.has_edge yao 0 2)
+  check "drops farther" false (G.mem_edge yao 0 2)
 
 let test_udel () =
   let pts, udg = random_instance 24L 80 200. 60. in
   let udel = Wireless.Proximity.udel pts ~radius:60. in
-  check "UDel ⊆ UDG" true (G.is_subgraph udel udg);
+  check "UDel ⊆ UDG" true (Tgraph.is_subgraph udel udg);
   check "UDel planar" true (Netgraph.Planarity.is_planar udel pts);
-  check "UDel connected" true (Netgraph.Components.is_connected udel);
+  check "UDel connected" true (Netgraph.Csr.is_connected udel);
   let gg = Wireless.Proximity.gabriel_graph udg pts in
-  check "GG ⊆ UDel" true (G.is_subgraph gg udel)
+  check "GG ⊆ UDel" true (Tgraph.is_subgraph gg udel)
 
 (* ---------------- quasi UDG ---------------- *)
 
@@ -298,8 +300,8 @@ let test_quasi_sandwich () =
   let q = Wireless.Udg.build_quasi (R.create 2L) pts ~r_min:20. ~r_max:40. in
   let lower = Wireless.Udg.build pts ~radius:20. in
   let upper = Wireless.Udg.build pts ~radius:40. in
-  check "UDG(r_min) ⊆ quasi" true (G.is_subgraph lower q);
-  check "quasi ⊆ UDG(r_max)" true (G.is_subgraph q upper)
+  check "UDG(r_min) ⊆ quasi" true (Tgraph.is_subgraph lower q);
+  check "quasi ⊆ UDG(r_max)" true (Tgraph.is_subgraph q upper)
 
 let test_quasi_deterministic_by_seed () =
   let rng = R.create 982L in
