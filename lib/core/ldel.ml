@@ -162,7 +162,7 @@ let planarize ?pool csr points ~radius tri =
        at O(m) cells by widening the side, which stays at least
        [radius] *)
     let grid =
-      G.create ~max_cells:((4 * m) + 64) ~cell_size:radius
+      G.create ~cell_size:radius
         (Array.init m (fun i ->
              let pa = points.(tri.(3 * i))
              and pb = points.(tri.((3 * i) + 1))

@@ -64,8 +64,10 @@ val primed :
     grid buckets of square tiles whose side is (a hair over)
     [max radius (side / tiles)] — [tiles] per axis (default: targets
     ~4k nodes per tile), clamped so a tile is never narrower than the
-    radius; [tiles = 1] is a single tile.  Every node appears in exactly one
-    tile, ascending ids within a tile.
+    radius and widened, as every {!Wireless.Cellgrid} is, when more
+    than [4 n + 64] tiles would cover the span; [tiles = 1] is a single
+    tile.  Every node appears in exactly one tile, ascending ids within
+    a tile.
     @raise Invalid_argument when [radius <= 0] or [tiles < 1]. *)
 val tiling :
   ?tiles:int -> Geometry.Point.t array -> radius:float -> int array array

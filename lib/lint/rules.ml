@@ -68,8 +68,7 @@ let is_definition_prev ctx i =
 (* The determinism, multicore and I/O rules patrol every library unit;
    lib/obs is the sanctioned home of clocks, shared registries and
    output, so it is exempt from all of them.  Rules that own a further
-   home (rand.ml for D001, graph.ml for D002, lib/viz for E001) name it
-   themselves. *)
+   home (rand.ml for D001, lib/viz for E001) name it themselves. *)
 let lib_unit path = under "lib" path && not (under "lib/obs" path)
 
 (* ---------- D001: Stdlib.Random ---------- *)
@@ -93,7 +92,7 @@ let d002_sort_window_before = 8
 let d002_sort_window_after = 48
 
 let d002_check ctx =
-  if (not (lib_unit ctx.path)) || ctx.path = "lib/netgraph/graph.ml" then []
+  if not (lib_unit ctx.path) then []
   else begin
     let out = ref [] in
     Array.iteri
@@ -104,9 +103,9 @@ let d002_check ctx =
           && (match T.last_component t with "iter" | "fold" -> true | _ -> false)
         then begin
           (* allowed when the call visibly feeds a sort: List.sort /
-             List.sort_uniq / Graph.sorted_tbl_* within a small token
-             window before (sort wraps the fold) or after (fold result
-             piped into a sort) *)
+             List.sort_uniq / Array.sort within a small token window
+             before (sort wraps the fold) or after (fold result piped
+             into a sort) *)
           let sorted = ref false in
           for k = i - d002_sort_window_before to i + d002_sort_window_after do
             match tok ctx k with
@@ -122,8 +121,7 @@ let d002_check ctx =
               finding ctx "D002" Diag.Error t.T.line t.T.col
                 (t.T.text
                ^ " iterates in hash order, which can leak into outputs; \
-                  route through Graph.sorted_tbl_iter/fold or sort the \
-                  result")
+                  sort the bindings by key before visiting them")
               :: !out
         end)
       ctx.code;
@@ -566,10 +564,9 @@ let all =
       doc =
         "Hashtbl.iter/fold visit bindings in hash order, which varies with \
          insertion history and hash seeds; results that reach outputs or \
-         metrics must go through Graph.sorted_tbl_iter/fold or an explicit \
-         sort (a *sort* within a few tokens of the call is recognised).  \
-         lib/netgraph/graph.ml hosts the wrappers and is exempt, as is \
-         lib/obs.";
+         metrics must pass through an explicit sort by key (a *sort* \
+         within a few tokens of the call is recognised).  lib/obs is \
+         exempt.";
       check = d002_check;
     };
     {

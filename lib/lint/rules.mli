@@ -4,8 +4,7 @@
     Families (see DESIGN.md §9 for the rationale per rule):
     - determinism, over every lib/** unit outside lib/obs: D001 no
       [Stdlib.Random] (lib/wireless/rand.ml exempt); D002 no
-      unsorted [Hashtbl.iter]/[fold] (lib/netgraph/graph.ml exempt);
-      D003 no wall clocks.
+      unsorted [Hashtbl.iter]/[fold]; D003 no wall clocks.
     - multicore-safety, same scope: M001 no unguarded module-toplevel
       mutable state; E001 no direct stdout/stderr/channel/Unix/Thread
       I/O (lib/viz exempt too).

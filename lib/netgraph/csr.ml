@@ -253,6 +253,19 @@ let filter_arcs ?pool ?points t keep =
         end
       done)
 
+let filter_edges t keep =
+  let mark = Bytes.make (Array.length t.targets) '\000' in
+  for u = 0 to t.n - 1 do
+    for k = t.offsets.(u) to t.offsets.(u + 1) - 1 do
+      let v = t.targets.(k) in
+      if u < v && keep u v then begin
+        Bytes.set mark k '\001';
+        Bytes.set mark (arc t v u) '\001'
+      end
+    done
+  done;
+  filter_arcs t (fun k -> Bytes.get mark k <> '\000')
+
 (* ---------------- traversals ---------------- *)
 
 let bfs_into t ~dist ~queue s =

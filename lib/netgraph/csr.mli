@@ -7,11 +7,11 @@
     after: two int arrays, per-node offsets and a flat, row-sorted
     neighbor array, so traversals touch contiguous memory and
     neighbor iteration allocates nothing.  Builders seal rows
-    ({!of_rows}), filter a sealed graph ({!filter}, {!filter_arcs}) or
-    collect an edge list ({!of_edges}).  Optionally the snapshot
-    precomputes per-arc edge weights (Euclidean length, and the
-    [|e|^beta] power cost), so Dijkstra relaxations stop recomputing
-    [Point.dist] in the inner loop.
+    ({!of_rows}), filter a sealed graph ({!filter}, {!filter_arcs},
+    {!filter_edges}) or collect an edge list ({!of_edges}).
+    Optionally the snapshot precomputes per-arc edge weights
+    (Euclidean length, and the [|e|^beta] power cost), so Dijkstra
+    relaxations stop recomputing [Point.dist] in the inner loop.
 
     Snapshots are immutable, so any number of domains may read one at
     once: the metrics engine runs one SSSP per source on a pool, each
@@ -79,6 +79,13 @@ val filter :
     and [keep] pure.  [points] weighs the kept arcs as in {!filter}. *)
 val filter_arcs :
   ?pool:Pool.t -> ?points:Geometry.Point.t array -> t -> (int -> bool) -> t
+
+(** [filter_edges t keep] keeps the edges [(u, v)], [u < v], of [t]
+    with [keep u v].  Each edge is decided once, from its smaller end,
+    in lexicographic order, and marked on both arcs: the result is
+    symmetric even where [keep u v] and [keep v u] could round apart,
+    and [keep] may draw from a seeded random stream. *)
+val filter_edges : t -> (int -> int -> bool) -> t
 
 val node_count : t -> int
 

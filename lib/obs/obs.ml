@@ -1571,7 +1571,7 @@ module Snapshot = struct
              dists []);
       spans =
         (* sorted by path, not execution order, so every sink and
-           check_against diff is stable across runs and --jobs; '/'
+           compare_against diff is stable across runs and --jobs; '/'
            sorts before any path character we use, so parents still
            precede their children *)
         List.rev_map
@@ -1789,55 +1789,6 @@ module Snapshot = struct
             h.h_buckets)
       reference.hists;
     List.rev !out
-
-  let check_against ~threshold ~(reference : t) (current : t) =
-    compare_against ~threshold ~reference current
-    |> List.map (fun m ->
-           let missing = Float.is_nan m.m_actual in
-           match m.m_kind with
-           | "counter" ->
-             if Float.is_nan m.m_expected then
-               Printf.sprintf "counter %s unrecorded (actual %d)" m.m_name
-                 (int_of_float m.m_actual)
-             else if missing then
-               Printf.sprintf "counter %s missing (reference %d)" m.m_name
-                 (int_of_float m.m_expected)
-             else
-               Printf.sprintf "counter %s: %d differs from reference %d"
-                 m.m_name (int_of_float m.m_actual)
-                 (int_of_float m.m_expected)
-           | "dist.count" ->
-             if missing then
-               Printf.sprintf "dist %s missing (reference count %d)" m.m_name
-                 (int_of_float m.m_expected)
-             else
-               Printf.sprintf "dist %s: count %d differs from reference %d"
-                 m.m_name (int_of_float m.m_actual)
-                 (int_of_float m.m_expected)
-           | "span.calls" ->
-             if missing then
-               Printf.sprintf "span %s missing (reference %d calls)" m.m_name
-                 (int_of_float m.m_expected)
-             else
-               Printf.sprintf "span %s: %d calls differ from reference %d"
-                 m.m_name (int_of_float m.m_actual)
-                 (int_of_float m.m_expected)
-           | "hist.count" ->
-             if missing then
-               Printf.sprintf "hist %s missing (reference count %d)" m.m_name
-                 (int_of_float m.m_expected)
-             else
-               Printf.sprintf "hist %s: count %d differs from reference %d"
-                 m.m_name (int_of_float m.m_actual)
-                 (int_of_float m.m_expected)
-           | "hist.bucket" ->
-             Printf.sprintf "hist %s: %d differs from reference %d" m.m_name
-               (int_of_float m.m_actual)
-               (int_of_float m.m_expected)
-           | _ ->
-             Printf.sprintf
-               "span %s: %.4fs exceeds reference %.4fs by more than %.0f%%"
-               m.m_name m.m_actual m.m_expected (100. *. threshold))
 end
 
 type sink = Snapshot.t -> unit

@@ -79,7 +79,7 @@ val observe : dist -> float -> unit
     the last {!reset}.  Like counters, handles are idempotent per name
     and writes are no-ops while disabled.  Because gauge samples are
     not reproducible across runs they are excluded from
-    {!Snapshot.check_against}. *)
+    {!Snapshot.compare_against}. *)
 
 type gauge
 
@@ -635,19 +635,6 @@ module Snapshot : sig
       @raise Failure on malformed input. *)
   val of_csv : string -> t
 
-  (** [check_against ~threshold ~reference current] compares a fresh
-      snapshot against a committed baseline and returns violations
-      (empty = pass).  Counters, distribution observation counts, span
-      call counts and histogram totals and per-bucket counts are
-      deterministic for a fixed configuration and must match exactly;
-      span seconds may exceed the reference by at most [threshold]
-      (e.g. [0.5] = +50%).  A nonzero counter present only in
-      [current] is reported as unrecorded, so every counter a run
-      emits is gated; other metrics present only in [current] are
-      ignored, so adding spans, distributions or histograms does not
-      break existing baselines. *)
-  val check_against : threshold:float -> reference:t -> t -> string list
-
   type mismatch = {
     m_kind : string;
         (** ["counter"], ["dist.count"], ["span.calls"],
@@ -659,10 +646,20 @@ module Snapshot : sig
     m_actual : float;  (** [nan] when missing from the current snapshot *)
   }
 
-  (** Structured form of {!check_against} — same comparisons, one
-      mismatch record per violated key, in reference order, then the
-      unrecorded counters in the current snapshot's order.  Gauges
-      are skipped (instantaneous samples are not reproducible). *)
+  (** [compare_against ~threshold ~reference current] compares a fresh
+      snapshot against a committed baseline and returns one mismatch
+      per violated key (empty = pass), in reference order, then the
+      unrecorded counters in the current snapshot's order.  Counters,
+      distribution observation counts, span call counts and histogram
+      totals and per-bucket counts are deterministic for a fixed
+      configuration and must match exactly; span seconds may exceed
+      the reference by at most [threshold] (e.g. [0.5] = +50%).  A
+      nonzero counter present only in [current] is reported as
+      unrecorded, so every counter a run emits is gated; other metrics
+      present only in [current] are ignored, so adding spans,
+      distributions or histograms does not break existing baselines.
+      Gauges are skipped (instantaneous samples are not
+      reproducible). *)
   val compare_against : threshold:float -> reference:t -> t -> mismatch list
 end
 

@@ -1,13 +1,10 @@
-(* Flat counting-sort spatial buckets.
+(* Flat counting-sort spatial buckets: the library's one spatial index.
 
-   [Geometry.Grid] hashes cells into a Hashtbl and bumps Obs counters
-   on every query, which makes it unusable from pool worker domains
-   (the Obs registry is not domain-safe) and costly at 10^6 nodes.
-   This grid is the shard pipeline's substrate instead: three int
-   arrays, built once, immutable afterwards — reads are safe from any
-   number of domains.  Buckets keep node ids in ascending order (the
-   counting sort scans ids in order twice), so every iteration order
-   below is deterministic.
+   Three int arrays, built once, immutable afterwards, with no Hashtbl
+   and no Obs calls, so reads are safe from any number of pool worker
+   domains and cost nothing at 10^6 nodes.  Buckets keep node ids in
+   ascending order (the counting sort scans ids in order twice), so
+   every iteration order below is deterministic.
 
    The same structure serves three callers: with [cell_size = radius]
    it drives CSR-native UDG construction and buckets LDel triangles by
@@ -34,7 +31,11 @@ let cell_index t x y =
   let cy = if cy < 0 then 0 else if cy >= t.ny then t.ny - 1 else cy in
   (cy * t.nx) + cx
 
-let create ?max_cells ~cell_size points =
+(* Dense deployments (a few points per [cell_size]-wide cell) stay on
+   the requested grid; only wide, sparse spans get wider cells. *)
+let max_cells n = (4 * n) + 64
+
+let create ~cell_size points =
   if cell_size <= 0. then invalid_arg "Cellgrid.create: cell_size <= 0";
   let n = Array.length points in
   let x0 = ref infinity and y0 = ref infinity in
@@ -50,7 +51,7 @@ let create ?max_cells ~cell_size points =
   let span lo hi = if n = 0 then 0. else hi -. lo in
   let sx = span x0 !x1 and sy = span y0 !y1 in
   (* a wide, sparse bounding box would cost (span / cell)^2 cells;
-     doubling the side until the grid fits [max_cells] keeps it O(n)
+     doubling the side until the grid fits [max_cells n] keeps it O(n)
      while every cell stays at least [cell_size] wide, so a 3x3 block
      still covers every within-[cell_size] pair.  The test runs in
      floats: the unwidened count can overflow an int. *)
@@ -58,14 +59,11 @@ let create ?max_cells ~cell_size points =
     (1. +. Float.floor (sx /. c)) *. (1. +. Float.floor (sy /. c))
   in
   let cell_size =
-    match max_cells with
-    | None -> cell_size
-    | Some cap ->
-      let c = ref cell_size in
-      while cells_at !c > Float.of_int (max 1 cap) do
-        c := 2. *. !c
-      done;
-      !c
+    let c = ref cell_size in
+    while cells_at !c > Float.of_int (max_cells n) do
+      c := 2. *. !c
+    done;
+    !c
   in
   let dim s = max 1 (1 + int_of_float (s /. cell_size)) in
   let nx = dim sx and ny = dim sy in

@@ -1,11 +1,9 @@
 (** Flat, immutable spatial buckets (counting sort; no Hashtbl, no
-    {!Obs}).
+    {!Obs}): the library's one spatial index.
 
-    The shard pipeline's spatial substrate: built once from the node
-    positions, then read concurrently from pool worker domains —
-    unlike {!Geometry.Grid}, whose Hashtbl buckets and Obs-instrumented
-    queries must stay on the calling domain.  Buckets hold node ids in
-    ascending order, so every iteration here is deterministic.
+    Built once from the node positions, then read concurrently from
+    pool worker domains.  Buckets hold node ids in ascending order, so
+    every iteration here is deterministic.
 
     With [cell_size] = the transmission radius this drives CSR-native
     UDG construction ({!Udg.build}) and the triangle-pair search of
@@ -28,15 +26,15 @@ type t = private {
 }
 
 (** [create ~cell_size points] buckets the points into a grid of
-    square cells covering their bounding box.  With [max_cells], a
-    bounding box that would need more cells than that widens the side
-    (doubling it until the grid fits), so a wide, sparse deployment
-    costs O([max_cells]) cells; the side never drops below
-    [cell_size], so a node's 3x3 block of cells still holds every
-    node within [cell_size] of it.  Grids that already fit are exactly the unbounded grid.
+    square cells covering their bounding box.  The grid caps itself at
+    [4 n + 64] cells for [n] points: a bounding box that would need
+    more widens the side (doubling it until the grid fits), so a wide,
+    sparse deployment costs O(n) cells.  The side never drops below
+    [cell_size], so a node's 3x3 block of cells still holds every node
+    within [cell_size] of it, and a grid that already fits the cap
+    (any dense deployment) has exactly side [cell_size].
     @raise Invalid_argument when [cell_size <= 0]. *)
-val create :
-  ?max_cells:int -> cell_size:float -> Geometry.Point.t array -> t
+val create : cell_size:float -> Geometry.Point.t array -> t
 
 (** Total number of cells ([nx * ny], at least 1). *)
 val cells : t -> int

@@ -23,26 +23,10 @@ let is_rng_edge points udg u v =
 let is_gabriel_edge points udg u v =
   C.mem_edge udg u v && no_blocker udg points u v Geometry.Circle.in_diametral
 
-(* The UDG's edges that pass [keep], decided once per edge from its
-   smaller end (as the predicates are stated) and marked on both arcs,
-   so the row filter is symmetric even where [keep u v] and
-   [keep v u] could round apart. *)
-let filter_edges udg keep =
-  let off = C.offsets udg and adj = C.targets udg in
-  let mark = Bytes.make (Array.length adj) '\000' in
-  for u = 0 to C.node_count udg - 1 do
-    for k = off.(u) to off.(u + 1) - 1 do
-      let v = adj.(k) in
-      if u < v && keep u v then begin
-        Bytes.set mark k '\001';
-        Bytes.set mark (C.arc udg v u) '\001'
-      end
-    done
-  done;
-  C.filter_arcs udg (fun k -> Bytes.get mark k <> '\000')
+let rng_graph udg points = C.filter_edges udg (is_rng_edge points udg)
 
-let rng_graph udg points = filter_edges udg (is_rng_edge points udg)
-let gabriel_graph udg points = filter_edges udg (is_gabriel_edge points udg)
+let gabriel_graph udg points =
+  C.filter_edges udg (is_gabriel_edge points udg)
 
 let yao_graph udg points ~cones =
   if cones < 1 then invalid_arg "Proximity.yao_graph: cones < 1";

@@ -12,13 +12,9 @@ module P = Geometry.Point
    per-domain scratch, then a blit) scans once but leaves ~2x the row
    arrays as major-heap garbage and a higher peak heap.  Each node's
    neighbor query is charged to [grid.queries] on the caller's domain
-   after the join, as [Geometry.Grid] charges its per-node queries. *)
+   after the join, one per node. *)
 let c_grid_queries = Obs.counter "grid.queries"
 let d_query_results = Obs.dist "grid.query_results"
-
-(* Dense deployments (a few nodes per radius-wide cell) stay on the
-   radius grid; only wide, sparse spans get wider cells. *)
-let max_cells n = (4 * n) + 64
 
 let build ?pool points ~radius =
   if radius <= 0. then invalid_arg "Udg.build: radius <= 0";
@@ -26,9 +22,7 @@ let build ?pool points ~radius =
   if n <= 1 then
     Netgraph.Csr.of_rows ~offsets:(Array.make (n + 1) 0) ~targets:[||] ()
   else begin
-    let grid =
-      Cellgrid.create ~max_cells:(max_cells n) ~cell_size:radius points
-    in
+    let grid = Cellgrid.create ~cell_size:radius points in
     let nx = grid.Cellgrid.nx and ny = grid.Cellgrid.ny in
     let start = grid.Cellgrid.start and order = grid.Cellgrid.order in
     let cell_ix = grid.Cellgrid.cell_ix in
@@ -108,67 +102,15 @@ let neighborhood g u ~hops =
   Array.iteri (fun v d -> if d <= hops then acc := v :: !acc) dist;
   List.rev !acc
 
-let is_udg points ~radius g =
-  let n = Array.length points in
-  Netgraph.Csr.node_count g = n
-  &&
-  if radius <= 0. then
-    (* degenerate radius the grid cannot index; only coincident pairs
-       at radius = 0 can be in range, so scan pairs directly *)
-    let ok = ref true in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        let in_range = P.dist points.(u) points.(v) <= radius in
-        if in_range <> Netgraph.Csr.mem_edge g u v then ok := false
-      done
-    done;
-    !ok
-  else if n <= 1 then Netgraph.Csr.edge_count g = 0
-  else begin
-    (* every in-range pair (found by the grid, O(n) of them for
-       bounded density) must be an edge; then matching edge counts
-       rule out any out-of-range edge without scanning the n^2
-       absent pairs.  The grid compares squared distances, which at
-       [radius] itself can round the other way from [P.dist]'s sqrt,
-       so it only proposes candidates, over a slightly wider range,
-       and [P.dist <= radius] decides. *)
-    let wide = radius *. (1. +. 1e-9) in
-    let grid = Geometry.Grid.create ~cell_size:wide points in
-    let in_range = ref 0 in
-    let all_edges = ref true in
-    for u = 0 to n - 1 do
-      List.iter
-        (fun v ->
-          if v > u && P.dist points.(u) points.(v) <= radius then begin
-            incr in_range;
-            if not (Netgraph.Csr.mem_edge g u v) then all_edges := false
-          end)
-        (Geometry.Grid.neighbors_within grid u wide)
-    done;
-    !all_edges && Netgraph.Csr.edge_count g = !in_range
-  end
-
-
+(* The r_max UDG's edges, each drawn once in ascending (u, v) order:
+   [build] alone decides |uv| <= r_max. *)
 let build_quasi rng points ~r_min ~r_max =
   if r_min <= 0. || r_max < r_min then
     invalid_arg "Udg.build_quasi: need 0 < r_min <= r_max";
-  let n = Array.length points in
-  let edges = ref [] in
-  if n > 1 then begin
-    let grid = Geometry.Grid.create ~cell_size:r_max points in
-    for u = 0 to n - 1 do
-      List.iter
-        (fun v ->
-          if v > u then begin
-            let d = P.dist points.(u) points.(v) in
-            let keep =
-              d <= r_min
-              || (r_max > r_min
-                 && Rand.float rng 1. < (r_max -. d) /. (r_max -. r_min))
-            in
-            if keep then edges := (u, v) :: !edges
-          end)
-        (Geometry.Grid.neighbors_within grid u r_max)
-    done
-  end;
-  Netgraph.Csr.of_edges n !edges
+  let udg = build points ~radius:r_max in
+  observe_queries udg;
+  Netgraph.Csr.filter_edges udg (fun u v ->
+      let d = P.dist points.(u) points.(v) in
+      d <= r_min
+      || (r_max > r_min
+         && Rand.float rng 1. < (r_max -. d) /. (r_max -. r_min)))

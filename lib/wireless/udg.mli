@@ -31,19 +31,18 @@ val observe_queries : Netgraph.Csr.t -> unit
     itself), computed from an existing graph. *)
 val neighborhood : Netgraph.Csr.t -> int -> hops:int -> int list
 
-(** [is_udg points ~radius g] checks that [g] is exactly the unit disk
-    graph of [points] — every pair with [Geometry.Point.dist] at most
-    [radius] linked, no other link. *)
-val is_udg : Geometry.Point.t array -> radius:float -> Netgraph.Csr.t -> bool
-
 (** [build_quasi rng points ~r_min ~r_max] is the quasi unit disk
     graph, the standard relaxation of the paper's idealized radio
     model (its future-work section): pairs within [r_min] are always
     linked, pairs beyond [r_max] never, and pairs in between are
     linked with probability falling linearly from 1 at [r_min] to 0
-    at [r_max].  With [r_min = r_max] this is exactly {!build}.  The
-    robustness benches run the paper's construction on these graphs
-    to see which guarantees survive a non-ideal radio.
+    at [r_max].  The candidates are the edges of {!build}[ points
+    ~radius:r_max], each drawn once in ascending [(u, v)] order, so
+    [UDG(r_min) ⊆ qUDG ⊆ UDG(r_max)] and [r_min = r_max] is exactly
+    {!build}.  Records that UDG's [grid.queries] and, as
+    {!observe_queries}, its [grid.query_results].  The robustness
+    benches run the paper's construction on these graphs to see which
+    guarantees survive a non-ideal radio.
     @raise Invalid_argument unless [0 < r_min <= r_max]. *)
 val build_quasi :
   Rand.t ->

@@ -1,5 +1,5 @@
 (* Unit tests for the geometry substrate: points, predicates,
-   segments, circles, hulls, grid. *)
+   segments, circles, hulls. *)
 
 module P = Geometry.Point
 module Pred = Geometry.Predicates
@@ -242,53 +242,6 @@ let test_bbox () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------------- Grid ---------------- *)
-
-let test_grid_neighbors () =
-  let pts = [| p 0. 0.; p 1. 0.; p 5. 5.; p 1.4 0. |] in
-  let g = Geometry.Grid.create ~cell_size:2. pts in
-  let n0 = List.sort compare (Geometry.Grid.neighbors_within g 0 2.) in
-  Alcotest.(check (list int)) "neighbors of 0" [ 1; 3 ] n0;
-  let n2 = Geometry.Grid.neighbors_within g 2 2. in
-  Alcotest.(check (list int)) "isolated" [] n2
-
-let test_grid_matches_bruteforce () =
-  let rng = Wireless.Rand.create 11L in
-  let pts =
-    Array.init 200 (fun _ ->
-        p (Wireless.Rand.float rng 100.) (Wireless.Rand.float rng 100.))
-  in
-  let r = 12.5 in
-  let g = Geometry.Grid.create ~cell_size:r pts in
-  for i = 0 to 199 do
-    let fast = List.sort compare (Geometry.Grid.neighbors_within g i r) in
-    let slow = ref [] in
-    for j = 199 downto 0 do
-      if j <> i && P.dist pts.(i) pts.(j) <= r then slow := j :: !slow
-    done;
-    Alcotest.(check (list int)) "grid = brute force" !slow fast
-  done
-
-let test_grid_points_within () =
-  let pts = [| p 0. 0.; p 3. 0.; p 6. 0.; p 20. 0. |] in
-  let g = Geometry.Grid.create ~cell_size:2. pts in
-  (* query radius larger than the cell size must still work *)
-  let found = List.sort compare (Geometry.Grid.points_within g (p 0. 0.) 7.) in
-  Alcotest.(check (list int)) "multi-ring query" [ 0; 1; 2 ] found
-
-let test_grid_invalid () =
-  check "bad cell size" true
-    (try
-       ignore (Geometry.Grid.create ~cell_size:0. [| p 0. 0. |]);
-       false
-     with Invalid_argument _ -> true);
-  let g = Geometry.Grid.create ~cell_size:1. [| p 0. 0.; p 0.5 0. |] in
-  check "radius above cell size" true
-    (try
-       ignore (Geometry.Grid.neighbors_within g 0 2.);
-       false
-     with Invalid_argument _ -> true)
-
 let suites =
   [
     ( "geometry.point",
@@ -342,13 +295,4 @@ let suites =
       ] );
     ( "geometry.bbox",
       [ Alcotest.test_case "construction and queries" `Quick test_bbox ] );
-    ( "geometry.grid",
-      [
-        Alcotest.test_case "neighbors" `Quick test_grid_neighbors;
-        Alcotest.test_case "matches brute force" `Quick
-          test_grid_matches_bruteforce;
-        Alcotest.test_case "points within any radius" `Quick
-          test_grid_points_within;
-        Alcotest.test_case "invalid arguments" `Quick test_grid_invalid;
-      ] );
   ]

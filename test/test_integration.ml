@@ -290,7 +290,7 @@ end
    while n = 2000 runs at R = 10, below the percolation threshold:
    hundreds of components, which keeps its all-pairs stretch cheap and
    covers structures built per component. *)
-let test_table1_equals_thaw_oracle () =
+let test_table1_equals_table_oracle () =
   List.iter
     (fun (seed, n, radius) ->
       let rng = Wireless.Rand.create seed in
@@ -364,7 +364,7 @@ let suites =
           test_registry_is_single_source;
         Alcotest.test_case "pipeline deterministic" `Quick
           test_deterministic_pipeline;
-        Alcotest.test_case "Table I = thaw oracle" `Slow
-          test_table1_equals_thaw_oracle;
+        Alcotest.test_case "Table I = Table_oracle" `Slow
+          test_table1_equals_table_oracle;
       ] );
   ]

@@ -330,7 +330,7 @@ let oracle_planarize ?pool csr points ~radius tris_list =
       sees a1 a2 b2 c2 || sees b1 a2 b2 c2 || sees c1 a2 b2 c2
     in
     let grid =
-      Wireless.Cellgrid.create ~max_cells:((4 * m) + 64) ~cell_size:radius
+      Wireless.Cellgrid.create ~cell_size:radius
         (Array.map
            (fun (b : Geometry.Bbox.t) -> { Geometry.Point.x = b.xmin; y = b.ymin })
            boxes)
@@ -477,7 +477,7 @@ let prop_planarize_matches_oracle =
 (* the packed build, read off as lists, against the list builder it
    replaced, on the same thinned family *)
 let prop_packed_matches_list_builder =
-  QCheck.Test.make ~name:"to_parts (build_csr) = list builder" ~count:150
+  QCheck.Test.make ~name:"Ldel.build = list oracle" ~count:150
     (QCheck.make ~print:print_instance gen_instance)
     (fun (seed, n, radius, drop) ->
       let pts, csr = thinned_instance (Int64.of_int seed) n radius drop in

@@ -483,9 +483,11 @@ let test_edgeless_weighted () =
         (M.power_stretch ~base:g ~sub:g pts ~beta:2. = (1., 1.)))
     edgeless_fixtures
 
-(* ---------------- Udg.is_udg ---------------- *)
+(* ---------------- the UDG against its definition ---------------- *)
 
-let brute_force_is_udg pts ~radius g =
+(* [g] is the UDG of range [radius] over [pts] by the definition: every
+   pair with [P.dist <= radius] linked, no other link *)
+let brute_force_udg pts ~radius g =
   let n = Array.length pts in
   C.node_count g = n
   &&
@@ -497,19 +499,21 @@ let brute_force_is_udg pts ~radius g =
   done;
   !ok
 
-let test_is_udg () =
+(* A graph is the UDG exactly when it equals [Udg.build]: the kernel
+   meets the definition, and [C.equal] against it rejects a missing or
+   an extra edge and agrees with the definition on mangled graphs *)
+let test_udg_equal_brute_force () =
   List.iter
     (fun seed ->
       let radius = 40. in
       let pts, g = random_udg seed ~n:50 ~radius in
-      check "built UDG verifies" true (Wireless.Udg.is_udg pts ~radius g);
-      (* removing any edge must be caught *)
+      check "kernel = definition" true (brute_force_udg pts ~radius g);
+      let is_the_udg h = C.equal h (Wireless.Udg.build pts ~radius) in
+      check "built UDG verifies" true (is_the_udg g);
       (match C.edges g with
       | _ :: rest ->
-        let g' = C.of_edges 50 rest in
-        check "missing edge detected" false (Wireless.Udg.is_udg pts ~radius g')
+        check "missing edge detected" false (is_the_udg (C.of_edges 50 rest))
       | [] -> ());
-      (* adding an out-of-range edge must be caught by the edge count *)
       let far = ref None in
       for u = 0 to 49 do
         for v = u + 1 to 49 do
@@ -519,10 +523,9 @@ let test_is_udg () =
       done;
       (match !far with
       | Some (u, v) ->
-        let g' = C.of_edges 50 ((u, v) :: C.edges g) in
-        check "extra edge detected" false (Wireless.Udg.is_udg pts ~radius g')
+        check "extra edge detected" false
+          (is_the_udg (C.of_edges 50 ((u, v) :: C.edges g)))
       | None -> ());
-      (* agree with the O(n^2) definition on arbitrary graphs *)
       let rand = mk_rand seed in
       let toggled =
         List.fold_left
@@ -536,37 +539,49 @@ let test_is_udg () =
           (C.edges g) [ (); (); () ]
       in
       let mangled = C.of_edges 50 toggled in
-      check "matches brute force" (brute_force_is_udg pts ~radius mangled)
-        (Wireless.Udg.is_udg pts ~radius mangled))
+      check "matches brute force" (brute_force_udg pts ~radius mangled)
+        (is_the_udg mangled))
     [ 41L; 42L; 43L ]
 
-let test_is_udg_degenerate () =
-  check "empty" true (Wireless.Udg.is_udg [||] ~radius:1. (C.of_edges 0 []));
-  check "singleton" true
-    (Wireless.Udg.is_udg [| P.make 0. 0. |] ~radius:1. (C.of_edges 1 []));
+let test_udg_degenerate () =
+  let empty n = C.of_edges n [] in
+  check "empty" true (C.equal (Wireless.Udg.build [||] ~radius:1.) (empty 0));
+  let one = [| P.make 0. 0. |] in
+  check "singleton" true (C.equal (Wireless.Udg.build one ~radius:1.) (empty 1));
   check "node count mismatch" false
-    (Wireless.Udg.is_udg [| P.make 0. 0. |] ~radius:1. (C.of_edges 2 []));
-  (* radius 0: distinct points are never in range *)
+    (C.equal (Wireless.Udg.build one ~radius:1.) (empty 2));
+  (* radius 0 is no transmission range: the kernel and the quasi radio
+     both reject it rather than build a graph *)
   let pts = [| P.make 0. 0.; P.make 1. 0. |] in
-  check "radius 0 empty graph" true (Wireless.Udg.is_udg pts ~radius:0. (C.of_edges 2 []));
-  check "radius 0 extra edge" false
-    (Wireless.Udg.is_udg pts ~radius:0. (C.of_edges 2 [ (0, 1) ]))
+  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check "radius 0 rejected" true
+    (rejects (fun () -> Wireless.Udg.build pts ~radius:0.));
+  check "quasi radius 0 rejected" true
+    (rejects (fun () ->
+         Wireless.Udg.build_quasi (Wireless.Rand.create 1L) pts ~r_min:0.
+           ~r_max:0.))
 
-(* R equal to a pair's own distance, where the squared-distance test
-   and [P.dist]'s sqrt can round apart: the kernel links every such
-   pair, and is_udg must agree with the brute-force definition *)
-let test_is_udg_at_radius () =
+(* R equal to a pair's own distance, where a squared-distance test and
+   [P.dist]'s sqrt can round apart: the kernel links every such pair,
+   and so does the quasi radio at r_min = r_max = R, whose graph is
+   then exactly the UDG *)
+let test_udg_at_radius () =
   let rand = mk_rand 44L in
-  for _ = 1 to 400 do
+  for i = 1 to 400 do
     let pts =
       Array.init 3 (fun _ -> P.make (100. *. rand ()) (100. *. rand ()))
     in
     let radius = P.dist pts.(0) pts.(1) in
     let g = Wireless.Udg.build pts ~radius in
     check "linked at R = distance" true (C.mem_edge g 0 1);
-    check "is_udg = brute force" (brute_force_is_udg pts ~radius g)
-      (Wireless.Udg.is_udg pts ~radius g);
-    check "verifies" true (Wireless.Udg.is_udg pts ~radius g)
+    check "kernel = definition" true (brute_force_udg pts ~radius g);
+    let q =
+      Wireless.Udg.build_quasi
+        (Wireless.Rand.create (Int64.of_int i))
+        pts ~r_min:radius ~r_max:radius
+    in
+    check "quasi linked at r_min = r_max = distance" true (C.mem_edge q 0 1);
+    check "quasi at r_min = r_max = UDG" true (C.equal q g)
   done
 
 let suites =
@@ -616,11 +631,12 @@ let suites =
         Alcotest.test_case "edgeless snapshots are weighted" `Quick
           test_edgeless_weighted;
       ] );
-    ( "wireless.is_udg",
+    ( "wireless.udg_oracle",
       [
-        Alcotest.test_case "grid verification" `Quick test_is_udg;
-        Alcotest.test_case "degenerate inputs" `Quick test_is_udg_degenerate;
+        Alcotest.test_case "kernel = brute force" `Quick
+          test_udg_equal_brute_force;
+        Alcotest.test_case "degenerate inputs" `Quick test_udg_degenerate;
         Alcotest.test_case "radius at a pair's distance" `Quick
-          test_is_udg_at_radius;
+          test_udg_at_radius;
       ] );
   ]

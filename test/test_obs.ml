@@ -332,7 +332,7 @@ let test_sparkline_non_finite () =
     (spark [ neg_infinity; 1.; 2. ])
 
 (* ------------------------------------------------------------------ *)
-(* check_against mismatch paths                                        *)
+(* compare_against mismatch paths                                      *)
 (* ------------------------------------------------------------------ *)
 
 let snapshot_of f =
@@ -342,12 +342,20 @@ let snapshot_of f =
   Obs.set_enabled false;
   Obs.Snapshot.capture ()
 
-let mentions needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let some_err needle errs = List.exists (mentions needle) errs
+(* a mismatch of [kind] on [name] whose expected/actual values, where
+   given, match ([nan] matches [nan]: the unrecorded and missing
+   sides) *)
+let has ?expected ?actual kind name (ms : Obs.Snapshot.mismatch list) =
+  let agrees want got =
+    match want with None -> true | Some w -> Float.equal w got
+  in
+  List.exists
+    (fun (m : Obs.Snapshot.mismatch) ->
+      m.Obs.Snapshot.m_kind = kind
+      && m.Obs.Snapshot.m_name = name
+      && agrees expected m.Obs.Snapshot.m_expected
+      && agrees actual m.Obs.Snapshot.m_actual)
+    ms
 
 let test_check_against_mismatch_paths () =
   let populate () =
@@ -357,6 +365,9 @@ let test_check_against_mismatch_paths () =
     Obs.span "ck.s" (fun () -> ())
   in
   let reference = snapshot_of populate in
+  let diff ?(threshold = 0.5) ?(reference = reference) current =
+    Obs.Snapshot.compare_against ~threshold ~reference current
+  in
   (* a second run of [populate] with the reference's span seconds: an
      empty span's wall time is scheduler noise, and a fast reference
      against a preempted rerun would breach any relative threshold *)
@@ -378,9 +389,7 @@ let test_check_against_mismatch_paths () =
           rerun.Obs.Snapshot.spans;
     }
   in
-  Alcotest.(check (list string))
-    "identical run checks clean" []
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference same);
+  check "identical run checks clean" true (diff same = []);
   (* missing keys, a kind swap (ck.d re-registered as a counter), a
      counter delta and a histogram observed into a different bucket *)
   let drift =
@@ -390,13 +399,29 @@ let test_check_against_mismatch_paths () =
         Obs.observe_hist (Obs.histogram "ck.h") 700.;
         Obs.span "ck.s" (fun () -> ()))
   in
-  let errs = Obs.Snapshot.check_against ~threshold:0.5 ~reference drift in
+  let ms = diff drift in
   check "counter delta reported" true
-    (some_err "counter ck.c: 7 differs from reference 5" errs);
+    (has "counter" "ck.c" ~expected:5. ~actual:7. ms);
   check "kind swap surfaces as the dist gone missing" true
-    (some_err "dist ck.d missing" errs);
+    (has "dist.count" "ck.d" ~expected:1. ~actual:nan ms);
+  (* the one observation left its bucket for another: both buckets
+     are itemized under their le bound, the total is unchanged *)
+  let bucket (m : Obs.Snapshot.mismatch) =
+    m.Obs.Snapshot.m_kind = "hist.bucket"
+    && String.length m.Obs.Snapshot.m_name > 8
+    && String.sub m.Obs.Snapshot.m_name 0 8 = "ck.h[le="
+  in
+  let moved =
+    List.filter_map
+      (fun (m : Obs.Snapshot.mismatch) ->
+        if bucket m then Some (m.Obs.Snapshot.m_expected, m.Obs.Snapshot.m_actual)
+        else None)
+      ms
+  in
   check "histogram bucket deltas are itemized with their le bound" true
-    (some_err "ck.h[le=" errs);
+    (List.sort compare moved = [ (0., 1.); (1., 0.) ]);
+  check "histogram total unchanged" false
+    (has "hist.count" "ck.h" ms);
   (* a histogram absent from the run *)
   let hist_gone =
     snapshot_of (fun () ->
@@ -405,8 +430,7 @@ let test_check_against_mismatch_paths () =
         Obs.span "ck.s" (fun () -> ()))
   in
   check "missing histogram reported" true
-    (some_err "hist ck.h missing"
-       (Obs.Snapshot.check_against ~threshold:0.5 ~reference hist_gone));
+    (has "hist.count" "ck.h" ~expected:1. ~actual:nan (diff hist_gone));
   (* span wall-clock beyond the threshold: doctor the captured seconds
      so the delta is deterministic *)
   let slow =
@@ -419,11 +443,17 @@ let test_check_against_mismatch_paths () =
           same.Obs.Snapshot.spans;
     }
   in
+  let ck_s (s : Obs.Snapshot.t) =
+    (List.find
+       (fun (sp : Obs.Snapshot.span_stats) -> sp.Obs.Snapshot.path = "ck.s")
+       s.Obs.Snapshot.spans)
+      .Obs.Snapshot.seconds
+  in
   check "span regression beyond threshold reported" true
-    (some_err "ck.s"
-       (Obs.Snapshot.check_against ~threshold:0.5 ~reference slow));
+    (has "span.seconds" "ck.s" ~expected:(ck_s reference) ~actual:(ck_s slow)
+       (diff slow));
   check "span within threshold passes" true
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:slow slow = []);
+    (diff ~reference:slow slow = []);
   (* a counter the run emits but the reference lacks is gated too; a
      zero one, like a counter missing from the run at zero, is not *)
   let extra =
@@ -432,21 +462,13 @@ let test_check_against_mismatch_paths () =
         Obs.add (Obs.counter "ck.new") 3;
         ignore (Obs.counter "ck.zero"))
   in
-  let errs = Obs.Snapshot.check_against ~threshold:10. ~reference extra in
+  let ms = diff ~threshold:10. extra in
   check "unrecorded counter reported" true
-    (some_err "counter ck.new unrecorded (actual 3)" errs);
-  check "zero unrecorded counter passes" false (some_err "ck.zero" errs);
-  (match
-     Obs.Snapshot.compare_against ~threshold:10. ~reference extra
-     |> List.filter (fun (m : Obs.Snapshot.mismatch) ->
-            m.Obs.Snapshot.m_name = "ck.new")
-   with
-  | [ m ] ->
-    check "structured: expected is nan" true
-      (Float.is_nan m.Obs.Snapshot.m_expected);
-    check "structured: actual is the count" true
-      (m.Obs.Snapshot.m_actual = 3.)
-  | _ -> Alcotest.fail "one ck.new mismatch expected")
+    (has "counter" "ck.new" ~expected:nan ~actual:3. ms);
+  check "zero unrecorded counter passes" false
+    (List.exists
+       (fun (m : Obs.Snapshot.mismatch) -> m.Obs.Snapshot.m_name = "ck.zero")
+       ms)
 
 (* ------------------------------------------------------------------ *)
 (* Sinks round-trip                                                    *)

@@ -139,12 +139,12 @@ let test_wide_span () =
   (* the cap widens only grids that exceed it: a dense deployment
      keeps exactly the radius grid *)
   let pts, _ = deployment 92L 2000 450. 25. in
-  let g = Wireless.Cellgrid.create ~max_cells:8064 ~cell_size:25. pts in
+  let g = Wireless.Cellgrid.create ~cell_size:25. pts in
   check "dense grid unchanged" true (Float.equal g.Wireless.Cellgrid.cell 25.);
   List.iter
     (fun (name, pts, radius) ->
       let cap = (4 * Array.length pts) + 64 in
-      let g = Wireless.Cellgrid.create ~max_cells:cap ~cell_size:radius pts in
+      let g = Wireless.Cellgrid.create ~cell_size:radius pts in
       check (name ^ " grid capped") true
         (Wireless.Cellgrid.cells g <= cap && g.Wireless.Cellgrid.cell >= radius);
       let want = brute_udg pts radius in
@@ -325,8 +325,8 @@ module Connectors_oracle = struct
                                (Hashtbl.find_opt cands_by_v v))
                     end))
           end);
-      Netgraph.Graph.sorted_tbl_iter Int.compare
-        (fun v cands ->
+      List.iter
+        (fun (v, cands) ->
           let first = elect_csr cands in
           let second_cands =
             List.sort_uniq compare
@@ -359,7 +359,9 @@ module Connectors_oracle = struct
                   if C.mem_edge g w x then edges := ordered_edge w x :: !edges)
                 first)
             second)
-        cands_by_v
+        (List.sort
+           (fun (a, _) (b, _) -> Int.compare a b)
+           (Hashtbl.fold (fun v cands acc -> (v, cands) :: acc) cands_by_v []))
     in
     for u = 0 to n - 1 do
       if roles.(u) = Mis.Dominator then begin

@@ -317,7 +317,7 @@ let gate_snapshot () =
 let test_check_against_identical () =
   let snap = gate_snapshot () in
   check "identical snapshot passes" true
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:snap snap = [])
+    (Obs.Snapshot.compare_against ~threshold:0.5 ~reference:snap snap = [])
 
 let test_check_against_regressions () =
   (* pin the span timing so the test is deterministic: the "current"
@@ -335,16 +335,15 @@ let test_check_against_regressions () =
   in
   let snap = with_seconds 1.0 (gate_snapshot ()) in
   let halved = with_seconds 0.5 snap in
-  (match Obs.Snapshot.check_against ~threshold:0.5 ~reference:halved snap with
+  (match Obs.Snapshot.compare_against ~threshold:0.5 ~reference:halved snap with
   | [] -> Alcotest.fail "2x slowdown passed a +50% gate"
   | vs ->
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      go 0
-    in
     check "violation names the span" true
-      (List.exists (fun v -> contains v "gate.stage") vs));
+      (List.exists
+         (fun (m : Obs.Snapshot.mismatch) ->
+           m.Obs.Snapshot.m_kind = "span.seconds"
+           && m.Obs.Snapshot.m_name = "gate.stage")
+         vs));
   (* counter drift is a hard failure at any threshold *)
   let drifted =
     {
@@ -356,15 +355,15 @@ let test_check_against_regressions () =
     }
   in
   check "counter drift fails" true
-    (Obs.Snapshot.check_against ~threshold:10. ~reference:drifted snap <> []);
+    (Obs.Snapshot.compare_against ~threshold:10. ~reference:drifted snap <> []);
   (* spans and dists only present in the current run are ignored; a
      counter only present in it is reported unrecorded *)
   let trimmed = { snap with Obs.Snapshot.spans = []; dists = [] } in
   check "reference without the span and dist still passes" true
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:trimmed snap = []);
+    (Obs.Snapshot.compare_against ~threshold:0.5 ~reference:trimmed snap = []);
   let uncounted = { snap with Obs.Snapshot.counters = [] } in
   check "reference without the counter fails" true
-    (Obs.Snapshot.check_against ~threshold:0.5 ~reference:uncounted snap <> [])
+    (Obs.Snapshot.compare_against ~threshold:0.5 ~reference:uncounted snap <> [])
 
 let test_dist_moments () =
   let snap = gate_snapshot () in

@@ -148,7 +148,13 @@ let test_udg_matches_definition () =
   for _ = 1 to 10 do
     let pts = Wireless.Deploy.uniform rng ~n:80 ~side:100. in
     let g = Wireless.Udg.build pts ~radius:25. in
-    check "is udg" true (Wireless.Udg.is_udg pts ~radius:25. g)
+    let want = ref [] in
+    for u = 0 to 79 do
+      for v = u + 1 to 79 do
+        if P.dist pts.(u) pts.(v) <= 25. then want := (u, v) :: !want
+      done
+    done;
+    check "is udg" true (G.equal g (G.of_edges 80 !want))
   done
 
 let test_udg_small () =
