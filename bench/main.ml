@@ -941,10 +941,23 @@ let protocol_leg () =
           (fun (n, radius) -> (n, radius, List.hd (instances cfg n radius)))
           grid)
   in
+  (* GC sampling charges each phase span its minor words; the totals
+     become ungated gauges *)
+  let sampling = !Obs.gc_gauges in
+  Obs.set_gc_sampling true;
   let runs =
-    Obs.span "bench.pipeline.protocol" (fun () ->
-        List.map (fun (_, radius, pts) -> Core.Protocol.run pts ~radius) insts)
+    Fun.protect
+      ~finally:(fun () -> Obs.set_gc_sampling sampling)
+      (fun () ->
+        Obs.span "bench.pipeline.protocol" (fun () ->
+            List.map (fun (_, radius, pts) -> Core.Protocol.run pts ~radius) insts))
   in
+  List.iter
+    (fun phase ->
+      Obs.set_gauge
+        (Obs.gauge ("bench.pipeline.protocol." ^ phase ^ ".minor_words"))
+        (Obs.span_minor_words ("bench.pipeline.protocol/protocol/" ^ phase)))
+    Core.Protocol.phases;
   let rounds = Array.make 4 0 and messages = Array.make 4 0 in
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun v -> violations := v :: !violations) fmt in
@@ -1101,11 +1114,13 @@ let bench_pipeline ?check quick jobs =
     (List.rev !timed);
   pf "(outputs verified bit-identical across tilings and job counts)@.";
   pf "@.protocol leg: %d Section IV instances@." proto.instances;
-  pf "%-11s %8s %8s %10s %10s@." "phase" "rounds" "budget" "messages" "time (s)";
+  pf "%-11s %8s %8s %10s %10s %14s@." "phase" "rounds" "budget" "messages"
+    "time (s)" "minor words";
   List.iter
     (fun (phase, rounds, budget, messages) ->
-      pf "%-11s %8d %8d %10d %10.3f@." phase rounds budget messages
-        (seconds ("bench.pipeline.protocol/protocol/" ^ phase)))
+      pf "%-11s %8d %8d %10d %10.3f %14.0f@." phase rounds budget messages
+        (seconds ("bench.pipeline.protocol/protocol/" ^ phase))
+        (Obs.span_minor_words ("bench.pipeline.protocol/protocol/" ^ phase)))
     proto.phases;
   (match proto.violations with
   | [] ->

@@ -735,10 +735,10 @@ let trace_cmd =
                 end
                 else if
                   (not fired)
-                  && List.exists
-                       (fun (d : int Distsim.Engine.delivery) ->
-                         d.Distsim.Engine.msg = ctx.Distsim.Engine.me - 1)
-                       inbox
+                  && Distsim.Engine.fold_inbox
+                       (fun heard _ _ (token : int) ->
+                         heard || token = ctx.Distsim.Engine.me - 1)
+                       false inbox
                 then begin
                   ctx.Distsim.Engine.broadcast ctx.Distsim.Engine.me;
                   true

@@ -22,9 +22,9 @@
     are triangles of that corner's one local triangulation, so
     Algorithm 3 skips them before any predicate.  The reference
     implementation is {!Protocol}, whose message-level rendition
-    (full Bowyer–Watson per node, every box-overlapping pair tested)
-    must produce identical output (asserted by the integration
-    tests). *)
+    (full Bowyer–Watson per node, every box-overlapping pair without a
+    shared corner tested) must produce identical output (asserted by
+    the integration tests). *)
 
 (** What {!build} computes, packed flat on the arcs of the graph it
     ran on: no lists, a byte per arc and per triangle plus three ints
@@ -140,3 +140,11 @@ val triangle_bbox : Geometry.Point.t array -> int * int * int -> Geometry.Bbox.t
     test allocates nothing. *)
 val triangles_intersect :
   Geometry.Point.t array -> int * int * int -> int * int * int -> bool
+
+(** [shares_corner a1 b1 c1 a2 b2 c2] holds when triangles [a1 b1 c1]
+    and [a2 b2 c2] have a corner id in common.  Both planarizations
+    ({!build} and {!Protocol}'s removal round) skip such pairs of
+    accepted triangles before any predicate: each is a triangle of the
+    local Delaunay triangulation of the shared corner, so the two do
+    not intersect (test_ldel asserts it). *)
+val shares_corner : int -> int -> int -> int -> int -> int -> bool

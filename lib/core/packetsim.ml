@@ -76,7 +76,7 @@ let run_one g points ~src ~dst ~use_perimeter =
                 { dst; header = Routing.Greedy; next_hop = src; ttl = ttl0;
                   trace = [] }
           end;
-          List.iter (fun d -> handle d.E.msg) inbox;
+          E.iter_inbox (fun _ _ pkt -> handle pkt) inbox;
           st);
     }
   in

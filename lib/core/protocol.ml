@@ -80,6 +80,16 @@ let row_index (row : int array) v =
   in
   go 0 (Array.length row)
 
+(* index of [v] in [a] from [i] on, or -1 *)
+let rec index_from (a : int array) v i =
+  if i >= Array.length a then -1
+  else if a.(i) = v then i
+  else index_from a v (i + 1)
+
+let rec mem_int (v : int) = function
+  | [] -> false
+  | w :: rest -> w = v || mem_int v rest
+
 (* ------------------------------------------------------------------ *)
 (* Phase 1: clustering                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -100,7 +110,8 @@ type cluster_state = {
   flags : Bytes.t;
   mutable smaller_white : int;  (* rows flagged [f_smaller_white] *)
   mutable status : [ `White | `Dominator | `Dominatee ];
-  mutable nbr_dominators : int list;  (* dominators named by neighbors *)
+  mutable nbr_dominators : int list;
+      (* dominators named by neighbors, each once *)
   nbr_pos : P.t array;  (* Hello positions, where [f_hello] *)
 }
 
@@ -135,15 +146,13 @@ let cluster_protocol points =
       end
     in
     let new_dominators = ref [] in
-    List.iter
-      (fun { E.from; msg } ->
+    E.iter_inbox
+      (fun i from msg ->
         match msg with
         | Hello p ->
-          let i = row_index st.row from in
           st.nbr_pos.(i) <- p;
           set_flag st.flags i f_hello
         | IamDominator ->
-          let i = row_index st.row from in
           decided i;
           if flag st.flags i land f_dominator = 0 then begin
             set_flag st.flags i f_dominator;
@@ -153,8 +162,9 @@ let cluster_protocol points =
             end
           end
         | IamDominatee d ->
-          decided (row_index st.row from);
-          st.nbr_dominators <- d :: st.nbr_dominators
+          decided i;
+          if not (mem_int d st.nbr_dominators) then
+            st.nbr_dominators <- d :: st.nbr_dominators
         | TwoHopDoms _ | TryConnector _ | IamConnector _ | Status _
         | Proposal _ | Accept _ | Reject _ | ShareTriangles _
         | RemainingTriangles _ | NeighborTable _ ->
@@ -216,6 +226,13 @@ type conn_state = {
   mutable c_edges : (int * int) list;
 }
 
+(* the end of a candidacy's pair that is one of its candidate's
+   dominators: both are for a Single, [u] joins a First leg, [v] a
+   Second *)
+let dominator_end (u, v) = function Single | First -> u | Second -> v
+
+let dominator_index st u = index_from st.c_dominators u 0
+
 let connectors_protocol (cluster : cluster_state array) =
   let init me _row =
     let st = cluster.(me) in
@@ -245,7 +262,15 @@ let connectors_protocol (cluster : cluster_state array) =
     }
   in
   let install st u v = st.c_edges <- ordered_edge u v :: st.c_edges in
-  let candidacy st pair pos = Tbl.find_opt st.c_by_key (election_key pair pos) in
+  (* a key can only be one of my candidacies when its dominator end is
+     one of my dominators, so any other key is dropped unhashed *)
+  let candidacy st pair pos =
+    if
+      List.is_empty st.c_candidacies
+      || dominator_index st (dominator_end pair pos) < 0
+    then None
+    else Tbl.find_opt st.c_by_key (election_key pair pos)
+  in
   let claim ctx st pair pos =
     let c =
       { pair; pos; least_rival = max_int; elected = false; heard_first = [] }
@@ -255,18 +280,10 @@ let connectors_protocol (cluster : cluster_state array) =
     ctx.E.broadcast (TryConnector (pair, pos));
     c
   in
-  let dominator_index st u =
-    let rec go i =
-      if i >= Array.length st.c_dominators then -1
-      else if st.c_dominators.(i) = u then i
-      else go (i + 1)
-    in
-    go 0
-  in
   let on_round ctx st inbox =
     let me = ctx.E.me in
-    List.iter
-      (fun { E.from; msg } ->
+    E.iter_inbox
+      (fun _ from msg ->
         match msg with
         | TwoHopDoms doms ->
           let i = dominator_index st from in
@@ -369,11 +386,9 @@ let status_protocol (backbone : bool array) =
     }
   in
   let on_round ctx st inbox =
-    List.iter
-      (fun { E.from; msg } ->
-        match msg with
-        | Status true -> Bytes.set st.s_bb_nbrs (row_index st.s_row from) '\001'
-        | _ -> ())
+    E.iter_inbox
+      (fun i _ msg ->
+        match msg with Status true -> Bytes.set st.s_bb_nbrs i '\001' | _ -> ())
       inbox;
     if ctx.E.round = 0 then ctx.E.broadcast (Status st.s_backbone);
     st
@@ -519,8 +534,8 @@ let ldel_protocol (status : status_state array)
     (* a node off the backbone is a corner of no triangle and reads
        none of the gossip, so it ignores its inbox *)
     if st.l_backbone then begin
-      List.iter
-        (fun { E.from; msg } ->
+      E.iter_inbox
+        (fun _ from msg ->
           match msg with
           | Proposal t ->
             let k = pack_tri t in
@@ -559,30 +574,56 @@ let ldel_protocol (status : status_state array)
           ctx.E.broadcast
             (ShareTriangles (List.map unpack_tri st.l_accepted, st.l_gabriel))
       end;
-      (* round 3: apply the removal rule and gossip survivors; pairs
-         whose boxes are disjoint are decided by the same exact
-         prefilter [Ldel.build] applies *)
+      (* round 3: apply the removal rule and gossip survivors.  The
+         pairs [Ldel.planarize] skips are skipped here, by its
+         argument: every accepted triangle is in [l_local] of each of
+         its corners, so two that share a corner [v] are triangles of
+         the one exact triangulation Del(N[v]) and cannot intersect
+         (test_ldel asserts it).  Pairs whose boxes are disjoint are
+         decided by the same exact prefilter. *)
       if ctx.E.round = 3 then begin
         let known =
-          Array.of_list
-            (List.map unpack_tri
-               (List.sort_uniq Int.compare (st.l_known @ st.l_accepted)))
+          Array.of_list (List.sort_uniq Int.compare (st.l_known @ st.l_accepted))
         in
-        let boxes = Array.map (Ldel.triangle_bbox points) known in
+        (* each known triangle's corners, and its box as xmin ymin
+           xmax ymax *)
+        let m = Array.length known in
+        let tv = Array.make (3 * m) 0 and box = Array.make (4 * m) 0. in
+        Array.iteri
+          (fun j k ->
+            let a, b, c = unpack_tri k in
+            tv.(3 * j) <- a;
+            tv.((3 * j) + 1) <- b;
+            tv.((3 * j) + 2) <- c;
+            let pa = points.(a) and pb = points.(b) and pc = points.(c) in
+            box.(4 * j) <- Float.min (Float.min pa.P.x pb.P.x) pc.P.x;
+            box.((4 * j) + 1) <- Float.min (Float.min pa.P.y pb.P.y) pc.P.y;
+            box.((4 * j) + 2) <- Float.max (Float.max pa.P.x pb.P.x) pc.P.x;
+            box.((4 * j) + 3) <- Float.max (Float.max pa.P.y pb.P.y) pc.P.y)
+          known;
+        (* an accepted triangle is known too: [i] is its index *)
+        let removed i =
+          let a1 = tv.(3 * i) and b1 = tv.((3 * i) + 1) and c1 = tv.((3 * i) + 2) in
+          let rec scan j =
+            j < m
+            && ((let a2 = tv.(3 * j)
+                 and b2 = tv.((3 * j) + 1)
+                 and c2 = tv.((3 * j) + 2) in
+                 (not (Ldel.shares_corner a1 b1 c1 a2 b2 c2))
+                 && box.(4 * j) <= box.((4 * i) + 2)
+                 && box.(4 * i) <= box.((4 * j) + 2)
+                 && box.((4 * j) + 1) <= box.((4 * i) + 3)
+                 && box.((4 * i) + 1) <= box.((4 * j) + 3)
+                 &&
+                 let t1 = (a1, b1, c1) and t2 = (a2, b2, c2) in
+                 Ldel.triangles_intersect points t1 t2
+                 && Ldel.circumcircle_contains_corner points t1 t2)
+               || scan (j + 1))
+          in
+          scan 0
+        in
         st.l_remaining <-
-          List.filter
-            (fun k1 ->
-              let t1 = unpack_tri k1 in
-              let b1 = Ldel.triangle_bbox points t1 in
-              not
-                (Array.exists2
-                   (fun t2 b2 ->
-                     Geometry.Bbox.overlaps b1 b2
-                     && pack_tri t2 <> k1
-                     && Ldel.triangles_intersect points t1 t2
-                     && Ldel.circumcircle_contains_corner points t1 t2)
-                   known boxes))
-            st.l_accepted;
+          List.filter (fun k -> not (removed (row_index known k))) st.l_accepted;
         if not (List.is_empty st.l_bb_nbrs) then
           ctx.E.broadcast
             (RemainingTriangles (List.map unpack_tri st.l_remaining))
@@ -638,8 +679,8 @@ let ldel2_protocol (status : status_state array)
     let me = ctx.E.me in
     (* as in [ldel_protocol], nodes off the backbone ignore their inbox *)
     if st.l2_backbone then begin
-      List.iter
-        (fun { E.from; msg } ->
+      E.iter_inbox
+        (fun _ from msg ->
           match msg with
           | NeighborTable tbl -> Tbl.replace st.l2_two_hop from tbl
           | Proposal t ->

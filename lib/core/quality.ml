@@ -57,7 +57,11 @@ let rows ?jobs bb =
       let stretch =
         match spans with
         | `Backbone_only -> None
-        | `Spans_all -> Some (List.assoc name stretch_by_name).M.c_stretch
+        | `Spans_all ->
+          let _, c =
+            List.find (fun (n, _) -> String.equal n name) stretch_by_name
+          in
+          Some c.M.c_stretch
       in
       degree_row ~name v stretch)
     entries

@@ -22,12 +22,46 @@ let flush_stats_to_obs ~rounds ~sent ~by_kind =
       by_kind
   end
 
-type 'msg delivery = { from : int; msg : 'msg }
 type 'msg context = { me : int; round : int; broadcast : 'msg -> unit }
+
+(* A receiver's view of the previous round's send buffer: its row
+   [first] .. [last - 1] of [targets], each neighbor's run of [msgs]
+   bounded by [lo]/[hi].  The engine keeps one per run and points it
+   at each node in turn. *)
+type 'msg inbox = {
+  mutable msgs : 'msg array;
+  mutable lo : int array;
+  mutable hi : int array;
+  targets : int array;
+  mutable first : int;
+  mutable last : int;
+}
+
+let iter_inbox f ib =
+  let msgs = ib.msgs and lo = ib.lo and hi = ib.hi and targets = ib.targets in
+  let first = ib.first in
+  for a = first to ib.last - 1 do
+    let v = targets.(a) in
+    for i = lo.(v) to hi.(v) - 1 do
+      f (a - first) v msgs.(i)
+    done
+  done
+
+let fold_inbox f acc ib =
+  let msgs = ib.msgs and lo = ib.lo and hi = ib.hi and targets = ib.targets in
+  let first = ib.first in
+  let acc = ref acc in
+  for a = first to ib.last - 1 do
+    let v = targets.(a) in
+    for i = lo.(v) to hi.(v) - 1 do
+      acc := f !acc (a - first) v msgs.(i)
+    done
+  done;
+  !acc
 
 type ('state, 'msg) protocol = {
   init : int -> int array -> 'state;
-  on_round : 'msg context -> 'state -> 'msg delivery list -> 'state;
+  on_round : 'msg context -> 'state -> 'msg inbox -> 'state;
 }
 
 type stats = {
@@ -67,10 +101,11 @@ let merge s1 s2 =
 
 (* One round's transmissions, in send order.  Nodes step in id order,
    so each sender's messages form one contiguous run: [lo.(u)] ..
-   [hi.(u) - 1].  [lam]/[sseq]/[kind] are each message's Lamport stamp
-   and kind name, kept for the next round's deliveries. *)
+   [hi.(u) - 1]; the sender is implied by its run.  A traced run also
+   keeps each message's Lamport stamp and kind in [lam]/[sseq]/[kind]
+   for the next round's deliveries. *)
 type 'msg buffer = {
-  mutable msgs : 'msg delivery array;
+  mutable msgs : 'msg array;
   mutable lam : int array;
   mutable sseq : int array;
   mutable kind : string array;
@@ -90,25 +125,28 @@ let make_buffer n =
     hi = Array.make n 0;
   }
 
-let push b d ~lam ~sseq ~kind =
-  let cap = Array.length b.msgs in
-  if b.len = cap then begin
-    let cap' = max 64 (2 * cap) in
-    let grow a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 b.len;
-      a'
-    in
-    b.msgs <- grow b.msgs d;
-    b.lam <- grow b.lam 0;
-    b.sseq <- grow b.sseq 0;
-    b.kind <- grow b.kind kind
-  end;
-  b.msgs.(b.len) <- d;
-  b.lam.(b.len) <- lam;
-  b.sseq.(b.len) <- sseq;
-  b.kind.(b.len) <- kind;
+(* [a] with room for twice as many, its first [len] entries kept *)
+let grow a len fill =
+  let a' = Array.make (max 64 (2 * Array.length a)) fill in
+  Array.blit a 0 a' 0 len;
+  a'
+
+let push b m =
+  if b.len = Array.length b.msgs then b.msgs <- grow b.msgs b.len m;
+  b.msgs.(b.len) <- m;
   b.len <- b.len + 1
+
+(* the stamp of the message [push] just added *)
+let push_stamp b ~lam ~sseq ~kind =
+  let i = b.len - 1 in
+  if i = Array.length b.lam then begin
+    b.lam <- grow b.lam i 0;
+    b.sseq <- grow b.sseq i 0;
+    b.kind <- grow b.kind i kind
+  end;
+  b.lam.(i) <- lam;
+  b.sseq.(i) <- sseq;
+  b.kind.(i) <- kind
 
 (* [classify] returns a handful of distinct names, so a short list
    scanned with a physical-equality fast path beats hashing the name
@@ -144,10 +182,16 @@ let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
   in
   let sent = Array.make n 0 in
   let tallies = Tally.create () in
+  (* Lamport clocks are observable only through the trace, so a run
+     stamps only when one is armed as it starts *)
+  let traced = !Obs.Trace.on in
   let stamp = Stamp.create n in
   (* [prev] holds the messages broadcast last round (this round's
      deliveries), [cur] collects this round's broadcasts *)
   let prev = ref (make_buffer n) and cur = ref (make_buffer n) in
+  let inbox =
+    { msgs = [||]; lo = [||]; hi = [||]; targets; first = 0; last = 0 }
+  in
   let rounds = ref 0 in
   let me = ref 0 in
   let broadcast m =
@@ -155,8 +199,11 @@ let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
     sent.(u) <- sent.(u) + 1;
     let k = classify m in
     Tally.add tallies k;
-    let lam, sseq = Stamp.send stamp ~round:!rounds ~time:0. ~kind:k ~src:u in
-    push !cur { from = u; msg = m } ~lam ~sseq ~kind:k
+    push !cur m;
+    if traced then begin
+      let lam, sseq = Stamp.send stamp ~round:!rounds ~time:0. ~kind:k ~src:u in
+      push_stamp !cur ~lam ~sseq ~kind:k
+    end
   in
   let quiescent = ref false in
   while not !quiescent do
@@ -165,31 +212,28 @@ let run ?max_rounds ?(min_rounds = 0) ~classify csr protocol =
         (Printf.sprintf "Engine.run: no quiescence after %d rounds" max_rounds);
     let p = !prev and c = !cur in
     (* Lamport stamps (and trace events) per delivery, in send order:
-       each message, then its sender's row in increasing id *)
-    for i = 0 to p.len - 1 do
-      let src = p.msgs.(i).from in
-      for a = offsets.(src) to offsets.(src + 1) - 1 do
-        Stamp.deliver stamp ~round:!rounds ~time:0. ~kind:p.kind.(i) ~src
-          ~dst:targets.(a) ~sent_lam:p.lam.(i) ~sseq:p.sseq.(i)
-      done
-    done;
+       each sender's run, then its row in increasing id *)
+    if traced then
+      for src = 0 to n - 1 do
+        for i = p.lo.(src) to p.hi.(src) - 1 do
+          for a = offsets.(src) to offsets.(src + 1) - 1 do
+            Stamp.deliver stamp ~round:!rounds ~time:0. ~kind:p.kind.(i) ~src
+              ~dst:targets.(a) ~sent_lam:p.lam.(i) ~sseq:p.sseq.(i)
+          done
+        done
+      done;
     c.len <- 0;
     let round = !rounds in
+    inbox.msgs <- p.msgs;
+    inbox.lo <- p.lo;
+    inbox.hi <- p.hi;
     for u = 0 to n - 1 do
-      (* the inbox in sender id order, then send order: built
-         back to front over the row and each sender's run *)
-      let inbox = ref [] in
-      if p.len > 0 then
-        for a = offsets.(u + 1) - 1 downto offsets.(u) do
-          let v = targets.(a) in
-          for i = p.hi.(v) - 1 downto p.lo.(v) do
-            inbox := p.msgs.(i) :: !inbox
-          done
-        done;
+      inbox.first <- offsets.(u);
+      inbox.last <- (if p.len > 0 then offsets.(u + 1) else offsets.(u));
       me := u;
       c.lo.(u) <- c.len;
       states.(u) <-
-        protocol.on_round { me = u; round; broadcast } states.(u) !inbox;
+        protocol.on_round { me = u; round; broadcast } states.(u) inbox;
       c.hi.(u) <- c.len
     done;
     if !Obs.on then begin

@@ -15,14 +15,8 @@
     its messages in sender id order, then in the order each sender
     broadcast them.  Nodes stepping in id order is also what makes each
     sender's broadcasts of a round one contiguous run in the round's
-    send buffer, so a node's inbox is gathered from that buffer over
-    its row just before its step, never held across the round. *)
-
-(** One message as its receivers see it.  The engine allocates one
-    record per broadcast and shares it among all of the sender's
-    neighbors (the record is immutable), so a delivery costs an inbox
-    cell, not a copy. *)
-type 'msg delivery = { from : int; msg : 'msg }
+    send buffer, so a node's inbox is a view of that buffer over its
+    row: reading it allocates nothing and copies no message. *)
 
 (** Per-node view handed to the protocol each round.  A node's
     neighbors are the row [init] received; the context does not repeat
@@ -35,14 +29,31 @@ type 'msg context = {
           only during the [on_round] call it was handed to. *)
 }
 
+(** A node's inbox for one round: the messages its neighbors broadcast
+    in the previous round, read in place from the engine's send buffer.
+    Valid only during the [on_round] call it was handed to, like
+    [broadcast]. *)
+type 'msg inbox
+
 type ('state, 'msg) protocol = {
   init : int -> int array -> 'state;
       (** initial state from node id and its row of the snapshot: the
           1-hop neighbors in increasing id order, in a fresh array the
           protocol may keep *)
-  on_round : 'msg context -> 'state -> 'msg delivery list -> 'state;
+  on_round : 'msg context -> 'state -> 'msg inbox -> 'state;
       (** react to this round's inbox; may broadcast *)
 }
+
+(** [iter_inbox f inbox] calls [f slot from msg] on each message, in
+    sender id order, then in the order each sender broadcast them.
+    [from] is the sender and [slot] its index in the row [init]
+    received, so per-neighbor state can live in arrays aligned with
+    that row. *)
+val iter_inbox : (int -> int -> 'msg -> unit) -> 'msg inbox -> unit
+
+(** [fold_inbox f acc inbox] folds [f acc slot from msg] over the
+    messages in {!iter_inbox}'s order. *)
+val fold_inbox : ('a -> int -> int -> 'msg -> 'a) -> 'a -> 'msg inbox -> 'a
 
 type stats = {
   rounds : int;  (** rounds executed (including the initial round) *)
@@ -86,11 +97,15 @@ end
 
     Inbox order: the messages node [v] receives in round [r + 1] are
     those its neighbors broadcast in round [r], ordered by sender id,
-    and each sender's in the order it broadcast them.  Lamport stamps
-    ({!Stamp}) are a separate pass at the start of each round, over the
-    previous round's messages in send order and each message's
-    receivers in increasing id, so the traced [Send]/[Deliver] stream
-    does not depend on how inboxes are assembled.
+    and each sender's in the order it broadcast them.  Lamport clocks
+    are observable only through {!Obs.Trace}, so a run stamps
+    ({!Stamp}) only when a trace is armed as it starts; a trace armed
+    during a run records none of it.  A stamping run does it in a
+    separate pass at the start of each round, over the previous
+    round's messages in send order and each message's receivers in
+    increasing id, so the traced [Send]/[Deliver] stream does not
+    depend on how inboxes are read, and the states and stats do not
+    depend on whether a trace was armed.
     @raise Failure when [max_rounds] is exceeded. *)
 val run :
   ?max_rounds:int ->

@@ -8,9 +8,11 @@
     so the clocks recorded in a trace are coherent by construction and
     [Obs.Causal] can rebuild the happens-before DAG from them.
 
-    Clocks advance whether or not tracing is armed (a few integer ops
-    per message); only the event emission is gated on
-    [!Obs.Trace.on]. *)
+    The clocks are observable only through the trace.  {!Engine} calls
+    {!send} and {!deliver} only when a trace is armed as its run
+    starts, so an untraced synchronous run never advances them;
+    {!Async_engine} stamps every message (a few integer ops each) and
+    gates only the event emission on [!Obs.Trace.on]. *)
 
 type t
 

@@ -29,7 +29,11 @@ type dist_cell = {
 
 type dist = dist_cell
 
-type span_cell = { mutable s_calls : int; mutable s_seconds : float }
+type span_cell = {
+  mutable s_calls : int;
+  mutable s_seconds : float;
+  mutable s_minor_words : float;  (* while GC sampling was armed *)
+}
 
 type gauge = { mutable g_value : float; mutable g_set : bool }
 
@@ -1147,7 +1151,7 @@ let span name f =
       match Hashtbl.find_opt spans path with
       | Some c -> c
       | None ->
-        let c = { s_calls = 0; s_seconds = 0. } in
+        let c = { s_calls = 0; s_seconds = 0.; s_minor_words = 0. } in
         Mutex.lock registration_mutex;
         Hashtbl.add spans path c;
         span_order := path :: !span_order;
@@ -1155,7 +1159,9 @@ let span name f =
         c
     in
     if !Trace.on then Trace.span_begin path;
-    if !gc_gauges then sample_gc ();
+    let gc = !gc_gauges in
+    if gc then sample_gc ();
+    let w0 = if gc then Gc.minor_words () else 0. in
     span_path := path;
     let t0 = Unix.gettimeofday () in
     Fun.protect
@@ -1163,10 +1169,17 @@ let span name f =
         cell.s_calls <- cell.s_calls + 1;
         cell.s_seconds <- cell.s_seconds +. (Unix.gettimeofday () -. t0);
         span_path := parent;
+        if gc then
+          cell.s_minor_words <- cell.s_minor_words +. (Gc.minor_words () -. w0);
         if !gc_gauges then sample_gc ();
         if !Trace.on then Trace.span_end path)
       f
   end
+
+let span_minor_words path =
+  match Hashtbl.find_opt spans path with
+  | Some c -> c.s_minor_words
+  | None -> 0.
 
 let reset () =
   Hashtbl.iter (fun _ c -> c.c_value <- 0) counters;

@@ -172,10 +172,17 @@ val merge_hist : into:Histogram.t -> Histogram.t -> unit
     [gc.major_words], [gc.heap_words], [gc.minor_collections],
     [gc.major_collections] and [gc.compactions], so any instrumented
     stage bounds its allocation behaviour without touching hot
-    paths. *)
+    paths.  Each span entered while armed also adds the minor words
+    allocated during the call (its children's included) to its path's
+    total, read back with {!span_minor_words}. *)
 
 val gc_gauges : bool ref
 val set_gc_sampling : bool -> unit
+
+(** [span_minor_words path] is the total of minor words allocated in
+    the calls of span [path] entered while GC sampling was armed since
+    the last {!reset}; [0.] for a path never entered. *)
+val span_minor_words : string -> float
 
 (** {1 Spans}
 

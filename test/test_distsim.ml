@@ -12,6 +12,10 @@ let csr n edges = (G.of_edges n edges)
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* an inbox as [(slot, from, msg)] triples, in delivery order *)
+let inbox_list inbox =
+  List.rev (E.fold_inbox (fun acc slot from msg -> (slot, from, msg) :: acc) [] inbox)
+
 (* Protocol: round 0, every node broadcasts its id; each node records
    what it hears.  Tests basic delivery to 1-hop neighbors. *)
 let test_hello_delivery () =
@@ -22,7 +26,7 @@ let test_hello_delivery () =
       E.on_round =
         (fun ctx st inbox ->
           if ctx.E.round = 0 then ctx.E.broadcast ctx.E.me;
-          st @ List.map (fun d -> d.E.msg) inbox);
+          st @ List.map (fun (_, _, m) -> m) (inbox_list inbox));
     }
   in
   let states, stats = E.run ~classify:(fun _ -> "id") g proto in
@@ -52,7 +56,7 @@ let test_flood () =
       (* has token? node 0 starts with it *)
       E.on_round =
         (fun ctx has inbox ->
-          let receives = inbox <> [] in
+          let receives = E.fold_inbox (fun _ _ _ () -> true) false inbox in
           if (ctx.E.round = 0 && ctx.E.me = 0) || ((not has) && receives) then begin
             ctx.E.broadcast ();
             true
@@ -100,7 +104,7 @@ let test_inbox_sender_order () =
       E.on_round =
         (fun ctx st inbox ->
           if ctx.E.round = 0 && ctx.E.me < 3 then ctx.E.broadcast ctx.E.me;
-          st @ List.map (fun d -> d.E.from) inbox);
+          st @ List.map (fun (_, from, _) -> from) (inbox_list inbox));
     }
   in
   let states, _ = E.run ~classify:string_of_int g proto in
@@ -158,7 +162,7 @@ let test_isolated_nodes () =
       E.on_round =
         (fun ctx st inbox ->
           if ctx.E.round = 0 then ctx.E.broadcast ();
-          st + List.length inbox);
+          st + List.length (inbox_list inbox));
     }
   in
   let states, stats = E.run ~classify:(fun () -> "ping") g proto in
@@ -170,10 +174,13 @@ let test_isolated_nodes () =
 (* ------------------------------------------------------------------ *)
 
 (* The pre-CSR [Engine.run], kept as a reference: neighbor lists from
-   the graph, every inbox scattered up front from the in-flight list,
-   Lamport stamps through the same [Stamp] helper.  It has no obs
-   flush; [run] below compares what the two return and trace. *)
+   the graph, every inbox scattered up front from the in-flight list
+   as a list of delivery records, Lamport stamps through the same
+   [Stamp] helper on every run.  It has no obs flush; the property
+   below compares what the two return and trace. *)
 module Reference = struct
+  type 'msg delivery = { from : int; msg : 'msg }
+
   type 'msg context = {
     me : int;
     round : int;
@@ -193,17 +200,17 @@ module Reference = struct
     while not !quiescent do
       if !rounds >= max_rounds then failwith "Reference.run: no quiescence";
       List.iter
-        (fun (lam, sseq, k, (d : _ E.delivery)) ->
+        (fun (lam, sseq, k, d) ->
           List.iter
             (fun v ->
               Distsim.Stamp.deliver stamp ~round:!rounds ~time:0. ~kind:k
-                ~src:d.E.from ~dst:v ~sent_lam:lam ~sseq)
-            neighbors.(d.E.from))
+                ~src:d.from ~dst:v ~sent_lam:lam ~sseq)
+            neighbors.(d.from))
         (List.rev !in_flight);
       let inboxes = Array.make n [] in
       List.iter
-        (fun (_, _, _, (d : _ E.delivery)) ->
-          List.iter (fun v -> inboxes.(v) <- d :: inboxes.(v)) neighbors.(d.E.from))
+        (fun (_, _, _, d) ->
+          List.iter (fun v -> inboxes.(v) <- d :: inboxes.(v)) neighbors.(d.from))
         !in_flight;
       in_flight := [];
       let sent_this_round = ref false in
@@ -217,7 +224,7 @@ module Reference = struct
           let lam, sseq =
             Distsim.Stamp.send stamp ~round:!rounds ~time:0. ~kind:k ~src:u
           in
-          in_flight := (lam, sseq, k, { E.from = u; msg = m }) :: !in_flight
+          in_flight := (lam, sseq, k, { from = u; msg = m }) :: !in_flight
         in
         let ctx = { me = u; round = !rounds; neighbors = neighbors.(u); broadcast } in
         states.(u) <- on_round ctx states.(u) inboxes.(u)
@@ -235,7 +242,7 @@ end
    [plan.(me).(round)] messages, each a (kind, payload) whose payload
    folds in the inbox it just read, so any change of inbox content or
    order changes what is sent; every node records its row and its
-   inboxes. *)
+   inboxes, each message with its sender's slot in that row. *)
 type case = {
   n : int;
   edges : (int * int) list;
@@ -273,10 +280,10 @@ let print_case c =
              (fun r -> String.concat "," (Array.to_list (Array.map string_of_int r)))
              c.plan)))
 
-let step c ~me ~round ~broadcast heard (inbox : (int * int) E.delivery list) =
+let step c ~me ~round ~broadcast heard (inbox : (int * int * (int * int)) list) =
   let digest =
     List.fold_left
-      (fun h (d : _ E.delivery) -> (h * 31) + (d.E.from * 7) + snd d.E.msg)
+      (fun h (slot, from, (_, payload)) -> (h * 31) + (from * 7) + slot + payload)
       (me + round) inbox
   in
   if round < Array.length c.plan.(me) then
@@ -284,13 +291,28 @@ let step c ~me ~round ~broadcast heard (inbox : (int * int) E.delivery list) =
       broadcast ((me + round + j) mod c.kinds, (digest + j) land 0xFFFF)
     done;
   List.rev_append
-    (List.rev_map (fun (d : _ E.delivery) -> (round, d.E.from, d.E.msg)) inbox)
+    (List.rev_map (fun (slot, from, msg) -> (round, slot, from, msg)) inbox)
     heard
 
 let classify (k, _) = "k" ^ string_of_int k
 
 (* the initial state records the neighbors [init] was handed *)
-let init_state me row = List.map (fun v -> (-1, v, (me, 0))) row
+let init_state me row = List.mapi (fun i v -> (-1, i, v, (me, 0))) row
+
+(* [step] on the CSR engine *)
+let csr_protocol c =
+  {
+    E.init = (fun me row -> init_state me (Array.to_list row));
+    E.on_round =
+      (fun ctx heard inbox ->
+        step c ~me:ctx.E.me ~round:ctx.E.round ~broadcast:ctx.E.broadcast heard
+          (inbox_list inbox));
+  }
+
+(* a sender's slot in the reference engine's neighbor list *)
+let rec slot_of v i = function
+  | [] -> -1
+  | w :: rest -> if w = v then i else slot_of v (i + 1) rest
 
 (* the traced protocol events, projected to what the engines stamp *)
 let traced f =
@@ -327,22 +349,49 @@ let prop_engine_matches_reference =
               ~init:(fun me row -> init_state me row)
               ~on_round:(fun ctx heard inbox ->
                 step c ~me:ctx.Reference.me ~round:ctx.Reference.round
-                  ~broadcast:ctx.Reference.broadcast heard inbox))
+                  ~broadcast:ctx.Reference.broadcast heard
+                  (List.map
+                     (fun (d : _ Reference.delivery) ->
+                       ( slot_of d.Reference.from 0 ctx.Reference.neighbors,
+                         d.Reference.from,
+                         d.Reference.msg ))
+                     inbox)))
       in
       let (s, st), tr =
         traced (fun () ->
-            E.run ~min_rounds:c.min_rounds ~classify g
-              {
-                E.init = (fun me row -> init_state me (Array.to_list row));
-                E.on_round =
-                  (fun ctx heard inbox ->
-                    step c ~me:ctx.E.me ~round:ctx.E.round
-                      ~broadcast:ctx.E.broadcast heard inbox);
-              })
+            E.run ~min_rounds:c.min_rounds ~classify g (csr_protocol c))
       in
       s = s_ref && st.E.rounds = st_ref.E.rounds && st.E.sent = st_ref.E.sent
       && st.E.by_kind = st_ref.E.by_kind
       && tr = tr_ref)
+
+(* [gen_case] with up to three isolated nodes appended, each with a
+   plan of its own *)
+let gen_padded_case =
+  let open QCheck.Gen in
+  let* c = gen_case in
+  let* extra = array_size (int_range 0 3) (array_size (int_range 0 4) (int_range 0 3)) in
+  return { c with n = c.n + Array.length extra; plan = Array.append c.plan extra }
+
+(* Stamping runs only under an armed trace, so arming one must change
+   nothing the protocol or the stats see; the armed run must also have
+   stamped every transmission. *)
+let prop_trace_invisible =
+  QCheck.Test.make ~name:"a trace cannot change the run (states, stats)"
+    ~count:300
+    (QCheck.make ~print:print_case gen_padded_case)
+    (fun c ->
+      let g = G.of_edges c.n c.edges in
+      let run () = E.run ~min_rounds:c.min_rounds ~classify g (csr_protocol c) in
+      let s, st = run () in
+      let (s', st'), tr = traced run in
+      let sends =
+        List.length
+          (List.filter (fun (dir, _, _, _, _, _, _, _) -> dir = `Send) tr)
+      in
+      s = s' && st.E.rounds = st'.E.rounds && st.E.sent = st'.E.sent
+      && st.E.by_kind = st'.E.by_kind
+      && sends = E.total_sent st)
 
 let suites =
   [
@@ -359,5 +408,6 @@ let suites =
         Alcotest.test_case "merge stats" `Quick test_merge_stats;
         Alcotest.test_case "isolated nodes" `Quick test_isolated_nodes;
         QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+        QCheck_alcotest.to_alcotest prop_trace_invisible;
       ] );
   ]

@@ -512,29 +512,66 @@ let test_planarize_removes_like_oracle () =
 
 (* The shortcut's lemma: accepted triangles that share a corner are
    triangles of that corner's one local triangulation, so they never
-   intersect. *)
+   intersect.  [corner_sharing_pairs] counts the pairs of accepted
+   triangles of [g] that share a corner, and returns the first that
+   also intersect. *)
+let corner_sharing_pairs g pts ~radius =
+  let tri = (Core.Ldel.build g pts ~radius).Core.Ldel.tri in
+  let m = Array.length tri / 3 in
+  let shared = ref 0 and bad = ref None in
+  for i = 0 to m - 1 do
+    let a1 = tri.(3 * i) and b1 = tri.((3 * i) + 1) and c1 = tri.((3 * i) + 2) in
+    for j = i + 1 to m - 1 do
+      let a2 = tri.(3 * j) and b2 = tri.((3 * j) + 1) and c2 = tri.((3 * j) + 2) in
+      if Core.Ldel.shares_corner a1 b1 c1 a2 b2 c2 then begin
+        incr shared;
+        if
+          Option.is_none !bad
+          && Core.Ldel.triangles_intersect pts (a1, b1, c1) (a2, b2, c2)
+        then bad := Some ((a1, b1, c1), (a2, b2, c2))
+      end
+    done
+  done;
+  (!shared, !bad)
+
 let prop_shared_corner_disjoint =
   QCheck.Test.make ~name:"corner-sharing accepted triangles never intersect"
     ~count:100
     (QCheck.make ~print:print_instance gen_instance)
     (fun (seed, n, radius, drop) ->
       let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
-      let tris =
-        Array.of_list (Tgraph.ldel_build g pts ~radius).Tgraph.triangles
-      in
-      let ok = ref true in
-      Array.iteri
-        (fun i ((a1, b1, c1) as t1) ->
-          for j = i + 1 to Array.length tris - 1 do
-            let ((a2, b2, c2) as t2) = tris.(j) in
-            let mem v = v = a2 || v = b2 || v = c2 in
-            if
-              (mem a1 || mem b1 || mem c1)
-              && Core.Ldel.triangles_intersect pts t1 t2
-            then ok := false
+      Option.is_none (snd (corner_sharing_pairs g pts ~radius)))
+
+(* The same lemma on the paper's setting, where both planarizations
+   ([Ldel.build]'s and the protocol's removal round) skip these pairs:
+   connected uniform deployments at the density of n = 500 on a
+   200 x 200 square, accepted triangles of the UDG and of the ICDS. *)
+let test_shared_corner_disjoint_deployments () =
+  let shared = ref 0 in
+  List.iter
+    (fun n ->
+      let side = 200. *. sqrt (float_of_int n /. 500.) in
+      List.iter
+        (fun radius ->
+          for seed = 1 to 3 do
+            let pts, udg =
+              random_instance (Int64.of_int ((1000 * n) + seed)) n side radius
+            in
+            let icds = (Core.Shard.pipeline pts ~radius).Core.Shard.icds in
+            List.iter
+              (fun (name, g) ->
+                match corner_sharing_pairs g pts ~radius with
+                | k, None -> shared := !shared + k
+                | _, Some ((a1, b1, c1), (a2, b2, c2)) ->
+                  Alcotest.failf
+                    "%s n=%d R=%g seed=%d: (%d,%d,%d) and (%d,%d,%d) share a \
+                     corner and intersect"
+                    name n radius seed a1 b1 c1 a2 b2 c2)
+              [ ("UDG", udg); ("ICDS", icds) ]
           done)
-        tris;
-      !ok)
+        [ 25.; 40.; 60. ])
+    [ 50; 200; 500 ];
+  check "corner-sharing pairs examined" true (!shared > 0)
 
 (* ------------------------------------------------------------------ *)
 (* A PLDel crossing that Algorithm 3 cannot see                         *)
@@ -645,6 +682,8 @@ let suites =
         Alcotest.test_case "Algorithm 3 removals = oracle" `Quick
           test_planarize_removes_like_oracle;
         QCheck_alcotest.to_alcotest prop_shared_corner_disjoint;
+        Alcotest.test_case "shared corner: deployments, UDG and ICDS" `Quick
+          test_shared_corner_disjoint_deployments;
         Alcotest.test_case "PLDel crossing fixture" `Quick
           test_crossing_fixture;
         QCheck_alcotest.to_alcotest prop_packed_matches_list_builder;

@@ -114,7 +114,15 @@ let test_gc_gauges () =
   check "heap words sampled" true
     (match v "gc.heap_words" with Some x -> x > 0. | None -> false);
   check "minor words sampled" true
-    (match v "gc.minor_words" with Some x -> x > 0. | None -> false)
+    (match v "gc.minor_words" with Some x -> x > 0. | None -> false);
+  (* 10_000 one-cell lists, 3 words each (the array itself is too
+     large for the minor heap) *)
+  check "span charged its minor words" true
+    (Obs.span_minor_words "work" >= 30_000.);
+  Obs.set_gc_sampling false;
+  Obs.span "unsampled" (fun () -> ignore (Array.init 10_000 (fun i -> [ i ])));
+  check "unsampled span charged nothing" true
+    (Obs.span_minor_words "unsampled" = 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism for a fixed seed                                        *)
@@ -357,7 +365,7 @@ let has ?expected ?actual kind name (ms : Obs.Snapshot.mismatch list) =
       && agrees actual m.Obs.Snapshot.m_actual)
     ms
 
-let test_check_against_mismatch_paths () =
+let test_compare_against_mismatch_paths () =
   let populate () =
     Obs.add (Obs.counter "ck.c") 5;
     Obs.observe (Obs.dist "ck.d") 1.0;
@@ -630,8 +638,8 @@ let suites =
           (isolated test_sparkline_constant_series);
         Alcotest.test_case "sparkline non-finite samples" `Quick
           (isolated test_sparkline_non_finite);
-        Alcotest.test_case "check_against mismatch paths" `Quick
-          (isolated test_check_against_mismatch_paths);
+        Alcotest.test_case "compare_against mismatch paths" `Quick
+          (isolated test_compare_against_mismatch_paths);
         Alcotest.test_case "backbone counters deterministic" `Quick
           (isolated test_backbone_counters_deterministic);
         Alcotest.test_case "protocol message counters deterministic" `Quick

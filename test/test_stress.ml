@@ -175,7 +175,7 @@ let test_engine_random_protocols_terminate () =
               for _ = 1 to plan.(ctx.E.me) do
                 ctx.E.broadcast ()
               done;
-            st + List.length inbox);
+            E.fold_inbox (fun k _ _ () -> k + 1) st inbox);
       }
     in
     let states, stats =

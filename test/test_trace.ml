@@ -314,12 +314,12 @@ let gate_snapshot () =
   Obs.span "gate.stage" (fun () -> ());
   Obs.Snapshot.capture ()
 
-let test_check_against_identical () =
+let test_compare_against_identical () =
   let snap = gate_snapshot () in
   check "identical snapshot passes" true
     (Obs.Snapshot.compare_against ~threshold:0.5 ~reference:snap snap = [])
 
-let test_check_against_regressions () =
+let test_compare_against_regressions () =
   (* pin the span timing so the test is deterministic: the "current"
      run took 1s where the committed baseline took 0.5s — a 2x
      slowdown must fail a +50% gate, naming the span *)
@@ -408,9 +408,9 @@ let relay_protocol =
         end
         else if
           (not fired)
-          && List.exists
-               (fun (d : int E.delivery) -> d.E.msg = ctx.E.me - 1)
-               inbox
+          && E.fold_inbox
+               (fun heard _ _ (token : int) -> heard || token = ctx.E.me - 1)
+               false inbox
         then begin
           ctx.E.broadcast ctx.E.me;
           true
@@ -681,10 +681,10 @@ let suites =
           (isolated test_profile_nesting);
         Alcotest.test_case "folded stacks" `Quick
           (isolated test_folded_stacks);
-        Alcotest.test_case "check_against identical" `Quick
-          (isolated test_check_against_identical);
-        Alcotest.test_case "check_against regressions" `Quick
-          (isolated test_check_against_regressions);
+        Alcotest.test_case "compare_against identical" `Quick
+          (isolated test_compare_against_identical);
+        Alcotest.test_case "compare_against regressions" `Quick
+          (isolated test_compare_against_regressions);
         Alcotest.test_case "dist mean/stddev" `Quick
           (isolated test_dist_moments);
       ] );
