@@ -13,10 +13,9 @@
    compares it against its committed BENCH_*.json baseline: counters
    must match exactly, span timings may regress by at most
    --check-threshold (default 0.5, i.e. +50%).  The baseline's
-   bench.jobs pin (and for the metrics and pipeline gates its
-   bench.release profile stamp) is validated before anything is
-   compared.  The serve gate also holds the paper's claim as an
-   absolute bound: every gfg and stretch query is delivered; the
+   bench.jobs pin and its bench.release profile stamp are validated
+   before anything is compared.  The serve gate also holds the
+   paper's claim as an absolute bound: every gfg and stretch query is delivered; the
    pipeline's protocol leg holds two: the message-level PLDel(ICDS)
    equals the centralized one, and every protocol phase stays within
    its round budget.  Any violation fails the run with exit code 1.
@@ -763,11 +762,10 @@ let top_level_spans (reference : Obs.Snapshot.t) =
 
 (* The one regression gate.  Without [check], [snap] becomes the new
    baseline [file].  With [check = Some threshold], the committed
-   baseline is read, its bench.jobs pin (and with [release] its
-   bench.release stamp) validated, narrowed by [filter], and [snap]
-   compared against it; any failure restores the obs switch to [was]
-   and exits 1. *)
-let gate ?(release = true) ?(filter = Fun.id) ~was ~jobs file snap check =
+   baseline is read, its bench.jobs pin and bench.release stamp
+   validated, narrowed by [filter], and [snap] compared against it;
+   any failure restores the obs switch to [was] and exits 1. *)
+let gate ?(filter = Fun.id) ~was ~jobs file snap check =
   let fail () =
     Obs.set_enabled was;
     exit 1
@@ -778,7 +776,7 @@ let gate ?(release = true) ?(filter = Fun.id) ~was ~jobs file snap check =
     let reference = read_baseline file in
     if
       not
-        ((not release || validate_bench_release file reference)
+        (validate_bench_release file reference
         && validate_bench_jobs file reference jobs)
     then fail ();
     match
@@ -1158,6 +1156,7 @@ let bench_serve ?check quick jobs =
   Obs.set_enabled true;
   Obs.reset ();
   Obs.add c_bench_jobs jobs;
+  if release_build then Obs.add c_bench_release 1;
   let n = if quick then 5_000 else 100_000 in
   let q_count = if quick then 20_000 else 100_000 in
   (* constant density, radius comfortably above the connectivity
@@ -1383,8 +1382,7 @@ let bench_serve ?check quick jobs =
      hop histogram bucket-for-bucket — and the top-level spans.  The
      latency histogram's values are wall-clock, so its bucket shape
      varies run to run: like the nested build-stage spans, it stays in
-     the committed JSON for inspection but is not gated.  The baseline
-     is a dev-profile run, so there is no release stamp to check. *)
+     the committed JSON for inspection but is not gated. *)
   let filter reference =
     let r = top_level_spans reference in
     {
@@ -1395,7 +1393,7 @@ let bench_serve ?check quick jobs =
           r.Obs.Snapshot.hists;
     }
   in
-  gate ~release:false ~filter ~was ~jobs "BENCH_serve.json" osnap check;
+  gate ~filter ~was ~jobs "BENCH_serve.json" osnap check;
   Obs.set_enabled was
 
 (* ------------------------------------------------------------------ *)
