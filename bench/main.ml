@@ -15,11 +15,11 @@
    --check-threshold (default 0.5, i.e. +50%).  The baseline's
    bench.jobs pin and its bench.release profile stamp are validated
    before anything is compared.  The serve gate also holds the
-   paper's claim as an absolute bound: every gfg and stretch query is delivered; the
-   pipeline's protocol leg holds two: the message-level PLDel(ICDS)
-   equals the centralized one, and every protocol phase stays within
-   its round budget.  Any violation fails the run with exit code 1.
-   All three gates compare only top-level spans — nested stage spans
+   paper's claim as an absolute bound: every gfg and stretch query
+   is delivered; the pipeline's protocol leg holds two: the
+   message-level PLDel(ICDS) equals the centralized one, and every
+   protocol phase stays within its round budget.  Any violation fails
+   the run with exit code 1.  All three gates compare only top-level spans — nested stage spans
    are milliseconds-scale and dominated by scheduler noise, while the
    determinism counters (edge counts per structure) already pin the
    outputs exactly; the nested spans stay recorded in each baseline.

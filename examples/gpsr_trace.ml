@@ -3,8 +3,9 @@
 
      dune exec examples/gpsr_trace.exe
 
-   The forwarding automaton (Core.Routing.gfg_step) is the same one
-   the packet-level simulator runs; here we drive it manually and
+   Each decision is Core.Routing.gfg_hop, the per-hop step that
+   Routing.gfg walks and the packet-level simulator runs at every
+   holder; here we drive it manually over its packet header and
    narrate each decision.  A sparse, hole-y deployment is chosen so
    the packet actually needs perimeter mode. *)
 
@@ -61,23 +62,23 @@ let () =
     Printf.printf "routing %d -> %d across the hole on PLDel(V) (%d edges)\n\n"
       src dst
       (Netgraph.Csr.edge_count planar);
-    let mode_name = function
-      | Core.Routing.Greedy -> "greedy"
-      | Core.Routing.Perimeter (_, _) -> "perimeter"
+    let sc = Core.Routing.Scratch.create () in
+    let mode_name (h : Core.Routing.header) =
+      if h.perimeter then "perimeter" else "greedy"
     in
-    let rec walk u header steps =
+    let rec walk u (header : Core.Routing.header) steps =
       if steps > 200 then print_endline "... step budget exceeded"
       else
-        match Core.Routing.gfg_step planar points ~dst u header with
-        | Core.Routing.Deliver -> Printf.printf "%4d. node %d: DELIVERED\n" steps u
-        | Core.Routing.Drop -> Printf.printf "%4d. node %d: dropped\n" steps u
-        | Core.Routing.Forward (v, header') ->
+        let v = Core.Routing.gfg_hop sc planar points ~dst u header in
+        if v < 0 then
+          if u = dst then Printf.printf "%4d. node %d: DELIVERED\n" steps u
+          else Printf.printf "%4d. node %d: dropped\n" steps u
+        else begin
+          let header' = Core.Routing.gfg_header sc in
           let switch =
-            match (header, header') with
-            | Core.Routing.Greedy, Core.Routing.Perimeter _ ->
-              "  << entering perimeter mode"
-            | Core.Routing.Perimeter _, Core.Routing.Greedy ->
-              "  >> back to greedy"
+            match (header.perimeter, header'.perimeter) with
+            | false, true -> "  << entering perimeter mode"
+            | true, false -> "  >> back to greedy"
             | _ -> ""
           in
           Printf.printf "%4d. node %-3d --%s--> node %-3d (%.1f to go)%s\n"
@@ -85,8 +86,9 @@ let () =
             (Geometry.Point.dist points.(v) points.(dst))
             switch;
           walk v header' (steps + 1)
+        end
     in
-    walk src Core.Routing.Greedy 1;
+    walk src Core.Routing.greedy_header 1;
     (* compare against what plain greedy would have done *)
     print_newline ();
     match Core.Routing.greedy planar points ~src ~dst with

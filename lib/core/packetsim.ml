@@ -6,9 +6,6 @@ let d_tx = Obs.dist "packetsim.transmissions"
 let d_rounds = Obs.dist "packetsim.rounds"
 let g_delivery_ratio = Obs.gauge "packetsim.delivery_ratio"
 
-(* the counter {!Routing.gfg_into} charges per forwarding decision *)
-let c_gfg_steps = Obs.counter "routing.gfg.steps"
-
 type result = {
   delivered : bool;
   path : int list;
@@ -34,19 +31,14 @@ type node_state = {
 let run_one g points ~src ~dst ~use_perimeter =
   (* forwarding decisions read the destination off the packet itself,
      as a radio would; [run_one]'s [dst] only originates and collects.
-     Both disciplines run the GFG automaton; plain greedy drops where
-     GFG would enter perimeter mode, and only GPSR decisions count as
-     GFG steps. *)
+     Each holder runs a {!Routing} per-hop decision on one shared
+     scratch (the simulator runs one node at a time): GFG's over the
+     packet header for GPSR, greedy's for plain greedy, which drops
+     where GFG would enter perimeter mode. *)
+  let sc = Routing.Scratch.create () in
   let step ~dst u header =
-    let d = Routing.gfg_step g points ~dst u header in
-    if use_perimeter then begin
-      Obs.incr c_gfg_steps;
-      d
-    end
-    else
-      match d with
-      | Routing.Forward (_, Routing.Perimeter _) -> Routing.Drop
-      | d -> d
+    if use_perimeter then Routing.gfg_hop sc g points ~dst u header
+    else Routing.greedy_hop sc g points ~dst u
   in
   let ttl0 = (4 * Netgraph.Csr.edge_count g) + 16 in
   let proto =
@@ -58,13 +50,16 @@ let run_one g points ~src ~dst ~use_perimeter =
           let handle (pkt : packet) =
             if pkt.next_hop = me && pkt.ttl > 0 then begin
               let trace = me :: pkt.trace in
-              match step ~dst:pkt.dst me pkt.header with
-              | Routing.Deliver -> st.ns_delivered <- Some (List.rev trace)
-              | Routing.Drop -> ()
-              | Routing.Forward (v, header') ->
+              let v = step ~dst:pkt.dst me pkt.header in
+              if v >= 0 then begin
+                let header =
+                  if use_perimeter then Routing.gfg_header sc else pkt.header
+                in
                 ctx.E.broadcast
-                  { pkt with header = header'; next_hop = v;
-                    ttl = pkt.ttl - 1; trace }
+                  { pkt with header; next_hop = v; ttl = pkt.ttl - 1; trace }
+              end
+              else if me = pkt.dst then
+                st.ns_delivered <- Some (List.rev trace)
             end
           in
           if ctx.E.round = 0 && me = src then begin
@@ -73,14 +68,23 @@ let run_one g points ~src ~dst ~use_perimeter =
               (* originate: the source makes the first forwarding
                  decision and transmits *)
               handle
-                { dst; header = Routing.Greedy; next_hop = src; ttl = ttl0;
-                  trace = [] }
+                {
+                  dst;
+                  header = Routing.greedy_header;
+                  next_hop = src;
+                  ttl = ttl0;
+                  trace = [];
+                }
           end;
           E.iter_inbox (fun _ _ pkt -> handle pkt) inbox;
           st);
     }
   in
-  let states, stats = E.run ~classify:(fun _ -> "Data") g proto in
+  (* the TTL bounds the run: a packet still moving when its TTL runs
+     out dies there, as a route at its step cap drops *)
+  let states, stats =
+    E.run ~max_rounds:(ttl0 + 1) ~classify:(fun _ -> "Data") g proto
+  in
   Obs.incr c_packets;
   Obs.observe d_tx (float_of_int (E.total_sent stats));
   Obs.observe d_rounds (float_of_int stats.E.rounds);

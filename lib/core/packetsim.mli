@@ -3,8 +3,9 @@
     {!Routing} computes paths; this module actually ships packets:
     every forwarding decision is made by the current holder inside
     {!Distsim.Engine}, from its own neighbor table and the packet
-    header, one transmission per hop.  Because the GPSR forwarding
-    logic is the same {!Routing.gfg_step} automaton, the traversed
+    header, one transmission per hop.  The holder runs the per-hop
+    decision that {!Routing}'s kernels walk ({!Routing.gfg_hop} for
+    GPSR, {!Routing.greedy_hop} for plain greedy), so the traversed
     path equals the centrally computed route exactly (tested) — this
     is the "run GPSR on the planar backbone" deployment the paper
     describes, with the simulator counting every radio transmission.
@@ -23,13 +24,14 @@ type result = {
 
 (** [gpsr g points ~src ~dst] ships one packet with greedy + perimeter
     forwarding over [g] (planar for the delivery guarantee).  Returns
-    the observed trajectory. *)
+    the observed trajectory.  Each forwarding decision charges
+    [routing.gfg.steps] once, as {!Routing.gfg} does. *)
 val gpsr :
   Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int -> result
 
 (** [greedy g points ~src ~dst] ships one packet with plain greedy
-    forwarding: the same automaton, dropping where GPSR would enter
-    perimeter mode (at local minima). *)
+    forwarding, dropping where GPSR would enter perimeter mode (at
+    local minima); its path is {!Routing.greedy}'s. *)
 val greedy :
   Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int -> result
 

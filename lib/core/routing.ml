@@ -12,10 +12,10 @@ module P = Geometry.Point
    paths land in a reusable int buffer, float temporaries live in a
    pre-sized float array, and the neighbor scans are closures created
    once per scratch that read their state from scratch registers.
-   The scan bodies reproduce the historical fold semantics (same
-   comparison structure, same float expression order as Point's own
-   definitions), so routes are bit-identical to the pre-scratch
-   implementation — including NaN corner cases from coincident
+   The closer and ccw scans reproduce the list folds of the GFG
+   automaton kept as the test oracle (same comparison structure, same
+   float expression order as Point's own definitions), so GFG routes
+   are bit-identical to it — including NaN corner cases from coincident
    points, where "replace best" conditions are spelled as the
    negation of the original "keep best" guards. *)
 
@@ -24,7 +24,9 @@ let max_steps g = (4 * Csr.edge_count g) + 16
 (* Per-scheme route/delivery counters and a shared hop distribution,
    charged by the list wrappers only. *)
 let d_hops = Obs.dist "routing.path_hops"
-let c_gfg_steps = Obs.counter "routing.gfg.steps"
+
+(* GFG forwarding decisions, charged by [gfg_decide] alone *)
+let c_gfg_decisions = Obs.counter "routing.gfg.steps"
 
 let instrumented name =
   let c_routes = Obs.counter ("routing." ^ name ^ ".routes")
@@ -40,14 +42,12 @@ let instrumented name =
 
 let obs_greedy = instrumented "greedy"
 let obs_compass = instrumented "compass"
-let obs_mfr = instrumented "mfr"
-let obs_nfp = instrumented "nfp"
 let obs_gfg = instrumented "gfg"
 let obs_hierarchical = instrumented "hierarchical"
 
 (* Float registers; a flat array so stores stay unboxed:
    0 — distance from the current node to dst (greedy scans)
-   1 — key of the best candidate so far (distance/angle/progress/rel)
+   1 — key of the best candidate so far (distance/angle/rel)
    2 — reference angle for the ccw scan
    3 — perimeter entry distance to dst (greedy resumes below it)
    4 — best crossing distance of the entry->dst segment so far
@@ -80,8 +80,6 @@ type scratch = {
   (* neighbor scans, created once per scratch (closing over it) *)
   mutable scan_closer : int -> unit;
   mutable scan_compass : int -> unit;
-  mutable scan_mfr : int -> unit;
-  mutable scan_nfp : int -> unit;
   mutable scan_ccw : int -> unit;
 }
 
@@ -114,8 +112,6 @@ module Scratch = struct
         prev = -1;
         scan_closer = nop;
         scan_compass = nop;
-        scan_mfr = nop;
-        scan_nfp = nop;
         scan_ccw = nop;
       }
     in
@@ -145,45 +141,6 @@ module Scratch = struct
         else begin
           sc.best <- w;
           sc.fl.(1) <- s
-        end);
-    (* mfr: largest projection of the step onto the unit toward-vector *)
-    sc.scan_mfr <-
-      (fun v ->
-        if sc.fl.(7) = 0. then ()
-        else begin
-          let pu = sc.pts.(sc.cur) and pv = sc.pts.(v) in
-          let p =
-            (((pv.P.x -. pu.P.x) *. sc.fl.(5))
-            +. ((pv.P.y -. pu.P.y) *. sc.fl.(6)))
-            /. sc.fl.(7)
-          in
-          if p <= 0. then ()
-          else if sc.best >= 0 && sc.fl.(1) >= p then ()
-          else begin
-            sc.best <- v;
-            sc.fl.(1) <- p
-          end
-        end);
-    (* nfp: nearest neighbor with positive progress *)
-    sc.scan_nfp <-
-      (fun v ->
-        let pu = sc.pts.(sc.cur) and pv = sc.pts.(v) in
-        let p =
-          if sc.fl.(7) = 0. then 0.
-          else
-            (((pv.P.x -. pu.P.x) *. sc.fl.(5))
-            +. ((pv.P.y -. pu.P.y) *. sc.fl.(6)))
-            /. sc.fl.(7)
-        in
-        if p <= 0. then ()
-        else begin
-          let dx = pu.P.x -. pv.P.x and dy = pu.P.y -. pv.P.y in
-          let dv = sqrt ((dx *. dx) +. (dy *. dy)) in
-          if sc.best >= 0 && sc.fl.(1) <= dv then ()
-          else begin
-            sc.best <- v;
-            sc.fl.(1) <- dv
-          end
         end);
     (* first edge counterclockwise from the reference angle fl.(2) *)
     sc.scan_ccw <-
@@ -240,8 +197,10 @@ let fail sc reason =
 
 let in_range g u = u >= 0 && u < Csr.node_count g
 
+(* a fresh query: every mark retired, the path emptied *)
 let prepare sc g points ~dst =
   Scratch.ensure sc (Csr.node_count g);
+  sc.stamp <- sc.stamp + 1;
   sc.g <- g;
   sc.pts <- points;
   sc.dst <- dst;
@@ -270,32 +229,46 @@ let closer_scan sc u =
   sc.best <- -1;
   Csr.iter_neighbors sc.g u sc.scan_closer
 
-let greedy_into sc g points ~src ~dst =
+(* Every walking router is one forwarding decision at [sc.cur] over the
+   scratch registers.  A decision leaves [sc.state] at 1 (delivered at
+   [sc.cur]), at 2 (dropped, the reason in [sc.drop]), or at 0 with
+   [sc.cur] moved to the next hop.  [walk] folds a decision under the
+   step budget and appends each decided node to the path; [finish]
+   clears a dropped query's path. *)
+let walk sc decide =
+  sc.steps <- max_steps sc.g;
+  sc.state <- 0;
+  while sc.state = 0 do
+    if sc.steps <= 0 then fail sc step_cap
+    else begin
+      let u = sc.cur in
+      decide sc;
+      Scratch.push sc u;
+      sc.steps <- sc.steps - 1
+    end
+  done
+
+(* the [_into] kernels' frame: [decide] folded from [src] *)
+let route sc g points ~src ~dst decide =
   if not (in_range g src && in_range g dst) then rejected sc
   else begin
     prepare sc g points ~dst;
     sc.cur <- src;
-    sc.steps <- max_steps g;
-    sc.state <- 0;
-    while sc.state = 0 do
-      let u = sc.cur in
-      if u = dst then begin
-        Scratch.push sc u;
-        sc.state <- 1
-      end
-      else if sc.steps <= 0 then fail sc step_cap
-      else begin
-        closer_scan sc u;
-        if sc.best < 0 then fail sc local_minimum
-        else begin
-          Scratch.push sc u;
-          sc.cur <- sc.best;
-          sc.steps <- sc.steps - 1
-        end
-      end
-    done;
+    walk sc decide;
     finish sc
   end
+
+(* greedy: forward to the closest strictly-closer neighbor *)
+let greedy_decide sc =
+  let u = sc.cur in
+  if u = sc.dst then sc.state <- 1
+  else begin
+    closer_scan sc u;
+    if sc.best < 0 then fail sc local_minimum else sc.cur <- sc.best
+  end
+
+let greedy_into sc g points ~src ~dst =
+  route sc g points ~src ~dst greedy_decide
 
 (* toward-dst vector and norm at u, into fl.(5..7) *)
 let toward_setup sc u =
@@ -305,57 +278,26 @@ let toward_setup sc u =
   sc.fl.(6) <- ty;
   sc.fl.(7) <- sqrt ((tx *. tx) +. (ty *. ty))
 
-(* The three classic localized forwarding rules differ only in how
-   they score a neighbor; this factors the traversal (with the
-   stamped visited guard, since compass/MFR can loop on some
-   instances even where greedy cannot). *)
-let directional_into sc g points ~src ~dst scan =
-  if not (in_range g src && in_range g dst) then rejected sc
+(* compass: forward to the neighbor angularly closest to dst, or to dst
+   itself when adjacent; compass can loop where greedy cannot, so a
+   second visit (a stamped mark) drops *)
+let compass_decide sc =
+  let u = sc.cur and dst = sc.dst in
+  if u = dst then sc.state <- 1
+  else if sc.mark.(u) = sc.stamp then fail sc revisit
   else begin
-    prepare sc g points ~dst;
-    sc.stamp <- sc.stamp + 1;
-    sc.cur <- src;
-    sc.steps <- max_steps g;
-    sc.state <- 0;
-    while sc.state = 0 do
-      let u = sc.cur in
-      if u = dst then begin
-        Scratch.push sc u;
-        sc.state <- 1
-      end
-      else if sc.steps <= 0 then fail sc step_cap
-      else if sc.mark.(u) = sc.stamp then fail sc revisit
-      else begin
-        sc.mark.(u) <- sc.stamp;
-        if Csr.mem_edge g u dst then begin
-          Scratch.push sc u;
-          sc.cur <- dst;
-          sc.steps <- sc.steps - 1
-        end
-        else begin
-          toward_setup sc u;
-          sc.best <- -1;
-          Csr.iter_neighbors g u scan;
-          if sc.best < 0 then fail sc local_minimum
-          else begin
-            Scratch.push sc u;
-            sc.cur <- sc.best;
-            sc.steps <- sc.steps - 1
-          end
-        end
-      end
-    done;
-    finish sc
+    sc.mark.(u) <- sc.stamp;
+    if Csr.mem_edge sc.g u dst then sc.cur <- dst
+    else begin
+      toward_setup sc u;
+      sc.best <- -1;
+      Csr.iter_neighbors sc.g u sc.scan_compass;
+      if sc.best < 0 then fail sc local_minimum else sc.cur <- sc.best
+    end
   end
 
 let compass_into sc g points ~src ~dst =
-  directional_into sc g points ~src ~dst sc.scan_compass
-
-let mfr_into sc g points ~src ~dst =
-  directional_into sc g points ~src ~dst sc.scan_mfr
-
-let nfp_into sc g points ~src ~dst =
-  directional_into sc g points ~src ~dst sc.scan_nfp
+  route sc g points ~src ~dst compass_decide
 
 (* first edge counterclockwise from fl.(2) around u *)
 let ccw_scan sc u =
@@ -407,10 +349,8 @@ let rec advance_k sc u w =
     if Float.is_nan cross then begin
       sc.p_first <- false;
       sc.prev <- u;
-      Scratch.push sc u;
       sc.cur <- w;
-      sc.mode <- 1;
-      sc.steps <- sc.steps - 1
+      sc.mode <- 1
     end
     else begin
       let pu = sc.pts.(u) and pw = sc.pts.(w) in
@@ -449,53 +389,46 @@ let enter_perimeter_k sc u =
 let gfg_greedy_step sc u =
   closer_scan sc u;
   if sc.best >= 0 then begin
-    Scratch.push sc u;
     sc.cur <- sc.best;
-    sc.mode <- 0;
-    sc.steps <- sc.steps - 1
+    sc.mode <- 0
   end
   else enter_perimeter_k sc u
+
+(* GFG's forwarding decision at [sc.cur], from its neighbors and the
+   header registers alone: the one place [routing.gfg.steps] is
+   charged, once per decision *)
+let gfg_decide sc =
+  Obs.incr c_gfg_decisions;
+  let u = sc.cur and dst = sc.dst in
+  if u = dst then sc.state <- 1
+  else if sc.mode = 0 then gfg_greedy_step sc u
+  else begin
+    let pts = sc.pts in
+    let pu = pts.(u) and pd = pts.(dst) in
+    let dx = pu.P.x -. pd.P.x and dy = pu.P.y -. pd.P.y in
+    let du = sqrt ((dx *. dx) +. (dy *. dy)) in
+    if du < sc.fl.(3) then gfg_greedy_step sc u
+    else begin
+      let pp = pts.(sc.prev) in
+      sc.fl.(2) <- atan2 (pp.P.y -. pu.P.y) (pp.P.x -. pu.P.x);
+      ccw_scan sc u;
+      if sc.best < 0 then fail sc local_minimum else advance_k sc u sc.best
+    end
+  end
 
 (* GFG from [src] to [sc.dst] over [sc.g], appending to the path
    already in the scratch; leaves [sc.state] at 1 or 2 *)
 let gfg_walk sc ~src =
-  let dst = sc.dst in
   sc.cur <- src;
-  sc.steps <- max_steps sc.g;
-  sc.state <- 0;
   sc.mode <- 0;
   sc.prev <- -1;
-  while sc.state = 0 do
-    if sc.steps <= 0 then fail sc step_cap
-    else begin
-      Obs.incr c_gfg_steps;
-      let u = sc.cur in
-      if u = dst then begin
-        Scratch.push sc u;
-        sc.state <- 1
-      end
-      else if sc.mode = 0 then gfg_greedy_step sc u
-      else begin
-        let pts = sc.pts in
-        let pu = pts.(u) and pd = pts.(dst) in
-        let dx = pu.P.x -. pd.P.x and dy = pu.P.y -. pd.P.y in
-        let du = sqrt ((dx *. dx) +. (dy *. dy)) in
-        if du < sc.fl.(3) then gfg_greedy_step sc u
-        else begin
-          let pp = pts.(sc.prev) in
-          sc.fl.(2) <- atan2 (pp.P.y -. pu.P.y) (pp.P.x -. pu.P.x);
-          ccw_scan sc u;
-          if sc.best < 0 then fail sc local_minimum
-          else advance_k sc u sc.best
-        end
-      end
-    end
-  done
+  walk sc gfg_decide
 
 let gfg_into sc g points ~src ~dst =
   if not (in_range g src && in_range g dst) then rejected sc
   else begin
     prepare sc g points ~dst;
+    (* src = dst is delivered before any decision *)
     if src = dst then begin
       Scratch.push sc src;
       0
@@ -505,6 +438,69 @@ let gfg_into sc g points ~src ~dst =
       finish sc
     end
   end
+
+(* GFG's packet header: the registers [gfg_decide] reads between hops,
+   flattened into what a packet carries.  [gfg_walk] keeps them in the
+   scratch and never builds one. *)
+type header = {
+  perimeter : bool;
+  entry : int;
+  prev : int;
+  start_u : int;
+  start_w : int;
+  p_first : bool;
+  entry_dist : float;
+  best_cross : float;
+}
+
+let greedy_header =
+  {
+    perimeter = false;
+    entry = -1;
+    prev = -1;
+    start_u = -1;
+    start_w = -1;
+    p_first = true;
+    entry_dist = 0.;
+    best_cross = 0.;
+  }
+
+(* one decision at [u] outside any walk: the next hop, or -1 when the
+   packet stops at [u] *)
+let hop sc g points ~dst u decide =
+  sc.g <- g;
+  sc.pts <- points;
+  sc.dst <- dst;
+  sc.drop <- -1;
+  sc.cur <- u;
+  sc.state <- 0;
+  decide sc;
+  if sc.state = 0 then sc.cur else -1
+
+let greedy_hop sc g points ~dst u = hop sc g points ~dst u greedy_decide
+
+let gfg_hop (sc : scratch) g points ~dst u h =
+  sc.mode <- (if h.perimeter then 1 else 0);
+  sc.entry <- h.entry;
+  sc.prev <- h.prev;
+  sc.start_u <- h.start_u;
+  sc.start_w <- h.start_w;
+  sc.p_first <- h.p_first;
+  sc.fl.(3) <- h.entry_dist;
+  sc.fl.(4) <- h.best_cross;
+  hop sc g points ~dst u gfg_decide
+
+let gfg_header (sc : scratch) =
+  {
+    perimeter = sc.mode = 1;
+    entry = sc.entry;
+    prev = sc.prev;
+    start_u = sc.start_u;
+    start_w = sc.start_w;
+    p_first = sc.p_first;
+    entry_dist = sc.fl.(3);
+    best_cross = sc.fl.(4);
+  }
 
 (* A backbone node is its own gateway; a dominatee enters at its
    smallest-id dominator, the first in its ascending UDG row. *)
@@ -585,8 +581,6 @@ let listed obs kernel g points ~src ~dst =
 
 let greedy g = listed obs_greedy greedy_into g
 let compass g = listed obs_compass compass_into g
-let mfr g = listed obs_mfr mfr_into g
-let nfp g = listed obs_nfp nfp_into g
 let gfg g = listed obs_gfg gfg_into g
 
 let hierarchical (s : Shard.snapshot) ~src ~dst =
@@ -594,116 +588,6 @@ let hierarchical (s : Shard.snapshot) ~src ~dst =
   obs_hierarchical
     (if hierarchical_into sc s ~src ~dst < 0 then None
      else Some (Scratch.path_list sc))
-
-(* Perimeter-mode machinery of the per-node forwarding automaton.
-   [gfg_step] drives the packet-level protocol in [Packetsim]; the
-   [gfg_into] kernel above replicates the same decisions over scratch
-   registers, and the packetsim tests assert path-level and
-   packet-level GPSR agree exactly — which doubles as the
-   kernel-vs-automaton equivalence check.  The automaton charges no
-   counter: [Packetsim]'s GPSR discipline charges [routing.gfg.steps]
-   per decision, as [gfg_into] does per loop step. *)
-let next_ccw g points v ~from_angle =
-  let nbrs = Csr.neighbors g v in
-  let angle w = P.angle_of (P.sub points.(w) points.(v)) in
-  let rel w =
-    let a = angle w -. from_angle in
-    let a = if a <= 1e-13 then a +. (2. *. Float.pi) else a in
-    a
-  in
-  match nbrs with
-  | [] -> None
-  | _ ->
-    Some
-      (List.fold_left
-         (fun best w -> if rel w < rel best then w else best)
-         (List.hd nbrs) nbrs)
-
-type perimeter = {
-  p_entry : P.t;  (* position where perimeter mode was entered *)
-  p_entry_dist : float;  (* distance to dst at entry: greedy resumes below it *)
-  p_best_cross : float;  (* closest crossing of the entry->dst segment so far *)
-  p_start : int * int;  (* first directed edge of the current face *)
-  p_first : bool;  (* still on the starting edge of this face *)
-}
-
-type header = Greedy | Perimeter of perimeter * int  (* previous node *)
-
-type decision = Deliver | Forward of int * header | Drop
-
-let closer_neighbor g points ~dst u =
-  let du = P.dist points.(u) points.(dst) in
-  List.fold_left
-    (fun acc v ->
-      let dv = P.dist points.(v) points.(dst) in
-      match acc with
-      | Some (_, dbest) when dbest <= dv -> acc
-      | _ -> if dv < du then Some (v, dv) else acc)
-    None (Csr.neighbors g u)
-  |> Option.map fst
-
-(* pivot around [u] handling face changes, then forward along the
-   settled edge *)
-let rec advance g points ~dst u st w =
-  let su, sw = st.p_start in
-  if (not st.p_first) && Int.equal u su && Int.equal w sw then Drop
-  else
-    let seg_uw = Geometry.Segment.make points.(u) points.(w) in
-    let seg_ed = Geometry.Segment.make st.p_entry points.(dst) in
-    let crossing =
-      match Geometry.Segment.intersection_point seg_uw seg_ed with
-      | Some p ->
-        let d = P.dist p points.(dst) in
-        if d < st.p_best_cross -. 1e-12 then Some d else None
-      | None -> None
-    in
-    match crossing with
-    | Some d -> begin
-      let a = P.angle_of (P.sub points.(w) points.(u)) in
-      match next_ccw g points u ~from_angle:a with
-      | None -> Drop
-      | Some w' ->
-        advance g points ~dst u
-          { st with p_best_cross = d; p_start = (u, w'); p_first = true }
-          w'
-    end
-    | None -> Forward (w, Perimeter ({ st with p_first = false }, u))
-
-let gfg_step g points ~dst u header =
-  if u = dst then Deliver
-  else
-    let enter_perimeter () =
-      let toward = P.angle_of (P.sub points.(dst) points.(u)) in
-      match next_ccw g points u ~from_angle:toward with
-      | None -> Drop
-      | Some w ->
-        let entry = points.(u) in
-        let st =
-          {
-            p_entry = entry;
-            p_entry_dist = P.dist entry points.(dst);
-            p_best_cross = P.dist entry points.(dst);
-            p_start = (u, w);
-            p_first = true;
-          }
-        in
-        advance g points ~dst u st w
-    in
-    let greedy_step () =
-      match closer_neighbor g points ~dst u with
-      | Some v -> Forward (v, Greedy)
-      | None -> enter_perimeter ()
-    in
-    match header with
-    | Greedy -> greedy_step ()
-    | Perimeter (st, prev) ->
-      if P.dist points.(u) points.(dst) < st.p_entry_dist then greedy_step ()
-      else begin
-        let a = P.angle_of (P.sub points.(prev) points.(u)) in
-        match next_ccw g points u ~from_angle:a with
-        | None -> Drop
-        | Some w -> advance g points ~dst u st w
-      end
 
 type evaluation = {
   pairs : int;

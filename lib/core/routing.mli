@@ -1,9 +1,9 @@
 (** Localized geographic routing on the constructed topologies.
 
     The backbone exists to be routed on: the paper pairs it with
-    Dominating-Set-Based Routing and with Greedy Perimeter Stateless
-    Routing (GPSR), which needs the planar [LDel(ICDS)] for its
-    perimeter mode.  Everything here is stateless per-packet routing
+    Dominating-Set-Based Routing and with GPSR (greedy forwarding with
+    face-routing recovery), which needs the planar [LDel(ICDS)] for
+    its perimeter mode.  Everything here is stateless per-packet routing
     from purely local information (positions of self, neighbors and
     the destination), as in the protocols the paper cites.
 
@@ -16,7 +16,9 @@
     serve engine's form), plus one list wrapper of the plain name
     that runs the kernel on a fresh scratch and records the
     [routing.<name>.routes/delivered] counters.  Both read the
-    topology as a sealed {!Netgraph.Csr.t}.
+    topology as a sealed {!Netgraph.Csr.t}.  The greedy and GFG
+    kernels walk one per-hop forwarding decision, which {!Packetsim}
+    also runs packet by packet ({!greedy_hop}, {!gfg_hop}).
 
     Node-id handling is uniform: [src = dst] delivers the trivial
     path [[src]] (hop count 0), and an out-of-range [src] or [dst]
@@ -53,12 +55,12 @@ module Scratch : sig
 end
 
 (** The drop reasons, indexed by {!Scratch.drop}:
-    - ["local_minimum"]: no neighbor qualifies — greedy or MFR/NFP
-      without progress, or a node with no edge to leave by;
+    - ["local_minimum"]: no neighbor qualifies — greedy without a
+      strictly closer neighbor, or a node with no edge to leave by;
     - ["face_loop"]: GFG's perimeter walk came back to the first edge
       of its face without crossing closer, so [dst] is unreachable
       from [src] in the graph;
-    - ["revisit"]: compass, MFR or NFP came back to a node;
+    - ["revisit"]: compass came back to a node;
     - ["step_cap"]: the step budget (4 · edges + 16) ran out;
     - ["out_of_range"]: [src] or [dst] is not a node id. *)
 val drop_reasons : string array
@@ -71,22 +73,14 @@ val drop_reasons : string array
     {!Geometry.Predicates.orient2d} do).  Unlike the
     list wrappers they record no per-route obs metrics (the serve
     engine aggregates its own), with one exception: the
-    [routing.gfg.steps] counter, which counts forwarding decisions
-    exactly as the historical implementation did. *)
+    [routing.gfg.steps] counter, charged once per GFG forwarding
+    decision (none for [src = dst]). *)
 
 val greedy_into :
   Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
 val compass_into :
-  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
-  src:int -> dst:int -> int
-
-val mfr_into :
-  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
-  src:int -> dst:int -> int
-
-val nfp_into :
   Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array ->
   src:int -> dst:int -> int
 
@@ -108,21 +102,6 @@ val compass :
   Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
-(** [mfr g points ~src ~dst] is Most Forward within Radius
-    (Takagi–Kleinrock): forward to the neighbor with the largest
-    progress — the projection of the step onto the line toward the
-    destination; fails when no neighbor makes positive progress. *)
-val mfr :
-  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
-(** [nfp g points ~src ~dst] is Nearest with Forward Progress (Hou &
-    Li): the closest neighbor that still makes positive progress —
-    the power-friendly variant. *)
-val nfp :
-  Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
-  int list option
-
 (** [gfg g points ~src ~dst] is greedy routing with face-routing
     recovery (GPSR's perimeter mode: right-hand rule plus the
     cross-the-[sd]-line face changes).  Delivery is guaranteed when
@@ -131,34 +110,52 @@ val gfg :
   Netgraph.Csr.t -> Geometry.Point.t array -> src:int -> dst:int ->
   int list option
 
-(** The GFG packet header: greedy mode, or perimeter mode with the
-    face-traversal state GPSR carries in its packets. *)
-type perimeter = {
-  p_entry : Geometry.Point.t;
-  p_entry_dist : float;
-  p_best_cross : float;
-  p_start : int * int;
-  p_first : bool;
+(** {1 Per-hop decisions}
+
+    One forwarding decision at node [u], from purely local
+    information: [u]'s row of [g], the positions, and for GFG the
+    packet header.  Each returns the next hop, or [-1] when the packet
+    stops at [u]: delivered when [u = dst], otherwise dropped with the
+    reason in {!Scratch.drop}.  The kernels above fold the same
+    decisions, so a packet forwarded hop by hop walks exactly their
+    path ({!Packetsim} is tested against them). *)
+
+(** GFG's packet header: greedy or perimeter mode, and the
+    face-traversal state GPSR carries in a packet in perimeter mode.
+    {!gfg_into} keeps the same fields in scratch registers and never
+    builds one. *)
+type header = {
+  perimeter : bool;  (** false in greedy mode *)
+  entry : int;  (** node where perimeter mode was entered *)
+  prev : int;  (** the node the packet came from, in perimeter mode *)
+  start_u : int;  (** first directed edge of the current face *)
+  start_w : int;
+  p_first : bool;  (** still on the first edge of this face *)
+  entry_dist : float;  (** distance to dst at entry: greedy resumes below it *)
+  best_cross : float;  (** closest crossing of entry -> dst so far *)
 }
 
-type header = Greedy | Perimeter of perimeter * int
+(** A fresh packet's header: greedy mode. *)
+val greedy_header : header
 
-type decision = Deliver | Forward of int * header | Drop
+(** [gfg_hop sc g points ~dst u h] is GFG's decision at [u] on a packet
+    with header [h]; {!gfg_header} then reads the header to forward
+    with.  It charges [routing.gfg.steps] once, as each step of
+    {!gfg_into} does. *)
+val gfg_hop :
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array -> dst:int -> int ->
+  header -> int
 
-(** [gfg_step g points ~dst u header] is one forwarding decision at
-    node [u], from purely local information (u's neighbors and the
-    header).  {!gfg} is the fold of this step; {!Packetsim} runs the
-    same step inside the message-passing simulator, so path-level and
-    packet-level GPSR agree exactly (tested).  It charges no counter:
-    a caller running it as GPSR charges [routing.gfg.steps] once per
-    decision, as {!gfg_into} does. *)
-val gfg_step :
-  Netgraph.Csr.t ->
-  Geometry.Point.t array ->
-  dst:int ->
-  int ->
-  header ->
-  decision
+(** The header after the last {!gfg_hop} on this scratch (a fresh
+    record). *)
+val gfg_header : Scratch.t -> header
+
+(** [greedy_hop sc g points ~dst u] is greedy's decision at [u]: GFG's
+    decision in greedy mode, dropping ("local_minimum") where GFG
+    would enter perimeter mode.  It charges no counter. *)
+val greedy_hop :
+  Scratch.t -> Netgraph.Csr.t -> Geometry.Point.t array -> dst:int -> int ->
+  int
 
 (** [gateway ~udg ~roles ~backbone u] is where [u] enters the
     backbone: [u] itself when [backbone.(u)], otherwise its smallest-id

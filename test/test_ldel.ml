@@ -534,13 +534,31 @@ let corner_sharing_pairs g pts ~radius =
   done;
   (!shared, !bad)
 
+(* corner-sharing pairs examined over one run of the property below *)
+let shared_corner_pairs = ref 0
+
 let prop_shared_corner_disjoint =
   QCheck.Test.make ~name:"corner-sharing accepted triangles never intersect"
     ~count:100
     (QCheck.make ~print:print_instance gen_instance)
     (fun (seed, n, radius, drop) ->
       let pts, g = thinned_instance (Int64.of_int seed) n radius drop in
-      Option.is_none (snd (corner_sharing_pairs g pts ~radius)))
+      let k, bad = corner_sharing_pairs g pts ~radius in
+      shared_corner_pairs := !shared_corner_pairs + k;
+      Option.is_none bad)
+
+(* The property holds vacuously on instances without corner-sharing
+   pairs, so a run must examine some. *)
+let test_shared_corner_disjoint =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest prop_shared_corner_disjoint
+  in
+  ( name,
+    speed,
+    fun () ->
+      shared_corner_pairs := 0;
+      run ();
+      check "corner-sharing pairs examined" true (!shared_corner_pairs > 0) )
 
 (* The same lemma on the paper's setting, where both planarizations
    ([Ldel.build]'s and the protocol's removal round) skip these pairs:
@@ -681,7 +699,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_planarize_matches_oracle;
         Alcotest.test_case "Algorithm 3 removals = oracle" `Quick
           test_planarize_removes_like_oracle;
-        QCheck_alcotest.to_alcotest prop_shared_corner_disjoint;
+        test_shared_corner_disjoint;
         Alcotest.test_case "shared corner: deployments, UDG and ICDS" `Quick
           test_shared_corner_disjoint_deployments;
         Alcotest.test_case "PLDel crossing fixture" `Quick

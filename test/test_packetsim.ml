@@ -107,6 +107,68 @@ let test_many_tiny () =
         [ `Gpsr; `Greedy ])
     [ [||]; [| P.make 0. 0. |] ]
 
+(* Packet-level routing equals path-level routing on random
+   deployments, disconnected ones included, over the UDG and its
+   PLDel: [Packetsim.gpsr] walks [Routing.gfg]'s path and the oracle
+   automaton's, one transmission per hop, charging [routing.gfg.steps]
+   once per oracle decision as [Routing.gfg] does; [Packetsim.greedy]
+   walks [Routing.greedy]'s path and, like it, charges nothing. *)
+let gfg_steps = Obs.counter "routing.gfg.steps"
+
+let charged f =
+  let before = Obs.value gfg_steps in
+  let r = f () in
+  (r, Obs.value gfg_steps - before)
+
+let packet_agrees instance =
+  let pts, udg, pldel, queries = Test_routing.random_deployment instance in
+  let n = Array.length pts in
+  let path (r : Core.Packetsim.result) =
+    if r.Core.Packetsim.delivered then Some r.Core.Packetsim.path else None
+  in
+  let one_tx_per_hop (r : Core.Packetsim.result) =
+    (not r.Core.Packetsim.delivered)
+    || r.Core.Packetsim.transmissions = List.length r.Core.Packetsim.path - 1
+  in
+  List.for_all
+    (fun (name, g) ->
+      List.for_all
+        (fun _ ->
+          let src = Wireless.Rand.int queries n
+          and dst = Wireless.Rand.int queries n in
+          let gpsr, k_gpsr =
+            charged (fun () -> Core.Packetsim.gpsr g pts ~src ~dst)
+          in
+          let gfg, k_gfg =
+            charged (fun () -> Core.Routing.gfg g pts ~src ~dst)
+          in
+          let oracle, k_oracle = Test_routing.gfg_fold g pts ~src ~dst in
+          let greedy, k_greedy =
+            charged (fun () -> Core.Packetsim.greedy g pts ~src ~dst)
+          in
+          let greedy_path, k_greedy_path =
+            charged (fun () -> Core.Routing.greedy g pts ~src ~dst)
+          in
+          (path gpsr = gfg && gfg = oracle && one_tx_per_hop gpsr
+          && k_gpsr = k_gfg && k_gfg = k_oracle
+          && path greedy = greedy_path && one_tx_per_hop greedy
+          && k_greedy = 0 && k_greedy_path = 0)
+          || QCheck.Test.fail_reportf
+               "%s: %d -> %d disagrees (gfg.steps: packet %d, path %d, oracle \
+                %d; greedy %d, %d)"
+               name src dst k_gpsr k_gfg k_oracle k_greedy k_greedy_path)
+        (List.init 40 Fun.id))
+    [ ("UDG", udg); ("PLDel", pldel) ]
+
+let prop_packet_equals_path =
+  QCheck.Test.make ~name:"packet routing = path routing (random deployments)"
+    ~count:300 Test_routing.arb_deployment (fun instance ->
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Obs.set_enabled was)
+        (fun () -> packet_agrees instance))
+
 let suites =
   [
     ( "core.packetsim",
@@ -120,5 +182,6 @@ let suites =
         Alcotest.test_case "unreachable" `Quick test_packet_unreachable;
         Alcotest.test_case "bulk workload" `Quick test_many;
         Alcotest.test_case "bulk workload on n < 2" `Quick test_many_tiny;
+        QCheck_alcotest.to_alcotest prop_packet_equals_path;
       ] );
   ]

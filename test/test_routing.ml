@@ -176,14 +176,11 @@ let test_variants_on_line () =
     [
       ("greedy", Core.Routing.greedy);
       ("compass", Core.Routing.compass);
-      ("mfr", Core.Routing.mfr);
-      ("nfp", Core.Routing.nfp);
     ]
 
 let test_variants_choose_differently () =
   (* src 0 at origin, dst 3 to the east; neighbor 1 is closest to dst
-     (greedy's pick), neighbor 2 makes more forward progress (MFR's
-     pick), and is nearer to src than... set up so NFP picks 1 *)
+     (greedy's pick), neighbor 2 makes more forward progress *)
   let pts =
     [|
       P.make 0. 0.; (* src *)
@@ -193,25 +190,16 @@ let test_variants_choose_differently () =
     |]
   in
   let g = G.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  (match Core.Routing.greedy g pts ~src:0 ~dst:3 with
+  match Core.Routing.greedy g pts ~src:0 ~dst:3 with
   | Some (_ :: v :: _) ->
     Alcotest.(check int) "greedy takes nearest-to-dst" 1 v
-  | _ -> Alcotest.fail "greedy failed");
-  (match Core.Routing.mfr g pts ~src:0 ~dst:3 with
-  | Some (_ :: v :: _) -> Alcotest.(check int) "mfr takes most-forward" 2 v
-  | _ -> Alcotest.fail "mfr failed");
-  match Core.Routing.nfp g pts ~src:0 ~dst:3 with
-  | Some (_ :: v :: _) ->
-    Alcotest.(check int) "nfp takes nearest-with-progress" 1 v
-  | _ -> Alcotest.fail "nfp failed"
+  | _ -> Alcotest.fail "greedy failed"
 
 let test_variants_fail_without_progress () =
   (* dead end: no neighbor makes forward progress *)
   let pts = [| P.make 0. 0.; P.make (-1.) 0.; P.make 5. 0. |] in
   let g = G.of_edges 3 [ (0, 1) ] in
-  check "greedy stuck" true (Core.Routing.greedy g pts ~src:0 ~dst:2 = None);
-  check "mfr stuck" true (Core.Routing.mfr g pts ~src:0 ~dst:2 = None);
-  check "nfp stuck" true (Core.Routing.nfp g pts ~src:0 ~dst:2 = None)
+  check "greedy stuck" true (Core.Routing.greedy g pts ~src:0 ~dst:2 = None)
 
 let test_variants_delivery_rates () =
   (* on dense random UDGs all directional heuristics deliver most
@@ -240,11 +228,6 @@ let test_variants_delivery_rates () =
     [
       ("greedy", Core.Routing.greedy, 0.9);
       ("compass", Core.Routing.compass, 0.9);
-      ("mfr", Core.Routing.mfr, 0.9);
-      (* NFP's short steps make it orbit near the destination on some
-         pairs — delivery is genuinely weaker, which is part of why
-         greedy+face won out historically *)
-      ("nfp", Core.Routing.nfp, 0.6);
     ]
 
 let test_evaluate () =
@@ -284,7 +267,7 @@ let test_evaluate_tiny () =
       check name true (ev = zero))
     [ ("empty view", [||]); ("one node", [| P.make 0. 0. |]) ]
 
-(* Uniform endpoint contract across all five routers and the
+(* Uniform endpoint contract across all three routers and the
    hierarchical one: src = dst is the trivial delivery [Some [src]],
    any out-of-range node id is a clean [None]. *)
 let test_endpoint_contract () =
@@ -311,8 +294,6 @@ let test_endpoint_contract () =
     [
       ("greedy", fun ~src ~dst -> R.greedy g pts ~src ~dst);
       ("compass", fun ~src ~dst -> R.compass g pts ~src ~dst);
-      ("mfr", fun ~src ~dst -> R.mfr g pts ~src ~dst);
-      ("nfp", fun ~src ~dst -> R.nfp g pts ~src ~dst);
       ("gfg", fun ~src ~dst -> R.gfg g pts ~src ~dst);
       ("hierarchical", fun ~src ~dst -> R.hierarchical bb.Core.Backbone.snap ~src ~dst);
     ]
@@ -321,34 +302,52 @@ let test_endpoint_contract () =
    disconnected) UDGs and their PLDel, every router answers the same
    through the list wrapper and through the [_into] kernel with one
    scratch shared across all queries (its stamped marks and path
-   buffer carry nothing between routes).  The fold of [gfg_step] is
-   [gfg]. *)
+   buffer carry nothing between routes).  The fold of the oracle
+   automaton is [gfg]. *)
+
+(* The oracle's route under [gfg]'s step budget, and the number of
+   decisions it made; [src = dst] is delivered before any decision,
+   as in [gfg] and [Packetsim.gpsr]. *)
 let gfg_fold v pts ~src ~dst =
-  let rec walk u header budget acc =
-    if budget <= 0 then None
+  let module O = Gfg_oracle in
+  let rec walk u header budget acc k =
+    if budget <= 0 then (None, k)
     else
-      match R.gfg_step v pts ~dst u header with
-      | R.Deliver -> Some (List.rev (u :: acc))
-      | R.Drop -> None
-      | R.Forward (w, header') -> walk w header' (budget - 1) (u :: acc)
+      match O.gfg_step v pts ~dst u header with
+      | O.Deliver -> (Some (List.rev (u :: acc)), k + 1)
+      | O.Drop -> (None, k + 1)
+      | O.Forward (w, header') ->
+        walk w header' (budget - 1) (u :: acc) (k + 1)
   in
-  walk src R.Greedy ((4 * G.edge_count v) + 16) []
+  if src = dst then (Some [ src ], 0)
+  else walk src O.Greedy ((4 * G.edge_count v) + 16) [] 0
 
 let routers =
   [
     ("greedy", R.greedy, R.greedy_into);
     ("compass", R.compass, R.compass_into);
-    ("mfr", R.mfr, R.mfr_into);
-    ("nfp", R.nfp, R.nfp_into);
     ("gfg", R.gfg, R.gfg_into);
   ]
 
-let representation_agrees (seed, n, radius) =
+(* A random deployment (possibly disconnected): its points, the UDG
+   and its PLDel, and a query stream drawn after them. *)
+let random_deployment (seed, n, radius) =
   let rng = Wireless.Rand.create (Int64.of_int seed) in
   let pts = Wireless.Deploy.uniform rng ~n ~side:200. in
   let udg = Wireless.Udg.build pts ~radius in
   let pldel = (Tgraph.ldel_build udg pts ~radius).Tgraph.planar in
-  let queries = Wireless.Rand.split rng in
+  (pts, udg, pldel, Wireless.Rand.split rng)
+
+let arb_deployment =
+  QCheck.make
+    ~print:(fun (seed, n, radius) ->
+      Printf.sprintf "seed %d, n %d, radius %.1f" seed n radius)
+    QCheck.Gen.(
+      triple (int_bound 1_000_000) (int_range 2 60) (float_range 15. 70.))
+
+let representation_agrees instance =
+  let pts, udg, pldel, queries = random_deployment instance in
+  let n = Array.length pts in
   let shared = R.Scratch.create () in
   List.for_all
     (fun g ->
@@ -370,7 +369,7 @@ let representation_agrees (seed, n, radius) =
                 end
               in
               via_list = via_into
-              && (name <> "gfg" || via_list = gfg_fold g pts ~src ~dst)
+              && (name <> "gfg" || via_list = fst (gfg_fold g pts ~src ~dst))
               || QCheck.Test.fail_reportf "%s: %d -> %d disagrees" name src
                    dst)
             routers)
@@ -379,12 +378,7 @@ let representation_agrees (seed, n, radius) =
 
 let prop_representation_independent =
   QCheck.Test.make ~name:"routes independent of representation" ~count:25
-    (QCheck.make
-       ~print:(fun (seed, n, radius) ->
-         Printf.sprintf "seed %d, n %d, radius %.1f" seed n radius)
-       QCheck.Gen.(
-         triple (int_bound 1_000_000) (int_range 2 60) (float_range 15. 70.)))
-    representation_agrees
+    arb_deployment representation_agrees
 
 let suites =
   [
